@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -65,18 +64,8 @@ type batchResponse struct {
 // the constraint valid, the strategy known.
 func (s *Server) parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, verify.Constraint, error) {
 	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, DefaultMaxBatchBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return req, verify.Constraint{}, &httpError{
-				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("batch body exceeds the %d-byte limit", tooLarge.Limit),
-			}
-		}
-		return req, verify.Constraint{}, badRequest("parsing batch body: %v", err)
+	if err := decodeStrict(w, r, DefaultMaxBatchBytes, "batch", "", &req); err != nil {
+		return req, verify.Constraint{}, err
 	}
 	if len(req.Queries) == 0 {
 		return req, verify.Constraint{}, badRequest("batch holds no query points")
@@ -113,20 +102,22 @@ func (s *Server) parseBatchRequest(w http.ResponseWriter, r *http.Request) (batc
 }
 
 // handleBatch answers POST /v1/batch: the whole request resolves against one
-// dataset snapshot, each point is cache-checked individually, and the misses
+// backend view, each point is cache-checked individually, and the misses
 // are evaluated concurrently under the server's worker pool with identical
 // in-flight points collapsed by the singleflight layer. Duplicate points
 // within one request evaluate once and share the outcome.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epBatch].Add(1)
-	if err := s.replicaGate(); err != nil {
+	// One view for the whole request: a concurrent reload can never make two
+	// points of one batch answer against different dataset generations (in
+	// router mode: share one member-version vector in their cache keys).
+	v, err := s.be.admit()
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	if r.Method != http.MethodPost {
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.methodNotAllowed(w, "POST")
 		return
 	}
 	req, c, err := s.parseBatchRequest(w, r)
@@ -141,10 +132,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	queries := req.points()
-
-	// One snapshot for the whole request: a concurrent reload can never make
-	// two points of one batch answer against different dataset generations.
-	snap := s.snap.Load()
 	start := time.Now()
 
 	type outcome struct {
@@ -170,13 +157,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(qq float64, out *outcome) {
 			defer wg.Done()
-			out.body, out.src, out.err = s.cpnnBody(r.Context(), epBatch, snap, qq, c, strat, req.All)
+			out.body, out.src, out.err = s.cpnnBody(r.Context(), epBatch, v, qq, c, strat, req.All)
 		}(qq, slot[qq])
 	}
 	wg.Wait()
 
 	resp := batchResponse{
-		Version:  snap.Version,
+		Version:  v.version(),
 		Count:    len(queries),
 		P:        c.P,
 		Delta:    c.Delta,

@@ -109,9 +109,9 @@ type metrics struct {
 	sseClosed [numSSEReasons]atomic.Int64
 }
 
-// write renders every counter plus the cache, snapshot and (when a store is
-// attached) durability and continuous-query gauges.
-func (m *metrics) write(w io.Writer, c *cache, snap *Snapshot, st *store.Stats, ms *monitor.Stats) {
+// write renders the counters every backend shares plus the cache and
+// served-data gauges.
+func (m *metrics) write(w io.Writer, c *cache, info datasetResponse) {
 	const p = "cpnn_server_"
 	fmt.Fprintf(w, "# HELP %srequests_total Requests served, by endpoint.\n", p)
 	fmt.Fprintf(w, "# TYPE %srequests_total counter\n", p)
@@ -143,9 +143,9 @@ func (m *metrics) write(w io.Writer, c *cache, snap *Snapshot, st *store.Stats, 
 	fmt.Fprintf(w, "%sevaluation_seconds_total %g\n", p, float64(m.evalNanos.Load())/1e9)
 
 	fmt.Fprintf(w, "# TYPE %ssnapshot_version gauge\n", p)
-	fmt.Fprintf(w, "%ssnapshot_version %d\n", p, snap.Version)
+	fmt.Fprintf(w, "%ssnapshot_version %d\n", p, info.Version)
 	fmt.Fprintf(w, "# TYPE %ssnapshot_objects gauge\n", p)
-	fmt.Fprintf(w, "%ssnapshot_objects %d\n", p, snap.Objects)
+	fmt.Fprintf(w, "%ssnapshot_objects %d\n", p, info.Objects)
 	fmt.Fprintf(w, "# TYPE %ssnapshot_reloads_total counter\n", p)
 	fmt.Fprintf(w, "%ssnapshot_reloads_total %d\n", p, m.reloads.Load())
 
@@ -154,11 +154,13 @@ func (m *metrics) write(w io.Writer, c *cache, snap *Snapshot, st *store.Stats, 
 	for r := sseReason(0); r < numSSEReasons; r++ {
 		fmt.Fprintf(w, "%ssse_closed_total{reason=%q} %d\n", p, r.String(), m.sseClosed[r].Load())
 	}
+}
 
-	if st == nil {
-		return
-	}
-	// Durable-store counters (present only with -data-dir / Config.Store).
+// writeStore renders the durable-store, page-cache and continuous-query
+// families (present only with -data-dir / Config.Store; the monitor rides
+// the store's change feed).
+func (m *metrics) writeStore(w io.Writer, st store.Stats, ms monitor.Stats) {
+	const p = "cpnn_server_"
 	fmt.Fprintf(w, "# TYPE %sstore_ops_applied_total counter\n", p)
 	fmt.Fprintf(w, "%sstore_ops_applied_total %d\n", p, st.OpsApplied)
 	fmt.Fprintf(w, "# TYPE %sstore_commits_total counter\n", p)
@@ -219,10 +221,6 @@ func (m *metrics) write(w io.Writer, c *cache, snap *Snapshot, st *store.Stats, 
 	fmt.Fprintf(w, "# TYPE %sbase_slots gauge\n", pc)
 	fmt.Fprintf(w, "%sbase_slots %d\n", pc, st.BaseSlots)
 
-	if ms == nil {
-		return
-	}
-	// Continuous-query counters (the monitor rides the store's change feed).
 	fmt.Fprintf(w, "# TYPE %smonitor_active gauge\n", p)
 	fmt.Fprintf(w, "# HELP %smonitor_active Registered standing queries.\n", p)
 	fmt.Fprintf(w, "%smonitor_active %d\n", p, ms.Active)
@@ -271,8 +269,7 @@ func (m *metrics) write(w io.Writer, c *cache, snap *Snapshot, st *store.Stats, 
 
 // writeObsMetrics renders the build-info gauge, process uptime, the
 // per-phase latency histograms, and every collector the binary registered
-// (router member/fan-out, replica apply-lag, monitor push-latency). Appended
-// by both the single-store and router-mode /metrics handlers.
+// (router member/fan-out, replica apply-lag, monitor push-latency).
 func (s *Server) writeObsMetrics(w io.Writer) {
 	obs.WriteBuildInfo(w)
 	fmt.Fprintf(w, "# HELP cpnn_server_uptime_seconds Seconds since the server was constructed.\n")

@@ -106,18 +106,52 @@ func monitorInfo(st *monitor.State) monitorJSON {
 	}
 }
 
+// monitorOps is what the single-store monitor and the shard-cluster monitor
+// share verbatim: both expose *monitor.State, so the handlers stay
+// backend-agnostic.
+type monitorOps interface {
+	Register(spec monitor.Spec) (*monitor.State, error)
+	List() []*monitor.State
+	Unregister(id uint64) bool
+	Close()
+}
+
+// monitorStream is the common shape of both subscription types.
+type monitorStream interface {
+	C() <-chan monitor.Event
+	Close()
+}
+
+// monitors is the continuous-query surface the handlers use.
+type monitors interface {
+	monitorOps
+	Subscribe(ids []uint64, buffer int) (monitorStream, error)
+}
+
+// concreteMonitor is monitors as monitor.Monitor and shard.Monitor implement
+// it: Subscribe returns the package's own subscription type S.
+type concreteMonitor[S monitorStream] interface {
+	monitorOps
+	Subscribe(ids []uint64, buffer int) (S, error)
+}
+
+// monitorsOf adapts a concrete monitor to monitors by widening S to
+// monitorStream; nothing else differs.
+type monitorsOf[S monitorStream] struct{ concreteMonitor[S] }
+
+func (m monitorsOf[S]) Subscribe(ids []uint64, buffer int) (monitorStream, error) {
+	sub, err := m.concreteMonitor.Subscribe(ids, buffer)
+	if err != nil {
+		return nil, err // not a typed-nil S inside a non-nil interface
+	}
+	return sub, nil
+}
+
 func (s *Server) requireMonitor(w http.ResponseWriter) bool {
-	if s.monitor != nil || s.shardMon != nil {
-		return true
+	if s.monitors == nil {
+		s.writeError(w, &httpError{status: http.StatusNotImplemented, msg: s.monitorsHint})
 	}
-	msg := "continuous queries require a store (run cpnn-serve with -data-dir)"
-	if s.cfg.ShardRouter != nil {
-		// Multi-process routing: the member change feeds live in the member
-		// processes, so this router cannot host standing queries.
-		msg = "continuous queries require in-process member stores (run cpnn-serve with -shards)"
-	}
-	s.writeError(w, &httpError{status: http.StatusNotImplemented, msg: msg})
-	return false
+	return s.monitors != nil
 }
 
 func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
@@ -128,7 +162,7 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 	// Standing queries are local to each node — a replica's monitors ride
 	// its own replayed change feed — but registering against a half-synced
 	// replay would answer from a state the primary never served.
-	if err := s.replicaGate(); err != nil {
+	if _, err := s.be.admit(); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -144,7 +178,7 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		st, err := s.monitorRegister(spec)
+		st, err := s.monitors.Register(spec)
 		if err != nil {
 			if errors.Is(err, monitor.ErrClosed) || errors.Is(err, shard.ErrUnavailable) {
 				err = &httpError{status: http.StatusServiceUnavailable, msg: err.Error()}
@@ -156,7 +190,7 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, monitorInfo(st))
 	case http.MethodGet:
-		states := s.monitorStates()
+		states := s.monitors.List()
 		out := make([]monitorJSON, len(states))
 		for i, st := range states {
 			out[i] = monitorInfo(st)
@@ -171,7 +205,7 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, badRequest("parameter %q: %q is not a monitor id", "id", raw))
 			return
 		}
-		if !s.monitorRemove(id) {
+		if !s.monitors.Unregister(id) {
 			s.writeError(w, &httpError{status: http.StatusNotFound,
 				msg: fmt.Sprintf("%v %d", monitor.ErrUnknownMonitor, id)})
 			return
@@ -180,9 +214,7 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 			Deleted uint64 `json:"deleted"`
 		}{id})
 	default:
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "GET, POST, DELETE")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.methodNotAllowed(w, "GET, POST, DELETE")
 	}
 }
 
@@ -190,12 +222,8 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, &httpError{
-				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("body exceeds the %d-byte limit", tooLarge.Limit),
-			}
+		if tl := tooLarge(err, "body"); tl != nil {
+			return nil, tl
 		}
 		return nil, badRequest("reading body: %v", err)
 	}
@@ -219,14 +247,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMonitor(w) {
 		return
 	}
-	if err := s.replicaGate(); err != nil {
+	if _, err := s.be.admit(); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	if r.Method != http.MethodGet {
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.methodNotAllowed(w, "GET")
 		return
 	}
 	if s.draining.Load() {
@@ -244,7 +270,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("response writer does not support streaming"))
 		return
 	}
-	sub, err := s.monitorSubscribe(ids, 0)
+	sub, err := s.monitors.Subscribe(ids, 0)
 	if err != nil {
 		s.writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: err.Error()})
 		return
@@ -282,7 +308,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		want[id] = true
 	}
-	for _, st := range s.monitorStates() {
+	for _, st := range s.monitors.List() {
 		if len(want) > 0 && !want[st.ID] {
 			continue
 		}

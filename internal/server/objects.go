@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,11 +11,12 @@ import (
 	"repro/internal/store"
 )
 
-// /v1/objects is the object-level mutation API, available when the server
-// has a store attached. POST upserts a batch (inserts assign stable IDs,
-// updates address existing ones); DELETE removes by ID. Every batch commits
-// atomically through the WAL, bumps the snapshot version and therefore
-// invalidates the result cache for free — cache keys embed the version.
+// /v1/objects is the object-level mutation API, available when the backend
+// can commit (a store, or a shard router). POST upserts a batch (inserts
+// assign stable IDs, updates address existing ones); DELETE removes by ID.
+// Every batch commits atomically through the WAL, bumps the snapshot version
+// and therefore invalidates the result cache for free — cache keys embed the
+// version.
 
 // objectSpec is one object of a POST /v1/objects batch. Exactly one payload
 // field must be set. ID zero (or omitted) inserts; non-zero updates.
@@ -148,120 +148,88 @@ func storeError(err error) error {
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epObjects].Add(1)
-	if s.cfg.Store == nil {
-		s.writeError(w, &httpError{
-			status: http.StatusNotImplemented,
-			msg:    "object-level updates require a store (run cpnn-serve with -data-dir)",
-		})
-		return
-	}
-	if s.redirectToPrimary(w, r) {
-		return
-	}
-	if err := s.memberWriteGate(); err != nil {
+	if err := s.be.admitWrite(r, true); err != nil {
 		s.writeError(w, err)
 		return
 	}
+	var ops []store.Op
+	var err error
 	switch r.Method {
 	case http.MethodPost:
-		s.handleObjectsPost(w, r)
+		ops, err = s.parseObjectsPost(w, r)
 	case http.MethodDelete:
-		s.handleObjectsDelete(w, r)
+		ops, err = s.parseObjectsDelete(w, r)
 	default:
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "POST, DELETE")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.methodNotAllowed(w, "POST, DELETE")
+		return
 	}
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	res, objects, err := s.be.apply(r.Context(), ops)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	resp := objectsResponse{Version: res.Version, Objects: objects}
+	if r.Method == http.MethodPost {
+		resp.IDs = res.IDs
+	} else {
+		resp.Deleted = len(ops)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleObjectsPost(w http.ResponseWriter, r *http.Request) {
+// parseObjectsPost validates a POST /v1/objects body into upsert ops.
+func (s *Server) parseObjectsPost(w http.ResponseWriter, r *http.Request) ([]store.Op, error) {
 	var req objectsRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, &httpError{
-				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("objects body exceeds the %d-byte limit", tooLarge.Limit),
-			})
-			return
-		}
-		s.writeError(w, badRequest("parsing objects body: %v", err))
-		return
+	if err := decodeStrict(w, r, s.cfg.MaxDatasetBytes, "objects", "", &req); err != nil {
+		return nil, err
 	}
 	if len(req.Objects) == 0 {
-		s.writeError(w, badRequest("objects batch is empty"))
-		return
+		return nil, badRequest("objects batch is empty")
 	}
 	if len(req.Objects) > MaxObjectsBatch {
-		s.writeError(w, badRequest("objects batch holds %d specs, limit %d", len(req.Objects), MaxObjectsBatch))
-		return
+		return nil, badRequest("objects batch holds %d specs, limit %d", len(req.Objects), MaxObjectsBatch)
 	}
 	ops := make([]store.Op, len(req.Objects))
 	for i, spec := range req.Objects {
 		op, err := spec.toOp(i)
 		if err != nil {
-			s.writeError(w, err)
-			return
+			return nil, err
 		}
 		ops[i] = op
 	}
-	s.commitOps(w, ops, func(res store.ApplyResult, snap *Snapshot) objectsResponse {
-		return objectsResponse{Version: snap.Version, Objects: storeObjects(s), IDs: res.IDs}
-	})
+	return ops, nil
 }
 
-func (s *Server) handleObjectsDelete(w http.ResponseWriter, r *http.Request) {
+// parseObjectsDelete validates a DELETE /v1/objects request (?id=N or a JSON
+// id list) into delete ops.
+func (s *Server) parseObjectsDelete(w http.ResponseWriter, r *http.Request) ([]store.Op, error) {
 	var ids []uint64
 	if raw := r.URL.Query().Get("id"); raw != "" {
 		id, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			s.writeError(w, badRequest("parameter %q: %q is not an object id", "id", raw))
-			return
+			return nil, badRequest("parameter %q: %q is not an object id", "id", raw)
 		}
 		ids = []uint64{id}
 	} else {
 		var req deleteRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.writeError(w, badRequest("parsing delete body (or pass ?id=N): %v", err))
-			return
+		if err := decodeStrict(w, r, s.cfg.MaxDatasetBytes, "delete", " (or pass ?id=N)", &req); err != nil {
+			return nil, err
 		}
 		ids = req.IDs
 	}
 	if len(ids) == 0 {
-		s.writeError(w, badRequest("no object ids to delete"))
-		return
+		return nil, badRequest("no object ids to delete")
 	}
 	if len(ids) > MaxObjectsBatch {
-		s.writeError(w, badRequest("delete batch holds %d ids, limit %d", len(ids), MaxObjectsBatch))
-		return
+		return nil, badRequest("delete batch holds %d ids, limit %d", len(ids), MaxObjectsBatch)
 	}
 	ops := make([]store.Op, len(ids))
 	for i, id := range ids {
 		ops[i] = store.Delete(id)
 	}
-	s.commitOps(w, ops, func(res store.ApplyResult, snap *Snapshot) objectsResponse {
-		return objectsResponse{Version: snap.Version, Objects: storeObjects(s), Deleted: len(ids)}
-	})
+	return ops, nil
 }
-
-// commitOps applies a validated op batch and publishes the resulting view.
-func (s *Server) commitOps(w http.ResponseWriter, ops []store.Op, respond func(store.ApplyResult, *Snapshot) objectsResponse) {
-	res, err := s.cfg.Store.Apply(ops)
-	if err != nil {
-		s.writeError(w, storeError(err))
-		return
-	}
-	if err := s.installLatestView(s.snap.Load().Source); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, respond(res, s.snap.Load()))
-}
-
-// storeObjects counts live 1-D objects through the freshest view.
-func storeObjects(s *Server) int { return s.cfg.Store.View().Dataset.Len() }

@@ -491,20 +491,25 @@ func TestSSECloseReasonDrain(t *testing.T) {
 
 // ---- healthz build/uptime ------------------------------------------------
 
+// TestHealthzBuildAndUptime: the one /healthz handler reports the common
+// fields on every shape — a plain server and a shard router alike.
 func TestHealthzBuildAndUptime(t *testing.T) {
-	s := testServer(t, Config{})
-	defer s.Close()
-	var hz struct {
-		Build  string  `json:"build"`
-		Uptime float64 `json:"uptime_seconds"`
-	}
-	if err := json.Unmarshal(get(t, s, "/healthz").Body.Bytes(), &hz); err != nil {
-		t.Fatal(err)
-	}
-	if hz.Build != obs.Version {
-		t.Fatalf("build = %q, want %q", hz.Build, obs.Version)
-	}
-	if hz.Uptime < 0 {
-		t.Fatalf("uptime = %g", hz.Uptime)
+	plain := testServer(t, Config{})
+	defer plain.Close()
+	router, _ := shardedObsServer(t)
+	for name, s := range map[string]*Server{"plain": plain, "router": router} {
+		var hz struct {
+			Build  string   `json:"build"`
+			Uptime *float64 `json:"uptime_seconds"`
+		}
+		if err := json.Unmarshal(get(t, s, "/healthz").Body.Bytes(), &hz); err != nil {
+			t.Fatal(err)
+		}
+		if hz.Build != obs.Version {
+			t.Fatalf("%s: build = %q, want %q", name, hz.Build, obs.Version)
+		}
+		if hz.Uptime == nil || *hz.Uptime < 0 {
+			t.Fatalf("%s: uptime_seconds = %v", name, hz.Uptime)
+		}
 	}
 }

@@ -3,55 +3,13 @@ package server
 import (
 	"fmt"
 	"io"
-	"net/http"
-	"strings"
 
 	"repro/internal/replica"
 )
 
-// Replica-mode serving: with Config.Replica set the server is a read
-// replica — its store is the follower's, reads are gated behind the first
-// catch-up, and writes bounce to the primary. This file holds the gate, the
-// write redirect, and the replication metric families; the wiring lives in
-// server.go next to the rest of the request path.
-
-// replicaGate rejects reads until the follower's first catch-up, so a
-// replica never serves answers from a half-replayed bootstrap. The 503
-// carries Retry-After (writeError adds it), matching the drain protocol.
-func (s *Server) replicaGate() error {
-	if s.cfg.Replica != nil && !s.cfg.Replica.CaughtUp() {
-		return &httpError{
-			status: http.StatusServiceUnavailable,
-			msg:    "replica: syncing, not yet caught up with the primary",
-		}
-	}
-	return nil
-}
-
-// redirectToPrimary handles a mutation request on a replica: 307 to the
-// primary's advertised HTTP address when the stream has carried one (307
-// preserves method and body, so the client's write replays verbatim), 403
-// when the primary never advertised. Reports whether it handled the request;
-// on a primary it never does.
-func (s *Server) redirectToPrimary(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.Replica == nil {
-		return false
-	}
-	if base := s.cfg.Replica.PrimaryHTTP(); base != "" {
-		target := strings.TrimSuffix(base, "/") + r.URL.RequestURI()
-		w.Header().Set("Location", target)
-		writeJSON(w, http.StatusTemporaryRedirect, errorResponse{
-			Error: "replica is read-only; write to the primary at " + target,
-		})
-		return true
-	}
-	s.m.clientErrors.Add(1)
-	s.writeError(w, &httpError{
-		status: http.StatusForbidden,
-		msg:    "replica is read-only and the primary advertised no HTTP address",
-	})
-	return true
-}
+// Replica-mode reporting: the /healthz "replication" object and the
+// replication metric families. The read gate and the write redirect that
+// make a server a replica are localBackend's admit and admitWrite.
 
 // replicationHealth is the /healthz "replication" object on a replica.
 func replicationHealth(f *replica.Follower) map[string]any {
@@ -79,10 +37,8 @@ func replicationHealth(f *replica.Follower) map[string]any {
 	return rep
 }
 
-// writeReplicaMetrics renders the follower-side (cpnn_server_replica_*) and
-// primary-side (cpnn_server_replication_*) metric families. Either argument
-// may be nil; a primary has only rs, a replica only fs.
-func writeReplicaMetrics(w io.Writer, fs *replica.FollowerStats, rs *replica.ServerStats) {
+// writeFollowerMetrics renders a replica's cpnn_server_replica_* families.
+func writeFollowerMetrics(w io.Writer, fs replica.FollowerStats) {
 	const p = "cpnn_server_"
 	b2i := func(b bool) int {
 		if b {
@@ -90,43 +46,45 @@ func writeReplicaMetrics(w io.Writer, fs *replica.FollowerStats, rs *replica.Ser
 		}
 		return 0
 	}
-	if fs != nil {
-		fmt.Fprintf(w, "# TYPE %sreplica_connected gauge\n", p)
-		fmt.Fprintf(w, "# HELP %sreplica_connected 1 while a replication stream to the primary is live.\n", p)
-		fmt.Fprintf(w, "%sreplica_connected %d\n", p, b2i(fs.Connected))
-		fmt.Fprintf(w, "# TYPE %sreplica_caught_up gauge\n", p)
-		fmt.Fprintf(w, "# HELP %sreplica_caught_up 1 once the first full catch-up happened (read serving gates on it).\n", p)
-		fmt.Fprintf(w, "%sreplica_caught_up %d\n", p, b2i(fs.CaughtUp))
-		fmt.Fprintf(w, "# TYPE %sreplica_lag_versions gauge\n", p)
-		fmt.Fprintf(w, "%sreplica_lag_versions %d\n", p, fs.Lag.Versions)
-		fmt.Fprintf(w, "# TYPE %sreplica_lag_seconds gauge\n", p)
-		fmt.Fprintf(w, "# HELP %sreplica_lag_seconds How long the replica has continuously been behind the last-heard primary position.\n", p)
-		fmt.Fprintf(w, "%sreplica_lag_seconds %g\n", p, fs.Lag.Seconds)
-		fmt.Fprintf(w, "# TYPE %sreplica_lag_bytes gauge\n", p)
-		fmt.Fprintf(w, "%sreplica_lag_bytes %d\n", p, fs.Lag.Bytes)
-		fmt.Fprintf(w, "# TYPE %sreplica_records_applied_total counter\n", p)
-		fmt.Fprintf(w, "%sreplica_records_applied_total %d\n", p, fs.RecordsApplied)
-		fmt.Fprintf(w, "# TYPE %sreplica_bytes_applied_total counter\n", p)
-		fmt.Fprintf(w, "%sreplica_bytes_applied_total %d\n", p, fs.BytesApplied)
-		fmt.Fprintf(w, "# TYPE %sreplica_reconnects_total counter\n", p)
-		fmt.Fprintf(w, "%sreplica_reconnects_total %d\n", p, fs.Reconnects)
-		fmt.Fprintf(w, "# TYPE %sreplica_snapshot_bootstraps_total counter\n", p)
-		fmt.Fprintf(w, "%sreplica_snapshot_bootstraps_total %d\n", p, fs.SnapshotBootstraps)
-	}
-	if rs != nil {
-		fmt.Fprintf(w, "# TYPE %sreplication_followers gauge\n", p)
-		fmt.Fprintf(w, "# HELP %sreplication_followers Currently connected replication followers.\n", p)
-		fmt.Fprintf(w, "%sreplication_followers %d\n", p, rs.Followers)
-		fmt.Fprintf(w, "# TYPE %sreplication_records_shipped_total counter\n", p)
-		fmt.Fprintf(w, "%sreplication_records_shipped_total %d\n", p, rs.RecordsShipped)
-		fmt.Fprintf(w, "# TYPE %sreplication_bytes_shipped_total counter\n", p)
-		fmt.Fprintf(w, "%sreplication_bytes_shipped_total %d\n", p, rs.BytesShipped)
-		fmt.Fprintf(w, "# TYPE %sreplication_snapshots_sent_total counter\n", p)
-		fmt.Fprintf(w, "%sreplication_snapshots_sent_total %d\n", p, rs.SnapshotsSent)
-		fmt.Fprintf(w, "# TYPE %sreplication_heartbeats_total counter\n", p)
-		fmt.Fprintf(w, "%sreplication_heartbeats_total %d\n", p, rs.Heartbeats)
-		fmt.Fprintf(w, "# TYPE %sreplication_resyncs_total counter\n", p)
-		fmt.Fprintf(w, "# HELP %sreplication_resyncs_total Followers transparently re-synced from the on-disk log after their live tail overflowed.\n", p)
-		fmt.Fprintf(w, "%sreplication_resyncs_total %d\n", p, rs.Resyncs)
-	}
+	fmt.Fprintf(w, "# TYPE %sreplica_connected gauge\n", p)
+	fmt.Fprintf(w, "# HELP %sreplica_connected 1 while a replication stream to the primary is live.\n", p)
+	fmt.Fprintf(w, "%sreplica_connected %d\n", p, b2i(fs.Connected))
+	fmt.Fprintf(w, "# TYPE %sreplica_caught_up gauge\n", p)
+	fmt.Fprintf(w, "# HELP %sreplica_caught_up 1 once the first full catch-up happened (read serving gates on it).\n", p)
+	fmt.Fprintf(w, "%sreplica_caught_up %d\n", p, b2i(fs.CaughtUp))
+	fmt.Fprintf(w, "# TYPE %sreplica_lag_versions gauge\n", p)
+	fmt.Fprintf(w, "%sreplica_lag_versions %d\n", p, fs.Lag.Versions)
+	fmt.Fprintf(w, "# TYPE %sreplica_lag_seconds gauge\n", p)
+	fmt.Fprintf(w, "# HELP %sreplica_lag_seconds How long the replica has continuously been behind the last-heard primary position.\n", p)
+	fmt.Fprintf(w, "%sreplica_lag_seconds %g\n", p, fs.Lag.Seconds)
+	fmt.Fprintf(w, "# TYPE %sreplica_lag_bytes gauge\n", p)
+	fmt.Fprintf(w, "%sreplica_lag_bytes %d\n", p, fs.Lag.Bytes)
+	fmt.Fprintf(w, "# TYPE %sreplica_records_applied_total counter\n", p)
+	fmt.Fprintf(w, "%sreplica_records_applied_total %d\n", p, fs.RecordsApplied)
+	fmt.Fprintf(w, "# TYPE %sreplica_bytes_applied_total counter\n", p)
+	fmt.Fprintf(w, "%sreplica_bytes_applied_total %d\n", p, fs.BytesApplied)
+	fmt.Fprintf(w, "# TYPE %sreplica_reconnects_total counter\n", p)
+	fmt.Fprintf(w, "%sreplica_reconnects_total %d\n", p, fs.Reconnects)
+	fmt.Fprintf(w, "# TYPE %sreplica_snapshot_bootstraps_total counter\n", p)
+	fmt.Fprintf(w, "%sreplica_snapshot_bootstraps_total %d\n", p, fs.SnapshotBootstraps)
+}
+
+// writeReplicationMetrics renders a primary's cpnn_server_replication_*
+// families.
+func writeReplicationMetrics(w io.Writer, rs replica.ServerStats) {
+	const p = "cpnn_server_"
+	fmt.Fprintf(w, "# TYPE %sreplication_followers gauge\n", p)
+	fmt.Fprintf(w, "# HELP %sreplication_followers Currently connected replication followers.\n", p)
+	fmt.Fprintf(w, "%sreplication_followers %d\n", p, rs.Followers)
+	fmt.Fprintf(w, "# TYPE %sreplication_records_shipped_total counter\n", p)
+	fmt.Fprintf(w, "%sreplication_records_shipped_total %d\n", p, rs.RecordsShipped)
+	fmt.Fprintf(w, "# TYPE %sreplication_bytes_shipped_total counter\n", p)
+	fmt.Fprintf(w, "%sreplication_bytes_shipped_total %d\n", p, rs.BytesShipped)
+	fmt.Fprintf(w, "# TYPE %sreplication_snapshots_sent_total counter\n", p)
+	fmt.Fprintf(w, "%sreplication_snapshots_sent_total %d\n", p, rs.SnapshotsSent)
+	fmt.Fprintf(w, "# TYPE %sreplication_heartbeats_total counter\n", p)
+	fmt.Fprintf(w, "%sreplication_heartbeats_total %d\n", p, rs.Heartbeats)
+	fmt.Fprintf(w, "# TYPE %sreplication_resyncs_total counter\n", p)
+	fmt.Fprintf(w, "# HELP %sreplication_resyncs_total Followers transparently re-synced from the on-disk log after their live tail overflowed.\n", p)
+	fmt.Fprintf(w, "%sreplication_resyncs_total %d\n", p, rs.Resyncs)
 }

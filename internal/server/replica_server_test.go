@@ -18,13 +18,20 @@ import (
 // Teardown order matches cpnn-serve: follower, then listeners, then servers.
 func replicaPair(t *testing.T, seedObjects int) (primary, rep *Server) {
 	t.Helper()
-	pst, err := store.Open(t.TempDir(), store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pdfs := make([]pdf.PDF, seedObjects)
 	for i := range pdfs {
 		pdfs[i] = pdf.MustUniform(float64(10*i), float64(10*i)+5)
+	}
+	return replicaPairOver(t, pdfs, Config{QueueTimeout: -1})
+}
+
+// replicaPairOver is replicaPair over caller-chosen objects; base carries
+// the settings both servers share.
+func replicaPairOver(t *testing.T, pdfs []pdf.PDF, base Config) (primary, rep *Server) {
+	t.Helper()
+	pst, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	repl, err := replica.StartServer(replica.ServerConfig{
 		Store: pst, Addr: "127.0.0.1:0", AdvertiseHTTP: "http://primary.test:8080",
@@ -33,10 +40,10 @@ func replicaPair(t *testing.T, seedObjects int) (primary, rep *Server) {
 		pst.Close()
 		t.Fatal(err)
 	}
-	primary, err = New(Config{
-		Store: pst, Replication: repl, QueueTimeout: -1,
-		Dataset: uncertain.NewDataset(pdfs), Source: "seed",
-	})
+	pcfg := base
+	pcfg.Store, pcfg.Replication = pst, repl
+	pcfg.Dataset, pcfg.Source = uncertain.NewDataset(pdfs), "seed"
+	primary, err = New(pcfg)
 	if err != nil {
 		repl.Close()
 		pst.Close()
@@ -55,7 +62,9 @@ func replicaPair(t *testing.T, seedObjects int) (primary, rep *Server) {
 		fst.Close()
 		t.Fatal(err)
 	}
-	rep, err = New(Config{Replica: fol, QueueTimeout: -1})
+	rcfg := base
+	rcfg.Replica = fol
+	rep, err = New(rcfg)
 	if err != nil {
 		fol.Close()
 		fst.Close()

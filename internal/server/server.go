@@ -4,6 +4,11 @@
 //
 // Architecture:
 //
+//   - One handler per endpoint over a narrow backend interface. The local
+//     backend (local.go) serves this server's own snapshot — dataset-only,
+//     store, replica and shard member differ only in their gates; the router
+//     backend (shard.go) serves a shard cluster by scatter-gather. Cache,
+//     singleflight and worker pool sit in front of both.
 //   - Copy-on-write dataset snapshots. The engine lives behind an atomic
 //     pointer; POST /v1/dataset builds a fresh engine off to the side and
 //     swaps the pointer, so reloads never block readers and every request
@@ -27,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -38,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/shard"
@@ -247,6 +252,10 @@ type Snapshot struct {
 	// IDs maps the engine's dense object IDs to the store's stable IDs;
 	// nil (storeless mode) means identity. Responses carry translated IDs.
 	IDs []uint64
+
+	// vkey is Version in decimal — the cache-key fragment, rendered once at
+	// install time so the cache-hit path formats nothing.
+	vkey string
 }
 
 // oid translates an engine (dense) object ID to the externally-visible ID.
@@ -255,6 +264,45 @@ func (snap *Snapshot) oid(dense int) int {
 		return dense
 	}
 	return int(snap.IDs[dense])
+}
+
+// backend is the data behind the one handler set. The result cache,
+// singleflight and worker pool sit in front of it, so no handler knows
+// whether it reads the server's own snapshot (localBackend) or a
+// scatter-gather cut of a shard cluster (routerBackend).
+type backend interface {
+	// admit gates a read — a still-syncing replica refuses — and pins the
+	// view the whole request resolves against.
+	admit() (view, error)
+	// admitWrite gates a mutation before its body is read. objects selects
+	// the object-level API, which needs a store's stable IDs.
+	admitWrite(r *http.Request, objects bool) error
+	// apply commits an op batch. The result's Version is the served version
+	// after the commit; objects is the live 1-D object count.
+	apply(ctx context.Context, ops []store.Op) (res store.ApplyResult, objects int, err error)
+	// reload replaces the whole dataset.
+	reload(ctx context.Context, ds *uncertain.Dataset, source string) (datasetResponse, error)
+	// info describes the data currently served.
+	info() datasetResponse
+	// health adds the backend's blocks to the /healthz body and metrics
+	// appends its families to /metrics; the handlers supply what is common.
+	health(body map[string]any)
+	metrics(w io.Writer)
+	// close releases what the backend owns.
+	close() error
+}
+
+// view is one pinned read position of a backend.
+type view interface {
+	// key names the position inside result-cache keys: any committed write
+	// changes it, so stale entries can never match.
+	key() string
+	// version is the version a batch envelope reports.
+	version() uint64
+	// snapshot yields the snapshot that answers query point qq at filter
+	// depth k. ids, when non-nil, keys k-NN sampling streams by stable ID
+	// (see knnPayload).
+	snapshot(ctx context.Context, qq float64, k int) (snap *Snapshot, ids []uint64, err error)
 }
 
 // Server is a concurrent C-PNN query service over a swappable dataset
@@ -269,17 +317,19 @@ type Server struct {
 	mux      *http.ServeMux
 	draining atomic.Bool
 
-	// monitor is the continuous-query subsystem (store mode only); drainCh
-	// closes on Drain so /v1/subscribe streams end and Shutdown can finish.
-	monitor   *monitor.Monitor
-	drainCh   chan struct{}
-	drainOnce sync.Once
-	feedDone  chan struct{} // snapshot-follower goroutine exit (store mode)
+	// be is the data behind the handlers: the local snapshot (local.go) or
+	// the scatter-gather router (shard.go). monitors is the backend's
+	// continuous-query subsystem; nil means /v1/monitors answers 501 with
+	// monitorsHint. drainCh closes on Drain so /v1/subscribe streams end and
+	// Shutdown can finish.
+	be           backend
+	monitors     monitors
+	monitorsHint string
+	drainCh      chan struct{}
+	drainOnce    sync.Once
 
-	// shardMon serves continuous queries in single-process sharded mode;
 	// member is the local wire endpoint implementation in member mode.
-	shardMon *shard.Monitor
-	member   *shard.Local
+	member *shard.Local
 
 	// Observability: structured logs, the span ring behind /debug/traces,
 	// the slow-query ring behind /debug/slowlog, and the per-phase latency
@@ -337,82 +387,13 @@ func New(cfg Config) (*Server, error) {
 			s.phase.With("verify", name),
 		}
 	}
-	switch {
-	case cfg.ShardRouter != nil:
-		// No local snapshot: every query resolves against a fresh
-		// scatter-gather cut. Continuous queries need the member change
-		// feeds, which exist in-process only with a ShardCluster.
-		if cfg.ShardCluster != nil {
-			sm, err := shard.NewMonitor(shard.MonitorConfig{
-				Router:  cfg.ShardRouter,
-				Stores:  cfg.ShardCluster.Stores,
-				Workers: cfg.MonitorWorkers,
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.shardMon = sm
-		}
-		s.buildMux()
-		return s, nil
-	case cfg.Replica != nil || cfg.ShardMember || storeHasData(cfg.Store):
-		// Serve the store's durable contents; a configured Dataset loses to
-		// them (it was only the seed). A replica serves its follower store
-		// even when still empty — the replica gate keeps requests away until
-		// the first catch-up, and the feed goroutine below installs every
-		// replayed view.
-		source := cfg.Source
-		if source == "" {
-			if cfg.Replica != nil {
-				source = "replica:" + cfg.Replica.Source()
-			} else {
-				source = "store"
-			}
-		}
-		if err := s.installLatestView(source); err != nil {
-			return nil, err
-		}
-	default:
-		if _, err := s.Reload(cfg.Dataset, cfg.Source); err != nil {
-			return nil, err
-		}
+	if cfg.ShardRouter != nil {
+		s.be, err = newRouterBackend(s)
+	} else {
+		s.be, err = newLocalBackend(s)
 	}
-	s.m.reloads.Store(0) // the initial load is not a reload
-	if cfg.Store != nil {
-		// The continuous-query subsystem rides the store's change feed.
-		pushLat := obs.NewHistogram("cpnn_server_monitor_push_latency_seconds",
-			"Commit-to-push latency for standing-query updates.", obs.LagBuckets)
-		s.extra.Register(pushLat)
-		mon, err := monitor.New(monitor.Config{
-			Store: cfg.Store, Workers: cfg.MonitorWorkers,
-			MaxStateBytes: cfg.MonitorStateBytes,
-			Logger:        s.log.With("subsystem", "monitor"),
-			PushLatency:   pushLat,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.monitor = mon
-		// Follow the feed so the served snapshot (and therefore every cached
-		// query) tracks commits from ANY writer, not only this server's own
-		// /v1/objects handlers. A tiny buffer suffices — the follower only
-		// ever installs the latest view, so gaps are harmless.
-		feed, err := cfg.Store.Watch(4)
-		if err != nil {
-			mon.Close()
-			return nil, err
-		}
-		s.feedDone = make(chan struct{})
-		go func() {
-			defer close(s.feedDone)
-			for range feed.C() {
-				if err := s.installLatestView(s.snap.Load().Source); err != nil {
-					// The snapshot silently freezing would be invisible;
-					// surface it where operators already look.
-					s.m.followerErrors.Add(1)
-				}
-			}
-		}()
+	if err != nil {
+		return nil, err
 	}
 	s.buildMux()
 	return s, nil
@@ -435,20 +416,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // empty WAL for a fast next boot) and closes, flushing everything to disk.
 // Safe without a store.
 func (s *Server) Close() error {
-	if s.shardMon != nil {
-		s.shardMon.Close()
+	if s.monitors != nil {
+		s.monitors.Close()
 	}
-	if s.cfg.Store == nil {
-		return nil
-	}
-	s.monitor.Close()
-	ckptErr := s.cfg.Store.Checkpoint()
-	err := s.cfg.Store.Close()
-	<-s.feedDone // the follower exits once the store closes its feed
-	if err != nil {
-		return err
-	}
-	return ckptErr
+	return s.be.close()
 }
 
 // installLatestView publishes the store's current view as the served
@@ -467,6 +438,7 @@ func (s *Server) installLatestView(source string) error {
 		Source:   source,
 		LoadedAt: time.Now(),
 		IDs:      v.IDs,
+		vkey:     strconv.FormatUint(v.Version, 10),
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -523,6 +495,7 @@ func (s *Server) Reload(ds *uncertain.Dataset, source string) (*Snapshot, error)
 		Objects:  ds.Len(),
 		Source:   source,
 		LoadedAt: time.Now(),
+		vkey:     strconv.FormatUint(version, 10),
 	}
 	s.snap.Store(snap)
 	s.cc.Purge()
@@ -537,30 +510,14 @@ func (s *Server) Handler() http.Handler { return s.ingress(s.mux) }
 
 func (s *Server) buildMux() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/monitors", s.handleMonitors)
-	s.mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
-	if s.cfg.ShardRouter != nil {
-		// Router mode swaps the snapshot-backed handlers for scatter-gather
-		// ones; the monitor endpoints above dispatch through the shared
-		// backend helpers.
-		s.mux.HandleFunc("/v1/cpnn", s.handleShardCPNN)
-		s.mux.HandleFunc("/v1/batch", s.handleShardBatch)
-		s.mux.HandleFunc("/v1/pnn", s.handleShardPNN)
-		s.mux.HandleFunc("/v1/knn", s.handleShardKNN)
-		s.mux.HandleFunc("/v1/dataset", s.handleShardDataset)
-		s.mux.HandleFunc("/v1/objects", s.handleShardObjects)
-		s.mux.HandleFunc("/healthz", s.handleShardHealthz)
-		s.mux.HandleFunc("/metrics", s.handleShardMetrics)
-		s.mux.Handle("/debug/traces", s.tracer)
-		s.mux.Handle("/debug/slowlog", s.slowlog)
-		return
-	}
 	s.mux.HandleFunc("/v1/cpnn", s.handleCPNN)
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/pnn", s.handlePNN)
 	s.mux.HandleFunc("/v1/knn", s.handleKNN)
 	s.mux.HandleFunc("/v1/dataset", s.handleDataset)
 	s.mux.HandleFunc("/v1/objects", s.handleObjects)
+	s.mux.HandleFunc("/v1/monitors", s.handleMonitors)
+	s.mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.Handle("/debug/traces", s.tracer)
@@ -618,10 +575,12 @@ func (s *Server) evaluate(fn func() ([]byte, error)) ([]byte, error) {
 
 // ---- request parsing ---------------------------------------------------
 
-// httpError is an error with a dedicated HTTP status.
+// httpError is an error with a dedicated HTTP status; location, when set,
+// becomes the Location header of a redirect.
 type httpError struct {
-	status int
-	msg    string
+	status   int
+	msg      string
+	location string
 }
 
 func (e *httpError) Error() string { return e.msg }
@@ -721,12 +680,15 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	var he *httpError
 	if errors.As(err, &he) {
 		status = he.status
+		if he.location != "" {
+			w.Header().Set("Location", he.location)
+		}
 	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		status = http.StatusServiceUnavailable
 	}
 	if status >= 500 {
 		s.m.serverErrors.Add(1)
-	} else {
+	} else if status >= 400 { // a redirect is not an error
 		s.m.clientErrors.Add(1)
 	}
 	if status == http.StatusServiceUnavailable {
@@ -829,11 +791,83 @@ func toAnswers(in []core.Answer, snap *Snapshot) []answerJSON {
 	return out
 }
 
+// methodNotAllowed answers 405 naming the methods the endpoint accepts.
+func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) {
+	s.m.clientErrors.Add(1)
+	w.Header().Set("Allow", allow)
+	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+}
+
+// tooLarge maps a MaxBytesReader overflow onto a 413 naming the body; any
+// other error yields nil.
+func tooLarge(err error, what string) error {
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) {
+		return nil
+	}
+	return &httpError{
+		status: http.StatusRequestEntityTooLarge,
+		msg:    fmt.Sprintf("%s exceeds the %d-byte limit", what, mbe.Limit),
+	}
+}
+
+// decodeStrict decodes a size-capped JSON request body into v, rejecting
+// unknown fields. noun names the body in the error messages; hint extends
+// the malformed-body message.
+func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, noun, hint string, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		if tl := tooLarge(err, noun+" body"); tl != nil {
+			return tl
+		}
+		return badRequest("parsing %s body%s: %v", noun, hint, err)
+	}
+	return nil
+}
+
 // ---- handlers ----------------------------------------------------------
+
+// cacheKey renders a result-cache key: endpoint kind, the view's key
+// fragment, the all flag and the query parameters' bit patterns. Appending
+// into a stack buffer keeps the cache-hit path at one allocation (the key).
+func cacheKey(kind, vk string, all bool, parts ...uint64) string {
+	b := make([]byte, 0, 128)
+	b = append(b, kind...)
+	b = append(b, '|')
+	b = append(b, vk...)
+	b = strconv.AppendBool(append(b, '|'), all)
+	for _, p := range parts {
+		b = strconv.AppendUint(append(b, '|'), p, 16)
+	}
+	return string(b)
+}
+
+// serve answers one (already quantized) query through the result cache: hit,
+// singleflight-collapse onto an identical in-flight evaluation, or take the
+// view's snapshot and render it under the worker pool. Every backend and
+// every query endpoint routes through here.
+func (s *Server) serve(ctx context.Context, ep endpoint, v view, key string, qq float64, k int,
+	render func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error)) ([]byte, Source, error) {
+	return s.cc.Do(ctx, key, func() ([]byte, error) {
+		return s.evaluate(func() ([]byte, error) {
+			snap, ids, err := v.snapshot(ctx, qq, k)
+			if err != nil {
+				return nil, err
+			}
+			body, st, err := render(snap, ids)
+			if err == nil {
+				s.observePhases(ctx, ep, st)
+			}
+			return body, err
+		})
+	})
+}
 
 func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epCPNN].Add(1)
-	if err := s.replicaGate(); err != nil {
+	v, err := s.be.admit()
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -854,8 +888,7 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 	}
 	all := r.URL.Query().Get("all") == "1"
 
-	snap := s.snap.Load()
-	body, src, err := s.cpnnBody(r.Context(), epCPNN, snap, s.snapPoint(q), c, strat, all)
+	body, src, err := s.cpnnBody(r.Context(), epCPNN, v, s.snapPoint(q), c, strat, all)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -863,29 +896,21 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 	s.writeCached(w, r, body, src)
 }
 
-// cpnnBody serves one (already quantized) C-PNN evaluation through the
-// result cache: hit, singleflight-collapse onto an identical in-flight
-// evaluation, or evaluate under the worker pool. Both the single-query
-// endpoint and every point of a batch request route through here, so they
-// share keys — a batch warms the cache for singles and vice versa.
-func (s *Server) cpnnBody(ctx context.Context, ep endpoint, snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
-	key := fmt.Sprintf("cpnn|%d|%x|%x|%x|%d|%t",
-		snap.Version, math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), strat, all)
-	return s.cc.Do(ctx, key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
-			body, st, err := cpnnPayload(snap, qq, c, strat, all)
-			if err == nil {
-				s.observePhases(ctx, ep, st)
-			}
-			return body, err
-		})
+// cpnnBody serves one C-PNN point of a view. Both the single-query endpoint
+// and every point of a batch request route through here, so they share keys
+// — a batch warms the cache for singles and vice versa.
+func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
+	key := cacheKey("cpnn", v.key(), all,
+		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), uint64(strat))
+	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) {
+		return cpnnPayload(snap, qq, c, strat, all)
 	})
 }
 
 // cpnnPayload evaluates one C-PNN query against a snapshot and renders the
-// response body. Both the snapshot-backed and the scatter-gather serving
-// paths route through here, so a sharded server's body differs from a
-// single server's only in the version field.
+// response body. A gathered mini-view renders through here exactly like the
+// local snapshot, so a sharded server's body differs from a single server's
+// only in the version field.
 func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, core.Stats, error) {
 	res, err := snap.Engine.CPNN(qq, c, core.Options{Strategy: strat})
 	if err != nil {
@@ -917,7 +942,8 @@ func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Str
 
 func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epPNN].Add(1)
-	if err := s.replicaGate(); err != nil {
+	v, err := s.be.admit()
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -926,18 +952,10 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	snap := s.snap.Load()
 	qq := s.snapPoint(q)
-	key := fmt.Sprintf("pnn|%d|%x", snap.Version, math.Float64bits(qq))
-	body, src, err := s.cc.Do(r.Context(), key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
-			body, st, err := pnnPayload(snap, qq)
-			if err == nil {
-				s.observePhases(r.Context(), epPNN, st)
-			}
-			return body, err
-		})
-	})
+	key := cacheKey("pnn", v.key(), false, math.Float64bits(qq))
+	body, src, err := s.serve(r.Context(), epPNN, v, key, qq, 1,
+		func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) { return pnnPayload(snap, qq) })
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -946,7 +964,7 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 }
 
 // pnnPayload evaluates one PNN query against a snapshot and renders the
-// response body (shared by the snapshot and scatter-gather paths).
+// response body.
 func pnnPayload(snap *Snapshot, qq float64) ([]byte, core.Stats, error) {
 	probs, st, err := snap.Engine.PNN(qq, core.Options{})
 	if err != nil {
@@ -972,7 +990,8 @@ func pnnPayload(snap *Snapshot, qq float64) ([]byte, core.Stats, error) {
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epKNN].Add(1)
-	if err := s.replicaGate(); err != nil {
+	v, err := s.be.admit()
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -1011,20 +1030,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	all := r.URL.Query().Get("all") == "1"
 
-	snap := s.snap.Load()
 	qq := s.snapPoint(q)
-	key := fmt.Sprintf("knn|%d|%x|%x|%x|%d|%d|%d|%t",
-		snap.Version, math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta),
-		k, samples, seed, all)
-	body, src, err := s.cc.Do(r.Context(), key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
-			body, st, err := knnPayload(snap, qq, c, k, samples, int64(seed), all, nil)
-			if err == nil {
-				s.observePhases(r.Context(), epKNN, st)
-			}
-			return body, err
+	key := cacheKey("knn", v.key(), all, math.Float64bits(qq), math.Float64bits(c.P),
+		math.Float64bits(c.Delta), uint64(k), uint64(samples), uint64(seed))
+	body, src, err := s.serve(r.Context(), epKNN, v, key, qq, k,
+		func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error) {
+			return knnPayload(snap, qq, c, k, samples, int64(seed), all, ids)
 		})
-	})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -1073,52 +1085,48 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epDataset].Add(1)
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, snapshotInfo(s.snap.Load()))
+		writeJSON(w, http.StatusOK, s.be.info())
 	case http.MethodPost:
-		if s.redirectToPrimary(w, r) {
-			return
-		}
-		if err := s.memberWriteGate(); err != nil {
+		if err := s.be.admitWrite(r, false); err != nil {
 			s.writeError(w, err)
 			return
 		}
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes)
-		ds, err := uncertain.Read(body)
+		ds, err := s.readDataset(w, r)
 		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.writeError(w, &httpError{
-					status: http.StatusRequestEntityTooLarge,
-					msg:    fmt.Sprintf("dataset body exceeds the %d-byte limit", tooLarge.Limit),
-				})
-				return
-			}
-			s.writeError(w, badRequest("parsing dataset: %v", err))
-			return
-		}
-		if ds.Len() == 0 {
-			s.writeError(w, badRequest("dataset body holds no objects"))
-			return
-		}
-		if err := ds.Validate(); err != nil {
-			s.writeError(w, badRequest("invalid dataset: %v", err))
+			s.writeError(w, err)
 			return
 		}
 		source := r.URL.Query().Get("source")
 		if source == "" {
 			source = "upload"
 		}
-		snap, err := s.Reload(ds, source)
+		info, err := s.be.reload(r.Context(), ds, source)
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, snapshotInfo(snap))
+		writeJSON(w, http.StatusOK, info)
 	default:
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.methodNotAllowed(w, "GET, POST")
 	}
+}
+
+// readDataset parses and validates a size-capped dataset upload.
+func (s *Server) readDataset(w http.ResponseWriter, r *http.Request) (*uncertain.Dataset, error) {
+	ds, err := uncertain.Read(http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes))
+	if err != nil {
+		if tl := tooLarge(err, "dataset body"); tl != nil {
+			return nil, tl
+		}
+		return nil, badRequest("parsing dataset: %v", err)
+	}
+	if ds.Len() == 0 {
+		return nil, badRequest("dataset body holds no objects")
+	}
+	if err := ds.Validate(); err != nil {
+		return nil, badRequest("invalid dataset: %v", err)
+	}
+	return ds, nil
 }
 
 func snapshotInfo(snap *Snapshot) datasetResponse {
@@ -1130,93 +1138,40 @@ func snapshotInfo(snap *Snapshot) datasetResponse {
 	}
 }
 
+// handleHealthz assembles the fields every shape reports and lets the
+// backend add its own blocks (store/pagecache/replication, or shard).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epHealthz].Add(1)
-	snap := s.snap.Load()
+	info := s.be.info()
 	body := map[string]any{
 		"status":         "ok",
-		"version":        snap.Version,
-		"objects":        snap.Objects,
+		"version":        info.Version,
+		"objects":        info.Objects,
 		"build":          obs.Version,
 		"uptime_seconds": time.Since(s.started).Seconds(),
 	}
-	if s.cfg.Store != nil {
-		// The store's own version/seq can briefly run ahead of the served
-		// snapshot while a commit's view install is in flight; operators
-		// watching compaction or replication lag want the durable truth.
-		v := s.cfg.Store.View()
-		body["store_version"] = v.Version
-		body["store_seq"] = v.Seq
-		body["role"] = s.cfg.Store.Role().String()
-		st := s.cfg.Store.Stats()
-		body["pagecache"] = map[string]any{
-			"budget_bytes":   st.CacheBytes,
-			"base_pages":     st.BasePages,
-			"resident_pages": st.PageCache.ResidentPages,
-			"hits":           st.PageCache.Hits,
-			"misses":         st.PageCache.Misses,
-			"evictions":      st.PageCache.Evictions,
-			"overlay_slots":  st.OverlaySlots,
-			"base_slots":     st.BaseSlots,
-		}
-	}
-	if s.cfg.Replica != nil {
-		body["replication"] = replicationHealth(s.cfg.Replica)
-	}
-	if s.cfg.Replication != nil {
-		rst := s.cfg.Replication.Stats()
-		body["replication_server"] = map[string]any{
-			"addr":            s.cfg.Replication.Addr(),
-			"followers":       rst.Followers,
-			"records_shipped": rst.RecordsShipped,
-			"bytes_shipped":   rst.BytesShipped,
-			"snapshots_sent":  rst.SnapshotsSent,
-		}
-	}
+	s.be.health(body)
+	// Not-ready during drain: load balancers stop sending traffic while
+	// requests already here (and any still arriving) keep being served.
+	// Not-ready until a replica's first catch-up: a load balancer should not
+	// route reads to one that would answer from a partial replay.
+	status := http.StatusOK
 	if s.draining.Load() {
-		// Not-ready during drain: load balancers stop sending traffic while
-		// requests already here (and any still arriving) keep being served.
+		body["status"], status = "draining", http.StatusServiceUnavailable
+	} else if _, err := s.be.admit(); err != nil {
+		body["status"], status = "syncing", http.StatusServiceUnavailable
+	}
+	if status != http.StatusOK {
 		// Retry-After tells well-behaved clients when to probe again.
-		body["status"] = "draining"
 		w.Header().Set("Retry-After", sseRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
 	}
-	if err := s.replicaGate(); err != nil {
-		// Not-ready until the first catch-up: a load balancer should not
-		// route reads to a replica that would answer from a partial replay.
-		body["status"] = "syncing"
-		w.Header().Set("Retry-After", sseRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, status, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epMetrics].Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var st *store.Stats
-	var ms *monitor.Stats
-	if s.cfg.Store != nil {
-		v := s.cfg.Store.Stats()
-		st = &v
-	}
-	if s.monitor != nil {
-		v := s.monitor.Stats()
-		ms = &v
-	}
-	s.m.write(w, s.cc, s.snap.Load(), st, ms)
+	s.m.write(w, s.cc, s.be.info())
+	s.be.metrics(w)
 	s.writeObsMetrics(w)
-	var fs *replica.FollowerStats
-	var rs *replica.ServerStats
-	if s.cfg.Replica != nil {
-		v := s.cfg.Replica.Stats()
-		fs = &v
-	}
-	if s.cfg.Replication != nil {
-		v := s.cfg.Replication.Stats()
-		rs = &v
-	}
-	writeReplicaMetrics(w, fs, rs)
 }

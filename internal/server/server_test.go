@@ -435,16 +435,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-func TestMethodNotAllowed(t *testing.T) {
-	s := testServer(t, Config{})
-	req := httptest.NewRequest(http.MethodDelete, "/v1/dataset", nil)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("status %d, want 405", rec.Code)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	ds := testDataset(t, 7)
 	if _, err := New(Config{}); err == nil {

@@ -2,30 +2,25 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/uncertain"
-	"repro/internal/verify"
 )
 
-// Sharded serving. With Config.ShardRouter the /v1 handlers below replace
-// the snapshot-backed ones: each query runs the router's two-phase
+// Sharded serving. With Config.ShardRouter the handlers read and write
+// through routerBackend: each query runs the router's two-phase
 // scatter-gather (bound every shard, gather candidates from the shards whose
-// extent intersects the candidate ball) and evaluates the merged mini-view
-// with the same payload builders as a single server, so sharding changes the
+// extent intersects the candidate ball) and the merged mini-view is rendered
+// by the same payload builders as a local snapshot, so sharding changes the
 // version field of a response and nothing else. With Config.ShardMember the
 // server additionally speaks the member wire protocol under
 // /internal/shard/* so a router in another process can scatter to it.
@@ -40,69 +35,62 @@ func shardError(err error) error {
 	return storeError(err)
 }
 
-// memberWriteGate refuses client-facing writes on a shard member: the
-// router owns ID assignment and shard placement, so a write landing here
-// directly would desynchronize its owner map.
-func (s *Server) memberWriteGate() error {
-	if s.cfg.ShardMember {
-		return &httpError{
-			status: http.StatusForbidden,
-			msg:    "shard member is write-protected; route writes through the shard router",
-		}
+// routerBackend serves a shard cluster through its router. There is no
+// local snapshot: every cache miss resolves against a fresh gathered cut.
+type routerBackend struct {
+	s   *Server
+	rt  *shard.Router
+	mon *shard.Monitor // nil without in-process member stores
+}
+
+func newRouterBackend(s *Server) (*routerBackend, error) {
+	b := &routerBackend{s: s, rt: s.cfg.ShardRouter}
+	// Continuous queries need the member change feeds, which exist
+	// in-process only with a ShardCluster; under multi-process routing they
+	// live in the member processes, so this router cannot host them.
+	if s.cfg.ShardCluster == nil {
+		s.monitorsHint = "continuous queries require in-process member stores (run cpnn-serve with -shards)"
+		return b, nil
 	}
-	return nil
-}
-
-// ---- continuous-query backend dispatch ---------------------------------
-//
-// /v1/monitors and /v1/subscribe serve from the single-store monitor or the
-// shard-cluster monitor through these helpers; both expose *monitor.State
-// and monitor.Event, so the handlers stay backend-agnostic.
-
-// monitorStream is the common shape of both subscription types.
-type monitorStream interface {
-	C() <-chan monitor.Event
-	Close()
-}
-
-func (s *Server) monitorRegister(spec monitor.Spec) (*monitor.State, error) {
-	if s.shardMon != nil {
-		return s.shardMon.Register(spec)
-	}
-	return s.monitor.Register(spec)
-}
-
-func (s *Server) monitorStates() []*monitor.State {
-	if s.shardMon != nil {
-		return s.shardMon.List()
-	}
-	return s.monitor.List()
-}
-
-func (s *Server) monitorRemove(id uint64) bool {
-	if s.shardMon != nil {
-		return s.shardMon.Unregister(id) == nil
-	}
-	return s.monitor.Unregister(id)
-}
-
-func (s *Server) monitorSubscribe(ids []uint64, buffer int) (monitorStream, error) {
-	if s.shardMon != nil {
-		return s.shardMon.Subscribe(ids, buffer)
-	}
-	return s.monitor.Subscribe(ids, buffer)
-}
-
-// ---- router mode: scatter-gather /v1 handlers --------------------------
-
-// shardSnapshot wraps a gathered candidate cut as a serving snapshot: the
-// engine is built over the merged mini-dataset, the version is the cut's
-// member-version sum, and IDs translate the mini-dataset's dense IDs back
-// to cluster-wide stable IDs.
-func shardSnapshot(g *shard.Gathered) (*Snapshot, error) {
-	eng, err := core.NewEngine(g.View.Dataset)
+	mon, err := shard.NewMonitor(shard.MonitorConfig{
+		Router:  b.rt,
+		Stores:  s.cfg.ShardCluster.Stores,
+		Workers: s.cfg.MonitorWorkers,
+	})
 	if err != nil {
 		return nil, err
+	}
+	b.mon, s.monitors = mon, monitorsOf[*shard.Subscription]{mon}
+	return b, nil
+}
+
+// routerView pins the member version vector (not its sum — two distinct
+// cuts may share a sum) observed at admission; any committed write bumps a
+// member version and so invalidates every key built from it.
+type routerView struct {
+	rt *shard.Router
+	vk string
+}
+
+func (v *routerView) key() string     { return v.vk }
+func (v *routerView) version() uint64 { return v.rt.VersionSum() }
+
+// snapshot wraps a gathered candidate cut as a serving snapshot: the engine
+// is built over the merged mini-dataset, the version is the cut's
+// member-version sum, and IDs translate the mini-dataset's dense IDs back to
+// cluster-wide stable IDs. The same IDs key the k-NN sampling streams: the
+// answer must not depend on how the candidates happen to be sharded.
+func (v *routerView) snapshot(ctx context.Context, qq float64, k int) (*Snapshot, []uint64, error) {
+	g, err := v.rt.Gather(ctx, qq, k)
+	if err != nil {
+		return nil, nil, shardError(err)
+	}
+	if ri := obs.ReqInfoFrom(ctx); ri != nil {
+		ri.Set("fanout", strconv.Itoa(g.Fanout)) // shards the gather phase read
+	}
+	eng, err := core.NewEngine(g.View.Dataset)
+	if err != nil {
+		return nil, nil, err
 	}
 	return &Snapshot{
 		Engine:  eng,
@@ -110,432 +98,57 @@ func shardSnapshot(g *shard.Gathered) (*Snapshot, error) {
 		Objects: g.TotalN,
 		Source:  "shards",
 		IDs:     g.View.IDs,
-	}, nil
+	}, g.View.IDs, nil
 }
 
-// shardCPNNBody serves one quantized C-PNN point through the result cache
-// in router mode. Keys embed the member version vector (not its sum — two
-// distinct cuts may share a sum) observed at admission; any committed write
-// bumps a member version and so invalidates every key.
-func (s *Server) shardCPNNBody(ctx context.Context, ep endpoint, vk string, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
-	key := fmt.Sprintf("cpnn|%s|%x|%x|%x|%d|%t",
-		vk, math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), strat, all)
-	return s.cc.Do(ctx, key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
-			g, err := s.cfg.ShardRouter.Gather(ctx, qq, 1)
-			if err != nil {
-				return nil, shardError(err)
-			}
-			s.annotateFanout(ctx, g)
-			snap, err := shardSnapshot(g)
-			if err != nil {
-				return nil, err
-			}
-			body, st, err := cpnnPayload(snap, qq, c, strat, all)
-			if err == nil {
-				s.observePhases(ctx, ep, st)
-			}
-			return body, err
-		})
-	})
+func (b *routerBackend) admit() (view, error) {
+	return &routerView{rt: b.rt, vk: b.rt.VersionsKey()}, nil
 }
 
-// annotateFanout records how many shards the gather phase actually read.
-func (s *Server) annotateFanout(ctx context.Context, g *shard.Gathered) {
-	if ri := obs.ReqInfoFrom(ctx); ri != nil {
-		ri.Set("fanout", strconv.Itoa(g.Fanout))
+func (b *routerBackend) admitWrite(*http.Request, bool) error { return nil }
+
+func (b *routerBackend) apply(ctx context.Context, ops []store.Op) (store.ApplyResult, int, error) {
+	res, err := b.rt.Apply(ctx, ops)
+	if err != nil {
+		return res, 0, shardError(err)
 	}
+	return res, b.rt.Objects(), nil
 }
 
-func (s *Server) handleShardCPNN(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epCPNN].Add(1)
-	q, err := queryFloat(r, "q")
+func (b *routerBackend) reload(ctx context.Context, ds *uncertain.Dataset, _ string) (datasetResponse, error) {
+	res, err := b.rt.Reload(ctx, ds)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return datasetResponse{}, shardError(err)
 	}
-	c, err := constraintParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	strat, err := strategyParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	all := r.URL.Query().Get("all") == "1"
-	body, src, err := s.shardCPNNBody(r.Context(), epCPNN, s.cfg.ShardRouter.VersionsKey(),
-		s.snapPoint(q), c, strat, all)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeCached(w, r, body, src)
+	b.s.m.reloads.Add(1)
+	return datasetResponse{Version: res.Version, Objects: b.rt.Objects(), Source: "shards"}, nil
 }
 
-func (s *Server) handleShardBatch(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epBatch].Add(1)
-	if r.Method != http.MethodPost {
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	req, c, err := s.parseBatchRequest(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	strat, err := parseStrategy(req.Strategy)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	queries := req.points()
-
-	// One version-vector key for the whole request, mirroring the single
-	// server's one-snapshot-per-batch rule at the cache-key level.
-	vk := s.cfg.ShardRouter.VersionsKey()
-	start := time.Now()
-
-	type outcome struct {
-		body []byte
-		src  Source
-		err  error
-	}
-	slot := make(map[float64]*outcome, len(queries))
-	var order []float64
-	for _, q := range queries {
-		qq := s.snapPoint(q)
-		if _, ok := slot[qq]; !ok {
-			slot[qq] = &outcome{}
-			order = append(order, qq)
-		}
-	}
-	var wg sync.WaitGroup
-	for _, qq := range order {
-		wg.Add(1)
-		go func(qq float64, out *outcome) {
-			defer wg.Done()
-			out.body, out.src, out.err = s.shardCPNNBody(r.Context(), epBatch, vk, qq, c, strat, req.All)
-		}(qq, slot[qq])
-	}
-	wg.Wait()
-
-	resp := batchResponse{
-		Version:  s.cfg.ShardRouter.VersionSum(),
-		Count:    len(queries),
-		P:        c.P,
-		Delta:    c.Delta,
-		Strategy: strat.String(),
-		Results:  make([]json.RawMessage, 0, len(queries)),
-		Cache:    make([]string, 0, len(queries)),
-	}
-	for _, q := range queries {
-		out := slot[s.snapPoint(q)]
-		if out.err != nil {
-			s.writeError(w, out.err)
-			return
-		}
-		resp.Results = append(resp.Results, json.RawMessage(out.body))
-		resp.Cache = append(resp.Cache, out.src.String())
-		switch out.src {
-		case Hit:
-			resp.Hits++
-		case Shared:
-			resp.Shared++
-		default:
-			resp.Misses++
-		}
-	}
-	resp.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+func (b *routerBackend) info() datasetResponse {
+	return datasetResponse{Version: b.rt.VersionSum(), Objects: b.rt.Objects(), Source: "shards"}
 }
 
-func (s *Server) handleShardPNN(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epPNN].Add(1)
-	q, err := queryFloat(r, "q")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	qq := s.snapPoint(q)
-	key := fmt.Sprintf("pnn|%s|%x", s.cfg.ShardRouter.VersionsKey(), math.Float64bits(qq))
-	body, src, err := s.cc.Do(r.Context(), key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
-			g, err := s.cfg.ShardRouter.Gather(r.Context(), qq, 1)
-			if err != nil {
-				return nil, shardError(err)
-			}
-			s.annotateFanout(r.Context(), g)
-			snap, err := shardSnapshot(g)
-			if err != nil {
-				return nil, err
-			}
-			body, st, err := pnnPayload(snap, qq)
-			if err == nil {
-				s.observePhases(r.Context(), epPNN, st)
-			}
-			return body, err
-		})
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeCached(w, r, body, src)
-}
-
-func (s *Server) handleShardKNN(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epKNN].Add(1)
-	q, err := queryFloat(r, "q")
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	c, err := constraintParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	k, err := queryIntDefault(r, "k", 0)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if k < 1 {
-		s.writeError(w, badRequest("parameter \"k\" must be >= 1, got %d", k))
-		return
-	}
-	samples, err := queryIntDefault(r, "samples", 10000)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if samples < 1 {
-		s.writeError(w, badRequest("parameter \"samples\" must be >= 1, got %d", samples))
-		return
-	}
-	seed, err := queryIntDefault(r, "seed", 1)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	all := r.URL.Query().Get("all") == "1"
-
-	qq := s.snapPoint(q)
-	key := fmt.Sprintf("knn|%s|%x|%x|%x|%d|%d|%d|%t",
-		s.cfg.ShardRouter.VersionsKey(), math.Float64bits(qq),
-		math.Float64bits(c.P), math.Float64bits(c.Delta), k, samples, seed, all)
-	body, src, err := s.cc.Do(r.Context(), key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
-			g, err := s.cfg.ShardRouter.Gather(r.Context(), qq, k)
-			if err != nil {
-				return nil, shardError(err)
-			}
-			s.annotateFanout(r.Context(), g)
-			snap, err := shardSnapshot(g)
-			if err != nil {
-				return nil, err
-			}
-			// Stable-ID RNG streams: the answer must not depend on how the
-			// candidates happen to be sharded.
-			body, st, err := knnPayload(snap, qq, c, k, samples, int64(seed), all, g.View.IDs)
-			if err == nil {
-				s.observePhases(r.Context(), epKNN, st)
-			}
-			return body, err
-		})
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeCached(w, r, body, src)
-}
-
-func (s *Server) handleShardDataset(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epDataset].Add(1)
-	rt := s.cfg.ShardRouter
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, datasetResponse{
-			Version: rt.VersionSum(),
-			Objects: rt.Objects(),
-			Source:  "shards",
-		})
-	case http.MethodPost:
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes)
-		ds, err := uncertain.Read(body)
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.writeError(w, &httpError{
-					status: http.StatusRequestEntityTooLarge,
-					msg:    fmt.Sprintf("dataset body exceeds the %d-byte limit", tooLarge.Limit),
-				})
-				return
-			}
-			s.writeError(w, badRequest("parsing dataset: %v", err))
-			return
-		}
-		if ds.Len() == 0 {
-			s.writeError(w, badRequest("dataset body holds no objects"))
-			return
-		}
-		if err := ds.Validate(); err != nil {
-			s.writeError(w, badRequest("invalid dataset: %v", err))
-			return
-		}
-		res, err := rt.Reload(r.Context(), ds)
-		if err != nil {
-			s.writeError(w, shardError(err))
-			return
-		}
-		s.m.reloads.Add(1)
-		writeJSON(w, http.StatusOK, datasetResponse{
-			Version: res.Version,
-			Objects: rt.Objects(),
-			Source:  "shards",
-		})
-	default:
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+func (b *routerBackend) health(body map[string]any) {
+	st := b.rt.Stats()
+	body["shard"] = map[string]any{
+		"shards":            st.Shards,
+		"versions":          st.Versions,
+		"per_shard_objects": st.PerShard,
+		"unavailable_total": st.Unavailable,
 	}
 }
 
-func (s *Server) handleShardObjects(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epObjects].Add(1)
-	rt := s.cfg.ShardRouter
-	switch r.Method {
-	case http.MethodPost:
-		var req objectsRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.writeError(w, &httpError{
-					status: http.StatusRequestEntityTooLarge,
-					msg:    fmt.Sprintf("objects body exceeds the %d-byte limit", tooLarge.Limit),
-				})
-				return
-			}
-			s.writeError(w, badRequest("parsing objects body: %v", err))
-			return
-		}
-		if len(req.Objects) == 0 {
-			s.writeError(w, badRequest("objects batch is empty"))
-			return
-		}
-		if len(req.Objects) > MaxObjectsBatch {
-			s.writeError(w, badRequest("objects batch holds %d specs, limit %d", len(req.Objects), MaxObjectsBatch))
-			return
-		}
-		ops := make([]store.Op, len(req.Objects))
-		for i, spec := range req.Objects {
-			op, err := spec.toOp(i)
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			ops[i] = op
-		}
-		res, err := rt.Apply(r.Context(), ops)
-		if err != nil {
-			s.writeError(w, shardError(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, objectsResponse{
-			Version: res.Version, Objects: rt.Objects(), IDs: res.IDs,
-		})
-	case http.MethodDelete:
-		var ids []uint64
-		if raw := r.URL.Query().Get("id"); raw != "" {
-			id, err := strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				s.writeError(w, badRequest("parameter %q: %q is not an object id", "id", raw))
-				return
-			}
-			ids = []uint64{id}
-		} else {
-			var req deleteRequest
-			dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxDatasetBytes))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
-				s.writeError(w, badRequest("parsing delete body (or pass ?id=N): %v", err))
-				return
-			}
-			ids = req.IDs
-		}
-		if len(ids) == 0 {
-			s.writeError(w, badRequest("no object ids to delete"))
-			return
-		}
-		if len(ids) > MaxObjectsBatch {
-			s.writeError(w, badRequest("delete batch holds %d ids, limit %d", len(ids), MaxObjectsBatch))
-			return
-		}
-		ops := make([]store.Op, len(ids))
-		for i, id := range ids {
-			ops[i] = store.Delete(id)
-		}
-		res, err := rt.Apply(r.Context(), ops)
-		if err != nil {
-			s.writeError(w, shardError(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, objectsResponse{
-			Version: res.Version, Objects: rt.Objects(), Deleted: len(ids),
-		})
-	default:
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "POST, DELETE")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *Server) handleShardHealthz(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epHealthz].Add(1)
-	rt := s.cfg.ShardRouter
-	st := rt.Stats()
-	body := map[string]any{
-		"status":  "ok",
-		"version": rt.VersionSum(),
-		"objects": st.Objects,
-		"shard": map[string]any{
-			"shards":            st.Shards,
-			"versions":          st.Versions,
-			"per_shard_objects": st.PerShard,
-			"unavailable_total": st.Unavailable,
-		},
-	}
-	if s.draining.Load() {
-		body["status"] = "draining"
-		w.Header().Set("Retry-After", sseRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleShardMetrics(w http.ResponseWriter, r *http.Request) {
-	s.m.requests[epMetrics].Add(1)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rt := s.cfg.ShardRouter
-	// The shared counter families render against a synthetic snapshot view
-	// of the cluster (version sum, cluster-wide object count).
-	s.m.write(w, s.cc, &Snapshot{Version: rt.VersionSum(), Objects: rt.Objects()}, nil, nil)
+func (b *routerBackend) metrics(w io.Writer) {
 	var ms *shard.MonitorStats
-	if s.shardMon != nil {
-		v := s.shardMon.Stats()
+	if b.mon != nil {
+		v := b.mon.Stats()
 		ms = &v
 	}
-	writeShardMetrics(w, rt.Stats(), ms)
-	s.writeObsMetrics(w)
+	writeShardMetrics(w, b.rt.Stats(), ms)
 }
+
+// close is a no-op: the caller owns the router and the cluster behind it.
+func (b *routerBackend) close() error { return nil }
 
 // writeShardMetrics renders the cpnn_server_shard_* metric families from
 // the router's (and, in -shards mode, the shard monitor's) counters.
@@ -681,9 +294,7 @@ func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epShard].Add(1)
 	if r.Method != http.MethodPost {
-		s.m.clientErrors.Add(1)
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.methodNotAllowed(w, "POST")
 		return
 	}
 	payload, err := readBody(w, r, s.cfg.MaxDatasetBytes)

@@ -210,7 +210,7 @@ func TestShardServerMonitors(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trigger insert: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
-	if err := s.shardMon.Sync(10 * time.Second); err != nil {
+	if err := s.be.(*routerBackend).mon.Sync(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 

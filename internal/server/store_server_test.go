@@ -121,30 +121,8 @@ func TestObjectsInsertUpdateDelete(t *testing.T) {
 		t.Fatalf("delete response: %+v", resp)
 	}
 
-	// Unknown ID → 404; invalid payload → 400.
-	if w = doJSON(t, s, http.MethodDelete, "/v1/objects?id=99999", ""); w.Code != http.StatusNotFound {
-		t.Fatalf("delete unknown: %d %s", w.Code, w.Body)
-	}
-	if w = doJSON(t, s, http.MethodPost, "/v1/objects",
-		`{"objects":[{"uniform":{"lo":5,"hi":1}}]}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("inverted uniform: %d %s", w.Code, w.Body)
-	}
-	if w = doJSON(t, s, http.MethodPost, "/v1/objects",
-		`{"objects":[{"uniform":{"lo":1,"hi":1e999}}]}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("infinite hi: %d %s", w.Code, w.Body)
-	}
-	if w = doJSON(t, s, http.MethodPost, "/v1/objects",
-		`{"objects":[{"uniform":{"lo":0,"hi":1},"disk":{"x":0,"y":0,"r":1}}]}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("two payloads: %d %s", w.Code, w.Body)
-	}
-}
-
-func TestObjectsWithoutStoreIs501(t *testing.T) {
-	s := testServer(t, Config{})
-	w := doJSON(t, s, http.MethodPost, "/v1/objects", `{"objects":[{"uniform":{"lo":0,"hi":1}}]}`)
-	if w.Code != http.StatusNotImplemented {
-		t.Fatalf("objects without store: %d %s", w.Code, w.Body)
-	}
+	// (Unknown IDs, malformed payloads and the storeless 501 are rows of
+	// TestBackendParity, asserted on every backend.)
 }
 
 // TestDatasetReloadIsDurable reloads through the store, restarts the server

@@ -167,31 +167,28 @@ func (m *Monitor) Register(spec monitor.Spec) (*monitor.State, error) {
 	return &monitor.State{ID: id, Spec: spec, Version: g.Version, Answer: body}, nil
 }
 
-// Unregister removes a standing query.
-func (m *Monitor) Unregister(id uint64) error {
+// Unregister removes a standing query, reporting whether it existed.
+func (m *Monitor) Unregister(id uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return monitor.ErrClosed
-	}
 	if _, ok := m.queries[id]; !ok {
-		return monitor.ErrUnknownMonitor
+		return false
 	}
 	delete(m.queries, id)
 	delete(m.dirty, id)
-	return nil
+	return true
 }
 
 // Get snapshots one standing query's current answer.
-func (m *Monitor) Get(id uint64) (*monitor.State, error) {
+func (m *Monitor) Get(id uint64) (*monitor.State, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q, ok := m.queries[id]
 	if !ok {
-		return nil, monitor.ErrUnknownMonitor
+		return nil, false
 	}
 	return &monitor.State{ID: q.id, Spec: q.spec, Version: q.version,
-		Answer: append([]byte(nil), q.body...)}, nil
+		Answer: append([]byte(nil), q.body...)}, true
 }
 
 // List snapshots every standing query, ascending by ID.

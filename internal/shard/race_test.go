@@ -198,9 +198,9 @@ func TestShardConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.Get(id)
-		if err != nil {
-			t.Fatal(err)
+		st, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("monitor %d vanished", id)
 		}
 		if !bytes.Equal(st.Answer, want) {
 			t.Fatalf("monitor %d (%s q=%g): stored answer stale after quiescence:\n got %s\nwant %s",
