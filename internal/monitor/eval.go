@@ -304,13 +304,6 @@ func boundedRadius(ok bool, r float64) float64 {
 	return r
 }
 
-// InfluenceRect is the influence region of a standing query at q with the
-// radius an evaluation reported: every object whose region stays outside it
-// provably cannot change the answer. Exported for the shard-cluster monitor,
-// which joins member change feeds against the same rectangle the local
-// monitor indexes.
-func InfluenceRect(q, radius float64) geom.Rect { return influenceRect(q, radius) }
-
 // influenceRect is the query's standing entry in the monitor's R-tree: every
 // object whose region stays outside it provably cannot change the answer.
 // Unbounded radii clamp to a huge finite interval (see maxCoord).

@@ -1,8 +1,9 @@
 // Package monitor is the continuous-query subsystem of the C-PNN engine: it
-// maintains standing C-PNN / PNN / constrained-k-NN queries over the durable
-// store's change feed and pushes answer updates as batches commit — the
-// paper's motivating LBS and sensor scenarios, where object pdfs change
-// continuously and clients care about the current answer, made incremental.
+// maintains standing C-PNN / PNN / constrained-k-NN queries over the change
+// feeds of a durable store — or of every member store of a shard cluster, see
+// Source — and pushes answer updates as batches commit: the paper's
+// motivating LBS and sensor scenarios, where object pdfs change continuously
+// and clients care about the current answer, made incremental.
 //
 // The core idea is influence-region pruning. Every evaluation already
 // computes a critical distance (the filtering bound f_min, or f_k for k-NN):
@@ -59,14 +60,18 @@ const DefaultMaxMonitors = 65536
 // Config.MaxStateBytes is zero.
 const DefaultMaxStateBytes = 64 << 20
 
-// Config tunes a Monitor. Store is required; every other zero value selects
-// a sensible default.
+// Config tunes a Monitor. One of Store and Source is required; every other
+// zero value selects a sensible default.
 type Config struct {
 	// Store supplies the change feed and the views to evaluate against.
 	Store *store.Store
+	// Source, when set, replaces Store: the monitor stands on the source's
+	// member stores and evaluates through it (a shard cluster's source is
+	// shard.NewMonitorSource).
+	Source Source
 	// Workers bounds concurrent re-evaluations; 0 means GOMAXPROCS.
 	Workers int
-	// FeedBuffer is the store-subscription buffer; 0 means
+	// FeedBuffer is the per-store subscription buffer; 0 means
 	// store.DefaultWatchBuffer. Overflowing it is safe (the feed delivers a
 	// Gap and the monitor re-evaluates everything) but costs pruning.
 	FeedBuffer int
@@ -97,9 +102,9 @@ type standing struct {
 	id   uint64
 	spec Spec
 
-	rect    geom.Rect // influence rect currently indexed
-	version uint64    // view version of the last completed evaluation
-	body    []byte    // canonical answer at version
+	rect geom.Rect // influence rect currently indexed
+	cut  []uint64  // per-member versions of the last completed evaluation
+	body []byte    // canonical answer at cut
 
 	evaluating bool // a worker is evaluating this query right now
 	redo       bool // dirtied again while evaluating; requeue on completion
@@ -130,10 +135,23 @@ type State struct {
 	ID uint64
 	// Spec is the registered query.
 	Spec Spec
-	// Version is the view version of the current answer.
+	// Version is the version of the current answer: the store's view version,
+	// or over a cluster the sum of the member versions it was evaluated at.
 	Version uint64
 	// Answer is the canonical answer body (JSON) at Version.
 	Answer []byte
+}
+
+func (q *standing) snapshot() *State {
+	return &State{ID: q.id, Spec: q.spec, Version: sum(q.cut), Answer: q.body}
+}
+
+// sum folds a per-member version cut into the one version clients see.
+func sum(cut []uint64) (v uint64) {
+	for _, c := range cut {
+		v += c
+	}
+	return v
 }
 
 // Stats is a snapshot of the monitor's operational counters.
@@ -141,7 +159,8 @@ type Stats struct {
 	// Active counts registered standing queries; Subscribers live
 	// subscriptions.
 	Active, Subscribers int
-	// Version is the latest view version the feed loop has consumed.
+	// Version is the latest version the feed loops have consumed (summed
+	// over the members when the monitor stands on a cluster).
 	Version uint64
 	// Deltas counts processed change-feed deltas; Gaps those that arrived as
 	// lag gaps (forcing full re-evaluation).
@@ -182,12 +201,13 @@ type Stats struct {
 	StateEvictions uint64
 }
 
-// Monitor maintains standing queries over a store's change feed. Create one
-// with New; it is safe for concurrent use.
+// Monitor maintains standing queries over its source's change feeds. Create
+// one with New; it is safe for concurrent use.
 type Monitor struct {
-	cfg  Config
-	st   *store.Store
-	feed *store.Sub
+	cfg         Config         // Source is always set (New fills it from Store)
+	stores      []*store.Store // cfg.Source.Stores(): feed i is stores[i]'s
+	feeds       []*store.Sub
+	incremental bool // per-query evaluation states are kept
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -196,11 +216,11 @@ type Monitor struct {
 	nextID  uint64
 	subs    map[*Subscription]struct{}
 
-	cur     *store.View  // latest view consumed by the feed loop
-	curEng  *core.Engine // engine over cur
-	feedVer uint64       // cur.Version, for Sync
-	dirty   map[uint64]struct{}
-	closed  bool
+	// heads[i] is the newest view feed loop i has consumed and joined
+	// against the standing queries; evaluations run on a snapshot of it.
+	heads  []*store.View
+	dirty  map[uint64]struct{}
+	closed bool
 
 	inflight int // workers currently evaluating
 
@@ -214,10 +234,14 @@ type Monitor struct {
 	nEarlyExits, nTwoDFallbacks, nStateEvictions, nIncReused, nIncDerived    uint64
 }
 
-// New builds and starts a monitor over the store's change feed.
+// New builds and starts a monitor over the change feeds of cfg.Source's
+// stores (of cfg.Store when no source is given).
 func New(cfg Config) (*Monitor, error) {
-	if cfg.Store == nil {
-		return nil, errors.New("monitor: Config.Store is required")
+	if cfg.Source == nil {
+		if cfg.Store == nil {
+			return nil, errors.New("monitor: Config.Store or Config.Source is required")
+		}
+		cfg.Source = &storeSource{st: cfg.Store}
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -231,39 +255,44 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.MaxStateBytes == 0 {
 		cfg.MaxStateBytes = DefaultMaxStateBytes
 	}
-	feed, err := cfg.Store.Watch(cfg.FeedBuffer)
-	if err != nil {
-		return nil, err
-	}
-	view := cfg.Store.View()
-	eng, err := core.NewEngineWithIndex(view.Dataset, view.Index)
-	if err != nil {
-		feed.Close()
-		return nil, err
-	}
 	m := &Monitor{
-		cfg:     cfg,
-		st:      cfg.Store,
-		feed:    feed,
-		queries: map[uint64]*standing{},
-		qix:     rtree.NewDefault[uint64](),
-		nextID:  1,
-		subs:    map[*Subscription]struct{}{},
-		cur:     view,
-		curEng:  eng,
-		feedVer: view.Version,
-		dirty:   map[uint64]struct{}{},
+		cfg:         cfg,
+		stores:      cfg.Source.Stores(),
+		incremental: !cfg.DisableIncremental && cfg.Source.Incremental(),
+		queries:     map[uint64]*standing{},
+		qix:         rtree.NewDefault[uint64](),
+		nextID:      1,
+		subs:        map[*Subscription]struct{}{},
+		dirty:       map[uint64]struct{}{},
 	}
 	m.cond = sync.NewCond(&m.mu)
-	m.wg.Add(1 + cfg.Workers)
-	go m.feedLoop()
+	for _, st := range m.stores {
+		// Subscribe before reading the head, so no commit falls between them.
+		feed, err := st.Watch(cfg.FeedBuffer)
+		if err != nil {
+			m.closeFeeds()
+			return nil, err
+		}
+		m.feeds = append(m.feeds, feed)
+		m.heads = append(m.heads, st.View())
+	}
+	m.wg.Add(len(m.feeds) + cfg.Workers)
+	for i := range m.feeds {
+		go m.feedLoop(i)
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
 	}
 	return m, nil
 }
 
-// Close stops the feed loop and workers and closes every subscription.
+func (m *Monitor) closeFeeds() {
+	for _, f := range m.feeds {
+		f.Close()
+	}
+}
+
+// Close stops the feed loops and workers and closes every subscription.
 // Registered queries are discarded. Safe to call more than once.
 func (m *Monitor) Close() {
 	m.mu.Lock()
@@ -278,7 +307,7 @@ func (m *Monitor) Close() {
 		close(sub.ch)
 	}
 	m.mu.Unlock()
-	m.feed.Close() // unblocks the feed loop
+	m.closeFeeds() // unblocks the feed loops
 	m.wg.Wait()
 }
 
@@ -300,19 +329,15 @@ func (m *Monitor) Register(spec Spec) (*State, error) {
 		return nil, fmt.Errorf("monitor: %d standing queries registered, limit %d",
 			m.cfg.MaxMonitors, m.cfg.MaxMonitors)
 	}
-	view, eng := m.cur, m.curEng
+	heads := append([]*store.View(nil), m.heads...)
 	m.mu.Unlock()
 
-	body, radius, err := Evaluate(view, eng, nil, spec)
+	q := &standing{spec: spec, cut: make([]uint64, len(heads))}
+	body, radius, _, err := m.cfg.Source.Evaluate(Eval{Spec: spec, Heads: heads}, q.cut)
 	if err != nil {
 		return nil, err
 	}
-	q := &standing{
-		spec:    spec,
-		rect:    influenceRect(spec.Q, radius),
-		version: view.Version,
-		body:    body,
-	}
+	q.rect, q.body = influenceRect(spec.Q, radius), body
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -329,12 +354,12 @@ func (m *Monitor) Register(spec Spec) (*State, error) {
 	// A commit may have slipped in between the evaluation above and the
 	// index insert; it could not have seen this query in the join, so force
 	// one catch-up evaluation.
-	if m.cur.Version != view.Version {
+	if m.pastLocked(q.cut) {
 		m.dirty[q.id] = struct{}{}
 		q.dirtyAt = time.Now()
 		m.cond.Broadcast()
 	}
-	return &State{ID: q.id, Spec: spec, Version: q.version, Answer: q.body}, nil
+	return q.snapshot(), nil
 }
 
 // Unregister removes a standing query, reporting whether it existed.
@@ -362,7 +387,7 @@ func (m *Monitor) Get(id uint64) (*State, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &State{ID: q.id, Spec: q.spec, Version: q.version, Answer: q.body}, true
+	return q.snapshot(), true
 }
 
 // List returns a snapshot of every standing query, in ID order.
@@ -371,14 +396,10 @@ func (m *Monitor) List() []*State {
 	defer m.mu.Unlock()
 	out := make([]*State, 0, len(m.queries))
 	for _, q := range m.queries {
-		out = append(out, &State{ID: q.id, Spec: q.spec, Version: q.version, Answer: q.body})
+		out = append(out, q.snapshot())
 	}
-	sortStates(out)
-	return out
-}
-
-func sortStates(out []*State) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Stats returns a snapshot of the operational counters.
@@ -394,7 +415,7 @@ func (m *Monitor) Stats() Stats {
 	return Stats{
 		Active:             len(m.queries),
 		Subscribers:        len(m.subs),
-		Version:            m.feedVer,
+		Version:            m.feedVersionLocked(),
 		Deltas:             m.nDeltas,
 		Gaps:               m.nGaps,
 		Affected:           m.nAffected,
@@ -413,12 +434,15 @@ func (m *Monitor) Stats() Stats {
 	}
 }
 
-// Sync blocks until the monitor is quiescent at (at least) the store's
-// current version: the feed loop has consumed every committed delta and no
-// query is dirty or mid-evaluation. Tests and benchmarks use it as a commit
-// barrier.
+// Sync blocks until the monitor is quiescent at (at least) the stores'
+// current versions: the feed loops have consumed every committed delta and
+// no query is dirty or mid-evaluation. Tests and benchmarks use it as a
+// commit barrier.
 func (m *Monitor) Sync(timeout time.Duration) error {
-	target := m.st.View().Version
+	target := make([]uint64, len(m.stores))
+	for i, st := range m.stores {
+		target[i] = st.View().Version
+	}
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		m.mu.Lock()
@@ -432,57 +456,68 @@ func (m *Monitor) Sync(timeout time.Duration) error {
 		if m.closed {
 			return ErrClosed
 		}
-		if m.feedVer >= target && len(m.dirty) == 0 && m.inflight == 0 {
+		caughtUp := true
+		for i, h := range m.heads {
+			caughtUp = caughtUp && h.Version >= target[i]
+		}
+		if caughtUp && len(m.dirty) == 0 && m.inflight == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("monitor: sync: not quiescent at version %d after %v (feed %d, %d dirty, %d evaluating)",
-				target, timeout, m.feedVer, len(m.dirty), m.inflight)
+				sum(target), timeout, m.feedVersionLocked(), len(m.dirty), m.inflight)
 		}
 		m.cond.Wait()
 	}
 }
 
-// feedLoop consumes the store's change feed: for every committed delta it
-// advances the current view, joins the changed rectangles against the
+// pastLocked reports whether some feed loop has consumed a version newer
+// than cut's: commits were joined that an evaluation at cut did not see.
+func (m *Monitor) pastLocked(cut []uint64) bool {
+	for i, h := range m.heads {
+		if h.Version > cut[i] {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *Monitor) feedVersionLocked() (v uint64) {
+	for _, h := range m.heads {
+		v += h.Version
+	}
+	return v
+}
+
+// feedLoop consumes store i's change feed: for every committed delta it
+// advances the feed's head view, joins the changed rectangles against the
 // standing-query index, and dirties exactly the queries the batch can
 // affect.
-func (m *Monitor) feedLoop() {
+func (m *Monitor) feedLoop(i int) {
 	defer m.wg.Done()
-	for d := range m.feed.C() {
+	for d := range m.feeds[i].C() {
 		view := d.View
 		if d.Gap {
 			// The Gap marker's own view can predate later-dropped deltas;
 			// the latest published view is ≥ every drop by the time the
 			// marker is read, so resync from there.
-			view = m.st.View()
-		}
-		eng, err := core.NewEngineWithIndex(view.Dataset, view.Index)
-		if err != nil {
-			// An index/dataset mismatch is an internal invariant violation;
-			// fall back to a bulk engine build rather than going dark.
-			if eng, err = core.NewEngine(view.Dataset); err != nil {
-				m.mu.Lock()
-				m.nErrors++
-				m.mu.Unlock()
-				continue
-			}
+			view = m.stores[i].View()
 		}
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
 			return
 		}
-		if view.Version <= m.feedVer && !d.Gap && !d.Truncated {
+		if view.Version <= m.heads[i].Version && !d.Gap && !d.Truncated {
 			// Already subsumed by an earlier gap resync (normal deltas are
-			// strictly increasing, so only a resync can put feedVer ahead);
+			// strictly increasing, so only a resync can put the head ahead);
 			// the resync dirtied every query, covering these changes.
 			m.cond.Broadcast()
 			m.mu.Unlock()
 			continue
 		}
-		if view.Version > m.feedVer {
-			m.cur, m.curEng, m.feedVer = view, eng, view.Version
+		if view.Version > m.heads[i].Version {
+			m.heads[i] = view
 		}
 		m.nDeltas++
 
@@ -522,7 +557,7 @@ func (m *Monitor) feedLoop() {
 				}
 				collect := func(_ geom.Rect, id uint64) bool {
 					hit[id] = struct{}{}
-					if q := m.queries[id]; q != nil {
+					if q := m.queries[id]; q != nil && m.incremental {
 						if q.pending == nil {
 							q.pending = map[uint64]int{}
 						}
@@ -553,12 +588,17 @@ func (m *Monitor) feedLoop() {
 	}
 }
 
-// worker re-evaluates dirty queries against the latest view, one at a time,
-// on a private reusable scratch. Evaluations of one query never overlap: a
-// query dirtied mid-evaluation is requeued when its evaluation completes.
+// worker re-evaluates dirty queries against the latest head views, one at a
+// time, on a private reusable scratch. Evaluations of one query never
+// overlap: a query dirtied mid-evaluation is requeued when its evaluation
+// completes.
 func (m *Monitor) worker() {
 	defer m.wg.Done()
+	// Per-worker buffers, so an evaluation allocates nothing for its
+	// bookkeeping: the head snapshot it runs on and the cut it reports.
 	sc := core.NewScratch()
+	heads := make([]*store.View, len(m.stores))
+	cut := make([]uint64, len(m.stores))
 	m.mu.Lock()
 	for {
 		if m.closed {
@@ -587,28 +627,18 @@ func (m *Monitor) worker() {
 		m.inflight++
 		dirtyAt := q.dirtyAt
 		q.dirtyAt = time.Time{}
-		view, eng, spec := m.cur, m.curEng, q.spec
+		if m.incremental && q.state == nil {
+			q.state = core.NewEvalState()
+		}
+		spec, state := q.spec, q.state
+		copy(heads, m.heads)
 		// Take ownership of the changed-ID snapshot; changes landing during
 		// the evaluation start a fresh set (and set redo).
-		pending, full := q.pending, q.full
+		ev := Eval{Spec: spec, Heads: heads, State: state, Changed: q.pending, Full: q.full, Scratch: sc}
 		q.pending, q.full = nil, false
-		incremental := !m.cfg.DisableIncremental
-		state := q.state
-		if incremental && state == nil {
-			state = core.NewEvalState()
-			q.state = state
-		}
 		m.mu.Unlock()
 
-		var body []byte
-		var radius float64
-		var inc core.IncrementalStats
-		var err error
-		if incremental {
-			body, radius, inc, err = EvaluateIncremental(view, eng, state, spec, pending, full)
-		} else {
-			body, radius, err = Evaluate(view, eng, sc, spec)
-		}
+		body, radius, inc, err := m.cfg.Source.Evaluate(ev, cut)
 
 		m.mu.Lock()
 		m.inflight--
@@ -632,7 +662,7 @@ func (m *Monitor) worker() {
 		live := false
 		if _, ok := m.queries[q.id]; ok {
 			live = true
-			if incremental {
+			if state != nil {
 				nb := int64(state.MemBytes())
 				m.stateBytes += nb - q.stateBytes
 				q.stateBytes = nb
@@ -653,7 +683,7 @@ func (m *Monitor) worker() {
 			rect = influenceRect(spec.Q, radius)
 		}
 		grew := !q.rect.Contains(rect)
-		racedGrowth := m.feedVer > view.Version && grew
+		racedGrowth := grew && m.pastLocked(cut)
 		if q.redo || racedGrowth {
 			q.redo = false
 			if live {
@@ -668,14 +698,14 @@ func (m *Monitor) worker() {
 				}
 			}
 		}
-		if live && err == nil && view.Version >= q.version {
+		if live && err == nil && newerCut(cut, q.cut) {
 			if rect != q.rect {
 				m.qix.Delete(q.rect, func(v uint64) bool { return v == q.id })
 				if ierr := m.qix.Insert(rect, q.id); ierr == nil {
 					q.rect = rect
 				}
 			}
-			q.version = view.Version
+			copy(q.cut, cut)
 			if inc.Skipped {
 				// The previous answer is provably current at this version;
 				// nothing to serialize, diff or push.
@@ -687,13 +717,26 @@ func (m *Monitor) worker() {
 					m.cfg.PushLatency.Observe(time.Since(dirtyAt).Seconds())
 				}
 				m.pushLocked(Update{
-					ID: q.id, Version: view.Version, Kind: spec.Kind.String(),
+					ID: q.id, Version: sum(cut), Kind: spec.Kind.String(),
 					Q: spec.Q, Answer: body,
 				})
 			}
 		}
 		m.cond.Broadcast() // wake Sync waiters and idle workers
 	}
+}
+
+// newerCut reports whether cut a is at least as new as b on every member.
+// Member versions are monotone and evaluations of one query are serialized,
+// so a later evaluation's cut always dominates — the check guards the
+// invariant rather than ordering concurrent evaluations.
+func newerCut(a, b []uint64) bool {
+	for i := range a {
+		if a[i] < b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // evictStatesLocked drops least-recently-evaluated per-query states until

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/monitor"
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/uncertain"
 )
@@ -19,8 +18,7 @@ import (
 // primary, a shard member refuses client writes (the router owns placement).
 type localBackend struct {
 	s        *Server
-	mon      *monitor.Monitor // nil without a store
-	feedDone chan struct{}    // snapshot-follower goroutine exit (store mode)
+	feedDone chan struct{} // snapshot-follower goroutine exit (store mode)
 }
 
 // newLocalBackend installs the initial snapshot and, with a store attached,
@@ -54,16 +52,7 @@ func newLocalBackend(s *Server) (*localBackend, error) {
 		return b, nil
 	}
 	// The continuous-query subsystem rides the store's change feed.
-	pushLat := obs.NewHistogram("cpnn_server_monitor_push_latency_seconds",
-		"Commit-to-push latency for standing-query updates.", obs.LagBuckets)
-	s.extra.Register(pushLat)
-	mon, err := monitor.New(monitor.Config{
-		Store: cfg.Store, Workers: cfg.MonitorWorkers,
-		MaxStateBytes: cfg.MonitorStateBytes,
-		Logger:        s.log.With("subsystem", "monitor"),
-		PushLatency:   pushLat,
-	})
-	if err != nil {
+	if err := s.startMonitors(monitor.Config{Store: cfg.Store}); err != nil {
 		return nil, err
 	}
 	// Follow the feed so the served snapshot (and therefore every cached
@@ -72,10 +61,9 @@ func newLocalBackend(s *Server) (*localBackend, error) {
 	// installs the latest view, so gaps are harmless.
 	feed, err := cfg.Store.Watch(4)
 	if err != nil {
-		mon.Close()
+		s.monitors.Close()
 		return nil, err
 	}
-	b.mon, s.monitors = mon, monitorsOf[*monitor.Subscription]{mon}
 	b.feedDone = make(chan struct{})
 	go func() {
 		defer close(b.feedDone)
@@ -211,7 +199,8 @@ func (b *localBackend) health(body map[string]any) {
 func (b *localBackend) metrics(w io.Writer) {
 	cfg := &b.s.cfg
 	if cfg.Store != nil {
-		b.s.m.writeStore(w, cfg.Store.Stats(), b.mon.Stats())
+		b.s.m.writeStore(w, cfg.Store.Stats())
+		writeMonitorMetrics(w, "cpnn_server_", b.s.monitors.Stats())
 	}
 	if cfg.Replica != nil {
 		writeFollowerMetrics(w, cfg.Replica.Stats())

@@ -156,10 +156,9 @@ func (m *metrics) write(w io.Writer, c *cache, info datasetResponse) {
 	}
 }
 
-// writeStore renders the durable-store, page-cache and continuous-query
-// families (present only with -data-dir / Config.Store; the monitor rides
-// the store's change feed).
-func (m *metrics) writeStore(w io.Writer, st store.Stats, ms monitor.Stats) {
+// writeStore renders the durable-store and page-cache families (present only
+// with -data-dir / Config.Store).
+func (m *metrics) writeStore(w io.Writer, st store.Stats) {
 	const p = "cpnn_server_"
 	fmt.Fprintf(w, "# TYPE %sstore_ops_applied_total counter\n", p)
 	fmt.Fprintf(w, "%sstore_ops_applied_total %d\n", p, st.OpsApplied)
@@ -220,7 +219,13 @@ func (m *metrics) writeStore(w io.Writer, st store.Stats, ms monitor.Stats) {
 	fmt.Fprintf(w, "%soverlay_slots %d\n", pc, st.OverlaySlots)
 	fmt.Fprintf(w, "# TYPE %sbase_slots gauge\n", pc)
 	fmt.Fprintf(w, "%sbase_slots %d\n", pc, st.BaseSlots)
+}
 
+// writeMonitorMetrics renders the continuous-query families under prefix p:
+// cpnn_server_monitor_* for a monitor over the server's store,
+// cpnn_server_shard_monitor_* for one over an in-process shard cluster (whose
+// stateless source leaves the early-exit, fold and state families at zero).
+func writeMonitorMetrics(w io.Writer, p string, ms monitor.Stats) {
 	fmt.Fprintf(w, "# TYPE %smonitor_active gauge\n", p)
 	fmt.Fprintf(w, "# HELP %smonitor_active Registered standing queries.\n", p)
 	fmt.Fprintf(w, "%smonitor_active %d\n", p, ms.Active)

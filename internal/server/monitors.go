@@ -19,9 +19,9 @@ import (
 
 // Continuous queries: POST /v1/monitors registers a standing C-PNN/PNN/k-NN
 // query, GET lists them, DELETE removes one, and GET /v1/subscribe streams
-// answer updates over Server-Sent Events as the store commits batches. The
-// endpoints require a store (the change feed is the store's); without one
-// they answer 501 like /v1/objects.
+// answer updates over Server-Sent Events as batches commit. The endpoints
+// require a store or an in-process shard cluster (the change feeds are the
+// stores'); without one they answer 501 like /v1/objects.
 
 // monitorRequest is the POST /v1/monitors body. P and Delta are pointers so
 // an explicit 0 (valid for delta, rejected for p) is distinguishable from an
@@ -106,45 +106,22 @@ func monitorInfo(st *monitor.State) monitorJSON {
 	}
 }
 
-// monitorOps is what the single-store monitor and the shard-cluster monitor
-// share verbatim: both expose *monitor.State, so the handlers stay
-// backend-agnostic.
-type monitorOps interface {
-	Register(spec monitor.Spec) (*monitor.State, error)
-	List() []*monitor.State
-	Unregister(id uint64) bool
-	Close()
-}
-
-// monitorStream is the common shape of both subscription types.
-type monitorStream interface {
-	C() <-chan monitor.Event
-	Close()
-}
-
-// monitors is the continuous-query surface the handlers use.
-type monitors interface {
-	monitorOps
-	Subscribe(ids []uint64, buffer int) (monitorStream, error)
-}
-
-// concreteMonitor is monitors as monitor.Monitor and shard.Monitor implement
-// it: Subscribe returns the package's own subscription type S.
-type concreteMonitor[S monitorStream] interface {
-	monitorOps
-	Subscribe(ids []uint64, buffer int) (S, error)
-}
-
-// monitorsOf adapts a concrete monitor to monitors by widening S to
-// monitorStream; nothing else differs.
-type monitorsOf[S monitorStream] struct{ concreteMonitor[S] }
-
-func (m monitorsOf[S]) Subscribe(ids []uint64, buffer int) (monitorStream, error) {
-	sub, err := m.concreteMonitor.Subscribe(ids, buffer)
+// startMonitors starts the continuous-query subsystem over cfg's store or
+// source. Whatever it stands on, the monitor gets the server's worker and
+// state budgets, its logger and the push-latency histogram.
+func (s *Server) startMonitors(cfg monitor.Config) error {
+	cfg.Workers = s.cfg.MonitorWorkers
+	cfg.MaxStateBytes = s.cfg.MonitorStateBytes
+	cfg.Logger = s.log.With("subsystem", "monitor")
+	cfg.PushLatency = obs.NewHistogram("cpnn_server_monitor_push_latency_seconds",
+		"Commit-to-push latency for standing-query updates.", obs.LagBuckets)
+	mon, err := monitor.New(cfg)
 	if err != nil {
-		return nil, err // not a typed-nil S inside a non-nil interface
+		return err
 	}
-	return sub, nil
+	s.extra.Register(cfg.PushLatency)
+	s.monitors = mon
+	return nil
 }
 
 func (s *Server) requireMonitor(w http.ResponseWriter) bool {

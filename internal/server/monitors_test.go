@@ -65,7 +65,7 @@ func TestMonitorLifecycle(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("insert: %d %s", w.Code, w.Body)
 	}
-	if err := s.be.(*localBackend).mon.Sync(10 * time.Second); err != nil {
+	if err := s.monitors.Sync(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	w = doJSON(t, s, http.MethodGet, "/v1/monitors", "")
@@ -114,7 +114,7 @@ func TestMonitorLifecycle(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &zreg); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := s.be.(*localBackend).mon.Get(zreg.ID); !ok || st.Spec.Constraint.Delta != 0 {
+	if st, ok := s.monitors.Get(zreg.ID); !ok || st.Spec.Constraint.Delta != 0 {
 		t.Fatalf("explicit delta:0 coerced: %+v", st)
 	}
 }
@@ -201,7 +201,7 @@ func TestSubscribeSSE(t *testing.T) {
 	if upd.ID != reg.ID || upd.Version <= reg.Version {
 		t.Fatalf("update = %+v", upd)
 	}
-	st, ok := s.be.(*localBackend).mon.Get(reg.ID)
+	st, ok := s.monitors.Get(reg.ID)
 	if !ok || string(st.Answer) != string(upd.Answer) {
 		t.Fatalf("pushed answer %s != stored %s", upd.Answer, st.Answer)
 	}

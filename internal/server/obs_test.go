@@ -351,6 +351,58 @@ func TestMetricsParseShardedServer(t *testing.T) {
 	}
 }
 
+// TestMetricsParseRouterMonitors: a K=2 router server with in-process
+// members exports the same continuous-query families as a store server,
+// under the shard_ prefix, plus the one push-latency histogram — observed at
+// least once after a commit moved a standing answer.
+func TestMetricsParseRouterMonitors(t *testing.T) {
+	cluster, err := shard.CreateClusterCuts(t.TempDir(), []float64{100}, nil, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	rt, err := cluster.Router()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{ShardRouter: rt, ShardCluster: cluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seed := `{"objects":[{"uniform":{"lo":40,"hi":50}},{"uniform":{"lo":140,"hi":150}}]}`
+	if rec := doJSON(t, s, http.MethodPost, "/v1/objects", seed); rec.Code != 200 {
+		t.Fatalf("seed: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec := doJSON(t, s, http.MethodPost, "/v1/monitors", `{"kind":"cpnn","q":60,"p":0.3,"delta":0.01}`); rec.Code != 200 {
+		t.Fatalf("register: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec := doJSON(t, s, http.MethodPost, "/v1/objects", `{"objects":[{"uniform":{"lo":59,"hi":61}}]}`); rec.Code != 200 {
+		t.Fatalf("trigger: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if err := s.monitors.Sync(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	fams := parseProm(t, get(t, s, "/metrics").Body.String())
+	if n := checkHistogram(t, fams, "cpnn_server_monitor_push_latency_seconds", ""); n < 1 {
+		t.Errorf("push-latency observations = %g after a push, want >= 1", n)
+	}
+	for _, name := range []string{"active", "subscribers", "deltas_total", "gaps_total", "reevals_total",
+		"affected_total", "pruned_total", "pushes_total", "dropped_total", "errors_total",
+		"early_exit_total", "2d_fallback_total", "folds_reused_total", "folds_derived_total",
+		"state_bytes", "state_queries", "state_evictions_total"} {
+		if _, ok := fams["cpnn_server_shard_monitor_"+name]; !ok {
+			t.Errorf("cpnn_server_shard_monitor_%s missing", name)
+		}
+	}
+	if got := fams["cpnn_server_shard_monitor_pushes_total"].samples["cpnn_server_shard_monitor_pushes_total"]; got < 1 {
+		t.Errorf("cpnn_server_shard_monitor_pushes_total = %g, want >= 1", got)
+	}
+	if _, ok := fams["cpnn_server_shard_monitor_2d_skips_total"]; ok {
+		t.Error("cpnn_server_shard_monitor_2d_skips_total still exported; it is ..._2d_fallback_total now")
+	}
+}
+
 // TestMetricsParseReplicaServer parses a follower's scrape end to end,
 // including the replication families.
 func TestMetricsParseReplicaServer(t *testing.T) {

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/shard"
@@ -100,7 +101,7 @@ type Config struct {
 	ShardRouter *shard.Router
 	// ShardCluster, set alongside ShardRouter when the member stores live in
 	// this process (cpnn-serve -shards K), enables continuous queries over
-	// the cluster: the shard monitor joins every member's change feed.
+	// the cluster: the monitor joins every member's change feed.
 	// Without it (multi-process routing) /v1/monitors answers 501.
 	ShardCluster *shard.Cluster
 	// ShardMember exposes the member wire protocol under /internal/shard/*
@@ -134,10 +135,10 @@ type Config struct {
 	// queue position for every collapsed waiter behind it.
 	QueueTimeout time.Duration
 
-	// MonitorWorkers bounds the continuous-query re-evaluation pool (store
-	// mode only); 0 means the monitor's default (GOMAXPROCS). The monitor
-	// itself exists whenever a store is attached: /v1/monitors registers
-	// standing queries and /v1/subscribe streams their answer updates.
+	// MonitorWorkers bounds the continuous-query re-evaluation pool; 0 means
+	// the monitor's default (GOMAXPROCS). The monitor itself exists whenever
+	// a store or a ShardCluster is attached: /v1/monitors registers standing
+	// queries and /v1/subscribe streams their answer updates.
 	MonitorWorkers int
 	// MonitorStateBytes caps the memory the monitor retains for per-query
 	// incremental evaluation states; 0 means the monitor's default, negative
@@ -323,7 +324,7 @@ type Server struct {
 	// monitorsHint. drainCh closes on Drain so /v1/subscribe streams end and
 	// Shutdown can finish.
 	be           backend
-	monitors     monitors
+	monitors     *monitor.Monitor
 	monitorsHint string
 	drainCh      chan struct{}
 	drainOnce    sync.Once

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -38,9 +39,8 @@ func shardError(err error) error {
 // routerBackend serves a shard cluster through its router. There is no
 // local snapshot: every cache miss resolves against a fresh gathered cut.
 type routerBackend struct {
-	s   *Server
-	rt  *shard.Router
-	mon *shard.Monitor // nil without in-process member stores
+	s  *Server
+	rt *shard.Router
 }
 
 func newRouterBackend(s *Server) (*routerBackend, error) {
@@ -52,16 +52,11 @@ func newRouterBackend(s *Server) (*routerBackend, error) {
 		s.monitorsHint = "continuous queries require in-process member stores (run cpnn-serve with -shards)"
 		return b, nil
 	}
-	mon, err := shard.NewMonitor(shard.MonitorConfig{
-		Router:  b.rt,
-		Stores:  s.cfg.ShardCluster.Stores,
-		Workers: s.cfg.MonitorWorkers,
-	})
+	src, err := shard.NewMonitorSource(b.rt, s.cfg.ShardCluster.Stores)
 	if err != nil {
 		return nil, err
 	}
-	b.mon, s.monitors = mon, monitorsOf[*shard.Subscription]{mon}
-	return b, nil
+	return b, s.startMonitors(monitor.Config{Source: src})
 }
 
 // routerView pins the member version vector (not its sum — two distinct
@@ -139,20 +134,18 @@ func (b *routerBackend) health(body map[string]any) {
 }
 
 func (b *routerBackend) metrics(w io.Writer) {
-	var ms *shard.MonitorStats
-	if b.mon != nil {
-		v := b.mon.Stats()
-		ms = &v
+	writeShardMetrics(w, b.rt.Stats())
+	if b.s.monitors != nil {
+		writeMonitorMetrics(w, "cpnn_server_shard_", b.s.monitors.Stats())
 	}
-	writeShardMetrics(w, b.rt.Stats(), ms)
 }
 
 // close is a no-op: the caller owns the router and the cluster behind it.
 func (b *routerBackend) close() error { return nil }
 
 // writeShardMetrics renders the cpnn_server_shard_* metric families from
-// the router's (and, in -shards mode, the shard monitor's) counters.
-func writeShardMetrics(w io.Writer, st shard.Stats, ms *shard.MonitorStats) {
+// the router's counters.
+func writeShardMetrics(w io.Writer, st shard.Stats) {
 	const p = "cpnn_server_shard_"
 	fmt.Fprintf(w, "# TYPE %scount gauge\n", p)
 	fmt.Fprintf(w, "# HELP %scount Shards in the cluster.\n", p)
@@ -196,31 +189,6 @@ func writeShardMetrics(w io.Writer, st shard.Stats, ms *shard.MonitorStats) {
 		fmt.Fprintf(w, "# HELP %sskew Largest shard population over the balanced mean (1 = perfectly even).\n", p)
 		fmt.Fprintf(w, "%sskew %g\n", p, float64(max)*float64(st.Shards)/float64(st.Objects))
 	}
-	if ms == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE %smonitor_active gauge\n", p)
-	fmt.Fprintf(w, "%smonitor_active %d\n", p, ms.Active)
-	fmt.Fprintf(w, "# TYPE %smonitor_subscribers gauge\n", p)
-	fmt.Fprintf(w, "%smonitor_subscribers %d\n", p, ms.Subscribers)
-	fmt.Fprintf(w, "# TYPE %smonitor_deltas_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_deltas_total %d\n", p, ms.Deltas)
-	fmt.Fprintf(w, "# TYPE %smonitor_gaps_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_gaps_total %d\n", p, ms.Gaps)
-	fmt.Fprintf(w, "# TYPE %smonitor_affected_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_affected_total %d\n", p, ms.Affected)
-	fmt.Fprintf(w, "# TYPE %smonitor_pruned_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_pruned_total %d\n", p, ms.Pruned)
-	fmt.Fprintf(w, "# TYPE %smonitor_reevals_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_reevals_total %d\n", p, ms.ReEvals)
-	fmt.Fprintf(w, "# TYPE %smonitor_pushes_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_pushes_total %d\n", p, ms.Pushes)
-	fmt.Fprintf(w, "# TYPE %smonitor_dropped_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_dropped_total %d\n", p, ms.Dropped)
-	fmt.Fprintf(w, "# TYPE %smonitor_errors_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_errors_total %d\n", p, ms.Errors)
-	fmt.Fprintf(w, "# TYPE %smonitor_2d_skips_total counter\n", p)
-	fmt.Fprintf(w, "%smonitor_2d_skips_total %d\n", p, ms.TwoDSkips)
 }
 
 // ---- member mode: the wire protocol ------------------------------------

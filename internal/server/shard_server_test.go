@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,9 +169,51 @@ func TestShardServerParity(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink the monitor's workers can write while the test
+// reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// downMember is a shard member whose reads fail once down is set — a killed
+// member process as the router sees it.
+type downMember struct {
+	shard.Member
+	down atomic.Bool
+}
+
+func (m *downMember) Bound(ctx context.Context, q float64, k int) (shard.BoundInfo, error) {
+	if m.down.Load() {
+		return shard.BoundInfo{}, errors.New("injected: down")
+	}
+	return m.Member.Bound(ctx, q, k)
+}
+
+func (m *downMember) Gather(ctx context.Context, q, bound float64) ([]shard.Item, uint64, error) {
+	if m.down.Load() {
+		return nil, 0, errors.New("injected: down")
+	}
+	return m.Member.Gather(ctx, q, bound)
+}
+
 // TestShardServerMonitors runs a standing query over the sharded server:
 // registration answers immediately, a write through the router re-evaluates
-// it, and the pushed answer matches a fresh scatter-gather evaluation.
+// it, and the pushed answer matches a fresh scatter-gather evaluation. A
+// dead member then makes a triggered re-evaluation fail, which must be
+// counted and logged rather than go stale silently.
 func TestShardServerMonitors(t *testing.T) {
 	dir := t.TempDir()
 	cluster, err := shard.CreateClusterCuts(dir, []float64{100, 200, 300}, nil, store.Options{NoSync: true})
@@ -175,11 +221,16 @@ func TestShardServerMonitors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	rt, err := cluster.Router()
+	members := cluster.Members()
+	shard0 := &downMember{Member: members[0]}
+	members[0] = shard0
+	rt, err := shard.NewRouter(shard.RouterConfig{Members: members, Cuts: cluster.Meta.Cuts, NextID: cluster.Meta.NextID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{ShardRouter: rt, ShardCluster: cluster})
+	var logs lockedBuffer
+	s, err := New(Config{ShardRouter: rt, ShardCluster: cluster,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +261,7 @@ func TestShardServerMonitors(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trigger insert: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
-	if err := s.be.(*routerBackend).mon.Sync(10 * time.Second); err != nil {
+	if err := s.monitors.Sync(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,6 +283,36 @@ func TestShardServerMonitors(t *testing.T) {
 	}
 	if !bytes.Equal(list.Monitors[0].Answer, wantBody) {
 		t.Fatalf("standing answer stale:\n got %s\nwant %s", list.Monitors[0].Answer, wantBody)
+	}
+
+	// A second standing query sits on shard 1 just past shard 0's extent
+	// [0,98]: its nearest object [90,98] lives on shard 0. Kill shard 0, then
+	// commit on shard 1 inside the query's influence interval but far enough
+	// out that the candidate ball still reaches the dead shard's extent. The
+	// re-evaluation cannot be answered; it must count and log.
+	rec = doJSON(t, s, http.MethodPost, "/v1/monitors", `{"kind":"cpnn","q":105,"p":0.3,"delta":0.01}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register near the cut: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &mj); err != nil {
+		t.Fatal(err)
+	}
+	shard0.down.Store(true)
+	rec = doJSON(t, s, http.MethodPost, "/v1/objects", `{"objects":[{"uniform":{"lo":112,"hi":114}}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("insert beside the dead shard: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if err := s.monitors.Sync(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	fams := parseProm(t, get(t, s, "/metrics").Body.String())
+	if got := fams["cpnn_server_shard_monitor_errors_total"].samples["cpnn_server_shard_monitor_errors_total"]; got < 1 {
+		t.Fatalf("cpnn_server_shard_monitor_errors_total = %g after a re-evaluation needed a dead member", got)
+	}
+	for _, want := range []string{"standing-query evaluation failed", fmt.Sprintf("monitor_id=%d", mj.ID), "kind=cpnn", "subsystem=monitor"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Fatalf("evaluation-failure warning lacks %q; log:\n%s", want, logs.String())
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/monitor"
 	"repro/internal/pdf"
@@ -21,6 +22,12 @@ import (
 // deliberately skewed partitions (all cuts crammed into 10% of the domain).
 // Stable-ID assignment must also agree op for op, so the sharded cluster is
 // indistinguishable from a single store to any client.
+//
+// The same specs stand on a monitor over the cluster with a subscriber
+// attached: after every commit each stored answer must equal the oracle's,
+// and the pushes must be exactly the answer changes (no push carries an
+// unchanged body, and replaying them reconstructs every current answer) —
+// the contract TestMonitorOracle enforces for one store.
 func TestShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50 seeded runs x 4 shard counts")
@@ -115,12 +122,65 @@ func runShardSeed(t *testing.T, seed int64, k int) Stats {
 	}
 
 	specs := oracleSpecs(rng, domain, seed)
+	src, err := NewMonitorSource(r, c.Stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := monitor.New(monitor.Config{Source: src, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	sub, err := mon.Subscribe(nil, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	monID := make([]uint64, len(specs))
+	clientView := map[uint64][]byte{} // the subscriber's reconstruction
+	for si, sp := range specs {
+		st, err := mon.Register(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		monID[si], clientView[st.ID] = st.ID, st.Answer
+	}
+
 	sweep := func(step int) {
+		if err := mon.Sync(10 * time.Second); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for drained := false; !drained; {
+			select {
+			case ev := <-sub.C():
+				if ev.Type == monitor.EventLagged {
+					t.Fatal("oversized subscription lagged")
+				}
+				if bytes.Equal(clientView[ev.Update.ID], ev.Update.Answer) {
+					t.Fatalf("step %d: spurious push for monitor %d: %s", step, ev.Update.ID, ev.Update.Answer)
+				}
+				clientView[ev.Update.ID] = ev.Update.Answer
+			default:
+				drained = true
+			}
+		}
 		view := single.View()
 		for si, sp := range specs {
 			want, _, err := monitor.Evaluate(view, nil, nil, sp)
 			if err != nil {
 				t.Fatal(err)
+			}
+			st, ok := mon.Get(monID[si])
+			if !ok {
+				t.Fatalf("monitor %d vanished", monID[si])
+			}
+			if !bytes.Equal(st.Answer, want) {
+				t.Fatalf("step %d seed %d k=%d: standing spec %d (%s q=%g) stale:\n got %s\nwant %s",
+					step, seed, k, si, sp.Kind, sp.Q, st.Answer, want)
+			}
+			if !bytes.Equal(clientView[st.ID], want) {
+				t.Fatalf("step %d seed %d k=%d: subscriber view of spec %d stale (missing push):\n got %s\nwant %s",
+					step, seed, k, si, clientView[st.ID], want)
 			}
 			got, _, g, err := r.Evaluate(context.Background(), sp, nil)
 			if err != nil {

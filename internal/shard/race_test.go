@@ -65,7 +65,11 @@ func TestShardConcurrency(t *testing.T) {
 		owned[i%writers] = append(owned[i%writers], id)
 	}
 
-	m, err := NewMonitor(MonitorConfig{Router: r, Stores: c.Stores, Workers: 2})
+	src, err := NewMonitorSource(r, c.Stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := monitor.New(monitor.Config{Source: src, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -728,6 +728,41 @@ func (r *Router) Evaluate(ctx context.Context, spec monitor.Spec, sc *core.Scrat
 	return body, radius, g, nil
 }
 
+// clusterSource stands a monitor.Monitor on a local shard cluster: the
+// member stores' change feeds drive the spatial join and dirty queries
+// re-evaluate through the router's scatter-gather. A cluster evaluation is
+// already a merged mini-dataset of just the candidates, so there is no
+// per-query incremental state to maintain: the source is stateless and every
+// answer is re-derived from scratch at whatever cut the gather pins.
+type clusterSource struct {
+	r      *Router
+	stores []*store.Store
+}
+
+// NewMonitorSource returns the monitor source of a cluster served by r;
+// stores[i] must be member i's store.
+func NewMonitorSource(r *Router, stores []*store.Store) (monitor.Source, error) {
+	if r == nil {
+		return nil, fmt.Errorf("shard: monitor source needs a router")
+	}
+	if len(stores) != r.Shards() {
+		return nil, fmt.Errorf("shard: monitor source got %d stores for %d shards", len(stores), r.Shards())
+	}
+	return &clusterSource{r: r, stores: stores}, nil
+}
+
+func (s *clusterSource) Stores() []*store.Store { return s.stores }
+func (s *clusterSource) Incremental() bool      { return false }
+
+func (s *clusterSource) Evaluate(ev monitor.Eval, cut []uint64) ([]byte, float64, core.IncrementalStats, error) {
+	body, radius, g, err := s.r.Evaluate(context.Background(), ev.Spec, ev.Scratch)
+	if err != nil {
+		return nil, 0, core.IncrementalStats{}, err
+	}
+	copy(cut, g.Versions)
+	return body, radius, core.IncrementalStats{}, nil
+}
+
 // Stats is a snapshot of the router's operational counters.
 type Stats struct {
 	// Shards is the member count; Objects the cluster-wide live 1-D count.

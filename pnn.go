@@ -289,17 +289,22 @@ type (
 )
 
 // Continuous queries, re-exported from internal/monitor: standing
-// C-PNN/PNN/k-NN queries maintained incrementally over the store's change
-// feed. Each evaluation's critical distance (the filtering bound f_min, or
-// f_k for k-NN) becomes an influence interval indexed in an R-tree; a
-// committed batch spatially joins its changed rectangles against those
-// intervals and re-evaluates only the queries it can possibly affect —
-// answer updates are pushed to subscribers.
+// C-PNN/PNN/k-NN queries maintained incrementally over the change feed of a
+// store, or of every member store of a shard cluster. Each evaluation's
+// critical distance (the filtering bound f_min, or f_k for k-NN) becomes an
+// influence interval indexed in an R-tree; a committed batch spatially joins
+// its changed rectangles against those intervals and re-evaluates only the
+// queries it can possibly affect — answer updates are pushed to subscribers.
 type (
-	// Monitor maintains standing queries over a store. Create with NewMonitor.
+	// Monitor maintains standing queries over a store or a shard cluster.
+	// Create with NewMonitor.
 	Monitor = monitor.Monitor
-	// MonitorConfig configures a Monitor; Store is required.
+	// MonitorConfig configures a Monitor: set Store to stand it on one store,
+	// or Source (see NewShardMonitorSource) to stand it on a cluster.
 	MonitorConfig = monitor.Config
+	// MonitorSource is what a Monitor stands on: member stores plus an
+	// evaluator over them.
+	MonitorSource = monitor.Source
 	// MonitorSpec describes one standing query.
 	MonitorSpec = monitor.Spec
 	// MonitorKind selects the standing-query flavor (cpnn, pnn, knn).
@@ -334,9 +339,17 @@ const (
 	MonitorEventLagged = monitor.EventLagged
 )
 
-// NewMonitor builds and starts a continuous-query monitor over a store's
-// change feed.
+// NewMonitor builds and starts a continuous-query monitor over the change
+// feeds of cfg.Store, or of the cluster behind cfg.Source.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
+
+// NewShardMonitorSource returns the MonitorConfig.Source of an in-process
+// cluster: the monitor joins every member store's change feed and
+// re-evaluates through r, so standing answers always match a scatter-gather
+// read. stores must be the cluster's member stores (ShardCluster.Stores).
+func NewShardMonitorSource(r *ShardRouter, stores []*Store) (MonitorSource, error) {
+	return shard.NewMonitorSource(r, stores)
+}
 
 // Replication, re-exported from internal/replica: a primary streams its WAL
 // to followers over TCP (raw payload bytes, so replicas are byte-identical);
@@ -426,9 +439,6 @@ type (
 	ShardMember = shard.Member
 	// ShardStats snapshots a router's fan-out, retry and skew counters.
 	ShardStats = shard.Stats
-	// ShardMonitor hosts standing queries over a cluster's member change
-	// feeds, answers always matching a scatter-gather read.
-	ShardMonitor = shard.Monitor
 )
 
 // ErrShardUnavailable marks a query or write that needed an unreachable
