@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"runtime"
-)
+import "runtime"
 
 // Version identifies the build. Release builds stamp it with
 //
@@ -13,9 +9,8 @@ import (
 // so every log line, /healthz body and metrics scrape names the deploy.
 var Version = "dev"
 
-// WriteBuildInfo renders the cpnn_build_info identification gauge.
-func WriteBuildInfo(w io.Writer) {
-	fmt.Fprintf(w, "# HELP cpnn_build_info Build identification; the value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE cpnn_build_info gauge\n")
-	fmt.Fprintf(w, "cpnn_build_info{version=%q,go_version=%q} 1\n", Version, runtime.Version())
+// BuildInfo emits the cpnn_build_info identification gauge.
+func BuildInfo(e *Emitter) {
+	Gauge(e, "cpnn_build_info", "Build identification; the value is always 1.", 1,
+		"version", Version, "go_version", runtime.Version())
 }

@@ -86,8 +86,7 @@ func (h *Histogram) WritePrometheus(w io.Writer) {
 	if h == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n", h.name, h.help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", h.name)
+	writeHeader(w, h.name, h.help, "histogram")
 	h.writeSeries(w)
 }
 
@@ -162,14 +161,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	}
 	var b strings.Builder
 	for i, name := range v.labelNames {
-		if i > 0 {
-			b.WriteByte(',')
-		}
 		val := ""
 		if i < len(values) {
 			val = values[i]
 		}
-		fmt.Fprintf(&b, "%s=%q", name, val)
+		writeLabel(&b, name, val)
 	}
 	key := b.String()
 	v.mu.RLock()
@@ -207,8 +203,7 @@ func (v *HistogramVec) WritePrometheus(w io.Writer) {
 	if len(children) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n", v.name, v.help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", v.name)
+	writeHeader(w, v.name, v.help, "histogram")
 	for _, h := range children {
 		h.writeSeries(w)
 	}
@@ -219,8 +214,9 @@ type Collector interface {
 	WritePrometheus(w io.Writer)
 }
 
-// Registry is an ordered list of collectors a /metrics handler appends to
-// its hand-rolled families. Safe on nil.
+// Registry is an ordered list of collectors; a /metrics handler renders one
+// and nothing else. A Registry is itself a Collector, so a caller's registry
+// can be appended to a server's own. Safe on nil.
 type Registry struct {
 	mu sync.Mutex
 	cs []Collector

@@ -288,9 +288,39 @@ func TestLoggerOptions(t *testing.T) {
 
 func TestBuildInfo(t *testing.T) {
 	var b strings.Builder
-	WriteBuildInfo(&b)
+	CollectorFunc(BuildInfo).WritePrometheus(&b)
 	out := b.String()
 	if !strings.Contains(out, "cpnn_build_info{") || !strings.Contains(out, `version="`+Version+`"`) {
 		t.Fatalf("build info: %q", out)
+	}
+}
+
+// TestEmitter pins what the emitter owns: HELP then TYPE once per family,
+// quoted labels, %d integers and %g floats.
+func TestEmitter(t *testing.T) {
+	var b strings.Builder
+	CollectorFunc(func(e *Emitter) {
+		Counter(e, "t_requests_total", "Requests, by endpoint.", int64(3), "endpoint", "cpnn")
+		Counter(e, "t_requests_total", "Requests, by endpoint.", int64(0), "endpoint", `a"b`)
+		Gauge(e, "t_big", "An integer past %g's exponent threshold.", uint64(12345678))
+		Gauge(e, "t_ratio", "A float.", 0.25)
+		Counter(e, "t_seconds_total", "A float that is large.", 12345678.0, "a", "x", "b", "y")
+	}).WritePrometheus(&b)
+	want := `# HELP t_requests_total Requests, by endpoint.
+# TYPE t_requests_total counter
+t_requests_total{endpoint="cpnn"} 3
+t_requests_total{endpoint="a\"b"} 0
+# HELP t_big An integer past %g's exponent threshold.
+# TYPE t_big gauge
+t_big 12345678
+# HELP t_ratio A float.
+# TYPE t_ratio gauge
+t_ratio 0.25
+# HELP t_seconds_total A float that is large.
+# TYPE t_seconds_total counter
+t_seconds_total{a="x",b="y"} 1.2345678e+07
+`
+	if b.String() != want {
+		t.Fatalf("emitted:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

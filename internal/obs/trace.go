@@ -1,7 +1,9 @@
 // Package obs is the serving stack's observability layer: Dapper-style
-// in-process tracing with cross-hop propagation, hand-rolled Prometheus
-// histograms, structured logging defaults on log/slog, a ring-buffer
-// slow-query log, and build identification.
+// in-process tracing with cross-hop propagation, the Prometheus text
+// exposition (lock-free histograms and a scrape-time emitter for counters
+// and gauges; no other package spells the format), structured logging
+// defaults on log/slog, a ring-buffer slow-query log, and build
+// identification.
 //
 // The pieces are deliberately dependency-free and nil-tolerant: every
 // component accepts a nil *Tracer, *Histogram, *SlowLog or Registry and

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pdf"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -60,7 +61,9 @@ func parityBackends(t *testing.T) []parityBackend {
 		pdfs[i] = pdf.MustUniform(float64(8*i), float64(8*i)+20)
 		ids[i] = uint64(i + 1)
 	}
-	base := Config{QueueTimeout: -1, MaxDatasetBytes: parityLimit}
+	// One caller registry shared by all four: a server's own families live in
+	// its private registry, so none may show up twice in any scrape.
+	base := Config{QueueTimeout: -1, MaxDatasetBytes: parityLimit, Metrics: obs.NewRegistry()}
 
 	dcfg := base
 	dcfg.Dataset = uncertain.NewDataset(pdfs)

@@ -2,11 +2,11 @@ package server
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strings"
 
 	"repro/internal/monitor"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/uncertain"
 )
@@ -48,11 +48,18 @@ func newLocalBackend(s *Server) (*localBackend, error) {
 		return nil, err
 	}
 	s.m.reloads.Store(0) // the initial load is not a reload
+	if cfg.Replica != nil {
+		s.reg.Register(obs.CollectorFunc(s.collectFollower))
+	}
+	if cfg.Replication != nil {
+		s.reg.Register(obs.CollectorFunc(s.collectReplication))
+	}
 	if cfg.Store == nil {
 		return b, nil
 	}
+	s.reg.Register(obs.CollectorFunc(s.collectStore))
 	// The continuous-query subsystem rides the store's change feed.
-	if err := s.startMonitors(monitor.Config{Store: cfg.Store}); err != nil {
+	if err := s.startMonitors(monitor.Config{Store: cfg.Store}, "cpnn_server_"); err != nil {
 		return nil, err
 	}
 	// Follow the feed so the served snapshot (and therefore every cached
@@ -193,20 +200,6 @@ func (b *localBackend) health(body map[string]any) {
 			"bytes_shipped":   rst.BytesShipped,
 			"snapshots_sent":  rst.SnapshotsSent,
 		}
-	}
-}
-
-func (b *localBackend) metrics(w io.Writer) {
-	cfg := &b.s.cfg
-	if cfg.Store != nil {
-		b.s.m.writeStore(w, cfg.Store.Stats())
-		writeMonitorMetrics(w, "cpnn_server_", b.s.monitors.Stats())
-	}
-	if cfg.Replica != nil {
-		writeFollowerMetrics(w, cfg.Replica.Stats())
-	}
-	if cfg.Replication != nil {
-		writeReplicationMetrics(w, cfg.Replication.Stats())
 	}
 }
 

@@ -108,8 +108,9 @@ func monitorInfo(st *monitor.State) monitorJSON {
 
 // startMonitors starts the continuous-query subsystem over cfg's store or
 // source. Whatever it stands on, the monitor gets the server's worker and
-// state budgets, its logger and the push-latency histogram.
-func (s *Server) startMonitors(cfg monitor.Config) error {
+// state budgets, its logger and the push-latency histogram, and exports its
+// counters as <prefix>monitor_*.
+func (s *Server) startMonitors(cfg monitor.Config, prefix string) error {
 	cfg.Workers = s.cfg.MonitorWorkers
 	cfg.MaxStateBytes = s.cfg.MonitorStateBytes
 	cfg.Logger = s.log.With("subsystem", "monitor")
@@ -119,7 +120,8 @@ func (s *Server) startMonitors(cfg monitor.Config) error {
 	if err != nil {
 		return err
 	}
-	s.extra.Register(cfg.PushLatency)
+	s.reg.Register(obs.CollectorFunc(func(e *obs.Emitter) { collectMonitor(e, prefix, mon.Stats()) }))
+	s.reg.Register(cfg.PushLatency)
 	s.monitors = mon
 	return nil
 }
@@ -267,11 +269,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		s.m.sseClosed[reason].Add(1)
 		s.log.Info("sse stream closed",
-			"reason", reason.String(),
+			"reason", sseReasonNames[reason],
 			"trace_id", obs.TraceID(r.Context()),
 			"ids", len(ids),
 			"duration_ms", float64(time.Since(start))/float64(time.Millisecond))
-		obs.ReqInfoFrom(r.Context()).Set("sse_close_reason", reason.String())
+		obs.ReqInfoFrom(r.Context()).Set("sse_close_reason", sseReasonNames[reason])
 	}()
 
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,9 +19,10 @@ import (
 
 // ---- a small Prometheus text-exposition parser ---------------------------
 //
-// The repo renders /metrics by hand, so these tests parse the scrape for
-// real instead of substring-matching: every sample must belong to a declared
-// family, every value must be a float, and histogram series must be
+// The repo has no Prometheus client library, so these tests parse the scrape
+// for real instead of substring-matching: every family must be declared
+// exactly once (a non-empty HELP, then TYPE), every sample must belong to a
+// declared family, every value must be a float, and histogram series must be
 // internally consistent (cumulative buckets, +Inf == _count).
 
 type promFamily struct {
@@ -29,10 +31,12 @@ type promFamily struct {
 }
 
 // parseProm parses a text-format scrape, failing the test on any malformed
-// line, sample without a TYPE declaration, or duplicate series.
+// line, family declared twice or without HELP-then-TYPE, sample without a
+// declaration, or duplicate series.
 func parseProm(t *testing.T, body string) map[string]*promFamily {
 	t.Helper()
 	fams := map[string]*promFamily{}
+	helped := map[string]bool{}
 	family := func(sample string) string {
 		name := sample
 		if i := strings.IndexByte(name, '{'); i >= 0 {
@@ -55,12 +59,17 @@ func parseProm(t *testing.T, body string) map[string]*promFamily {
 			if len(parts) < 4 || (parts[1] != "HELP" && parts[1] != "TYPE") {
 				t.Fatalf("line %d: malformed comment %q", ln+1, line)
 			}
-			if parts[1] == "TYPE" {
-				name, typ := parts[2], parts[3]
-				if f, ok := fams[name]; ok && len(f.samples) > 0 {
-					t.Fatalf("line %d: TYPE %s declared after its samples", ln+1, name)
+			name := parts[2]
+			if parts[1] == "HELP" {
+				if helped[name] || strings.TrimSpace(parts[3]) == "" {
+					t.Fatalf("line %d: HELP %s is empty or repeated", ln+1, name)
 				}
-				fams[name] = &promFamily{typ: typ, samples: map[string]float64{}}
+				helped[name] = true
+			} else {
+				if _, dup := fams[name]; dup || !helped[name] {
+					t.Fatalf("line %d: TYPE %s is repeated or precedes its HELP", ln+1, name)
+				}
+				fams[name] = &promFamily{typ: parts[3], samples: map[string]float64{}}
 			}
 			continue
 		}
@@ -352,9 +361,9 @@ func TestMetricsParseShardedServer(t *testing.T) {
 }
 
 // TestMetricsParseRouterMonitors: a K=2 router server with in-process
-// members exports the same continuous-query families as a store server,
-// under the shard_ prefix, plus the one push-latency histogram — observed at
-// least once after a commit moved a standing answer.
+// members counts a push under the shard_ prefix and observes the one
+// push-latency histogram after a commit moved a standing answer. (The family
+// list itself is TestMetricsFamilies' job.)
 func TestMetricsParseRouterMonitors(t *testing.T) {
 	cluster, err := shard.CreateClusterCuts(t.TempDir(), []float64{100}, nil, store.Options{NoSync: true})
 	if err != nil {
@@ -387,19 +396,9 @@ func TestMetricsParseRouterMonitors(t *testing.T) {
 	if n := checkHistogram(t, fams, "cpnn_server_monitor_push_latency_seconds", ""); n < 1 {
 		t.Errorf("push-latency observations = %g after a push, want >= 1", n)
 	}
-	for _, name := range []string{"active", "subscribers", "deltas_total", "gaps_total", "reevals_total",
-		"affected_total", "pruned_total", "pushes_total", "dropped_total", "errors_total",
-		"early_exit_total", "2d_fallback_total", "folds_reused_total", "folds_derived_total",
-		"state_bytes", "state_queries", "state_evictions_total"} {
-		if _, ok := fams["cpnn_server_shard_monitor_"+name]; !ok {
-			t.Errorf("cpnn_server_shard_monitor_%s missing", name)
-		}
-	}
-	if got := fams["cpnn_server_shard_monitor_pushes_total"].samples["cpnn_server_shard_monitor_pushes_total"]; got < 1 {
-		t.Errorf("cpnn_server_shard_monitor_pushes_total = %g, want >= 1", got)
-	}
-	if _, ok := fams["cpnn_server_shard_monitor_2d_skips_total"]; ok {
-		t.Error("cpnn_server_shard_monitor_2d_skips_total still exported; it is ..._2d_fallback_total now")
+	const pushes = "cpnn_server_shard_monitor_pushes_total"
+	if f := fams[pushes]; f == nil || f.samples[pushes] < 1 {
+		t.Errorf("%s missing or < 1 after a push", pushes)
 	}
 }
 
@@ -420,6 +419,113 @@ func TestMetricsParseReplicaServer(t *testing.T) {
 	fams := parseProm(t, get(t, rep, "/metrics").Body.String())
 	if _, ok := fams["cpnn_server_replica_caught_up"]; !ok {
 		t.Error("follower scrape lacks cpnn_server_replica_caught_up")
+	}
+}
+
+// ---- the exported family set, against README -----------------------------
+
+// readmeFamilies parses README's metrics reference table into, per serving
+// shape (the parityBackends names), family name -> type.
+func readmeFamilies(t *testing.T) map[string]map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[string]map[string]string{"dataset": {}, "store": {}, "replica": {}, "router": {}}
+	_, table, found := strings.Cut(string(data), "| Family | Type | Shapes | Meaning |\n")
+	if !found {
+		t.Fatal("README has no metrics reference table")
+	}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 || strings.TrimSpace(cells[3]) == "" {
+			t.Fatalf("README metrics row %q: want name, type, shapes and a meaning", line)
+		}
+		name, typ := strings.Trim(strings.TrimSpace(cells[0]), "`"), strings.TrimSpace(cells[1])
+		if strings.HasPrefix(name, "-") {
+			continue // the header separator
+		}
+		for _, shape := range strings.Split(cells[2], ",") {
+			fams, ok := shapes[strings.TrimSpace(shape)]
+			if _, dup := fams[name]; !ok || dup {
+				t.Fatalf("README metrics row %s: shape %q is unknown or listed twice", name, shape)
+			}
+			fams[name] = typ
+		}
+	}
+	return shapes
+}
+
+// driveFamilyTraffic makes every conditional family defined: a standing
+// query, then a commit near it (monitor_pruned_fraction, push latency), a
+// query (shard_fanout_fraction, shard_skew) and a checkpoint
+// (store_checkpoint_age_seconds).
+func driveFamilyTraffic(t *testing.T, backends []parityBackend) {
+	t.Helper()
+	for _, b := range backends {
+		if b.gateStatus(needMonitors) != 0 {
+			continue
+		}
+		if rec := doJSON(t, b.srv, http.MethodPost, "/v1/monitors", `{"kind":"cpnn","q":137.5,"p":0.3,"delta":0.01}`); rec.Code != http.StatusOK {
+			t.Fatalf("%s: register: %d: %s", b.name, rec.Code, rec.Body)
+		}
+	}
+	for _, b := range backends {
+		if b.gateStatus(needObjects) != 0 {
+			continue
+		}
+		if rec := doJSON(t, b.srv, http.MethodPost, "/v1/objects", `{"objects":[{"uniform":{"lo":136,"hi":139}}]}`); rec.Code != http.StatusOK {
+			t.Fatalf("%s: commit: %d: %s", b.name, rec.Code, rec.Body)
+		}
+	}
+	waitReplicaVersion(t, backends[2].srv, backends[1].srv.Snapshot().Version)
+	for _, b := range backends {
+		if rec := get(t, b.srv, "/v1/cpnn?q=137.5&p=0.3&delta=0.01"); rec.Code != http.StatusOK {
+			t.Fatalf("%s: cpnn: %d: %s", b.name, rec.Code, rec.Body)
+		}
+		if b.srv.monitors != nil {
+			if err := b.srv.monitors.Sync(10 * time.Second); err != nil {
+				t.Fatalf("%s: sync: %v", b.name, err)
+			}
+		}
+		if st := b.srv.cfg.Store; st != nil {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatalf("%s: checkpoint: %v", b.name, err)
+			}
+		}
+	}
+}
+
+// TestMetricsFamilies is the telemetry self-check: on every serving shape the
+// exported (family, type) set equals README's metrics reference table, in
+// both directions — a collector cannot add a family the docs lack, and the
+// docs cannot keep a family nothing exports. parseProm holds each family to
+// one non-empty HELP followed by one TYPE.
+func TestMetricsFamilies(t *testing.T) {
+	backends := parityBackends(t)
+	driveFamilyTraffic(t, backends)
+	documented := readmeFamilies(t)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			exported := parseProm(t, get(t, b.srv, "/metrics").Body.String())
+			want := documented[b.name]
+			for name, f := range exported {
+				if typ, ok := want[name]; !ok {
+					t.Errorf("exports %s (%s), which README's metrics table does not list for this shape", name, f.typ)
+				} else if typ != f.typ {
+					t.Errorf("%s is a %s; README's metrics table says %s", name, f.typ, typ)
+				}
+			}
+			for name := range want {
+				if exported[name] == nil {
+					t.Errorf("README's metrics table lists %s for this shape, but the scrape lacks it", name)
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
-	"io"
-
+	"repro/internal/obs"
 	"repro/internal/replica"
 )
 
@@ -37,54 +35,35 @@ func replicationHealth(f *replica.Follower) map[string]any {
 	return rep
 }
 
-// writeFollowerMetrics renders a replica's cpnn_server_replica_* families.
-func writeFollowerMetrics(w io.Writer, fs replica.FollowerStats) {
-	const p = "cpnn_server_"
+// collectFollower emits a replica's cpnn_server_replica_* families.
+func (s *Server) collectFollower(e *obs.Emitter) {
+	fs := s.cfg.Replica.Stats()
+	const p = "cpnn_server_replica_"
 	b2i := func(b bool) int {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	fmt.Fprintf(w, "# TYPE %sreplica_connected gauge\n", p)
-	fmt.Fprintf(w, "# HELP %sreplica_connected 1 while a replication stream to the primary is live.\n", p)
-	fmt.Fprintf(w, "%sreplica_connected %d\n", p, b2i(fs.Connected))
-	fmt.Fprintf(w, "# TYPE %sreplica_caught_up gauge\n", p)
-	fmt.Fprintf(w, "# HELP %sreplica_caught_up 1 once the first full catch-up happened (read serving gates on it).\n", p)
-	fmt.Fprintf(w, "%sreplica_caught_up %d\n", p, b2i(fs.CaughtUp))
-	fmt.Fprintf(w, "# TYPE %sreplica_lag_versions gauge\n", p)
-	fmt.Fprintf(w, "%sreplica_lag_versions %d\n", p, fs.Lag.Versions)
-	fmt.Fprintf(w, "# TYPE %sreplica_lag_seconds gauge\n", p)
-	fmt.Fprintf(w, "# HELP %sreplica_lag_seconds How long the replica has continuously been behind the last-heard primary position.\n", p)
-	fmt.Fprintf(w, "%sreplica_lag_seconds %g\n", p, fs.Lag.Seconds)
-	fmt.Fprintf(w, "# TYPE %sreplica_lag_bytes gauge\n", p)
-	fmt.Fprintf(w, "%sreplica_lag_bytes %d\n", p, fs.Lag.Bytes)
-	fmt.Fprintf(w, "# TYPE %sreplica_records_applied_total counter\n", p)
-	fmt.Fprintf(w, "%sreplica_records_applied_total %d\n", p, fs.RecordsApplied)
-	fmt.Fprintf(w, "# TYPE %sreplica_bytes_applied_total counter\n", p)
-	fmt.Fprintf(w, "%sreplica_bytes_applied_total %d\n", p, fs.BytesApplied)
-	fmt.Fprintf(w, "# TYPE %sreplica_reconnects_total counter\n", p)
-	fmt.Fprintf(w, "%sreplica_reconnects_total %d\n", p, fs.Reconnects)
-	fmt.Fprintf(w, "# TYPE %sreplica_snapshot_bootstraps_total counter\n", p)
-	fmt.Fprintf(w, "%sreplica_snapshot_bootstraps_total %d\n", p, fs.SnapshotBootstraps)
+	obs.Gauge(e, p+"connected", "1 while a replication stream to the primary is live.", b2i(fs.Connected))
+	obs.Gauge(e, p+"caught_up", "1 once the first full catch-up happened (read serving gates on it).", b2i(fs.CaughtUp))
+	obs.Gauge(e, p+"lag_versions", "Versions the replica is behind the last-heard primary position.", fs.Lag.Versions)
+	obs.Gauge(e, p+"lag_seconds", "How long the replica has continuously been behind the last-heard primary position.", fs.Lag.Seconds)
+	obs.Gauge(e, p+"lag_bytes", "WAL bytes the replica is behind the last-heard primary position.", fs.Lag.Bytes)
+	obs.Counter(e, p+"records_applied_total", "Replicated WAL records replayed into the local store.", fs.RecordsApplied)
+	obs.Counter(e, p+"bytes_applied_total", "Op payload bytes replayed (matches WAL byte accounting).", fs.BytesApplied)
+	obs.Counter(e, p+"reconnects_total", "Replication streams re-established after a working one died.", fs.Reconnects)
+	obs.Counter(e, p+"snapshot_bootstraps_total", "Full-state snapshot installs (fresh or outrun follower).", fs.SnapshotBootstraps)
 }
 
-// writeReplicationMetrics renders a primary's cpnn_server_replication_*
-// families.
-func writeReplicationMetrics(w io.Writer, rs replica.ServerStats) {
-	const p = "cpnn_server_"
-	fmt.Fprintf(w, "# TYPE %sreplication_followers gauge\n", p)
-	fmt.Fprintf(w, "# HELP %sreplication_followers Currently connected replication followers.\n", p)
-	fmt.Fprintf(w, "%sreplication_followers %d\n", p, rs.Followers)
-	fmt.Fprintf(w, "# TYPE %sreplication_records_shipped_total counter\n", p)
-	fmt.Fprintf(w, "%sreplication_records_shipped_total %d\n", p, rs.RecordsShipped)
-	fmt.Fprintf(w, "# TYPE %sreplication_bytes_shipped_total counter\n", p)
-	fmt.Fprintf(w, "%sreplication_bytes_shipped_total %d\n", p, rs.BytesShipped)
-	fmt.Fprintf(w, "# TYPE %sreplication_snapshots_sent_total counter\n", p)
-	fmt.Fprintf(w, "%sreplication_snapshots_sent_total %d\n", p, rs.SnapshotsSent)
-	fmt.Fprintf(w, "# TYPE %sreplication_heartbeats_total counter\n", p)
-	fmt.Fprintf(w, "%sreplication_heartbeats_total %d\n", p, rs.Heartbeats)
-	fmt.Fprintf(w, "# TYPE %sreplication_resyncs_total counter\n", p)
-	fmt.Fprintf(w, "# HELP %sreplication_resyncs_total Followers transparently re-synced from the on-disk log after their live tail overflowed.\n", p)
-	fmt.Fprintf(w, "%sreplication_resyncs_total %d\n", p, rs.Resyncs)
+// collectReplication emits a primary's cpnn_server_replication_* families.
+func (s *Server) collectReplication(e *obs.Emitter) {
+	rs := s.cfg.Replication.Stats()
+	const p = "cpnn_server_replication_"
+	obs.Gauge(e, p+"followers", "Currently connected replication followers.", rs.Followers)
+	obs.Counter(e, p+"records_shipped_total", "WAL record frames sent to followers.", rs.RecordsShipped)
+	obs.Counter(e, p+"bytes_shipped_total", "Op payload bytes sent to followers (matches WAL byte accounting).", rs.BytesShipped)
+	obs.Counter(e, p+"snapshots_sent_total", "Snapshot bootstraps served to followers.", rs.SnapshotsSent)
+	obs.Counter(e, p+"heartbeats_total", "Heartbeat frames sent to followers.", rs.Heartbeats)
+	obs.Counter(e, p+"resyncs_total", "Followers transparently re-synced from the on-disk log after their live tail overflowed.", rs.Resyncs)
 }

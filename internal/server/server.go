@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -151,9 +150,9 @@ type Config struct {
 	// private tracer with the default capacity (tracing is always on — its
 	// cost is one bounded ring).
 	Tracer *obs.Tracer
-	// Metrics is an extra collector registry appended to /metrics — binaries
-	// register router/follower histograms here so one scrape covers the
-	// whole process. nil means a private registry.
+	// Metrics holds the caller's extra collectors, rendered on /metrics after
+	// the server's own — binaries register router/follower histograms here so
+	// one scrape covers the whole process. nil means none.
 	Metrics *obs.Registry
 	// SlowQueryThreshold enables the slow-query ring served at GET
 	// /debug/slowlog: requests at or above it are recorded with their phase
@@ -285,10 +284,10 @@ type backend interface {
 	reload(ctx context.Context, ds *uncertain.Dataset, source string) (datasetResponse, error)
 	// info describes the data currently served.
 	info() datasetResponse
-	// health adds the backend's blocks to the /healthz body and metrics
-	// appends its families to /metrics; the handlers supply what is common.
+	// health adds the backend's blocks to the /healthz body; the handler
+	// supplies what is common. /metrics needs no method: a backend's
+	// constructor registers its families on the server's registry.
 	health(body map[string]any)
-	metrics(w io.Writer)
 	// close releases what the backend owns.
 	close() error
 }
@@ -333,13 +332,14 @@ type Server struct {
 	member *shard.Local
 
 	// Observability: structured logs, the span ring behind /debug/traces,
-	// the slow-query ring behind /debug/slowlog, and the per-phase latency
-	// histograms fed from core.Stats.
+	// the slow-query ring behind /debug/slowlog, and reg, everything /metrics
+	// renders — the server's and its backend's collectors, registered once at
+	// construction by whoever owns the numbers, then Config.Metrics. It is
+	// private so servers sharing one Config.Metrics never double-emit.
 	log     *slog.Logger
 	tracer  *obs.Tracer
 	slowlog *obs.SlowLog
-	phase   *obs.HistogramVec
-	extra   *obs.Registry
+	reg     *obs.Registry
 	started time.Time
 	// traceSample counts headerless requests for 1-in-N trace sampling;
 	// phaseObs holds the pre-resolved {filter,derive,verify} histogram
@@ -365,29 +365,28 @@ func New(cfg Config) (*Server, error) {
 		log:     obs.Or(cfg.Logger),
 		tracer:  cfg.Tracer,
 		slowlog: obs.NewSlowLog(0, cfg.SlowQueryThreshold),
-		phase: obs.NewHistogramVec("cpnn_query_phase_seconds",
-			"Per-phase query evaluation latency, from core.Stats.",
-			[]string{"phase", "endpoint"}, nil),
-		extra:   cfg.Metrics,
+		reg:     obs.NewRegistry(),
 		started: time.Now(),
 	}
 	if s.tracer == nil {
 		s.tracer = obs.NewTracer(0)
 	}
-	if s.extra == nil {
-		s.extra = obs.NewRegistry()
-	}
 	// Resolve the per-endpoint phase children once: the query hot path then
 	// observes through three pointer-stable histograms instead of building
 	// a label key per request. Only the evaluating endpoints have phases.
+	phase := obs.NewHistogramVec("cpnn_query_phase_seconds",
+		"Per-phase query evaluation latency, from core.Stats.",
+		[]string{"phase", "endpoint"}, nil)
 	for _, e := range []endpoint{epCPNN, epPNN, epKNN, epBatch} {
-		name := e.String()
+		name := endpointNames[e]
 		s.phaseObs[e] = [3]*obs.Histogram{
-			s.phase.With("filter", name),
-			s.phase.With("derive", name),
-			s.phase.With("verify", name),
+			phase.With("filter", name),
+			phase.With("derive", name),
+			phase.With("verify", name),
 		}
 	}
+	s.reg.Register(obs.CollectorFunc(s.collect))
+	s.reg.Register(phase)
 	if cfg.ShardRouter != nil {
 		s.be, err = newRouterBackend(s)
 	} else {
@@ -395,6 +394,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Metrics != nil {
+		s.reg.Register(cfg.Metrics)
 	}
 	s.buildMux()
 	return s, nil
@@ -1172,7 +1174,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epMetrics].Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.m.write(w, s.cc, s.be.info())
-	s.be.metrics(w)
-	s.writeObsMetrics(w)
+	s.reg.WritePrometheus(w)
 }

@@ -474,9 +474,18 @@ func TestQueueTimeoutSheds(t *testing.T) {
 }
 
 // TestConcurrentMixedTraffic exercises the whole serving path — cache,
-// singleflight, worker pool, metrics — under the race detector.
+// singleflight, worker pool, metrics — under the race detector, on every
+// serving shape. Where a shape's data can move, one goroutine commits while
+// the others read, with a standing query registered, so /metrics and
+// /healthz read the store, page-cache, monitor, replica and router numbers
+// while their sources change.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	s := testServer(t, Config{Quantum: 5, MaxInFlight: 4})
+	shapes := parityBackends(t)
+	// The dataset-only shape runs with a quantum and a small pool, so its
+	// requests share cache entries and queue for worker slots.
+	shapes[0].srv = testServer(t, Config{Quantum: 5, MaxInFlight: 4})
+	// A replica's data moves when its primary commits.
+	writeTo := map[string]*Server{"store": shapes[1].srv, "replica": shapes[1].srv, "router": shapes[3].srv}
 	urls := []string{
 		"/v1/cpnn?q=100&p=0.2",
 		"/v1/cpnn?q=402&p=0.3&strategy=refine",
@@ -485,22 +494,42 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		"/healthz",
 		"/metrics",
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 12; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				url := urls[(g+i)%len(urls)]
-				rec := get(t, s, url)
-				if rec.Code != http.StatusOK {
-					t.Errorf("%s: status %d: %s", url, rec.Code, rec.Body)
-					return
+	for _, b := range shapes {
+		t.Run(b.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			if w := writeTo[b.name]; w != nil {
+				if rec := doJSON(t, b.srv, http.MethodPost, "/v1/monitors", `{"kind":"pnn","q":250}`); rec.Code != http.StatusOK {
+					t.Fatalf("register: status %d: %s", rec.Code, rec.Body)
 				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 25; i++ {
+						body := fmt.Sprintf(`{"objects":[{"uniform":{"lo":%d,"hi":%d}}]}`, 240+i, 245+i)
+						if rec := doJSON(t, w, http.MethodPost, "/v1/objects", body); rec.Code != http.StatusOK {
+							t.Errorf("commit: status %d: %s", rec.Code, rec.Body)
+							return
+						}
+					}
+				}()
 			}
-		}(g)
+			for g := 0; g < 12; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 25; i++ {
+						url := urls[(g+i)%len(urls)]
+						rec := get(t, b.srv, url)
+						if rec.Code != http.StatusOK {
+							t.Errorf("%s: status %d: %s", url, rec.Code, rec.Body)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 // TestCacheHitRateSweep measures cache hit rate against quantization

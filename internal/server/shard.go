@@ -3,10 +3,9 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -45,6 +44,7 @@ type routerBackend struct {
 
 func newRouterBackend(s *Server) (*routerBackend, error) {
 	b := &routerBackend{s: s, rt: s.cfg.ShardRouter}
+	s.reg.Register(obs.CollectorFunc(b.collect))
 	// Continuous queries need the member change feeds, which exist
 	// in-process only with a ShardCluster; under multi-process routing they
 	// live in the member processes, so this router cannot host them.
@@ -56,7 +56,7 @@ func newRouterBackend(s *Server) (*routerBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b, s.startMonitors(monitor.Config{Source: src})
+	return b, s.startMonitors(monitor.Config{Source: src}, "cpnn_server_shard_")
 }
 
 // routerView pins the member version vector (not its sum — two distinct
@@ -133,61 +133,33 @@ func (b *routerBackend) health(body map[string]any) {
 	}
 }
 
-func (b *routerBackend) metrics(w io.Writer) {
-	writeShardMetrics(w, b.rt.Stats())
-	if b.s.monitors != nil {
-		writeMonitorMetrics(w, "cpnn_server_shard_", b.s.monitors.Stats())
-	}
-}
-
 // close is a no-op: the caller owns the router and the cluster behind it.
 func (b *routerBackend) close() error { return nil }
 
-// writeShardMetrics renders the cpnn_server_shard_* metric families from
-// the router's counters.
-func writeShardMetrics(w io.Writer, st shard.Stats) {
+// collect emits the cpnn_server_shard_* families from the router's counters.
+func (b *routerBackend) collect(e *obs.Emitter) {
+	st := b.rt.Stats()
 	const p = "cpnn_server_shard_"
-	fmt.Fprintf(w, "# TYPE %scount gauge\n", p)
-	fmt.Fprintf(w, "# HELP %scount Shards in the cluster.\n", p)
-	fmt.Fprintf(w, "%scount %d\n", p, st.Shards)
-	fmt.Fprintf(w, "# TYPE %sobjects gauge\n", p)
+	obs.Gauge(e, p+"count", "Shards in the cluster.", st.Shards)
 	for i, n := range st.PerShard {
-		fmt.Fprintf(w, "%sobjects{shard=\"%d\"} %d\n", p, i, n)
+		obs.Gauge(e, p+"objects", "Live 1-D objects, by shard.", n, "shard", strconv.Itoa(i))
 	}
-	fmt.Fprintf(w, "# TYPE %sversion gauge\n", p)
 	for i, v := range st.Versions {
-		fmt.Fprintf(w, "%sversion{shard=\"%d\"} %d\n", p, i, v)
+		obs.Gauge(e, p+"version", "Member store version, by shard.", v, "shard", strconv.Itoa(i))
 	}
-	fmt.Fprintf(w, "# TYPE %squeries_total counter\n", p)
-	fmt.Fprintf(w, "%squeries_total %d\n", p, st.Queries)
-	fmt.Fprintf(w, "# TYPE %sretries_total counter\n", p)
-	fmt.Fprintf(w, "# HELP %sretries_total Gather rounds repeated because a concurrent write moved the bound.\n", p)
-	fmt.Fprintf(w, "%sretries_total %d\n", p, st.Retries)
-	fmt.Fprintf(w, "# TYPE %sunavailable_total counter\n", p)
-	fmt.Fprintf(w, "%sunavailable_total %d\n", p, st.Unavailable)
-	fmt.Fprintf(w, "# TYPE %sbound_contacts_total counter\n", p)
-	fmt.Fprintf(w, "%sbound_contacts_total %d\n", p, st.BoundContacts)
-	fmt.Fprintf(w, "# TYPE %sgather_contacts_total counter\n", p)
-	fmt.Fprintf(w, "%sgather_contacts_total %d\n", p, st.GatherContacts)
+	obs.Counter(e, p+"queries_total", "Scatter-gather passes.", st.Queries)
+	obs.Counter(e, p+"retries_total", "Gather rounds repeated because a concurrent write moved the bound.", st.Retries)
+	obs.Counter(e, p+"unavailable_total", "Queries failed on a dead shard.", st.Unavailable)
+	obs.Counter(e, p+"bound_contacts_total", "Per-member bound-phase reads.", st.BoundContacts)
+	obs.Counter(e, p+"gather_contacts_total", "Per-member gather-phase reads.", st.GatherContacts)
 	if st.Queries > 0 && st.Shards > 0 {
-		fmt.Fprintf(w, "# TYPE %sfanout_fraction gauge\n", p)
-		fmt.Fprintf(w, "# HELP %sfanout_fraction Mean fraction of shards the gather phase read per query.\n", p)
-		fmt.Fprintf(w, "%sfanout_fraction %g\n", p,
+		obs.Gauge(e, p+"fanout_fraction", "Mean fraction of shards the gather phase read per query.",
 			float64(st.GatherContacts)/(float64(st.Queries)*float64(st.Shards)))
 	}
-	fmt.Fprintf(w, "# TYPE %smerge_seconds_total counter\n", p)
-	fmt.Fprintf(w, "# HELP %smerge_seconds_total Time spent merging per-shard bounds and candidates.\n", p)
-	fmt.Fprintf(w, "%smerge_seconds_total %g\n", p, float64(st.MergeNanos)/1e9)
+	obs.Counter(e, p+"merge_seconds_total", "Time spent merging per-shard bounds and candidates.", float64(st.MergeNanos)/1e9)
 	if st.Objects > 0 && st.Shards > 0 {
-		max := 0
-		for _, n := range st.PerShard {
-			if n > max {
-				max = n
-			}
-		}
-		fmt.Fprintf(w, "# TYPE %sskew gauge\n", p)
-		fmt.Fprintf(w, "# HELP %sskew Largest shard population over the balanced mean (1 = perfectly even).\n", p)
-		fmt.Fprintf(w, "%sskew %g\n", p, float64(max)*float64(st.Shards)/float64(st.Objects))
+		obs.Gauge(e, p+"skew", "Largest shard population over the balanced mean (1 = perfectly even).",
+			float64(slices.Max(st.PerShard))*float64(st.Shards)/float64(st.Objects))
 	}
 }
 
