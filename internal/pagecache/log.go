@@ -28,9 +28,6 @@ func NewLog(pool *Pool, base pager.PageID, size int64) *Log {
 	return &Log{pool: pool, base: base, size: size}
 }
 
-// Size returns the stream length in bytes.
-func (l *Log) Size() int64 { return l.size }
-
 // page returns the page holding logical offset off and the offset within its
 // payload.
 func (l *Log) page(off int64) (pager.PageID, int) {
@@ -92,9 +89,6 @@ type Writer struct {
 func NewWriter(pool *Pool, base pager.PageID) *Writer {
 	return &Writer{pool: pool, base: base}
 }
-
-// Pos returns the logical offset the next byte will land at.
-func (w *Writer) Pos() int64 { return w.off }
 
 // Append writes one length-prefixed record and returns its reference.
 func (w *Writer) Append(data []byte) (int64, error) {

@@ -3,17 +3,14 @@ package pagecache
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/pager"
-	"repro/internal/rtree"
 )
 
 func newTestPool(t *testing.T, budget int64) (*Pool, *pager.File, string) {
@@ -250,101 +247,5 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeNode(append([]byte{1, 1, 0, 0, 0}, make([]byte, 3)...)); err == nil {
 		t.Fatal("truncated entries decoded")
-	}
-}
-
-// dumpTree serializes an in-memory rtree through a Writer (children before
-// parents) and returns the root ref, mirroring what the store checkpoint does.
-func dumpTree(t *testing.T, tr *rtree.Tree[int], w *Writer) int64 {
-	t.Helper()
-	root, err := tr.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
-		vals := children
-		if leaf {
-			vals = make([]int64, len(items))
-			for i, it := range items {
-				vals[i] = int64(it)
-			}
-		}
-		return w.Append(AppendNode(nil, leaf, rects, vals))
-	})
-	if err != nil {
-		t.Fatalf("dump: %v", err)
-	}
-	return root
-}
-
-func TestPagedTreeMatchesInMemory(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 200 + rng.Intn(400)
-		tr := rtree.NewDefault[int]()
-		for i := 0; i < n; i++ {
-			lo := rng.Float64()*200 - 100
-			hi := lo + rng.Float64()*10
-			if err := tr.Insert(geom.Rect{MinX: lo, MaxX: hi}, i); err != nil {
-				t.Fatalf("insert: %v", err)
-			}
-		}
-
-		p, _, _ := newTestPool(t, MinBudget) // tiny budget: queries must fault
-		w := NewWriter(p, 0)
-		root := dumpTree(t, tr, w)
-		size := w.Finish()
-		if err := p.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		pt := NewTree(NewLog(p, 0, size), root, tr.Len())
-		if pt.Len() != tr.Len() {
-			t.Fatalf("len = %d, want %d", pt.Len(), tr.Len())
-		}
-
-		for qi := 0; qi < 50; qi++ {
-			q := rng.Float64()*240 - 120
-			wantF := tr.MinMaxDist(geom.Point{X: q})
-			gotF, err := pt.MinMaxDist(geom.Point{X: q})
-			if err != nil {
-				t.Fatalf("paged MinMaxDist: %v", err)
-			}
-			if gotF != wantF {
-				t.Fatalf("seed %d q=%g: paged f_min %v != %v", seed, q, gotF, wantF)
-			}
-			if math.IsInf(wantF, 1) {
-				continue
-			}
-			var want []int
-			tr.Search(geom.Rect{MinX: q - wantF, MaxX: q + wantF}, func(r geom.Rect, id int) bool {
-				if r.Interval().MinDist(q) <= wantF {
-					want = append(want, id)
-				}
-				return true
-			})
-			sort.Ints(want)
-			got, err := pt.Within(q, gotF)
-			if err != nil {
-				t.Fatalf("paged Within: %v", err)
-			}
-			sort.Ints(got)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d q=%g: %d candidates, want %d", seed, q, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d q=%g: candidates diverge at %d", seed, q, i)
-				}
-			}
-		}
-	}
-}
-
-func TestPagedTreeEmpty(t *testing.T) {
-	p, _, _ := newTestPool(t, MinBudget)
-	pt := NewTree(NewLog(p, 0, 0), 0, 0)
-	f, err := pt.MinMaxDist(geom.Point{X: 1})
-	if err != nil || !math.IsInf(f, 1) {
-		t.Fatalf("empty MinMaxDist = %v, %v", f, err)
-	}
-	ids, err := pt.Within(1, 5)
-	if err != nil || ids != nil {
-		t.Fatalf("empty Within = %v, %v", ids, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package pagecache is the buffer-pool layer between the store and the 4 KiB
 // pager: a concurrency-safe page cache with a configurable byte budget, CLOCK
 // eviction, pinned page handles and dirty-page write-back, plus an
-// append-only record log and a paged R-tree reader built on top of it.
+// append-only record log and the R-tree node record codec built on top of it.
 //
 // Every page carries a CRC-32C of its payload in its first four bytes, so a
 // torn or bit-rotted page is detected at fault time with its page number and

@@ -14,11 +14,10 @@ import (
 // parents, so a tree dump is a single append pass and the root reference
 // lands in the checkpoint header.
 //
-// Tree answers the filter phase's two queries — MinMaxDist (the f_min bound)
-// and Within (the candidate window) — directly against the page file through
-// the pool, without materializing the tree in memory. The store uses it for
-// offline verification (cpnn-store verify) and recovery uses LoadNode to map
-// the node pages back into the in-memory index without re-packing.
+// This file is the node record's codec and nothing else. The store's
+// checkpoint writer encodes the nodes rtree.Dump hands it with AppendNode;
+// recovery decodes them with DecodeNode and feeds rtree.Rebuild, so queries
+// run on the one in-memory index, never on a second walk over the pages.
 
 // Node is one decoded R-tree node.
 type Node struct {
@@ -81,139 +80,4 @@ func DecodeNode(b []byte) (Node, error) {
 		n.Children = vals
 	}
 	return n, nil
-}
-
-// Tree queries a dumped R-tree through the pool.
-type Tree struct {
-	log  *Log
-	root int64
-	size int
-}
-
-// NewTree opens a dumped tree: root is the root node's record reference and
-// size the number of stored items (0 for an empty tree).
-func NewTree(log *Log, root int64, size int) *Tree {
-	return &Tree{log: log, root: root, size: size}
-}
-
-// Len returns the number of stored items.
-func (t *Tree) Len() int { return t.size }
-
-// LoadNode reads and decodes one node record.
-func (t *Tree) LoadNode(ref int64) (Node, error) {
-	rec, err := t.log.ReadRecord(ref)
-	if err != nil {
-		return Node{}, err
-	}
-	return DecodeNode(rec)
-}
-
-// Root returns the root node reference.
-func (t *Tree) Root() int64 { return t.root }
-
-// MinMaxDist returns the smallest MAXDIST over all stored rectangles from q
-// (+Inf for an empty tree), faulting node pages on demand — the same bound
-// the in-memory index computes for the filtering phase.
-func (t *Tree) MinMaxDist(q geom.Point) (float64, error) {
-	best := math.Inf(1)
-	if t.size == 0 {
-		return best, nil
-	}
-	// Best-first over (MINDIST, node ref) with MAXDIST tightening, mirroring
-	// the in-memory traversal.
-	type visit struct {
-		dist float64
-		ref  int64
-	}
-	heap := []visit{{0, t.root}}
-	push := func(v visit) {
-		heap = append(heap, v)
-		for i := len(heap) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if heap[parent].dist <= heap[i].dist {
-				break
-			}
-			heap[parent], heap[i] = heap[i], heap[parent]
-			i = parent
-		}
-	}
-	pop := func() visit {
-		top := heap[0]
-		n := len(heap) - 1
-		heap[0] = heap[n]
-		heap = heap[:n]
-		for i := 0; ; {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && heap[r].dist < heap[l].dist {
-				m = r
-			}
-			if heap[i].dist <= heap[m].dist {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-		return top
-	}
-	for len(heap) > 0 {
-		head := pop()
-		if head.dist > best {
-			break
-		}
-		n, err := t.LoadNode(head.ref)
-		if err != nil {
-			return 0, err
-		}
-		for i, r := range n.Rects {
-			if mm := r.MaxDist(q); mm < best {
-				best = mm
-			}
-			if !n.Leaf {
-				if md := r.MinDist(q); md <= best {
-					push(visit{md, n.Children[i]})
-				}
-			}
-		}
-	}
-	return best, nil
-}
-
-// Within returns the items whose rectangle's MINDIST from (q, 0) is at most
-// bound, in traversal order. The caller sorts; with bound = f_min this is
-// the candidate set.
-func (t *Tree) Within(q, bound float64) ([]int, error) {
-	if t.size == 0 {
-		return nil, nil
-	}
-	window := geom.Rect{MinX: q - bound, MinY: 0, MaxX: q + bound, MaxY: 0}
-	pt := geom.Point{X: q, Y: 0}
-	var ids []int
-	var walk func(ref int64) error
-	walk = func(ref int64) error {
-		n, err := t.LoadNode(ref)
-		if err != nil {
-			return err
-		}
-		for i, r := range n.Rects {
-			if !r.Intersects(window) {
-				continue
-			}
-			if n.Leaf {
-				if r.MinDist(pt) <= bound {
-					ids = append(ids, int(n.Items[i]))
-				}
-			} else if err := walk(n.Children[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root); err != nil {
-		return nil, err
-	}
-	return ids, nil
 }

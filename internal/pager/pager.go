@@ -1,14 +1,11 @@
-// Package pager implements the disk-based layout the paper sketches for
-// subregion data: "the lists can be partitioned into disk pages" (§IV-D
-// implementation notes). It provides a page-granular file, an LRU buffer
-// pool with pin/unpin semantics and dirty-page write-back, and a
-// SubregionStore that serializes a subregion table into per-subregion record
-// lists chained across pages, indexed by an in-memory directory (the paper's
-// hash table).
+// Package pager implements the page-granular file under the store's disk
+// layout — the paper's "the lists can be partitioned into disk pages" (§IV-D
+// implementation notes) taken as the unit of I/O. A File allocates, reads,
+// writes and syncs whole 4 KiB pages and nothing else; caching, checksums
+// and record framing live one layer up in internal/pagecache.
 package pager
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -129,200 +126,3 @@ func (pf *File) Sync() error {
 
 // Close flushes and closes the underlying file.
 func (pf *File) Close() error { return pf.f.Close() }
-
-// Stats counts buffer pool activity.
-type Stats struct {
-	Hits, Misses, Evictions uint64
-}
-
-// BufferPool caches pages of a File with LRU eviction and write-back of
-// dirty pages. Pages are pinned while a frame is held and must be unpinned
-// (or marked dirty) via the returned Frame.
-type BufferPool struct {
-	mu       sync.Mutex
-	file     *File
-	capacity int
-	frames   map[PageID]*frame
-	lruHead  *frame // most recently used
-	lruTail  *frame // least recently used
-	stats    Stats
-}
-
-type frame struct {
-	id         PageID
-	data       [PageSize]byte
-	pins       int
-	dirty      bool
-	prev, next *frame
-}
-
-// NewBufferPool wraps file with a pool of the given page capacity.
-func NewBufferPool(file *File, capacity int) (*BufferPool, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("pager: pool capacity %d < 1", capacity)
-	}
-	return &BufferPool{
-		file:     file,
-		capacity: capacity,
-		frames:   map[PageID]*frame{},
-	}, nil
-}
-
-// Frame is a pinned page. Data is valid until Unpin.
-type Frame struct {
-	pool *BufferPool
-	fr   *frame
-}
-
-// Data returns the page bytes; mutating them requires MarkDirty.
-func (h *Frame) Data() []byte { return h.fr.data[:] }
-
-// MarkDirty schedules the page for write-back on eviction or flush.
-func (h *Frame) MarkDirty() {
-	h.pool.mu.Lock()
-	h.fr.dirty = true
-	h.pool.mu.Unlock()
-}
-
-// Unpin releases the page; the frame must not be used afterwards.
-func (h *Frame) Unpin() {
-	h.pool.mu.Lock()
-	if h.fr.pins > 0 {
-		h.fr.pins--
-	}
-	h.pool.mu.Unlock()
-}
-
-// Fetch pins page id into the pool, reading it from disk on a miss.
-func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if fr, ok := bp.frames[id]; ok {
-		bp.stats.Hits++
-		fr.pins++
-		bp.touch(fr)
-		return &Frame{pool: bp, fr: fr}, nil
-	}
-	bp.stats.Misses++
-	fr, err := bp.newFrame(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := bp.file.ReadPage(id, fr.data[:]); err != nil {
-		bp.remove(fr)
-		return nil, err
-	}
-	fr.pins = 1
-	return &Frame{pool: bp, fr: fr}, nil
-}
-
-// Allocate creates a new page on disk and pins it.
-func (bp *BufferPool) Allocate() (*Frame, error) {
-	id, err := bp.file.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	fr, err := bp.newFrame(id)
-	if err != nil {
-		return nil, err
-	}
-	fr.pins = 1
-	return &Frame{pool: bp, fr: fr}, nil
-}
-
-// ID returns the frame's page ID.
-func (h *Frame) ID() PageID { return h.fr.id }
-
-// newFrame inserts a frame for id, evicting if necessary. Caller holds mu.
-func (bp *BufferPool) newFrame(id PageID) (*frame, error) {
-	if len(bp.frames) >= bp.capacity {
-		if err := bp.evictLocked(); err != nil {
-			return nil, err
-		}
-	}
-	fr := &frame{id: id}
-	bp.frames[id] = fr
-	bp.pushFront(fr)
-	return fr, nil
-}
-
-// evictLocked drops the least recently used unpinned page.
-func (bp *BufferPool) evictLocked() error {
-	for fr := bp.lruTail; fr != nil; fr = fr.prev {
-		if fr.pins > 0 {
-			continue
-		}
-		if fr.dirty {
-			if err := bp.file.WritePage(fr.id, fr.data[:]); err != nil {
-				return err
-			}
-		}
-		bp.remove(fr)
-		bp.stats.Evictions++
-		return nil
-	}
-	return errors.New("pager: all pages pinned; cannot evict")
-}
-
-// Flush writes back every dirty page without evicting.
-func (bp *BufferPool) Flush() error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for _, fr := range bp.frames {
-		if fr.dirty {
-			if err := bp.file.WritePage(fr.id, fr.data[:]); err != nil {
-				return err
-			}
-			fr.dirty = false
-		}
-	}
-	return nil
-}
-
-// Stats returns a snapshot of hit/miss/eviction counters.
-func (bp *BufferPool) Stats() Stats {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.stats
-}
-
-func (bp *BufferPool) touch(fr *frame) {
-	bp.unlink(fr)
-	bp.pushFront(fr)
-}
-
-func (bp *BufferPool) pushFront(fr *frame) {
-	fr.prev = nil
-	fr.next = bp.lruHead
-	if bp.lruHead != nil {
-		bp.lruHead.prev = fr
-	}
-	bp.lruHead = fr
-	if bp.lruTail == nil {
-		bp.lruTail = fr
-	}
-}
-
-func (bp *BufferPool) unlink(fr *frame) {
-	if fr.prev != nil {
-		fr.prev.next = fr.next
-	} else if bp.lruHead == fr {
-		bp.lruHead = fr.next
-	}
-	if fr.next != nil {
-		fr.next.prev = fr.prev
-	} else if bp.lruTail == fr {
-		bp.lruTail = fr.prev
-	}
-	fr.prev, fr.next = nil, nil
-}
-
-func (bp *BufferPool) remove(fr *frame) {
-	bp.unlink(fr)
-	delete(bp.frames, fr.id)
-}
-
-// binary layout helpers shared with the subregion store.
-var byteOrder = binary.LittleEndian

@@ -2,16 +2,9 @@ package pager
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/dist"
-	"repro/internal/pdf"
-	"repro/internal/subregion"
-	"repro/internal/verify"
 )
 
 func newFile(t *testing.T) *File {
@@ -135,247 +128,5 @@ func TestFileReopen(t *testing.T) {
 	}
 	if got[0] != 0xAB {
 		t.Error("data lost across reopen")
-	}
-}
-
-func TestBufferPoolHitMissEvict(t *testing.T) {
-	pf := newFile(t)
-	bp, err := NewBufferPool(pf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allocate three pages with distinct contents.
-	ids := make([]PageID, 3)
-	for i := range ids {
-		fr, err := bp.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr.Data()[0] = byte(i + 1)
-		fr.MarkDirty()
-		ids[i] = fr.ID()
-		fr.Unpin()
-	}
-	// Pool capacity 2: the first page has been evicted (written back).
-	st := bp.Stats()
-	if st.Evictions == 0 {
-		t.Error("no evictions with capacity 2 and 3 pages")
-	}
-	// Reading every page returns the right contents regardless of cache
-	// state.
-	for i, id := range ids {
-		fr, err := bp.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Data()[0] != byte(i+1) {
-			t.Errorf("page %d content %d, want %d", id, fr.Data()[0], i+1)
-		}
-		fr.Unpin()
-	}
-	// Re-fetch the most recent page immediately: guaranteed cache hit.
-	fr, err := bp.Fetch(ids[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Unpin()
-	if got := bp.Stats(); got.Misses == 0 || got.Hits == 0 {
-		t.Errorf("stats = %+v, expected hits and misses", got)
-	}
-}
-
-func TestBufferPoolAllPinned(t *testing.T) {
-	pf := newFile(t)
-	bp, err := NewBufferPool(pf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := bp.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Unpin()
-	// Second allocation must fail: the only frame is pinned.
-	if _, err := bp.Allocate(); err == nil {
-		t.Error("allocation succeeded with all frames pinned")
-	}
-}
-
-func TestBufferPoolValidation(t *testing.T) {
-	pf := newFile(t)
-	if _, err := NewBufferPool(pf, 0); err == nil {
-		t.Error("capacity 0 accepted")
-	}
-}
-
-func TestBufferPoolFlush(t *testing.T) {
-	pf := newFile(t)
-	bp, err := NewBufferPool(pf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := bp.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Data()[7] = 0x7F
-	fr.MarkDirty()
-	id := fr.ID()
-	fr.Unpin()
-	if err := bp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Bypass the pool: the bytes must be on disk.
-	raw := make([]byte, PageSize)
-	if err := pf.ReadPage(id, raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw[7] != 0x7F {
-		t.Error("flush did not reach disk")
-	}
-}
-
-// buildTestTable constructs a subregion table through the real pipeline.
-func buildTestTable(t *testing.T, nObj int, seed int64) *subregion.Table {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	q := 50.0
-	var cands []subregion.Candidate
-	fMin := math.Inf(1)
-	var nears []float64
-	for i := 0; i < nObj; i++ {
-		lo := q - 15 + rng.Float64()*30
-		d, err := dist.FromPDF(pdf.MustUniform(lo, lo+1+rng.Float64()*10), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nears = append(nears, d.Support().Lo)
-		fMin = math.Min(fMin, d.Support().Hi)
-		cands = append(cands, subregion.Candidate{ID: i, Dist: d})
-	}
-	kept := cands[:0]
-	for i, c := range cands {
-		if nears[i] <= fMin {
-			kept = append(kept, c)
-		}
-	}
-	tb, err := subregion.Build(kept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-func TestSubregionStoreRoundTrip(t *testing.T) {
-	tb := buildTestTable(t, 40, 3)
-	pf := newFile(t)
-	bp, err := NewBufferPool(pf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewSubregionStore(bp)
-	if err := st.WriteTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	if st.NumSubregions() != tb.NumSubregions() {
-		t.Fatalf("subregions %d != %d", st.NumSubregions(), tb.NumSubregions())
-	}
-	for j := 0; j < tb.NumSubregions(); j++ {
-		entries, err := st.List(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every non-zero s_ij must round-trip exactly.
-		want := map[int32]Entry{}
-		for i := 0; i < tb.NumCandidates(); i++ {
-			if s := tb.S(i, j); s > 0 {
-				want[int32(i)] = Entry{Candidate: int32(i), S: s, D: tb.D(i, j)}
-			}
-		}
-		if len(entries) != len(want) {
-			t.Fatalf("subregion %d: %d entries, want %d", j, len(entries), len(want))
-		}
-		for _, e := range entries {
-			w, ok := want[e.Candidate]
-			if !ok {
-				t.Fatalf("subregion %d: unexpected candidate %d", j, e.Candidate)
-			}
-			if e.S != w.S || e.D != w.D {
-				t.Fatalf("subregion %d candidate %d: (%g,%g) != (%g,%g)",
-					j, e.Candidate, e.S, e.D, w.S, w.D)
-			}
-		}
-	}
-	if _, err := st.List(-1); err == nil {
-		t.Error("negative subregion accepted")
-	}
-	if _, err := st.List(tb.NumSubregions()); err == nil {
-		t.Error("out-of-range subregion accepted")
-	}
-}
-
-func TestSubregionStoreMultiPageChain(t *testing.T) {
-	// Force multi-page chains: >204 entries per subregion needs >1 page.
-	tb := buildTestTable(t, 600, 9)
-	pf := newFile(t)
-	bp, err := NewBufferPool(pf, 4) // tiny pool to stress eviction
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewSubregionStore(bp)
-	if err := st.WriteTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	// At least one subregion should have spilled across pages.
-	if pf.NumPages() <= tb.NumSubregions() {
-		t.Logf("pages=%d subregions=%d (chains may still be single-page)",
-			pf.NumPages(), tb.NumSubregions())
-	}
-	total := 0
-	for j := 0; j < tb.NumSubregions(); j++ {
-		entries, err := st.List(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(entries)
-		for _, e := range entries {
-			if got := tb.S(int(e.Candidate), j); got != e.S {
-				t.Fatalf("subregion %d candidate %d: s %g != %g", j, e.Candidate, e.S, got)
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("no entries round-tripped")
-	}
-	if ev := bp.Stats().Evictions; ev == 0 {
-		t.Error("tiny pool saw no evictions on a large table")
-	}
-}
-
-func TestRSUpperBoundsMatchInMemoryVerifier(t *testing.T) {
-	tb := buildTestTable(t, 50, 17)
-	pf := newFile(t)
-	bp, err := NewBufferPool(pf, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewSubregionStore(bp)
-	if err := st.WriteTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.RSUpperBounds(tb.NumCandidates())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := make([]verify.Bounds, tb.NumCandidates())
-	status := make([]verify.Status, tb.NumCandidates())
-	for i := range bounds {
-		bounds[i] = verify.Bounds{L: 0, U: 1}
-	}
-	verify.RS{}.Apply(tb, bounds, status)
-	for i := range bounds {
-		if math.Abs(got[i]-bounds[i].U) > 1e-15 {
-			t.Errorf("candidate %d: disk RS %g != memory RS %g", i, got[i], bounds[i].U)
-		}
 	}
 }

@@ -14,7 +14,7 @@
 //
 // The follower opens with a Hello carrying the sequence it wants to resume
 // from; the primary answers with a Welcome pinning the catch-up target, then
-// either a Snapshot (full checkpoint stream, when its log no longer reaches
+// either a Snapshot (full snapshot stream, when its log no longer reaches
 // back that far) or nothing, followed by Record frames — history first, live
 // tail after — and periodic Heartbeats that carry the primary's position so
 // the follower can measure lag even when no writes happen.
@@ -194,7 +194,7 @@ func decodeRecord(b []byte) (recordMsg, error) {
 }
 
 // snapshotMsg bootstraps a follower whose requested history is gone: a full
-// checkpoint stream covering the primary state through Seq/Version.
+// snapshot stream covering the primary state through Seq/Version.
 type snapshotMsg struct {
 	Seq, Version uint64
 	WALAppended  uint64

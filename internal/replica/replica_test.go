@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -90,18 +91,25 @@ func assertEqualState(t *testing.T, p *store.Store, pdir string, f *store.Store,
 	if err := f.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint follower: %v", err)
 	}
+	if pb, fb := readCheckpointFiles(t, pdir, fdir); !bytes.Equal(pb, fb) {
+		t.Fatalf("checkpoint streams differ: primary %d bytes v%d, follower %d bytes v%d",
+			len(pb), p.View().Version, len(fb), f.View().Version)
+	}
+}
+
+// readCheckpointFiles returns the checkpoint files the two directories hold
+// right now, without checkpointing either store.
+func readCheckpointFiles(t *testing.T, pdir, fdir string) (pb, fb []byte) {
+	t.Helper()
 	pb, err := os.ReadFile(filepath.Join(pdir, "checkpoint.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := os.ReadFile(filepath.Join(fdir, "checkpoint.db"))
+	fb, err = os.ReadFile(filepath.Join(fdir, "checkpoint.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pb, fb) {
-		t.Fatalf("checkpoint streams differ: primary %d bytes v%d, follower %d bytes v%d",
-			len(pb), p.View().Version, len(fb), f.View().Version)
-	}
+	return pb, fb
 }
 
 func TestFollowerCatchUpAndLiveTail(t *testing.T) {
@@ -242,10 +250,23 @@ func TestSnapshotBootstrapFreshFollower(t *testing.T) {
 	p, srv := startPrimary(t, pdir)
 	defer p.Close()
 	defer srv.Close()
-	for i := 0; i < 12; i++ {
-		if _, err := p.Apply([]store.Op{store.InsertObject(pdf.MustUniform(float64(i), float64(i+3)))}); err != nil {
+	// Three dozen mixed uniform/histogram objects, then updates and deletes
+	// so slot order is not ID order.
+	for i := 0; i < 36; i++ {
+		lo := float64(3 * i)
+		op := store.InsertObject(pdf.MustUniform(lo, lo+5))
+		if i%3 == 0 {
+			op = store.InsertObject(pdf.MustHistogram([]float64{lo, lo + 2, lo + 7}, []float64{1, float64(i + 2)}))
+		}
+		if _, err := p.Apply([]store.Op{op}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := p.Apply([]store.Op{
+		store.Delete(4), store.Delete(19),
+		store.UpdateObject(7, pdf.MustHistogram([]float64{1, 2, 4}, []float64{3, 1})),
+	}); err != nil {
+		t.Fatal(err)
 	}
 	// Checkpoint resets the WAL: a fresh follower cannot be served history.
 	if err := p.Checkpoint(); err != nil {
@@ -265,11 +286,84 @@ func TestSnapshotBootstrapFreshFollower(t *testing.T) {
 	if st := f.Stats(); st.SnapshotBootstraps != 1 {
 		t.Fatalf("SnapshotBootstraps = %d, want 1", st.SnapshotBootstraps)
 	}
+
+	// The bootstrap lands paged, before the follower checkpoints on its own:
+	// a v2 file with nothing resident in the overlay, byte-equal to what the
+	// primary writes at the same seq.
+	st := fs.Stats()
+	if st.OverlaySlots != 0 || st.BaseSlots != 34 || st.BasePages == 0 {
+		t.Fatalf("bootstrapped follower: overlay %d, base %d slots, %d pages — want 0, 34, > 0",
+			st.OverlaySlots, st.BaseSlots, st.BasePages)
+	}
+	if st.Checkpoints != 1 || st.LastCheckpointUnixNano <= 0 || st.CheckpointNanos == 0 {
+		t.Fatalf("bootstrap checkpoint telemetry: %+v", st)
+	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pb, fb := readCheckpointFiles(t, pdir, fdir)
+	if !bytes.HasPrefix(fb, []byte("CPNNCKP2")) {
+		t.Fatalf("bootstrapped checkpoint magic = %q, want CPNNCKP2", fb[:8])
+	}
+	if !bytes.Equal(pb, fb) {
+		t.Fatalf("bootstrapped checkpoint differs from the primary's at seq %d: %d vs %d bytes",
+			fs.View().Seq, len(fb), len(pb))
+	}
+	// kill -9 right after the install: a copy of the directory reopens to
+	// the live follower's view.
+	crash := t.TempDir()
+	for _, name := range []string{"checkpoint.db", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(fdir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crash, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := store.OpenFollower(crash, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("reopen crash copy: %v", err)
+	}
+	assertSameView(t, re.View(), fs.View())
+	re.Close()
+
 	assertEqualState(t, p, pdir, fs, fdir)
 
 	rs, ok, _ := ReadState(fdir)
 	if !ok || rs.SnapshotBootstraps != 1 {
 		t.Fatalf("replica.json snapshot count = %+v ok=%v", rs, ok)
+	}
+}
+
+// assertSameView checks two views hold the same position and tables and
+// render the same C-PNN and PNN answers.
+func assertSameView(t *testing.T, got, want *store.View) {
+	t.Helper()
+	if got.Version != want.Version || got.Seq != want.Seq || got.NextID != want.NextID {
+		t.Fatalf("view at version %d seq %d nextID %d, want %d/%d/%d",
+			got.Version, got.Seq, got.NextID, want.Version, want.Seq, want.NextID)
+	}
+	if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Disks, want.Disks) {
+		t.Fatalf("tables differ: ids %v disks %v, want %v %v", got.IDs, got.Disks, want.IDs, want.Disks)
+	}
+	for _, q := range []float64{-5, 3, 20, 57.5, 110} {
+		for _, sp := range []monitor.Spec{
+			{Kind: monitor.KindCPNN, Q: q, Constraint: verify.Constraint{P: 0.3, Delta: 0.01}},
+			{Kind: monitor.KindPNN, Q: q},
+		} {
+			w, _, err := monitor.Evaluate(want, nil, nil, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := monitor.Evaluate(got, nil, nil, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g, w) {
+				t.Fatalf("%s q=%g diverges:\ngot  %s\nwant %s", sp.Kind, q, g, w)
+			}
+		}
 	}
 }
 

@@ -10,21 +10,27 @@ import (
 	"repro/internal/pager"
 )
 
-// Checkpoints serialize the whole store state through a pager.File — the
-// page-granular layout of §IV-D — so recovery starts from the latest
-// checkpoint and replays only the WAL records after it.
+// The checkpoint the store writes is the paged v2 file in paged.go. This file
+// holds the two things that are older than it.
 //
-// Page 0 is the header: magic, stream length, stream CRC-32C. Pages 1..k
-// carry the state stream back to back:
+// The snapshot stream is how a primary ships its whole state to a follower
+// that the log can no longer catch up (SyncResult.Snapshot, installed by
+// InstallSnapshot):
 //
 //	[8] version  [8] seq  [8] nextID
 //	[op batch]   — one upsert per live object, in slot order (1-D then 2-D)
 //
-// The op batch reuses the WAL encoding, so loading a checkpoint is exactly
+// The op batch reuses the WAL encoding, so loading a snapshot is exactly
 // "replay these upserts into an empty store": one code path, one set of
-// invariants. Checkpoints are written to a temp file, synced, then renamed
-// over the live name — a crash mid-checkpoint leaves the previous
-// checkpoint (and the full WAL) untouched.
+// invariants. It is a wire format only — the follower lands it on disk
+// through the paged writer like any other checkpoint.
+//
+// The v1 checkpoint ("CPNNCKP1") was that same stream laid into a page file:
+// page 0 the header (magic, stream length, stream CRC-32C), pages 1..k the
+// stream back to back. No build writes it any more; readCheckpoint stays so
+// that stores from before the paged format, and followers bootstrapped by a
+// build that still persisted snapshots this way, reopen without an operator
+// step. The first checkpoint after such an open rewrites the file as v2.
 
 const (
 	checkpointName = "checkpoint.db"
@@ -34,7 +40,8 @@ const (
 	ckptMagic = "CPNNCKP1"
 )
 
-// checkpointState is the decoded content of a checkpoint.
+// checkpointState is the decoded content of a snapshot stream (or of the v1
+// checkpoint that wrapped one).
 type checkpointState struct {
 	Version uint64
 	Seq     uint64
@@ -71,64 +78,7 @@ func decodeCheckpoint(b []byte) (checkpointState, error) {
 	return cs, nil
 }
 
-// writeCheckpoint durably persists the stream under dir. The temp file is
-// fully written and synced before the rename publishes it.
-func writeCheckpoint(dir string, cs checkpointState) error {
-	stream, err := encodeCheckpoint(cs)
-	if err != nil {
-		return err
-	}
-	tmpPath := filepath.Join(dir, checkpointTmp)
-	pf, err := pager.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			pf.Close()
-			os.Remove(tmpPath)
-		}
-	}()
-
-	var page [pager.PageSize]byte
-	copy(page[:8], ckptMagic)
-	binary.LittleEndian.PutUint64(page[8:16], uint64(len(stream)))
-	binary.LittleEndian.PutUint32(page[16:20], crc32.Checksum(stream, crcTable))
-	id, err := pf.Allocate()
-	if err != nil {
-		return err
-	}
-	if err := pf.WritePage(id, page[:]); err != nil {
-		return err
-	}
-	for off := 0; off < len(stream); off += pager.PageSize {
-		end := min(off+pager.PageSize, len(stream))
-		clear(page[:])
-		copy(page[:], stream[off:end])
-		id, err := pf.Allocate()
-		if err != nil {
-			return err
-		}
-		if err := pf.WritePage(id, page[:]); err != nil {
-			return err
-		}
-	}
-	if err := pf.Sync(); err != nil {
-		return err
-	}
-	if err := pf.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, checkpointName)); err != nil {
-		return fmt.Errorf("store: publishing checkpoint: %w", err)
-	}
-	ok = true
-	syncDir(dir)
-	return nil
-}
-
-// readCheckpoint loads and verifies the checkpoint under dir. A missing file
+// readCheckpoint loads and verifies the v1 checkpoint under dir. A missing file
 // returns ok=false; a present-but-corrupt file returns an error, because
 // silently starting empty would be data loss.
 func readCheckpoint(dir string) (checkpointState, bool, error) {

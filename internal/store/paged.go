@@ -34,10 +34,11 @@ import (
 // one format, one set of invariants. The slot table holds what must stay
 // resident per object: stable ID, support interval, payload record ref.
 //
-// The write is crash-safe the same way v1 was: build the temp file, flush
-// and fsync it, rename over the live name, fsync the directory. The pool
-// that wrote the temp file becomes the new base's read pool — the fd follows
-// the rename, and every page it holds is already hot.
+// The write is crash-safe: build the temp file, flush and fsync it, rename
+// over the live name, fsync the directory — a crash mid-checkpoint leaves
+// the previous checkpoint (and the full WAL) untouched. The pool that wrote
+// the temp file becomes the new base's read pool — the fd follows the
+// rename, and every page it holds is already hot.
 
 const ckptMagicV2 = "CPNNCKP2"
 

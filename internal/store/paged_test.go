@@ -2,10 +2,14 @@ package store
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/pdf"
 )
@@ -186,58 +190,137 @@ func TestLargerThanCacheServes(t *testing.T) {
 	}
 }
 
-// TestLegacyV1CheckpointUpgrade opens a store whose disk state is the old
-// op-stream checkpoint format, and verifies the first checkpoint after that
-// upgrades the file to the paged format.
-func TestLegacyV1CheckpointUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	sc := newOpScript(21)
-	ops := make([]Op, 0, 40)
-	var nextID uint64 = 1
-	for i := 0; i < 40; i++ {
-		op := InsertObject(sc.randomPDF())
-		op.ID = nextID
-		nextID++
-		ops = append(ops, op)
-	}
-	cs := checkpointState{Version: 7, Seq: 7, NextID: nextID, Ops: ops}
-	if err := writeCheckpoint(dir, cs); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir, Options{NoSync: true})
+// plantV1Golden copies testdata/checkpoint_v1.db — written once by the last
+// build that had a v1 writer, from 40 randomPDF inserts of newOpScript(21)
+// with IDs 1..40 at version 7 / seq 7 — into a fresh store directory.
+func plantV1Golden(t *testing.T) string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.db"))
 	if err != nil {
-		t.Fatalf("open v1 checkpoint: %v", err)
-	}
-	v := s.View()
-	if v.Version != 7 || v.Seq != 7 || v.Dataset.Len() != 40 || v.NextID != nextID {
-		t.Fatalf("v1 recovery: version=%d seq=%d len=%d nextID=%d", v.Version, v.Seq, v.Dataset.Len(), v.NextID)
-	}
-	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	if string(golden[:8]) != ckptMagic {
+		t.Fatalf("golden magic = %q, want %q", golden[:8], ckptMagic)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
-	hdr := make([]byte, 8)
+// TestLegacyV1CheckpointUpgrade opens a store whose disk state is the old
+// op-stream checkpoint format — a file an old build wrote, not one a helper
+// re-creates — and verifies the first checkpoint after that upgrades the
+// file to the paged format.
+func TestLegacyV1CheckpointUpgrade(t *testing.T) {
+	const nextID = 41
+	sc := newOpScript(21)
+	want := make([]pdf.PDF, 40)
+	for i := range want {
+		want[i] = sc.randomPDF()
+	}
+	checkV1 := func(t *testing.T, v *View) {
+		t.Helper()
+		if v.Dataset.Len() < 40 {
+			t.Fatalf("v1 recovery: %d objects, want >= 40", v.Dataset.Len())
+		}
+		for i, w := range want {
+			if v.IDs[i] != uint64(i+1) {
+				t.Fatalf("slot %d holds id %d, want %d", i, v.IDs[i], i+1)
+			}
+			// The histogram encoding renormalizes, so payloads agree to an
+			// ulp, not bit for bit; supports are exact.
+			g, mid := v.Dataset.Object(i).PDF, (w.Support().Lo+w.Support().Hi)/2
+			if reflect.TypeOf(g) != reflect.TypeOf(w) || g.Support() != w.Support() ||
+				math.Abs(g.CDF(mid)-w.CDF(mid)) > 1e-12 {
+				t.Fatalf("object %d = %#v, want %#v", i+1, g, w)
+			}
+		}
+	}
+
+	t.Run("checkpoint-only", func(t *testing.T) {
+		dir := plantV1Golden(t)
+		s, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("open v1 checkpoint: %v", err)
+		}
+		v := s.View()
+		if v.Version != 7 || v.Seq != 7 || v.Dataset.Len() != 40 || v.NextID != nextID {
+			t.Fatalf("v1 recovery: version=%d seq=%d len=%d nextID=%d", v.Version, v.Seq, v.Dataset.Len(), v.NextID)
+		}
+		checkV1(t, v)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		if got := checkpointMagic(t, dir); got != ckptMagicV2 {
+			t.Fatalf("checkpoint magic after upgrade = %q", got)
+		}
+		re, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("reopen v2: %v", err)
+		}
+		defer re.Close()
+		if re.View().Dataset.Len() != 40 || re.View().Version != 7 {
+			t.Fatalf("v2 reopen: len=%d version=%d", re.View().Dataset.Len(), re.View().Version)
+		}
+		checkV1(t, re.View())
+	})
+
+	// A store killed before its first checkpoint on the new build holds the
+	// v1 file plus a WAL tail committed on top of it: recovery needs both.
+	t.Run("wal-tail", func(t *testing.T) {
+		dir := plantV1Golden(t)
+		s, err := Open(dir, Options{NoSync: true, CheckpointBytes: -1})
+		if err != nil {
+			t.Fatalf("open v1 checkpoint: %v", err)
+		}
+		res := mustApply(t, s, InsertObject(pdf.MustUniform(500, 501)), Delete(40))
+		if res.IDs[0] != nextID || res.Version != 8 || res.Seq != 8 {
+			t.Fatalf("commit over v1 base: %+v", res)
+		}
+		mustApply(t, s, InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 3}))
+		live := s.View()
+		crash := copyFiles(t, dir) // kill -9: v1 checkpoint + two WAL records
+		s.Close()
+
+		if got := checkpointMagic(t, crash); got != ckptMagic {
+			t.Fatalf("crash image checkpoint magic = %q, want the untouched v1 file", got)
+		}
+		re, err := Open(crash, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("reopen v1 + WAL tail: %v", err)
+		}
+		defer re.Close()
+		sameView(t, "v1 + WAL tail", re.View(), live)
+		if v := re.View(); v.Version != 9 || v.Seq != 9 || v.Dataset.Len() != 40 || len(v.Disks) != 1 || v.NextID != nextID+2 {
+			t.Fatalf("v1 + WAL recovery: version=%d seq=%d len=%d disks=%d nextID=%d",
+				v.Version, v.Seq, v.Dataset.Len(), len(v.Disks), v.NextID)
+		}
+		if err := re.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := checkpointMagic(t, crash); got != ckptMagicV2 {
+			t.Fatalf("checkpoint magic after upgrade = %q", got)
+		}
+	})
+}
+
+// checkpointMagic returns the first eight bytes of dir's checkpoint file.
+func checkpointMagic(t *testing.T, dir string) string {
+	t.Helper()
 	f, err := os.Open(filepath.Join(dir, checkpointName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Read(hdr); err != nil {
+	defer f.Close()
+	hdr := make([]byte, 8)
+	if _, err := io.ReadFull(f, hdr); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	if string(hdr) != ckptMagicV2 {
-		t.Fatalf("checkpoint magic after upgrade = %q", hdr)
-	}
-	re, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("reopen v2: %v", err)
-	}
-	defer re.Close()
-	if re.View().Dataset.Len() != 40 || re.View().Version != 7 {
-		t.Fatalf("v2 reopen: len=%d version=%d", re.View().Dataset.Len(), re.View().Version)
-	}
+	return string(hdr)
 }
 
 // TestPagedHeaderCorruptionDetected flips bytes in the v2 header and in the

@@ -118,10 +118,11 @@ type SyncResult struct {
 	// WALAppended is the cumulative appended-bytes counter at that position
 	// — the byte-lag yardstick matching LogRecord.WALOffset.
 	WALAppended uint64
-	// Snapshot, when non-nil, is a full state snapshot (the checkpoint
-	// stream) the consumer must install via InstallSnapshot before consuming
-	// Sub: the log no longer reaches back to the requested sequence. Records
-	// is empty in that case.
+	// Snapshot, when non-nil, is a full state snapshot (the snapshot stream:
+	// a position header plus one upsert per live object — see
+	// encodeCheckpoint) the consumer must install via InstallSnapshot before
+	// consuming Sub: the log no longer reaches back to the requested
+	// sequence. Records is empty in that case.
 	Snapshot []byte
 	// Records are the historical records [fromSeq, Seq], contiguous.
 	Records []LogRecord
@@ -353,12 +354,15 @@ func (s *Store) stageReplicated(lr LogRecord, rec *deltaRec) (staged, error) {
 }
 
 // InstallSnapshot wholesale-replaces a follower's state with a primary
-// snapshot (SyncResult.Snapshot): the stream is decoded and validated off to
-// the side, persisted as the local checkpoint (tmp+fsync+rename — a crash on
-// either side of the rename recovers a consistent store), the local WAL is
-// reset, and one view with a Truncated delta is published so every derived
-// consumer rebuilds. Snapshots older than the local version are rejected
-// with ErrOutOfSync — replication never moves a follower backwards.
+// snapshot (SyncResult.Snapshot): the stream is decoded and loaded into a
+// scratch state off to the side, flattened into the local paged checkpoint
+// by the routine Checkpoint uses (tmp+fsync+rename — a crash on either side
+// of the rename recovers a consistent store — then the local WAL is reset),
+// and one view with a Truncated delta is published so every derived consumer
+// rebuilds. The installed state is paged from its first view: payloads fault
+// from the new base, nothing stays resident in the overlay. Snapshots older
+// than the local version are rejected with ErrOutOfSync — replication never
+// moves a follower backwards.
 func (s *Store) InstallSnapshot(stream []byte) error {
 	if s.role != RoleFollower {
 		return fmt.Errorf("store: InstallSnapshot on a %s store", s.role)
@@ -390,23 +394,11 @@ func (s *Store) handleInstall(r *request) {
 		r.resp <- result{err: fmt.Errorf("%w: loading snapshot: %v", ErrOutOfSync, err)}
 		return
 	}
-	if err := writeCheckpoint(s.dir, cs); err != nil {
-		r.resp <- result{err: err}
-		return
-	}
-	if err := s.wal.reset(); err != nil {
-		// The new checkpoint is already live on disk; stale WAL records all
-		// have seq <= cs.Seq and recovery would skip them, but the in-memory
-		// bookkeeping no longer matches the file — refuse further mutations.
-		s.broken.Store(true)
+	if err := s.flatten(st); err != nil {
 		r.resp <- result{err: err}
 		return
 	}
 	s.st = st
-	s.baseRef.Store(nil)
-	s.walSize.Store(0)
-	s.ckptSeq.Store(cs.Seq)
-	s.checkpoints.Add(1)
 	view, err := s.materialize(nil, nil, nil, true)
 	if err != nil {
 		s.broken.Store(true)

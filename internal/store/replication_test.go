@@ -55,6 +55,13 @@ func assertStoresEqual(t *testing.T, a *Store, dirA string, b *Store, dirB strin
 	if err := b.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint b: %v", err)
 	}
+	assertCheckpointFilesEqual(t, dirA, dirB)
+}
+
+// assertCheckpointFilesEqual compares the checkpoint files two store
+// directories hold right now, without checkpointing either.
+func assertCheckpointFilesEqual(t *testing.T, dirA, dirB string) {
+	t.Helper()
 	ba, err := os.ReadFile(filepath.Join(dirA, checkpointName))
 	if err != nil {
 		t.Fatalf("read checkpoint a: %v", err)
@@ -64,8 +71,7 @@ func assertStoresEqual(t *testing.T, a *Store, dirA string, b *Store, dirB strin
 		t.Fatalf("read checkpoint b: %v", err)
 	}
 	if !bytes.Equal(ba, bb) {
-		t.Fatalf("checkpoint streams differ: %d vs %d bytes (version %d/%d)",
-			len(ba), len(bb), a.View().Version, b.View().Version)
+		t.Fatalf("checkpoint files differ: %d vs %d bytes", len(ba), len(bb))
 	}
 }
 
@@ -143,9 +149,13 @@ func TestReplicationLiveTail(t *testing.T) {
 func TestReplicationSnapshotBootstrap(t *testing.T) {
 	p, pdir := openTemp(t, Options{})
 	defer p.Close()
-	for i := 0; i < 4; i++ {
-		mustApply(t, p, InsertObject(pdf.MustUniform(float64(i), float64(i+2))))
+	// A few dozen mixed uniform/histogram objects with updates and deletes
+	// between them, so slot order is not ID order.
+	sc := newOpScript(5)
+	for p.View().Dataset.Len() < 36 {
+		mustApply(t, p, sc.batch(8)...)
 	}
+	n := p.View().Dataset.Len()
 	// The checkpoint resets the WAL: history before it is gone.
 	if err := p.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -168,9 +178,37 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	if err := f.InstallSnapshot(res.Snapshot); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
-	if fv := f.View(); fv.Seq != res.Seq || fv.Dataset.Len() != 4 || len(fv.Disks) != 1 {
+	if fv := f.View(); fv.Seq != res.Seq || fv.Dataset.Len() != n || len(fv.Disks) != 1 {
 		t.Fatalf("after install: seq %d, %d objects, %d disks", fv.Seq, fv.Dataset.Len(), len(fv.Disks))
 	}
+
+	// The bootstrap lands paged, before the follower checkpoints on its own:
+	// a v2 file, nothing resident in the overlay, and checkpoint telemetry
+	// that says a checkpoint happened.
+	if got := checkpointMagic(t, fdir); got != ckptMagicV2 {
+		t.Fatalf("bootstrapped checkpoint magic = %q, want %q", got, ckptMagicV2)
+	}
+	st := f.Stats()
+	if st.OverlaySlots != 0 || st.BaseSlots != n || st.BasePages == 0 {
+		t.Fatalf("bootstrapped follower: overlay %d, base %d slots, %d pages — want 0, %d, > 0",
+			st.OverlaySlots, st.BaseSlots, st.BasePages, n)
+	}
+	if st.Checkpoints != 1 || st.LastCheckpointUnixNano <= 0 || st.CheckpointNanos == 0 || st.WALRecords != 0 {
+		t.Fatalf("bootstrap checkpoint telemetry: %+v", st)
+	}
+	// Same seq, same bytes: the follower's file is the primary's checkpoint.
+	if err := p.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	assertCheckpointFilesEqual(t, pdir, fdir)
+	// kill -9 right after the install: the copy reopens to the same view.
+	re, err := OpenFollower(copyFiles(t, fdir), Options{})
+	if err != nil {
+		t.Fatalf("reopen crash copy: %v", err)
+	}
+	sameView(t, "crash copy after bootstrap", re.View(), f.View())
+	re.Close()
+
 	// The live tail continues past the snapshot.
 	mustApply(t, p, InsertObject(pdf.MustUniform(50, 60)))
 	rec := <-res.Sub.C()
@@ -178,6 +216,85 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("ApplyReplicated after snapshot: %v", err)
 	}
 	assertStoresEqual(t, p, pdir, f, fdir)
+}
+
+// A failed install must leave the follower exactly as it was — live view,
+// WAL and checkpoint file — and still able to replicate.
+func TestInstallSnapshotFailureLeavesFollowerUntouched(t *testing.T) {
+	p, _ := openTemp(t, Options{})
+	defer p.Close()
+	for i := 0; i < 3; i++ {
+		mustApply(t, p, InsertObject(pdf.MustUniform(float64(i), float64(i+1))))
+	}
+	f, fdir := openFollowerTemp(t, Options{})
+	defer f.Close()
+	syncInto(t, p, f)
+	if err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, p, InsertObject(pdf.MustUniform(7, 9)))
+	syncInto(t, p, f) // follower: checkpoint at seq 3 + one WAL record
+
+	mustApply(t, p, InsertObject(pdf.MustUniform(20, 30)))
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.SyncFrom(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Sub.Close()
+
+	before := f.View()
+	disk := func() (ckpt, wal []byte) {
+		t.Helper()
+		ckpt, err := os.ReadFile(filepath.Join(fdir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, err = os.ReadFile(filepath.Join(fdir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ckpt, wal
+	}
+	ckpt0, wal0 := disk()
+	unchanged := func(label string) {
+		t.Helper()
+		if f.View() != before {
+			t.Fatalf("%s: live view replaced", label)
+		}
+		if ckpt, wal := disk(); !bytes.Equal(ckpt, ckpt0) || !bytes.Equal(wal, wal0) {
+			t.Fatalf("%s: checkpoint or WAL changed on disk", label)
+		}
+	}
+
+	if err := f.InstallSnapshot(res.Snapshot[:len(res.Snapshot)-3]); !errors.Is(err, ErrOutOfSync) {
+		t.Fatalf("corrupt stream err = %v, want ErrOutOfSync", err)
+	}
+	unchanged("corrupt stream")
+
+	// A directory squatting on the temp name fails the checkpoint write
+	// before anything is renamed into place.
+	tmp := filepath.Join(fdir, checkpointTmp)
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InstallSnapshot(res.Snapshot); err == nil {
+		t.Fatal("install succeeded with an unwritable checkpoint temp file")
+	}
+	unchanged("checkpoint write error")
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+
+	// Not broken: the same snapshot installs once the obstacle is gone.
+	if err := f.InstallSnapshot(res.Snapshot); err != nil {
+		t.Fatalf("InstallSnapshot after failures: %v", err)
+	}
+	if fv := f.View(); fv.Seq != res.Seq || fv.Dataset.Len() != 5 {
+		t.Fatalf("after install: seq %d, %d objects", fv.Seq, fv.Dataset.Len())
+	}
 }
 
 func TestFollowerRoleEnforcement(t *testing.T) {

@@ -476,8 +476,8 @@ func (s *Store) Apply(ops []Op) (ApplyResult, error) {
 	return s.submit(&request{ops: ops, resp: make(chan result, 1)})
 }
 
-// Checkpoint serializes the current state through the pager and resets the
-// WAL. It runs on the committer, serialized with commits.
+// Checkpoint flattens the current state into a new paged base file and
+// resets the WAL. It runs on the committer, serialized with commits.
 func (s *Store) Checkpoint() error {
 	_, err := s.submit(&request{checkpoint: true, resp: make(chan result, 1)})
 	return err
@@ -1100,21 +1100,38 @@ func (s *Store) encodeSnapshot() ([]byte, error) {
 }
 
 // checkpointLocked runs on the committer goroutine with exclusive state
-// access: write the paged v2 checkpoint durably, reset the WAL (its records
-// are now redundant), then flatten the overlay — every slot rebinds to its
-// record in the new base and drops its decoded payload, so resident memory
-// returns to metadata plus page-cache budget.
+// access and flattens the live state into a new base.
 func (s *Store) checkpointLocked() error {
 	if s.broken.Load() {
 		return ErrBroken
 	}
+	return s.flatten(s.st)
+}
+
+// flatten is the one way state reaches disk as a checkpoint: write st as the
+// paged v2 checkpoint durably, reset the WAL (its records are now
+// redundant), then drop the overlay — every slot rebinds to its record in
+// the new base and gives up its decoded payload, so resident memory returns
+// to metadata plus page-cache budget. It runs on the committer. st is the
+// live state for a plain checkpoint and InstallSnapshot's scratch state for
+// a bootstrap; until the checkpoint file is renamed into place a failure
+// leaves st, the live state, the WAL and checkpoint.db as they were.
+func (s *Store) flatten(st *state) error {
 	start := time.Now()
-	st := s.st
 	b, refs, err := writeCheckpointPaged(s.dir, st, s.opt.CacheBytes)
 	if err != nil {
 		return err
 	}
 	if err := s.wal.reset(); err != nil {
+		if st != s.st {
+			// checkpoint.db now holds a position the live state never
+			// reached. The stale WAL records all have seq <= st.seq and
+			// recovery would skip them, but the in-memory bookkeeping no
+			// longer matches the file — refuse further mutations. (A plain
+			// checkpoint only reports the error: its st is the live state,
+			// which the un-reset WAL still extends.)
+			s.broken.Store(true)
+		}
 		return err
 	}
 	for i, ref := range refs {
