@@ -39,7 +39,7 @@ func main() {
 
 	// Which drones are the nearest with >= 35% probability (tolerating 3%)?
 	res, err := eng.CPNN(pickup, pnn.Constraint{P: 0.35, Delta: 0.03},
-		pnn.Options2D{Bins: 128})
+		pnn.Options{Bins: 128})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 		res.Stats.Candidates-res.Stats.RefinedObjects, res.Stats.Candidates)
 
 	// Full probability picture for the dispatcher's UI.
-	probs, err := eng.PNN(pickup, pnn.Options2D{Bins: 128})
+	probs, _, err := eng.PNN(pickup, pnn.Options{Bins: 128})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,23 +6,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/subregion"
-	"repro/internal/verify"
 )
 
 // BatchOptions tunes batch C-PNN evaluation. The embedded Options apply to
 // every query of the batch.
 type BatchOptions struct {
 	Options
-	// Workers caps concurrent query evaluations; 0 means GOMAXPROCS.
-	Workers int
-}
-
-// BatchOptions2D is BatchOptions for the planar engine.
-type BatchOptions2D struct {
-	Options2D
 	// Workers caps concurrent query evaluations; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -58,7 +49,6 @@ type BatchResult struct {
 // single-query entry points use.
 type queryScratch struct {
 	cands []subregion.Candidate
-	ids   []int
 	table subregion.Table
 	arena pdf.Alloc
 	// parallelDerive re-enables per-candidate derivation fan-out for this
@@ -110,18 +100,6 @@ func (sc *queryScratch) keepCandBuf(cands []subregion.Candidate) {
 	}
 }
 
-// idBuf returns a reusable int buffer of length n, nil-scratch safe.
-func (sc *queryScratch) idBuf(n int) []int {
-	if sc == nil {
-		return make([]int, n)
-	}
-	if cap(sc.ids) < n {
-		sc.ids = make([]int, n)
-	}
-	sc.ids = sc.ids[:n]
-	return sc.ids
-}
-
 // buildTable builds the subregion table for a candidate set, in place over
 // the scratch's table when one is supplied.
 func (sc *queryScratch) buildTable(cands []subregion.Candidate) (*subregion.Table, error) {
@@ -144,58 +122,6 @@ type Scratch struct{ qs queryScratch }
 
 // NewScratch returns an empty reusable evaluation scratch.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// CPNNScratch is CPNN evaluated on a caller-owned scratch. Results never
-// alias scratch memory, so they stay valid across subsequent calls. A nil
-// scratch falls back to plain CPNN.
-func (e *Engine) CPNNScratch(q float64, c verify.Constraint, opt Options, sc *Scratch) (*Result, error) {
-	if sc == nil {
-		return e.CPNN(q, c, opt)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkQuery(q); err != nil {
-		return nil, err
-	}
-	return e.cpnn(q, c, opt.withDefaults(), &sc.qs)
-}
-
-// CPNNBatch evaluates one C-PNN per query point over a bounded worker pool,
-// sharing the engine's filter index and discretization memo and recycling
-// per-query scratch (subregion tables, candidate buffers) via a sync.Pool.
-// Results are index-aligned with qs; answers are identical to evaluating
-// each point with CPNN. The first failing query aborts the batch.
-func (e *Engine) CPNNBatch(qs []float64, c verify.Constraint, opt BatchOptions) (*BatchResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	for i, q := range qs {
-		if err := checkQuery(q); err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
-		}
-	}
-	o := opt.Options.withDefaults()
-	return runBatch(len(qs), opt.Workers, func(i int, sc *queryScratch) (*Result, error) {
-		return e.cpnn(qs[i], c, o, sc)
-	})
-}
-
-// CPNNBatch is the planar batch evaluator; see Engine.CPNNBatch.
-func (e *Engine2D) CPNNBatch(qs []geom.Point, c verify.Constraint, opt BatchOptions2D) (*BatchResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	for i, q := range qs {
-		if err := checkQuery2D(q); err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
-		}
-	}
-	o := opt.Options2D.withDefaults()
-	return runBatch(len(qs), opt.Workers, func(i int, sc *queryScratch) (*Result, error) {
-		return e.cpnn(qs[i], c, o, sc)
-	})
-}
 
 // runBatch distributes n query evaluations over a worker pool. Each query
 // borrows a scratch from the pool (the pool's per-P caching makes this a

@@ -108,15 +108,23 @@ func TestCPNNBatch2DMatchesSingles(t *testing.T) {
 		qs[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 	}
 	c := verify.Constraint{P: 0.3, Delta: 0.05}
+	sc := NewScratch()
 	for _, workers := range []int{1, 3} {
-		br, err := eng.CPNNBatch(qs, c, BatchOptions2D{Workers: workers})
+		br, err := eng.CPNNBatch(qs, c, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range qs {
-			want, err := eng.CPNN(q, c, Options2D{})
+			want, err := eng.CPNN(q, c, Options{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			got, err := eng.CPNNScratch(q, c, Options{}, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Candidates, want.Candidates) {
+				t.Fatalf("query %d: 2-D CPNNScratch on a reused scratch differs from CPNN", i)
 			}
 			if !reflect.DeepEqual(br.Results[i].Answers, want.Answers) {
 				t.Fatalf("workers=%d query %d: 2-D batch answers differ from single", workers, i)
@@ -287,13 +295,13 @@ func TestEngine2DRejectsNonFinite(t *testing.T) {
 	}
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 	bad := geom.Point{X: math.NaN(), Y: 0}
-	if _, err := eng.CPNN(bad, c, Options2D{}); err == nil {
+	if _, err := eng.CPNN(bad, c, Options{}); err == nil {
 		t.Error("2-D CPNN accepted NaN")
 	}
-	if _, err := eng.PNN(bad, Options2D{}); err == nil {
+	if _, _, err := eng.PNN(bad, Options{}); err == nil {
 		t.Error("2-D PNN accepted NaN")
 	}
-	if _, err := eng.CPNNBatch([]geom.Point{{X: 1, Y: 1}, bad}, c, BatchOptions2D{}); err == nil {
+	if _, err := eng.CPNNBatch([]geom.Point{{X: 1, Y: 1}, bad}, c, BatchOptions{}); err == nil {
 		t.Error("2-D batch accepted NaN")
 	}
 }

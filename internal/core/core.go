@@ -18,6 +18,34 @@
 // candidate set), probabilistic min/max queries (PNN with q at −∞/+∞, per the
 // paper's introduction), and constrained probabilistic k-NN queries — the
 // paper's stated future work — via sampling.
+//
+// # One pipeline
+//
+// The paper's method touches an uncertain object only through its near and
+// far points (the filter) and its distance pdf (everything after), so the
+// sequence filter → derive → subregion table → verify → refine is written
+// once, in pipeline[Q] (pipeline.go), over the unexported source[Q] seam:
+// check a query point, list the candidates with f_min, name a candidate's
+// ID, derive its distance pdf. The seam is asked once per query and once per
+// candidate; folds, verifiers and refinement never see it.
+//
+//   - Engine (Q = float64) adds source1D — dense IDs, the filter.Index R-tree,
+//     interval folds behind the discretization memo — and what needs the
+//     dataset itself: Min/Max, CKNN, and the incremental entry points of
+//     incremental.go, whose prepare step is the pipeline's stateful
+//     counterpart (same phases, folds and table kept in an EvalState).
+//   - Engine2D (Q = geom.Point) adds source2D — disks, a bounding-box R-tree,
+//     the lens-area reduction — and nothing else.
+//
+// A candidate is therefore filtered in one place (source.candidates, or
+// incrementalFilter for a stateful query), derived in one (pipeline.derive /
+// Engine.cacheFold, both through source.dist) and classified in one
+// (finishVerifyRefine, cpnnBasic or exactAll, each called by the pipeline and
+// by its incremental counterpart). A per-candidate explanation — which
+// verifier or refinement step decided an object — belongs in
+// finishVerifyRefine next to Stats.UnknownAfter; a request context belongs
+// in pipeline.prepare and incrementalPrepare, checked between phases and
+// handed to the derivation pool.
 package core
 
 import (
@@ -96,11 +124,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine answers probabilistic nearest-neighbor queries over one dataset.
+// Engine answers probabilistic nearest-neighbor queries over one 1-D
+// dataset. CPNN, CPNNScratch, CPNNBatch and PNN are the embedded pipeline's;
+// the engine adds what needs the dataset itself: min/max queries, the
+// sampling-based k-NN, and the incremental entry points (incremental.go).
 type Engine struct {
-	ds *uncertain.Dataset
-	ix *filter.Index
-	dv *deriver
+	pipeline[float64]
+	source1D
+}
+
+// source1D is the pipeline's view of a 1-D dataset: positions are dense
+// dataset IDs, the filter is the R-tree index, and distance pdfs are interval
+// folds through the deriver's discretization memo.
+type source1D struct {
+	ds   *uncertain.Dataset
+	ix   *filter.Index
+	memo *deriver
+}
+
+func (s *source1D) check(q float64) error { return checkQuery(q) }
+
+func (s *source1D) candidates(q float64) ([]int, float64) {
+	fr := s.ix.Candidates(q)
+	return fr.IDs, fr.FMin
+}
+
+func (s *source1D) id(pos int) int { return pos }
+
+func (s *source1D) dist(pos int, q float64, bins int, a *pdf.Alloc) (*pdf.Histogram, error) {
+	return s.memo.distFor(s.ds.Object(pos), q, bins, a)
 }
 
 // NewEngine indexes the dataset and returns a ready engine.
@@ -109,7 +161,7 @@ func NewEngine(ds *uncertain.Dataset) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Engine{ds: ds, ix: ix, dv: newDeriver()}, nil
+	return newEngine(ds, ix), nil
 }
 
 // NewEngineWithIndex wraps an already-built filter index — the store's
@@ -123,7 +175,14 @@ func NewEngineWithIndex(ds *uncertain.Dataset, ix *filter.Index) (*Engine, error
 	if ix.Dataset() != ds {
 		return nil, fmt.Errorf("core: index is bound to a different dataset")
 	}
-	return &Engine{ds: ds, ix: ix, dv: newDeriver()}, nil
+	return newEngine(ds, ix), nil
+}
+
+func newEngine(ds *uncertain.Dataset, ix *filter.Index) *Engine {
+	dv := newDeriver()
+	e := &Engine{source1D: source1D{ds: ds, ix: ix, memo: dv}}
+	e.pipeline = pipeline[float64]{src: &e.source1D, dv: dv}
+	return e
 }
 
 // Dataset returns the engine's dataset.
@@ -208,55 +267,6 @@ func (r *Result) AnswerIDs() []int {
 	return ids
 }
 
-// CPNN evaluates a constrained probabilistic nearest-neighbor query at point
-// q under the given constraint and options.
-func (e *Engine) CPNN(q float64, c verify.Constraint, opt Options) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkQuery(q); err != nil {
-		return nil, err
-	}
-	return e.cpnn(q, c, opt.withDefaults(), nil)
-}
-
-// cpnn is the CPNN body, shared by the single-query entry point (sc == nil)
-// and the batch path (sc supplies recycled scratch; see queryScratch for the
-// derivation-mode rules). Inputs are already validated and opt already
-// defaulted.
-func (e *Engine) cpnn(q float64, c verify.Constraint, opt Options, sc *queryScratch) (*Result, error) {
-	res := &Result{}
-	start := time.Now()
-	fr := e.ix.Candidates(q)
-	res.Stats.FilterTime = time.Since(start)
-	res.Stats.Candidates = len(fr.IDs)
-	res.Stats.FMin = fr.FMin
-	if len(fr.IDs) == 0 {
-		return res, nil
-	}
-
-	start = time.Now()
-	sc.resetArena()
-	cands, err := e.distanceCandidates(sc, fr.IDs, q, opt.Bins)
-	if err != nil {
-		return nil, err
-	}
-	sc.keepCandBuf(cands)
-
-	if opt.Strategy == Basic {
-		res.Stats.InitTime = time.Since(start)
-		return cpnnBasic(cands, c, opt, res)
-	}
-
-	table, err := sc.buildTable(cands)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	res.Stats.InitTime = time.Since(start)
-	res.Stats.Subregions = table.NumSubregions()
-	return finishVerifyRefine(table, c, opt, res)
-}
-
 // checkQuery rejects non-finite query points before any engine work: a NaN
 // poisons every distance comparison silently, so it must never reach the
 // filter.
@@ -268,7 +278,8 @@ func checkQuery(q float64) error {
 }
 
 // finishVerifyRefine runs the verification and refinement phases over a
-// built subregion table, shared by the 1-D and 2-D engines.
+// built subregion table, shared by the stateless pipeline and
+// CPNNIncremental.
 func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options, res *Result) (*Result, error) {
 	n := table.NumCandidates()
 	bounds := make([]verify.Bounds, n)
@@ -310,8 +321,11 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 	return res, nil
 }
 
-// exactAll integrates every candidate of a table exactly.
-func exactAll(table *subregion.Table, glNodes int) ([]Probability, error) {
+// exactAll finishes a PNN: it integrates every candidate of a table exactly
+// and orders the result by descending probability, ties by ID. It is shared
+// by PNN and PNNIncremental, so both produce identical orderings.
+func exactAll(table *subregion.Table, glNodes int, st *Stats) ([]Probability, error) {
+	start := time.Now()
 	out := make([]Probability, table.NumCandidates())
 	for i := range out {
 		p, err := refine.Exact(table, i, glNodes)
@@ -320,12 +334,20 @@ func exactAll(table *subregion.Table, glNodes int) ([]Probability, error) {
 		}
 		out[i] = Probability{ID: table.IDs()[i], P: p}
 	}
+	st.RefineTime = time.Since(start)
+	st.RefinedObjects = len(out)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].P != out[b].P {
+			return out[a].P > out[b].P
+		}
+		return out[a].ID < out[b].ID
+	})
 	return out, nil
 }
 
 // cpnnBasic finishes a query under the Basic strategy: exact integration for
-// every candidate, then thresholding. It is shared by the 1-D and 2-D
-// engines.
+// every candidate, then thresholding. It is shared by the stateless pipeline
+// and CPNNIncremental.
 func cpnnBasic(cands []subregion.Candidate, c verify.Constraint, opt Options, res *Result) (*Result, error) {
 	start := time.Now()
 	probs, err := refine.BasicAll(cands, opt.BasicSteps)
@@ -362,73 +384,11 @@ func collect(res *Result, ids []int, bounds []verify.Bounds, status []verify.Sta
 	}
 }
 
-// distanceCandidates derives the distance pdf of every candidate through the
-// shared derivation stage (memoized discretization, parallel folds). sc,
-// when non-nil, supplies the recycled candidate buffer and fold arena; see
-// queryScratch for when derivation stays in-line versus fanning out.
-func (e *Engine) distanceCandidates(sc *queryScratch, ids []int, q float64, bins int) ([]subregion.Candidate, error) {
-	a := sc.foldArena()
-	return e.dv.deriveSet(sc.candBuf(), ids, sc.serialDerive(), func(pos int) (*pdf.Histogram, error) {
-		return e.dv.distFor(e.ds.Object(ids[pos]), q, bins, a)
-	})
-}
-
 // Probability is an object ID paired with its exact qualification
 // probability.
 type Probability struct {
 	ID int
 	P  float64
-}
-
-// PNN computes the exact qualification probability of every candidate —
-// the unconstrained query of the paper's Fig. 2 — sorted by descending
-// probability.
-func (e *Engine) PNN(q float64, opt Options) ([]Probability, Stats, error) {
-	opt = opt.withDefaults()
-	var st Stats
-	if err := checkQuery(q); err != nil {
-		return nil, st, err
-	}
-	start := time.Now()
-	fr := e.ix.Candidates(q)
-	st.FilterTime = time.Since(start)
-	st.Candidates = len(fr.IDs)
-	st.FMin = fr.FMin
-	if len(fr.IDs) == 0 {
-		return nil, st, nil
-	}
-	start = time.Now()
-	cands, err := e.distanceCandidates(nil, fr.IDs, q, opt.Bins)
-	if err != nil {
-		return nil, st, err
-	}
-	table, err := subregion.Build(cands)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: %w", err)
-	}
-	st.InitTime = time.Since(start)
-	st.Subregions = table.NumSubregions()
-
-	start = time.Now()
-	out, err := exactAll(table, opt.GLNodes)
-	if err != nil {
-		return nil, st, err
-	}
-	st.RefineTime = time.Since(start)
-	st.RefinedObjects = len(out)
-	sortProbs(out)
-	return out, st, nil
-}
-
-// sortProbs orders a PNN result by descending probability, ties by ID —
-// shared by PNN and PNNIncremental so both produce identical orderings.
-func sortProbs(out []Probability) {
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].P != out[b].P {
-			return out[a].P > out[b].P
-		}
-		return out[a].ID < out[b].ID
-	})
 }
 
 // Min answers a constrained probabilistic minimum query: which objects have
@@ -525,7 +485,7 @@ func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnsw
 	st.FilterTime = time.Since(start)
 	st.FMin = fk
 	st.Candidates = len(ids)
-	cands, err := e.distanceCandidates(nil, ids, q, opt.Bins)
+	cands, err := e.derive(nil, ids, q, opt.Bins)
 	if err != nil {
 		return nil, st, err
 	}
@@ -537,7 +497,7 @@ func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnsw
 // because k objects are certainly closer — and the surviving candidate IDs in
 // dense order. Shared by CKNN and KNNIncremental.
 func (e *Engine) cknnFilter(q float64, k int) (float64, []int) {
-	fars := e.FarBounds(q, k)
+	fars := e.ix.FarBounds(q, k)
 	fk := fars[len(fars)-1]
 	var ids []int
 	for i, n := 0, e.ds.Len(); i < n; i++ {
@@ -546,29 +506,6 @@ func (e *Engine) cknnFilter(q float64, k int) (float64, []int) {
 		}
 	}
 	return fk, ids
-}
-
-// FarBounds returns the k smallest far-point distances from q, ascending
-// (fewer when the dataset holds fewer than k objects; nil when it is empty).
-// The last value is the k-NN critical distance f_k; k = 1 yields the C-PNN
-// filtering bound f_min. Scatter-gather merges per-shard FarBounds lists to
-// recover the global bound exactly: each of the k global witnesses is one of
-// some shard's k smallest, so the k smallest of the merged lists equal the k
-// smallest of the whole dataset.
-func (e *Engine) FarBounds(q float64, k int) []float64 {
-	n := e.ds.Len()
-	if n == 0 || k < 1 {
-		return nil
-	}
-	fars := make([]float64, n)
-	for i := range fars {
-		fars[i] = e.ds.Region(i).MaxDist(q)
-	}
-	sort.Float64s(fars)
-	if k < n {
-		fars = fars[:k:k]
-	}
-	return fars
 }
 
 // cknnClassify is the verification half of a constrained k-NN evaluation,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,9 +11,9 @@ import (
 	"repro/internal/uncertain"
 )
 
-// deriver is the candidate-derivation stage shared by Engine and Engine2D:
-// it turns a filtered ID set into subregion.Candidates by deriving each
-// object's distance distribution. It memoizes pdf.Discretize results per
+// deriver is the candidate-derivation stage of the pipeline: it turns a
+// filtered position set into subregion.Candidates by deriving each object's
+// distance distribution. It memoizes pdf.Discretize results per
 // (object, resolution) — discretization is query-independent, so the cost is
 // paid once per object across a query workload — and fans the per-candidate
 // folds across a bounded worker pool, since each derivation is independent.
@@ -89,15 +88,14 @@ func (dv *deriver) distFor(obj uncertain.Object, q float64, bins int, a *pdf.All
 const serialDeriveCutoff = 16
 
 // deriveSet derives the distance distribution of every candidate and
-// assembles the candidate set in input order. fn maps a position in ids to
-// that candidate's distance pdf; positions are distributed over the worker
-// pool, with a serial fast path for small sets. dst, when its capacity
-// suffices, provides the backing array of the returned candidate slice (the
-// batch path recycles it per worker); serial forces the in-line path — batch
-// workers already saturate the cores at query granularity, so fanning out
-// per-candidate goroutines underneath them would only add scheduling churn.
-func (dv *deriver) deriveSet(dst []subregion.Candidate, ids []int, serial bool, fn func(pos int) (*pdf.Histogram, error)) ([]subregion.Candidate, error) {
-	n := len(ids)
+// assembles the candidate set in input order. fn maps a position in [0, n)
+// to that candidate; positions are distributed over the worker pool, with a
+// serial fast path for small sets. dst, when its capacity suffices, provides
+// the backing array of the returned candidate slice (the batch path recycles
+// it per worker); serial forces the in-line path — batch workers already
+// saturate the cores at query granularity, so fanning out per-candidate
+// goroutines underneath them would only add scheduling churn.
+func (dv *deriver) deriveSet(dst []subregion.Candidate, n int, serial bool, fn func(i int) (subregion.Candidate, error)) ([]subregion.Candidate, error) {
 	var cands []subregion.Candidate
 	if cap(dst) >= n {
 		cands = dst[:n]
@@ -111,13 +109,9 @@ func (dv *deriver) deriveSet(dst []subregion.Candidate, ids []int, serial bool, 
 	if serial || n < serialDeriveCutoff {
 		workers = 1
 	}
-	err := parallelFor(n, workers, func(i int) error {
-		d, err := fn(i)
-		if err != nil {
-			return fmt.Errorf("core: object %d: %w", ids[i], err)
-		}
-		cands[i] = subregion.Candidate{ID: ids[i], Dist: d}
-		return nil
+	err := parallelFor(n, workers, func(i int) (err error) {
+		cands[i], err = fn(i)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/pdf"
+	"repro/internal/subregion"
 	"repro/internal/uncertain"
 )
 
@@ -42,16 +43,17 @@ func TestDeriveSetMatchesSerial(t *testing.T) {
 	serial := newDeriver()
 	serial.workers = 1
 
-	fn := func(dv *deriver) func(int) (*pdf.Histogram, error) {
-		return func(pos int) (*pdf.Histogram, error) {
-			return dv.distFor(ds.Object(ids[pos]), q, dist.DefaultBins, nil)
+	fn := func(dv *deriver) func(int) (subregion.Candidate, error) {
+		return func(pos int) (subregion.Candidate, error) {
+			h, err := dv.distFor(ds.Object(ids[pos]), q, dist.DefaultBins, nil)
+			return subregion.Candidate{ID: ids[pos], Dist: h}, err
 		}
 	}
-	got, err := parallel.deriveSet(nil, ids, false, fn(parallel))
+	got, err := parallel.deriveSet(nil, len(ids), false, fn(parallel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.deriveSet(nil, ids, false, fn(serial))
+	want, err := serial.deriveSet(nil, len(ids), false, fn(serial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +84,13 @@ func TestDeriveSetMatchesSerial(t *testing.T) {
 func TestDeriveSetPropagatesError(t *testing.T) {
 	dv := newDeriver()
 	dv.workers = 4 // force the pool path even on single-core hosts
-	ids := make([]int, 100)
-	for i := range ids {
-		ids[i] = i
-	}
 	sentinel := errors.New("boom")
-	_, err := dv.deriveSet(nil, ids, false, func(pos int) (*pdf.Histogram, error) {
+	_, err := dv.deriveSet(nil, 100, false, func(pos int) (subregion.Candidate, error) {
 		if pos%7 == 3 {
-			return nil, sentinel
+			return subregion.Candidate{}, sentinel
 		}
-		return pdf.NewHistogram([]float64{0, 1}, []float64{1})
+		h, err := pdf.NewHistogram([]float64{0, 1}, []float64{1})
+		return subregion.Candidate{ID: pos, Dist: h}, err
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
@@ -170,8 +169,9 @@ func BenchmarkDeriveCandidates(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, err := dv.deriveSet(nil, ids, false, func(pos int) (*pdf.Histogram, error) {
-						return dv.distFor(ds.Object(ids[pos]), 25.0, dist.DefaultBins, nil)
+					_, err := dv.deriveSet(nil, n, false, func(pos int) (subregion.Candidate, error) {
+						h, err := dv.distFor(ds.Object(ids[pos]), 25.0, dist.DefaultBins, nil)
+						return subregion.Candidate{ID: ids[pos], Dist: h}, err
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -3,15 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/rtree"
-	"repro/internal/subregion"
-	"repro/internal/verify"
 )
 
 // Object2D is an uncertain object in the plane: a disk-shaped uncertainty
@@ -24,27 +20,39 @@ type Object2D struct {
 	Region geom.Circle
 }
 
-// Engine2D answers C-PNN queries over planar uncertain objects. The
-// pipeline is identical to the 1-D engine's — filter, verify, refine — with
-// the distance pdfs derived from lens areas instead of interval folds,
-// through the same shared derivation stage. Only the stage's parallel
-// fan-out applies here: the lens reduction depends on the query point, so
-// there is nothing query-independent to memoize (the discretization memo
-// serves the 1-D engine's analytic pdfs).
+// Engine2D answers C-PNN queries over planar uncertain objects. Every entry
+// point (CPNN, CPNNScratch, CPNNBatch, PNN) is the embedded pipeline's; the
+// engine adds only its source: distance pdfs derived from lens areas instead
+// of interval folds. Only the derivation stage's parallel fan-out applies
+// here: the lens reduction depends on the query point, so there is nothing
+// query-independent to memoize (the discretization memo serves the 1-D
+// engine's analytic pdfs).
 type Engine2D struct {
+	pipeline[geom.Point]
+	source2D
+}
+
+// source2D is the pipeline's view of a planar dataset: positions index objs,
+// the filter walks an R-tree over the disks' bounding boxes, and distance
+// pdfs come from the circle–circle lens reduction.
+type source2D struct {
 	objs []Object2D
 	tree *rtree.Tree[int]
-	dv   *deriver
 }
 
 // NewEngine2D indexes the objects' bounding boxes and returns a 2-D engine.
-// Object IDs must be unique; radii must be positive.
+// Object IDs must be unique; centres must be finite and radii finite and
+// positive — the same conditions the store puts on a disk before logging it.
 func NewEngine2D(objs []Object2D) (*Engine2D, error) {
 	inputs := make([]rtree.Input[int], len(objs))
 	seen := make(map[int]bool, len(objs))
 	for i, o := range objs {
-		if !(o.Region.Radius > 0) {
-			return nil, fmt.Errorf("core: object %d has non-positive radius %g", o.ID, o.Region.Radius)
+		if !(o.Region.Radius > 0) || math.IsInf(o.Region.Radius, 0) {
+			return nil, fmt.Errorf("core: object %d has radius %g, want finite and positive", o.ID, o.Region.Radius)
+		}
+		// A centre is held to the rule for query points: finite coordinates.
+		if c := o.Region.Center; checkQuery(c.X) != nil || checkQuery(c.Y) != nil {
+			return nil, fmt.Errorf("core: object %d has non-finite centre %+v", o.ID, c)
 		}
 		if seen[o.ID] {
 			return nil, fmt.Errorf("core: duplicate object ID %d", o.ID)
@@ -56,178 +64,53 @@ func NewEngine2D(objs []Object2D) (*Engine2D, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Engine2D{
-		objs: append([]Object2D(nil), objs...),
-		tree: tree,
-		dv:   newDeriver(),
-	}, nil
-}
-
-// distanceCandidates derives the lens-area distance pdf of every candidate
-// (given by index into objs) through the shared derivation stage. sc, when
-// non-nil, supplies recycled buffers; see queryScratch for when derivation
-// stays in-line versus fanning out.
-func (e *Engine2D) distanceCandidates(sc *queryScratch, candIdx []int, q geom.Point, bins int) ([]subregion.Candidate, error) {
-	ids := sc.idBuf(len(candIdx))
-	for i, idx := range candIdx {
-		ids[i] = e.objs[idx].ID
-	}
-	a := sc.foldArena()
-	return e.dv.deriveSet(sc.candBuf(), ids, sc.serialDerive(), func(pos int) (*pdf.Histogram, error) {
-		return dist.FromCircleIn(a, e.objs[candIdx[pos]].Region, q, bins)
-	})
+	e := &Engine2D{source2D: source2D{objs: append([]Object2D(nil), objs...), tree: tree}}
+	e.pipeline = pipeline[geom.Point]{src: &e.source2D, dv: newDeriver()}
+	return e, nil
 }
 
 // Len returns the number of indexed objects.
 func (e *Engine2D) Len() int { return len(e.objs) }
 
-// Options2D tunes 2-D query evaluation.
-type Options2D struct {
-	// Strategy is the evaluation method; the zero value is VR.
-	Strategy Strategy
-	// Bins is the distance-pdf discretization resolution; 0 means
-	// dist.DefaultBins.
-	Bins int
-	// GLNodes and BasicSteps mirror Options.
-	GLNodes    int
-	BasicSteps int
-}
-
-func (o Options2D) withDefaults() Options2D {
-	if o.Bins == 0 {
-		o.Bins = dist.DefaultBins
-	}
-	return o
-}
-
-// checkQuery2D rejects non-finite planar query points, mirroring checkQuery.
-func checkQuery2D(q geom.Point) error {
+func (s *source2D) check(q geom.Point) error {
 	if err := checkQuery(q.X); err != nil {
 		return err
 	}
 	return checkQuery(q.Y)
 }
 
-// CPNN evaluates a planar constrained probabilistic nearest-neighbor query.
-func (e *Engine2D) CPNN(q geom.Point, c verify.Constraint, opt Options2D) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkQuery2D(q); err != nil {
-		return nil, err
-	}
-	return e.cpnn(q, c, opt.withDefaults(), nil)
-}
-
-// cpnn is the planar CPNN body, shared by the single-query entry point
-// (sc == nil) and the batch path. Inputs are already validated and opt
-// already defaulted.
-func (e *Engine2D) cpnn(q geom.Point, c verify.Constraint, opt Options2D, sc *queryScratch) (*Result, error) {
-	res := &Result{}
-	if len(e.objs) == 0 {
-		return res, nil
-	}
-
-	start := time.Now()
-	candIdx, fMin := e.filterCandidates(q)
-	res.Stats.FilterTime = time.Since(start)
-	res.Stats.Candidates = len(candIdx)
-	res.Stats.FMin = fMin
-	if len(candIdx) == 0 {
-		return res, nil
-	}
-
-	// Initialization: lens-area distance pdfs via the shared stage.
-	start = time.Now()
-	sc.resetArena()
-	cands, err := e.distanceCandidates(sc, candIdx, q, opt.Bins)
-	if err != nil {
-		return nil, err
-	}
-	sc.keepCandBuf(cands)
-
-	// From here the 1-D machinery applies unchanged.
-	oneD := Options{
-		Strategy:   opt.Strategy,
-		GLNodes:    opt.GLNodes,
-		BasicSteps: opt.BasicSteps,
-		Bins:       opt.Bins,
-	}.withDefaults()
-	if opt.Strategy == Basic {
-		res.Stats.InitTime = time.Since(start)
-		return cpnnBasic(cands, c, oneD, res)
-	}
-	table, err := sc.buildTable(cands)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	res.Stats.InitTime = time.Since(start)
-	res.Stats.Subregions = table.NumSubregions()
-	return finishVerifyRefine(table, c, oneD, res)
-}
-
-// filterCandidates computes the 2-D candidate set: indexes into objs of the
+// candidates computes the 2-D candidate set: indexes into objs of the
 // objects whose near point is within f_min, plus f_min itself. The R-tree
 // bound uses bounding boxes (a valid upper bound on the minimal circle far
 // point); candidate circles then tighten f_min exactly before the near-point
 // prune.
-func (e *Engine2D) filterCandidates(q geom.Point) (candIdx []int, fMin float64) {
-	fBox := e.tree.MinMaxDist(q)
+func (s *source2D) candidates(q geom.Point) (candIdx []int, fMin float64) {
+	if len(s.objs) == 0 {
+		return nil, 0
+	}
+	fBox := s.tree.MinMaxDist(q)
 	window := geom.Rect{MinX: q.X - fBox, MinY: q.Y - fBox, MaxX: q.X + fBox, MaxY: q.Y + fBox}
 	var rough []int
-	e.tree.Search(window, func(_ geom.Rect, idx int) bool {
+	s.tree.Search(window, func(_ geom.Rect, idx int) bool {
 		rough = append(rough, idx)
 		return true
 	})
 	fMin = math.Inf(1)
 	for _, idx := range rough {
-		if f := e.objs[idx].Region.MaxDist(q); f < fMin {
+		if f := s.objs[idx].Region.MaxDist(q); f < fMin {
 			fMin = f
 		}
 	}
 	for _, idx := range rough {
-		if e.objs[idx].Region.MinDist(q) <= fMin {
+		if s.objs[idx].Region.MinDist(q) <= fMin {
 			candIdx = append(candIdx, idx)
 		}
 	}
 	return candIdx, fMin
 }
 
-// PNN returns the exact qualification probability of every candidate for
-// the planar query point, sorted by descending probability. It shares the
-// filter and derivation stages with CPNN and integrates every candidate
-// exactly — no verification pass, whose bounds a PNN would discard anyway.
-func (e *Engine2D) PNN(q geom.Point, opt Options2D) ([]Probability, error) {
-	if err := checkQuery2D(q); err != nil {
-		return nil, err
-	}
-	if opt.Bins == 0 {
-		opt.Bins = dist.DefaultBins
-	}
-	if len(e.objs) == 0 {
-		return nil, nil
-	}
-	candIdx, _ := e.filterCandidates(q)
-	if len(candIdx) == 0 {
-		return nil, nil
-	}
-	cands, err := e.distanceCandidates(nil, candIdx, q, opt.Bins)
-	if err != nil {
-		return nil, err
-	}
-	table, err := subregion.Build(cands)
-	if err != nil {
-		return nil, err
-	}
-	out, err := exactAll(table, opt.GLNodes)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].P != out[b].P {
-			return out[a].P > out[b].P
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out, nil
+func (s *source2D) id(pos int) int { return s.objs[pos].ID }
+
+func (s *source2D) dist(pos int, q geom.Point, bins int, a *pdf.Alloc) (*pdf.Histogram, error) {
+	return dist.FromCircleIn(a, s.objs[pos].Region, q, bins)
 }

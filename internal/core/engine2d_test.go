@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -28,6 +29,21 @@ func TestEngine2DValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("duplicate IDs accepted")
 	}
+	// What the store refuses for a disk op the constructor must refuse too,
+	// naming the object: left in, each of these fails every later query.
+	for name, region := range map[string]geom.Circle{
+		"NaN centre":  {Center: geom.Point{X: math.NaN(), Y: 1}, Radius: 1},
+		"+Inf centre": {Center: geom.Point{X: 1, Y: math.Inf(1)}, Radius: 1},
+		"-Inf centre": {Center: geom.Point{X: math.Inf(-1), Y: 1}, Radius: 1},
+		"+Inf radius": {Center: geom.Point{X: 1, Y: 1}, Radius: math.Inf(1)},
+	} {
+		_, err := NewEngine2D([]Object2D{{ID: 0, Region: geom.Circle{Radius: 1}}, {ID: 41, Region: region}})
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), "object 41") {
+			t.Errorf("%s: error %q does not name the object", name, err)
+		}
+	}
 }
 
 func TestEngine2DEmpty(t *testing.T) {
@@ -35,7 +51,7 @@ func TestEngine2DEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.CPNN(geom.Point{}, verify.Constraint{P: 0.3}, Options2D{})
+	res, err := e.CPNN(geom.Point{}, verify.Constraint{P: 0.3}, Options{})
 	if err != nil || len(res.Answers) != 0 {
 		t.Errorf("empty 2-D engine: %v, %v", res, err)
 	}
@@ -46,7 +62,7 @@ func TestEngine2DFiltersFarObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.CPNN(geom.Point{X: 0, Y: 0}, verify.Constraint{P: 0.1, Delta: 0.01}, Options2D{Bins: 128})
+	res, err := e.CPNN(geom.Point{X: 0, Y: 0}, verify.Constraint{P: 0.1, Delta: 0.01}, Options{Bins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +83,19 @@ func TestEngine2DPNNMatchesMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := geom.Point{X: 0, Y: 0}
-	probs, err := e.PNN(q, Options2D{Bins: 256})
+	probs, st, err := e.PNN(q, Options{Bins: 256})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// PNN shares CPNN's filter, derivation and table, so it reports the same
+	// set sizes and filtering bound.
+	res, err := e.CPNN(q, verify.Constraint{P: 0.3}, Options{Bins: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Candidates != res.Stats.Candidates || st.Subregions != res.Stats.Subregions || st.FMin != res.Stats.FMin {
+		t.Errorf("PNN stats (|C|=%d, M=%d, f_min=%g) differ from CPNN's (|C|=%d, M=%d, f_min=%g)",
+			st.Candidates, st.Subregions, st.FMin, res.Stats.Candidates, res.Stats.Subregions, res.Stats.FMin)
 	}
 	sum := 0.0
 	exact := map[int]float64{}
@@ -128,17 +154,31 @@ func TestEngine2DStrategiesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := verify.Constraint{P: 0.3, Delta: 0}
+	refinedVR, refinedRS := 0, 0
 	for _, q := range []geom.Point{{X: 50, Y: 50}, {X: 20, Y: 80}, {X: 66, Y: 10}} {
-		vr, err := e.CPNN(q, c, Options2D{Bins: 128})
+		vr, err := e.CPNN(q, c, Options{Bins: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		basic, err := e.CPNN(q, c, Options2D{Strategy: Basic, Bins: 128, BasicSteps: 4000})
+		// A verifier subset decides fewer objects but never different ones.
+		rs, err := e.CPNN(q, c, Options{Bins: 128, Verifiers: []verify.Verifier{verify.RS{}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(vr.AnswerIDs(), rs.AnswerIDs()) {
+			t.Errorf("q=%v: VR %v vs RS-only %v", q, vr.AnswerIDs(), rs.AnswerIDs())
+		}
+		refinedVR += vr.Stats.RefinedObjects
+		refinedRS += rs.Stats.RefinedObjects
+		basic, err := e.CPNN(q, c, Options{Strategy: Basic, Bins: 128, BasicSteps: 4000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalInts(vr.AnswerIDs(), basic.AnswerIDs()) {
 			t.Errorf("q=%v: VR %v vs Basic %v", q, vr.AnswerIDs(), basic.AnswerIDs())
 		}
+	}
+	if refinedRS <= refinedVR {
+		t.Errorf("RS alone refined %d objects, the full chain %d: the verifier subset did not run", refinedRS, refinedVR)
 	}
 }

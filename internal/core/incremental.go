@@ -117,9 +117,6 @@ func (st *EvalState) Valid() bool { return st.valid }
 // errors).
 func (st *EvalState) Invalidate() { st.valid = false }
 
-// CachedFolds returns the number of retained candidate derivations.
-func (st *EvalState) CachedFolds() int { return len(st.folds) }
-
 // MemBytes returns the approximate heap footprint of the state: cached folds,
 // the retained subregion table, and assembly scratch. The monitor accounts
 // this against its configured state-cache cap.
@@ -154,15 +151,25 @@ type IncrementalStats struct {
 	Reused, Derived int
 }
 
-// checkIncremental validates the shared incremental-call invariants.
-func (e *Engine) checkIncremental(st *EvalState, ids []uint64) error {
+// beginIncremental validates what every incremental call shares — a finite
+// query point, a NewEvalState state, an ID map covering the dataset — and
+// only then resolves a nil changed set ("anything may have changed") into an
+// invalidated state and an empty set.
+func (e *Engine) beginIncremental(q float64, st *EvalState, ids []uint64, changed map[uint64]int) (map[uint64]int, error) {
+	if err := checkQuery(q); err != nil {
+		return nil, err
+	}
 	if st == nil || st.folds == nil {
-		return fmt.Errorf("core: incremental evaluation requires a NewEvalState state")
+		return nil, fmt.Errorf("core: incremental evaluation requires a NewEvalState state")
 	}
 	if len(ids) != e.ds.Len() {
-		return fmt.Errorf("core: IDs maps %d objects, dataset holds %d", len(ids), e.ds.Len())
+		return nil, fmt.Errorf("core: IDs maps %d objects, dataset holds %d", len(ids), e.ds.Len())
 	}
-	return nil
+	if changed == nil {
+		st.Invalidate()
+		changed = map[uint64]int{}
+	}
+	return changed, nil
 }
 
 // skipCheck reports whether the previous answer is provably unchanged: the
@@ -304,12 +311,18 @@ func (e *Engine) replayFilter(q float64, st *EvalState, ids []uint64, changed ma
 }
 
 // incrementalFilter produces the filtering result for an incremental
-// evaluation — by cache replay when the state supports it, else through the
-// R-tree — along with the stable ID attaining the critical distance (known
-// whenever ok; the tree path recovers it from the candidate set, where the
-// attaining object always appears since its near point cannot exceed its far
-// point).
-func (e *Engine) incrementalFilter(q float64, st *EvalState, ids []uint64, changed map[uint64]int) (filter.Result, uint64, bool) {
+// evaluation at filter depth k. For k = 1 — by cache replay when the state
+// supports it, else through the R-tree — it also returns the stable ID
+// attaining the critical distance (known whenever ok; the tree path recovers
+// it from the candidate set, where the attaining object always appears since
+// its near point cannot exceed its far point). For k > 1 the bound is f_k,
+// which is not a far-point minimum: there is no witness to follow, so no
+// replay either.
+func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64, changed map[uint64]int) (filter.Result, uint64, bool) {
+	if k > 1 {
+		fk, cands := e.cknnFilter(q, k)
+		return filter.Result{IDs: cands, FMin: fk}, 0, false
+	}
 	if fr, fs, ok := e.replayFilter(q, st, ids, changed); ok {
 		return fr, fs, true
 	}
@@ -322,16 +335,42 @@ func (e *Engine) incrementalFilter(q float64, st *EvalState, ids []uint64, chang
 	return fr, 0, false
 }
 
+// cacheFold derives the distance pdf of the object in dense slot d (stable
+// ID s) and installs it in the state's fold cache under the current
+// generation. The fold lives on the heap — cached folds outlive any arena
+// reset, so the arena is never used here. A failed derivation invalidates the
+// state.
+func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, inc *IncrementalStats) (*cachedFold, error) {
+	h, err := e.dist(d, q, bins, nil)
+	if err != nil {
+		st.Invalidate()
+		return nil, err
+	}
+	cf := st.folds[s]
+	if cf == nil {
+		cf = &cachedFold{}
+		st.folds[s] = cf
+	} else {
+		st.foldBytes -= cf.h.MemBytes()
+	}
+	cf.h, cf.gen, cf.dense = h, st.gen, d
+	cf.near = e.ds.Region(d).MinDist(q)
+	st.foldBytes += h.MemBytes()
+	inc.Derived++
+	return cf, nil
+}
+
 // incrementalPrepare runs the filter and derivation phases of an incremental
-// evaluation: early-exit check, fold-cache classification, and (when
-// buildTable is set) the in-place table patch or rebuild. On return with
-// inc.Skipped the caller reuses its previous answer; with stats.Candidates
-// == 0 the answer is empty; otherwise st.table (or st.cands when buildTable
-// is false) holds the prepared candidate set. Filter and init timings land
-// in stats.
-func (e *Engine) incrementalPrepare(q float64, bins int, buildTable bool, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) error {
+// evaluation at filter depth k (1 for CPNN/PNN, the neighbor count for
+// k-NN): early-exit check, fold-cache classification, and (when buildTable is
+// set) the in-place table patch or rebuild. On return with inc.Skipped the
+// caller reuses its previous answer; with stats.Candidates == 0 the answer is
+// empty; otherwise st.table (or st.cands when buildTable is false) holds the
+// prepared candidate set. Filter and init timings, set sizes and the
+// critical distance land in stats.
+func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) error {
 	start := time.Now()
-	fr, fminStable, fminKnown := e.incrementalFilter(q, st, ids, changed)
+	fr, fminStable, fminKnown := e.incrementalFilter(q, k, st, ids, changed)
 	stats.FilterTime = time.Since(start)
 	stats.Candidates = len(fr.IDs)
 	stats.FMin = fr.FMin
@@ -348,6 +387,16 @@ func (e *Engine) incrementalPrepare(q float64, bins int, buildTable bool, st *Ev
 	start = time.Now()
 	st.gen++
 	gen := st.gen
+	// commit records a completed preparation in the state and in stats.
+	commit := func() {
+		st.fmin = fr.FMin
+		st.fminStable, st.fminKnown = fminStable, fminKnown
+		st.valid = true
+		if buildTable {
+			stats.Subregions = st.table.NumSubregions()
+		}
+		stats.InitTime = time.Since(start)
+	}
 
 	// First pass: mark reusable folds and decide patch feasibility. A patch
 	// needs a previously built table, every surviving candidate still in the
@@ -391,88 +440,56 @@ func (e *Engine) incrementalPrepare(q float64, bins int, buildTable bool, st *Ev
 		if departed <= 1 {
 			var up *subregion.Candidate
 			if upDense >= 0 {
-				h, err := e.dv.distFor(e.ds.Object(upDense), q, bins, nil)
+				cf, err := e.cacheFold(q, bins, st, upStable, upDense, inc)
 				if err != nil {
-					st.Invalidate()
 					return err
 				}
-				cf := st.folds[upStable]
-				if cf == nil {
-					cf = &cachedFold{}
-					st.folds[upStable] = cf
-				} else {
-					st.foldBytes -= cf.h.MemBytes()
-				}
-				cf.h, cf.gen, cf.dense = h, gen, upDense
-				cf.near = e.ds.Region(upDense).MinDist(q)
-				st.foldBytes += h.MemBytes()
-				inc.Derived++
-				up = &subregion.Candidate{ID: upDense, Dist: h}
+				up = &subregion.Candidate{ID: upDense, Dist: cf.h}
 			}
-			if up != nil || evictDense >= 0 {
-				if err := st.table.Patch(up, evictDense); err != nil {
-					// The edited set no longer forms a valid table (should
-					// not happen for genuine filter output); fall back to a
-					// full re-derivation below.
-					st.Invalidate()
-				} else {
-					if evictDense >= 0 {
-						if cf := st.folds[evictStable]; cf != nil {
-							st.foldBytes -= cf.h.MemBytes()
-							delete(st.folds, evictStable)
-						}
-					}
-					inc.Patched = true
-					inc.Reused = len(st.folds)
-					if up != nil {
-						inc.Reused--
-					}
-					st.fmin = fr.FMin
-					st.fminStable, st.fminKnown = fminStable, fminKnown
-					st.valid = true
-					stats.InitTime = time.Since(start)
-					return nil
-				}
-			} else {
+			if up == nil && evictDense < 0 {
 				// Candidate set identical and nothing changed inside it; the
 				// cached table already is the fresh one.
 				inc.Patched = true
 				inc.Reused = len(st.folds)
-				st.fmin = fr.FMin
-				st.fminStable, st.fminKnown = fminStable, fminKnown
-				st.valid = true
-				stats.InitTime = time.Since(start)
+				commit()
+				return nil
+			}
+			if err := st.table.Patch(up, evictDense); err != nil {
+				// The edited set no longer forms a valid table (should not
+				// happen for genuine filter output); fall back to a full
+				// re-derivation below.
+				st.Invalidate()
+			} else {
+				if evictDense >= 0 {
+					if cf := st.folds[evictStable]; cf != nil {
+						st.foldBytes -= cf.h.MemBytes()
+						delete(st.folds, evictStable)
+					}
+				}
+				inc.Patched = true
+				inc.Reused = len(st.folds)
+				if up != nil {
+					inc.Reused--
+				}
+				commit()
 				return nil
 			}
 		}
 	}
 
 	// Full path: assemble the candidate set in filter order, reusing cached
-	// folds (marked with this generation above) and deriving the rest on the
-	// heap — cached folds outlive any arena reset, so the arena is never
-	// used here.
+	// folds (marked with this generation above) and deriving the rest, then
+	// evict every fold that left the candidate set.
 	cands := st.cands[:0]
 	for _, d := range fr.IDs {
-		s := ids[d]
-		cf := st.folds[s]
+		cf := st.folds[ids[d]]
 		if cf != nil && cf.gen == gen {
 			inc.Reused++
 		} else {
-			h, err := e.dv.distFor(e.ds.Object(d), q, bins, nil)
-			if err != nil {
-				st.Invalidate()
+			var err error
+			if cf, err = e.cacheFold(q, bins, st, ids[d], d, inc); err != nil {
 				return err
 			}
-			if cf == nil {
-				cf = &cachedFold{}
-				st.folds[s] = cf
-			} else {
-				st.foldBytes -= cf.h.MemBytes()
-			}
-			cf.h, cf.gen, cf.dense = h, gen, d
-			cf.near = e.ds.Region(d).MinDist(q)
-			st.foldBytes += h.MemBytes()
-			inc.Derived++
 		}
 		cands = append(cands, subregion.Candidate{ID: d, Dist: cf.h})
 	}
@@ -490,10 +507,7 @@ func (e *Engine) incrementalPrepare(q float64, bins int, buildTable bool, st *Ev
 		}
 		st.tableBuilt = true
 	}
-	st.fmin = fr.FMin
-	st.fminStable, st.fminKnown = fminStable, fminKnown
-	st.valid = true
-	stats.InitTime = time.Since(start)
+	commit()
 	return nil
 }
 
@@ -510,20 +524,13 @@ func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st
 	if err := c.Validate(); err != nil {
 		return nil, inc, err
 	}
-	if err := checkQuery(q); err != nil {
+	changed, err := e.beginIncremental(q, st, ids, changed)
+	if err != nil {
 		return nil, inc, err
-	}
-	if err := e.checkIncremental(st, ids); err != nil {
-		return nil, inc, err
-	}
-	if changed == nil {
-		st.Invalidate()
-		changed = map[uint64]int{}
 	}
 	opt = opt.withDefaults()
 	res := &Result{}
-	buildTable := opt.Strategy != Basic
-	if err := e.incrementalPrepare(q, opt.Bins, buildTable, st, ids, changed, &inc, &res.Stats); err != nil {
+	if err := e.incrementalPrepare(q, opt.Bins, 1, opt.Strategy != Basic, st, ids, changed, &inc, &res.Stats); err != nil {
 		return nil, inc, err
 	}
 	if inc.Skipped {
@@ -533,12 +540,11 @@ func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st
 		return res, inc, nil
 	}
 	if opt.Strategy == Basic {
-		r, err := cpnnBasic(st.cands, c, opt, res)
-		return r, inc, err
+		res, err = cpnnBasic(st.cands, c, opt, res)
+	} else {
+		res, err = finishVerifyRefine(&st.table, c, opt, res)
 	}
-	res.Stats.Subregions = st.table.NumSubregions()
-	r, err := finishVerifyRefine(&st.table, c, opt, res)
-	return r, inc, err
+	return res, inc, err
 }
 
 // PNNIncremental is the incremental form of PNN; see CPNNIncremental for the
@@ -547,33 +553,19 @@ func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st
 func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uint64, changed map[uint64]int) ([]Probability, Stats, IncrementalStats, error) {
 	var inc IncrementalStats
 	var stats Stats
-	if err := checkQuery(q); err != nil {
+	changed, err := e.beginIncremental(q, st, ids, changed)
+	if err != nil {
 		return nil, stats, inc, err
-	}
-	if err := e.checkIncremental(st, ids); err != nil {
-		return nil, stats, inc, err
-	}
-	if changed == nil {
-		st.Invalidate()
-		changed = map[uint64]int{}
 	}
 	opt = opt.withDefaults()
-	if err := e.incrementalPrepare(q, opt.Bins, true, st, ids, changed, &inc, &stats); err != nil {
+	if err := e.incrementalPrepare(q, opt.Bins, 1, true, st, ids, changed, &inc, &stats); err != nil {
 		return nil, stats, inc, err
 	}
 	if inc.Skipped || stats.Candidates == 0 {
 		return nil, stats, inc, nil
 	}
-	stats.Subregions = st.table.NumSubregions()
-	start := time.Now()
-	out, err := exactAll(&st.table, opt.GLNodes)
-	if err != nil {
-		return nil, stats, inc, err
-	}
-	stats.RefineTime = time.Since(start)
-	stats.RefinedObjects = len(out)
-	sortProbs(out)
-	return out, stats, inc, nil
+	out, err := exactAll(&st.table, opt.GLNodes, &stats)
+	return out, stats, inc, err
 }
 
 // KNNIncremental is the incremental form of CKNN; see CPNNIncremental for
@@ -589,18 +581,12 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 	if err := c.Validate(); err != nil {
 		return nil, stats, inc, err
 	}
-	if err := checkQuery(q); err != nil {
-		return nil, stats, inc, err
-	}
-	if err := e.checkIncremental(st, ids); err != nil {
-		return nil, stats, inc, err
-	}
 	if opt.K < 1 {
 		return nil, stats, inc, fmt.Errorf("core: k = %d < 1", opt.K)
 	}
-	if changed == nil {
-		st.Invalidate()
-		changed = map[uint64]int{}
+	changed, err := e.beginIncremental(q, st, ids, changed)
+	if err != nil {
+		return nil, stats, inc, err
 	}
 	if opt.Samples == 0 {
 		opt.Samples = 10000
@@ -618,66 +604,14 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 	if k > n {
 		k = n
 	}
-	start := time.Now()
-	fk, candIDs := e.cknnFilter(q, k)
-	stats.FilterTime = time.Since(start)
-	stats.FMin = fk
-	stats.Candidates = len(candIDs)
-
-	if st.skipCheck(fk, candIDs, ids, changed) {
-		inc.Skipped = true
+	if err := e.incrementalPrepare(q, opt.Bins, k, false, st, ids, changed, &inc, &stats); err != nil {
+		return nil, stats, inc, err
+	}
+	if inc.Skipped {
 		return nil, stats, inc, nil
 	}
-
-	start = time.Now()
-	st.gen++
-	gen := st.gen
-	cands := st.cands[:0]
-	for _, d := range candIDs {
-		s := ids[d]
-		cf := st.folds[s]
-		reuse := cf != nil && st.valid
-		if reuse {
-			if _, isChanged := changed[s]; isChanged {
-				reuse = false
-			}
-		}
-		if reuse {
-			cf.gen, cf.dense = gen, d
-			inc.Reused++
-		} else {
-			h, err := e.dv.distFor(e.ds.Object(d), q, opt.Bins, nil)
-			if err != nil {
-				st.Invalidate()
-				return nil, stats, inc, err
-			}
-			if cf == nil {
-				cf = &cachedFold{}
-				st.folds[s] = cf
-			} else {
-				st.foldBytes -= cf.h.MemBytes()
-			}
-			cf.h, cf.gen, cf.dense = h, gen, d
-			cf.near = e.ds.Region(d).MinDist(q)
-			st.foldBytes += h.MemBytes()
-			inc.Derived++
-		}
-		cands = append(cands, subregion.Candidate{ID: d, Dist: cf.h})
-	}
-	st.cands = cands
-	for s, cf := range st.folds {
-		if cf.gen != gen {
-			st.foldBytes -= cf.h.MemBytes()
-			delete(st.folds, s)
-		}
-	}
-	st.fmin = fk
-	st.fminKnown = false // f_k is not a far-point minimum; no replay for k-NN
-	st.valid = true
-	stats.InitTime = time.Since(start)
-
-	start = time.Now()
-	out := cknnClassify(cands, fk, k, c, opt)
+	start := time.Now()
+	out := cknnClassify(st.cands, stats.FMin, k, c, opt)
 	stats.RefineTime = time.Since(start)
 	stats.RefinedObjects = len(out)
 	return out, stats, inc, nil

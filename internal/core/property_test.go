@@ -161,7 +161,7 @@ func TestVerifierBoundsBracketExact(t *testing.T) {
 		if len(fr.IDs) == 0 {
 			continue
 		}
-		cands, err := eng.distanceCandidates(nil, fr.IDs, q, 0)
+		cands, err := eng.derive(nil, fr.IDs, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -183,12 +183,12 @@ func TestEngine2DConcurrentQueries(t *testing.T) {
 	wantCPNN := make([]string, len(queries))
 	wantPNN := make([]string, len(queries))
 	for i, q := range queries {
-		res, err := base.CPNN(q, c, Options2D{})
+		res, err := base.CPNN(q, c, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantCPNN[i] = fmt.Sprint(res.Candidates)
-		probs, err := base.PNN(q, Options2D{})
+		probs, _, err := base.PNN(q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestEngine2DConcurrentQueries(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				qi := (w + i) % len(queries)
 				if (w+i)%2 == 0 {
-					res, err := eng.CPNN(queries[qi], c, Options2D{})
+					res, err := eng.CPNN(queries[qi], c, Options{})
 					if err != nil {
 						t.Errorf("CPNN2D: %v", err)
 						return
@@ -213,7 +213,7 @@ func TestEngine2DConcurrentQueries(t *testing.T) {
 						return
 					}
 				} else {
-					probs, err := eng.PNN(queries[qi], Options2D{})
+					probs, _, err := eng.PNN(queries[qi], Options{})
 					if err != nil {
 						t.Errorf("PNN2D: %v", err)
 						return

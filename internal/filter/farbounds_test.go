@@ -1,4 +1,4 @@
-package core
+package filter
 
 import (
 	"math"
@@ -22,7 +22,7 @@ func TestFarBounds(t *testing.T) {
 			pdfs[i] = pdf.MustUniform(lo, lo+rng.Float64()*30)
 		}
 		ds := uncertain.NewDataset(pdfs)
-		eng, err := NewEngine(ds)
+		ix, err := NewIndex(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestFarBounds(t *testing.T) {
 		}
 		sort.Float64s(want)
 		for _, k := range []int{0, 1, 2, 5, n, n + 3} {
-			got := eng.FarBounds(q, k)
+			got := ix.FarBounds(q, k)
 			wantK := want
 			if k < 1 || n == 0 {
 				wantK = nil

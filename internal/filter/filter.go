@@ -40,17 +40,6 @@ func NewIndex(ds *uncertain.Dataset) (*Index, error) {
 	return &Index{tree: tree, ds: ds}, nil
 }
 
-// FromTree wraps an already-built tree (e.g. one reloaded from a paged
-// checkpoint) as an index over ds. The tree must hold exactly the dense IDs
-// 0..ds.Len()-1 under the dataset's current regions.
-func FromTree(tree *rtree.Tree[int], ds *uncertain.Dataset) (*Index, error) {
-	if tree.Len() != ds.Len() {
-		return nil, fmt.Errorf("filter: tree holds %d entries, dataset %d objects",
-			tree.Len(), ds.Len())
-	}
-	return &Index{tree: tree, ds: ds}, nil
-}
-
 // Dataset returns the indexed dataset.
 func (ix *Index) Dataset() *uncertain.Dataset { return ix.ds }
 
@@ -92,6 +81,29 @@ func (ix *Index) Within(q, bound float64) []int {
 	// require the candidate order to be a function of the set alone.
 	sort.Ints(ids)
 	return ids
+}
+
+// FarBounds returns the k smallest far-point distances from q, ascending
+// (fewer when the dataset holds fewer than k objects; nil when it is empty).
+// The last value is the k-NN critical distance f_k; k = 1 yields the C-PNN
+// filtering bound f_min. Scatter-gather merges per-shard FarBounds lists to
+// recover the global bound exactly: each of the k global witnesses is one of
+// some shard's k smallest, so the k smallest of the merged lists equal the k
+// smallest of the whole dataset.
+func (ix *Index) FarBounds(q float64, k int) []float64 {
+	n := ix.ds.Len()
+	if n == 0 || k < 1 {
+		return nil
+	}
+	fars := make([]float64, n)
+	for i := range fars {
+		fars[i] = ix.ds.Region(i).MaxDist(q)
+	}
+	sort.Float64s(fars)
+	if k < n {
+		fars = fars[:k:k]
+	}
+	return fars
 }
 
 // Insert adds an object to an existing index. The object must already carry

@@ -154,11 +154,6 @@ func (r Rect) Contains(other Rect) bool {
 		other.MinY >= r.MinY && other.MaxY <= r.MaxY
 }
 
-// ContainsPoint reports whether p lies in the closed rectangle.
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Enlargement returns the area growth needed for r to absorb other.
 func (r Rect) Enlargement(other Rect) float64 {
 	return r.Union(other).Area() - r.Area()

@@ -196,11 +196,11 @@ func TestOracleCrossCheck2D(t *testing.T) {
 			c := verify.Constraint{P: 0.15 + 0.5*rng.Float64(), Delta: 0.02 + 0.08*rng.Float64()}
 			q := geom.Point{X: 5 + rng.Float64()*40, Y: 5 + rng.Float64()*40}
 
-			br, err := eng.CPNNBatch([]geom.Point{q}, c, core.BatchOptions2D{})
+			br, err := eng.CPNNBatch([]geom.Point{q}, c, core.BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := eng.CPNN(q, c, core.Options2D{})
+			single, err := eng.CPNN(q, c, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -411,9 +411,6 @@ func (s *Server) Drain() {
 	s.drainOnce.Do(func() { close(s.drainCh) })
 }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close releases the server's durable resources: the continuous-query
 // subsystem stops first, then the store takes a final checkpoint (leaving an
 // empty WAL for a fast next boot) and closes, flushing everything to disk.

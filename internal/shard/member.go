@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/store"
@@ -21,7 +20,7 @@ type BoundInfo struct {
 	Extent    geom.Rect
 	HasExtent bool
 	// Fars holds the shard's min(k, n) smallest far-point distances from the
-	// query point, ascending (core.Engine.FarBounds).
+	// query point, ascending (filter.Index.FarBounds).
 	Fars []float64
 	// N counts the shard's live 1-D objects.
 	N int
@@ -105,11 +104,7 @@ func (l *Local) Info() (MemberInfo, error) {
 // Bound implements Member.
 func (l *Local) Bound(_ context.Context, q float64, k int) (BoundInfo, error) {
 	v := l.st.View()
-	eng, err := core.NewEngineWithIndex(v.Dataset, v.Index)
-	if err != nil {
-		return BoundInfo{}, err
-	}
-	info := BoundInfo{N: v.Dataset.Len(), Version: v.Version, Fars: eng.FarBounds(q, k)}
+	info := BoundInfo{N: v.Dataset.Len(), Version: v.Version, Fars: v.Index.FarBounds(q, k)}
 	info.Extent, info.HasExtent = v.Index.Bounds()
 	return info, nil
 }

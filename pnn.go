@@ -78,15 +78,13 @@ type (
 	KNNAnswer = core.KNNAnswer
 )
 
-// Batch evaluation, re-exported from the engine: Engine.CPNNBatch and
-// Engine2D.CPNNBatch evaluate many query points over a bounded worker pool,
-// sharing the filter index and discretization memo and recycling per-query
-// scratch, with answers identical to calling CPNN per point.
+// Batch evaluation, re-exported from the engine: CPNNBatch — the same method
+// on Engine and Engine2D — evaluates many query points over a bounded worker
+// pool, sharing the filter index and discretization memo and recycling
+// per-query scratch, with answers identical to calling CPNN per point.
 type (
-	// BatchOptions tunes 1-D batch evaluation (embedded Options + Workers).
+	// BatchOptions tunes batch evaluation (embedded Options + Workers).
 	BatchOptions = core.BatchOptions
-	// BatchOptions2D tunes planar batch evaluation.
-	BatchOptions2D = core.BatchOptions2D
 	// BatchResult is one Result per query point plus batch statistics.
 	BatchResult = core.BatchResult
 	// BatchStats aggregates the costs of one batch evaluation.
@@ -401,14 +399,14 @@ func StartReplication(cfg ReplicationConfig) (*ReplicationServer, error) {
 func StartFollower(cfg FollowerConfig) (*Follower, error) { return replica.StartFollower(cfg) }
 
 // Two-dimensional support (the paper's §IV-A extension): disk-shaped
-// uncertainty regions reduce to distance pdfs and reuse the whole pipeline.
+// uncertainty regions reduce to distance pdfs and run the same pipeline as
+// the 1-D engine, under the same Options and BatchOptions.
 type (
-	// Engine2D answers C-PNN queries over planar uncertain objects.
+	// Engine2D answers C-PNN queries over planar uncertain objects: CPNN,
+	// CPNNScratch, CPNNBatch and PNN, with a Point for the query.
 	Engine2D = core.Engine2D
 	// Object2D is a disk-shaped uncertain object.
 	Object2D = core.Object2D
-	// Options2D tunes 2-D query evaluation.
-	Options2D = core.Options2D
 	// Point is a point in the plane.
 	Point = geom.Point
 	// Circle is a disk-shaped uncertainty region.

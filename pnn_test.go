@@ -110,7 +110,7 @@ func TestFacade2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := eng.CPNN(pnn.Point{X: 0, Y: 0}, pnn.Constraint{P: 0.3, Delta: 0.02},
-		pnn.Options2D{Bins: 96})
+		pnn.Options{Bins: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
