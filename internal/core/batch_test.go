@@ -261,6 +261,19 @@ func BenchmarkCPNNLoopOfSingles(b *testing.B) {
 	}
 }
 
+// BenchmarkCKNNFilter measures the k-NN filter alone — f_k and the candidate
+// set, both off the R-tree — at the Long-Beach population, k = 3.
+func BenchmarkCKNNFilter(b *testing.B) {
+	eng, qs := benchBatchSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ids := eng.cknnFilter(qs[i%len(qs)], 3); len(ids) < 3 {
+			b.Fatalf("%d candidates at k=3", len(ids))
+		}
+	}
+}
+
 // TestCPNNBatchSmallBatchNestedParallel: a batch smaller than the core count
 // re-enables per-candidate derivation fan-out (and bypasses the fold arena,
 // which is not safe for concurrent use). Results must still be identical to

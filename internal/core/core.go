@@ -495,17 +495,12 @@ func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnsw
 // cknnFilter computes the k-NN critical distance f_k — the k-th smallest far
 // point; objects whose near point exceeds it cannot be among the k nearest,
 // because k objects are certainly closer — and the surviving candidate IDs in
-// dense order. Shared by CKNN and KNNIncremental.
+// dense order, both off the R-tree: the best-first walk for f_k, then the
+// window search C-PNN's own filter runs. Shared by CKNN and KNNIncremental.
 func (e *Engine) cknnFilter(q float64, k int) (float64, []int) {
 	fars := e.ix.FarBounds(q, k)
 	fk := fars[len(fars)-1]
-	var ids []int
-	for i, n := 0, e.ds.Len(); i < n; i++ {
-		if e.ds.Region(i).MinDist(q) <= fk {
-			ids = append(ids, i)
-		}
-	}
-	return fk, ids
+	return fk, e.ix.Within(q, fk)
 }
 
 // cknnClassify is the verification half of a constrained k-NN evaluation,

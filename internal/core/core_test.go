@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -481,6 +482,57 @@ func TestCPNNDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("candidate %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestCKNNFilterMatchesLinearPredicate holds the index-backed k-NN filter to
+// the definition it replaced a dataset scan for: f_k is the k-th smallest far
+// point and the candidates are exactly the objects whose near point does not
+// exceed it — in Stats and in the answer ID set, for k up to the population.
+func TestCKNNFilterMatchesLinearPredicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(60)
+		pdfs := make([]pdf.PDF, n)
+		for i := range pdfs {
+			pdfs[i] = digestPDF(t, "histogram", rng, 60)
+		}
+		ds := uncertain.NewDataset(pdfs)
+		e, err := NewEngine(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := rng.Float64()*80 - 10
+		fars := make([]float64, n)
+		for i := range fars {
+			fars[i] = ds.Region(i).MaxDist(q)
+		}
+		sort.Float64s(fars)
+		for _, k := range []int{1, 2, 3, 5, n} {
+			fk := fars[min(k, n)-1]
+			var want []int
+			for i := 0; i < n; i++ {
+				if ds.Region(i).MinDist(q) <= fk {
+					want = append(want, i)
+				}
+			}
+			out, st, err := e.CKNN(q, verify.Constraint{P: 0.3, Delta: 0.1}, KNNOptions{K: k, Samples: 20, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FMin != fk || st.Candidates != len(want) {
+				t.Fatalf("n=%d q=%v k=%d: f_k %v, %d candidates; linear predicate gives %v, %d",
+					n, q, k, st.FMin, st.Candidates, fk, len(want))
+			}
+			got := make([]int, len(out))
+			for i, a := range out {
+				got[i] = a.ID
+			}
+			sort.Ints(got)
+			if !equalInts(got, want) {
+				t.Fatalf("n=%d q=%v k=%d: answer IDs %v, linear predicate keeps %v", n, q, k, got, want)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ package filter
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -63,14 +64,19 @@ func (ix *Index) Candidates(q float64) Result {
 }
 
 // Within returns the IDs of every indexed region whose near point lies
-// within bound of q, ascending. With bound = f_min this is the candidate
-// set; a shard's gather step runs it against the router's global bound.
+// within bound of q — exactly the regions with MinDist(q) <= bound —
+// ascending. With bound = f_min this is the candidate set, with f_k the k-NN
+// filter's; a shard's gather step runs it against the router's global bound.
 func (ix *Index) Within(q, bound float64) []int {
-	window := geom.Rect{MinX: q - bound, MinY: 0, MaxX: q + bound, MaxY: 0}
+	// The window only narrows the search; MinDist(q) <= bound is the
+	// predicate. [q-bound, q+bound] is not a superset of it: its edges are
+	// rounded, and a region past a rounded edge can still have a near-point
+	// distance that rounds to bound. One ulp more radius is: a region starting
+	// beyond q+w is, by monotone rounding, more than w > bound away.
+	w := math.Nextafter(bound, math.Inf(1))
+	window := geom.Rect{MinX: q - w, MinY: 0, MaxX: q + w, MaxY: 0}
 	var ids []int
 	ix.tree.Search(window, func(r geom.Rect, id int) bool {
-		// The window search is the MINDIST <= bound test in one dimension,
-		// but guard explicitly to keep the invariant obvious.
 		if r.Interval().MinDist(q) <= bound {
 			ids = append(ids, id)
 		}
@@ -84,26 +90,21 @@ func (ix *Index) Within(q, bound float64) []int {
 }
 
 // FarBounds returns the k smallest far-point distances from q, ascending
-// (fewer when the dataset holds fewer than k objects; nil when it is empty).
+// (fewer when the index holds fewer than k objects; nil when it is empty or
+// k < 1), by one best-first descent of the R-tree (rtree.Tree.MinMaxDists) —
+// O(log n) node visits for small k, never a scan of the dataset.
 // The last value is the k-NN critical distance f_k; k = 1 yields the C-PNN
 // filtering bound f_min. Scatter-gather merges per-shard FarBounds lists to
 // recover the global bound exactly: each of the k global witnesses is one of
 // some shard's k smallest, so the k smallest of the merged lists equal the k
 // smallest of the whole dataset.
 func (ix *Index) FarBounds(q float64, k int) []float64 {
-	n := ix.ds.Len()
-	if n == 0 || k < 1 {
+	// k arrives unbounded off the wire; clamp before anything is sized by it.
+	k = min(k, ix.tree.Len())
+	if k < 1 {
 		return nil
 	}
-	fars := make([]float64, n)
-	for i := range fars {
-		fars[i] = ix.ds.Region(i).MaxDist(q)
-	}
-	sort.Float64s(fars)
-	if k < n {
-		fars = fars[:k:k]
-	}
-	return fars
+	return ix.tree.MinMaxDists(geom.Point{X: q, Y: 0}, make([]float64, k))
 }
 
 // Insert adds an object to an existing index. The object must already carry

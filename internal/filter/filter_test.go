@@ -2,6 +2,8 @@ package filter
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -154,4 +156,78 @@ func TestCandidateSetSizeLongBeachScale(t *testing.T) {
 		t.Errorf("average candidate-set size %g too far from the paper's ~96", avg)
 	}
 	t.Logf("average candidate-set size: %.1f (paper: ~96)", avg)
+}
+
+// checkWithin holds Within(q, bound) to the linear predicate it documents:
+// exactly the regions with MinDist(q) <= bound, ascending.
+func checkWithin(t *testing.T, ds *uncertain.Dataset, q, bound float64) {
+	t.Helper()
+	ix, err := NewIndex(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i, n := 0, ds.Len(); i < n; i++ {
+		if ds.Region(i).MinDist(q) <= bound {
+			want = append(want, i)
+		}
+	}
+	if got := ix.Within(q, bound); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Within(%v, %v) = %v, linear predicate keeps %v", q, bound, got, want)
+	}
+}
+
+// TestWithinRoundedWindowEdge pins the cases a window of [q-bound, q+bound]
+// loses: the region's near-point distance rounds to exactly bound while its
+// end-point sits past the rounded window edge. The second case is why the
+// radius is widened and not the edges: under cancellation (|q+bound| far
+// below |q|) the region sits ~2e9 ulps of the edge beyond it.
+func TestWithinRoundedWindowEdge(t *testing.T) {
+	for _, c := range []struct{ q, bound, lo float64 }{
+		{4.0104538488800365, 43.043577515506456, 47.054031364386496},
+		{-1e10, 1e10 + 1, 1 + 5e-7},
+		{1e10, 1e10 + 1, -1 - 5e-7},
+	} {
+		iv := [2]float64{c.lo, c.lo + 1}
+		if c.lo < c.q {
+			iv = [2]float64{c.lo - 1, c.lo} // the near point is the upper end
+		}
+		ds := mkDataset([][2]float64{iv, {c.q - 0.25, c.q + 0.25}})
+		if d := ds.Region(0).MinDist(c.q); d != c.bound {
+			t.Fatalf("case %+v is not on the edge: MinDist = %v", c, d)
+		}
+		checkWithin(t, ds, c.q, c.bound)
+	}
+}
+
+// TestWithinMatchesLinearAtUlpEdges is the randomized form: regions whose
+// near end-point lies within a few ulps of either window edge, at magnitudes
+// from well-conditioned to cancelling, plus filler on both sides.
+func TestWithinMatchesLinearAtUlpEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nudge := func(x float64, ulps int) float64 {
+		for ; ulps > 0; ulps-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; ulps < 0; ulps++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	for trial := 0; trial < 2000; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(9)-2))
+		q := (rng.Float64() - 0.5) * 200 * scale
+		bound := rng.Float64() * 100 * math.Pow(10, float64(rng.Intn(9)-2))
+		var ivs [][2]float64
+		for u := -4; u <= 4; u++ {
+			lo := nudge(q+bound, u)
+			hi := nudge(q-bound, u)
+			ivs = append(ivs, [2]float64{lo, lo + 1 + math.Abs(lo)}, [2]float64{hi - 1 - math.Abs(hi), hi})
+		}
+		for i := 0; i < 20; i++ {
+			lo := q + (rng.Float64()-0.5)*4*bound
+			ivs = append(ivs, [2]float64{lo, lo + (1+rng.Float64())*(1+math.Abs(lo))})
+		}
+		checkWithin(t, mkDataset(ivs), q, bound)
+	}
 }

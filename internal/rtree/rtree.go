@@ -41,7 +41,7 @@ type Tree[T any] struct {
 	owner *cowOwner
 
 	// nnPool recycles nearest-neighbor traversal queues across ScanNearest /
-	// MinMaxDist calls (both run once per filtering pass — hot enough that
+	// MinMaxDists calls (both run once per filtering pass — hot enough that
 	// a fresh queue per call shows up in allocation profiles). sync.Pool is
 	// safe under the tree's concurrent-readers contract.
 	nnPool sync.Pool
@@ -519,46 +519,86 @@ func (t *Tree[T]) ScanNearest(q geom.Point, fn func(Neighbor[T]) bool) {
 	}
 }
 
-// MinMaxDist returns the smallest MAXDIST over all stored rectangles from q:
-// the distance f_min of the paper's filtering phase. The traversal prunes
-// subtrees whose MINDIST exceeds the best MAXDIST found so far.
-// It returns +Inf for an empty tree.
-func (t *Tree[T]) MinMaxDist(q geom.Point) float64 {
-	best := math.Inf(1)
-	if t.size == 0 {
-		return best
+// MinMaxDists writes the k = min(len(out), Len()) smallest MAXDIST over all
+// stored rectangles from q into out, ascending, and returns that prefix — for
+// uncertainty regions the far-point distances of the k closest witnesses, the
+// last being the depth-k filter's critical distance f_k. The descent is
+// best-first on MINDIST (Hjaltason–Samet): a subtree is queued only while its
+// MINDIST does not exceed the k-th smallest MAXDIST seen, and the walk ends
+// when the nearest queued subtree does. The kept values live in out as a
+// max-heap, not a sorted buffer: k arrives unbounded off the wire, and
+// k >= Len() must cost the O(n log n) of scan-and-sort, not sorted
+// insertion's O(n·k).
+func (t *Tree[T]) MinMaxDists(q geom.Point, out []float64) []float64 {
+	k := min(len(out), t.size)
+	h := out[:0]
+	if k == 0 {
+		return h
 	}
+	// bound is the heap's top once h holds k values with objects still to
+	// come. With k = Len() nothing can be displaced, so h is never heapified
+	// (that would only scramble the near-sorted arrival order the final sort
+	// profits from) and bound stays +Inf.
+	bound := math.Inf(1)
 	pq := t.getQueue()
 	defer t.putQueue(pq)
 	pq.push(nnEntry[T]{dist: 0, node: t.root})
 	for len(*pq) > 0 {
 		head := pq.pop()
-		if head.dist > best {
-			break // everything remaining starts farther than the bound
-		}
-		if head.node.leaf {
-			for i := range head.node.entries {
-				if d := head.node.entries[i].rect.MaxDist(q); d < best {
-					best = d
-				}
-			}
-			continue
+		if head.dist > bound {
+			break // everything remaining starts farther than the k-th bound
 		}
 		for i := range head.node.entries {
 			e := &head.node.entries[i]
-			// An MBR's MAXDIST upper-bounds the far point of every region
-			// inside it, so it tightens the f_min bound before any descent.
-			// (MINMAXDIST would be wrong here: it bounds a contained
-			// object's near point, not its far point.)
-			if mm := e.rect.MaxDist(q); mm < best {
-				best = mm
-			}
-			if md := e.rect.MinDist(q); md <= best {
-				pq.push(nnEntry[T]{dist: md, node: e.child})
+			if !head.node.leaf {
+				if md := e.rect.MinDist(q); md <= bound {
+					pq.push(nnEntry[T]{dist: md, node: e.child})
+				}
+			} else if d := e.rect.MaxDist(q); len(h) < k {
+				if h = append(h, d); len(h) == k && k < t.size {
+					for j := k/2 - 1; j >= 0; j-- {
+						siftDown(h, j)
+					}
+					bound = h[0]
+				}
+			} else if d < bound {
+				h[0] = d
+				siftDown(h, 0)
+				bound = h[0]
 			}
 		}
 	}
-	return best
+	sort.Float64s(h)
+	return h
+}
+
+// MinMaxDist returns the smallest MAXDIST over all stored rectangles from q:
+// the distance f_min of the paper's filtering phase, the k = 1 case of
+// MinMaxDists. It returns +Inf for an empty tree.
+func (t *Tree[T]) MinMaxDist(q geom.Point) float64 {
+	var buf [1]float64
+	if fars := t.MinMaxDists(q, buf[:]); len(fars) == 1 {
+		return fars[0]
+	}
+	return math.Inf(1)
+}
+
+// siftDown restores the max-heap order of h below index i.
+func siftDown(h []float64, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r] > h[m] {
+			m = r
+		}
+		if h[i] >= h[m] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 type nnEntry[T any] struct {
@@ -588,7 +628,7 @@ func (t *Tree[T]) putQueue(q *nnQueue[T]) {
 }
 
 // nnQueue is a typed binary min-heap on dist. container/heap would box every
-// pushed and popped entry in an interface — at one MinMaxDist traversal per
+// pushed and popped entry in an interface — at one MinMaxDists traversal per
 // filtering pass that boxing dominated the monitor's allocation profile, so
 // the sift operations are hand-rolled.
 type nnQueue[T any] []nnEntry[T]

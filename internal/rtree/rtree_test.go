@@ -161,25 +161,86 @@ func TestNearestByAgainstLinearScan(t *testing.T) {
 	}
 }
 
+// TestMinMaxDistMatchesLinearScan holds the k-walk — and MinMaxDist, its
+// k = 1 case — to a sort-everything scan, bit for bit, on genuinely 2-D
+// rectangles with degenerate ones (points, horizontal and vertical segments)
+// mixed in, through both construction paths and after deletions.
 func TestMinMaxDistMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		tr := NewDefault[int]()
-		n := 50 + rng.Intn(200)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(250)
+		if trial%10 == 9 {
+			n = 3000 // four levels at fan-out 16
+		}
 		rects := make([]geom.Rect, n)
+		inputs := make([]Input[int], n)
 		for i := range rects {
-			rects[i] = randomRect(rng, 500)
-			if err := tr.Insert(rects[i], i); err != nil {
+			r := randomRect(rng, 500)
+			switch rng.Intn(6) {
+			case 0: // point
+				r.MaxX, r.MaxY = r.MinX, r.MinY
+			case 1: // horizontal segment
+				r.MaxY = r.MinY
+			case 2: // vertical segment
+				r.MaxX = r.MinX
+			}
+			if rng.Intn(4) == 0 { // lattice-aligned: equal MAXDISTs occur
+				r = geom.Rect{MinX: math.Floor(r.MinX), MinY: math.Floor(r.MinY), MaxX: math.Ceil(r.MaxX), MaxY: math.Ceil(r.MaxY)}
+			}
+			rects[i] = r
+			inputs[i] = Input[int]{Rect: r, Item: i}
+		}
+		tr := NewDefault[int]()
+		if trial%2 == 0 {
+			var err error
+			if tr, err = BulkLoad(inputs, DefaultMinEntries, DefaultMaxEntries); err != nil {
 				t.Fatal(err)
 			}
+		} else {
+			for i, r := range rects {
+				if err := tr.Insert(r, i); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		q := geom.Point{X: rng.Float64() * 500, Y: rng.Float64() * 500}
-		want := math.Inf(1)
-		for _, r := range rects {
-			want = math.Min(want, r.MaxDist(q))
+		if trial%4 == 3 { // condense and reinsert reshape the tree
+			for i := 0; i < n/3; i++ {
+				last := len(rects) - 1
+				if !tr.Delete(rects[last], func(id int) bool { return id == last }) {
+					t.Fatalf("trial %d: delete %d failed", trial, last)
+				}
+				rects = rects[:last]
+			}
+			n = len(rects)
 		}
-		if got := tr.MinMaxDist(q); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: MinMaxDist = %g, want %g", trial, got, want)
+		queries := []geom.Point{
+			{X: rng.Float64() * 500, Y: rng.Float64() * 500},
+			rects[rng.Intn(n)].Center(),          // inside a rectangle
+			{X: rects[0].MinX, Y: rects[0].MaxY}, // on a corner
+			{X: -1e7, Y: 3e6},                    // far outside the extent
+			{X: 250, Y: 250},                     // lattice point: ties
+		}
+		for _, q := range queries {
+			want := make([]float64, n)
+			for i, r := range rects {
+				want[i] = r.MaxDist(q)
+			}
+			sort.Float64s(want)
+			if got := tr.MinMaxDist(q); got != want[0] {
+				t.Fatalf("trial %d q=%v: MinMaxDist = %g, want %g", trial, q, got, want[0])
+			}
+			for _, k := range []int{1, 2, 5, 64, n - 1, n, n + 3} {
+				got := tr.MinMaxDists(q, make([]float64, max(k, 0)))
+				wantK := want[:max(min(k, n), 0)]
+				if len(got) != len(wantK) {
+					t.Fatalf("trial %d q=%v k=%d: %d values, want %d", trial, q, k, len(got), len(wantK))
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(wantK[i]) {
+						t.Fatalf("trial %d q=%v k=%d: value %d = %v, want %v", trial, q, k, i, got[i], wantK[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -188,6 +249,9 @@ func TestMinMaxDistEmpty(t *testing.T) {
 	tr := NewDefault[int]()
 	if got := tr.MinMaxDist(geom.Point{}); !math.IsInf(got, 1) {
 		t.Errorf("empty tree MinMaxDist = %g, want +Inf", got)
+	}
+	if got := tr.MinMaxDists(geom.Point{}, make([]float64, 3)); len(got) != 0 {
+		t.Errorf("empty tree MinMaxDists = %v, want none", got)
 	}
 	if got := tr.NearestBy(geom.Point{}, 3); got != nil {
 		t.Errorf("empty tree NearestBy = %v, want nil", got)

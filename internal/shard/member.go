@@ -20,7 +20,8 @@ type BoundInfo struct {
 	Extent    geom.Rect
 	HasExtent bool
 	// Fars holds the shard's min(k, n) smallest far-point distances from the
-	// query point, ascending (filter.Index.FarBounds).
+	// query point, ascending (filter.Index.FarBounds, an R-tree walk: the
+	// reply costs O(log n) for small k and never more than k clamped to n).
 	Fars []float64
 	// N counts the shard's live 1-D objects.
 	N int

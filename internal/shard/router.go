@@ -629,35 +629,24 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 		// Soundness check: the bound recomputed from what was actually
 		// gathered must not exceed the bound that pruned. If it does, a
 		// witness retired between the phases — retry wider.
-		done := math.IsInf(bound, 1)
-		if !done {
-			mf := make([]float64, len(items))
-			for i, it := range items {
-				mf[i] = it.PDF.Support().MaxDist(q)
+		if !math.IsInf(bound, 1) {
+			regathered := math.Inf(1)
+			if mf := itemFars(items, q); len(mf) >= k {
+				regathered = mf[k-1]
 			}
-			sort.Float64s(mf)
-			if len(mf) >= k && mf[k-1] <= bound {
-				done = true
-			}
-		}
-		if !done {
-			r.retries.Add(1)
-			r.log.Debug("gather bound moved; retrying wider",
-				"attempt", attempt, "trace_id", obs.TraceID(ctx))
-			if attempt >= 2 {
-				bound = math.Inf(1)
-			} else {
-				prev := bound
-				bound = math.Inf(1)
-				if mfars := itemFars(items, q); len(mfars) >= k {
-					bound = mfars[k-1]
-				}
-				if bound <= prev { // no progress information; go wide
+			if regathered > bound {
+				r.retries.Add(1)
+				r.log.Debug("gather bound moved; retrying wider",
+					"attempt", attempt, "trace_id", obs.TraceID(ctx))
+				// After two retries, or with fewer than k items gathered (no
+				// progress information), go wide.
+				bound = regathered
+				if attempt >= 2 {
 					bound = math.Inf(1)
 				}
+				r.mergeNanos.Add(time.Since(mstart).Nanoseconds())
+				continue
 			}
-			r.mergeNanos.Add(time.Since(mstart).Nanoseconds())
-			continue
 		}
 
 		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })

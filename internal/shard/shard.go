@@ -12,7 +12,8 @@
 // a C-PNN answer depends only on the candidate set — the objects within the
 // candidate ball of radius f_min (f_k for k-NN) around the query point — so
 // the router first asks every shard for its k smallest far-point distances
-// (filter.Index.FarBounds), merges them into the global bound, gathers the
+// (filter.Index.FarBounds — one best-first descent of the member's R-tree,
+// O(log n) for small k), merges them into the global bound, gathers the
 // candidate objects only from shards whose live extent intersects the ball,
 // and runs the standard single-engine pipeline over the merged mini-dataset.
 // Every global bound witness is some shard's local witness, so the merged
