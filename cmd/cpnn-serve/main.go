@@ -124,7 +124,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		routerURLs   = fs.String("router", "", "serve as a scatter-gather router over these comma-separated member URLs, in shard order (layout from -data-dir's shard.json; members must be up)")
 		quantum      = fs.Float64("quantum", 0, "cache query-point quantization granularity (0 = exact keys)")
 		cacheSize    = fs.Int("cache", server.DefaultCacheEntries, "result-cache capacity in entries (negative disables)")
-		cacheShards  = fs.Int("cache-shards", server.DefaultCacheShards, "result-cache shard count")
 		maxInFlight  = fs.Int("max-inflight", 0, "max concurrent evaluations (0 = 2×GOMAXPROCS)")
 		queueTimeout = fs.Duration("queue-timeout", 0, "max wait for a worker slot before shedding a 503 (0 = 10s, negative = wait forever)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
@@ -156,7 +155,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}, server.Config{
 		Quantum:            *quantum,
 		CacheEntries:       *cacheSize,
-		CacheShards:        *cacheShards,
 		MaxInFlight:        *maxInFlight,
 		QueueTimeout:       *queueTimeout,
 		MonitorWorkers:     *monWorkers,

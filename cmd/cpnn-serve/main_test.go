@@ -3,11 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -487,4 +490,41 @@ func TestShardedServeEndToEnd(t *testing.T) {
 	stop(rt)
 	stop(m1)
 	stop(m0)
+}
+
+// TestServeFlagsDocumented is the flag half of the docs self-check: every
+// flag `cpnn-serve -h` prints appears in README as `-name`, so a flag cannot
+// be added (or survive a rename) undocumented. The usage text is the real
+// FlagSet's — run() builds it — captured off stderr.
+func TestServeFlagsDocumented(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = pw
+	runErr := run(context.Background(), []string{"-h"}, nil)
+	os.Stderr = stderr
+	pw.Close()
+	usage, err := io.ReadAll(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", runErr)
+	}
+	flags := regexp.MustCompile(`(?m)^  -([a-z][a-z-]*)`).FindAllStringSubmatch(string(usage), -1)
+	if len(flags) < 20 {
+		t.Fatalf("parsed %d flags out of the usage text:\n%s", len(flags), usage)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range flags {
+		// `-name` or `-name VALUE`, in code formatting.
+		if !regexp.MustCompile("`-" + m[1] + "[` ]").Match(readme) {
+			t.Errorf("cpnn-serve registers -%s, which README never mentions as `-%s`", m[1], m[1])
+		}
+	}
 }

@@ -412,11 +412,15 @@ func (e *Engine) Max(c verify.Constraint, opt Options) (*Result, error) {
 	return e.CPNN(e.ds.Domain().Hi, c, opt)
 }
 
+// DefaultKNNSamples is the Monte-Carlo sample count a k-NN evaluation draws
+// when none is given — here and at every surface that parses one.
+const DefaultKNNSamples = 10000
+
 // KNNOptions tunes the sampling-based constrained k-NN evaluation.
 type KNNOptions struct {
 	// K is the neighbor count; it must be at least 1.
 	K int
-	// Samples is the Monte-Carlo sample count; 0 means 10000.
+	// Samples is the Monte-Carlo sample count; 0 means DefaultKNNSamples.
 	Samples int
 	// Seed makes the evaluation deterministic.
 	Seed int64
@@ -454,42 +458,51 @@ type KNNAnswer struct {
 // Stats expose the candidate count and the critical distance f_k (Stats.FMin).
 func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnswer, Stats, error) {
 	var st Stats
-	if err := c.Validate(); err != nil {
+	k, err := e.knnBegin(q, c, &opt)
+	if err != nil || k == 0 {
 		return nil, st, err
-	}
-	if err := checkQuery(q); err != nil {
-		return nil, st, err
-	}
-	if opt.K < 1 {
-		return nil, st, fmt.Errorf("core: k = %d < 1", opt.K)
-	}
-	if opt.Samples == 0 {
-		opt.Samples = 10000
-	}
-	if opt.Bins == 0 {
-		opt.Bins = dist.DefaultBins
-	}
-	n := e.ds.Len()
-	if opt.IDs != nil && len(opt.IDs) != n {
-		return nil, st, fmt.Errorf("core: IDs maps %d objects, dataset holds %d", len(opt.IDs), n)
-	}
-	if n == 0 {
-		return nil, st, nil
-	}
-	k := opt.K
-	if k > n {
-		k = n
 	}
 	start := time.Now()
 	fk, ids := e.cknnFilter(q, k)
 	st.FilterTime = time.Since(start)
 	st.FMin = fk
 	st.Candidates = len(ids)
+	start = time.Now()
 	cands, err := e.derive(nil, ids, q, opt.Bins)
+	st.InitTime = time.Since(start)
 	if err != nil {
 		return nil, st, err
 	}
-	return cknnClassify(cands, fk, k, c, opt), st, nil
+	out := cknnClassify(cands, k, c, opt, &st)
+	return out, st, nil
+}
+
+// knnBegin is the entry check CKNN and KNNIncremental share: a valid
+// constraint, a finite query point, K >= 1, an ID map (when given) covering
+// the dataset, and the Samples/Bins defaults filled into opt. It returns the
+// effective neighbor count min(K, n), which is 0 exactly when the dataset is
+// empty and the answer therefore is.
+func (e *Engine) knnBegin(q float64, c verify.Constraint, opt *KNNOptions) (int, error) {
+	if err := c.Validate(); err != nil {
+		return 0, err
+	}
+	if err := checkQuery(q); err != nil {
+		return 0, err
+	}
+	if opt.K < 1 {
+		return 0, fmt.Errorf("core: k = %d < 1", opt.K)
+	}
+	if opt.Samples == 0 {
+		opt.Samples = DefaultKNNSamples
+	}
+	if opt.Bins == 0 {
+		opt.Bins = dist.DefaultBins
+	}
+	n := e.ds.Len()
+	if opt.IDs != nil && len(opt.IDs) != n {
+		return 0, fmt.Errorf("core: IDs maps %d objects, dataset holds %d", len(opt.IDs), n)
+	}
+	return min(opt.K, n), nil
 }
 
 // cknnFilter computes the k-NN critical distance f_k — the k-th smallest far
@@ -507,9 +520,13 @@ func (e *Engine) cknnFilter(q float64, k int) (float64, []int) {
 // shared by CKNN and KNNIncremental: analytic pre-verification against f_k,
 // Monte-Carlo rank sampling for the survivors, and Definition 1
 // classification. It is a deterministic function of the candidate set, f_k
-// and the options (with opt.IDs set, sampling streams are keyed by stable ID,
-// so the result is also independent of candidate order).
-func cknnClassify(cands []subregion.Candidate, fk float64, k int, c verify.Constraint, opt KNNOptions) []KNNAnswer {
+// (stats.FMin) and the options (with opt.IDs set, sampling streams are keyed
+// by stable ID, so the result is also independent of candidate order). Its
+// wall time lands in stats as the refine phase.
+func cknnClassify(cands []subregion.Candidate, k int, c verify.Constraint, opt KNNOptions, stats *Stats) []KNNAnswer {
+	start := time.Now()
+	defer func() { stats.RefineTime = time.Since(start) }()
+	fk := stats.FMin
 	// Analytic pre-verification (the RS rule generalized to k-NN): an
 	// object is in the k-NN set only if its distance is at most f_k, so
 	// Pr(X_i ∈ kNN) <= D_i(f_k). Candidates whose analytic upper bound

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/filter"
 	"repro/internal/pdf"
 	"repro/internal/subregion"
@@ -578,31 +577,17 @@ func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uin
 func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, st *EvalState, ids []uint64, changed map[uint64]int) ([]KNNAnswer, Stats, IncrementalStats, error) {
 	var inc IncrementalStats
 	var stats Stats
-	if err := c.Validate(); err != nil {
-		return nil, stats, inc, err
-	}
-	if opt.K < 1 {
-		return nil, stats, inc, fmt.Errorf("core: k = %d < 1", opt.K)
-	}
-	changed, err := e.beginIncremental(q, st, ids, changed)
+	opt.IDs = ids
+	k, err := e.knnBegin(q, c, &opt)
 	if err != nil {
 		return nil, stats, inc, err
 	}
-	if opt.Samples == 0 {
-		opt.Samples = 10000
+	if changed, err = e.beginIncremental(q, st, ids, changed); err != nil {
+		return nil, stats, inc, err
 	}
-	if opt.Bins == 0 {
-		opt.Bins = dist.DefaultBins
-	}
-	opt.IDs = ids
-	n := e.ds.Len()
-	if n == 0 {
+	if k == 0 {
 		st.clear(0)
 		return nil, stats, inc, nil
-	}
-	k := opt.K
-	if k > n {
-		k = n
 	}
 	if err := e.incrementalPrepare(q, opt.Bins, k, false, st, ids, changed, &inc, &stats); err != nil {
 		return nil, stats, inc, err
@@ -610,9 +595,9 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 	if inc.Skipped {
 		return nil, stats, inc, nil
 	}
-	start := time.Now()
-	out := cknnClassify(st.cands, stats.FMin, k, c, opt)
-	stats.RefineTime = time.Since(start)
+	out := cknnClassify(st.cands, k, c, opt, &stats)
+	// The one Stats field CKNN does not share: the pinned answer digest
+	// holds it at the classified count here and at zero there.
 	stats.RefinedObjects = len(out)
 	return out, stats, inc, nil
 }

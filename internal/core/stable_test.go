@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
@@ -134,5 +136,49 @@ func TestCPNNScratchMatchesCPNN(t *testing.T) {
 	// Nil scratch falls back to the plain path.
 	if _, err := e.CPNNScratch(100, c, Options{}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCKNNStatsPhases: the stateless CKNN times every phase it runs, as
+// KNNIncremental does on a cold state — before the two shared one entry and
+// one classify epilogue, CKNN recorded the filter alone, so a query's
+// reported phases summed to microseconds of a many-millisecond evaluation.
+// (RefinedObjects is the one field left apart: TestAnswerDigest pins it at
+// zero for CKNN and at the candidate count for KNNIncremental.)
+func TestCKNNStatsPhases(t *testing.T) {
+	e := genEngine(t, 2000, 5)
+	ids := make([]uint64, e.Dataset().Len())
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	c := verify.Constraint{P: 0.1, Delta: 0.01}
+	opt := KNNOptions{K: 3, Samples: 2000, Seed: 1, IDs: ids}
+
+	start := time.Now()
+	as, st, err := e.CKNN(500, c, opt)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(as) == 0 {
+		t.Fatal("no candidates; the fixture should classify some")
+	}
+	if st.InitTime <= 0 || st.RefineTime <= 0 {
+		t.Fatalf("CKNN left a phase untimed: init %v, refine %v", st.InitTime, st.RefineTime)
+	}
+	if !(st.FilterTime < st.Total() && st.Total() <= wall) {
+		t.Fatalf("filter %v < total %v <= wall %v does not hold", st.FilterTime, st.Total(), wall)
+	}
+
+	ias, ist, _, err := e.KNNIncremental(500, c, opt, NewEvalState(), ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(as, ias) {
+		t.Fatal("CKNN and cold KNNIncremental disagree on the answer")
+	}
+	if (ist.InitTime > 0) != (st.InitTime > 0) || (ist.RefineTime > 0) != (st.RefineTime > 0) ||
+		ist.FMin != st.FMin || ist.Candidates != st.Candidates {
+		t.Fatalf("stats diverge: CKNN %+v, KNNIncremental %+v", st, ist)
 	}
 }

@@ -35,25 +35,9 @@ func (iv Interval) Center() float64 { return iv.Lo + (iv.Hi-iv.Lo)/2 }
 // Contains reports whether x lies in [Lo, Hi].
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-// ContainsInterval reports whether other lies entirely within iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return other.Lo >= iv.Lo && other.Hi <= iv.Hi
-}
-
 // Intersects reports whether the two closed intervals share at least a point.
 func (iv Interval) Intersects(other Interval) bool {
 	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
-// Intersect returns the overlap of the two intervals and whether it is
-// non-empty.
-func (iv Interval) Intersect(other Interval) (Interval, bool) {
-	lo := math.Max(iv.Lo, other.Lo)
-	hi := math.Min(iv.Hi, other.Hi)
-	if hi < lo {
-		return Interval{}, false
-	}
-	return Interval{Lo: lo, Hi: hi}, true
 }
 
 // Union returns the smallest interval covering both inputs.
@@ -79,9 +63,6 @@ func (iv Interval) MinDist(q float64) float64 {
 func (iv Interval) MaxDist(q float64) float64 {
 	return math.Max(math.Abs(q-iv.Lo), math.Abs(q-iv.Hi))
 }
-
-// IsDegenerate reports whether the interval is a single point.
-func (iv Interval) IsDegenerate() bool { return iv.Hi == iv.Lo }
 
 // String implements fmt.Stringer.
 func (iv Interval) String() string { return fmt.Sprintf("[%g, %g]", iv.Lo, iv.Hi) }
@@ -129,9 +110,6 @@ func (r Rect) IsValid() bool {
 // Area returns the rectangle's area. Degenerate rectangles have zero area.
 func (r Rect) Area() float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
 
-// Margin returns half the rectangle's perimeter, the R*-style margin metric.
-func (r Rect) Margin() float64 { return (r.MaxX - r.MinX) + (r.MaxY - r.MinY) }
-
 // Union returns the smallest rectangle containing both inputs.
 func (r Rect) Union(other Rect) Rect {
 	return Rect{
@@ -152,11 +130,6 @@ func (r Rect) Intersects(other Rect) bool {
 func (r Rect) Contains(other Rect) bool {
 	return other.MinX >= r.MinX && other.MaxX <= r.MaxX &&
 		other.MinY >= r.MinY && other.MaxY <= r.MaxY
-}
-
-// Enlargement returns the area growth needed for r to absorb other.
-func (r Rect) Enlargement(other Rect) float64 {
-	return r.Union(other).Area() - r.Area()
 }
 
 // Center returns the rectangle's centroid.

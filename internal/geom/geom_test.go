@@ -21,12 +21,6 @@ func TestIntervalBasics(t *testing.T) {
 	if iv.Contains(1.999) || iv.Contains(6.001) {
 		t.Error("interval contains points outside its bounds")
 	}
-	if !iv.IsDegenerate() == iv.IsDegenerate() && iv.IsDegenerate() {
-		t.Error("non-degenerate interval reported degenerate")
-	}
-	if !NewInterval(3, 3).IsDegenerate() {
-		t.Error("degenerate interval not detected")
-	}
 }
 
 func TestNewIntervalPanics(t *testing.T) {
@@ -52,23 +46,15 @@ func TestNewIntervalPanics(t *testing.T) {
 
 func TestIntervalIntersect(t *testing.T) {
 	a := NewInterval(0, 5)
-	b := NewInterval(3, 8)
-	got, ok := a.Intersect(b)
-	if !ok || got.Lo != 3 || got.Hi != 5 {
-		t.Errorf("Intersect = %v, %v; want [3,5], true", got, ok)
+	if !a.Intersects(NewInterval(3, 8)) {
+		t.Error("overlapping intervals reported disjoint")
 	}
-	c := NewInterval(6, 7)
-	if _, ok := a.Intersect(c); ok {
+	if a.Intersects(NewInterval(6, 7)) {
 		t.Error("disjoint intervals reported intersecting")
 	}
 	// Touching intervals intersect in a single point.
-	d := NewInterval(5, 9)
-	got, ok = a.Intersect(d)
-	if !ok || !got.IsDegenerate() {
-		t.Errorf("touching intervals: got %v, %v; want degenerate point", got, ok)
-	}
-	if !a.Intersects(b) || a.Intersects(c) || !a.Intersects(d) {
-		t.Error("Intersects disagrees with Intersect")
+	if !a.Intersects(NewInterval(5, 9)) {
+		t.Error("touching intervals reported disjoint")
 	}
 }
 
@@ -79,11 +65,8 @@ func TestIntervalUnionContains(t *testing.T) {
 	if u.Lo != 0 || u.Hi != 7 {
 		t.Errorf("Union = %v, want [0,7]", u)
 	}
-	if !u.ContainsInterval(a) || !u.ContainsInterval(b) {
+	if !u.Contains(a.Lo) || !u.Contains(a.Hi) || !u.Contains(b.Lo) || !u.Contains(b.Hi) {
 		t.Error("union does not contain its inputs")
-	}
-	if a.ContainsInterval(u) {
-		t.Error("smaller interval claims to contain its union")
 	}
 }
 
@@ -139,9 +122,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); got != 8 {
 		t.Errorf("Area = %g, want 8", got)
 	}
-	if got := r.Margin(); got != 6 {
-		t.Errorf("Margin = %g, want 6", got)
-	}
 	if c := r.Center(); c.X != 2 || c.Y != 1 {
 		t.Errorf("Center = %v, want (2,1)", c)
 	}
@@ -171,12 +151,6 @@ func TestRectUnionIntersects(t *testing.T) {
 	}
 	if !u.Contains(a) || !u.Contains(b) || u.Contains(Rect{-1, 0, 2, 2}) {
 		t.Error("Contains wrong")
-	}
-	if got := a.Enlargement(b); got != 5 {
-		t.Errorf("Enlargement = %g, want 5", got)
-	}
-	if got := a.Enlargement(Rect{0.5, 0.5, 1, 1}); got != 0 {
-		t.Errorf("Enlargement of contained rect = %g, want 0", got)
 	}
 }
 

@@ -71,13 +71,6 @@ type Config struct {
 	Source Source
 	// Workers bounds concurrent re-evaluations; 0 means GOMAXPROCS.
 	Workers int
-	// FeedBuffer is the per-store subscription buffer; 0 means
-	// store.DefaultWatchBuffer. Overflowing it is safe (the feed delivers a
-	// Gap and the monitor re-evaluates everything) but costs pruning.
-	FeedBuffer int
-	// MaxMonitors caps registered standing queries; 0 means
-	// DefaultMaxMonitors.
-	MaxMonitors int
 	// MaxStateBytes caps the memory retained across all per-query evaluation
 	// states; least-recently-evaluated states are dropped when the cap is
 	// exceeded (their queries transparently fall back to a full
@@ -249,9 +242,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("monitor: workers %d < 1", cfg.Workers)
 	}
-	if cfg.MaxMonitors == 0 {
-		cfg.MaxMonitors = DefaultMaxMonitors
-	}
 	if cfg.MaxStateBytes == 0 {
 		cfg.MaxStateBytes = DefaultMaxStateBytes
 	}
@@ -268,7 +258,9 @@ func New(cfg Config) (*Monitor, error) {
 	m.cond = sync.NewCond(&m.mu)
 	for _, st := range m.stores {
 		// Subscribe before reading the head, so no commit falls between them.
-		feed, err := st.Watch(cfg.FeedBuffer)
+		// Overflowing the buffer is safe (the feed delivers a Gap and the
+		// monitor re-evaluates everything) but costs pruning.
+		feed, err := st.Watch(store.DefaultWatchBuffer)
 		if err != nil {
 			m.closeFeeds()
 			return nil, err
@@ -324,10 +316,10 @@ func (m *Monitor) Register(spec Spec) (*State, error) {
 		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(m.queries) >= m.cfg.MaxMonitors {
+	if len(m.queries) >= DefaultMaxMonitors {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("monitor: %d standing queries registered, limit %d",
-			m.cfg.MaxMonitors, m.cfg.MaxMonitors)
+			DefaultMaxMonitors, DefaultMaxMonitors)
 	}
 	heads := append([]*store.View(nil), m.heads...)
 	m.mu.Unlock()

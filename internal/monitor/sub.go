@@ -1,6 +1,10 @@
 package monitor
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"repro/internal/store"
+)
 
 // Update is one pushed answer change.
 type Update struct {
@@ -93,19 +97,8 @@ func (m *Monitor) Subscribe(ids []uint64, buffer int) (*Subscription, error) {
 }
 
 // pushLocked fans an update out to every matching subscription; m.mu held.
-// Delivery never blocks the monitor. The last buffer slot is reserved for
-// the lagged marker: when a subscription is about to fill, the update is
-// dropped and one EventLagged lands in-stream instead, so the consumer
-// learns it fell behind as soon as it drains its backlog — not only when the
-// next push happens to arrive. Further updates stay dropped until the
-// consumer has fully caught up (empty buffer). This mirrors the store
-// feed's protocol (store.(*Store).publish) — the marker semantics differ
-// (a bare lag flag here, a view-carrying Gap delta there), so keep the two
-// in sync when touching either.
-//
-// The m.mu-serialized sender plus a drain-only consumer make the len/cap
-// checks race-free in the conservative direction: len can only shrink under
-// us, so a send this function decides on never blocks.
+// Delivery goes through store.OfferLossy — the change feed's protocol — so
+// it never blocks the monitor; the marker is a bare EventLagged.
 func (m *Monitor) pushLocked(u Update) {
 	for sub := range m.subs {
 		if sub.ids != nil {
@@ -113,18 +106,7 @@ func (m *Monitor) pushLocked(u Update) {
 				continue
 			}
 		}
-		if sub.lagged {
-			if len(sub.ch) > 0 {
-				m.nDropped++
-				continue // still draining the pre-lag backlog
-			}
-			sub.lagged = false // caught up; resume delivery
-		}
-		if len(sub.ch) < cap(sub.ch)-1 {
-			sub.ch <- Event{Type: EventUpdate, Update: u}
-		} else {
-			sub.ch <- Event{Type: EventLagged} // the reserved slot
-			sub.lagged = true
+		if !store.OfferLossy(sub.ch, &sub.lagged, Event{Type: EventUpdate, Update: u}, Event{Type: EventLagged}) {
 			m.nDropped++
 		}
 	}

@@ -417,33 +417,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.edges[i] + frac*(h.edges[i+1]-h.edges[i])
 }
 
-// Scale returns a copy of the histogram with all edges transformed by
-// x -> a*x + b. a must be non-zero; a negative a mirrors the histogram.
-func (h *Histogram) Scale(a, b float64) (*Histogram, error) {
-	if a == 0 {
-		return nil, errors.New("pdf: zero scale factor")
-	}
-	n := len(h.edges)
-	edges := make([]float64, n)
-	weights := make([]float64, n-1)
-	if a > 0 {
-		for i, e := range h.edges {
-			edges[i] = a*e + b
-		}
-		for i := range weights {
-			weights[i] = h.BinMass(i)
-		}
-	} else {
-		for i, e := range h.edges {
-			edges[n-1-i] = a*e + b
-		}
-		for i := range weights {
-			weights[n-2-i] = h.BinMass(i)
-		}
-	}
-	return NewHistogram(edges, weights)
-}
-
 // Discretize approximates an arbitrary pdf with an n-bin histogram over its
 // support, assigning each bin the exact cdf mass of its range. The paper uses
 // n = 300 for Gaussian uncertainty.

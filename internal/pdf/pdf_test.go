@@ -184,35 +184,6 @@ func TestHistogramQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHistogramScale(t *testing.T) {
-	h := MustHistogram([]float64{0, 1, 3}, []float64{1, 3})
-	// Shift right by 10.
-	s, err := h.Scale(1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sup := s.Support(); sup.Lo != 10 || sup.Hi != 13 {
-		t.Errorf("shifted support = %v", sup)
-	}
-	if got := s.CDF(11); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("shifted CDF(11) = %g, want 0.25", got)
-	}
-	// Mirror: x -> -x. Mass ordering reverses.
-	m, err := h.Scale(-1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sup := m.Support(); sup.Lo != -3 || sup.Hi != 0 {
-		t.Errorf("mirrored support = %v", sup)
-	}
-	if got := m.CDF(-1); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("mirrored CDF(-1) = %g, want 0.75", got)
-	}
-	if _, err := h.Scale(0, 1); err == nil {
-		t.Error("zero scale accepted")
-	}
-}
-
 func TestDiscretizeGaussian(t *testing.T) {
 	g, err := PaperGaussian(0, 12)
 	if err != nil {

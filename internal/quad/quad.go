@@ -1,8 +1,7 @@
 // Package quad provides the numerical integration routines used by the
 // refinement phase: Gauss–Legendre quadrature (exact for polynomials, which
-// is what per-subregion qualification integrands are), composite Simpson
-// rules (the paper-style "plain numerical integration" of the Basic method),
-// and an adaptive Simpson fallback for non-polynomial integrands.
+// is what per-subregion qualification integrands are) and composite Simpson
+// rules (the paper-style "plain numerical integration" of the Basic method).
 package quad
 
 import (
@@ -139,37 +138,4 @@ func Simpson(f func(float64) float64, a, b float64, n int) (float64, error) {
 		}
 	}
 	return sum * h / 3, nil
-}
-
-// AdaptiveSimpson integrates f over [a, b] to the requested absolute
-// tolerance by recursive interval halving, up to maxDepth levels.
-func AdaptiveSimpson(f func(float64) float64, a, b, tol float64, maxDepth int) (float64, error) {
-	if b < a {
-		return 0, fmt.Errorf("quad: inverted range [%g, %g]", a, b)
-	}
-	if !(tol > 0) {
-		return 0, fmt.Errorf("quad: non-positive tolerance %g", tol)
-	}
-	if a == b {
-		return 0, nil
-	}
-	fa, fb := f(a), f(b)
-	m := a + (b-a)/2
-	fm := f(m)
-	whole := (b - a) / 6 * (fa + 4*fm + fb)
-	return adaptiveAux(f, a, b, fa, fb, fm, whole, tol, maxDepth), nil
-}
-
-func adaptiveAux(f func(float64) float64, a, b, fa, fb, fm, whole, tol float64, depth int) float64 {
-	m := a + (b-a)/2
-	lm := a + (m-a)/2
-	rm := m + (b-m)/2
-	flm, frm := f(lm), f(rm)
-	left := (m - a) / 6 * (fa + 4*flm + fm)
-	right := (b - m) / 6 * (fm + 4*frm + fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveAux(f, a, m, fa, fm, flm, left, tol/2, depth-1) +
-		adaptiveAux(f, m, b, fm, fb, frm, right, tol/2, depth-1)
 }

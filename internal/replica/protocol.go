@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/store"
 )
 
 const protoMagic = "CPNNREP1"
@@ -45,8 +47,8 @@ const (
 const frameHeaderSize = 9
 
 // maxFramePayload bounds one frame: the largest legal WAL record plus
-// framing headroom. Mirrors store's record cap.
-const maxFramePayload = 1<<30 + 64
+// framing headroom.
+const maxFramePayload = store.MaxWALRecord + 64
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

@@ -2,11 +2,11 @@
 // written from scratch on the standard library. It is the spatial substrate
 // of the C-PNN filtering phase (the role played by the spatialindex library
 // in the paper's experiments): the engine bulk-loads the uncertainty regions
-// of a dataset and uses best-first traversal with MINDIST/MINMAXDIST bounds
-// to locate f_min and collect the candidate set.
+// of a dataset, locates f_min with one best-first MINDIST/MAXDIST descent
+// (MinMaxDists) and collects the candidate set with a window search.
 //
 // The tree supports Guttman-style insertion with quadratic splits, deletion
-// with reinsertion, window search, best-first nearest-neighbor scans and
+// with reinsertion, window search, the best-first far-bound walk and
 // Sort-Tile-Recursive (STR) bulk loading.
 package rtree
 
@@ -40,10 +40,10 @@ type Tree[T any] struct {
 	// height) instead of O(n).
 	owner *cowOwner
 
-	// nnPool recycles nearest-neighbor traversal queues across ScanNearest /
-	// MinMaxDists calls (both run once per filtering pass — hot enough that
-	// a fresh queue per call shows up in allocation profiles). sync.Pool is
-	// safe under the tree's concurrent-readers contract.
+	// nnPool recycles best-first traversal queues across MinMaxDists calls
+	// (one per filtering pass — hot enough that a fresh queue per call shows
+	// up in allocation profiles). sync.Pool is safe under the tree's
+	// concurrent-readers contract.
 	nnPool sync.Pool
 }
 
@@ -464,61 +464,6 @@ func mbrOrInfinite[T any](t *Tree[T]) geom.Rect {
 	return mbr(t.root)
 }
 
-// Neighbor is a result of a nearest-neighbor scan.
-type Neighbor[T any] struct {
-	Rect geom.Rect
-	Item T
-	// Dist is the MINDIST of the item's rectangle from the query point —
-	// for uncertainty regions, the object's near point distance.
-	Dist float64
-}
-
-// NearestBy returns up to k items in ascending order of MINDIST from q,
-// using best-first search over a priority queue (Hjaltason–Samet).
-func (t *Tree[T]) NearestBy(q geom.Point, k int) []Neighbor[T] {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	out := make([]Neighbor[T], 0, k)
-	t.ScanNearest(q, func(nb Neighbor[T]) bool {
-		out = append(out, nb)
-		return len(out) < k
-	})
-	return out
-}
-
-// ScanNearest streams items in ascending MINDIST order from q until fn
-// returns false. The filtering phase uses it to find f_min and then keep
-// consuming candidates whose near point does not exceed f_min.
-func (t *Tree[T]) ScanNearest(q geom.Point, fn func(Neighbor[T]) bool) {
-	if t.size == 0 {
-		return
-	}
-	pq := t.getQueue()
-	defer t.putQueue(pq)
-	pq.push(nnEntry[T]{dist: 0, node: t.root})
-	for len(*pq) > 0 {
-		head := pq.pop()
-		if head.node != nil {
-			for i := range head.node.entries {
-				e := &head.node.entries[i]
-				item := nnEntry[T]{dist: e.rect.MinDist(q)}
-				if head.node.leaf {
-					item.leafEntry = e
-				} else {
-					item.node = e.child
-				}
-				pq.push(item)
-			}
-			continue
-		}
-		e := head.leafEntry
-		if !fn(Neighbor[T]{Rect: e.rect, Item: e.item, Dist: head.dist}) {
-			return
-		}
-	}
-}
-
 // MinMaxDists writes the k = min(len(out), Len()) smallest MAXDIST over all
 // stored rectangles from q into out, ascending, and returns that prefix — for
 // uncertainty regions the far-point distances of the k closest witnesses, the
@@ -602,9 +547,8 @@ func siftDown(h []float64, i int) {
 }
 
 type nnEntry[T any] struct {
-	dist      float64
-	node      *node[T]
-	leafEntry *entry[T]
+	dist float64
+	node *node[T]
 }
 
 // getQueue hands out an empty traversal queue, reusing a pooled backing

@@ -108,59 +108,6 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNearestBy(t *testing.T) {
-	tr := NewDefault[int]()
-	// Points on a line at x = 0..99.
-	for i := 0; i < 100; i++ {
-		if err := tr.Insert(pointRect(float64(i), 0), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := geom.Point{X: 42.4, Y: 0}
-	got := tr.NearestBy(q, 5)
-	if len(got) != 5 {
-		t.Fatalf("got %d neighbors", len(got))
-	}
-	wantIDs := []int{42, 43, 41, 44, 40}
-	for i, nb := range got {
-		if nb.Item != wantIDs[i] {
-			t.Errorf("neighbor %d = %d, want %d", i, nb.Item, wantIDs[i])
-		}
-	}
-	// Distances are ascending.
-	for i := 1; i < len(got); i++ {
-		if got[i].Dist < got[i-1].Dist {
-			t.Error("distances not ascending")
-		}
-	}
-}
-
-func TestNearestByAgainstLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := NewDefault[int]()
-	rects := make([]geom.Rect, 300)
-	for i := range rects {
-		rects[i] = randomRect(rng, 1000)
-		if err := tr.Insert(rects[i], i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		got := tr.NearestBy(q, 10)
-		dists := make([]float64, len(rects))
-		for i, r := range rects {
-			dists[i] = r.MinDist(q)
-		}
-		sort.Float64s(dists)
-		for i, nb := range got {
-			if math.Abs(nb.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist %g, want %g", trial, i, nb.Dist, dists[i])
-			}
-		}
-	}
-}
-
 // TestMinMaxDistMatchesLinearScan holds the k-walk — and MinMaxDist, its
 // k = 1 case — to a sort-everything scan, bit for bit, on genuinely 2-D
 // rectangles with degenerate ones (points, horizontal and vertical segments)
@@ -253,9 +200,6 @@ func TestMinMaxDistEmpty(t *testing.T) {
 	if got := tr.MinMaxDists(geom.Point{}, make([]float64, 3)); len(got) != 0 {
 		t.Errorf("empty tree MinMaxDists = %v, want none", got)
 	}
-	if got := tr.NearestBy(geom.Point{}, 3); got != nil {
-		t.Errorf("empty tree NearestBy = %v, want nil", got)
-	}
 }
 
 func TestDelete(t *testing.T) {
@@ -336,7 +280,12 @@ func TestDeleteAll(t *testing.T) {
 	if err := tr.Insert(pointRect(1, 1), 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.NearestBy(geom.Point{X: 1, Y: 1}, 1); len(got) != 1 || got[0].Item != 7 {
+	found := false
+	tr.Search(pointRect(1, 1), func(_ geom.Rect, item int) bool {
+		found = item == 7
+		return true
+	})
+	if !found || tr.Len() != 1 {
 		t.Error("tree unusable after full deletion")
 	}
 }
@@ -382,32 +331,6 @@ func TestBulkLoad(t *testing.T) {
 func TestBulkLoadInvalid(t *testing.T) {
 	if _, err := BulkLoad([]Input[int]{{Rect: geom.Rect{MinX: 1, MaxX: 0}}}, 4, 16); err == nil {
 		t.Error("invalid rect accepted in bulk load")
-	}
-}
-
-func TestScanNearestStreamOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	inputs := make([]Input[int], 500)
-	for i := range inputs {
-		inputs[i] = Input[int]{Rect: randomRect(rng, 100), Item: i}
-	}
-	tr, err := BulkLoad(inputs, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := geom.Point{X: 50, Y: 50}
-	prev := math.Inf(-1)
-	count := 0
-	tr.ScanNearest(q, func(nb Neighbor[int]) bool {
-		if nb.Dist < prev-1e-12 {
-			t.Fatalf("stream out of order: %g after %g", nb.Dist, prev)
-		}
-		prev = nb.Dist
-		count++
-		return true
-	})
-	if count != 500 {
-		t.Fatalf("stream visited %d items", count)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -82,7 +83,7 @@ func decodeMonitorRequest(data []byte) (monitor.Spec, error) {
 		spec.Strategy = strat
 	}
 	if kind == monitor.KindKNN && spec.Samples == 0 {
-		spec.Samples = 10000
+		spec.Samples = core.DefaultKNNSamples
 	}
 	if err := spec.Validate(); err != nil {
 		return monitor.Spec{}, badRequest("%v", err)

@@ -204,6 +204,27 @@ func TestPhaseHistogramSkipsCacheHits(t *testing.T) {
 	}
 }
 
+// TestKNNPhaseHistogram: a /v1/knn miss reports where its time went. The
+// stateless CKNN once timed its filter alone, so the knn endpoint's derive
+// and verify histograms counted the query but summed to zero seconds.
+func TestKNNPhaseHistogram(t *testing.T) {
+	s := testServer(t, Config{})
+	defer s.Close()
+	if rec := get(t, s, "/v1/knn?q=300&k=2&p=0.3&samples=200"); rec.Code != 200 {
+		t.Fatalf("knn: %d %s", rec.Code, rec.Body)
+	}
+	fams := parseProm(t, get(t, s, "/metrics").Body.String())
+	for _, phase := range []string{"derive", "verify"} {
+		labels := fmt.Sprintf("phase=%q,endpoint=%q", phase, "knn")
+		if n := checkHistogram(t, fams, "cpnn_query_phase_seconds", labels); n != 1 {
+			t.Errorf("phase=%s count = %g, want 1", phase, n)
+		}
+		if sum := fams["cpnn_query_phase_seconds"].samples["cpnn_query_phase_seconds_sum{"+labels+"}"]; !(sum > 0) {
+			t.Errorf("phase=%s observed %g seconds for a cache miss, want > 0", phase, sum)
+		}
+	}
+}
+
 // ---- sharded server: metrics + end-to-end trace --------------------------
 
 // shardedObsServer builds a 3-shard in-process cluster server with the full

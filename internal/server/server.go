@@ -55,7 +55,7 @@ import (
 // DefaultCacheEntries is the default result-cache capacity.
 const DefaultCacheEntries = 4096
 
-// DefaultCacheShards is the default shard count of the result cache.
+// DefaultCacheShards is the shard count of the result cache.
 const DefaultCacheShards = 16
 
 // DefaultMaxDatasetBytes bounds the body of a dataset reload.
@@ -114,8 +114,6 @@ type Config struct {
 	// and a negative value disables result storage (singleflight collapsing
 	// of identical in-flight queries stays active).
 	CacheEntries int
-	// CacheShards is the cache shard count; 0 means DefaultCacheShards.
-	CacheShards int
 	// Quantum, when positive, snaps query points to multiples of itself
 	// before evaluation, so nearby queries share cache entries. The served
 	// result is the exact answer for the snapped point (reported back as
@@ -208,12 +206,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = DefaultCacheEntries
-	}
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = DefaultCacheShards
-	}
-	if cfg.CacheShards < 1 {
-		return cfg, fmt.Errorf("server: cache shards %d < 1", cfg.CacheShards)
 	}
 	if math.IsNaN(cfg.Quantum) || math.IsInf(cfg.Quantum, 0) || cfg.Quantum < 0 {
 		return cfg, fmt.Errorf("server: quantum %g must be finite and >= 0", cfg.Quantum)
@@ -359,7 +351,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		cc:      newCache(cfg.CacheEntries, cfg.CacheShards),
+		cc:      newCache(cfg.CacheEntries, DefaultCacheShards),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		drainCh: make(chan struct{}),
 		log:     obs.Or(cfg.Logger),
@@ -1014,7 +1006,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("parameter \"k\" must be >= 1, got %d", k))
 		return
 	}
-	samples, err := queryIntDefault(r, "samples", 10000)
+	samples, err := queryIntDefault(r, "samples", core.DefaultKNNSamples)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -452,9 +452,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Dataset: ds, MaxInFlight: -3}); err == nil {
 		t.Error("negative max in-flight accepted")
 	}
-	if _, err := New(Config{Dataset: ds, CacheShards: -1}); err == nil {
-		t.Error("negative shard count accepted")
-	}
 }
 
 // TestQueueTimeoutSheds: when every worker slot stays busy past

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -139,7 +138,7 @@ func gatherView(v *store.View, q, bound float64) []Item {
 func (l *Local) Apply(_ context.Context, payload []byte) (store.ApplyResult, error) {
 	ops, err := store.DecodeOps(payload)
 	if err != nil {
-		return store.ApplyResult{}, fmt.Errorf("%w: %v", store.ErrInvalidOp, err)
+		return store.ApplyResult{}, err
 	}
 	return l.st.Apply(ops)
 }

@@ -201,7 +201,10 @@ func (r *Router) VersionsKey() string {
 func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, error) {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
-	routed, ids, err := r.validate(ops)
+	// The store's own validator over the cluster-wide owner map: the router
+	// accepts exactly what a member will. What is left to decide is placement.
+	family := func(id uint64) uint8 { return r.owner[id].family }
+	assigned, ids, err := store.ValidateOps(ops, family, r.nextID, false)
 	if err != nil {
 		return store.ApplyResult{}, err
 	}
@@ -215,7 +218,7 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 			}
 			payload, err := store.EncodeOps(seg[i])
 			if err != nil {
-				return fmt.Errorf("%w: %v", store.ErrInvalidOp, err)
+				return err
 			}
 			if err := r.applyMember(ctx, i, payload); err != nil {
 				return err
@@ -230,55 +233,52 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 		r.refreshOwnersLocked()
 		return store.ApplyResult{}, err
 	}
-	for oi, op := range ops {
+	for _, op := range assigned {
 		if op.Code == store.OpTruncate {
 			if err := flushSeg(seg); err != nil {
 				return commitErr(err)
 			}
-			seg = make([][]store.Op, k)
-			for i := 0; i < k; i++ {
-				payload, err := store.EncodeOps([]store.Op{store.Truncate()})
-				if err != nil {
-					return commitErr(fmt.Errorf("%w: %v", store.ErrInvalidOp, err))
-				}
-				if err := r.applyMember(ctx, i, payload); err != nil {
-					return commitErr(err)
-				}
+			barrier := make([][]store.Op, k)
+			for i := range barrier {
+				barrier[i] = []store.Op{op}
 			}
+			if err := flushSeg(barrier); err != nil {
+				return commitErr(err)
+			}
+			seg = make([][]store.Op, k)
 			r.owner = map[uint64]ownerRef{}
 			r.n1, r.n2 = 0, 0
 			r.perShard = make([]int, k)
 			continue
 		}
-		out := op
-		out.ID = ids[oi]
-		seg[routed[oi]] = append(seg[routed[oi]], out)
-		// Track ownership as we go so a later failure resync starts close.
-		switch op.Code {
-		case store.OpDelete:
-			if ref, ok := r.owner[out.ID]; ok {
-				if ref.family == 1 {
-					r.n1--
-					r.perShard[ref.shard]--
-				} else {
-					r.n2--
-				}
-				delete(r.owner, out.ID)
+		// Placement: the owner map is kept current op by op (so a later
+		// failure resync starts close), which makes it the in-batch record
+		// too — an ID stays on the shard that owns it, and only a new object
+		// is placed, by its region centre through the cuts.
+		ref, owned := r.owner[op.ID]
+		switch {
+		case op.Code == store.OpDelete:
+			if ref.family == 1 {
+				r.n1--
+				r.perShard[ref.shard]--
+			} else {
+				r.n2--
 			}
-		case store.OpUniform, store.OpHist:
-			if _, ok := r.owner[out.ID]; !ok {
-				r.owner[out.ID] = ownerRef{shard: routed[oi], family: 1}
-				r.n1++
-				r.perShard[routed[oi]]++
-			}
-		case store.OpDisk:
-			if _, ok := r.owner[out.ID]; !ok {
-				r.owner[out.ID] = ownerRef{shard: routed[oi], family: 2}
-				r.n2++
-			}
+			delete(r.owner, op.ID)
+		case owned:
+		case op.Code == store.OpDisk:
+			ref = ownerRef{shard: ShardFor(op.Disk.Center.X, r.cuts), family: 2}
+			r.owner[op.ID] = ref
+			r.n2++
+		default:
+			ref = ownerRef{shard: ShardFor(geom.RectFromInterval(op.PDF.Support()).Center().X, r.cuts), family: 1}
+			r.owner[op.ID] = ref
+			r.n1++
+			r.perShard[ref.shard]++
 		}
-		if out.ID >= r.nextID {
-			r.nextID = out.ID + 1
+		seg[ref.shard] = append(seg[ref.shard], op)
+		if op.ID >= r.nextID {
+			r.nextID = op.ID + 1
 		}
 	}
 	if err := flushSeg(seg); err != nil {
@@ -304,112 +304,6 @@ func (r *Router) applyMember(ctx context.Context, i int, payload []byte) error {
 	sp.End()
 	return nil
 }
-
-// validate mirrors the store's batch validation against the cluster-wide
-// owner map: per-op family checks with in-batch overlay, insert ID
-// assignment, and routing (inserts by region center through the cuts,
-// updates and deletes sticky to the owning shard).
-func (r *Router) validate(ops []store.Op) (routed []int, ids []uint64, err error) {
-	overlay := map[uint64]int8{}
-	overlayShard := map[uint64]int{}
-	truncated := false
-	family := func(id uint64) (int8, int) {
-		if v, ok := overlay[id]; ok {
-			return v, overlayShard[id]
-		}
-		if truncated {
-			return -1, 0
-		}
-		if ref, ok := r.owner[id]; ok {
-			return int8(ref.family), ref.shard
-		}
-		return -1, 0
-	}
-	routed = make([]int, len(ops))
-	ids = make([]uint64, len(ops))
-	nextID := r.nextID
-	for i, op := range ops {
-		switch op.Code {
-		case store.OpTruncate:
-			truncated = true
-			overlay = map[uint64]int8{}
-			overlayShard = map[uint64]int{}
-		case store.OpDelete:
-			fam, shard := family(op.ID)
-			if op.ID == 0 || fam == -1 {
-				return nil, nil, fmt.Errorf("ops[%d]: delete: %w %d", i, store.ErrUnknownID, op.ID)
-			}
-			overlay[op.ID], overlayShard[op.ID] = -1, shard
-			routed[i], ids[i] = shard, op.ID
-		case store.OpUniform, store.OpHist:
-			if !pdfMatchesCode(op.PDF, op.Code) {
-				return nil, nil, fmt.Errorf("ops[%d]: %w: pdf %T does not match op code %d",
-					i, store.ErrInvalidOp, op.PDF, op.Code)
-			}
-			shard := -1
-			if op.ID == 0 {
-				op.ID = nextID
-				nextID++
-			} else {
-				switch fam, s := family(op.ID); fam {
-				case 1:
-					shard = s // sticky update: the owner's live extent covers it
-				case 2:
-					return nil, nil, fmt.Errorf("ops[%d]: %w: object %d is 2-D, payload 1-D",
-						i, store.ErrInvalidOp, op.ID)
-				default:
-					return nil, nil, fmt.Errorf("ops[%d]: update: %w %d", i, store.ErrUnknownID, op.ID)
-				}
-			}
-			if shard < 0 {
-				shard = ShardFor(geom.RectFromInterval(op.PDF.Support()).Center().X, r.cuts)
-			}
-			overlay[op.ID], overlayShard[op.ID] = 1, shard
-			routed[i], ids[i] = shard, op.ID
-		case store.OpDisk:
-			if !(op.Disk.Radius > 0) || !finite(op.Disk.Radius) ||
-				!finite(op.Disk.Center.X) || !finite(op.Disk.Center.Y) {
-				return nil, nil, fmt.Errorf("ops[%d]: %w: invalid disk %+v", i, store.ErrInvalidOp, op.Disk)
-			}
-			shard := -1
-			if op.ID == 0 {
-				op.ID = nextID
-				nextID++
-			} else {
-				switch fam, s := family(op.ID); fam {
-				case 2:
-					shard = s
-				case 1:
-					return nil, nil, fmt.Errorf("ops[%d]: %w: object %d is 1-D, payload 2-D",
-						i, store.ErrInvalidOp, op.ID)
-				default:
-					return nil, nil, fmt.Errorf("ops[%d]: update: %w %d", i, store.ErrUnknownID, op.ID)
-				}
-			}
-			if shard < 0 {
-				shard = ShardFor(op.Disk.Center.X, r.cuts)
-			}
-			overlay[op.ID], overlayShard[op.ID] = 2, shard
-			routed[i], ids[i] = shard, op.ID
-		default:
-			return nil, nil, fmt.Errorf("ops[%d]: %w: unknown code %d", i, store.ErrInvalidOp, op.Code)
-		}
-	}
-	return routed, ids, nil
-}
-
-func pdfMatchesCode(p pdf.PDF, code store.OpCode) bool {
-	switch p.(type) {
-	case pdf.Uniform:
-		return code == store.OpUniform
-	case *pdf.Histogram:
-		return code == store.OpHist
-	default:
-		return false
-	}
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // refreshOwnersLocked rebuilds the owner map from member truth after a
 // partial write failure; unreachable members keep their previous entries.

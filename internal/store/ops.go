@@ -285,11 +285,25 @@ func encodeOps(ops []Op) ([]byte, error) {
 // EncodeOps serializes an op batch in the store's WAL payload encoding.
 // Shard routers and member servers ship op batches over the wire in this
 // format — the same bytes a local commit would log — so a remote apply is
-// bit-identical to a local one.
-func EncodeOps(ops []Op) ([]byte, error) { return encodeOps(ops) }
+// bit-identical to a local one. A batch with no durable encoding is
+// ErrInvalidOp.
+func EncodeOps(ops []Op) ([]byte, error) {
+	b, err := encodeOps(ops)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidOp, err)
+	}
+	return b, nil
+}
 
-// DecodeOps parses a payload produced by EncodeOps.
-func DecodeOps(b []byte) ([]Op, error) { return decodeOps(b) }
+// DecodeOps parses a payload produced by EncodeOps; a payload that does not
+// parse is ErrInvalidOp.
+func DecodeOps(b []byte) ([]Op, error) {
+	ops, err := decodeOps(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidOp, err)
+	}
+	return ops, nil
+}
 
 // maxBatchOps bounds one committed batch. It is a decode-side sanity cap
 // (far above any real batch) that keeps a corrupt count field from driving

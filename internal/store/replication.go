@@ -247,9 +247,11 @@ func (s *Store) readLogHistory(from uint64) ([]LogRecord, bool) {
 
 // publishLog delivers a commit group's records to every log subscriber. A
 // subscriber without room for the whole group is cut (lagged) rather than
-// ever blocking the committer; it resyncs through SyncFrom. The committer is
-// the only sender, so the len/cap check is race-free in the conservative
-// direction — mirroring publish's protocol for the change feed.
+// ever blocking the committer; it resyncs through SyncFrom. This is a
+// different protocol from the change feed's OfferLossy on purpose: a log
+// stream with a hole is useless to a follower, so a laggard's channel is
+// closed instead of marked and resumed. The committer is the only sender,
+// so the len/cap check is race-free in the conservative direction.
 func (s *Store) publishLog(recs []LogRecord) {
 	if len(recs) == 0 {
 		return
@@ -326,9 +328,9 @@ func (s *Store) stageReplicated(lr LogRecord, rec *deltaRec) (staged, error) {
 		return staged{}, fmt.Errorf("%w: record seq %d/version %d does not extend seq %d/version %d",
 			ErrOutOfSync, lr.Seq, lr.Version, st.seq, st.version)
 	}
-	if len(lr.Payload)+8 > maxWALRecord {
+	if len(lr.Payload)+8 > MaxWALRecord {
 		return staged{}, fmt.Errorf("%w: replicated record of %d bytes exceeds the %d limit",
-			ErrInvalidOp, len(lr.Payload)+8, maxWALRecord)
+			ErrInvalidOp, len(lr.Payload)+8, MaxWALRecord)
 	}
 	decoded, err := decodeOps(lr.Payload)
 	if err != nil {

@@ -746,29 +746,29 @@ type staged struct {
 // state is untouched.
 func (s *Store) stageBatch(ops []Op, rec *deltaRec) (staged, error) {
 	st := s.st
-	assigned, ids, err := validateOps(st, ops, s.opt.ExplicitIDs)
+	assigned, ids, err := ValidateOps(ops, st.family, st.nextID, s.opt.ExplicitIDs)
 	if err != nil {
 		return staged{}, err
 	}
-	payload, err := encodeOps(assigned)
+	payload, err := EncodeOps(assigned)
 	if err != nil {
-		return staged{}, fmt.Errorf("%w: %v", ErrInvalidOp, err)
+		return staged{}, err
 	}
 	// Mirror the decode-side record cap on the write side: a record larger
 	// than the scanner accepts would commit now and then be dropped as a
 	// "torn tail" on every future recovery (and past 4 GiB the uint32
 	// length prefix would overflow). Refuse it up front instead.
-	if len(payload)+8 > maxWALRecord {
+	if len(payload)+8 > MaxWALRecord {
 		return staged{}, fmt.Errorf("%w: encoded batch is %d bytes, limit %d — split the batch",
-			ErrInvalidOp, len(payload)+8, maxWALRecord)
+			ErrInvalidOp, len(payload)+8, MaxWALRecord)
 	}
-	decoded, err := decodeOps(payload)
+	decoded, err := DecodeOps(payload)
 	if err != nil {
-		return staged{}, fmt.Errorf("%w: %v", ErrInvalidOp, err)
+		return staged{}, err
 	}
 	edits, rebuild, err := applyDecoded(st, decoded, rec)
 	if err != nil {
-		// validateOps should have caught everything; a failure here means the
+		// ValidateOps should have caught everything; a failure here means the
 		// state mutated partially — unrecoverable in-process.
 		s.broken.Store(true)
 		return staged{}, fmt.Errorf("store: internal apply failure: %w", err)
@@ -785,98 +785,98 @@ func (s *Store) stageBatch(ops []Op, rec *deltaRec) (staged, error) {
 	}, nil
 }
 
-// validateOps checks a batch against the state plus in-batch effects and
-// returns the ops with assigned IDs alongside the per-op affected IDs. With
-// explicit set (Options.ExplicitIDs), an upsert addressing an unknown
-// non-zero ID is an insert under that ID rather than an error.
-func validateOps(st *state, ops []Op, explicit bool) ([]Op, []uint64, error) {
-	// Overlay of in-batch existence changes: +1/+2 = created or updated in
-	// family 1-D/2-D, -1 = deleted, 0 = consult the state.
-	overlay := map[uint64]int8{}
+// family reports which family holds stable ID id: 1 for a live 1-D object,
+// 2 for a live disk, 0 for neither.
+func (st *state) family(id uint64) uint8 {
+	if _, ok := st.slotOf[id]; ok {
+		return 1
+	}
+	if _, ok := st.dslotOf[id]; ok {
+		return 2
+	}
+	return 0
+}
+
+// ValidateOps is the one definition of batch validity: it checks ops against
+// the live objects plus in-batch effects and returns them with assigned IDs
+// alongside the per-op affected IDs. family reports a stable ID's family
+// before the batch (1 = 1-D, 2 = disk, 0 = unknown) — a store's slot maps, a
+// shard router's cluster-wide owner map, so the two cannot disagree on what
+// a member will accept; inserts are numbered from nextID. With explicit set
+// (Options.ExplicitIDs), an upsert addressing an unknown non-zero ID is an
+// insert under that ID rather than an error.
+func ValidateOps(ops []Op, family func(id uint64) uint8, nextID uint64, explicit bool) ([]Op, []uint64, error) {
+	// Overlay of in-batch existence changes: the family an ID holds after
+	// the ops so far (0 = deleted); absent = consult family.
+	overlay := map[uint64]uint8{}
 	truncated := false
-	family := func(id uint64) int8 {
+	current := func(id uint64) uint8 {
 		if v, ok := overlay[id]; ok {
 			return v
 		}
 		if truncated {
-			return -1
+			return 0
 		}
-		if _, ok := st.slotOf[id]; ok {
-			return 1
+		return family(id)
+	}
+	// upsert resolves an upsert's ID: zero takes the next counter value, any
+	// other must address a live object of family fam (or, with explicit, none).
+	upsert := func(i int, op *Op, fam uint8) error {
+		if op.ID == 0 {
+			op.ID = nextID
+			nextID++
+		} else {
+			switch current(op.ID) {
+			case fam: // update
+			case 0:
+				if !explicit {
+					return fmt.Errorf("ops[%d]: update: %w %d", i, ErrUnknownID, op.ID)
+				}
+				if op.ID >= nextID {
+					nextID = op.ID + 1
+				}
+			default: // live in the other family, 3-fam
+				return fmt.Errorf("ops[%d]: %w: object %d is %d-D, payload %d-D",
+					i, ErrInvalidOp, op.ID, 3-fam, fam)
+			}
 		}
-		if _, ok := st.dslotOf[id]; ok {
-			return 2
-		}
-		return -1
+		overlay[op.ID] = fam
+		return nil
 	}
 	out := make([]Op, len(ops))
 	ids := make([]uint64, len(ops))
-	nextID := st.nextID
 	for i, op := range ops {
 		switch op.Code {
 		case OpTruncate:
 			truncated = true
-			overlay = map[uint64]int8{}
+			overlay = map[uint64]uint8{}
 			out[i] = op
+			continue
 		case OpDelete:
-			if op.ID == 0 || family(op.ID) == -1 {
+			if op.ID == 0 || current(op.ID) == 0 {
 				return nil, nil, fmt.Errorf("ops[%d]: delete: %w %d", i, ErrUnknownID, op.ID)
 			}
-			overlay[op.ID] = -1
-			out[i], ids[i] = op, op.ID
+			overlay[op.ID] = 0
 		case OpUniform, OpHist:
 			if op.PDF == nil || codeFor(op.PDF) != op.Code {
 				return nil, nil, fmt.Errorf("ops[%d]: %w: pdf %T does not match op code %d",
 					i, ErrInvalidOp, op.PDF, op.Code)
 			}
-			if op.ID == 0 {
-				op.ID = nextID
-				nextID++
-			} else {
-				switch family(op.ID) {
-				case 1: // update
-				case 2:
-					return nil, nil, fmt.Errorf("ops[%d]: %w: object %d is 2-D, payload 1-D",
-						i, ErrInvalidOp, op.ID)
-				default:
-					if !explicit {
-						return nil, nil, fmt.Errorf("ops[%d]: update: %w %d", i, ErrUnknownID, op.ID)
-					}
-					if op.ID >= nextID {
-						nextID = op.ID + 1
-					}
-				}
+			if err := upsert(i, &op, 1); err != nil {
+				return nil, nil, err
 			}
-			overlay[op.ID] = 1
-			out[i], ids[i] = op, op.ID
 		case OpDisk:
 			if !(op.Disk.Radius > 0) || !isFinite(op.Disk.Radius) ||
 				!isFinite(op.Disk.Center.X) || !isFinite(op.Disk.Center.Y) {
 				return nil, nil, fmt.Errorf("ops[%d]: %w: invalid disk %+v", i, ErrInvalidOp, op.Disk)
 			}
-			if op.ID == 0 {
-				op.ID = nextID
-				nextID++
-			} else {
-				switch family(op.ID) {
-				case 2: // update
-				case 1:
-					return nil, nil, fmt.Errorf("ops[%d]: %w: object %d is 1-D, payload 2-D",
-						i, ErrInvalidOp, op.ID)
-				default:
-					if !explicit {
-						return nil, nil, fmt.Errorf("ops[%d]: update: %w %d", i, ErrUnknownID, op.ID)
-					}
-					if op.ID >= nextID {
-						nextID = op.ID + 1
-					}
-				}
+			if err := upsert(i, &op, 2); err != nil {
+				return nil, nil, err
 			}
-			overlay[op.ID] = 2
-			out[i], ids[i] = op, op.ID
 		default:
 			return nil, nil, fmt.Errorf("ops[%d]: %w: unknown code %d", i, ErrInvalidOp, op.Code)
 		}
+		out[i], ids[i] = op, op.ID
 	}
 	return out, ids, nil
 }

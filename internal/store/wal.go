@@ -23,9 +23,10 @@ import (
 
 const walHeaderSize = 8
 
-// maxWALRecord bounds a single record (a dataset-reload batch of 53k
-// histogram objects stays far below this).
-const maxWALRecord = 1 << 30
+// MaxWALRecord bounds a single record (a dataset-reload batch of 53k
+// histogram objects stays far below this). Exported so the replication
+// wire's frame cap is derived from it, not copied.
+const MaxWALRecord = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -71,7 +72,7 @@ func scanWAL(r io.Reader) (recs []walRecord, validBytes int64, torn bool, err er
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(hdr[:4]))
 		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if payloadLen < 8 || payloadLen > maxWALRecord {
+		if payloadLen < 8 || payloadLen > MaxWALRecord {
 			return recs, start, true, nil
 		}
 		payload, ok := readN(br, payloadLen)

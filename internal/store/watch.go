@@ -148,35 +148,43 @@ func (s *Store) Watch(buffer int) (*Sub, error) {
 	return sub, nil
 }
 
-// publish delivers a commit group's delta to every subscriber. It never
-// blocks the committer: when a subscription is one slot from full, the delta
-// is dropped and a Gap marker lands in that reserved slot, so the consumer
-// finds out it lagged as soon as it drains its backlog even if no further
-// commit ever happens. Further deltas stay dropped until the consumer has
-// fully caught up (empty buffer).
+// OfferLossy is the one lossy-feed protocol (the store's change feed and the
+// monitor's subscriber fan-out both send through it): a sender that must
+// never block offers v to a buffered channel whose last slot is reserved.
+// With more than that slot free, v is sent. With only it left, v is dropped,
+// marker takes the slot and *lagging is set, so the consumer learns it fell
+// behind as soon as it drains its backlog even if nothing is offered again;
+// every later v is dropped until the channel is empty, then delivery
+// resumes. It reports whether v was sent; the caller counts the drops.
 //
-// The committer is the only sender and consumers only drain, so the len/cap
-// checks are race-free in the conservative direction and a send this
-// function decides on never blocks. The monitor's subscriber fan-out
-// (monitor.(*Monitor).pushLocked) mirrors this protocol with a bare lagged
-// marker instead of a view-carrying Gap; keep the two in sync when touching
-// either.
+// ch needs capacity >= 2 and one sender at a time (whose lock also guards
+// *lagging) over consumers that only drain: len can then only shrink under
+// the sender, so a send decided here never blocks.
+func OfferLossy[T any](ch chan T, lagging *bool, v, marker T) bool {
+	if *lagging {
+		if len(ch) > 0 {
+			return false // still draining toward its marker
+		}
+		*lagging = false // caught up; resume delivery
+	}
+	if len(ch) < cap(ch)-1 {
+		ch <- v
+		return true
+	}
+	ch <- marker // the reserved slot
+	*lagging = true
+	return false
+}
+
+// publish delivers a commit group's delta to every subscriber through
+// OfferLossy, so it never blocks the committer; the marker is a Gap delta
+// carrying the view to catch up from.
 func (s *Store) publish(view *View, rec *deltaRec) {
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
+	d := Delta{View: view, Changes: rec.changes, Truncated: rec.truncated}
 	for sub := range s.watchers {
-		if sub.gap {
-			if len(sub.ch) > 0 {
-				s.watchDropped.Add(1)
-				continue // still draining toward its Gap marker
-			}
-			sub.gap = false // caught up; resume delivery
-		}
-		if len(sub.ch) < cap(sub.ch)-1 {
-			sub.ch <- Delta{View: view, Changes: rec.changes, Truncated: rec.truncated}
-		} else {
-			sub.ch <- Delta{View: view, Gap: true} // the reserved slot
-			sub.gap = true
+		if !OfferLossy(sub.ch, &sub.gap, d, Delta{View: view, Gap: true}) {
 			s.watchDropped.Add(1)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -229,5 +230,52 @@ func TestWatchGroupCommitOneDelta(t *testing.T) {
 	}
 	if d.View.Dataset.Len() != 3 {
 		t.Fatalf("delta view holds %d objects, want 3", d.View.Dataset.Len())
+	}
+}
+
+// TestOfferLossy walks the lossy-feed protocol step by step on a capacity-4
+// channel: values fill all but the reserved last slot, the marker lands in
+// that slot, every offer is dropped while any backlog remains, and delivery
+// resumes once the consumer has drained to empty.
+func TestOfferLossy(t *testing.T) {
+	const marker = -1
+	ch := make(chan int, 4)
+	lagging := false
+	steps := []struct {
+		name    string
+		drain   int // receives before the offer
+		offer   int
+		sent    bool
+		lagging bool
+		backlog []int // channel contents after the offer, oldest first
+	}{
+		{"fill 1", 0, 1, true, false, []int{1}},
+		{"fill 2", 0, 2, true, false, []int{1, 2}},
+		{"fill 3: last free slot before the reserved one", 0, 3, true, false, []int{1, 2, 3}},
+		{"overflow: marker takes the reserved slot", 0, 4, false, true, []int{1, 2, 3, marker}},
+		{"dropped while full", 0, 5, false, true, []int{1, 2, 3, marker}},
+		{"dropped while partly drained", 2, 6, false, true, []int{3, marker}},
+		{"dropped with only the marker left", 1, 7, false, true, []int{marker}},
+		{"resumes after a full drain", 1, 8, true, false, []int{8}},
+		{"keeps delivering", 0, 9, true, false, []int{8, 9}},
+	}
+	for _, st := range steps {
+		for i := 0; i < st.drain; i++ {
+			<-ch
+		}
+		if sent := OfferLossy(ch, &lagging, st.offer, marker); sent != st.sent || lagging != st.lagging {
+			t.Fatalf("%s: sent=%v lagging=%v, want sent=%v lagging=%v", st.name, sent, lagging, st.sent, st.lagging)
+		}
+		// Peek at the backlog by cycling it through the channel once.
+		got := make([]int, len(ch))
+		for i := range got {
+			got[i] = <-ch
+		}
+		for _, v := range got {
+			ch <- v
+		}
+		if !reflect.DeepEqual(got, st.backlog) {
+			t.Fatalf("%s: backlog %v, want %v", st.name, got, st.backlog)
+		}
 	}
 }

@@ -333,24 +333,6 @@ func (t *Table) Count(j int) int { return t.c[j] }
 // rightmost subregion — the quantity the RS verifier subtracts from one.
 func (t *Table) RightmostMass(i int) float64 { return t.S(i, t.m-1) }
 
-// SubregionOf returns the index of the subregion containing r, clamping to
-// the partition's ends.
-func (t *Table) SubregionOf(r float64) int {
-	if r <= t.ends[0] {
-		return 0
-	}
-	if r >= t.ends[len(t.ends)-1] {
-		return t.m - 1
-	}
-	j := sort.SearchFloat64s(t.ends, r)
-	// ends[j-1] < r <= ends[j] (SearchFloat64s finds first >= r); subregion
-	// index is j-1 except when r equals an end-point exactly.
-	if t.ends[j] == r && j < t.m {
-		return j
-	}
-	return j - 1
-}
-
 func dedupe(sorted []float64) []float64 {
 	out := sorted[:0]
 	for i, v := range sorted {

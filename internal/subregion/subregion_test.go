@@ -157,21 +157,6 @@ func TestBuildSingleCandidate(t *testing.T) {
 	}
 }
 
-func TestSubregionOf(t *testing.T) {
-	tb := handTable(t)
-	cases := []struct {
-		r    float64
-		want int
-	}{
-		{-1, 0}, {0, 0}, {0.5, 0}, {1, 1}, {1.5, 1}, {2.7, 2}, {3, 3}, {4.9, 3}, {5, 4}, {7, 4}, {8, 4}, {99, 4},
-	}
-	for _, tc := range cases {
-		if got := tb.SubregionOf(tc.r); got != tc.want {
-			t.Errorf("SubregionOf(%g) = %d, want %d", tc.r, got, tc.want)
-		}
-	}
-}
-
 func TestMarchCDFMatchesHistogramCDF(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -2,6 +2,9 @@ package pnn_test
 
 import (
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	pnn "repro"
@@ -126,5 +129,44 @@ func TestFacade2D(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("nearest disk missing from answers: %v", res.Answers)
+	}
+}
+
+// TestReadmeLayout is the layout half of the docs self-check: README's
+// Layout table names every package directory under internal/, and names
+// none that does not exist.
+func TestReadmeLayout(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layout, ok := strings.Cut(string(readme), "\n## Layout\n")
+	if !ok {
+		t.Fatal("README has no Layout section")
+	}
+	layout, _, _ = strings.Cut(layout, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(layout, "\n") {
+		if path, _, ok := strings.Cut(strings.TrimPrefix(line, "| "), " | "); ok && strings.HasPrefix(line, "| ") {
+			for _, m := range regexp.MustCompile("`internal/([a-z0-9]+)`").FindAllStringSubmatch(path, -1) {
+				documented[m[1]] = true
+			}
+		}
+	}
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if !documented[e.Name()] {
+			t.Errorf("internal/%s has no row in README's Layout table", e.Name())
+		}
+		delete(documented, e.Name())
+	}
+	for name := range documented {
+		t.Errorf("README's Layout table lists internal/%s, which does not exist", name)
 	}
 }
