@@ -112,16 +112,51 @@ func (sc *queryScratch) buildTable(cands []subregion.Candidate) (*subregion.Tabl
 	return &sc.table, nil
 }
 
+// release clears what the scratch still references of its last query — the
+// candidate set's distance pdfs, which are heap histograms whenever that
+// query's derivation fanned out — and keeps every float buffer's capacity.
+// Whoever parks a scratch between queries (runBatch's pool, a server worker
+// slot) calls it first, so an idle scratch pins only its own storage.
+func (sc *queryScratch) release() {
+	clear(sc.cands[:cap(sc.cands)])
+	sc.table.DropCandidates()
+	sc.arena.Release()
+}
+
 // Scratch is a caller-owned reusable evaluation scratch for long-lived loops
 // that evaluate single queries one at a time — the monitor's re-evaluation
-// workers hold one per worker. It recycles the candidate buffer, subregion
-// table and fold arena exactly like a batch worker's pooled scratch, cutting
-// the per-query allocation profile to the batch path's. A Scratch is not safe
-// for concurrent use; the zero value (and NewScratch) is ready.
+// workers hold one per worker, the server one per worker slot. It recycles
+// the candidate buffer, subregion table and fold arena exactly like a batch
+// worker's pooled scratch, cutting the per-query allocation profile to the
+// batch path's, and derives candidates in-line: its owner already
+// parallelises at query granularity. A Scratch is not safe for concurrent
+// use; the zero value (and NewScratch) is ready.
 type Scratch struct{ qs queryScratch }
 
 // NewScratch returns an empty reusable evaluation scratch.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// query is the scratch's pipeline-side form; a nil Scratch stays nil, which
+// the pipeline reads as "allocate fresh".
+func (s *Scratch) query() *queryScratch {
+	if s == nil {
+		return nil
+	}
+	return &s.qs
+}
+
+// Release drops the scratch's references to the last query's candidates
+// while keeping its buffers, for an owner about to leave it idle. The next
+// query may use it as is.
+func (s *Scratch) Release() { s.qs.release() }
+
+// MemBytes returns the approximate heap footprint the scratch retains
+// between queries: subregion table, candidate buffer and fold arena. It
+// grows to the largest query the scratch has served, so an owner that parks
+// scratches caps it by replacing one that outgrew its budget.
+func (s *Scratch) MemBytes() int {
+	return s.qs.table.MemBytes() + 16*cap(s.qs.cands) + s.qs.arena.MemBytes()
+}
 
 // runBatch distributes n query evaluations over a worker pool. Each query
 // borrows a scratch from the pool (the pool's per-P caching makes this a
@@ -149,7 +184,10 @@ func runBatch(n, workers int, eval func(i int, sc *queryScratch) (*Result, error
 	err := parallelFor(n, workers, func(i int) error {
 		sc := scratchPool.Get().(*queryScratch)
 		sc.parallelDerive = nested
-		defer scratchPool.Put(sc)
+		defer func() {
+			sc.release()
+			scratchPool.Put(sc)
+		}()
 		res, err := eval(i, sc)
 		if err != nil {
 			return fmt.Errorf("core: batch query %d: %w", i, err)
@@ -172,6 +210,7 @@ func runBatch(n, workers int, eval func(i int, sc *queryScratch) (*Result, error
 func (s *Stats) addScalars(o Stats) {
 	s.FilterTime += o.FilterTime
 	s.InitTime += o.InitTime
+	s.TableTime += o.TableTime
 	s.VerifyTime += o.VerifyTime
 	s.RefineTime += o.RefineTime
 	s.Candidates += o.Candidates

@@ -125,9 +125,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine answers probabilistic nearest-neighbor queries over one 1-D
-// dataset. CPNN, CPNNScratch, CPNNBatch and PNN are the embedded pipeline's;
-// the engine adds what needs the dataset itself: min/max queries, the
-// sampling-based k-NN, and the incremental entry points (incremental.go).
+// dataset. CPNN, CPNNScratch, CPNNBatch, PNN and PNNScratch are the embedded
+// pipeline's; the engine adds what needs the dataset itself: min/max
+// queries, the sampling-based k-NN, and the incremental entry points
+// (incremental.go).
 type Engine struct {
 	pipeline[float64]
 	source1D
@@ -207,6 +208,11 @@ type Stats struct {
 	// InitTime covers distance pdf/cdf derivation and subregion-table
 	// construction (the paper counts this within verification).
 	InitTime time.Duration
+	// TableTime is the subregion-table share of InitTime on the stateless
+	// entry points, so InitTime − TableTime is derivation alone. The
+	// incremental entry points patch the table between derivations and leave
+	// it zero.
+	TableTime time.Duration
 	// VerifyTime is the verifier-chain time.
 	VerifyTime time.Duration
 	// RefineTime covers all probability integration.

@@ -72,7 +72,9 @@ func (dv *deriver) distFor(obj uncertain.Object, q float64, bins int, a *pdf.All
 	case *pdf.Histogram:
 		return dist.FoldHistogramIn(a, p, q)
 	case pdf.Uniform:
-		return dist.FromPDFIn(a, p, q)
+		// obj.PDF, not p: re-boxing the unwrapped value into the parameter's
+		// interface would cost one heap allocation per candidate.
+		return dist.FromPDFIn(a, obj.PDF, q)
 	default:
 		h, err := dv.discretize(obj.ID, obj.PDF, bins)
 		if err != nil {

@@ -49,11 +49,7 @@ func (p *pipeline[Q]) CPNNScratch(q Q, c verify.Constraint, opt Options, sc *Scr
 	if err := p.src.check(q); err != nil {
 		return nil, err
 	}
-	var qs *queryScratch
-	if sc != nil {
-		qs = &sc.qs
-	}
-	return p.cpnn(q, c, opt.withDefaults(), qs)
+	return p.cpnn(q, c, opt.withDefaults(), sc.query())
 }
 
 // CPNNBatch evaluates one C-PNN per query point over a bounded worker pool,
@@ -100,12 +96,19 @@ func (p *pipeline[Q]) cpnn(q Q, c verify.Constraint, opt Options, sc *queryScrat
 // probability. It integrates every candidate exactly, with no verification
 // pass, whose bounds a PNN would discard anyway.
 func (p *pipeline[Q]) PNN(q Q, opt Options) ([]Probability, Stats, error) {
+	return p.PNNScratch(q, opt, nil)
+}
+
+// PNNScratch is PNN evaluated on a caller-owned scratch, under CPNNScratch's
+// rules: the returned probabilities never alias scratch memory, and a nil
+// scratch is plain PNN.
+func (p *pipeline[Q]) PNNScratch(q Q, opt Options, sc *Scratch) ([]Probability, Stats, error) {
 	opt = opt.withDefaults()
 	var st Stats
 	if err := p.src.check(q); err != nil {
 		return nil, st, err
 	}
-	_, table, err := p.prepare(q, opt.Bins, true, nil, &st)
+	_, table, err := p.prepare(q, opt.Bins, true, sc.query(), &st)
 	if err != nil || table == nil {
 		return nil, st, err
 	}
@@ -115,8 +118,9 @@ func (p *pipeline[Q]) PNN(q Q, opt Options) ([]Probability, Stats, error) {
 
 // prepare runs the phases every stateless query starts with: filter, derive
 // and — unless the strategy integrates candidates directly — the subregion
-// table, with phase timings and set sizes recorded in st. An empty candidate
-// set returns nil candidates and a nil table.
+// table, with phase timings (the table's own inside InitTime) and set sizes
+// recorded in st. An empty candidate set returns nil candidates and a nil
+// table.
 func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, st *Stats) ([]subregion.Candidate, *subregion.Table, error) {
 	start := time.Now()
 	pos, fMin := p.src.candidates(q)
@@ -136,10 +140,12 @@ func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, 
 	sc.keepCandBuf(cands)
 	var table *subregion.Table
 	if buildTable {
+		derived := time.Now()
 		if table, err = sc.buildTable(cands); err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 		st.Subregions = table.NumSubregions()
+		st.TableTime = time.Since(derived)
 	}
 	st.InitTime = time.Since(start)
 	return cands, table, nil

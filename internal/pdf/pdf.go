@@ -219,6 +219,22 @@ func (a *Alloc) Reset() {
 	a.used = 0
 }
 
+// Release is Reset for an arena about to sit idle: it also clears the
+// histogram headers handed out since the last Reset, so the only float
+// storage the arena keeps reachable is its current buffer — not the buffers
+// it outgrew mid-query, which those headers still point into.
+func (a *Alloc) Release() {
+	clear(a.hs[:a.nh])
+	a.Reset()
+}
+
+// MemBytes returns the approximate heap footprint the arena retains across
+// a Release: its float buffer and its histogram headers (three slice
+// headers, 72 bytes, each).
+func (a *Alloc) MemBytes() int {
+	return 8*cap(a.buf) + 72*cap(a.hs)
+}
+
 // Floats returns an n-element float64 slice from the arena (heap-backed for
 // a nil Alloc), valid until Reset. Contents are zero only on first use of
 // the backing storage; callers must overwrite every element.

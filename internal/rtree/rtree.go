@@ -39,13 +39,18 @@ type Tree[T any] struct {
 	// copying), which makes Clone O(1) and a commit's index maintenance O(Δ·
 	// height) instead of O(n).
 	owner *cowOwner
-
-	// nnPool recycles best-first traversal queues across MinMaxDists calls
-	// (one per filtering pass — hot enough that a fresh queue per call shows
-	// up in allocation profiles). sync.Pool is safe under the tree's
-	// concurrent-readers contract.
-	nnPool sync.Pool
 }
+
+// nnPool recycles best-first traversal queues across MinMaxDists calls (one
+// per filtering pass — hot enough that a fresh queue per call shows up in
+// allocation profiles). It is one pool for every tree, not a field of each:
+// the runtime keeps a used sync.Pool reachable until two collections later,
+// and a pool embedded in a Tree kept the whole tree reachable with it — every
+// per-query mini-view index of a shard router outlived its request by two GC
+// cycles — while a tree built for one query, or cloned for one commit, never
+// got a queue back from its own pool anyway. Queues are pointer-free when
+// pooled; one of another instantiation's type is dropped on Get.
+var nnPool sync.Pool
 
 // cowOwner is an identity token; it must not be zero-sized, since pointers
 // to distinct zero-size allocations may compare equal.
@@ -554,7 +559,7 @@ type nnEntry[T any] struct {
 // getQueue hands out an empty traversal queue, reusing a pooled backing
 // array when one is available.
 func (t *Tree[T]) getQueue() *nnQueue[T] {
-	if q, ok := t.nnPool.Get().(*nnQueue[T]); ok {
+	if q, ok := nnPool.Get().(*nnQueue[T]); ok {
 		return q
 	}
 	q := make(nnQueue[T], 0, 2*t.maxEntries)
@@ -568,7 +573,7 @@ func (t *Tree[T]) putQueue(q *nnQueue[T]) {
 		h[i] = nnEntry[T]{}
 	}
 	*q = h[:0]
-	t.nnPool.Put(q)
+	nnPool.Put(q)
 }
 
 // nnQueue is a typed binary min-heap on dist. container/heap would box every

@@ -50,16 +50,36 @@ func (b parityBackend) gateStatus(need int) int {
 	return 0
 }
 
+// clusterOver boots a K-shard in-process cluster holding pdfs under the
+// stable IDs 1..len(pdfs), with its router. The cluster closes with the
+// test, after any server the caller builds over the router.
+func clusterOver(t *testing.T, pdfs []pdf.PDF, k int) (*shard.Cluster, *shard.Router) {
+	t.Helper()
+	ids := make([]uint64, len(pdfs))
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	view := &store.View{Dataset: uncertain.NewDataset(pdfs), IDs: ids, NextID: uint64(len(pdfs)) + 1}
+	cluster, err := shard.CreateCluster(t.TempDir(), k, view, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	rt, err := cluster.Router()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster, rt
+}
+
 // parityBackends boots a dataset-only server, a store server (also the
 // replication primary), its caught-up replica and a K=2 in-process shard
 // router over the same objects.
 func parityBackends(t *testing.T) []parityBackend {
 	t.Helper()
 	pdfs := make([]pdf.PDF, 40)
-	ids := make([]uint64, len(pdfs))
 	for i := range pdfs {
 		pdfs[i] = pdf.MustUniform(float64(8*i), float64(8*i)+20)
-		ids[i] = uint64(i + 1)
 	}
 	// One caller registry shared by all four: a server's own families live in
 	// its private registry, so none may show up twice in any scrape.
@@ -74,27 +94,13 @@ func parityBackends(t *testing.T) []parityBackend {
 
 	primary, rep := replicaPairOver(t, pdfs, base)
 
-	view := &store.View{Dataset: uncertain.NewDataset(pdfs), IDs: ids, NextID: uint64(len(pdfs)) + 1}
-	cluster, err := shard.CreateCluster(t.TempDir(), 2, view, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := cluster.Router()
-	if err != nil {
-		cluster.Close()
-		t.Fatal(err)
-	}
 	rcfg := base
-	rcfg.ShardRouter, rcfg.ShardCluster = rt, cluster
+	rcfg.ShardCluster, rcfg.ShardRouter = clusterOver(t, pdfs, 2)
 	router, err := New(rcfg)
 	if err != nil {
-		cluster.Close()
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		router.Close()
-		cluster.Close()
-	})
+	t.Cleanup(func() { router.Close() })
 	return []parityBackend{
 		{name: "dataset", srv: dataset, idShift: 1},
 		{name: "store", srv: primary},

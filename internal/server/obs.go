@@ -91,16 +91,20 @@ func (s *Server) ingress(next http.Handler) http.Handler {
 
 // observePhases feeds one query's core.Stats into the per-phase latency
 // histograms and annotates the request with the breakdown. Called only on
-// cache-miss evaluations — cache hits spent no phase time.
+// cache-miss evaluations — cache hits spent no phase time. filter, derive
+// and verify partition the query; table is the subregion-table share of
+// derive (zero for k-NN, which builds none).
 func (s *Server) observePhases(ctx context.Context, ep endpoint, st core.Stats) {
 	filter, derive, verifyDur := st.PhaseDurations()
 	h := &s.phaseObs[ep]
 	h[0].Observe(filter.Seconds())
 	h[1].Observe(derive.Seconds())
-	h[2].Observe(verifyDur.Seconds())
+	h[2].Observe(st.TableTime.Seconds())
+	h[3].Observe(verifyDur.Seconds())
 	if ri := obs.ReqInfoFrom(ctx); ri != nil {
 		ri.Set("phase_filter_ms", formatMs(filter))
 		ri.Set("phase_derive_ms", formatMs(derive))
+		ri.Set("phase_table_ms", formatMs(st.TableTime))
 		ri.Set("phase_verify_ms", formatMs(verifyDur))
 	}
 }

@@ -20,7 +20,10 @@
 //     entries for the old snapshot can never match a new request.
 //   - A bounded worker pool: at most MaxInFlight evaluations run at once;
 //     excess requests queue until a slot frees and are shed with a 503 once
-//     they have waited QueueTimeout.
+//     they have waited QueueTimeout. A slot carries the evaluation scratch
+//     (subregion table, candidate buffer, fold arena) its queries run on, so
+//     a cold read allocates none of them; see workerSlots for what an idle
+//     slot may retain.
 //
 // Responses are deterministic — per-query timings are deliberately excluded
 // (they live in /metrics aggregates) so a cached response is byte-identical
@@ -304,7 +307,7 @@ type Server struct {
 	cfg      Config
 	snap     atomic.Pointer[Snapshot]
 	cc       *cache
-	sem      chan struct{}
+	slots    workerSlots
 	m        metrics
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -334,10 +337,10 @@ type Server struct {
 	reg     *obs.Registry
 	started time.Time
 	// traceSample counts headerless requests for 1-in-N trace sampling;
-	// phaseObs holds the pre-resolved {filter,derive,verify} histogram
+	// phaseObs holds the pre-resolved {filter,derive,table,verify} histogram
 	// children per evaluating endpoint.
 	traceSample atomic.Uint64
-	phaseObs    [numEndpoints][3]*obs.Histogram
+	phaseObs    [numEndpoints][4]*obs.Histogram
 
 	reloadMu sync.Mutex // serializes snapshot swaps, not reads
 }
@@ -352,7 +355,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cc:      newCache(cfg.CacheEntries, DefaultCacheShards),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
+		slots:   workerSlots{sem: make(chan struct{}, cfg.MaxInFlight)},
 		drainCh: make(chan struct{}),
 		log:     obs.Or(cfg.Logger),
 		tracer:  cfg.Tracer,
@@ -364,16 +367,17 @@ func New(cfg Config) (*Server, error) {
 		s.tracer = obs.NewTracer(0)
 	}
 	// Resolve the per-endpoint phase children once: the query hot path then
-	// observes through three pointer-stable histograms instead of building
+	// observes through four pointer-stable histograms instead of building
 	// a label key per request. Only the evaluating endpoints have phases.
 	phase := obs.NewHistogramVec("cpnn_query_phase_seconds",
 		"Per-phase query evaluation latency, from core.Stats.",
 		[]string{"phase", "endpoint"}, nil)
 	for _, e := range []endpoint{epCPNN, epPNN, epKNN, epBatch} {
 		name := endpointNames[e]
-		s.phaseObs[e] = [3]*obs.Histogram{
+		s.phaseObs[e] = [4]*obs.Histogram{
 			phase.With("filter", name),
 			phase.With("derive", name),
+			phase.With("table", name),
 			phase.With("verify", name),
 		}
 	}
@@ -533,33 +537,89 @@ func (s *Server) snapPoint(q float64) float64 {
 	return math.Round(q/s.cfg.Quantum) * s.cfg.Quantum
 }
 
-// evaluate runs fn under the bounded worker pool. Admission control is
-// deliberately server-side: the wait for a slot is bounded by QueueTimeout,
-// not by any client's connection, because a singleflight leader must survive
-// its own client disconnecting — collapsed waiters with live connections
-// depend on its result, and the completed result still lands in the cache.
-// Waiters abandon early through the context handed to cache.Do instead.
-func (s *Server) evaluate(fn func() ([]byte, error)) ([]byte, error) {
-	var timeout <-chan time.Time
-	if s.cfg.QueueTimeout > 0 {
-		timer := time.NewTimer(s.cfg.QueueTimeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
+// slotScratchCap bounds the memory a parked worker slot retains. A scratch
+// grows to the largest query it ever served: on the Long Beach workload the
+// candidate set is |C| p50 58 / p95 247 / p99 346 / max 571, its table
+// |C|×(M+1) = 1,564 / 14,550 / 28,080 / 61,978 cells of 24 B = 37 KB /
+// 350 KB / 674 KB / 1.49 MB. 1 MiB keeps everything up to ≈p99.5 warm; a
+// query past it runs on its slot's scratch like any other and the scratch is
+// dropped afterwards, so only those queries allocate their table afresh.
+const slotScratchCap = 1 << 20
+
+// workerSlots is the bounded evaluation pool: sem counts the MaxInFlight
+// slots, idle holds the scratches of the free ones. Slots are handed out
+// last-in-first-out, so a server busy at concurrency c keeps c scratches
+// warm and the remaining slots hold nothing — retained memory is at most
+// min(peak concurrency, MaxInFlight) × slotScratchCap, not a rotation
+// through every slot that ever served a large query.
+type workerSlots struct {
+	sem  chan struct{}
+	mu   sync.Mutex
+	idle []*core.Scratch
+}
+
+// acquire takes a slot and returns its scratch, waiting up to timeout (for
+// ever when timeout <= 0) if all are busy; false means the wait expired. The
+// timer exists only for a request that actually queues.
+func (ws *workerSlots) acquire(timeout time.Duration) (*core.Scratch, bool) {
 	select {
-	case s.sem <- struct{}{}:
-	case <-timeout:
+	case ws.sem <- struct{}{}:
+	default:
+		var expired <-chan time.Time
+		if timeout > 0 {
+			timer := time.NewTimer(timeout)
+			defer timer.Stop()
+			expired = timer.C
+		}
+		select {
+		case ws.sem <- struct{}{}:
+		case <-expired:
+			return nil, false
+		}
+	}
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if n := len(ws.idle); n > 0 {
+		sc := ws.idle[n-1]
+		ws.idle = ws.idle[:n-1]
+		return sc, true
+	}
+	return core.NewScratch(), true
+}
+
+// release parks the slot's scratch — cleared of the query's candidates, and
+// only while it is within slotScratchCap — and frees the slot.
+func (ws *workerSlots) release(sc *core.Scratch) {
+	sc.Release()
+	if sc.MemBytes() <= slotScratchCap {
+		ws.mu.Lock()
+		ws.idle = append(ws.idle, sc)
+		ws.mu.Unlock()
+	}
+	<-ws.sem
+}
+
+// evaluate runs fn under the bounded worker pool, on the acquired slot's
+// scratch. Admission control is deliberately server-side: the wait for a
+// slot is bounded by QueueTimeout, not by any client's connection, because a
+// singleflight leader must survive its own client disconnecting — collapsed
+// waiters with live connections depend on its result, and the completed
+// result still lands in the cache. Waiters abandon early through the context
+// handed to cache.Do instead.
+func (s *Server) evaluate(fn func(sc *core.Scratch) ([]byte, error)) ([]byte, error) {
+	sc, ok := s.slots.acquire(s.cfg.QueueTimeout)
+	if !ok {
 		return nil, &httpError{
 			status: http.StatusServiceUnavailable,
 			msg: fmt.Sprintf("server: overloaded, no worker slot freed within %v",
 				s.cfg.QueueTimeout),
 		}
 	}
-	defer func() { <-s.sem }()
+	defer s.slots.release(sc)
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 	start := time.Now()
-	out, err := fn()
+	out, err := fn(sc)
 	s.m.evalNanos.Add(time.Since(start).Nanoseconds())
 	s.m.evals.Add(1)
 	return out, err
@@ -837,17 +897,17 @@ func cacheKey(kind, vk string, all bool, parts ...uint64) string {
 
 // serve answers one (already quantized) query through the result cache: hit,
 // singleflight-collapse onto an identical in-flight evaluation, or take the
-// view's snapshot and render it under the worker pool. Every backend and
-// every query endpoint routes through here.
+// view's snapshot and render it under the worker pool, on the worker slot's
+// scratch. Every backend and every query endpoint routes through here.
 func (s *Server) serve(ctx context.Context, ep endpoint, v view, key string, qq float64, k int,
-	render func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error)) ([]byte, Source, error) {
+	render func(snap *Snapshot, ids []uint64, sc *core.Scratch) ([]byte, core.Stats, error)) ([]byte, Source, error) {
 	return s.cc.Do(ctx, key, func() ([]byte, error) {
-		return s.evaluate(func() ([]byte, error) {
+		return s.evaluate(func(sc *core.Scratch) ([]byte, error) {
 			snap, ids, err := v.snapshot(ctx, qq, k)
 			if err != nil {
 				return nil, err
 			}
-			body, st, err := render(snap, ids)
+			body, st, err := render(snap, ids, sc)
 			if err == nil {
 				s.observePhases(ctx, ep, st)
 			}
@@ -894,17 +954,18 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
 	key := cacheKey("cpnn", v.key(), all,
 		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), uint64(strat))
-	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) {
-		return cpnnPayload(snap, qq, c, strat, all)
+	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot, _ []uint64, sc *core.Scratch) ([]byte, core.Stats, error) {
+		return cpnnPayload(snap, qq, c, strat, all, sc)
 	})
 }
 
 // cpnnPayload evaluates one C-PNN query against a snapshot and renders the
 // response body. A gathered mini-view renders through here exactly like the
 // local snapshot, so a sharded server's body differs from a single server's
-// only in the version field.
-func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, core.Stats, error) {
-	res, err := snap.Engine.CPNN(qq, c, core.Options{Strategy: strat})
+// only in the version field. sc is the evaluation scratch (the worker slot's;
+// nil allocates fresh) and never shows in the body.
+func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool, sc *core.Scratch) ([]byte, core.Stats, error) {
+	res, err := snap.Engine.CPNNScratch(qq, c, core.Options{Strategy: strat}, sc)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -947,7 +1008,9 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 	qq := s.snapPoint(q)
 	key := cacheKey("pnn", v.key(), false, math.Float64bits(qq))
 	body, src, err := s.serve(r.Context(), epPNN, v, key, qq, 1,
-		func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) { return pnnPayload(snap, qq) })
+		func(snap *Snapshot, _ []uint64, sc *core.Scratch) ([]byte, core.Stats, error) {
+			return pnnPayload(snap, qq, sc)
+		})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -956,9 +1019,9 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 }
 
 // pnnPayload evaluates one PNN query against a snapshot and renders the
-// response body.
-func pnnPayload(snap *Snapshot, qq float64) ([]byte, core.Stats, error) {
-	probs, st, err := snap.Engine.PNN(qq, core.Options{})
+// response body, on the scratch sc like cpnnPayload.
+func pnnPayload(snap *Snapshot, qq float64, sc *core.Scratch) ([]byte, core.Stats, error) {
+	probs, st, err := snap.Engine.PNNScratch(qq, core.Options{}, sc)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -1026,7 +1089,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey("knn", v.key(), all, math.Float64bits(qq), math.Float64bits(c.P),
 		math.Float64bits(c.Delta), uint64(k), uint64(samples), uint64(seed))
 	body, src, err := s.serve(r.Context(), epKNN, v, key, qq, k,
-		func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error) {
+		func(snap *Snapshot, ids []uint64, _ *core.Scratch) ([]byte, core.Stats, error) {
 			return knnPayload(snap, qq, c, k, samples, int64(seed), all, ids)
 		})
 	if err != nil {

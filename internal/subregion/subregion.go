@@ -17,9 +17,11 @@
 package subregion
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/pdf"
@@ -55,7 +57,7 @@ type Table struct {
 	c    []int     // M per-subregion counts of candidates with s_ij > 0
 
 	// Scratch reused across Rebuild/Patch calls; never escapes the table.
-	order    []int
+	order    []rankKey
 	pts      []float64
 	pre, suf []float64
 	patchBuf []Candidate
@@ -67,8 +69,27 @@ type Table struct {
 func (t *Table) MemBytes() int {
 	words := cap(t.ends) + cap(t.s) + cap(t.d) + cap(t.excl) + cap(t.y) +
 		cap(t.pts) + cap(t.pre) + cap(t.suf) +
-		cap(t.ids) + cap(t.dists) + cap(t.order) + cap(t.c)
-	return 8*words + 24*cap(t.patchBuf)
+		cap(t.ids) + cap(t.dists) + cap(t.c)
+	return 8*words + 24*cap(t.order) + 24*cap(t.patchBuf)
+}
+
+// DropCandidates clears the table's references to the last candidate set's
+// distance pdfs while keeping every float matrix's capacity, so a table
+// parked between queries (a pooled or slot-owned scratch) pins no histogram
+// of the query it last served. The table reads as empty until the next
+// Rebuild.
+func (t *Table) DropCandidates() {
+	clear(t.dists)
+	clear(t.patchBuf[:cap(t.patchBuf)])
+	t.ids, t.dists = t.ids[:0], t.dists[:0]
+}
+
+// rankKey is one candidate's sort key in Rebuild: near point, then ID, with
+// the candidate's position in the input slice carried along.
+type rankKey struct {
+	lo  float64
+	id  int
+	idx int
 }
 
 // ErrNoCandidates is returned when a table is built from an empty candidate
@@ -97,37 +118,35 @@ func (t *Table) Rebuild(cands []Candidate) error {
 	if len(cands) == 0 {
 		return ErrNoCandidates
 	}
-	t.ids = grow(t.ids, len(cands))
-	t.dists = grow(t.dists, len(cands))
 	t.order = grow(t.order, len(cands))
-	for i := range t.order {
-		t.order[i] = i
+	for i, c := range cands {
+		if c.Dist == nil {
+			return fmt.Errorf("subregion: candidate %d has nil distance pdf", c.ID)
+		}
+		t.order[i] = rankKey{lo: c.Dist.Support().Lo, id: c.ID, idx: i}
 	}
 	// Near-point ties break by candidate ID so the table — and every
 	// float product computed over it, bit for bit — is a pure function of
 	// the candidate *set*, independent of input order. The incremental
 	// re-verification path (core.CPNNIncremental, Table.Patch) relies on
 	// this: patched and rebuilt-from-scratch tables must coincide exactly.
-	sort.Slice(t.order, func(a, b int) bool {
-		la := cands[t.order[a]].Dist.Support().Lo
-		lb := cands[t.order[b]].Dist.Support().Lo
-		if la != lb {
-			return la < lb
+	slices.SortFunc(t.order, func(a, b rankKey) int {
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
 		}
-		return cands[t.order[a]].ID < cands[t.order[b]].ID
+		return cmp.Compare(a.id, b.id)
 	})
+	t.ids = grow(t.ids, len(cands))
+	t.dists = grow(t.dists, len(cands))
 	t.fMin = math.Inf(1)
 	t.fMax = math.Inf(-1)
-	for rank, idx := range t.order {
-		c := cands[idx]
-		if c.Dist == nil {
-			return fmt.Errorf("subregion: candidate %d has nil distance pdf", c.ID)
-		}
+	for rank, k := range t.order {
+		c := cands[k.idx]
 		t.ids[rank] = c.ID
 		t.dists[rank] = c.Dist
-		sup := c.Dist.Support()
-		t.fMin = math.Min(t.fMin, sup.Hi)
-		t.fMax = math.Max(t.fMax, sup.Hi)
+		hi := c.Dist.Support().Hi
+		t.fMin = math.Min(t.fMin, hi)
+		t.fMax = math.Max(t.fMax, hi)
 	}
 	for i, dh := range t.dists {
 		if dh.Support().Lo > t.fMin {
