@@ -149,7 +149,7 @@ func runShardCount(dir string, k int, ds *uncertain.Dataset, cfg ShardConfig) (*
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.NewEngine(g.View.Dataset)
+		eng, err := core.NewEngineWithIndex(g.View.Dataset, g.View.Index)
 		if err != nil {
 			return nil, err
 		}

@@ -138,13 +138,13 @@ func TestDeleteKeepsIndexConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Delete(ds.Object(1)) {
-		t.Fatal("delete reported not found")
+	if found, err := ix.Delete(ds.Object(1)); err != nil || !found {
+		t.Fatalf("delete: found=%v err=%v", found, err)
 	}
 	if ix.Len() != 2 {
 		t.Fatalf("len %d after delete", ix.Len())
 	}
-	if ix.Delete(ds.Object(1)) {
-		t.Fatal("double delete reported found")
+	if found, err := ix.Delete(ds.Object(1)); err != nil || found {
+		t.Fatalf("double delete: found=%v err=%v", found, err)
 	}
 }

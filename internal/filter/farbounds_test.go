@@ -148,7 +148,9 @@ func TestFarBoundsAfterEdits(t *testing.T) {
 			}
 			// Victims are original objects, whose dense ID is their slot.
 			victim := rng.Intn(len(pdfs))
-			if !clone.Delete(base.ds.Object(victim)) {
+			if found, err := clone.Delete(base.ds.Object(victim)); err != nil {
+				t.Fatal(err)
+			} else if !found {
 				continue // already deleted
 			}
 			for j, r := range regions {
@@ -216,8 +218,8 @@ func FuzzFarBounds(f *testing.F) {
 		var kept []geom.Interval
 		for i, o := range ds.Objects() {
 			if i%3 == 0 {
-				if !ix.Delete(o) {
-					t.Fatalf("delete %d failed", i)
+				if found, err := ix.Delete(o); err != nil || !found {
+					t.Fatalf("delete %d: found=%v err=%v", i, found, err)
 				}
 				continue
 			}

@@ -19,10 +19,11 @@ import (
 	"repro/internal/uncertain"
 )
 
-// Index is an R-tree over the uncertainty regions of a dataset, ready to
-// answer candidate-set queries.
+// Index answers candidate-set queries over the uncertainty regions of a
+// dataset: through an R-tree (NewIndex), or, for a small set a filter has
+// already run on, by scanning it (NewScan, scan.go).
 type Index struct {
-	tree *rtree.Tree[int]
+	tree *rtree.Tree[int] // nil for a scan index
 	ds   *uncertain.Dataset
 }
 
@@ -56,6 +57,9 @@ type Result struct {
 
 // Candidates returns the candidate set for query point q.
 func (ix *Index) Candidates(q float64) Result {
+	if ix.tree == nil {
+		return ix.scanCandidates(q)
+	}
 	if ix.tree.Len() == 0 {
 		return Result{}
 	}
@@ -68,6 +72,9 @@ func (ix *Index) Candidates(q float64) Result {
 // ascending. With bound = f_min this is the candidate set, with f_k the k-NN
 // filter's; a shard's gather step runs it against the router's global bound.
 func (ix *Index) Within(q, bound float64) []int {
+	if ix.tree == nil {
+		return ix.scanWithin(q, bound)
+	}
 	// The window only narrows the search; MinDist(q) <= bound is the
 	// predicate. [q-bound, q+bound] is not a superset of it: its edges are
 	// rounded, and a region past a rounded edge can still have a near-point
@@ -92,42 +99,64 @@ func (ix *Index) Within(q, bound float64) []int {
 // FarBounds returns the k smallest far-point distances from q, ascending
 // (fewer when the index holds fewer than k objects; nil when it is empty or
 // k < 1), by one best-first descent of the R-tree (rtree.Tree.MinMaxDists) —
-// O(log n) node visits for small k, never a scan of the dataset.
+// O(log n) node visits for small k, never a scan of the dataset (a scan
+// index, built only over a router's gathered candidates, makes one pass).
 // The last value is the k-NN critical distance f_k; k = 1 yields the C-PNN
 // filtering bound f_min. Scatter-gather merges per-shard FarBounds lists to
 // recover the global bound exactly: each of the k global witnesses is one of
 // some shard's k smallest, so the k smallest of the merged lists equal the k
-// smallest of the whole dataset.
+// smallest of the whole dataset, and the router's soundness check reads f_k
+// back off the scan index over what it gathered.
 func (ix *Index) FarBounds(q float64, k int) []float64 {
 	// k arrives unbounded off the wire; clamp before anything is sized by it.
-	k = min(k, ix.tree.Len())
+	k = min(k, ix.Len())
 	if k < 1 {
 		return nil
+	}
+	if ix.tree == nil {
+		return ix.scanFarBounds(q, k)
 	}
 	return ix.tree.MinMaxDists(geom.Point{X: q, Y: 0}, make([]float64, k))
 }
 
 // Insert adds an object to an existing index. The object must already carry
 // its dataset ID; it is the caller's responsibility to keep the dataset and
-// index in sync.
+// index in sync. A scan index refuses it.
 func (ix *Index) Insert(o uncertain.Object) error {
+	if ix.tree == nil {
+		return errScan
+	}
 	return ix.tree.Insert(geom.RectFromInterval(o.Region()), o.ID)
 }
 
 // Delete removes the entry for an object, reporting whether it was present.
-// The object's region must match the region it was inserted with.
-func (ix *Index) Delete(o uncertain.Object) bool {
+// The object's region must match the region it was inserted with. A scan
+// index refuses it.
+func (ix *Index) Delete(o uncertain.Object) (bool, error) {
+	if ix.tree == nil {
+		return false, errScan
+	}
 	rect := geom.RectFromInterval(o.Region())
-	return ix.tree.Delete(rect, func(id int) bool { return id == o.ID })
+	return ix.tree.Delete(rect, func(id int) bool { return id == o.ID }), nil
 }
 
 // Len returns the number of indexed objects.
-func (ix *Index) Len() int { return ix.tree.Len() }
+func (ix *Index) Len() int {
+	if ix.tree == nil {
+		return ix.ds.Len()
+	}
+	return ix.tree.Len()
+}
 
 // Bounds returns the bounding rectangle of every indexed region and whether
 // the index is non-empty. A shard's router prunes the scatter phase with it:
 // a shard whose extent misses the candidate ball cannot hold a candidate.
-func (ix *Index) Bounds() (geom.Rect, bool) { return ix.tree.Bounds() }
+func (ix *Index) Bounds() (geom.Rect, bool) {
+	if ix.tree == nil {
+		return ix.scanBounds()
+	}
+	return ix.tree.Bounds()
+}
 
 // Edit is one incremental index mutation in terms of dense dataset IDs:
 // the (rect, id) entry to insert or delete. The store emits edit streams as
@@ -165,8 +194,11 @@ const rebuildFraction = 0.25
 // copy-on-write) and replays the edits onto the copy. When the edit stream
 // is large relative to the dataset it falls back to a bulk STR rebuild, the
 // amortization strategy for wholesale reloads. The returned index is bound
-// to ds; ix may be nil to force a bulk build.
+// to ds; ix may be nil to force a bulk build. A scan index refuses it.
 func (ix *Index) Apply(ds *uncertain.Dataset, edits []Edit) (*Index, error) {
+	if ix != nil && ix.tree == nil {
+		return nil, errScan
+	}
 	if ix == nil || float64(len(edits)) >= rebuildFraction*float64(ds.Len())+1 {
 		return NewIndex(ds)
 	}
@@ -185,8 +217,13 @@ func ApplyTree(tree *rtree.Tree[int], ds *uncertain.Dataset, edits []Edit) (*Ind
 }
 
 // Tree returns the underlying R-tree. The store's paged checkpoint dumps it
-// node by node; callers must treat it as read-only.
-func (ix *Index) Tree() *rtree.Tree[int] { return ix.tree }
+// node by node; callers must treat it as read-only. A scan index has none.
+func (ix *Index) Tree() (*rtree.Tree[int], error) {
+	if ix.tree == nil {
+		return nil, errScan
+	}
+	return ix.tree, nil
+}
 
 func applyEdits(tree *rtree.Tree[int], ds *uncertain.Dataset, edits []Edit) (*Index, error) {
 	for _, e := range edits {
@@ -203,26 +240,4 @@ func applyEdits(tree *rtree.Tree[int], ds *uncertain.Dataset, edits []Edit) (*In
 			tree.Len(), ds.Len())
 	}
 	return &Index{tree: tree, ds: ds}, nil
-}
-
-// LinearCandidates computes the candidate set by brute force. It is the
-// reference implementation used to validate the index-based path and to
-// quantify the benefit of filtering in the benchmarks.
-func LinearCandidates(ds *uncertain.Dataset, q float64) Result {
-	if ds.Len() == 0 {
-		return Result{}
-	}
-	fMin := ds.Region(0).MaxDist(q)
-	for i, n := 1, ds.Len(); i < n; i++ {
-		if d := ds.Region(i).MaxDist(q); d < fMin {
-			fMin = d
-		}
-	}
-	var ids []int
-	for i, n := 0, ds.Len(); i < n; i++ {
-		if ds.Region(i).MinDist(q) <= fMin {
-			ids = append(ids, i)
-		}
-	}
-	return Result{IDs: ids, FMin: fMin}
 }

@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/pdf"
@@ -55,6 +55,8 @@ func TestCandidatesOverlapping(t *testing.T) {
 	}
 }
 
+// TestCandidatesMatchLinear holds the R-tree to the linear scan a router
+// serves its gathered candidates through (NewScan), bit for bit.
 func TestCandidatesMatchLinear(t *testing.T) {
 	opt := uncertain.GenOptions{N: 3000, Domain: 5000, MeanLen: 12, MinLen: 0.5, MaxLen: 60, Seed: 77}
 	ds, err := uncertain.GenerateUniform(opt)
@@ -65,21 +67,14 @@ func TestCandidatesMatchLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scan := NewScan(ds)
 	for _, q := range uncertain.QueryWorkload(25, opt.Domain, 123) {
-		got := ix.Candidates(q)
-		want := LinearCandidates(ds, q)
-		if math.Abs(got.FMin-want.FMin) > 1e-9 {
+		got, want := ix.Candidates(q), scan.Candidates(q)
+		if math.Float64bits(got.FMin) != math.Float64bits(want.FMin) {
 			t.Fatalf("q=%g: FMin %g vs %g", q, got.FMin, want.FMin)
 		}
-		sort.Ints(got.IDs)
-		sort.Ints(want.IDs)
-		if len(got.IDs) != len(want.IDs) {
-			t.Fatalf("q=%g: %d candidates vs %d", q, len(got.IDs), len(want.IDs))
-		}
-		for i := range got.IDs {
-			if got.IDs[i] != want.IDs[i] {
-				t.Fatalf("q=%g: candidate %d: %d vs %d", q, i, got.IDs[i], want.IDs[i])
-			}
+		if !slices.Equal(got.IDs, want.IDs) {
+			t.Fatalf("q=%g: candidates %v vs %v", q, got.IDs, want.IDs)
 		}
 	}
 }
@@ -94,9 +89,8 @@ func TestCandidatesEmpty(t *testing.T) {
 	if len(res.IDs) != 0 {
 		t.Error("empty dataset produced candidates")
 	}
-	lin := LinearCandidates(ds, 5)
-	if len(lin.IDs) != 0 {
-		t.Error("linear scan on empty dataset produced candidates")
+	if lin := NewScan(ds).Candidates(5); len(lin.IDs) != 0 {
+		t.Error("scan on empty dataset produced candidates")
 	}
 }
 
@@ -158,20 +152,16 @@ func TestCandidateSetSizeLongBeachScale(t *testing.T) {
 	t.Logf("average candidate-set size: %.1f (paper: ~96)", avg)
 }
 
-// checkWithin holds Within(q, bound) to the linear predicate it documents:
-// exactly the regions with MinDist(q) <= bound, ascending.
+// checkWithin holds Within(q, bound) to the linear predicate it documents —
+// exactly the regions with MinDist(q) <= bound, ascending — which is what
+// the scan index evaluates.
 func checkWithin(t *testing.T, ds *uncertain.Dataset, q, bound float64) {
 	t.Helper()
 	ix, err := NewIndex(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []int
-	for i, n := 0, ds.Len(); i < n; i++ {
-		if ds.Region(i).MinDist(q) <= bound {
-			want = append(want, i)
-		}
-	}
+	want := NewScan(ds).Within(q, bound)
 	if got := ix.Within(q, bound); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Within(%v, %v) = %v, linear predicate keeps %v", q, bound, got, want)
 	}

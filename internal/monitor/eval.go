@@ -144,7 +144,7 @@ func Evaluate(view *store.View, eng *core.Engine, sc *core.Scratch, spec Spec) (
 		return body, boundedRadius(n > 0, res.Stats.FMin), err
 
 	case KindPNN:
-		probs, st, err := eng.PNN(spec.Q, core.Options{})
+		probs, st, err := eng.PNNScratch(spec.Q, core.Options{}, sc)
 		if err != nil {
 			return nil, 0, err
 		}

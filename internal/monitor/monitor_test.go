@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -397,6 +399,37 @@ func TestEvaluateKinds(t *testing.T) {
 		}
 		if string(body) != string(again) {
 			t.Fatalf("%v: nondeterministic body", spec.Kind)
+		}
+	}
+}
+
+// TestEvaluatePNNOnScratch: a PNN evaluation runs on the scratch it is
+// handed, and one scratch reused across kinds and query points renders the
+// same bytes and radius as evaluating without one.
+func TestEvaluatePNNOnScratch(t *testing.T) {
+	s := openStore(t)
+	seedObjects(t, s, 0, 10, 5, 15, 8, 20, 30, 31, 12, 40, 9, 9.5)
+	v := s.View()
+	sc := core.NewScratch()
+	if _, _, err := Evaluate(v, nil, sc, Spec{Kind: KindPNN, Q: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if sc.MemBytes() == 0 {
+		t.Fatal("PNN evaluation left its scratch untouched")
+	}
+	for _, q := range []float64{9, 14, 0, 35, 100, 9.25} {
+		for _, spec := range []Spec{{Kind: KindPNN, Q: q}, cpnnSpec(q)} {
+			want, wantR, err := Evaluate(v, nil, nil, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotR, err := Evaluate(v, nil, sc, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || math.Float64bits(gotR) != math.Float64bits(wantR) {
+				t.Fatalf("%v q=%g: scratch body %s radius %g, scratchless %s radius %g", spec.Kind, q, got, gotR, want, wantR)
+			}
 		}
 	}
 }

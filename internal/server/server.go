@@ -961,8 +961,9 @@ func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, 
 
 // cpnnPayload evaluates one C-PNN query against a snapshot and renders the
 // response body. A gathered mini-view renders through here exactly like the
-// local snapshot, so a sharded server's body differs from a single server's
-// only in the version field. sc is the evaluation scratch (the worker slot's;
+// local snapshot — its engine filters through the router's scan index, which
+// answers bit-identically to an R-tree — so a sharded server's body differs
+// from a single server's only in the version field. sc is the evaluation scratch (the worker slot's;
 // nil allocates fresh) and never shows in the body.
 func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool, sc *core.Scratch) ([]byte, core.Stats, error) {
 	res, err := snap.Engine.CPNNScratch(qq, c, core.Options{Strategy: strat}, sc)

@@ -71,7 +71,8 @@ func (v *routerView) key() string     { return v.vk }
 func (v *routerView) version() uint64 { return v.rt.VersionSum() }
 
 // snapshot wraps a gathered candidate cut as a serving snapshot: the engine
-// is built over the merged mini-dataset, the version is the cut's
+// runs over the merged mini-dataset through the scan index the router
+// attached to it (no R-tree is built per query), the version is the cut's
 // member-version sum, and IDs translate the mini-dataset's dense IDs back to
 // cluster-wide stable IDs. The same IDs key the k-NN sampling streams: the
 // answer must not depend on how the candidates happen to be sharded.
@@ -83,7 +84,7 @@ func (v *routerView) snapshot(ctx context.Context, qq float64, k int) (*Snapshot
 	if ri := obs.ReqInfoFrom(ctx); ri != nil {
 		ri.Set("fanout", strconv.Itoa(g.Fanout)) // shards the gather phase read
 	}
-	eng, err := core.NewEngine(g.View.Dataset)
+	eng, err := core.NewEngineWithIndex(g.View.Dataset, g.View.Index)
 	if err != nil {
 		return nil, nil, err
 	}

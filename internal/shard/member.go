@@ -1,9 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pdf"
@@ -129,7 +130,7 @@ func gatherView(v *store.View, q, bound float64) []Item {
 			items = append(items, Item{ID: v.IDs[slot], PDF: v.Dataset.Object(slot).PDF})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
+	slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.ID, b.ID) })
 	return items
 }
 

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -361,8 +364,10 @@ func (r *Router) Reload(ctx context.Context, ds *uncertain.Dataset) (store.Apply
 // holding exactly the cluster's candidate objects for the query, ready for
 // a standard single-engine evaluation.
 type Gathered struct {
-	// View holds the merged candidates (Dataset + stable IDs, no index —
-	// engines build their own over the handful of candidates).
+	// View holds the merged candidates: Dataset, stable IDs and a scan Index
+	// (filter.NewScan) — they are the candidate set already, so an engine
+	// over the view filters them in one pass instead of bulk-loading an
+	// R-tree per query. The index is read-only.
 	View *store.View
 	// Versions is the per-member consistency cut the answer corresponds to.
 	Versions []uint64
@@ -520,13 +525,25 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 		}
 		r.gatherContacts.Add(uint64(fanout))
 
+		// The gathered set is the candidate set: index it by a scan, which
+		// the engine evaluating the view filters through, instead of a tree.
+		slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.ID, b.ID) })
+		pdfs := make([]pdf.PDF, len(items))
+		ids := make([]uint64, len(items))
+		for i, it := range items {
+			pdfs[i] = it.PDF
+			ids[i] = it.ID
+		}
+		ds := uncertain.NewDataset(pdfs)
+		ix := filter.NewScan(ds)
+
 		// Soundness check: the bound recomputed from what was actually
 		// gathered must not exceed the bound that pruned. If it does, a
 		// witness retired between the phases — retry wider.
 		if !math.IsInf(bound, 1) {
 			regathered := math.Inf(1)
-			if mf := itemFars(items, q); len(mf) >= k {
-				regathered = mf[k-1]
+			if fars := ix.FarBounds(q, k); len(fars) >= k {
+				regathered = fars[k-1]
 			}
 			if regathered > bound {
 				r.retries.Add(1)
@@ -543,15 +560,8 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 			}
 		}
 
-		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-		pdfs := make([]pdf.PDF, len(items))
-		ids := make([]uint64, len(items))
-		for i, it := range items {
-			pdfs[i] = it.PDF
-			ids[i] = it.ID
-		}
 		g := &Gathered{
-			View:      &store.View{Version: vsum, Dataset: uncertain.NewDataset(pdfs), IDs: ids},
+			View:      &store.View{Version: vsum, Dataset: ds, IDs: ids, Index: ix},
 			Versions:  versions,
 			Version:   vsum,
 			Contacted: contacted,
@@ -563,15 +573,6 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 		r.obs.Fanout.Observe(float64(fanout))
 		return g, nil
 	}
-}
-
-func itemFars(items []Item, q float64) []float64 {
-	fars := make([]float64, len(items))
-	for i, it := range items {
-		fars[i] = it.PDF.Support().MaxDist(q)
-	}
-	sort.Float64s(fars)
-	return fars
 }
 
 // observeExtent refreshes the last-known extent cache.

@@ -5,13 +5,18 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/pdf"
 	"repro/internal/store"
+	"repro/internal/uncertain"
 	"repro/internal/verify"
 )
 
@@ -322,5 +327,93 @@ func TestRouterDeadShard(t *testing.T) {
 	st := r.Stats()
 	if st.Unavailable == 0 {
 		t.Fatal("unavailability was not counted")
+	}
+}
+
+// scanTestCluster splits a store of n random intervals over [0, 10000] into
+// a 4-shard cluster; it returns the single store's view (the oracle) and the
+// cluster's router.
+func scanTestCluster(t *testing.T, seed int64, n int) (*store.View, *Router) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	single, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Close() })
+	ops := make([]store.Op, n)
+	for i := range ops {
+		lo := rng.Float64() * 10000
+		ops[i] = store.InsertObject(pdf.MustUniform(lo, lo+1+rng.Float64()*20))
+	}
+	if _, err := single.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	c, err := CreateCluster(t.TempDir(), 4, single.View(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	r, err := c.Router()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return single.View(), r
+}
+
+// TestGatheredViewIsScanIndex: the router's merged view carries a scan index
+// over its own dataset — no R-tree is built per query — that answers as one
+// would and refuses mutation with an error (TestScanRefusesMutation has the
+// rest of the mutators).
+func TestGatheredViewIsScanIndex(t *testing.T) {
+	_, r := scanTestCluster(t, 3, 200)
+	for _, q := range []float64{0, 2500, 5000, 9999} {
+		g, err := r.Gather(context.Background(), q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, ix := g.View.Dataset, g.View.Index
+		if ix == nil || ix.Dataset() != ds || ds.Len() == 0 {
+			t.Fatalf("q=%g: gathered view index %v over %d objects", q, ix, ds.Len())
+		}
+		if _, err := ix.Tree(); err == nil {
+			t.Fatalf("q=%g: the gathered view carries an R-tree", q)
+		}
+		tree, err := filter.NewIndex(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := ix.Candidates(q), tree.Candidates(q)
+		if math.Float64bits(got.FMin) != math.Float64bits(want.FMin) || !slices.Equal(got.IDs, want.IDs) {
+			t.Fatalf("q=%g: scan candidates %+v, R-tree %+v", q, got, want)
+		}
+		if err := ix.Insert(uncertain.Object{ID: ds.Len(), PDF: pdf.MustUniform(q, q+1)}); err == nil {
+			t.Fatalf("q=%g: Insert on the gathered index succeeded", q)
+		}
+	}
+}
+
+// TestRouterEvaluateScratch: Router.Evaluate renders the same bytes on one
+// reused scratch as without one, for every standing-query kind, and both
+// equal a single store's evaluation of the spec.
+func TestRouterEvaluateScratch(t *testing.T) {
+	view, r := scanTestCluster(t, 4, 200)
+	sc := core.NewScratch()
+	for _, spec := range oracleSpecs(rand.New(rand.NewSource(4)), 10000, 4) {
+		want, _, err := monitor.Evaluate(view, nil, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, _, _, err := r.Evaluate(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err := r.Evaluate(context.Background(), spec, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bare, want) || !bytes.Equal(got, want) {
+			t.Fatalf("%v q=%g: router %s, on a scratch %s, single store %s", spec.Kind, spec.Q, bare, got, want)
+		}
 	}
 }
