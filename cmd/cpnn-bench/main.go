@@ -1,7 +1,7 @@
 // Command cpnn-bench regenerates the paper's evaluation figures (§V,
 // Figures 9–14) and prints the measured series as aligned tables. It also
 // replays recorded query workloads through the batch evaluation path
-// (latency percentiles, batch-vs-singles amortization) and runs the
+// (latency percentiles, batch-vs-singles ratio) and runs the
 // continuous-monitoring experiment (re-evaluated-query fraction and push
 // latency under localized update load — see internal/monitor).
 //

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -178,5 +182,58 @@ func TestSplitThenVerifyCluster(t *testing.T) {
 	}
 	if err := run([]string{"-dir", dir, "split"}, &sb); err == nil {
 		t.Fatal("split without -into/-shards accepted")
+	}
+}
+
+// TestStoreFlagsDocumented: every flag `cpnn-store -h` registers appears in
+// README as `-name` (or `-name VALUE`), and every subcommand the binary
+// accepts — the list its unknown-command error names — as `name`.
+func TestStoreFlagsDocumented(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = pw
+	runErr := run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	pw.Close()
+	usage, err := io.ReadAll(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", runErr)
+	}
+	flags := regexp.MustCompile(`(?m)^  -([a-z][a-z-]*)`).FindAllStringSubmatch(string(usage), -1)
+	if len(flags) < 6 {
+		t.Fatalf("parsed %d flags out of the usage text:\n%s", len(flags), usage)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range flags {
+		if !regexp.MustCompile("`-" + m[1] + "[` ]").Match(readme) {
+			t.Errorf("cpnn-store registers -%s, which README never mentions as `-%s`", m[1], m[1])
+		}
+	}
+
+	runErr = run([]string{"-dir", t.TempDir(), "frobnicate"}, io.Discard)
+	if runErr == nil {
+		t.Fatal("unknown command accepted")
+	}
+	list := regexp.MustCompile(`\(([a-z, ]+)\)`).FindStringSubmatch(runErr.Error())
+	if list == nil {
+		t.Fatalf("the unknown-command error names no commands: %v", runErr)
+	}
+	cmds := strings.Split(list[1], ", ")
+	if len(cmds) != 4 {
+		t.Fatalf("parsed %d subcommands out of %q, want 4", len(cmds), list[1])
+	}
+	for _, c := range cmds {
+		if !strings.Contains(string(readme), "`"+c+"`") {
+			t.Errorf("cpnn-store accepts %s, which README never mentions as `%s`", c, c)
+		}
 	}
 }

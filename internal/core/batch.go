@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/pdf"
@@ -41,127 +42,111 @@ type BatchResult struct {
 	Stats   BatchStats
 }
 
-// queryScratch is the per-worker evaluation scratch of the batch path: the
-// candidate buffer and subregion table are recycled across queries (and,
-// through scratchPool, across batches), eliminating the per-query matrix
-// allocation that dominates a single CPNN call's allocation profile. A nil
-// *queryScratch is valid and means "allocate fresh", which is what the
-// single-query entry points use.
+// queryScratch is the evaluation scratch every stateless query runs on: the
+// candidate buffer, subregion table and fold arena are recycled across
+// queries, eliminating the per-query matrix allocation that would otherwise
+// dominate a C-PNN call's allocation profile. A query borrows one from
+// scratchPool unless its caller owns a Scratch.
 type queryScratch struct {
 	cands []subregion.Candidate
 	table subregion.Table
 	arena pdf.Alloc
-	// parallelDerive re-enables per-candidate derivation fan-out for this
-	// query: set when the batch itself is too small to saturate the cores.
-	parallelDerive bool
+	// warmCands and warmTable are the buffers the current query found,
+	// which release restores should the query leave the scratch over
+	// scratchCap.
+	warmCands []subregion.Candidate
+	warmTable subregion.Table
 }
 
-// serialDerive reports whether per-candidate derivation should stay in-line:
-// true exactly when a batch scratch is in play and the batch already
-// saturates the worker pool at query granularity.
-func (sc *queryScratch) serialDerive() bool { return sc != nil && !sc.parallelDerive }
+// scratchCap bounds the memory an idle scratch retains. A scratch grows to
+// the largest query it served: on the Long Beach workload the candidate set
+// is |C| p50 58 / p95 247 / p99 346 / max 571, its table |C|×(M+1) = 1,564 /
+// 14,550 / 28,080 / 61,978 cells of 24 B = 37 KB / 350 KB / 674 KB /
+// 1.49 MB. 1 MiB keeps everything up to ≈p99.5 warm; a query past it runs
+// on its scratch like any other and release hands the scratch back the
+// buffers it had before that query, so only those queries allocate their
+// table afresh and the warm scratch never has to regrow.
+const scratchCap = 1 << 20
 
-// scratchPool recycles query scratch across batch workers and batch calls.
+// scratchPool holds the idle scratches of the stateless entry points and the
+// batch workers, each within scratchCap.
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-// foldArena returns the scratch's fold arena when derivation runs in-line.
-// The arena is not safe for concurrent use, so a query whose derivation
-// fans out (parallelDerive) falls back to heap folds, exactly like the
-// single-query path.
-func (sc *queryScratch) foldArena() *pdf.Alloc {
-	if sc.serialDerive() {
-		return &sc.arena
-	}
-	return nil
+// borrow takes a scratch from the pool; park returns it.
+func borrow() *queryScratch { return scratchPool.Get().(*queryScratch) }
+
+// park releases the scratch and returns it to the pool.
+func (sc *queryScratch) park() {
+	sc.release()
+	scratchPool.Put(sc)
 }
 
-// resetArena invalidates the previous query's fold histograms, making their
-// storage reusable. Results never retain arena memory (collect copies), so
-// resetting at the start of each query is safe.
-func (sc *queryScratch) resetArena() {
-	if sc != nil {
-		sc.arena.Reset()
-	}
-}
-
-// candBuf returns the reusable candidate buffer, nil on a nil scratch.
-func (sc *queryScratch) candBuf() []subregion.Candidate {
-	if sc == nil {
-		return nil
-	}
-	return sc.cands
-}
-
-// keepCandBuf retains a (possibly re-grown) candidate buffer for the next
-// query evaluated on this scratch.
-func (sc *queryScratch) keepCandBuf(cands []subregion.Candidate) {
-	if sc != nil && cap(cands) > cap(sc.cands) {
-		sc.cands = cands[:0]
-	}
-}
-
-// buildTable builds the subregion table for a candidate set, in place over
-// the scratch's table when one is supplied.
-func (sc *queryScratch) buildTable(cands []subregion.Candidate) (*subregion.Table, error) {
-	if sc == nil {
-		return subregion.Build(cands)
-	}
-	if err := sc.table.Rebuild(cands); err != nil {
-		return nil, err
-	}
-	return &sc.table, nil
-}
-
-// release clears what the scratch still references of its last query — the
-// candidate set's distance pdfs, which are heap histograms whenever that
-// query's derivation fanned out — and keeps every float buffer's capacity.
-// Whoever parks a scratch between queries (runBatch's pool, a server worker
-// slot) calls it first, so an idle scratch pins only its own storage.
+// release readies the scratch to sit idle: it clears what the scratch still
+// references of its last query — the candidate set's distance pdfs — and
+// keeps every buffer's capacity for the next. A query that left the
+// scratch over scratchCap keeps nothing it grew: the candidate buffer and
+// table go back to the ones it found, which were within the cap, and the
+// fold arena is dropped (it regrows in a few geometric steps). Results
+// never alias scratch memory (collect copies), so releasing after a query
+// returns is safe.
 func (sc *queryScratch) release() {
 	clear(sc.cands[:cap(sc.cands)])
 	sc.table.DropCandidates()
 	sc.arena.Release()
+	if sc.memBytes() > scratchCap {
+		sc.cands, sc.table, sc.arena = sc.warmCands, sc.warmTable, pdf.Alloc{}
+	}
+	sc.warmCands, sc.warmTable = nil, subregion.Table{}
 }
 
-// Scratch is a caller-owned reusable evaluation scratch for long-lived loops
-// that evaluate single queries one at a time — the monitor's re-evaluation
-// workers hold one per worker, the server one per worker slot. It recycles
-// the candidate buffer, subregion table and fold arena exactly like a batch
-// worker's pooled scratch, cutting the per-query allocation profile to the
-// batch path's, and derives candidates in-line: its owner already
-// parallelises at query granularity. A Scratch is not safe for concurrent
-// use; the zero value (and NewScratch) is ready.
+// memBytes returns the approximate heap footprint the scratch retains
+// between queries: subregion table, candidate buffer and fold arena.
+func (sc *queryScratch) memBytes() int {
+	return sc.table.MemBytes() + 16*cap(sc.cands) + sc.arena.MemBytes()
+}
+
+// Scratch is a caller-owned reusable evaluation scratch for a long-lived
+// loop that evaluates single queries one at a time — each of the monitor's
+// re-evaluation workers holds one. It is the scratch a query would otherwise
+// borrow from core's pool, so owning one only skips the pool. A Scratch is
+// not safe for concurrent use; the zero value (and NewScratch) is ready.
 type Scratch struct{ qs queryScratch }
 
 // NewScratch returns an empty reusable evaluation scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// query is the scratch's pipeline-side form; a nil Scratch stays nil, which
-// the pipeline reads as "allocate fresh".
+// query returns the scratch a query runs on: the caller's own, or for a nil
+// Scratch one borrowed from the pool, which done returns.
 func (s *Scratch) query() *queryScratch {
 	if s == nil {
-		return nil
+		return borrow()
 	}
 	return &s.qs
 }
 
-// Release drops the scratch's references to the last query's candidates
-// while keeping its buffers, for an owner about to leave it idle. The next
-// query may use it as is.
+// done parks a scratch that query borrowed. A caller-owned one stays as the
+// query left it until its owner calls Release.
+func (s *Scratch) done(qs *queryScratch) {
+	if s == nil {
+		qs.park()
+	}
+}
+
+// Release drops the scratch's references to the last query's candidates,
+// for an owner about to leave it idle. It keeps the buffers while they fit
+// the pool's 1 MiB retention cap; past it, the scratch gives up what the
+// last query grew. The next query may use the scratch as is.
 func (s *Scratch) Release() { s.qs.release() }
 
 // MemBytes returns the approximate heap footprint the scratch retains
 // between queries: subregion table, candidate buffer and fold arena. It
-// grows to the largest query the scratch has served, so an owner that parks
-// scratches caps it by replacing one that outgrew its budget.
-func (s *Scratch) MemBytes() int {
-	return s.qs.table.MemBytes() + 16*cap(s.qs.cands) + s.qs.arena.MemBytes()
-}
+// grows to the largest query the scratch has served until Release caps it.
+func (s *Scratch) MemBytes() int { return s.qs.memBytes() }
 
-// runBatch distributes n query evaluations over a worker pool. Each query
-// borrows a scratch from the pool (the pool's per-P caching makes this a
-// worker-local reuse in practice); the first error cancels the remaining
-// work.
+// runBatch distributes n query evaluations over a worker pool — the only
+// parallelism inside core. Each query borrows a scratch from the pool (the
+// pool's per-P caching makes this a worker-local reuse in practice); the
+// first error cancels the remaining work.
 func runBatch(n, workers int, eval func(i int, sc *queryScratch) (*Result, error)) (*BatchResult, error) {
 	br := &BatchResult{Results: make([]*Result, n)}
 	if workers <= 0 {
@@ -176,18 +161,10 @@ func runBatch(n, workers int, eval func(i int, sc *queryScratch) (*Result, error
 		return br, nil
 	}
 
-	// A batch below the core count cannot saturate the machine at query
-	// granularity; let each of its queries keep the single-query path's
-	// per-candidate derivation fan-out instead.
-	nested := workers < runtime.GOMAXPROCS(0)
 	start := time.Now()
 	err := parallelFor(n, workers, func(i int) error {
-		sc := scratchPool.Get().(*queryScratch)
-		sc.parallelDerive = nested
-		defer func() {
-			sc.release()
-			scratchPool.Put(sc)
-		}()
+		sc := borrow()
+		defer sc.park()
 		res, err := eval(i, sc)
 		if err != nil {
 			return fmt.Errorf("core: batch query %d: %w", i, err)
@@ -204,6 +181,54 @@ func runBatch(n, workers int, eval func(i int, sc *queryScratch) (*Result, error
 		br.Stats.Aggregate.addScalars(r.Stats)
 	}
 	return br, nil
+}
+
+// parallelFor runs fn(i) for every i in [0, n) across a pool of workers
+// goroutines (in the calling goroutine when workers <= 1). Indices are
+// handed out through an atomic counter so stragglers never idle a worker;
+// the first error stops the remaining work and is returned.
+func parallelFor(n, workers int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		errMu    sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n || failed.Load() {
+					return
+				}
+				if err := fn(i); err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					errMu.Unlock()
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // addScalars accumulates another query's scalar statistics.

@@ -222,9 +222,9 @@ func benchBatchSetup(b *testing.B) (*Engine, []float64) {
 
 // BenchmarkCPNNBatch measures batch throughput across batch sizes on the
 // Long-Beach-like workload. Compare size=64 against
-// BenchmarkCPNNLoopOfSingles/size=64 — the loop-of-singles baseline that
-// pays per-query table allocation — for the amortization ratio tracked in
-// EXPERIMENTS.md.
+// BenchmarkCPNNLoopOfSingles/size=64, which runs the same body on the same
+// pooled scratch one query at a time, for the batch's fan-out gain tracked
+// in EXPERIMENTS.md.
 func BenchmarkCPNNBatch(b *testing.B) {
 	eng, qs := benchBatchSetup(b)
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
@@ -241,7 +241,7 @@ func BenchmarkCPNNBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCPNNLoopOfSingles is the baseline the batch path amortizes: the
+// BenchmarkCPNNLoopOfSingles is the baseline the batch path fans out: the
 // same query points evaluated one CPNN call at a time.
 func BenchmarkCPNNLoopOfSingles(b *testing.B) {
 	eng, qs := benchBatchSetup(b)
@@ -275,16 +275,15 @@ func BenchmarkCKNNFilter(b *testing.B) {
 }
 
 // TestCPNNBatchSmallBatchNestedParallel: a batch smaller than the core count
-// re-enables per-candidate derivation fan-out (and bypasses the fold arena,
-// which is not safe for concurrent use). Results must still be identical to
-// singles. GOMAXPROCS is raised so the nested path runs even on a
-// single-core host.
+// runs fewer workers than cores, each query deriving in-line on its own
+// pooled scratch, and still answers exactly like singles. GOMAXPROCS is
+// raised so the batch is below it even on a single-core host.
 func TestCPNNBatchSmallBatchNestedParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
 	eng, qs := batchTestEngine(t, 6000, 23)
-	qs = qs[:2] // 2 workers < 4 procs → nested derivation
+	qs = qs[:2] // 2 workers < 4 procs
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 	br, err := eng.CPNNBatch(qs, c, BatchOptions{})
 	if err != nil {
@@ -296,7 +295,7 @@ func TestCPNNBatchSmallBatchNestedParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(br.Results[i].Candidates, want.Candidates) {
-			t.Fatalf("query %d: nested-parallel batch differs from single", i)
+			t.Fatalf("query %d: small batch differs from single", i)
 		}
 	}
 }

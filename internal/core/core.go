@@ -44,11 +44,20 @@
 // by its incremental counterpart). A per-candidate explanation — which
 // verifier or refinement step decided an object — belongs in
 // finishVerifyRefine next to Stats.UnknownAfter; a request context belongs
-// in pipeline.prepare and incrementalPrepare, checked between phases and
-// handed to the derivation pool.
+// in pipeline.prepare and incrementalPrepare, checked between phases.
+//
+// # One scratch, one pool
+//
+// Every stateless query derives its candidates in-line, one after another,
+// into a queryScratch — candidate buffer, subregion table, fold arena —
+// that it borrows from scratchPool (batch.go) unless the caller hands it a
+// Scratch. Release caps what an idle scratch keeps at 1 MiB, so the pool,
+// the batch workers and a monitor worker's own Scratch obey one limit. The
+// only goroutines core starts are CPNNBatch's query-level workers.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,7 +149,7 @@ type Engine struct {
 type source1D struct {
 	ds   *uncertain.Dataset
 	ix   *filter.Index
-	memo *deriver
+	memo deriver
 }
 
 func (s *source1D) check(q float64) error { return checkQuery(q) }
@@ -180,9 +189,8 @@ func NewEngineWithIndex(ds *uncertain.Dataset, ix *filter.Index) (*Engine, error
 }
 
 func newEngine(ds *uncertain.Dataset, ix *filter.Index) *Engine {
-	dv := newDeriver()
-	e := &Engine{source1D: source1D{ds: ds, ix: ix, memo: dv}}
-	e.pipeline = pipeline[float64]{src: &e.source1D, dv: dv}
+	e := &Engine{source1D: source1D{ds: ds, ix: ix}}
+	e.pipeline = pipeline[float64]{src: &e.source1D}
 	return e
 }
 
@@ -342,11 +350,8 @@ func exactAll(table *subregion.Table, glNodes int, st *Stats) ([]Probability, er
 	}
 	st.RefineTime = time.Since(start)
 	st.RefinedObjects = len(out)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].P != out[b].P {
-			return out[a].P > out[b].P
-		}
-		return out[a].ID < out[b].ID
+	slices.SortFunc(out, func(a, b Probability) int {
+		return cmp.Or(cmp.Compare(b.P, a.P), a.ID-b.ID)
 	})
 	return out, nil
 }
@@ -474,7 +479,9 @@ func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnsw
 	st.FMin = fk
 	st.Candidates = len(ids)
 	start = time.Now()
-	cands, err := e.derive(nil, ids, q, opt.Bins)
+	sc := borrow()
+	defer sc.park()
+	cands, err := e.derive(sc, ids, q, opt.Bins)
 	st.InitTime = time.Since(start)
 	if err != nil {
 		return nil, st, err
@@ -554,7 +561,7 @@ func cknnClassify(cands []subregion.Candidate, k int, c verify.Constraint, opt K
 			b := verify.Bounds{L: 0, U: preUpper[i]}
 			out[i] = KNNAnswer{ID: cand.ID, Bounds: b, Status: verify.Fail}
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+		slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
 		return out
 	}
 
@@ -626,7 +633,7 @@ func cknnClassify(cands []subregion.Candidate, k int, c verify.Constraint, opt K
 		}
 		out[i] = KNNAnswer{ID: cand.ID, Bounds: b, Status: verify.Classify(b, c)}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
 	return out
 }
 

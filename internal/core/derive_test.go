@@ -3,14 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/pdf"
-	"repro/internal/subregion"
 	"repro/internal/uncertain"
+	"repro/internal/verify"
 )
 
 // gaussianDataset builds nObj truncated-Gaussian objects clustered around a
@@ -30,76 +30,54 @@ func gaussianDataset(t testing.TB, nObj int, seed int64) *uncertain.Dataset {
 	return uncertain.NewDataset(pdfs)
 }
 
-func TestDeriveSetMatchesSerial(t *testing.T) {
-	ds := gaussianDataset(t, 64, 11)
-	ids := make([]int, ds.Len())
-	for i := range ids {
-		ids[i] = i
-	}
-	q := 25.0
+// failingSource serves n positions whose derivation fails at every
+// position ≡ 3 (mod 7).
+type failingSource struct{ n int }
 
-	parallel := newDeriver()
-	parallel.workers = 4 // force the pool path even on single-core hosts
-	serial := newDeriver()
-	serial.workers = 1
+var errDeriveSentinel = errors.New("boom")
 
-	fn := func(dv *deriver) func(int) (subregion.Candidate, error) {
-		return func(pos int) (subregion.Candidate, error) {
-			h, err := dv.distFor(ds.Object(ids[pos]), q, dist.DefaultBins, nil)
-			return subregion.Candidate{ID: ids[pos], Dist: h}, err
-		}
+func (failingSource) check(float64) error { return nil }
+func (s failingSource) candidates(float64) ([]int, float64) {
+	pos := make([]int, s.n)
+	for i := range pos {
+		pos[i] = i
 	}
-	got, err := parallel.deriveSet(nil, len(ids), false, fn(parallel))
-	if err != nil {
-		t.Fatal(err)
+	return pos, 1
+}
+func (failingSource) id(pos int) int { return 1000 + pos }
+func (failingSource) dist(pos int, _ float64, _ int, a *pdf.Alloc) (*pdf.Histogram, error) {
+	if pos%7 == 3 {
+		return nil, errDeriveSentinel
 	}
-	want, err := serial.deriveSet(nil, len(ids), false, fn(serial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parallel derived %d candidates, serial %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("candidate %d: ID %d vs %d — input order not preserved", i, got[i].ID, want[i].ID)
-		}
-		ge, we := got[i].Dist.Edges(), want[i].Dist.Edges()
-		if len(ge) != len(we) {
-			t.Fatalf("candidate %d: %d vs %d edges", i, len(ge), len(we))
-		}
-		for j := range ge {
-			if ge[j] != we[j] {
-				t.Fatalf("candidate %d edge %d: %g vs %g", i, j, ge[j], we[j])
-			}
-		}
-		for j := 0; j < got[i].Dist.NumBins(); j++ {
-			if math.Abs(got[i].Dist.BinMass(j)-want[i].Dist.BinMass(j)) > 1e-15 {
-				t.Fatalf("candidate %d bin %d mass differs", i, j)
-			}
-		}
-	}
+	return a.NewHistogram([]float64{0, 1}, []float64{1})
 }
 
+// TestDeriveSetPropagatesError: derivation runs in order and stops at the
+// first failing candidate, whose ID the wrapped error names; the entry
+// points surface it, and the scratch serves the next query as usual.
 func TestDeriveSetPropagatesError(t *testing.T) {
-	dv := newDeriver()
-	dv.workers = 4 // force the pool path even on single-core hosts
-	sentinel := errors.New("boom")
-	_, err := dv.deriveSet(nil, 100, false, func(pos int) (subregion.Candidate, error) {
-		if pos%7 == 3 {
-			return subregion.Candidate{}, sentinel
-		}
-		h, err := pdf.NewHistogram([]float64{0, 1}, []float64{1})
-		return subregion.Candidate{ID: pos, Dist: h}, err
-	})
-	if !errors.Is(err, sentinel) {
+	p := &pipeline[float64]{src: failingSource{n: 100}}
+	pos, _ := p.src.candidates(0)
+	sc := new(queryScratch)
+	_, err := p.derive(sc, pos, 0, 0)
+	if !errors.Is(err, errDeriveSentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
+	}
+	if !strings.Contains(err.Error(), "object 1003:") {
+		t.Fatalf("err = %v, want it to name object 1003, the first failure", err)
+	}
+	if _, err := p.CPNN(0, verify.Constraint{P: 0.3, Delta: 0.01}, Options{}); !errors.Is(err, errDeriveSentinel) {
+		t.Fatalf("CPNN err = %v, want wrapped sentinel", err)
+	}
+	cands, err := p.derive(sc, pos[:3], 0, 0)
+	if err != nil || len(cands) != 3 || cands[2].ID != 1002 {
+		t.Fatalf("derive after a failure: %d candidates, err %v", len(cands), err)
 	}
 }
 
 func TestDiscretizeMemoized(t *testing.T) {
 	ds := gaussianDataset(t, 4, 3)
-	dv := newDeriver()
+	var dv deriver
 	obj := ds.Object(2)
 	a, err := dv.discretize(obj.ID, obj.PDF, dist.DefaultBins)
 	if err != nil {
@@ -134,9 +112,9 @@ func TestEnginesShareDerivationAcrossQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.dv.mu.Lock()
-	memo := len(eng.dv.disc)
-	eng.dv.mu.Unlock()
+	eng.memo.mu.Lock()
+	memo := len(eng.memo.disc)
+	eng.memo.mu.Unlock()
 	if memo == 0 {
 		t.Error("no discretizations memoized across a Gaussian workload")
 	}
@@ -145,39 +123,34 @@ func TestEnginesShareDerivationAcrossQueries(t *testing.T) {
 	}
 }
 
-// BenchmarkDeriveCandidates tracks the parallel candidate-derivation stage —
-// the initialization cost the paper charges to verification (InitTime).
+// BenchmarkDeriveCandidates tracks the candidate-derivation stage — the
+// initialization cost the paper charges to verification (InitTime) — as a
+// query runs it: in-line, into a warm scratch's arena.
 func BenchmarkDeriveCandidates(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		ds := gaussianDataset(b, n, 5)
+		eng, err := NewEngine(ds)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ids := make([]int, n)
 		for i := range ids {
 			ids[i] = i
 		}
-		for _, mode := range []string{"serial", "parallel"} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
-				dv := newDeriver()
-				if mode == "serial" {
-					dv.workers = 1
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			// Pre-warm the memo and the scratch: steady-state queries pay
+			// only the folds.
+			sc := new(queryScratch)
+			if _, err := eng.derive(sc, ids, 25.0, dist.DefaultBins); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.derive(sc, ids, 25.0, dist.DefaultBins); err != nil {
+					b.Fatal(err)
 				}
-				// Pre-warm the memo: steady-state queries pay only the folds.
-				for _, id := range ids {
-					if _, err := dv.discretize(id, ds.Object(id).PDF, dist.DefaultBins); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, err := dv.deriveSet(nil, n, false, func(pos int) (subregion.Candidate, error) {
-						h, err := dv.distFor(ds.Object(ids[pos]), 25.0, dist.DefaultBins, nil)
-						return subregion.Candidate{ID: ids[pos], Dist: h}, err
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

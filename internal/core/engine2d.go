@@ -23,10 +23,9 @@ type Object2D struct {
 // Engine2D answers C-PNN queries over planar uncertain objects. Every entry
 // point (CPNN, CPNNScratch, CPNNBatch, PNN, PNNScratch) is the embedded
 // pipeline's; the engine adds only its source: distance pdfs derived from
-// lens areas instead of interval folds. Only the derivation stage's parallel
-// fan-out applies here: the lens reduction depends on the query point, so
-// there is nothing query-independent to memoize (the discretization memo
-// serves the 1-D engine's analytic pdfs).
+// lens areas instead of interval folds. The lens reduction depends on the
+// query point, so there is nothing query-independent to memoize (the
+// discretization memo serves the 1-D engine's analytic pdfs).
 type Engine2D struct {
 	pipeline[geom.Point]
 	source2D
@@ -65,7 +64,7 @@ func NewEngine2D(objs []Object2D) (*Engine2D, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	e := &Engine2D{source2D: source2D{objs: append([]Object2D(nil), objs...), tree: tree}}
-	e.pipeline = pipeline[geom.Point]{src: &e.source2D, dv: newDeriver()}
+	e.pipeline = pipeline[geom.Point]{src: &e.source2D}
 	return e, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/pdf"
@@ -27,10 +28,10 @@ type source[Q any] interface {
 
 // pipeline is the paper's evaluation sequence — filter, derive, subregion
 // table, verify, refine — over a source. Engine and Engine2D embed it, so
-// every stateless entry point has this one body.
+// every stateless entry point has this one body, run in-line on one
+// scratch: the caller's, or one borrowed from core's pool.
 type pipeline[Q any] struct {
 	src source[Q]
-	dv  *deriver
 }
 
 // CPNN evaluates a constrained probabilistic nearest-neighbor query at point
@@ -41,7 +42,7 @@ func (p *pipeline[Q]) CPNN(q Q, c verify.Constraint, opt Options) (*Result, erro
 
 // CPNNScratch is CPNN evaluated on a caller-owned scratch. Results never
 // alias scratch memory, so they stay valid across subsequent calls. A nil
-// scratch allocates fresh, which is plain CPNN.
+// scratch borrows one from the pool, which is plain CPNN.
 func (p *pipeline[Q]) CPNNScratch(q Q, c verify.Constraint, opt Options, sc *Scratch) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -49,14 +50,16 @@ func (p *pipeline[Q]) CPNNScratch(q Q, c verify.Constraint, opt Options, sc *Scr
 	if err := p.src.check(q); err != nil {
 		return nil, err
 	}
-	return p.cpnn(q, c, opt.withDefaults(), sc.query())
+	qs := sc.query()
+	defer sc.done(qs)
+	return p.cpnn(q, c, opt.withDefaults(), qs)
 }
 
-// CPNNBatch evaluates one C-PNN per query point over a bounded worker pool,
-// sharing the engine's filter index and discretization memo and recycling
-// per-query scratch (subregion tables, candidate buffers) via a sync.Pool.
-// Results are index-aligned with qs; answers are identical to evaluating
-// each point with CPNN. The first failing query aborts the batch.
+// CPNNBatch evaluates one C-PNN per query point, fanning the queries out
+// over a bounded worker pool — its one edge over a loop of CPNN calls, which
+// run the same body on the same pooled scratch. Results are index-aligned
+// with qs; answers are identical to evaluating each point with CPNN. The
+// first failing query aborts the batch.
 func (p *pipeline[Q]) CPNNBatch(qs []Q, c verify.Constraint, opt BatchOptions) (*BatchResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -72,10 +75,8 @@ func (p *pipeline[Q]) CPNNBatch(qs []Q, c verify.Constraint, opt BatchOptions) (
 	})
 }
 
-// cpnn is the CPNN body, shared by the single-query entry points (sc == nil
-// unless the caller owns a Scratch) and the batch path (sc is a pooled
-// scratch; see queryScratch for the derivation-mode rules). Inputs are
-// already validated and opt already defaulted.
+// cpnn is the CPNN body, shared by the single-query entry points and the
+// batch workers. Inputs are already validated and opt already defaulted.
 func (p *pipeline[Q]) cpnn(q Q, c verify.Constraint, opt Options, sc *queryScratch) (*Result, error) {
 	res := &Result{}
 	cands, table, err := p.prepare(q, opt.Bins, opt.Strategy != Basic, sc, &res.Stats)
@@ -108,7 +109,9 @@ func (p *pipeline[Q]) PNNScratch(q Q, opt Options, sc *Scratch) ([]Probability, 
 	if err := p.src.check(q); err != nil {
 		return nil, st, err
 	}
-	_, table, err := p.prepare(q, opt.Bins, true, sc.query(), &st)
+	qs := sc.query()
+	defer sc.done(qs)
+	_, table, err := p.prepare(q, opt.Bins, true, qs, &st)
 	if err != nil || table == nil {
 		return nil, st, err
 	}
@@ -118,9 +121,9 @@ func (p *pipeline[Q]) PNNScratch(q Q, opt Options, sc *Scratch) ([]Probability, 
 
 // prepare runs the phases every stateless query starts with: filter, derive
 // and — unless the strategy integrates candidates directly — the subregion
-// table, with phase timings (the table's own inside InitTime) and set sizes
-// recorded in st. An empty candidate set returns nil candidates and a nil
-// table.
+// table, built in place over the scratch's, with phase timings (the table's
+// own inside InitTime) and set sizes recorded in st. An empty candidate set
+// returns nil candidates and a nil table.
 func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, st *Stats) ([]subregion.Candidate, *subregion.Table, error) {
 	start := time.Now()
 	pos, fMin := p.src.candidates(q)
@@ -132,18 +135,17 @@ func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, 
 	}
 
 	start = time.Now()
-	sc.resetArena()
 	cands, err := p.derive(sc, pos, q, bins)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc.keepCandBuf(cands)
 	var table *subregion.Table
 	if buildTable {
 		derived := time.Now()
-		if table, err = sc.buildTable(cands); err != nil {
+		if err := sc.table.Rebuild(cands); err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
+		table = &sc.table
 		st.Subregions = table.NumSubregions()
 		st.TableTime = time.Since(derived)
 	}
@@ -151,19 +153,23 @@ func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, 
 	return cands, table, nil
 }
 
-// derive derives the distance pdf of every filtered position through the
-// shared derivation stage (parallel folds; the 1-D source memoizes
-// discretization). sc, when non-nil, supplies the recycled candidate buffer
-// and fold arena; see queryScratch for when derivation stays in-line versus
-// fanning out.
+// derive derives the distance pdf of every filtered position, in order and
+// in-line, into the scratch's candidate buffer and fold arena (the 1-D
+// source memoizes discretization). It is a query's first write to its
+// scratch, so it notes the buffers the query found for release. The first
+// failing candidate stops the derivation and names itself in the error.
 func (p *pipeline[Q]) derive(sc *queryScratch, pos []int, q Q, bins int) ([]subregion.Candidate, error) {
-	a := sc.foldArena()
-	return p.dv.deriveSet(sc.candBuf(), len(pos), sc.serialDerive(), func(i int) (subregion.Candidate, error) {
-		id := p.src.id(pos[i])
-		h, err := p.src.dist(pos[i], q, bins, a)
+	sc.warmCands, sc.warmTable = sc.cands, sc.table
+	sc.arena.Reset()
+	cands := slices.Grow(sc.cands[:0], len(pos))
+	for _, d := range pos {
+		id := p.src.id(d)
+		h, err := p.src.dist(d, q, bins, &sc.arena)
 		if err != nil {
-			return subregion.Candidate{}, fmt.Errorf("core: object %d: %w", id, err)
+			return nil, fmt.Errorf("core: object %d: %w", id, err)
 		}
-		return subregion.Candidate{ID: id, Dist: h}, nil
-	})
+		cands = append(cands, subregion.Candidate{ID: id, Dist: h})
+	}
+	sc.cands = cands
+	return cands, nil
 }

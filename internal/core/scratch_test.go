@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -28,9 +26,9 @@ type scratchEngine[Q any] interface {
 }
 
 // checkNoAlias evaluates a, then b, on one scratch and requires what a
-// returned to still equal a fresh scratchless evaluation of a: a result that
-// kept a slice of the table, the candidate buffer or the arena would have
-// been overwritten by b.
+// returned to still equal a fresh evaluation of a on a pooled scratch: a
+// result that kept a slice of the table, the candidate buffer or the arena
+// would have been overwritten by b.
 func checkNoAlias[Q any](t *testing.T, e scratchEngine[Q], a, b Q) {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
@@ -78,9 +76,9 @@ func checkNoAlias[Q any](t *testing.T, e scratchEngine[Q], a, b Q) {
 
 // TestScratchResultsDoNotAlias: what CPNNScratch and PNNScratch return stays
 // valid while the scratch goes on to other queries and is released — the
-// property a server slot's scratch rests on, since a response body is
-// rendered from a result after the engine call returned. The second query is
-// the larger one, so every buffer the first result could alias is rewritten.
+// property the scratch pool rests on, since a caller reads a result after
+// its scratch went back to the pool. The second query is the larger one, so
+// every buffer the first result could alias is rewritten.
 func TestScratchResultsDoNotAlias(t *testing.T) {
 	t.Run("1D", func(t *testing.T) {
 		eng, qs := batchTestEngine(t, 6000, 23)
@@ -117,17 +115,13 @@ func TestScratchResultsDoNotAlias(t *testing.T) {
 }
 
 // TestScratchReleaseDropsCandidates: a released scratch references none of
-// its last query's distance pdfs — including the heap histograms of a query
-// whose derivation fanned out, as a small batch's does — keeps its float
-// storage, and serves the next query like a fresh one.
+// its last query's distance pdfs, keeps its float storage while within the
+// retention cap, and serves the next query like a fresh one.
 func TestScratchReleaseDropsCandidates(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
 	eng, qs := batchTestEngine(t, 6000, 23)
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 
 	sc := NewScratch()
-	sc.qs.parallelDerive = true // heap folds, as under a batch below the core count
 	want, err := eng.CPNNScratch(qs[0], c, Options{}, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -148,13 +142,115 @@ func TestScratchReleaseDropsCandidates(t *testing.T) {
 	if after := sc.MemBytes(); after != before {
 		t.Fatalf("Release changed the retained size: %d -> %d (float storage must stay)", before, after)
 	}
-	sc.qs.parallelDerive = false
 	got, err := eng.CPNNScratch(qs[0], c, Options{}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Candidates, want.Candidates) {
 		t.Fatal("a released scratch answers differently")
+	}
+}
+
+// capFixture is a dataset whose query at 1020 outgrows the 1 MiB retention
+// cap: 300 staggered intervals over one stretch keep all of them as
+// candidates with ≈600 distinct end-points, a table of ≈300×600 cells ×
+// 24 B ≈ 4 MB. The sparse tail beyond 2000 holds ordinary queries.
+func capFixture() *uncertain.Dataset {
+	var pdfs []pdf.PDF
+	for i := 0; i < 300; i++ {
+		pdfs = append(pdfs, pdf.MustUniform(1000+0.01*float64(i), 1040+0.013*float64(i)))
+	}
+	for i := 0; i < 400; i++ {
+		pdfs = append(pdfs, pdf.MustUniform(2000+10*float64(i), 2025+10*float64(i)))
+	}
+	return uncertain.NewDataset(pdfs)
+}
+
+// TestScratchRetentionCapped: a query whose table outgrows scratchCap leaves
+// nothing over the cap parked — not in a caller-owned Scratch once
+// released, not in the pool after a single query or a batch. What it
+// leaves is the warm scratch it found: the table an ordinary query grew
+// survives the large one, and answers the next query like before.
+func TestScratchRetentionCapped(t *testing.T) {
+	eng, err := NewEngine(capFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	want, err := eng.CPNN(2010, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	if _, err := eng.CPNNScratch(2010, c, Options{}, sc); err != nil {
+		t.Fatal(err)
+	}
+	sc.Release()
+	warm := sc.qs.table.MemBytes()
+	if warm == 0 {
+		t.Fatal("an ordinary query left its scratch without a table")
+	}
+	res, err := eng.CPNNScratch(1020, c, Options{}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.MemBytes() <= scratchCap {
+		t.Fatalf("the large query (%d candidates × %d subregions) retains only %d bytes; the fixture must exceed the %d cap",
+			res.Stats.Candidates, res.Stats.Subregions, sc.MemBytes(), scratchCap)
+	}
+	sc.Release()
+	if b := sc.MemBytes(); b > scratchCap {
+		t.Fatalf("a released scratch retains %d bytes, over the %d cap", b, scratchCap)
+	}
+	if b := sc.qs.table.MemBytes(); b != warm {
+		t.Fatalf("the warm table (%d bytes) came back from the large query at %d bytes", warm, b)
+	}
+	got, err := eng.CPNNScratch(2010, c, Options{}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Candidates, want.Candidates) {
+		t.Fatal("a scratch back from an over-cap query answers differently")
+	}
+
+	if _, err := eng.CPNN(1020, c, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.CPNNBatch([]float64{1020, 2010, 1020, 3000}, c, BatchOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	parked := make([]*queryScratch, 8)
+	for i := range parked {
+		parked[i] = borrow()
+		if b := parked[i].memBytes(); b > scratchCap {
+			t.Errorf("a pooled scratch retains %d bytes, over the %d cap", b, scratchCap)
+		}
+	}
+	for _, p := range parked {
+		p.park()
+	}
+}
+
+// TestCPNNAllocations: a warm Engine.CPNN runs on a pooled scratch, so what
+// it allocates is its result and bookkeeping (≈19 objects a query here) —
+// not a subregion table, candidate buffer and fold histogram per query,
+// which cost ≈96 objects a query on this fixture.
+func TestCPNNAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	eng, qs := batchTestEngine(t, 6000, 23)
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	run := func() {
+		for _, q := range qs {
+			if _, err := eng.CPNN(q, c, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if perQuery := testing.AllocsPerRun(5, run) / float64(len(qs)); perQuery > 30 {
+		t.Fatalf("a warm Engine.CPNN allocates %.1f objects a query, want at most 30", perQuery)
 	}
 }
 
@@ -194,7 +290,7 @@ func TestStatsTableTimeInsideInitTime(t *testing.T) {
 // most of what a scratch evaluation still allocated.
 func TestDeriveUniformThroughArenaAllocatesNothing(t *testing.T) {
 	obj := uncertain.Object{ID: 0, PDF: pdf.MustUniform(10, 20)}
-	dv := newDeriver()
+	var dv deriver
 	var a pdf.Alloc
 	for _, q := range []float64{12, 15, 40} {
 		allocs := testing.AllocsPerRun(100, func() {
@@ -206,29 +302,5 @@ func TestDeriveUniformThroughArenaAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("q=%g: deriving a uniform candidate through the arena allocates %g objects, want 0", q, allocs)
 		}
-	}
-}
-
-// BenchmarkCPNNScratchSingles is BenchmarkCPNNLoopOfSingles on one reused
-// scratch — what a server worker slot runs: the same 64 points, one CPNN
-// call at a time, table, candidate buffer and fold arena recycled. The gap
-// to the loop of singles is the allocation a served cold read no longer
-// pays; the gap left to BenchmarkCPNNBatch/size=64 is the batch's fan-out.
-func BenchmarkCPNNScratchSingles(b *testing.B) {
-	eng, qs := benchBatchSetup(b)
-	c := verify.Constraint{P: 0.3, Delta: 0.01}
-	for _, size := range []int{64} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			sc := NewScratch()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs[:size] {
-					if _, err := eng.CPNNScratch(q, c, Options{}, sc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-		})
 	}
 }

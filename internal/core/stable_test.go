@@ -94,7 +94,7 @@ func TestCKNNStatsExposeFK(t *testing.T) {
 }
 
 // TestCPNNScratchMatchesCPNN: a caller-owned scratch reused across many
-// queries returns results identical to the scratchless path.
+// queries returns results identical to plain CPNN on a pooled scratch.
 func TestCPNNScratchMatchesCPNN(t *testing.T) {
 	ds, err := uncertain.GenerateUniform(uncertain.GenOptions{
 		N: 200, Domain: 500, MeanLen: 8, MinLen: 1, MaxLen: 20, Seed: 3,

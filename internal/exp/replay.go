@@ -41,7 +41,7 @@ type ReplayRow struct {
 	// P50, P95 and P99 are per-query completion latencies: a query finishes
 	// when its batch does, so latency is its batch's wall time.
 	P50, P95, P99 time.Duration
-	// Ratio is the amortization: singles total time over this size's total.
+	// Ratio is singles total time over this size's total.
 	Ratio float64
 	// AllocsPerQuery counts heap allocations per query at this batch size.
 	AllocsPerQuery float64

@@ -1,10 +1,11 @@
 package monitor
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -125,7 +126,8 @@ func round9(v float64) float64 { return math.Round(v*1e9) / 1e9 }
 // any view holding the same objects yields identical bytes.
 //
 // eng must be an engine over view's dataset and index (pass nil to build
-// one); sc optionally recycles evaluation scratch.
+// one). sc is the caller's evaluation scratch; nil borrows one from core's
+// pool.
 func Evaluate(view *store.View, eng *core.Engine, sc *core.Scratch, spec Spec) (body []byte, radius float64, err error) {
 	if eng == nil {
 		eng, err = core.NewEngineWithIndex(view.Dataset, view.Index)
@@ -244,7 +246,7 @@ func marshalPNN(view *store.View, probs []core.Probability) ([]byte, error) {
 	for _, p := range probs {
 		out = append(out, probJSON{ID: stableID(view, p.ID), P: round9(p.P)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b probJSON) int { return cmp.Compare(a.ID, b.ID) })
 	return json.Marshal(struct {
 		Probabilities []probJSON `json:"probabilities"`
 	}{out})
@@ -291,7 +293,7 @@ func knnIDs(view *store.View) []uint64 {
 }
 
 func sortAnswers(out []answerJSON) {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b answerJSON) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // boundedRadius returns the influence radius, widening to +Inf when the

@@ -17,9 +17,10 @@
 // proportional to the queries they can actually affect, not to the number of
 // standing queries (O(affected) instead of O(queries × commits)).
 //
-// Re-evaluation runs on a bounded worker pool that recycles per-worker
-// evaluation scratch (core.Scratch — the batch path's candidate buffers,
-// subregion tables and fold arenas). Bursts coalesce: a query dirtied by
+// Re-evaluation runs on a bounded worker pool; each worker owns one
+// evaluation scratch (core.Scratch — candidate buffer, subregion table,
+// fold arena) and releases it after every evaluation, which holds it to
+// core's 1 MiB retention cap. Bursts coalesce: a query dirtied by
 // several commits evaluates once, against the latest view. Answers are
 // canonical JSON in stable-ID terms; a query is pushed to subscribers only
 // when its answer actually changed. Slow subscribers are never waited on —
@@ -28,11 +29,12 @@ package monitor
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -390,7 +392,7 @@ func (m *Monitor) List() []*State {
 	for _, q := range m.queries {
 		out = append(out, q.snapshot())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *State) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -581,9 +583,9 @@ func (m *Monitor) feedLoop(i int) {
 }
 
 // worker re-evaluates dirty queries against the latest head views, one at a
-// time, on a private reusable scratch. Evaluations of one query never
-// overlap: a query dirtied mid-evaluation is requeued when its evaluation
-// completes.
+// time, on a private reusable scratch it releases after each. Evaluations
+// of one query never overlap: a query dirtied mid-evaluation is requeued
+// when its evaluation completes.
 func (m *Monitor) worker() {
 	defer m.wg.Done()
 	// Per-worker buffers, so an evaluation allocates nothing for its
@@ -631,6 +633,7 @@ func (m *Monitor) worker() {
 		m.mu.Unlock()
 
 		body, radius, inc, err := m.cfg.Source.Evaluate(ev, cut)
+		sc.Release()
 
 		m.mu.Lock()
 		m.inflight--

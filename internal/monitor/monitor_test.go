@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -428,8 +429,120 @@ func TestEvaluatePNNOnScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) || math.Float64bits(gotR) != math.Float64bits(wantR) {
-				t.Fatalf("%v q=%g: scratch body %s radius %g, scratchless %s radius %g", spec.Kind, q, got, gotR, want, wantR)
+				t.Fatalf("%v q=%g: scratch body %s radius %g, pooled %s radius %g", spec.Kind, q, got, gotR, want, wantR)
 			}
 		}
+	}
+}
+
+// statelessSource stands a monitor on a store the way a shard cluster's
+// source stands one on its members: no per-query state, so every evaluation
+// re-derives from scratch on the evaluating worker's scratch, the last of
+// which it keeps for inspection.
+type statelessSource struct {
+	storeSource
+	mu      sync.Mutex
+	scratch *core.Scratch
+}
+
+func (s *statelessSource) Incremental() bool { return false }
+
+func (s *statelessSource) Evaluate(ev Eval, cut []uint64) ([]byte, float64, core.IncrementalStats, error) {
+	if ev.Scratch != nil {
+		s.mu.Lock()
+		s.scratch = ev.Scratch
+		s.mu.Unlock()
+	}
+	return s.storeSource.Evaluate(ev, cut)
+}
+
+// TestWorkerScratchCapped: a monitor worker's scratch obeys core's 1 MiB
+// retention cap. The only worker re-evaluates a standing PNN whose subregion
+// table exceeds the cap through a stateless source, and afterwards its
+// scratch retains at most 1 MiB; the small standing query it evaluates next
+// renders the same body as before.
+func TestWorkerScratchCapped(t *testing.T) {
+	const scratchCap = 1 << 20
+	s := openStore(t)
+	// Twenty overlapping 200-bin histograms around 1020: each folds into a
+	// distance pdf with ≈200 break points, a table of 20 × ≈2,800
+	// subregions ≈ 1.7 MB that an exact PNN integrates in milliseconds.
+	// The sparse tail beyond 2000 holds ordinary queries.
+	var ops []store.Op
+	for i := 0; i < 20; i++ {
+		edges, weights := make([]float64, 201), make([]float64, 200)
+		for k := range edges {
+			edges[k] = 1000 + 0.37*float64(i) + 0.2*float64(k)
+		}
+		for k := range weights {
+			weights[k] = float64(1 + (7*k+i)%5)
+		}
+		h, err := pdf.NewHistogram(edges, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, store.InsertObject(h))
+	}
+	for i := 0; i < 40; i++ {
+		ops = append(ops, store.InsertObject(pdf.MustUniform(2000+10*float64(i), 2025+10*float64(i))))
+	}
+	res, err := s.Apply(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, small := Spec{Kind: KindPNN, Q: 1020}, Spec{Kind: KindPNN, Q: 2110}
+	sc := core.NewScratch()
+	if _, _, err := Evaluate(s.View(), nil, sc, big); err != nil {
+		t.Fatal(err)
+	}
+	if b := sc.MemBytes(); b <= scratchCap {
+		t.Fatalf("the large PNN retains only %d bytes; the fixture must exceed the %d cap", b, scratchCap)
+	}
+
+	src := &statelessSource{storeSource: storeSource{st: s}}
+	m, err := New(Config{Source: src, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if _, err := m.Register(big); err != nil {
+		t.Fatal(err)
+	}
+	before, err := m.Register(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewriting an object with its own pdf dirties exactly the standing
+	// query whose influence interval holds it, without changing its answer.
+	touch := func(i int) {
+		t.Helper()
+		if _, err := s.Apply([]store.Op{store.UpdateObject(res.IDs[i], ops[i].PDF)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Sync(syncTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch(0)
+	src.mu.Lock()
+	worker := src.scratch
+	src.mu.Unlock()
+	if worker == nil {
+		t.Fatal("the worker never evaluated the large PNN")
+	}
+	if b := worker.MemBytes(); b > scratchCap {
+		t.Fatalf("after the large PNN the worker's scratch retains %d bytes, over the %d cap", b, scratchCap)
+	}
+	touch(20 + 10) // [2100, 2125], inside the small query's interval
+	if got := m.Stats().ReEvals; got != 2 {
+		t.Fatalf("%d worker evaluations, want 2", got)
+	}
+	after, _ := m.Get(before.ID)
+	fresh, _, err := Evaluate(s.View(), nil, nil, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Answer, before.Answer) || !bytes.Equal(after.Answer, fresh) {
+		t.Fatalf("the small PNN after the large one: %s, before %s, fresh %s", after.Answer, before.Answer, fresh)
 	}
 }

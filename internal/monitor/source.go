@@ -41,7 +41,8 @@ type Eval struct {
 	State   *core.EvalState
 	Changed map[uint64]int
 	Full    bool
-	// Scratch optionally recycles from-scratch evaluation buffers.
+	// Scratch is the evaluating worker's from-scratch evaluation scratch;
+	// nil borrows one from core's pool.
 	Scratch *core.Scratch
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -13,16 +12,10 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
-	"repro/internal/verify"
 )
-
-// scratchConstraint is the constraint every served query of these tests
-// carries (the handlers' own default).
-var scratchConstraint = verify.Constraint{P: 0.3, Delta: 0.01}
 
 // longBeachSlice generates n objects of the paper's Long Beach workload at
 // the full dataset's density — domain and cluster count shrink with n — so
@@ -49,8 +42,8 @@ func longBeachSlice(t *testing.T, n int) ([]pdf.PDF, uncertain.GenOptions) {
 // with the largest candidate set (last, and returned on its own). pnn is the
 // subset /v1/pnn is asked: an exact PNN integrates every candidate over every
 // subregion — 0.2 s a query at this set's mean — so it gets the dozen points
-// with the fewest candidates, which still land on whatever a slot's scratch
-// was last grown to by the C-PNNs around them.
+// with the fewest candidates, which still land on whatever pooled scratch
+// the C-PNNs around them last grew.
 func stratifiedPoints(t *testing.T, pdfs []pdf.PDF, domain float64, n int) (pts []float64, largest float64, pnn map[float64]bool) {
 	t.Helper()
 	ix, err := filter.NewIndex(uncertain.NewDataset(pdfs))
@@ -83,29 +76,23 @@ func stratifiedPoints(t *testing.T, pdfs []pdf.PDF, domain float64, n int) (pts 
 
 func qParam(q float64) string { return strconv.FormatFloat(q, 'g', -1, 64) }
 
-// scratchlessBodies renders, for every point, the /v1/cpnn body (and for
-// the points of pnnPts the /v1/pnn body) from the server's own view through
-// the payload builders with no scratch: Engine.CPNN and Engine.PNN exactly as
-// the handlers called them before a slot carried one.
-func scratchlessBodies(t *testing.T, s *Server, pts []float64, pnnPts map[float64]bool) (cpnn, pnn map[float64][]byte) {
+// referenceBodies asks s, one request at a time in the order of pts, for
+// every point's /v1/cpnn body and for the /v1/pnn body of the points of
+// pnnPts.
+func referenceBodies(t *testing.T, s *Server, pts []float64, pnnPts map[float64]bool) (cpnn, pnn map[float64][]byte) {
 	t.Helper()
-	v, err := s.be.admit()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cpnn, pnn = map[float64][]byte{}, map[float64][]byte{}
+	body := func(path string) []byte {
+		rec := get(t, s, path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
 	for _, q := range pts {
-		snap, _, err := v.snapshot(context.Background(), q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cpnn[q], _, err = cpnnPayload(snap, q, scratchConstraint, core.VR, false, nil); err != nil {
-			t.Fatal(err)
-		}
+		cpnn[q] = body("/v1/cpnn?q=" + qParam(q))
 		if pnnPts[q] {
-			if pnn[q], _, err = pnnPayload(snap, q, nil); err != nil {
-				t.Fatal(err)
-			}
+			pnn[q] = body("/v1/pnn?q=" + qParam(q))
 		}
 	}
 	return cpnn, pnn
@@ -113,12 +100,12 @@ func scratchlessBodies(t *testing.T, s *Server, pts []float64, pnnPts map[float6
 
 // serveAndCompare sends every point of order to /v1/cpnn, the points that
 // have a reference to /v1/pnn, and the whole order as one /v1/batch, and
-// reports any body that is not byte-equal to its scratchless reference.
+// reports any body that is not byte-equal to its reference.
 // It is safe to call from several goroutines.
 func serveAndCompare(t *testing.T, s *Server, order []float64, cpnn, pnn map[float64][]byte) {
 	check := func(what string, q float64, got, want []byte) {
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s q=%g: served body differs from the scratchless evaluation\n got %s\nwant %s", what, q, got, want)
+			t.Errorf("%s q=%g: served body differs from the reference server's\n got %s\nwant %s", what, q, got, want)
 		}
 	}
 	for _, q := range order {
@@ -156,14 +143,15 @@ func serveAndCompare(t *testing.T, s *Server, order []float64, cpnn, pnn map[flo
 	}
 }
 
-// TestServedBodiesUnchangedByScratch: a worker slot's reused scratch changes
-// no served byte. Over 500 stratified points of a Long Beach slice plus its
-// largest-candidate-set point, /v1/cpnn, every /v1/batch point and /v1/pnn
-// answer exactly what the payload builders render from a scratchless
-// Engine.CPNN / Engine.PNN — on the local backend and on a 4-shard router,
-// at MaxInFlight 1, 2 and 4, in ascending, shuffled and largest-first order
-// by one client and then split across 8 concurrent ones. The result cache
-// stores nothing, so every request is an evaluation on a slot's scratch.
+// TestServedBodiesUnchangedByScratch: the pooled scratch an evaluation
+// borrows, whatever queries it served before, changes no served byte. Over
+// 500 stratified points of a Long Beach slice plus its largest-candidate-set
+// point, /v1/cpnn, every /v1/batch point and /v1/pnn answer exactly what a
+// second server over the same data rendered one request at a time in
+// ascending order — on the local backend and on a 4-shard router, at
+// MaxInFlight 1, 2 and 4, in ascending, shuffled and largest-first order by
+// one client and then split across 8 concurrent ones. The result cache
+// stores nothing, so every request is an evaluation.
 func TestServedBodiesUnchangedByScratch(t *testing.T) {
 	pdfs, opt := longBeachSlice(t, 6000)
 	pts, largest, pnnPts := stratifiedPoints(t, pdfs, opt.Domain, 500)
@@ -183,18 +171,19 @@ func TestServedBodiesUnchangedByScratch(t *testing.T) {
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			var cpnn, pnn map[float64][]byte
-			for _, inflight := range []int{1, 2, 4} {
+			newServer := func(inflight int) *Server {
 				s, err := New(b.over(Config{MaxInFlight: inflight, CacheEntries: -1, QueueTimeout: -1}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
-				if cpnn == nil {
-					// Every server of one backend serves the same data at the
-					// same version, so one set of references does for all.
-					cpnn, pnn = scratchlessBodies(t, s, pts, pnnPts)
-				}
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+			// Every server of one backend serves the same data at the same
+			// version, so one set of references does for all.
+			cpnn, pnn := referenceBodies(t, newServer(1), pts, pnnPts)
+			for _, inflight := range []int{1, 2, 4} {
+				s := newServer(inflight)
 				serveAndCompare(t, s, orders[inflight], cpnn, pnn)
 
 				const clients = 8
@@ -211,76 +200,7 @@ func TestServedBodiesUnchangedByScratch(t *testing.T) {
 					}(c)
 				}
 				wg.Wait()
-
-				if n := len(s.slots.idle); n < 1 || n > inflight {
-					t.Errorf("MaxInFlight %d: %d scratches parked, want 1..%d", inflight, n, inflight)
-				}
-				for _, sc := range s.slots.idle {
-					if b := sc.MemBytes(); b > slotScratchCap {
-						t.Errorf("MaxInFlight %d: a parked scratch retains %d bytes, over the %d cap", inflight, b, slotScratchCap)
-					}
-				}
 			}
 		})
-	}
-}
-
-// TestSlotScratchRetentionCapped pins the two properties the slot pool's
-// memory bound rests on. A query whose table outgrows slotScratchCap leaves
-// nothing parked: its scratch is dropped, not kept at that size. And slots
-// are handed out last-in-first-out: a single client, however many requests
-// it sends, warms exactly one scratch while the other slots stay empty.
-func TestSlotScratchRetentionCapped(t *testing.T) {
-	// 300 staggered intervals over one stretch: a query in the middle keeps
-	// them all as candidates with ≈600 distinct end-points, a table of
-	// ≈300×600 cells × 24 B ≈ 4 MB. The sparse tail holds ordinary queries.
-	var pdfs []pdf.PDF
-	for i := 0; i < 300; i++ {
-		pdfs = append(pdfs, pdf.MustUniform(1000+0.01*float64(i), 1040+0.013*float64(i)))
-	}
-	for i := 0; i < 400; i++ {
-		pdfs = append(pdfs, pdf.MustUniform(2000+10*float64(i), 2025+10*float64(i)))
-	}
-	s := testServer(t, Config{Dataset: uncertain.NewDataset(pdfs), MaxInFlight: 4, CacheEntries: -1})
-
-	serve := func(q float64) {
-		t.Helper()
-		if rec := get(t, s, "/v1/cpnn?q="+qParam(q)); rec.Code != http.StatusOK {
-			t.Fatalf("q=%g: status %d: %s", q, rec.Code, rec.Body)
-		}
-	}
-	serve(1020)
-	big := core.NewScratch()
-	res, err := s.Snapshot().Engine.CPNNScratch(1020, scratchConstraint, core.Options{}, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.MemBytes() <= slotScratchCap {
-		t.Fatalf("the large query (%d candidates × %d subregions) retains only %d bytes; the fixture must exceed the %d cap",
-			res.Stats.Candidates, res.Stats.Subregions, big.MemBytes(), slotScratchCap)
-	}
-	if n := len(s.slots.idle); n != 0 {
-		t.Fatalf("%d scratches parked after a query over the cap, want none", n)
-	}
-
-	for i := 0; i < 1000; i++ {
-		if i%250 == 100 {
-			serve(1020) // an occasional large query costs the warm scratch, nothing more
-		}
-		serve(2010 + 3.7*float64(i))
-	}
-	warm := 0
-	for _, sc := range s.slots.idle {
-		b := sc.MemBytes()
-		if b > slotScratchCap {
-			t.Errorf("a parked scratch retains %d bytes, over the %d cap", b, slotScratchCap)
-		}
-		if b > 0 {
-			warm++
-		}
-	}
-	if warm != 1 {
-		t.Fatalf("%d warm scratches parked after 1,000 single-client requests (%d parked in all), want exactly 1",
-			warm, len(s.slots.idle))
 	}
 }

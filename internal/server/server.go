@@ -20,10 +20,9 @@
 //     entries for the old snapshot can never match a new request.
 //   - A bounded worker pool: at most MaxInFlight evaluations run at once;
 //     excess requests queue until a slot frees and are shed with a 503 once
-//     they have waited QueueTimeout. A slot carries the evaluation scratch
-//     (subregion table, candidate buffer, fold arena) its queries run on, so
-//     a cold read allocates none of them; see workerSlots for what an idle
-//     slot may retain.
+//     they have waited QueueTimeout. An evaluation runs on a scratch
+//     (subregion table, candidate buffer, fold arena) borrowed from core's
+//     one capped pool, so a cold read allocates none of them.
 //
 // Responses are deterministic — per-query timings are deliberately excluded
 // (they live in /metrics aggregates) so a cached response is byte-identical
@@ -31,6 +30,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,7 +39,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -355,7 +355,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cc:      newCache(cfg.CacheEntries, DefaultCacheShards),
-		slots:   workerSlots{sem: make(chan struct{}, cfg.MaxInFlight)},
+		slots:   make(workerSlots, cfg.MaxInFlight),
 		drainCh: make(chan struct{}),
 		log:     obs.Or(cfg.Logger),
 		tracer:  cfg.Tracer,
@@ -537,89 +537,55 @@ func (s *Server) snapPoint(q float64) float64 {
 	return math.Round(q/s.cfg.Quantum) * s.cfg.Quantum
 }
 
-// slotScratchCap bounds the memory a parked worker slot retains. A scratch
-// grows to the largest query it ever served: on the Long Beach workload the
-// candidate set is |C| p50 58 / p95 247 / p99 346 / max 571, its table
-// |C|×(M+1) = 1,564 / 14,550 / 28,080 / 61,978 cells of 24 B = 37 KB /
-// 350 KB / 674 KB / 1.49 MB. 1 MiB keeps everything up to ≈p99.5 warm; a
-// query past it runs on its slot's scratch like any other and the scratch is
-// dropped afterwards, so only those queries allocate their table afresh.
-const slotScratchCap = 1 << 20
+// workerSlots is the bounded evaluation pool: a semaphore of MaxInFlight
+// slots.
+type workerSlots chan struct{}
 
-// workerSlots is the bounded evaluation pool: sem counts the MaxInFlight
-// slots, idle holds the scratches of the free ones. Slots are handed out
-// last-in-first-out, so a server busy at concurrency c keeps c scratches
-// warm and the remaining slots hold nothing — retained memory is at most
-// min(peak concurrency, MaxInFlight) × slotScratchCap, not a rotation
-// through every slot that ever served a large query.
-type workerSlots struct {
-	sem  chan struct{}
-	mu   sync.Mutex
-	idle []*core.Scratch
-}
-
-// acquire takes a slot and returns its scratch, waiting up to timeout (for
-// ever when timeout <= 0) if all are busy; false means the wait expired. The
-// timer exists only for a request that actually queues.
-func (ws *workerSlots) acquire(timeout time.Duration) (*core.Scratch, bool) {
+// acquire takes a slot, waiting up to timeout (for ever when timeout <= 0)
+// if all are busy; false means the wait expired. The timer exists only for a
+// request that actually queues.
+func (ws workerSlots) acquire(timeout time.Duration) bool {
 	select {
-	case ws.sem <- struct{}{}:
+	case ws <- struct{}{}:
+		return true
 	default:
-		var expired <-chan time.Time
-		if timeout > 0 {
-			timer := time.NewTimer(timeout)
-			defer timer.Stop()
-			expired = timer.C
-		}
-		select {
-		case ws.sem <- struct{}{}:
-		case <-expired:
-			return nil, false
-		}
 	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if n := len(ws.idle); n > 0 {
-		sc := ws.idle[n-1]
-		ws.idle = ws.idle[:n-1]
-		return sc, true
+	var expired <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	return core.NewScratch(), true
+	select {
+	case ws <- struct{}{}:
+		return true
+	case <-expired:
+		return false
+	}
 }
 
-// release parks the slot's scratch — cleared of the query's candidates, and
-// only while it is within slotScratchCap — and frees the slot.
-func (ws *workerSlots) release(sc *core.Scratch) {
-	sc.Release()
-	if sc.MemBytes() <= slotScratchCap {
-		ws.mu.Lock()
-		ws.idle = append(ws.idle, sc)
-		ws.mu.Unlock()
-	}
-	<-ws.sem
-}
+// release frees a slot.
+func (ws workerSlots) release() { <-ws }
 
-// evaluate runs fn under the bounded worker pool, on the acquired slot's
-// scratch. Admission control is deliberately server-side: the wait for a
+// evaluate runs fn under the bounded worker pool. Admission control is deliberately server-side: the wait for a
 // slot is bounded by QueueTimeout, not by any client's connection, because a
 // singleflight leader must survive its own client disconnecting — collapsed
 // waiters with live connections depend on its result, and the completed
 // result still lands in the cache. Waiters abandon early through the context
 // handed to cache.Do instead.
-func (s *Server) evaluate(fn func(sc *core.Scratch) ([]byte, error)) ([]byte, error) {
-	sc, ok := s.slots.acquire(s.cfg.QueueTimeout)
-	if !ok {
+func (s *Server) evaluate(fn func() ([]byte, error)) ([]byte, error) {
+	if !s.slots.acquire(s.cfg.QueueTimeout) {
 		return nil, &httpError{
 			status: http.StatusServiceUnavailable,
 			msg: fmt.Sprintf("server: overloaded, no worker slot freed within %v",
 				s.cfg.QueueTimeout),
 		}
 	}
-	defer s.slots.release(sc)
+	defer s.slots.release()
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 	start := time.Now()
-	out, err := fn(sc)
+	out, err := fn()
 	s.m.evalNanos.Add(time.Since(start).Nanoseconds())
 	s.m.evals.Add(1)
 	return out, err
@@ -838,7 +804,7 @@ func toAnswers(in []core.Answer, snap *Snapshot) []answerJSON {
 		out[i] = answerJSON{ID: snap.oid(a.ID), L: a.Bounds.L, U: a.Bounds.U, Status: a.Status.String()}
 	}
 	if snap.IDs != nil {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, func(a, b answerJSON) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return out
 }
@@ -897,17 +863,17 @@ func cacheKey(kind, vk string, all bool, parts ...uint64) string {
 
 // serve answers one (already quantized) query through the result cache: hit,
 // singleflight-collapse onto an identical in-flight evaluation, or take the
-// view's snapshot and render it under the worker pool, on the worker slot's
-// scratch. Every backend and every query endpoint routes through here.
+// view's snapshot and render it under the worker pool. Every backend and
+// every query endpoint routes through here.
 func (s *Server) serve(ctx context.Context, ep endpoint, v view, key string, qq float64, k int,
-	render func(snap *Snapshot, ids []uint64, sc *core.Scratch) ([]byte, core.Stats, error)) ([]byte, Source, error) {
+	render func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error)) ([]byte, Source, error) {
 	return s.cc.Do(ctx, key, func() ([]byte, error) {
-		return s.evaluate(func(sc *core.Scratch) ([]byte, error) {
+		return s.evaluate(func() ([]byte, error) {
 			snap, ids, err := v.snapshot(ctx, qq, k)
 			if err != nil {
 				return nil, err
 			}
-			body, st, err := render(snap, ids, sc)
+			body, st, err := render(snap, ids)
 			if err == nil {
 				s.observePhases(ctx, ep, st)
 			}
@@ -954,8 +920,8 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
 	key := cacheKey("cpnn", v.key(), all,
 		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), uint64(strat))
-	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot, _ []uint64, sc *core.Scratch) ([]byte, core.Stats, error) {
-		return cpnnPayload(snap, qq, c, strat, all, sc)
+	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) {
+		return cpnnPayload(snap, qq, c, strat, all)
 	})
 }
 
@@ -963,10 +929,10 @@ func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, 
 // response body. A gathered mini-view renders through here exactly like the
 // local snapshot — its engine filters through the router's scan index, which
 // answers bit-identically to an R-tree — so a sharded server's body differs
-// from a single server's only in the version field. sc is the evaluation scratch (the worker slot's;
-// nil allocates fresh) and never shows in the body.
-func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool, sc *core.Scratch) ([]byte, core.Stats, error) {
-	res, err := snap.Engine.CPNNScratch(qq, c, core.Options{Strategy: strat}, sc)
+// from a single server's only in the version field. The engine derives on a
+// scratch from core's pool, which never shows in the body.
+func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, core.Stats, error) {
+	res, err := snap.Engine.CPNN(qq, c, core.Options{Strategy: strat})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -1009,8 +975,8 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 	qq := s.snapPoint(q)
 	key := cacheKey("pnn", v.key(), false, math.Float64bits(qq))
 	body, src, err := s.serve(r.Context(), epPNN, v, key, qq, 1,
-		func(snap *Snapshot, _ []uint64, sc *core.Scratch) ([]byte, core.Stats, error) {
-			return pnnPayload(snap, qq, sc)
+		func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) {
+			return pnnPayload(snap, qq)
 		})
 	if err != nil {
 		s.writeError(w, err)
@@ -1020,9 +986,9 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 }
 
 // pnnPayload evaluates one PNN query against a snapshot and renders the
-// response body, on the scratch sc like cpnnPayload.
-func pnnPayload(snap *Snapshot, qq float64, sc *core.Scratch) ([]byte, core.Stats, error) {
-	probs, st, err := snap.Engine.PNNScratch(qq, core.Options{}, sc)
+// response body, like cpnnPayload.
+func pnnPayload(snap *Snapshot, qq float64) ([]byte, core.Stats, error) {
+	probs, st, err := snap.Engine.PNN(qq, core.Options{})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -1090,7 +1056,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey("knn", v.key(), all, math.Float64bits(qq), math.Float64bits(c.P),
 		math.Float64bits(c.Delta), uint64(k), uint64(samples), uint64(seed))
 	body, src, err := s.serve(r.Context(), epKNN, v, key, qq, k,
-		func(snap *Snapshot, ids []uint64, _ *core.Scratch) ([]byte, core.Stats, error) {
+		func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error) {
 			return knnPayload(snap, qq, c, k, samples, int64(seed), all, ids)
 		})
 	if err != nil {

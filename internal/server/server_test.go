@@ -459,12 +459,12 @@ func TestConfigValidation(t *testing.T) {
 // forever; once a slot frees, requests succeed again.
 func TestQueueTimeoutSheds(t *testing.T) {
 	s := testServer(t, Config{MaxInFlight: 1, QueueTimeout: 20 * time.Millisecond})
-	sc, _ := s.slots.acquire(0) // occupy the only worker slot
+	s.slots.acquire(0) // occupy the only worker slot
 	rec := get(t, s, "/v1/cpnn?q=500&p=0.2")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated pool: status %d, want 503 (body %s)", rec.Code, rec.Body)
 	}
-	s.slots.release(sc)
+	s.slots.release()
 	if rec := get(t, s, "/v1/cpnn?q=500&p=0.2"); rec.Code != http.StatusOK {
 		t.Fatalf("freed pool: status %d: %s", rec.Code, rec.Body)
 	}

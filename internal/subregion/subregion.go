@@ -75,7 +75,7 @@ func (t *Table) MemBytes() int {
 
 // DropCandidates clears the table's references to the last candidate set's
 // distance pdfs while keeping every float matrix's capacity, so a table
-// parked between queries (a pooled or slot-owned scratch) pins no histogram
+// parked between queries (a pooled or monitor-owned scratch) pins no histogram
 // of the query it last served. The table reads as empty until the next
 // Rebuild.
 func (t *Table) DropCandidates() {
@@ -109,9 +109,10 @@ func Build(cands []Candidate) (*Table, error) {
 }
 
 // Rebuild constructs the table in place for a new candidate set, reusing the
-// table's backing arrays — the batch query path recycles tables through a
-// sync.Pool so per-query matrix allocation (the dominant allocation of a
-// C-PNN evaluation) is paid once per worker, not once per query. Any data
+// table's backing arrays — every stateless query rebuilds the table of the
+// scratch it borrowed from core's pool, so per-query matrix allocation (the
+// dominant allocation of a C-PNN evaluation) is paid once per scratch, not
+// once per query. Any data
 // previously read from the table is invalidated. The zero Table is ready for
 // Rebuild; the semantics are exactly Build's.
 func (t *Table) Rebuild(cands []Candidate) error {

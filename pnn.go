@@ -79,9 +79,9 @@ type (
 )
 
 // Batch evaluation, re-exported from the engine: CPNNBatch — the same method
-// on Engine and Engine2D — evaluates many query points over a bounded worker
-// pool, sharing the filter index and discretization memo and recycling
-// per-query scratch, with answers identical to calling CPNN per point.
+// on Engine and Engine2D — fans many query points out over a bounded worker
+// pool, each running CPNN's body on a pooled scratch, with answers identical
+// to calling CPNN per point.
 type (
 	// BatchOptions tunes batch evaluation (embedded Options + Workers).
 	BatchOptions = core.BatchOptions
