@@ -143,7 +143,7 @@ func (r Rect) Center() Point {
 func (r Rect) MinDist(q Point) float64 {
 	dx := axisDist(q.X, r.MinX, r.MaxX)
 	dy := axisDist(q.Y, r.MinY, r.MaxY)
-	return math.Hypot(dx, dy)
+	return hypot(dx, dy)
 }
 
 // MaxDist returns the maximum Euclidean distance from q to any point of the
@@ -151,7 +151,7 @@ func (r Rect) MinDist(q Point) float64 {
 func (r Rect) MaxDist(q Point) float64 {
 	dx := math.Max(math.Abs(q.X-r.MinX), math.Abs(q.X-r.MaxX))
 	dy := math.Max(math.Abs(q.Y-r.MinY), math.Abs(q.Y-r.MaxY))
-	return math.Hypot(dx, dy)
+	return hypot(dx, dy)
 }
 
 // MinMaxDist returns the MINMAXDIST metric of Roussopoulos et al.: the
@@ -166,9 +166,20 @@ func (r Rect) MinMaxDist(q Point) float64 {
 	rMX := fartherEdge(q.X, r.MinX, r.MaxX)
 	rMY := fartherEdge(q.Y, r.MinY, r.MaxY)
 
-	dX := math.Hypot(q.X-rmX, q.Y-rMY)
-	dY := math.Hypot(q.X-rMX, q.Y-rmY)
+	dX := hypot(q.X-rmX, q.Y-rMY)
+	dY := hypot(q.X-rMX, q.Y-rmY)
 	return math.Min(dX, dY)
+}
+
+// hypot is math.Hypot(x, y) with the y-term-zero case answered directly:
+// every 1-D rectangle (MinY == MaxY == 0) queried on the x-axis lands there.
+// Hypot(x, ±0) is |x| bit for bit — max·√(1+0) — for every x, ±0, ±Inf and
+// subnormals included (TestHypotZeroYMatchesMath).
+func hypot(x, y float64) float64 {
+	if y == 0 {
+		return math.Abs(x)
+	}
+	return math.Hypot(x, y)
 }
 
 func axisDist(q, lo, hi float64) float64 {

@@ -185,6 +185,34 @@ func TestRectMinMaxDistSandwich(t *testing.T) {
 	}
 }
 
+// TestHypotZeroYMatchesMath holds the zero-y fast path to math.Hypot bit for
+// bit: signed zeros, infinities, subnormals, the float extremes and random
+// magnitudes, against both signs of a zero y. NaN must stay NaN.
+func TestHypotZeroYMatchesMath(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060, 0x1.8p-1040,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.1, 3e-300, -7e300}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, math.Ldexp(rng.Float64()-0.5, rng.Intn(2100)-1075))
+	}
+	for _, x := range xs {
+		for _, y := range []float64{0, math.Copysign(0, -1)} {
+			if got, want := hypot(x, y), math.Hypot(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("hypot(%g, %g) = %g (%#x), math.Hypot %g (%#x)",
+					x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	if !math.IsNaN(hypot(math.NaN(), 0)) {
+		t.Fatal("hypot(NaN, 0) is not NaN")
+	}
+	// A non-zero y still goes through math.Hypot.
+	if got := hypot(3, 4); got != 5 {
+		t.Fatalf("hypot(3, 4) = %g", got)
+	}
+}
+
 func TestRectIntervalRoundTrip(t *testing.T) {
 	iv := NewInterval(3, 9)
 	r := RectFromInterval(iv)

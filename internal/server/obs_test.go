@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -283,8 +284,9 @@ func shardedObsServer(t *testing.T) (*Server, *obs.Tracer) {
 
 // TestShardedTracePropagation is the acceptance check: one traced query
 // through the sharded stack yields a single trace holding the router
-// ingress span plus per-member bound/gather spans, all sharing the trace ID
-// the response header reported, with phase durations recorded.
+// ingress span plus a bound span per contacted member and gather spans, all
+// sharing the trace ID the response header reported, with phase durations
+// recorded.
 func TestShardedTracePropagation(t *testing.T) {
 	s, tracer := shardedObsServer(t)
 
@@ -331,8 +333,14 @@ func TestShardedTracePropagation(t *testing.T) {
 	if ingress != 1 {
 		t.Errorf("ingress spans = %d, want 1", ingress)
 	}
-	if bound != 3 {
-		t.Errorf("member.bound spans = %d, want 3 (every shard is bounded)", bound)
+	// The router bounds the member nearest q and skips the two whose extents
+	// miss the ball: one bound span per member it contacted.
+	g, err := s.cfg.ShardRouter.Gather(context.Background(), 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound != g.Contacted || g.Contacted >= 3 {
+		t.Errorf("member.bound spans = %d, want Contacted = %d (< 3 shards)", bound, g.Contacted)
 	}
 	if gather < 1 {
 		t.Errorf("member.gather spans = %d, want >= 1", gather)

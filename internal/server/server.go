@@ -238,7 +238,9 @@ type Snapshot struct {
 	// cache keys embed it. With a store attached it is monotonic across
 	// restarts.
 	Version uint64
-	// Objects is the dataset size.
+	// Objects is the dataset size. A router's per-query snapshot leaves it
+	// zero: no response renders it, and the router answers info, apply and
+	// reload with its own cluster-wide count.
 	Objects int
 	// Source labels where the dataset came from.
 	Source string
@@ -323,8 +325,8 @@ type Server struct {
 	drainCh      chan struct{}
 	drainOnce    sync.Once
 
-	// member is the local wire endpoint implementation in member mode.
-	member *shard.Local
+	// member is the wire endpoint in member mode.
+	member *wireMember
 
 	// Observability: structured logs, the span ring behind /debug/traces,
 	// the slow-query ring behind /debug/slowlog, and reg, everything /metrics
@@ -519,7 +521,7 @@ func (s *Server) buildMux() {
 	s.mux.Handle("/debug/traces", s.tracer)
 	s.mux.Handle("/debug/slowlog", s.slowlog)
 	if s.cfg.ShardMember {
-		s.member = shard.NewLocal(s.cfg.Store)
+		s.member = &wireMember{Local: shard.NewLocal(s.cfg.Store)}
 		s.mux.HandleFunc("/internal/shard/info", s.handleShardInfo)
 		s.mux.HandleFunc("/internal/shard/bound", s.handleShardBound)
 		s.mux.HandleFunc("/internal/shard/gather", s.handleShardGather)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/monitor"
@@ -17,13 +18,14 @@ import (
 )
 
 // Sharded serving. With Config.ShardRouter the handlers read and write
-// through routerBackend: each query runs the router's two-phase
-// scatter-gather (bound every shard, gather candidates from the shards whose
-// extent intersects the candidate ball) and the merged mini-view is rendered
-// by the same payload builders as a local snapshot, so sharding changes the
-// version field of a response and nothing else. With Config.ShardMember the
-// server additionally speaks the member wire protocol under
-// /internal/shard/* so a router in another process can scatter to it.
+// through routerBackend: each query runs the router's scatter-gather (bound
+// the member nearest the query, and any other whose cached extent reaches its
+// bound; gather candidates from the members whose extent intersects the
+// candidate ball) and the merged mini-view is rendered by the same payload
+// builders as a local snapshot, so sharding changes the version field of a
+// response and nothing else. With Config.ShardMember the server additionally
+// speaks the member wire protocol under /internal/shard/* so a router in
+// another process can scatter to it, answering one router's claim at a time.
 
 // shardError maps shard failures onto HTTP statuses: a dead member is a 503
 // (transient — writeError adds Retry-After), everything else maps like a
@@ -91,7 +93,6 @@ func (v *routerView) snapshot(ctx context.Context, qq float64, k int) (*Snapshot
 	return &Snapshot{
 		Engine:  eng,
 		Version: g.Version,
-		Objects: g.TotalN,
 		Source:  "shards",
 		IDs:     g.View.IDs,
 	}, g.View.IDs, nil
@@ -151,7 +152,7 @@ func (b *routerBackend) collect(e *obs.Emitter) {
 	obs.Counter(e, p+"queries_total", "Scatter-gather passes.", st.Queries)
 	obs.Counter(e, p+"retries_total", "Gather rounds repeated because a concurrent write moved the bound.", st.Retries)
 	obs.Counter(e, p+"unavailable_total", "Queries failed on a dead shard.", st.Unavailable)
-	obs.Counter(e, p+"bound_contacts_total", "Per-member bound-phase reads.", st.BoundContacts)
+	obs.Counter(e, p+"bound_contacts_total", "Per-member bound-phase reads: the member nearest each query, plus any whose cached extent reaches its bound.", st.BoundContacts)
 	obs.Counter(e, p+"gather_contacts_total", "Per-member gather-phase reads.", st.GatherContacts)
 	if st.Queries > 0 && st.Shards > 0 {
 		obs.Gauge(e, p+"fanout_fraction", "Mean fraction of shards the gather phase read per query.",
@@ -166,9 +167,43 @@ func (b *routerBackend) collect(e *obs.Emitter) {
 
 // ---- member mode: the wire protocol ------------------------------------
 
+// wireMember is member mode's wire endpoint: the shard's local member and
+// the router claim it answers (see shard.ClaimHeader). mu orders a pin after
+// every write admitted under the previous claim: info pins and reads under
+// it, apply checks and commits under it.
+type wireMember struct {
+	*shard.Local
+	mu     sync.Mutex
+	pinned string
+}
+
+// admitLocked checks a bound, gather or apply request's claim: an unpinned
+// member adopts it, and any claim but the pinned one is a 409.
+func (m *wireMember) admitLocked(r *http.Request) error {
+	got := r.Header.Get(shard.ClaimHeader)
+	if m.pinned == "" {
+		m.pinned = got
+	}
+	if got != m.pinned {
+		return &httpError{status: http.StatusConflict, msg: "shard member is claimed by another router"}
+	}
+	return nil
+}
+
+func (m *wireMember) admit(r *http.Request) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.admitLocked(r)
+}
+
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epShard].Add(1)
+	s.member.mu.Lock()
+	if got := r.Header.Get(shard.ClaimHeader); got != "" {
+		s.member.pinned = got
+	}
 	info, err := s.member.Info()
+	s.member.mu.Unlock()
 	if err != nil {
 		s.writeError(w, storeError(err))
 		return
@@ -179,6 +214,10 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epShard].Add(1)
+	if err := s.member.admit(r); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	q, err := queryFloat(r, "q")
 	if err != nil {
 		s.writeError(w, err)
@@ -204,6 +243,10 @@ func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
 	s.m.requests[epShard].Add(1)
+	if err := s.member.admit(r); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	q, err := queryFloat(r, "q")
 	if err != nil {
 		s.writeError(w, err)
@@ -243,7 +286,13 @@ func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	res, err := s.member.Apply(r.Context(), payload)
+	var res store.ApplyResult
+	s.member.mu.Lock()
+	err = s.member.admitLocked(r)
+	if err == nil {
+		res, err = s.member.Apply(r.Context(), payload)
+	}
+	s.member.mu.Unlock()
 	if err != nil {
 		s.writeError(w, storeError(err))
 		return

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -323,33 +324,8 @@ func TestShardServerMonitors(t *testing.T) {
 // servers refuse direct writes.
 func TestShardServerMemberWire(t *testing.T) {
 	cuts := []float64{500}
-	var members []shard.Member
-	var stores []*store.Store
-	var srvs []*Server
-	var ts []*httptest.Server
-	for i := 0; i < 2; i++ {
-		st, err := store.Open(t.TempDir(), store.Options{NoSync: true, ExplicitIDs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores = append(stores, st)
-		srv, err := New(Config{Store: st, ShardMember: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs = append(srvs, srv)
-		h := httptest.NewServer(srv.Handler())
-		ts = append(ts, h)
-		members = append(members, shard.NewHTTPMember(h.URL, nil))
-	}
-	defer func() {
-		for i, srv := range srvs {
-			ts[i].Close()
-			srv.Close()
-		}
-	}()
-
-	rt, err := shard.NewRouter(shard.RouterConfig{Members: members, Cuts: cuts, NextID: 1})
+	srvs, ts, stores := memberServers(t, 2)
+	rt, err := shard.NewRouter(shard.RouterConfig{Members: httpMembers(ts), Cuts: cuts, NextID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,4 +402,123 @@ func TestShardServerMemberWire(t *testing.T) {
 	}
 	// (Full kill -9 / restart / reconvergence runs in the CI shard smoke,
 	// where the member really does come back on the same address.)
+}
+
+// memberServers starts n member-mode servers over fresh stores, each behind
+// an httptest server; both are closed when the test ends.
+func memberServers(t *testing.T, n int) ([]*Server, []*httptest.Server, []*store.Store) {
+	t.Helper()
+	srvs := make([]*Server, n)
+	ts := make([]*httptest.Server, n)
+	stores := make([]*store.Store, n)
+	for i := range srvs {
+		st, err := store.Open(t.TempDir(), store.Options{NoSync: true, ExplicitIDs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Store: st, ShardMember: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i], ts[i], stores[i] = srv, httptest.NewServer(srv.Handler()), st
+		t.Cleanup(func() {
+			ts[i].Close()
+			srv.Close()
+		})
+	}
+	return srvs, ts, stores
+}
+
+// httpMembers wraps member servers as one router's members.
+func httpMembers(ts []*httptest.Server) []shard.Member {
+	ms := make([]shard.Member, len(ts))
+	for i, h := range ts {
+		ms[i] = shard.NewHTTPMember(h.URL, nil)
+	}
+	return ms
+}
+
+// TestShardMemberClaim runs two routers over the same member servers. The
+// one booted last claims the members; the first then fails loudly — its
+// queries answer 503 and its writes fail unavailable — instead of skipping
+// members on extents the other router's writes went around. A member that
+// holds no claim yet (a restart) adopts the first one it sees.
+func TestShardMemberClaim(t *testing.T) {
+	cuts := []float64{500}
+	_, ts, _ := memberServers(t, 2)
+	rtA, err := shard.NewRouter(shard.RouterConfig{Members: httpMembers(ts), Cuts: cuts, NextID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontA, err := New(Config{ShardRouter: rtA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frontA.Close()
+	ctx := context.Background()
+	if _, err := rtA.Apply(ctx, []store.Op{
+		store.InsertObject(pdf.MustUniform(10, 20)),
+		store.InsertObject(pdf.MustUniform(1000, 1010)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := get(t, frontA, "/v1/pnn?q=1005"); rec.Code != http.StatusOK {
+		t.Fatalf("first router before the second boots: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+
+	rtB, err := shard.NewRouter(shard.RouterConfig{Members: httpMembers(ts), Cuts: cuts, NextID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A write the first router's cache never sees: far outside shard 0's
+	// objects, next to shard 1's.
+	res, err := rtB.Apply(ctx, []store.Op{store.InsertObject(pdf.MustUniform(-990, 1003))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rtB.Gather(ctx, 1005, 1)
+	if err != nil {
+		t.Fatalf("second router: %v", err)
+	}
+	if !slices.Contains(g.View.IDs, res.IDs[0]) {
+		t.Fatalf("second router gathered %v, missing its own write %d", g.View.IDs, res.IDs[0])
+	}
+	if _, err := rtA.Gather(ctx, 1005, 1); !errors.Is(err, shard.ErrUnavailable) || !errors.Is(err, shard.ErrSuperseded) {
+		t.Fatalf("superseded router's gather: %v, want ErrUnavailable and ErrSuperseded", err)
+	}
+	// (A repeat of the query above would be a cache hit: the first router's
+	// cache keys on the member versions it has seen, and it saw none since.)
+	rec := get(t, frontA, "/v1/pnn?q=1004")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("superseded router's query: status %d (Retry-After %q), want 503",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if _, err := rtA.Apply(ctx, []store.Op{store.InsertObject(pdf.MustUniform(5, 6))}); !errors.Is(err, shard.ErrUnavailable) {
+		t.Fatalf("superseded router's write: %v, want ErrUnavailable", err)
+	}
+
+	// A member with no claim pinned adopts the first one, then refuses others
+	// until an info request pins a new one.
+	fresh, _, _ := memberServers(t, 1)
+	claimed := func(path, claim string) int {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set(shard.ClaimHeader, claim)
+		rec := httptest.NewRecorder()
+		fresh[0].Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+	for _, step := range []struct {
+		path, claim string
+		want        int
+	}{
+		{"/internal/shard/bound?q=1", "x", http.StatusOK},
+		{"/internal/shard/gather?q=1&bound=5", "y", http.StatusConflict},
+		{"/internal/shard/info", "y", http.StatusOK},
+		{"/internal/shard/bound?q=1", "x", http.StatusConflict},
+		{"/internal/shard/gather?q=1&bound=5", "y", http.StatusOK},
+	} {
+		if got := claimed(step.path, step.claim); got != step.want {
+			t.Fatalf("%s with claim %q: status %d, want %d", step.path, step.claim, got, step.want)
+		}
+	}
 }

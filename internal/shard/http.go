@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,6 +27,16 @@ import (
 //	POST /internal/shard/apply             → body: store.EncodeOps payload;
 //	                                          reply: WireApply (JSON)
 //
+// Every request carries the router's claim in ClaimHeader: a random token an
+// HTTPMember draws once. A member pins the claim of the latest info request
+// (a router's boot, or its resync after a failed write) and answers bound,
+// gather and apply requests carrying any other claim with 409 Conflict,
+// which the router reports as ErrSuperseded. A router skips members on its
+// cached extents, which only its own writes keep covering every object; the
+// claim makes a second router over the same members fail loudly instead of
+// answering from a cache the other router's writes went around. A member
+// that restarted holds no pin and adopts the first claim it sees.
+//
 // Every response carries the member's view version in VersionHeader. Bulk
 // payloads (gather replies, apply bodies) use the store's WAL op encoding —
 // IEEE float bit patterns, so a remote gather or apply is bit-identical to a
@@ -33,6 +45,9 @@ import (
 
 // VersionHeader carries the member's view version on every wire response.
 const VersionHeader = "X-Shard-Version"
+
+// ClaimHeader carries the router's claim on every wire request.
+const ClaimHeader = "X-Shard-Router"
 
 // WireRect is a geom.Rect in JSON form.
 type WireRect struct {
@@ -79,20 +94,19 @@ type WireBound struct {
 	Extent    WireRect  `json:"extent"`
 	HasExtent bool      `json:"has_extent"`
 	Fars      []float64 `json:"fars"`
-	N         int       `json:"n"`
 	Version   uint64    `json:"version"`
 }
 
 // BoundToWire converts for transport.
 func BoundToWire(b BoundInfo) WireBound {
 	return WireBound{Extent: RectToWire(b.Extent), HasExtent: b.HasExtent,
-		Fars: b.Fars, N: b.N, Version: b.Version}
+		Fars: b.Fars, Version: b.Version}
 }
 
 // Bound converts back.
 func (w WireBound) Bound() BoundInfo {
 	return BoundInfo{Extent: w.Extent.Rect(), HasExtent: w.HasExtent,
-		Fars: w.Fars, N: w.N, Version: w.Version}
+		Fars: w.Fars, Version: w.Version}
 }
 
 // WireApply is a store.ApplyResult in JSON form.
@@ -132,6 +146,7 @@ func DecodeItems(b []byte) ([]Item, error) {
 // server. Safe for concurrent use.
 type HTTPMember struct {
 	base    string
+	claim   string
 	hc      *http.Client
 	lastVer atomic.Uint64
 }
@@ -142,7 +157,9 @@ func NewHTTPMember(base string, client *http.Client) *HTTPMember {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &HTTPMember{base: base, hc: client}
+	var claim [16]byte
+	rand.Read(claim[:]) // never fails (crypto/rand since Go 1.24)
+	return &HTTPMember{base: base, claim: hex.EncodeToString(claim[:]), hc: client}
 }
 
 // observe records the version header of any successful response.
@@ -168,7 +185,15 @@ func (h *HTTPMember) get(ctx context.Context, path string, q url.Values) (*http.
 	if err != nil {
 		return nil, err
 	}
-	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Sampled {
+	return h.do(req, path)
+}
+
+// do sends a wire request with the claim and trace headers; any status but
+// 200 is an error (409 one wrapping ErrSuperseded), and a 200 reply's
+// version is observed.
+func (h *HTTPMember) do(req *http.Request, path string) (*http.Response, error) {
+	req.Header.Set(ClaimHeader, h.claim)
+	if sc, ok := obs.SpanFromContext(req.Context()); ok && sc.Sampled {
 		req.Header.Set(obs.TraceHeader, sc.Header())
 	}
 	resp, err := h.hc.Do(req)
@@ -178,6 +203,9 @@ func (h *HTTPMember) get(ctx context.Context, path string, q url.Values) (*http.
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		if resp.StatusCode == http.StatusConflict {
+			return nil, fmt.Errorf("shard: %s: %w: %s", path, ErrSuperseded, bytes.TrimSpace(msg))
+		}
 		return nil, fmt.Errorf("shard: %s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	h.observe(resp)
@@ -248,20 +276,11 @@ func (h *HTTPMember) Apply(ctx context.Context, payload []byte) (store.ApplyResu
 		return store.ApplyResult{}, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Sampled {
-		req.Header.Set(obs.TraceHeader, sc.Header())
-	}
-	resp, err := h.hc.Do(req)
+	resp, err := h.do(req, "/internal/shard/apply")
 	if err != nil {
 		return store.ApplyResult{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return store.ApplyResult{}, fmt.Errorf("shard: apply: status %d: %s",
-			resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	h.observe(resp)
 	var w WireApply
 	if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
 		return store.ApplyResult{}, fmt.Errorf("shard: decoding apply reply: %w", err)

@@ -23,8 +23,6 @@ type BoundInfo struct {
 	// query point, ascending (filter.Index.FarBounds, an R-tree walk: the
 	// reply costs O(log n) for small k and never more than k clamped to n).
 	Fars []float64
-	// N counts the shard's live 1-D objects.
-	N int
 	// Version is the shard's store version the reply was computed at.
 	Version uint64
 }
@@ -105,7 +103,7 @@ func (l *Local) Info() (MemberInfo, error) {
 // Bound implements Member.
 func (l *Local) Bound(_ context.Context, q float64, k int) (BoundInfo, error) {
 	v := l.st.View()
-	info := BoundInfo{N: v.Dataset.Len(), Version: v.Version, Fars: v.Index.FarBounds(q, k)}
+	info := BoundInfo{Version: v.Version, Fars: v.Index.FarBounds(q, k)}
 	info.Extent, info.HasExtent = v.Index.Bounds()
 	return info, nil
 }

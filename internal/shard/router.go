@@ -3,6 +3,7 @@ package shard
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -57,7 +58,9 @@ type RouterConfig struct {
 // assignment and the ID→shard owner map, routes writes to the owning shard,
 // and answers queries by merging per-shard filter bounds and candidates into
 // one exact single-engine evaluation. One router must be the only writer of
-// its cluster; reads are safe from any number of goroutines.
+// its cluster — its cached member extents decide which members a query may
+// skip, and only its own writes grow them (HTTP members enforce this with
+// the claim, see ClaimHeader); reads are safe from any number of goroutines.
 type Router struct {
 	members []Member
 	cuts    []float64
@@ -71,9 +74,11 @@ type Router struct {
 	n1, n2   int
 	perShard []int // live 1-D objects per shard (skew metric)
 
-	// emu guards the last-known extent cache consulted when a member is
-	// unreachable: a dead shard whose cached extent provably misses the
-	// candidate ball is pruned instead of failing the query.
+	// emu guards the cached member extents. A query skips every member
+	// whose cached extent provably misses its candidate ball, dead or alive,
+	// so the cache must cover every object a member holds: writes grow it
+	// before they commit, a Bound reply only grows it, and only an exact Info
+	// (boot, resync under wmu) or a committed truncate barrier shrinks it.
 	emu     sync.Mutex
 	extents []extentCache
 
@@ -88,9 +93,14 @@ type ownerRef struct {
 }
 
 type extentCache struct {
-	rect  geom.Rect
-	has   bool // member holds 1-D objects
-	known bool // ever observed
+	rect geom.Rect
+	has  bool // member holds 1-D objects
+}
+
+// reaches reports whether the extent may hold an object whose near point
+// lies within bound of q (every extent reaches an infinite bound).
+func (e extentCache) reaches(q geom.Point, bound float64) bool {
+	return e.has && e.rect.MinDist(q) <= bound
 }
 
 // NewRouter boots a router: every member must be reachable once so the
@@ -141,7 +151,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if info.NextID > r.nextID {
 			r.nextID = info.NextID
 		}
-		r.extents[i] = extentCache{rect: info.Extent, has: info.HasExtent, known: true}
+		r.extents[i] = extentCache{rect: info.Extent, has: info.HasExtent}
 	}
 	return r, nil
 }
@@ -248,6 +258,11 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 			if err := flushSeg(barrier); err != nil {
 				return commitErr(err)
 			}
+			// Every member is empty now; the ops after the barrier grow the
+			// extents again.
+			r.emu.Lock()
+			clear(r.extents)
+			r.emu.Unlock()
 			seg = make([][]store.Op, k)
 			r.owner = map[uint64]ownerRef{}
 			r.n1, r.n2 = 0, 0
@@ -259,6 +274,10 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 		// too — an ID stays on the shard that owns it, and only a new object
 		// is placed, by its region centre through the cuts.
 		ref, owned := r.owner[op.ID]
+		var region geom.Rect
+		if op.PDF != nil {
+			region = geom.RectFromInterval(op.PDF.Support())
+		}
 		switch {
 		case op.Code == store.OpDelete:
 			if ref.family == 1 {
@@ -274,10 +293,16 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 			r.owner[op.ID] = ref
 			r.n2++
 		default:
-			ref = ownerRef{shard: ShardFor(geom.RectFromInterval(op.PDF.Support()).Center().X, r.cuts), family: 1}
+			ref = ownerRef{shard: ShardFor(region.Center().X, r.cuts), family: 1}
 			r.owner[op.ID] = ref
 			r.n1++
 			r.perShard[ref.shard]++
+		}
+		// A 1-D write grows its owner's cached extent before it commits, so
+		// no query can read the new version and skip the owner on an extent
+		// that misses the object.
+		if op.PDF != nil {
+			r.growExtent(ref.shard, region)
 		}
 		seg[ref.shard] = append(seg[ref.shard], op)
 		if op.ID >= r.nextID {
@@ -308,8 +333,9 @@ func (r *Router) applyMember(ctx context.Context, i int, payload []byte) error {
 	return nil
 }
 
-// refreshOwnersLocked rebuilds the owner map from member truth after a
-// partial write failure; unreachable members keep their previous entries.
+// refreshOwnersLocked rebuilds the owner map and the extent cache from member
+// truth after a partial write failure; unreachable members keep their
+// previous entries.
 func (r *Router) refreshOwnersLocked() {
 	owner := map[uint64]ownerRef{}
 	perShard := make([]int, len(r.members))
@@ -342,6 +368,10 @@ func (r *Router) refreshOwnersLocked() {
 		if info.NextID > r.nextID {
 			r.nextID = info.NextID
 		}
+		// Exact under wmu: no write of this router is in flight.
+		r.emu.Lock()
+		r.extents[i] = extentCache{rect: info.Extent, has: info.HasExtent}
+		r.emu.Unlock()
 	}
 	r.owner, r.n1, r.n2, r.perShard = owner, n1, n2, perShard
 }
@@ -373,25 +403,47 @@ type Gathered struct {
 	Versions []uint64
 	// Version is the cut's sum — the cluster snapshot version.
 	Version uint64
-	// Contacted counts members that answered the bound phase; Fanout counts
+	// Contacted counts members that answered a bound hop: the member nearest
+	// the query plus any whose cached extent reached its bound. Fanout counts
 	// members the gather phase actually read (the fan-out metric).
 	Contacted, Fanout int
 	// Bound is the pruning radius of the final gather pass.
 	Bound float64
-	// TotalN is the cluster-wide live 1-D object count at bound time.
-	TotalN int
 }
 
-// Gather runs the two-phase scatter-gather for query point q with filter
-// depth k (1 for C-PNN/PNN, the query's K for k-NN): bound every shard in
-// parallel, merge the k smallest far-point distances into the global
-// filter bound, then gather candidates only from shards whose live extent
-// intersects the candidate ball. If the bound moved between the two phases
-// (a concurrent write retired a witness), the pass retries with the bound
-// recomputed from the gathered set, so the returned candidates are always
-// exactly the candidate set of the returned consistency cut. A member
-// failure fails the query with ErrUnavailable unless its last-known extent
-// provably misses the ball.
+// memberRead is one member's part in one Gather.
+type memberRead struct {
+	// ver and ext stand for the member while no hop reads it: its version,
+	// read before its cached extent, so the extent covers every object the
+	// version holds (writes grow the extent before they commit).
+	ver uint64
+	ext extentCache
+	// bounded is set once a bound hop is made; info and err are its reply.
+	bounded bool
+	info    BoundInfo
+	err     error
+	// read is set while the current gather pass reads the member.
+	read  bool
+	items []Item
+	gver  uint64
+	gerr  error
+}
+
+// Gather runs the scatter-gather for query point q with filter depth k (1
+// for C-PNN/PNN, the query's K for k-NN). It bounds the member whose cached
+// extent is nearest q, in-line: that member's k-th far-point distance caps
+// the global filter bound (§IV-A: no object with a near point beyond it is a
+// candidate). Only members whose cached extent reaches the cap are bounded
+// too, in parallel; the k smallest far distances merge into the bound, and
+// candidates are gathered from the members whose extent meets the candidate
+// ball. Every other member is skipped — not contacted at all — and enters
+// the cut at the version read before its cached extent. If the bound moved
+// between the phases (a concurrent write retired a witness), the pass
+// retries with the bound recomputed from the gathered set, re-checking the
+// skipped members against it, so the returned candidates are always exactly
+// the candidate set of the returned consistency cut. A member failure fails
+// the query with ErrUnavailable unless its last-known extent provably misses
+// the ball; a member claimed by another router fails it regardless.
 func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error) {
 	if math.IsNaN(q) || math.IsInf(q, 0) {
 		return nil, fmt.Errorf("shard: non-finite query point %g", q)
@@ -400,130 +452,112 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 		return nil, fmt.Errorf("shard: filter depth %d < 1", k)
 	}
 	r.queries.Add(1)
-	n := len(r.members)
-
-	// Phase 1: bound. Every live member, in parallel.
-	infos := make([]BoundInfo, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range r.members {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mctx, sp := r.obs.Tracer.StartSpan(ctx, "shard", "member.bound")
-			sp.SetAttr("shard", strconv.Itoa(i))
-			start := time.Now()
-			infos[i], errs[i] = r.members[i].Bound(mctx, q, k)
-			r.obs.MemberSeconds.With("bound", strconv.Itoa(i)).Observe(time.Since(start).Seconds())
-			if errs[i] != nil {
-				sp.SetAttr("error", errs[i].Error())
-			}
-			sp.End()
-		}(i)
+	qp := geom.Point{X: q, Y: 0}
+	ms := make([]memberRead, len(r.members))
+	for i, m := range r.members {
+		ms[i].ver = m.Version()
 	}
-	wg.Wait()
+	r.emu.Lock()
+	for i := range ms {
+		ms[i].ext = r.extents[i]
+	}
+	r.emu.Unlock()
 
-	start := time.Now()
-	var fars []float64
-	totalN, contacted := 0, 0
-	for i := range infos {
-		if errs[i] != nil {
-			continue
+	// Bound phase: the nearest member in-line, then every member whose
+	// cached extent reaches its bound (at K = 4, usually none).
+	first := r.nearest(ms, qp)
+	ms[first].bounded = true
+	r.bound(ctx, &ms[first], first, q, k)
+	bound := kth(ms[first].info.Fars, k)
+	var hops []int
+	for i := range ms {
+		if i != first && ms[i].ext.reaches(qp, bound) {
+			ms[i].bounded = true
+			hops = append(hops, i)
 		}
-		contacted++
-		totalN += infos[i].N
-		fars = append(fars, infos[i].Fars...)
-		r.observeExtent(i, infos[i].Extent, infos[i].HasExtent)
+	}
+	start := time.Now()
+	if len(hops) > 0 {
+		fan(hops, func(i int) { r.bound(ctx, &ms[i], i, q, k) })
+		start = time.Now()
+		var fars []float64
+		for i := range ms {
+			if ms[i].bounded && ms[i].err == nil {
+				fars = append(fars, ms[i].info.Fars...)
+			}
+		}
+		sort.Float64s(fars)
+		bound = kth(fars, k)
+	}
+	contacted := 0
+	for i := range ms {
+		if ms[i].bounded && ms[i].err == nil {
+			contacted++
+		}
 	}
 	r.boundContacts.Add(uint64(contacted))
 	if contacted == 0 {
 		r.unavailable.Add(1)
 		r.log.Warn("no member answered the bound phase", "trace_id", obs.TraceID(ctx))
-		return nil, fmt.Errorf("shard: %w: no member answered the bound phase", ErrUnavailable)
-	}
-	sort.Float64s(fars)
-	bound := math.Inf(1)
-	if len(fars) >= k {
-		bound = fars[k-1]
+		return nil, fmt.Errorf("shard: %w: no member answered the bound phase: %w", ErrUnavailable, ms[first].err)
 	}
 	r.mergeNanos.Add(time.Since(start).Nanoseconds())
 
-	qp := geom.Point{X: q, Y: 0}
+	var reads []int
 	for attempt := 0; ; attempt++ {
-		// A dead member is tolerable only while its last-known extent
-		// provably misses the candidate ball; its data cannot have moved
-		// while dead (writes flow through this router and fail loudly).
-		for i := range r.members {
-			if errs[i] == nil {
-				continue
-			}
-			ext := r.extent(i)
-			if !ext.known || (ext.has && (math.IsInf(bound, 1) || ext.rect.MinDist(qp) <= bound)) {
-				r.unavailable.Add(1)
-				return nil, fmt.Errorf("shard %d: bound: %w: %v", i, ErrUnavailable, errs[i])
-			}
-		}
-		// Phase 2: gather from intersecting shards only.
-		type gatherRes struct {
-			items []Item
-			ver   uint64
-			err   error
-			read  bool
-		}
-		res := make([]gatherRes, n)
-		var gw sync.WaitGroup
-		for i := range r.members {
-			if errs[i] != nil {
-				continue
-			}
-			if !infos[i].HasExtent {
-				continue
-			}
-			if !math.IsInf(bound, 1) && infos[i].Extent.MinDist(qp) > bound {
-				continue
-			}
-			res[i].read = true
-			gw.Add(1)
-			go func(i int) {
-				defer gw.Done()
-				mctx, sp := r.obs.Tracer.StartSpan(ctx, "shard", "member.gather")
-				sp.SetAttr("shard", strconv.Itoa(i))
-				start := time.Now()
-				res[i].items, res[i].ver, res[i].err = r.members[i].Gather(mctx, q, bound)
-				r.obs.MemberSeconds.With("gather", strconv.Itoa(i)).Observe(time.Since(start).Seconds())
-				if res[i].err != nil {
-					sp.SetAttr("error", res[i].err.Error())
+		reads = reads[:0]
+		for i := range ms {
+			m := &ms[i]
+			switch {
+			case m.err != nil:
+				// A dead member is tolerable only while its last-known extent
+				// provably misses the candidate ball; its data cannot have
+				// moved while dead (writes flow through this router and fail
+				// loudly). A claim conflict means another router writes it.
+				if m.ext.reaches(qp, bound) || errors.Is(m.err, ErrSuperseded) {
+					r.unavailable.Add(1)
+					return nil, fmt.Errorf("shard %d: bound: %w: %v", i, ErrUnavailable, m.err)
 				}
-				sp.SetAttr("items", strconv.Itoa(len(res[i].items)))
-				sp.End()
-			}(i)
+				m.read = false
+			case m.bounded:
+				m.read = extentCache{rect: m.info.Extent, has: m.info.HasExtent}.reaches(qp, bound)
+			default:
+				// Skipped: a retry's wider bound may reach its cached extent.
+				m.read = m.ext.reaches(qp, bound)
+			}
+			if m.read {
+				reads = append(reads, i)
+			}
 		}
-		gw.Wait()
+		// Gather phase: only the members the ball reaches.
+		fan(reads, func(i int) { r.gather(ctx, &ms[i], i, q, bound) })
 
 		mstart := time.Now()
-		fanout := 0
 		var items []Item
-		versions := make([]uint64, n)
+		versions := make([]uint64, len(ms))
 		var vsum uint64
-		for i := range res {
-			if !res[i].read {
-				versions[i] = infos[i].Version
-				if errs[i] != nil {
-					versions[i] = r.members[i].Version()
+		for i := range ms {
+			m := &ms[i]
+			switch {
+			case m.read:
+				if m.gerr != nil {
+					r.unavailable.Add(1)
+					return nil, fmt.Errorf("shard %d: gather: %w: %v", i, ErrUnavailable, m.gerr)
 				}
-				vsum += versions[i]
-				continue
+				if items == nil {
+					items = m.items // the usual single member: no copy
+				} else {
+					items = append(items, m.items...)
+				}
+				versions[i] = m.gver
+			case m.bounded && m.err == nil:
+				versions[i] = m.info.Version
+			default:
+				versions[i] = m.ver
 			}
-			if res[i].err != nil {
-				r.unavailable.Add(1)
-				return nil, fmt.Errorf("shard %d: gather: %w: %v", i, ErrUnavailable, res[i].err)
-			}
-			fanout++
-			items = append(items, res[i].items...)
-			versions[i] = res[i].ver
-			vsum += res[i].ver
+			vsum += versions[i]
 		}
-		r.gatherContacts.Add(uint64(fanout))
+		r.gatherContacts.Add(uint64(len(reads)))
 
 		// The gathered set is the candidate set: index it by a scan, which
 		// the engine evaluating the view filters through, instead of a tree.
@@ -541,11 +575,7 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 		// gathered must not exceed the bound that pruned. If it does, a
 		// witness retired between the phases — retry wider.
 		if !math.IsInf(bound, 1) {
-			regathered := math.Inf(1)
-			if fars := ix.FarBounds(q, k); len(fars) >= k {
-				regathered = fars[k-1]
-			}
-			if regathered > bound {
+			if regathered := kth(ix.FarBounds(q, k), k); regathered > bound {
 				r.retries.Add(1)
 				r.log.Debug("gather bound moved; retrying wider",
 					"attempt", attempt, "trace_id", obs.TraceID(ctx))
@@ -565,27 +595,94 @@ func (r *Router) Gather(ctx context.Context, q float64, k int) (*Gathered, error
 			Versions:  versions,
 			Version:   vsum,
 			Contacted: contacted,
-			Fanout:    fanout,
+			Fanout:    len(reads),
 			Bound:     bound,
-			TotalN:    totalN,
 		}
 		r.mergeNanos.Add(time.Since(mstart).Nanoseconds())
-		r.obs.Fanout.Observe(float64(fanout))
+		r.obs.Fanout.Observe(float64(len(reads)))
 		return g, nil
 	}
 }
 
-// observeExtent refreshes the last-known extent cache.
-func (r *Router) observeExtent(i int, rect geom.Rect, has bool) {
-	r.emu.Lock()
-	r.extents[i] = extentCache{rect: rect, has: has, known: true}
-	r.emu.Unlock()
+// nearest picks the member a query bounds first: the one whose cached
+// extent is nearest q (the lowest index on a tie) or, when no member holds a
+// 1-D object, the member q routes to.
+func (r *Router) nearest(ms []memberRead, q geom.Point) int {
+	first, best := ShardFor(q.X, r.cuts), math.Inf(1)
+	for i := range ms {
+		if d := ms[i].ext.rect.MinDist(q); ms[i].ext.has && d < best {
+			first, best = i, d
+		}
+	}
+	return first
 }
 
-func (r *Router) extent(i int) extentCache {
+// bound makes member i's traced, timed bound hop. A reply only grows the
+// cached extent: it may predate a write that already grew it.
+func (r *Router) bound(ctx context.Context, m *memberRead, i int, q float64, k int) {
+	mctx, sp := r.obs.Tracer.StartSpan(ctx, "shard", "member.bound")
+	sp.SetAttr("shard", strconv.Itoa(i))
+	start := time.Now()
+	m.info, m.err = r.members[i].Bound(mctx, q, k)
+	r.obs.MemberSeconds.With("bound", strconv.Itoa(i)).Observe(time.Since(start).Seconds())
+	if m.err != nil {
+		sp.SetAttr("error", m.err.Error())
+	} else if m.info.HasExtent {
+		r.growExtent(i, m.info.Extent)
+	}
+	sp.End()
+}
+
+// gather makes member i's traced, timed gather hop at the pruning bound.
+func (r *Router) gather(ctx context.Context, m *memberRead, i int, q, bound float64) {
+	mctx, sp := r.obs.Tracer.StartSpan(ctx, "shard", "member.gather")
+	sp.SetAttr("shard", strconv.Itoa(i))
+	start := time.Now()
+	m.items, m.gver, m.gerr = r.members[i].Gather(mctx, q, bound)
+	r.obs.MemberSeconds.With("gather", strconv.Itoa(i)).Observe(time.Since(start).Seconds())
+	if m.gerr != nil {
+		sp.SetAttr("error", m.gerr.Error())
+	}
+	sp.SetAttr("items", strconv.Itoa(len(m.items)))
+	sp.End()
+}
+
+// fan makes hop(i) for every listed member: in-line for one, on parallel
+// goroutines for more.
+func fan(ids []int, hop func(i int)) {
+	if len(ids) == 1 {
+		hop(ids[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hop(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// kth is the k-th smallest of the ascending distances fars; +Inf when there
+// are fewer than k.
+func kth(fars []float64, k int) float64 {
+	if len(fars) < k {
+		return math.Inf(1)
+	}
+	return fars[k-1]
+}
+
+// growExtent unions rect into member i's cached extent.
+func (r *Router) growExtent(i int, rect geom.Rect) {
 	r.emu.Lock()
-	defer r.emu.Unlock()
-	return r.extents[i]
+	if e := &r.extents[i]; e.has {
+		e.rect = e.rect.Union(rect)
+	} else {
+		*e = extentCache{rect: rect, has: true}
+	}
+	r.emu.Unlock()
 }
 
 // Evaluate answers a standing-query spec against the cluster: scatter-gather

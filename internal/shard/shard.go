@@ -11,11 +11,15 @@
 // Queries are exact, not approximate, by the paper's own filtering argument:
 // a C-PNN answer depends only on the candidate set — the objects within the
 // candidate ball of radius f_min (f_k for k-NN) around the query point — so
-// the router first asks every shard for its k smallest far-point distances
-// (filter.Index.FarBounds — one best-first descent of the member's R-tree,
-// O(log n) for small k), merges them into the global bound, gathers the
-// candidate objects only from shards whose live extent intersects the ball,
-// and runs the standard single-engine pipeline over the merged mini-dataset.
+// the router first asks the shard whose extent is nearest the query for its
+// k smallest far-point distances (filter.Index.FarBounds — one best-first
+// descent of the member's R-tree, O(log n) for small k). Any shard's k-th
+// far distance bounds the global one from above, so only shards whose cached
+// extent reaches it are asked too; the router merges the replies into the
+// global bound, gathers the candidate objects only from shards whose extent
+// intersects the ball, and runs the standard single-engine pipeline over the
+// merged mini-dataset. A shard no phase reads enters the answer's
+// consistency cut at its version read before its cached extent.
 // The gathered objects already are the candidate set, so the mini-view is
 // indexed by a scan (filter.NewScan: one pass over its ≈80 regions, answers
 // bit-identical to an R-tree's) rather than a tree bulk-loaded per query.
@@ -28,7 +32,9 @@
 // (HTTPMember speaking the /internal/shard/* wire protocol, which ships op
 // batches in the store's WAL payload encoding — the same bytes a local
 // commit would log). Writes must flow through a single router: it owns the
-// ID counter and the stable-ID→shard owner map.
+// ID counter, the stable-ID→shard owner map and the cached extents that let
+// a query skip shards. Remote members enforce it with the router's claim
+// (ClaimHeader).
 package shard
 
 import (
@@ -50,6 +56,12 @@ import (
 // Retry-After; queries provably outside the dead shard's extent keep being
 // served.
 var ErrUnavailable = errors.New("shard: member unavailable")
+
+// ErrSuperseded marks a member that refused a request because another
+// router has claimed it since this one booted (see ClaimHeader). The router
+// reports it as ErrUnavailable, whatever the member's extent: its cached
+// extents no longer see every write.
+var ErrSuperseded = errors.New("shard: member claimed by another router")
 
 // MetaFile is the cluster metadata file name, written next to the shard
 // directories.
@@ -270,7 +282,10 @@ func (c *Cluster) Members() []Member {
 	return ms
 }
 
-// Router builds a scatter-gather router over the cluster's members.
+// Router builds a scatter-gather router over the cluster's members. An
+// in-process cluster has one router, its only writer: build one per Cluster
+// and route every write through it. Local members cannot tell routers apart
+// the way HTTP members do by their claim.
 func (c *Cluster) Router() (*Router, error) {
 	return c.RouterObs(Obs{})
 }

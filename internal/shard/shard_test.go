@@ -417,3 +417,199 @@ func TestRouterEvaluateScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterContactsNearestMember: a routed query bounds the member whose
+// cached extent is nearest it and skips every member whose extent misses the
+// ball, so 500 random queries over a 4-shard split contact about one member
+// each (every member, 4.0 a query, when all were bounded) — and every answer
+// is byte-equal to the single store's.
+func TestRouterContactsNearestMember(t *testing.T) {
+	view, r := scanTestCluster(t, 6, 1000)
+	rng := rand.New(rand.NewSource(6))
+	specs := oracleSpecs(rng, 10000, 6)
+	for i := 0; i < 500; i++ {
+		spec := specs[i%len(specs)]
+		spec.Q = rng.Float64() * 10000
+		want, _, err := monitor.Evaluate(view, nil, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v q=%g: router %s, single store %s", spec.Kind, spec.Q, got, want)
+		}
+	}
+	st := r.Stats()
+	if per := float64(st.BoundContacts) / float64(st.Queries); per > 1.1 {
+		t.Fatalf("%d bound contacts over %d queries (%.3f a query), want at most 1.1", st.BoundContacts, st.Queries, per)
+	}
+	t.Logf("%d bound contacts, %d gather contacts over %d queries", st.BoundContacts, st.GatherContacts, st.Queries)
+}
+
+// TestRouterWriteGrowsExtent: a write grows its owner's cached extent before
+// it commits. The inserted object lies far outside its owner's objects and
+// right next to the other member's, so a query beside it bounds that other
+// member first; only the grown extent makes the query reach the owner.
+func TestRouterWriteGrowsExtent(t *testing.T) {
+	c, err := CreateClusterCuts(t.TempDir(), []float64{600}, nil, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Router()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []store.Op
+	for i := 0; i < 8; i++ {
+		lo := float64(i * 12)
+		ops = append(ops, store.InsertObject(pdf.MustUniform(lo, lo+2)))
+		lo = 900 + float64(i*3)
+		ops = append(ops, store.InsertObject(pdf.MustUniform(lo, lo+2)))
+	}
+	if _, err := r.Apply(context.Background(), ops); err != nil {
+		t.Fatal(err)
+	}
+	// Centre 590 routes to shard 0, whose objects all sit in [0, 86].
+	res, err := r.Apply(context.Background(), []store.Op{store.InsertObject(pdf.MustUniform(300, 880))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := res.IDs[0]
+	g, err := r.Gather(context.Background(), 870, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(g.View.IDs, id) {
+		t.Fatalf("gather at 870 holds %v, not the new object %d (contacted %d, bound %g)", g.View.IDs, id, g.Contacted, g.Bound)
+	}
+	spec := monitor.Spec{Kind: monitor.KindPNN, Q: 870}
+	want, _, err := monitor.Evaluate(fullClusterView(t, c), nil, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("answer beside the new object:\n got %s\nwant %s", got, want)
+	}
+}
+
+// hookMember runs hook once, inside its first hop of one phase: after its
+// first Bound reply is computed, or before its first Gather reads — a write
+// landing mid-query at a chosen point.
+type hookMember struct {
+	Member
+	gather bool // run in Gather, not Bound
+	once   sync.Once
+	hook   func()
+}
+
+func (h *hookMember) Bound(ctx context.Context, q float64, k int) (BoundInfo, error) {
+	info, err := h.Member.Bound(ctx, q, k)
+	if !h.gather {
+		h.once.Do(h.hook)
+	}
+	return info, err
+}
+
+func (h *hookMember) Gather(ctx context.Context, q, bound float64) ([]Item, uint64, error) {
+	if h.gather {
+		h.once.Do(h.hook)
+	}
+	return h.Member.Gather(ctx, q, bound)
+}
+
+// hookedRouter splits the given regions at cut 50 into a 2-shard cluster and
+// routes over it with shard 0 wrapped in h; it returns the router, the
+// cluster and the regions' stable IDs.
+func hookedRouter(t *testing.T, h *hookMember, regions [][2]float64) (*Router, *Cluster, []uint64) {
+	t.Helper()
+	c, err := CreateClusterCuts(t.TempDir(), []float64{50}, nil, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	members := c.Members()
+	h.Member = members[0]
+	members[0] = h
+	r, err := NewRouter(RouterConfig{Members: members, Cuts: c.Meta.Cuts, NextID: c.Meta.NextID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]store.Op, len(regions))
+	for i, iv := range regions {
+		ops[i] = store.InsertObject(pdf.MustUniform(iv[0], iv[1]))
+	}
+	res, err := r.Apply(context.Background(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, c, res.IDs
+}
+
+// checkRouted compares a routed PNN at q with a single-engine evaluation of
+// every member's full contents.
+func checkRouted(t *testing.T, r *Router, c *Cluster, q float64) {
+	t.Helper()
+	spec := monitor.Spec{Kind: monitor.KindPNN, Q: q}
+	want, _, err := monitor.Evaluate(fullClusterView(t, c), nil, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("q=%g:\n got %s\nwant %s", q, got, want)
+	}
+}
+
+// TestRouterRetryRechecksSkippedMember: at q = 0, shard 0's witness [1, 3]
+// caps the bound at 3, so shard 1, whose only object [8, 100] starts at 8,
+// is skipped. The witness is deleted between the bound and the gather phase;
+// the gathered f_min becomes [2, 20]'s 20, and the retry at that wider bound
+// must gather the skipped shard, whose object is now a candidate.
+func TestRouterRetryRechecksSkippedMember(t *testing.T) {
+	h := &hookMember{gather: true}
+	r, c, ids := hookedRouter(t, h, [][2]float64{{1, 3}, {2, 20}, {8, 100}})
+	h.hook = func() {
+		if _, err := r.Apply(context.Background(), []store.Op{store.Delete(ids[0])}); err != nil {
+			t.Error(err)
+		}
+	}
+	g, err := r.Gather(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(g.View.IDs, ids[2]) || g.Contacted != 1 || r.Stats().Retries == 0 {
+		t.Fatalf("gathered %v (contacted %d, retries %d), want [8, 100]'s ID %d through a retry",
+			g.View.IDs, g.Contacted, r.Stats().Retries, ids[2])
+	}
+	checkRouted(t, r, c, 0)
+}
+
+// TestRouterBoundReplyOnlyGrowsExtent: a Bound reply computed before a write
+// landed must not erase the extent growth the write made. Shard 0 answers a
+// bound at q = 10 holding only [0, 20]; before the reply reaches the router,
+// a write puts [-760, 860] (centre 50) on shard 0. A later query at 870 must
+// still reach shard 0, though shard 1's [900, 902] is the nearest member.
+func TestRouterBoundReplyOnlyGrowsExtent(t *testing.T) {
+	h := &hookMember{}
+	r, c, _ := hookedRouter(t, h, [][2]float64{{0, 20}, {900, 902}})
+	h.hook = func() {
+		if _, err := r.Apply(context.Background(), []store.Op{store.InsertObject(pdf.MustUniform(-760, 860))}); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := r.Gather(context.Background(), 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkRouted(t, r, c, 870)
+}
