@@ -23,20 +23,28 @@ import (
 // constants recorded before the 1-D and 2-D engine bodies were folded into
 // one pipeline. A digest that moves means some float operation changed order
 // or operand; regenerate a constant only for a change that intends that.
+// k-NN answers hash into sections of their own (*/knn, */knn-incremental),
+// so a change to the k-NN method re-records those and nothing else.
 
 // answerDigests maps dataset/section to the SHA-256 of that section's answer
 // stream.
 var answerDigests = map[string]string{
-	"uniform/stateless":     "6afc883f54d938366ed0c16203b29d693feeb3fbc824c3345508722551573ede",
-	"uniform/line":          "129321b242869d6712bcd5823e4948f1396579d34289ffce98e6ce53ba9d9cb0",
-	"uniform/incremental":   "b1af34a34bc1bbcc5a6b7da146c5808112dfd2e1b4b051948af16080e17ca1d0",
-	"histogram/stateless":   "4e27919fa4c5ac99e164889776025187566d18a510205422db414c7b1624ce5d",
-	"histogram/line":        "9fffbee8d0870a96897bc6f9e844b1382f79bdc134c3cb9df1c0ae093572f05f",
-	"histogram/incremental": "5aa7ba6485b1c75767c49b599d50d94fcb32b9e1cb1b065bc69bf868f17b1b48",
-	"gaussian/stateless":    "4e97a85b5d643617cb8985ba8a8333ee7d68af3022f7649143cd29efed4c219b",
-	"gaussian/line":         "fe548935c387ec01665837fdec7ba61e23d6e81782c8fac599e5fd8d644602c3",
-	"gaussian/incremental":  "5ec87b270bc99d4ca7112ff7ff0f4b1b628df20c8275548857664601c2f71480",
-	"disks/stateless":       "33b66858a1c76fb1648d9c6aa7087a0b150b046401986653fc85055a8420e9ea",
+	"uniform/stateless":         "6afc883f54d938366ed0c16203b29d693feeb3fbc824c3345508722551573ede",
+	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
+	"uniform/knn":               "0e04a4a3aaae6458d624abf5e9ecad794f733283d3c8113aea125b1a72004b88",
+	"uniform/incremental":       "5e6b7aca6e61813c5d022486297e07164781408164c47412b4f16a4f41c893c7",
+	"uniform/knn-incremental":   "12649fe4bd2ecbe59e8a06e31fc96c12b420a288ba2264d591ff88fc76524b28",
+	"histogram/stateless":       "4e27919fa4c5ac99e164889776025187566d18a510205422db414c7b1624ce5d",
+	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
+	"histogram/knn":             "a5f839700e10bc15510e1473a3a27a30d49ae72c6ce791f2a3d9fb1e1071197f",
+	"histogram/incremental":     "97800e55db448a42341439c6af1e32d59f52d4a6c60ccb21814ab38d8674de16",
+	"histogram/knn-incremental": "aebdf1d0c137880cfb2127e120475d8f2f37902d49a8bfcb43929dbd19b3b45a",
+	"gaussian/stateless":        "4e97a85b5d643617cb8985ba8a8333ee7d68af3022f7649143cd29efed4c219b",
+	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
+	"gaussian/knn":              "ccc20e13dfcd2d61f54c0029d64405aadcf4b4089e4bdf453a0c1340dc0067e5",
+	"gaussian/incremental":      "2b1ef7777fa64777d2e58fe46bc62db5d8f8d15bc2b477de664b2ae971f14051",
+	"gaussian/knn-incremental":  "a8bbdce90e8e24afbe3cdb22734b151321a99dc4e46701613567549673a66428",
+	"disks/stateless":           "33b66858a1c76fb1648d9c6aa7087a0b150b046401986653fc85055a8420e9ea",
 }
 
 // digest accumulates one section's answer stream.
@@ -185,15 +193,11 @@ func digestStateless[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Optio
 	return d.sum()
 }
 
-// digestLine hashes what only the 1-D engine offers: PNN's Stats,
-// CPNNScratch on one reused scratch, and CKNN with stable (identity) IDs.
+// digestLine hashes what only the 1-D engine offers besides k-NN: PNN's
+// Stats and CPNNScratch on one reused scratch.
 func digestLine(t *testing.T, e *Engine, qs []float64) string {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
-	ids := make([]uint64, e.Dataset().Len())
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
 	d := newDigest()
 	sc := NewScratch()
 	for _, q := range qs {
@@ -207,6 +211,21 @@ func digestLine(t *testing.T, e *Engine, qs []float64) string {
 			t.Fatal(err)
 		}
 		d.result(res)
+	}
+	return d.sum()
+}
+
+// digestKNN hashes CKNN, in a section of its own so a change to the k-NN
+// method moves no C-PNN or PNN constant.
+func digestKNN(t *testing.T, e *Engine, qs []float64) string {
+	t.Helper()
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	ids := make([]uint64, e.Dataset().Len())
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	d := newDigest()
+	for _, q := range qs {
 		as, st, err := e.CKNN(q, c, KNNOptions{K: 3, Samples: 300, Seed: 9, IDs: ids})
 		if err != nil {
 			t.Fatal(err)
@@ -216,11 +235,13 @@ func digestLine(t *testing.T, e *Engine, qs []float64) string {
 	return d.sum()
 }
 
-// digestIncremental hashes the three incremental entry points along a
-// scripted 20-step change sequence (inserts, swap-into-hole deletes and
-// replacements, with and without slot hints) over a 60-object world of the
-// flavour, a fresh engine per step as the monitor sees one per view.
-func digestIncremental(t *testing.T, flavour string, seed int64) string {
+// digestIncremental hashes the incremental entry points along a scripted
+// 20-step change sequence (inserts, swap-into-hole deletes and replacements,
+// with and without slot hints) over a 60-object world of the flavour, a
+// fresh engine per step as the monitor sees one per view. CPNNIncremental
+// and PNNIncremental go into the first sum, both KNNIncremental streams into
+// the second.
+func digestIncremental(t *testing.T, flavour string, seed int64) (string, string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const span = 100
@@ -246,7 +267,7 @@ func digestIncremental(t *testing.T, flavour string, seed int64) string {
 	c := verify.Constraint{P: 0.25, Delta: 0.01}
 	qC, qP, qK := rng.Float64()*span, rng.Float64()*span, rng.Float64()*span
 	stC, stB, stP, stK, stK1 := NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState()
-	d := newDigest()
+	d, dk := newDigest(), newDigest()
 	for step := 0; step < 20; step++ {
 		var changed map[uint64]int
 		if step > 0 {
@@ -302,18 +323,18 @@ func digestIncremental(t *testing.T, flavour string, seed int64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.knn(as, st)
-		d.inc(inc)
+		dk.knn(as, st)
+		dk.inc(inc)
 		// K = 1 filters like a C-PNN (R-tree or cache replay), deeper K by the
 		// f_k scan; the recorded answers came from the scan at every depth.
 		as, st, inc, err = e.KNNIncremental(qC, c, KNNOptions{K: 1, Samples: 300, Seed: 9}, stK1, ids, changed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.knn(as, st)
-		d.inc(inc)
+		dk.knn(as, st)
+		dk.inc(inc)
 	}
-	return d.sum()
+	return d.sum(), dk.sum()
 }
 
 func TestAnswerDigest(t *testing.T) {
@@ -342,7 +363,8 @@ func TestAnswerDigest(t *testing.T) {
 		}
 		got[flavour+"/stateless"] = digestStateless(t, e, qs, Options{})
 		got[flavour+"/line"] = digestLine(t, e, qs)
-		got[flavour+"/incremental"] = digestIncremental(t, flavour, int64(200+i))
+		got[flavour+"/knn"] = digestKNN(t, e, qs)
+		got[flavour+"/incremental"], got[flavour+"/knn-incremental"] = digestIncremental(t, flavour, int64(200+i))
 	}
 
 	rng := rand.New(rand.NewSource(103))
