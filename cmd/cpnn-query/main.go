@@ -120,15 +120,18 @@ func main() {
 			printStats(st)
 		}
 	case *k > 0:
-		answers, _, err := eng.CKNN(*q, c, core.KNNOptions{K: *k, Seed: *seed})
+		answers, kst, err := eng.CKNN(*q, c, core.KNNOptions{K: *k})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("C-P%dNN(q=%g, P=%g, Delta=%g):\n", *k, *q, *p, *delta)
 		for _, a := range answers {
 			if a.Status == verify.Satisfy {
-				fmt.Printf("  object %6d  p in [%.4f, %.4f]\n", a.ID, a.Bounds.L, a.Bounds.U)
+				fmt.Printf("  object %6d  p=%.4f\n", a.ID, a.Bounds.L)
 			}
+		}
+		if *verbose {
+			printStats(kst)
 		}
 	default:
 		res, err := eng.CPNN(*q, c, core.Options{Strategy: st})

@@ -55,16 +55,17 @@ func main() {
 	}
 
 	// Dispatch planning wants backups: the three most probable responders,
-	// via the constrained k-NN extension.
+	// via the constrained k-NN extension, which integrates each vehicle's
+	// probability of being among the 3 nearest exactly.
 	answers, _, err := eng.CKNN(incident, pnn.Constraint{P: 0.5, Delta: 0.05},
-		pnn.KNNOptions{K: 3, Samples: 8000, Seed: 9, Bins: 120})
+		pnn.KNNOptions{K: 3, Bins: 120})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("likely top-3 responders (p ≥ 50%):")
 	for _, a := range answers {
 		if a.Status == pnn.StatusSatisfy {
-			fmt.Printf("        vehicle %d: p ∈ [%.3f, %.3f]\n", a.ID, a.Bounds.L, a.Bounds.U)
+			fmt.Printf("        vehicle %d: p = %.3f\n", a.ID, a.Bounds.L)
 		}
 	}
 }

@@ -268,9 +268,27 @@ func BenchmarkCKNNFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ids := eng.cknnFilter(qs[i%len(qs)], 3); len(ids) < 3 {
+		if ids, _ := eng.candidates(qs[i%len(qs)], 3); len(ids) < 3 {
 			b.Fatalf("%d candidates at k=3", len(ids))
 		}
+	}
+}
+
+// BenchmarkCKNN measures a whole constrained k-NN — filter, derivation, the
+// table cut at f_k and the exact integration — at the Long-Beach population,
+// one query point per op, cycling through the workload.
+func BenchmarkCKNN(b *testing.B) {
+	eng, qs := benchBatchSetup(b)
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	for _, k := range []int{1, 3, 10} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eng.CKNN(qs[i%len(qs)], c, KNNOptions{K: k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@
 // It also answers plain PNN queries (exact probabilities for the whole
 // candidate set), probabilistic min/max queries (PNN with q at −∞/+∞, per the
 // paper's introduction), and constrained probabilistic k-NN queries — the
-// paper's stated future work — via sampling.
+// paper's stated future work — exactly, over a subregion table cut at f_k.
 //
 // # One pipeline
 //
@@ -25,9 +25,10 @@
 // far points (the filter) and its distance pdf (everything after), so the
 // sequence filter → derive → subregion table → verify → refine is written
 // once, in pipeline[Q] (pipeline.go), over the unexported source[Q] seam:
-// check a query point, list the candidates with f_min, name a candidate's
-// ID, derive its distance pdf. The seam is asked once per query and once per
-// candidate; folds, verifiers and refinement never see it.
+// check a query point, list the candidates at filter depth k with the cut
+// f_k (f_min at k = 1), name a candidate's ID, derive its distance pdf. The
+// seam is asked once per query and once per candidate; folds, verifiers and
+// refinement never see it.
 //
 //   - Engine (Q = float64) adds source1D — dense IDs, the filter.Index R-tree,
 //     interval folds behind the discretization memo — and what needs the
@@ -60,9 +61,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/dist"
@@ -136,7 +135,7 @@ func (o Options) withDefaults() Options {
 // Engine answers probabilistic nearest-neighbor queries over one 1-D
 // dataset. CPNN, CPNNScratch, CPNNBatch, PNN and PNNScratch are the embedded
 // pipeline's; the engine adds what needs the dataset itself: min/max
-// queries, the sampling-based k-NN, and the incremental entry points
+// queries, the exact constrained k-NN, and the incremental entry points
 // (incremental.go).
 type Engine struct {
 	pipeline[float64]
@@ -154,9 +153,22 @@ type source1D struct {
 
 func (s *source1D) check(q float64) error { return checkQuery(q) }
 
-func (s *source1D) candidates(q float64) ([]int, float64) {
-	fr := s.ix.Candidates(q)
-	return fr.IDs, fr.FMin
+// candidates filters at depth k off the R-tree: f_k is the k-th smallest
+// far point, by the best-first walk, and the candidates are the objects
+// whose near point does not exceed it, by the window search (an object
+// beyond f_k has k objects certainly closer). At k = 1 both are
+// Index.Candidates.
+func (s *source1D) candidates(q float64, k int) ([]int, float64) {
+	if k == 1 {
+		fr := s.ix.Candidates(q)
+		return fr.IDs, fr.FMin
+	}
+	fars := s.ix.FarBounds(q, k)
+	if len(fars) == 0 {
+		return nil, 0
+	}
+	fk := fars[len(fars)-1]
+	return s.ix.Within(q, fk), fk
 }
 
 func (s *source1D) id(pos int) int { return pos }
@@ -423,78 +435,49 @@ func (e *Engine) Max(c verify.Constraint, opt Options) (*Result, error) {
 	return e.CPNN(e.ds.Domain().Hi, c, opt)
 }
 
-// DefaultKNNSamples is the Monte-Carlo sample count a k-NN evaluation draws
-// when none is given — here and at every surface that parses one.
-const DefaultKNNSamples = 10000
-
-// KNNOptions tunes the sampling-based constrained k-NN evaluation.
+// KNNOptions tunes constrained k-NN evaluation.
 type KNNOptions struct {
 	// K is the neighbor count; it must be at least 1.
 	K int
-	// Samples is the Monte-Carlo sample count; 0 means DefaultKNNSamples.
-	Samples int
-	// Seed makes the evaluation deterministic.
-	Seed int64
 	// Bins is the discretization resolution for analytic pdfs; 0 means
 	// dist.DefaultBins.
 	Bins int
-	// IDs, when set, maps dense dataset IDs to stable external IDs and makes
-	// the evaluation a pure function of the *stable-ID object set*: each
-	// candidate samples from its own RNG stream seeded by (Seed, IDs[id]),
-	// and rank ties break by stable ID. Without it, all candidates share one
-	// stream in dense-ID order, so answers depend on dataset slot layout.
-	// The monitoring layer needs the stable form: after an unrelated delete,
-	// dense IDs reshuffle but a pruned standing query's answer must be
-	// byte-identical on recomputation. Must have length Dataset().Len().
-	IDs []uint64
 }
 
-// KNNAnswer is one object of a constrained k-NN result.
-type KNNAnswer struct {
-	// ID is the object's dataset ID.
-	ID int
-	// Bounds is the estimated probability of being among the k nearest
-	// neighbors, widened to a ±4σ confidence bound.
-	Bounds verify.Bounds
-	// Status is the classification against the constraint.
-	Status verify.Status
-}
+// KNNAnswer is one object of a constrained k-NN result. Its Bounds are a
+// point bound: the object's exact probability of being among the k nearest
+// neighbors.
+type KNNAnswer = Answer
 
 // CKNN evaluates a constrained probabilistic k-nearest-neighbor query — the
-// paper's stated future work — by filtering against the k-th smallest far
-// point (the natural generalization of the RS pruning rule) and estimating
-// membership probabilities by Monte-Carlo over the surviving candidates.
-// Bounds carry a ±4σ normal-approximation confidence width, and objects are
-// classified with the same Definition 1 rules as the C-PNN. The returned
-// Stats expose the candidate count and the critical distance f_k (Stats.FMin).
+// paper's stated future work, answered as its EDBT 2009 follow-up does. The
+// filter keeps the objects whose near point does not exceed f_k, the k-th
+// smallest far point (the natural generalization of the RS pruning rule),
+// the subregion table is cut at f_k, and refine.ExactAll integrates every
+// candidate's probability of being among the k nearest exactly. Objects are
+// classified by that point bound with the same Definition 1 rules as the
+// C-PNN. The returned Stats expose the candidate count and the critical
+// distance f_k (Stats.FMin).
 func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnswer, Stats, error) {
 	var st Stats
 	k, err := e.knnBegin(q, c, &opt)
 	if err != nil || k == 0 {
 		return nil, st, err
 	}
-	start := time.Now()
-	fk, ids := e.cknnFilter(q, k)
-	st.FilterTime = time.Since(start)
-	st.FMin = fk
-	st.Candidates = len(ids)
-	start = time.Now()
 	sc := borrow()
 	defer sc.park()
-	cands, err := e.derive(sc, ids, q, opt.Bins)
-	st.InitTime = time.Since(start)
-	if err != nil {
+	_, table, err := e.prepare(q, k, opt.Bins, true, sc, &st)
+	if err != nil || table == nil {
 		return nil, st, err
 	}
-	out := cknnClassify(cands, k, c, opt, &st)
-	return out, st, nil
+	out, err := knnClassify(table, c, &st)
+	return out, st, err
 }
 
 // knnBegin is the entry check CKNN and KNNIncremental share: a valid
-// constraint, a finite query point, K >= 1, an ID map (when given) covering
-// the dataset, and the Samples/Bins defaults filled into opt. It returns the
-// effective neighbor count min(K, n), which is 0 exactly when the dataset is
-// empty and the answer therefore is.
+// constraint, a finite query point and K >= 1, with the Bins default filled
+// into opt. It returns the effective neighbor count min(K, n), which is 0
+// exactly when the dataset is empty and the answer therefore is.
 func (e *Engine) knnBegin(q float64, c verify.Constraint, opt *KNNOptions) (int, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
@@ -505,162 +488,29 @@ func (e *Engine) knnBegin(q float64, c verify.Constraint, opt *KNNOptions) (int,
 	if opt.K < 1 {
 		return 0, fmt.Errorf("core: k = %d < 1", opt.K)
 	}
-	if opt.Samples == 0 {
-		opt.Samples = DefaultKNNSamples
-	}
 	if opt.Bins == 0 {
 		opt.Bins = dist.DefaultBins
 	}
-	n := e.ds.Len()
-	if opt.IDs != nil && len(opt.IDs) != n {
-		return 0, fmt.Errorf("core: IDs maps %d objects, dataset holds %d", len(opt.IDs), n)
-	}
-	return min(opt.K, n), nil
+	return min(opt.K, e.ds.Len()), nil
 }
 
-// cknnFilter computes the k-NN critical distance f_k — the k-th smallest far
-// point; objects whose near point exceeds it cannot be among the k nearest,
-// because k objects are certainly closer — and the surviving candidate IDs in
-// dense order, both off the R-tree: the best-first walk for f_k, then the
-// window search C-PNN's own filter runs. Shared by CKNN and KNNIncremental.
-func (e *Engine) cknnFilter(q float64, k int) (float64, []int) {
-	fars := e.ix.FarBounds(q, k)
-	fk := fars[len(fars)-1]
-	return fk, e.ix.Within(q, fk)
-}
-
-// cknnClassify is the verification half of a constrained k-NN evaluation,
-// shared by CKNN and KNNIncremental: analytic pre-verification against f_k,
-// Monte-Carlo rank sampling for the survivors, and Definition 1
-// classification. It is a deterministic function of the candidate set, f_k
-// (stats.FMin) and the options (with opt.IDs set, sampling streams are keyed
-// by stable ID, so the result is also independent of candidate order). Its
-// wall time lands in stats as the refine phase.
-func cknnClassify(cands []subregion.Candidate, k int, c verify.Constraint, opt KNNOptions, stats *Stats) []KNNAnswer {
+// knnClassify finishes a constrained k-NN over a table cut at f_k, shared by
+// CKNN and KNNIncremental: every candidate's exact k-NN probability
+// (refine.ExactAll) as a point bound, classified by Definition 1, sorted by
+// ID. Its wall time lands in st as the refine phase.
+func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNAnswer, error) {
 	start := time.Now()
-	defer func() { stats.RefineTime = time.Since(start) }()
-	fk := stats.FMin
-	// Analytic pre-verification (the RS rule generalized to k-NN): an
-	// object is in the k-NN set only if its distance is at most f_k, so
-	// Pr(X_i ∈ kNN) <= D_i(f_k). Candidates whose analytic upper bound
-	// already fails the threshold skip the sampling phase entirely.
-	preFailed := make([]bool, len(cands))
-	preUpper := make([]float64, len(cands))
-	active := 0
-	for i, cand := range cands {
-		preUpper[i] = cand.Dist.CDF(fk)
-		if preUpper[i] < c.P {
-			preFailed[i] = true
-		} else {
-			active++
-		}
+	probs, err := refine.ExactAll(table)
+	if err != nil {
+		return nil, err
 	}
-	if active == 0 {
-		out := make([]KNNAnswer, len(cands))
-		for i, cand := range cands {
-			b := verify.Bounds{L: 0, U: preUpper[i]}
-			out[i] = KNNAnswer{ID: cand.ID, Bounds: b, Status: verify.Fail}
-		}
-		slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
-		return out
-	}
-
-	// With IDs, each candidate draws from its own stable-ID-seeded stream and
-	// rank ties break by stable ID, so the tallies are invariant under dense
-	// slot relabeling; otherwise one shared stream in slot order (the original
-	// single-shot behavior, kept for compatibility with recorded baselines).
-	var rng *rand.Rand
-	var rngs []*rand.Rand
-	if opt.IDs == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
-	} else {
-		rngs = make([]*rand.Rand, len(cands))
-		for i, cand := range cands {
-			rngs[i] = rand.New(rand.NewSource(mixSeed(opt.Seed, opt.IDs[cand.ID])))
-		}
-	}
-	counts := make([]int, len(cands))
-	dists := make([]float64, len(cands))
-	idx := make([]int, len(cands))
-	less := func(a, b int) bool { return dists[idx[a]] < dists[idx[b]] }
-	if opt.IDs != nil {
-		less = func(a, b int) bool {
-			da, db := dists[idx[a]], dists[idx[b]]
-			if da != db {
-				return da < db
-			}
-			return opt.IDs[cands[idx[a]].ID] < opt.IDs[cands[idx[b]].ID]
-		}
-	}
-	for s := 0; s < opt.Samples; s++ {
-		for i, cand := range cands {
-			if rngs != nil {
-				dists[i] = cand.Dist.Sample(rngs[i])
-			} else {
-				dists[i] = cand.Dist.Sample(rng)
-			}
-			idx[i] = i
-		}
-		sort.Slice(idx, less)
-		top := k
-		if top > len(idx) {
-			top = len(idx)
-		}
-		for _, i := range idx[:top] {
-			counts[i]++
-		}
-	}
-
-	out := make([]KNNAnswer, len(cands))
-	for i, cand := range cands {
-		if preFailed[i] {
-			out[i] = KNNAnswer{
-				ID:     cand.ID,
-				Bounds: verify.Bounds{L: 0, U: preUpper[i]},
-				Status: verify.Fail,
-			}
-			continue
-		}
-		p := float64(counts[i]) / float64(opt.Samples)
-		sigma := 4 * sampleSigma(p, opt.Samples)
-		b := verify.Bounds{L: clamp01(p - sigma), U: clamp01(p + sigma)}
-		// The analytic bound may beat the sampling bound; intersect.
-		if preUpper[i] < b.U {
-			b.U = preUpper[i]
-			if b.L > b.U {
-				b.L = b.U
-			}
-		}
-		out[i] = KNNAnswer{ID: cand.ID, Bounds: b, Status: verify.Classify(b, c)}
+	out := make([]KNNAnswer, len(probs))
+	for i, p := range probs {
+		b := verify.Bounds{L: p, U: p}
+		out[i] = KNNAnswer{ID: table.IDs()[i], Bounds: b, Status: verify.Classify(b, c)}
 	}
 	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
-	return out
-}
-
-// mixSeed derives a per-object RNG seed from the query seed and a stable ID
-// (splitmix64 finalizer), decorrelating the per-candidate sample streams.
-func mixSeed(seed int64, id uint64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(id+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-func sampleSigma(p float64, n int) float64 {
-	v := p * (1 - p) / float64(n)
-	if v <= 0 {
-		// Zero or full tallies still carry sampling error ~1/n.
-		return 1 / float64(n)
-	}
-	return math.Sqrt(v)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	st.RefineTime = time.Since(start)
+	st.RefinedObjects = len(out)
+	return out, nil
 }

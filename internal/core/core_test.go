@@ -290,7 +290,7 @@ func TestCKNNBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := e.CKNN(10, verify.Constraint{P: 0.5, Delta: 0.05}, KNNOptions{K: 2, Samples: 4000, Seed: 1})
+	out, _, err := e.CKNN(10, verify.Constraint{P: 0.5, Delta: 0.05}, KNNOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestCKNNBasics(t *testing.T) {
 		t.Error("far object satisfied 2-NN")
 	}
 	// k = 1 must agree with the C-PNN winner direction.
-	out1, _, err := e.CKNN(10, verify.Constraint{P: 0.5, Delta: 0.05}, KNNOptions{K: 1, Samples: 8000, Seed: 2})
+	out1, _, err := e.CKNN(10, verify.Constraint{P: 0.5, Delta: 0.05}, KNNOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,15 +330,18 @@ func TestCKNNKEqualsOneMatchesPNN(t *testing.T) {
 	for _, p := range probs {
 		exact[p.ID] = p.P
 	}
-	out, _, err := e.CKNN(q, verify.Constraint{P: 0.99, Delta: 1}, KNNOptions{K: 1, Samples: 30000, Seed: 3})
+	out, _, err := e.CKNN(q, verify.Constraint{P: 0.99, Delta: 1}, KNNOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(out) != len(probs) {
+		t.Fatalf("CKNN classified %d candidates, PNN %d", len(out), len(probs))
+	}
 	for _, a := range out {
-		p := exact[a.ID] // zero for objects the PNN filter pruned
-		if p < a.Bounds.L-1e-9 || p > a.Bounds.U+1e-9 {
-			t.Errorf("object %d: exact %g outside CKNN bound [%g, %g]",
-				a.ID, p, a.Bounds.L, a.Bounds.U)
+		p, ok := exact[a.ID]
+		if !ok || a.Bounds.L != a.Bounds.U || math.Abs(a.Bounds.L-p) > 1e-12 {
+			t.Errorf("object %d: CKNN bound [%.17g, %.17g], PNN %.17g (candidate: %v)",
+				a.ID, a.Bounds.L, a.Bounds.U, p, ok)
 		}
 	}
 }
@@ -517,7 +520,7 @@ func TestCKNNFilterMatchesLinearPredicate(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			out, st, err := e.CKNN(q, verify.Constraint{P: 0.3, Delta: 0.1}, KNNOptions{K: k, Samples: 20, Seed: 1})
+			out, st, err := e.CKNN(q, verify.Constraint{P: 0.3, Delta: 0.1}, KNNOptions{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -534,30 +537,5 @@ func TestCKNNFilterMatchesLinearPredicate(t *testing.T) {
 				t.Fatalf("n=%d q=%v k=%d: answer IDs %v, linear predicate keeps %v", n, q, k, got, want)
 			}
 		}
-	}
-}
-
-func TestKNNPreVerifierPrunesWithoutSampling(t *testing.T) {
-	// With a high threshold, the analytic bound D_i(f_k) alone fails every
-	// candidate; results must still be well-formed and all marked fail.
-	e := genEngine(t, 300, 6)
-	out, _, err := e.CKNN(500, verify.Constraint{P: 0.999999, Delta: 0}, KNNOptions{K: 2, Samples: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("no candidates")
-	}
-	satisfied := 0
-	for _, a := range out {
-		if a.Status == verify.Satisfy {
-			satisfied++
-		}
-		if a.Bounds.L > a.Bounds.U {
-			t.Fatalf("inverted bounds %+v", a.Bounds)
-		}
-	}
-	if satisfied > 1 {
-		t.Errorf("%d objects satisfied P≈1; at most one can", satisfied)
 	}
 }

@@ -37,7 +37,7 @@ type failingSource struct{ n int }
 var errDeriveSentinel = errors.New("boom")
 
 func (failingSource) check(float64) error { return nil }
-func (s failingSource) candidates(float64) ([]int, float64) {
+func (s failingSource) candidates(float64, int) ([]int, float64) {
 	pos := make([]int, s.n)
 	for i := range pos {
 		pos[i] = i
@@ -57,7 +57,7 @@ func (failingSource) dist(pos int, _ float64, _ int, a *pdf.Alloc) (*pdf.Histogr
 // points surface it, and the scratch serves the next query as usual.
 func TestDeriveSetPropagatesError(t *testing.T) {
 	p := &pipeline[float64]{src: failingSource{n: 100}}
-	pos, _ := p.src.candidates(0)
+	pos, _ := p.src.candidates(0, 1)
 	sc := new(queryScratch)
 	_, err := p.derive(sc, pos, 0, 0)
 	if !errors.Is(err, errDeriveSentinel) {

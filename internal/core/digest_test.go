@@ -31,19 +31,19 @@ import (
 var answerDigests = map[string]string{
 	"uniform/stateless":         "6afc883f54d938366ed0c16203b29d693feeb3fbc824c3345508722551573ede",
 	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
-	"uniform/knn":               "0e04a4a3aaae6458d624abf5e9ecad794f733283d3c8113aea125b1a72004b88",
+	"uniform/knn":               "206173dcdc3986403b5fbfa829b7be01cdf4adb02a40a101cc23646ce5780790",
 	"uniform/incremental":       "5e6b7aca6e61813c5d022486297e07164781408164c47412b4f16a4f41c893c7",
-	"uniform/knn-incremental":   "12649fe4bd2ecbe59e8a06e31fc96c12b420a288ba2264d591ff88fc76524b28",
+	"uniform/knn-incremental":   "8c24813f63795b7144e910e2bde7355720e495fd20531b854d9428267dc4e966",
 	"histogram/stateless":       "4e27919fa4c5ac99e164889776025187566d18a510205422db414c7b1624ce5d",
 	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
-	"histogram/knn":             "a5f839700e10bc15510e1473a3a27a30d49ae72c6ce791f2a3d9fb1e1071197f",
+	"histogram/knn":             "0c6dd8532496d6e173b06b50beda85e84a28226b1dc70bb8737b0504221e9114",
 	"histogram/incremental":     "97800e55db448a42341439c6af1e32d59f52d4a6c60ccb21814ab38d8674de16",
-	"histogram/knn-incremental": "aebdf1d0c137880cfb2127e120475d8f2f37902d49a8bfcb43929dbd19b3b45a",
+	"histogram/knn-incremental": "68fb82cbc94ad562546be82f9187443b896beea19ab4c5a51cee41f533b79376",
 	"gaussian/stateless":        "4e97a85b5d643617cb8985ba8a8333ee7d68af3022f7649143cd29efed4c219b",
 	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
-	"gaussian/knn":              "ccc20e13dfcd2d61f54c0029d64405aadcf4b4089e4bdf453a0c1340dc0067e5",
+	"gaussian/knn":              "5adac4f5ddd4ce6b1440378566073617fe55b1f2afa859f3a30e6ddb5198b789",
 	"gaussian/incremental":      "2b1ef7777fa64777d2e58fe46bc62db5d8f8d15bc2b477de664b2ae971f14051",
-	"gaussian/knn-incremental":  "a8bbdce90e8e24afbe3cdb22734b151321a99dc4e46701613567549673a66428",
+	"gaussian/knn-incremental":  "c79f5d2855460c8e17f1c7794be30eac01f612c9a292c56a231f1a2dbe668dec",
 	"disks/stateless":           "33b66858a1c76fb1648d9c6aa7087a0b150b046401986653fc85055a8420e9ea",
 }
 
@@ -220,13 +220,9 @@ func digestLine(t *testing.T, e *Engine, qs []float64) string {
 func digestKNN(t *testing.T, e *Engine, qs []float64) string {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
-	ids := make([]uint64, e.Dataset().Len())
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
 	d := newDigest()
 	for _, q := range qs {
-		as, st, err := e.CKNN(q, c, KNNOptions{K: 3, Samples: 300, Seed: 9, IDs: ids})
+		as, st, err := e.CKNN(q, c, KNNOptions{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,15 +315,15 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (string, string
 		d.probs(ps)
 		d.stats(st)
 		d.inc(inc)
-		as, st, inc, err := e.KNNIncremental(qK, c, KNNOptions{K: 3, Samples: 300, Seed: 9}, stK, ids, changed)
+		as, st, inc, err := e.KNNIncremental(qK, c, KNNOptions{K: 3}, stK, ids, changed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dk.knn(as, st)
 		dk.inc(inc)
 		// K = 1 filters like a C-PNN (R-tree or cache replay), deeper K by the
-		// f_k scan; the recorded answers came from the scan at every depth.
-		as, st, inc, err = e.KNNIncremental(qC, c, KNNOptions{K: 1, Samples: 300, Seed: 9}, stK1, ids, changed)
+		// f_k walk.
+		as, st, inc, err = e.KNNIncremental(qC, c, KNNOptions{K: 1}, stK1, ids, changed)
 		if err != nil {
 			t.Fatal(err)
 		}

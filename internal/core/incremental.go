@@ -319,7 +319,7 @@ func (e *Engine) replayFilter(q float64, st *EvalState, ids []uint64, changed ma
 // replay either.
 func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64, changed map[uint64]int) (filter.Result, uint64, bool) {
 	if k > 1 {
-		fk, cands := e.cknnFilter(q, k)
+		cands, fk := e.candidates(q, k)
 		return filter.Result{IDs: cands, FMin: fk}, 0, false
 	}
 	if fr, fs, ok := e.replayFilter(q, st, ids, changed); ok {
@@ -398,10 +398,11 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 	}
 
 	// First pass: mark reusable folds and decide patch feasibility. A patch
-	// needs a previously built table, every surviving candidate still in the
-	// dense slot the table knows it by, and at most one candidate entering,
-	// leaving or moving.
-	canPatch := buildTable && st.valid && st.tableBuilt
+	// needs a previously built table cut for the same k (a k-NN query's
+	// min(K, n) moves with the dataset size), every surviving candidate still
+	// in the dense slot the table knows it by, and at most one candidate
+	// entering, leaving or moving.
+	canPatch := buildTable && st.valid && st.tableBuilt && st.table.K() == k
 	upDense, upStable := -1, uint64(0)
 	for _, d := range fr.IDs {
 		s := ids[d]
@@ -500,7 +501,7 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 		}
 	}
 	if buildTable {
-		if err := st.table.Rebuild(cands); err != nil {
+		if err := st.table.Rebuild(cands, k); err != nil {
 			st.Invalidate()
 			return fmt.Errorf("core: %w", err)
 		}
@@ -568,16 +569,13 @@ func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uin
 }
 
 // KNNIncremental is the incremental form of CKNN; see CPNNIncremental for
-// the state/ids/changed contract. The sampling streams are keyed by stable
-// ID (opt.IDs is overridden with ids), so the answers are bit-identical to
-// CKNN with the same ids on the same view. On Skipped the answer slice is
-// nil and the previous answer stands. Re-sampling still runs whenever a
-// candidate changed — only derivations are cached — but the early exit skips
-// the sampling phase entirely for commits that cannot affect the query.
+// the state/ids/changed contract. Its table, cut at f_k, is patched or
+// rebuilt like a C-PNN's, so the answers are bit-identical to CKNN on the
+// same view. On Skipped the answer slice is nil and the previous answer
+// stands.
 func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, st *EvalState, ids []uint64, changed map[uint64]int) ([]KNNAnswer, Stats, IncrementalStats, error) {
 	var inc IncrementalStats
 	var stats Stats
-	opt.IDs = ids
 	k, err := e.knnBegin(q, c, &opt)
 	if err != nil {
 		return nil, stats, inc, err
@@ -589,15 +587,12 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 		st.clear(0)
 		return nil, stats, inc, nil
 	}
-	if err := e.incrementalPrepare(q, opt.Bins, k, false, st, ids, changed, &inc, &stats); err != nil {
+	if err := e.incrementalPrepare(q, opt.Bins, k, true, st, ids, changed, &inc, &stats); err != nil {
 		return nil, stats, inc, err
 	}
-	if inc.Skipped {
+	if inc.Skipped || stats.Candidates == 0 {
 		return nil, stats, inc, nil
 	}
-	out := cknnClassify(st.cands, k, c, opt, &stats)
-	// The one Stats field CKNN does not share: the pinned answer digest
-	// holds it at the classified count here and at zero there.
-	stats.RefinedObjects = len(out)
-	return out, stats, inc, nil
+	out, err := knnClassify(&st.table, c, &stats)
+	return out, stats, inc, err
 }

@@ -184,7 +184,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			if seed%5 == 4 {
 				optC.Strategy = Basic // the no-table incremental path
 			}
-			knnOpt := KNNOptions{K: 3, Samples: 400, Seed: seed}
+			knnOpt := KNNOptions{K: 3}
 
 			stC, stP, stK := NewEvalState(), NewEvalState(), NewEvalState()
 			var prevC, prevP, prevK map[uint64]stableAns
@@ -279,9 +279,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 				}
 				prevP = freshP
 
-				// KNN (stable-ID sampling streams on both sides)
+				// KNN
 				wantK, wantKSt, err := eng.CKNN(qK, c, KNNOptions{
-					K: knnOpt.K, Samples: knnOpt.Samples, Seed: knnOpt.Seed, IDs: ids,
+					K: knnOpt.K,
 				})
 				if err != nil {
 					t.Fatal(err)

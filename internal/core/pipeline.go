@@ -11,9 +11,10 @@ import (
 )
 
 // source is everything the pipeline needs to know about a dataset: how to
-// reject a bad query point, which objects survive the filter (as positions in
-// the source's own numbering, with the filtering bound f_min), the external
-// ID of a position, and the distance pdf of one object from the query point.
+// reject a bad query point, which objects survive the filter at depth k (as
+// positions in the source's own numbering, with the filtering bound f_k, the
+// k-th smallest far point: f_min at k = 1), the external ID of a position,
+// and the distance pdf of one object from the query point.
 // Past derivation every stage works on distance distributions alone, which
 // is why one pipeline serves any dimension (the paper's §IV-A note).
 //
@@ -21,7 +22,7 @@ import (
 // (id, dist) — never from inside a fold, a verifier or a refinement loop.
 type source[Q any] interface {
 	check(q Q) error
-	candidates(q Q) (pos []int, fMin float64)
+	candidates(q Q, k int) (pos []int, cut float64)
 	id(pos int) int
 	dist(pos int, q Q, bins int, a *pdf.Alloc) (*pdf.Histogram, error)
 }
@@ -79,7 +80,7 @@ func (p *pipeline[Q]) CPNNBatch(qs []Q, c verify.Constraint, opt BatchOptions) (
 // batch workers. Inputs are already validated and opt already defaulted.
 func (p *pipeline[Q]) cpnn(q Q, c verify.Constraint, opt Options, sc *queryScratch) (*Result, error) {
 	res := &Result{}
-	cands, table, err := p.prepare(q, opt.Bins, opt.Strategy != Basic, sc, &res.Stats)
+	cands, table, err := p.prepare(q, 1, opt.Bins, opt.Strategy != Basic, sc, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +112,7 @@ func (p *pipeline[Q]) PNNScratch(q Q, opt Options, sc *Scratch) ([]Probability, 
 	}
 	qs := sc.query()
 	defer sc.done(qs)
-	_, table, err := p.prepare(q, opt.Bins, true, qs, &st)
+	_, table, err := p.prepare(q, 1, opt.Bins, true, qs, &st)
 	if err != nil || table == nil {
 		return nil, st, err
 	}
@@ -119,17 +120,18 @@ func (p *pipeline[Q]) PNNScratch(q Q, opt Options, sc *Scratch) ([]Probability, 
 	return out, st, err
 }
 
-// prepare runs the phases every stateless query starts with: filter, derive
-// and — unless the strategy integrates candidates directly — the subregion
-// table, built in place over the scratch's, with phase timings (the table's
-// own inside InitTime) and set sizes recorded in st. An empty candidate set
-// returns nil candidates and a nil table.
-func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, st *Stats) ([]subregion.Candidate, *subregion.Table, error) {
+// prepare runs the phases every stateless query starts with: filter and
+// derive at depth k (1 for C-PNN and PNN, the neighbor count for k-NN) and —
+// unless the strategy integrates candidates directly — the subregion table
+// cut for k, built in place over the scratch's, with phase timings (the
+// table's own inside InitTime) and set sizes recorded in st. An empty
+// candidate set returns nil candidates and a nil table.
+func (p *pipeline[Q]) prepare(q Q, k, bins int, buildTable bool, sc *queryScratch, st *Stats) ([]subregion.Candidate, *subregion.Table, error) {
 	start := time.Now()
-	pos, fMin := p.src.candidates(q)
+	pos, cut := p.src.candidates(q, k)
 	st.FilterTime = time.Since(start)
 	st.Candidates = len(pos)
-	st.FMin = fMin
+	st.FMin = cut
 	if len(pos) == 0 {
 		return nil, nil, nil
 	}
@@ -142,7 +144,7 @@ func (p *pipeline[Q]) prepare(q Q, bins int, buildTable bool, sc *queryScratch, 
 	var table *subregion.Table
 	if buildTable {
 		derived := time.Now()
-		if err := sc.table.Rebuild(cands); err != nil {
+		if err := sc.table.Rebuild(cands, k); err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 		table = &sc.table

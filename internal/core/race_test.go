@@ -72,7 +72,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPNN[q] = fmt.Sprint(probs)
-		kres, _, err := base.CKNN(q, c, KNNOptions{K: 3, Samples: 400, Seed: 11})
+		kres, _, err := base.CKNN(q, c, KNNOptions{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 						return
 					}
 				case 2:
-					kres, _, err := eng.CKNN(q, c, KNNOptions{K: 3, Samples: 400, Seed: 11})
+					kres, _, err := eng.CKNN(q, c, KNNOptions{K: 3})
 					if err != nil {
 						t.Errorf("CKNN(%g): %v", q, err)
 						return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,11 +12,12 @@ import (
 	"repro/internal/verify"
 )
 
-// TestCKNNStableIDsOrderInvariance: with KNNOptions.IDs set, the answer is a
-// pure function of the stable-ID object set — permuting the dataset's dense
-// slot layout (what a store delete's swap-into-hole does) must reproduce
-// bit-identical bounds after translating back to stable IDs. This is the
-// property the monitor's influence pruning relies on.
+// TestCKNNStableIDsOrderInvariance: the answer is a function of the object
+// set, not of the dataset's dense slot layout. Permuting the slots (what a
+// store delete's swap-into-hole does) moves near-point ties in the table's
+// order, so probabilities may move in their last bits: within 1e-12, and
+// byte-equal after the monitor's 9-decimal quantization of answer bodies.
+// This is the property the monitor's influence pruning relies on.
 func TestCKNNStableIDsOrderInvariance(t *testing.T) {
 	pdfs := []pdf.PDF{
 		pdf.MustUniform(0, 4),
@@ -39,8 +41,7 @@ func TestCKNNStableIDsOrderInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, st, err := e.CKNN(3, verify.Constraint{P: 0.2, Delta: 0.05},
-			KNNOptions{K: 2, Samples: 2000, Seed: 7, IDs: ids})
+		out, st, err := e.CKNN(3, verify.Constraint{P: 0.2, Delta: 0.05}, KNNOptions{K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +55,7 @@ func TestCKNNStableIDsOrderInvariance(t *testing.T) {
 		return m
 	}
 
+	round9 := func(v float64) float64 { return math.Round(v*1e9) / 1e9 }
 	base := run(pdfs, stable)
 	permuted := run(permPDFs, permStable)
 	if len(base) != len(permuted) {
@@ -64,8 +66,11 @@ func TestCKNNStableIDsOrderInvariance(t *testing.T) {
 		if !ok {
 			t.Fatalf("stable id %d missing after permutation", id)
 		}
-		if a.Bounds != b.Bounds || a.Status != b.Status {
+		if a.Status != b.Status || math.Abs(a.Bounds.L-b.Bounds.L) > 1e-12 || math.Abs(a.Bounds.U-b.Bounds.U) > 1e-12 {
 			t.Fatalf("stable id %d: %+v vs %+v after permutation", id, a, b)
+		}
+		if round9(a.Bounds.L) != round9(b.Bounds.L) || round9(a.Bounds.U) != round9(b.Bounds.U) {
+			t.Fatalf("stable id %d: quantized bounds differ after permutation: %+v vs %+v", id, a, b)
 		}
 	}
 }
@@ -81,7 +86,7 @@ func TestCKNNStatsExposeFK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := e.CKNN(1, verify.Constraint{P: 0.5}, KNNOptions{K: 2, Samples: 10, Seed: 1})
+	_, st, err := e.CKNN(1, verify.Constraint{P: 0.5}, KNNOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +145,8 @@ func TestCPNNScratchMatchesCPNN(t *testing.T) {
 }
 
 // TestCKNNStatsPhases: the stateless CKNN times every phase it runs, as
-// KNNIncremental does on a cold state — before the two shared one entry and
-// one classify epilogue, CKNN recorded the filter alone, so a query's
-// reported phases summed to microseconds of a many-millisecond evaluation.
-// (RefinedObjects is the one field left apart: TestAnswerDigest pins it at
-// zero for CKNN and at the candidate count for KNNIncremental.)
+// KNNIncremental does on a cold state, and both fill the same input-derived
+// Stats fields — set sizes, f_k and the refined count.
 func TestCKNNStatsPhases(t *testing.T) {
 	e := genEngine(t, 2000, 5)
 	ids := make([]uint64, e.Dataset().Len())
@@ -152,7 +154,7 @@ func TestCKNNStatsPhases(t *testing.T) {
 		ids[i] = uint64(i)
 	}
 	c := verify.Constraint{P: 0.1, Delta: 0.01}
-	opt := KNNOptions{K: 3, Samples: 2000, Seed: 1, IDs: ids}
+	opt := KNNOptions{K: 3}
 
 	start := time.Now()
 	as, st, err := e.CKNN(500, c, opt)
@@ -178,7 +180,8 @@ func TestCKNNStatsPhases(t *testing.T) {
 		t.Fatal("CKNN and cold KNNIncremental disagree on the answer")
 	}
 	if (ist.InitTime > 0) != (st.InitTime > 0) || (ist.RefineTime > 0) != (st.RefineTime > 0) ||
-		ist.FMin != st.FMin || ist.Candidates != st.Candidates {
+		ist.FMin != st.FMin || ist.Candidates != st.Candidates || ist.Subregions != st.Subregions ||
+		ist.RefinedObjects != st.RefinedObjects || ist.Integrations != st.Integrations {
 		t.Fatalf("stats diverge: CKNN %+v, KNNIncremental %+v", st, ist)
 	}
 }

@@ -21,7 +21,7 @@ const (
 	KindCPNN Kind = iota + 1
 	// KindPNN is a standing unconstrained PNN (exact probabilities).
 	KindPNN
-	// KindKNN is a standing constrained k-NN (sampling-based).
+	// KindKNN is a standing constrained k-NN (exact, over a table cut at f_k).
 	KindKNN
 )
 
@@ -54,15 +54,13 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Spec describes one standing query. Constraint applies to KindCPNN and
-// KindKNN; Strategy to KindCPNN; K/Samples/Seed to KindKNN.
+// KindKNN; Strategy to KindCPNN; K to KindKNN.
 type Spec struct {
 	Kind       Kind
 	Q          float64
 	Constraint verify.Constraint
 	Strategy   core.Strategy
 	K          int
-	Samples    int
-	Seed       int64
 }
 
 // Validate rejects malformed specs before they are registered.
@@ -75,13 +73,8 @@ func (sp Spec) Validate() error {
 		if err := sp.Constraint.Validate(); err != nil {
 			return err
 		}
-		if sp.Kind == KindKNN {
-			if sp.K < 1 {
-				return fmt.Errorf("monitor: k = %d < 1", sp.K)
-			}
-			if sp.Samples < 0 {
-				return fmt.Errorf("monitor: samples = %d < 0", sp.Samples)
-			}
+		if sp.Kind == KindKNN && sp.K < 1 {
+			return fmt.Errorf("monitor: k = %d < 1", sp.K)
 		}
 	case KindPNN:
 	default:
@@ -154,9 +147,7 @@ func Evaluate(view *store.View, eng *core.Engine, sc *core.Scratch, spec Spec) (
 		return body, boundedRadius(n > 0, st.FMin), err
 
 	case KindKNN:
-		answers, st, err := eng.CKNN(spec.Q, spec.Constraint, core.KNNOptions{
-			K: spec.K, Samples: spec.Samples, Seed: spec.Seed, IDs: knnIDs(view),
-		})
+		answers, st, err := eng.CKNN(spec.Q, spec.Constraint, core.KNNOptions{K: spec.K})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -190,7 +181,7 @@ func EvaluateIncremental(view *store.View, eng *core.Engine, st *core.EvalState,
 	if full {
 		changed = nil // CPNNIncremental & co. treat nil as "everything changed"
 	}
-	ids := knnIDs(view)
+	ids := stableIDs(view)
 	n := view.Dataset.Len()
 	switch spec.Kind {
 	case KindCPNN:
@@ -210,9 +201,7 @@ func EvaluateIncremental(view *store.View, eng *core.Engine, st *core.EvalState,
 		return body, boundedRadius(n > 0, pst.FMin), inc, err
 
 	case KindKNN:
-		answers, kst, inc, err := eng.KNNIncremental(spec.Q, spec.Constraint, core.KNNOptions{
-			K: spec.K, Samples: spec.Samples, Seed: spec.Seed,
-		}, st, ids, changed)
+		answers, kst, inc, err := eng.KNNIncremental(spec.Q, spec.Constraint, core.KNNOptions{K: spec.K}, st, ids, changed)
 		if err != nil || inc.Skipped {
 			return nil, 0, inc, err
 		}
@@ -234,7 +223,7 @@ func marshalCPNN(view *store.View, answers []core.Answer) ([]byte, error) {
 			Status: a.Status.String(),
 		})
 	}
-	sortAnswers(out)
+	slices.SortFunc(out, func(a, b answerJSON) int { return cmp.Compare(a.ID, b.ID) })
 	return json.Marshal(struct {
 		Answers []answerJSON `json:"answers"`
 	}{out})
@@ -252,23 +241,12 @@ func marshalPNN(view *store.View, probs []core.Probability) ([]byte, error) {
 	}{out})
 }
 
-// marshalKNN renders the canonical k-NN answer body (satisfying objects
-// only).
+// marshalKNN renders the canonical k-NN answer body: the satisfying objects,
+// as marshalCPNN renders a C-PNN's. It filters answers in place.
 func marshalKNN(view *store.View, answers []core.KNNAnswer) ([]byte, error) {
-	out := make([]answerJSON, 0, len(answers))
-	for _, a := range answers {
-		if a.Status != verify.Satisfy {
-			continue
-		}
-		out = append(out, answerJSON{
-			ID: stableID(view, a.ID), L: round9(a.Bounds.L), U: round9(a.Bounds.U),
-			Status: a.Status.String(),
-		})
-	}
-	sortAnswers(out)
-	return json.Marshal(struct {
-		Answers []answerJSON `json:"answers"`
-	}{out})
+	return marshalCPNN(view, slices.DeleteFunc(answers, func(a core.KNNAnswer) bool {
+		return a.Status != verify.Satisfy
+	}))
 }
 
 // stableID translates a dense engine ID through the view's stable-ID map.
@@ -279,9 +257,9 @@ func stableID(view *store.View, dense int) uint64 {
 	return view.IDs[dense]
 }
 
-// knnIDs returns the view's stable-ID map, synthesizing the identity for
-// views without one so CKNN always runs in order-independent mode.
-func knnIDs(view *store.View) []uint64 {
+// stableIDs returns the view's stable-ID map, synthesizing the identity for
+// views without one: the incremental entry points key their state by it.
+func stableIDs(view *store.View) []uint64 {
 	if view.IDs != nil {
 		return view.IDs
 	}
@@ -290,10 +268,6 @@ func knnIDs(view *store.View) []uint64 {
 		ids[i] = uint64(i)
 	}
 	return ids
-}
-
-func sortAnswers(out []answerJSON) {
-	slices.SortFunc(out, func(a, b answerJSON) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // boundedRadius returns the influence radius, widening to +Inf when the

@@ -20,7 +20,7 @@ func specsAt(q float64) []Spec {
 		{Kind: KindCPNN, Q: q, Constraint: verify.Constraint{P: 0.3, Delta: 0.01}},
 		{Kind: KindPNN, Q: q},
 		{Kind: KindKNN, Q: q, Constraint: verify.Constraint{P: 0.4, Delta: 0.05},
-			K: 2, Samples: 150, Seed: 11},
+			K: 2},
 	}
 }
 

@@ -228,7 +228,7 @@ func TestKNNUnderfilledIsUnbounded(t *testing.T) {
 	seedObjects(t, s, 0, 10)
 	m := newMonitor(t, s)
 	spec := Spec{Kind: KindKNN, Q: 5, Constraint: verify.Constraint{P: 0.5, Delta: 0.05},
-		K: 3, Samples: 500, Seed: 1}
+		K: 3}
 	st, err := m.Register(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestEvaluateKinds(t *testing.T) {
 	for _, spec := range []Spec{
 		cpnnSpec(9),
 		{Kind: KindPNN, Q: 9},
-		{Kind: KindKNN, Q: 9, Constraint: verify.Constraint{P: 0.2, Delta: 0.05}, K: 2, Samples: 500, Seed: 4},
+		{Kind: KindKNN, Q: 9, Constraint: verify.Constraint{P: 0.2, Delta: 0.05}, K: 2},
 	} {
 		body, radius, err := Evaluate(v, nil, nil, spec)
 		if err != nil {

@@ -89,7 +89,7 @@ func runOracleSeed(t *testing.T, seed int64) (pairs, affected uint64) {
 		case 2:
 			specs = append(specs, Spec{Kind: KindKNN, Q: q,
 				Constraint: verify.Constraint{P: 0.4, Delta: 0.05},
-				K:          2, Samples: 400, Seed: seed})
+				K:          2})
 		}
 	}
 	// The subscriber's reconstruction of each query's answer.

@@ -78,7 +78,7 @@ func TestMonitorRace(t *testing.T) {
 			specs[i] = Spec{Kind: KindPNN, Q: q}
 		default:
 			specs[i] = Spec{Kind: KindKNN, Q: q,
-				Constraint: verify.Constraint{P: 0.4, Delta: 0.05}, K: 2, Samples: 200, Seed: 9}
+				Constraint: verify.Constraint{P: 0.4, Delta: 0.05}, K: 2}
 		}
 	}
 	specByID := sync.Map{}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,9 +143,9 @@ func TestOracleCrossCheck1D(t *testing.T) {
 	}
 }
 
-// TestOracleCrossCheckKNN cross-checks the sampling-based constrained k-NN
-// against the oracle's independent k-NN membership estimate on a subset of
-// the seeded datasets.
+// TestOracleCrossCheckKNN cross-checks the exact constrained k-NN against
+// the oracle's independent k-NN membership estimate on a subset of the
+// seeded datasets.
 func TestOracleCrossCheckKNN(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed += 5 {
 		rng := rand.New(rand.NewSource(seed * 301))
@@ -156,17 +157,46 @@ func TestOracleCrossCheckKNN(t *testing.T) {
 		c := verify.Constraint{P: 0.2 + 0.4*rng.Float64(), Delta: 0.05}
 		q := 10 + 80*rng.Float64()
 		k := 1 + rng.Intn(3)
-		answers, _, err := eng.CKNN(q, c, core.KNNOptions{K: k, Samples: oracleSamples, Seed: seed})
+		answers, _, err := eng.CKNN(q, c, core.KNNOptions{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := KNN1D(ds, q, k, oracleSamples, rng)
-		// Both sides are Monte-Carlo: the engine's bounds are ±4σ wide, the
-		// oracle adds its own ~σ; eps1D covers the combination.
+		// The engine's bound is the exact value, so the margin is the
+		// oracle's own sampling error: eps1D is over 5σ of it.
 		for _, a := range answers {
 			if p[a.ID] < a.Bounds.L-eps1D || p[a.ID] > a.Bounds.U+eps1D {
 				t.Errorf("seed %d: k=%d object %d: oracle p=%.4f outside engine bounds [%.4f, %.4f]",
 					seed, k, a.ID, p[a.ID], a.Bounds.L, a.Bounds.U)
+			}
+		}
+	}
+}
+
+// TestKNNMassOnOracleSets: on every seeded dataset, an object's k-NN
+// membership probabilities sum to the expected size of the k-NN set,
+// min(k, n) — the candidate filter loses no mass and the integration adds
+// none.
+func TestKNNMassOnOracleSets(t *testing.T) {
+	c := verify.Constraint{P: 0.5, Delta: 0.01}
+	for seed := int64(1); seed <= 50; seed++ {
+		ds := oracleDataset1D(t, seed)
+		eng, err := core.NewEngine(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := 10 + 80*rand.New(rand.NewSource(seed)).Float64()
+		for _, k := range []int{1, 2, 3, 5} {
+			answers, _, err := eng.CKNN(q, c, core.KNNOptions{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			for _, a := range answers {
+				sum += a.Bounds.L
+			}
+			if want := float64(min(k, ds.Len())); math.Abs(sum-want) > 1e-9 {
+				t.Errorf("seed %d k=%d: Σ p = %.12f over %d candidates, want %g", seed, k, sum, len(answers), want)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 // Package refine computes exact qualification probabilities — the last
-// phase of the C-PNN pipeline (paper §IV-D) — plus the Basic baseline of
-// Cheng et al. (SIGMOD'03) and a Monte-Carlo evaluator in the style of
-// Kriegel et al. (DASFAA'07), used for cross-validation and as the paper's
-// sampling-based comparison point [9].
+// phase of the C-PNN pipeline (paper §IV-D) — and, through ExactAll, exact
+// k-NN membership probabilities over the same subregion table, plus the
+// Basic baseline of Cheng et al. (SIGMOD'03) and a Monte-Carlo evaluator in
+// the style of Kriegel et al. (DASFAA'07), used for cross-validation and as
+// the paper's sampling-based comparison point [9].
 //
 // Incremental refinement exploits the subregion table: the qualification
 // probability decomposes as p_i = Σ_j s_ij·q_ij, and within one subregion
@@ -60,10 +61,12 @@ func (TrivialPrior) Lower(*subregion.Table, int, int) float64 { return 0 }
 func (TrivialPrior) Upper(*subregion.Table, int, int) float64 { return 1 }
 
 // AutoGLNodes returns a Gauss–Legendre rule size that integrates the
-// subregion integrand exactly: a product of up to |C|−1 linear factors has
-// degree |C|−1, needing ⌈|C|/2⌉ nodes.
-func AutoGLNodes(numCandidates int) int {
-	n := numCandidates/2 + 1
+// subregion integrand exactly: a polynomial in up to n linear cdf factors
+// has degree at most n, and ⌊n/2⌋+1 nodes are exact to degree 2⌊n/2⌋+1 ≥ n
+// (up to quad.MaxGaussNodes). Exact passes n = |C|, ExactAll the subregion's
+// candidate count c_j.
+func AutoGLNodes(n int) int {
+	n = n/2 + 1
 	if n > quad.MaxGaussNodes {
 		n = quad.MaxGaussNodes
 	}
@@ -133,6 +136,97 @@ func Exact(t *subregion.Table, i, glNodes int) (float64, error) {
 		p += s * q
 	}
 	return clamp01(p), nil
+}
+
+// ExactAll returns every candidate's exact probability of being among the
+// k nearest neighbors, k being the table's (Table.K), indexed like the
+// table's candidates. It is the k-NN generalization of Exact from the
+// paper's follow-up (Cheng, Chen, Chen & Xie, EDBT 2009): for candidate i,
+//
+//	p_i = Σ_j s_ij · avg_{S_j} G_i(r),
+//
+// where G_i(r) is the probability that at most k−1 of the other candidates
+// lie within r. Inside S_j every cdf is linear, so G_i is a polynomial of
+// degree at most c_j (Table.Count) and AutoGLNodes(c_j) Gauss–Legendre nodes
+// integrate it exactly; the rightmost subregion lies beyond the cut f_k and
+// adds nothing. At each node one prefix and one suffix pass of a
+// Poisson-binomial DP truncated at k give every leave-one-out G_i — at k = 1
+// the no-division prefix × suffix product the table's Excl column holds at
+// end-points. The passes run over the candidates whose cdf is strictly
+// between 0 and 1 on S_j: a finished one (D = 1) is within r for certain
+// and shifts the count by one, an unstarted one (D = 0) never is.
+func ExactAll(t *subregion.Table) ([]float64, error) {
+	nC, k := t.NumCandidates(), t.K()
+	out := make([]float64, nC)
+	active := make([]int, 0, nC)
+	d := make([]float64, nC)         // cdf at the current node, by active position
+	acc := make([]float64, nC)       // avg_{S_j} G, by active position
+	pre := make([]float64, (nC+1)*k) // row a: count distribution over active[:a]
+	suf := make([]float64, k)        // count distribution over active[a+1:]
+	for j := 0; j < t.NumSubregions()-1; j++ {
+		if t.Count(j) == 0 {
+			continue
+		}
+		active, finished := active[:0], 0
+		for i := 0; i < nC; i++ {
+			switch {
+			case t.D(i, j) >= 1:
+				finished++
+			case t.D(i, j+1) > 0:
+				active = append(active, i)
+			}
+		}
+		// kk counts of the active others, 0..kk−1, leave i among the k nearest.
+		kk := k - finished
+		if kk <= 0 {
+			continue
+		}
+		nodes, weights, err := quad.GaussLegendre(AutoGLNodes(t.Count(j)))
+		if err != nil {
+			return nil, err
+		}
+		clear(acc[:len(active)])
+		for l, x := range nodes {
+			frac := (x + 1) / 2
+			for a, i := range active {
+				d[a] = t.D(i, j) + (t.D(i, j+1)-t.D(i, j))*frac
+			}
+			clear(pre[:kk])
+			pre[0] = 1
+			for a := range active {
+				prev, next := pre[a*kk:(a+1)*kk], pre[(a+1)*kk:(a+2)*kk]
+				next[0] = prev[0] * (1 - d[a])
+				for c := 1; c < kk; c++ {
+					next[c] = prev[c]*(1-d[a]) + prev[c-1]*d[a]
+				}
+			}
+			suf := suf[:kk]
+			clear(suf)
+			suf[0] = 1
+			w := weights[l] / 2 // the weights sum to 2 on [−1, 1]
+			for a := len(active) - 1; a >= 0; a-- {
+				// G = Σ_{c+c' < kk} pre[c]·suf[c'], the suffix summed as it goes.
+				prev := pre[a*kk : (a+1)*kk]
+				g, cum := 0.0, 0.0
+				for c := kk - 1; c >= 0; c-- {
+					cum += suf[kk-1-c]
+					g += prev[c] * cum
+				}
+				acc[a] += w * g
+				for c := kk - 1; c > 0; c-- {
+					suf[c] = suf[c]*(1-d[a]) + suf[c-1]*d[a]
+				}
+				suf[0] *= 1 - d[a]
+			}
+		}
+		for a, i := range active {
+			out[i] += t.S(i, j) * acc[a]
+		}
+	}
+	for i, p := range out {
+		out[i] = clamp01(p)
+	}
+	return out, nil
 }
 
 // IncrementalResult reports one candidate's refinement outcome.

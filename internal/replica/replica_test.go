@@ -519,7 +519,7 @@ func runEquivalenceSeed(t *testing.T, seed int64) {
 		case 2:
 			specs = append(specs, monitor.Spec{Kind: monitor.KindKNN, Q: q,
 				Constraint: verify.Constraint{P: 0.4, Delta: 0.05},
-				K:          2, Samples: 400, Seed: seed})
+				K:          2})
 		}
 	}
 	compared := 0

@@ -168,14 +168,19 @@ func TestBackendParity(t *testing.T) {
 		need                     int
 		status                   int
 		allow                    string // 405 rows: the Allow header
-		localOnly                bool   // router k-NN streams are keyed by stable ID
+		sameAs                   string // 200 rows: a path whose body this one's must equal
 	}{
 		// Good reads: bodies equal modulo version.
 		{name: "cpnn", method: "GET", path: "/v1/cpnn?q=137.5&p=0.3&delta=0.01", status: 200},
 		{name: "cpnn all basic", method: "GET", path: "/v1/cpnn?q=201&p=0.5&delta=0.05&all=1&strategy=basic", status: 200},
 		{name: "pnn", method: "GET", path: "/v1/pnn?q=137.5", status: 200},
 		{name: "pnn edge", method: "GET", path: "/v1/pnn?q=330", status: 200},
-		{name: "knn", method: "GET", path: "/v1/knn?q=100&k=2&p=0.3&delta=0.05&samples=500&seed=9", status: 200, localOnly: true},
+		{name: "knn", method: "GET", path: "/v1/knn?q=100&k=2&p=0.3&delta=0.05", status: 200},
+		{name: "knn all", method: "GET", path: "/v1/knn?q=100&k=3&p=0.3&delta=0.05&all=1", status: 200},
+		// Old clients: samples and seed are unknown parameters now, and every
+		// endpoint ignores unknown query parameters.
+		{name: "knn old client params", method: "GET", path: "/v1/knn?q=100&k=2&p=0.3&delta=0.05&samples=0&seed=9",
+			status: 200, sameAs: "/v1/knn?q=100&k=2&p=0.3&delta=0.05"},
 		{name: "batch", method: "POST", path: "/v1/batch", body: `{"queries":[10,77.5,10,290],"p":0.2,"delta":0.02,"all":true}`, status: 200},
 
 		// 400: query parameters.
@@ -189,7 +194,6 @@ func TestBackendParity(t *testing.T) {
 		{name: "bad strategy", method: "GET", path: "/v1/cpnn?q=1&strategy=monte-carlo", status: 400},
 		{name: "knn missing k", method: "GET", path: "/v1/knn?q=1", status: 400},
 		{name: "knn bad k", method: "GET", path: "/v1/knn?q=1&k=two", status: 400},
-		{name: "knn zero samples", method: "GET", path: "/v1/knn?q=1&k=2&samples=0", status: 400},
 
 		// 400: bodies.
 		{name: "batch null point", method: "POST", path: "/v1/batch", body: `{"queries":[1,null]}`, status: 400},
@@ -216,6 +220,7 @@ func TestBackendParity(t *testing.T) {
 		{name: "dataset empty", method: "POST", path: "/v1/dataset", body: "\n", need: needDataset, status: 400},
 		{name: "dataset malformed", method: "POST", path: "/v1/dataset", body: "1 two\n", need: needDataset, status: 400},
 		{name: "monitor unknown field", method: "POST", path: "/v1/monitors", body: `{"kind":"pnn","q":1,"bogus":1}`, need: needMonitors, status: 400},
+		{name: "monitor knn samples", method: "POST", path: "/v1/monitors", body: `{"kind":"knn","q":1,"k":2,"samples":100}`, need: needMonitors, status: 400},
 
 		// 404, 405 + Allow.
 		{name: "delete unknown id", method: "DELETE", path: "/v1/objects?id=99999", need: needObjects, status: 404},
@@ -243,9 +248,6 @@ func TestBackendParity(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			want, wantFrom := "", ""
 			for _, b := range backends {
-				if row.localOnly && b.name == "router" {
-					continue
-				}
 				req := httptest.NewRequest(row.method, row.path, strings.NewReader(row.body))
 				rec := httptest.NewRecorder()
 				b.srv.Handler().ServeHTTP(rec, req)
@@ -267,6 +269,11 @@ func TestBackendParity(t *testing.T) {
 				got := rec.Body.String()
 				if row.status == http.StatusOK {
 					got = normalize(t, rec.Body.Bytes(), b.idShift)
+					if row.sameAs != "" {
+						if same := normalize(t, get(t, b.srv, row.sameAs).Body.Bytes(), b.idShift); got != same {
+							t.Errorf("%s: body %s, %s answers %s", b.name, got, row.sameAs, same)
+						}
+					}
 				}
 				if wantFrom == "" {
 					want, wantFrom = got, b.name
@@ -275,14 +282,5 @@ func TestBackendParity(t *testing.T) {
 				}
 			}
 		})
-	}
-
-	// The router keys k-NN sampling streams by stable ID, so its answer is
-	// its own — but it must be served, and deterministically.
-	router := backends[3].srv
-	knn := "/v1/knn?q=100&k=2&p=0.3&delta=0.05&samples=500&seed=9"
-	first, second := get(t, router, knn), get(t, router, knn)
-	if first.Code != http.StatusOK || first.Body.String() != second.Body.String() {
-		t.Fatalf("router knn: status %d, cached == fresh: %v", first.Code, first.Body.String() == second.Body.String())
 	}
 }

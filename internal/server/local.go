@@ -88,11 +88,9 @@ func newLocalBackend(s *Server) (*localBackend, error) {
 // A local view is the already-loaded snapshot itself: pinning it allocates
 // nothing and its key fragment was rendered at install time.
 
-func (snap *Snapshot) key() string     { return snap.vkey }
-func (snap *Snapshot) version() uint64 { return snap.Version }
-func (snap *Snapshot) snapshot(context.Context, float64, int) (*Snapshot, []uint64, error) {
-	return snap, nil, nil
-}
+func (snap *Snapshot) key() string                                               { return snap.vkey }
+func (snap *Snapshot) version() uint64                                           { return snap.Version }
+func (snap *Snapshot) snapshot(context.Context, float64, int) (*Snapshot, error) { return snap, nil }
 
 // admit rejects reads until a replica's first catch-up, so it never serves
 // answers from a half-replayed bootstrap. The 503 carries Retry-After

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -35,8 +34,6 @@ type monitorRequest struct {
 	Delta    *float64 `json:"delta,omitempty"`
 	Strategy string   `json:"strategy,omitempty"`
 	K        int      `json:"k,omitempty"`
-	Samples  int      `json:"samples,omitempty"`
-	Seed     int64    `json:"seed,omitempty"`
 }
 
 // decodeMonitorRequest parses and validates a registration body into a spec.
@@ -58,7 +55,7 @@ func decodeMonitorRequest(data []byte) (monitor.Spec, error) {
 	if err := checkFinite("q", req.Q); err != nil {
 		return monitor.Spec{}, err
 	}
-	spec := monitor.Spec{Kind: kind, Q: req.Q, K: req.K, Samples: req.Samples, Seed: req.Seed}
+	spec := monitor.Spec{Kind: kind, Q: req.Q, K: req.K}
 	switch kind {
 	case monitor.KindCPNN, monitor.KindKNN:
 		spec.Constraint = verify.Constraint{P: 0.3, Delta: 0.01} // /v1/cpnn's defaults
@@ -81,9 +78,6 @@ func decodeMonitorRequest(data []byte) (monitor.Spec, error) {
 			return monitor.Spec{}, err
 		}
 		spec.Strategy = strat
-	}
-	if kind == monitor.KindKNN && spec.Samples == 0 {
-		spec.Samples = core.DefaultKNNSamples
 	}
 	if err := spec.Validate(); err != nil {
 		return monitor.Spec{}, badRequest("%v", err)

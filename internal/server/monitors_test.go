@@ -334,7 +334,7 @@ func TestMetricsMonitorBlock(t *testing.T) {
 func FuzzMonitorRequest(f *testing.F) {
 	f.Add([]byte(`{"kind":"cpnn","q":7,"p":0.3,"delta":0.01}`))
 	f.Add([]byte(`{"kind":"pnn","q":-12.5}`))
-	f.Add([]byte(`{"kind":"knn","q":3,"p":0.5,"k":2,"samples":100,"seed":4}`))
+	f.Add([]byte(`{"kind":"knn","q":3,"p":0.5,"k":2}`))
 	f.Add([]byte(`{"kind":"cpnn","q":1e308,"strategy":"basic"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"kind":"cpnn","q":null}`))

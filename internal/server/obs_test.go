@@ -159,7 +159,7 @@ func TestMetricsParseSingleServer(t *testing.T) {
 	if rec := get(t, s, "/v1/pnn?q=500"); rec.Code != 200 {
 		t.Fatalf("pnn: %d", rec.Code)
 	}
-	if rec := get(t, s, "/v1/knn?q=300&k=2&p=0.3&samples=200"); rec.Code != 200 {
+	if rec := get(t, s, "/v1/knn?q=300&k=2&p=0.3"); rec.Code != 200 {
 		t.Fatalf("knn: %d", rec.Code)
 	}
 
@@ -211,7 +211,7 @@ func TestPhaseHistogramSkipsCacheHits(t *testing.T) {
 func TestKNNPhaseHistogram(t *testing.T) {
 	s := testServer(t, Config{})
 	defer s.Close()
-	if rec := get(t, s, "/v1/knn?q=300&k=2&p=0.3&samples=200"); rec.Code != 200 {
+	if rec := get(t, s, "/v1/knn?q=300&k=2&p=0.3"); rec.Code != 200 {
 		t.Fatalf("knn: %d %s", rec.Code, rec.Body)
 	}
 	fams := parseProm(t, get(t, s, "/metrics").Body.String())

@@ -113,7 +113,7 @@ func TestReplicaServesIdenticalAnswers(t *testing.T) {
 	for _, path := range []string{
 		"/v1/cpnn?q=13&p=0.3&delta=0.01",
 		"/v1/pnn?q=13",
-		"/v1/knn?q=13&k=2&p=0.3&samples=500&seed=7",
+		"/v1/knn?q=13&k=2&p=0.3",
 	} {
 		pw := doJSON(t, primary, http.MethodGet, path, "")
 		rw := doJSON(t, rep, http.MethodGet, path, "")

@@ -297,9 +297,8 @@ type view interface {
 	// version is the version a batch envelope reports.
 	version() uint64
 	// snapshot yields the snapshot that answers query point qq at filter
-	// depth k. ids, when non-nil, keys k-NN sampling streams by stable ID
-	// (see knnPayload).
-	snapshot(ctx context.Context, qq float64, k int) (snap *Snapshot, ids []uint64, err error)
+	// depth k.
+	snapshot(ctx context.Context, qq float64, k int) (*Snapshot, error)
 }
 
 // Server is a concurrent C-PNN query service over a swappable dataset
@@ -783,8 +782,6 @@ type knnResponse struct {
 	K       int          `json:"k"`
 	P       float64      `json:"p"`
 	Delta   float64      `json:"delta"`
-	Samples int          `json:"samples"`
-	Seed    int64        `json:"seed"`
 	Version uint64       `json:"version"`
 	Answers []answerJSON `json:"answers"`
 }
@@ -868,14 +865,14 @@ func cacheKey(kind, vk string, all bool, parts ...uint64) string {
 // view's snapshot and render it under the worker pool. Every backend and
 // every query endpoint routes through here.
 func (s *Server) serve(ctx context.Context, ep endpoint, v view, key string, qq float64, k int,
-	render func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error)) ([]byte, Source, error) {
+	render func(snap *Snapshot) ([]byte, core.Stats, error)) ([]byte, Source, error) {
 	return s.cc.Do(ctx, key, func() ([]byte, error) {
 		return s.evaluate(func() ([]byte, error) {
-			snap, ids, err := v.snapshot(ctx, qq, k)
+			snap, err := v.snapshot(ctx, qq, k)
 			if err != nil {
 				return nil, err
 			}
-			body, st, err := render(snap, ids)
+			body, st, err := render(snap)
 			if err == nil {
 				s.observePhases(ctx, ep, st)
 			}
@@ -922,7 +919,7 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
 	key := cacheKey("cpnn", v.key(), all,
 		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), uint64(strat))
-	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) {
+	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot) ([]byte, core.Stats, error) {
 		return cpnnPayload(snap, qq, c, strat, all)
 	})
 }
@@ -977,7 +974,7 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 	qq := s.snapPoint(q)
 	key := cacheKey("pnn", v.key(), false, math.Float64bits(qq))
 	body, src, err := s.serve(r.Context(), epPNN, v, key, qq, 1,
-		func(snap *Snapshot, _ []uint64) ([]byte, core.Stats, error) {
+		func(snap *Snapshot) ([]byte, core.Stats, error) {
 			return pnnPayload(snap, qq)
 		})
 	if err != nil {
@@ -1038,28 +1035,14 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("parameter \"k\" must be >= 1, got %d", k))
 		return
 	}
-	samples, err := queryIntDefault(r, "samples", core.DefaultKNNSamples)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if samples < 1 {
-		s.writeError(w, badRequest("parameter \"samples\" must be >= 1, got %d", samples))
-		return
-	}
-	seed, err := queryIntDefault(r, "seed", 1)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
 	all := r.URL.Query().Get("all") == "1"
 
 	qq := s.snapPoint(q)
 	key := cacheKey("knn", v.key(), all, math.Float64bits(qq), math.Float64bits(c.P),
-		math.Float64bits(c.Delta), uint64(k), uint64(samples), uint64(seed))
+		math.Float64bits(c.Delta), uint64(k))
 	body, src, err := s.serve(r.Context(), epKNN, v, key, qq, k,
-		func(snap *Snapshot, ids []uint64) ([]byte, core.Stats, error) {
-			return knnPayload(snap, qq, c, k, samples, int64(seed), all, ids)
+		func(snap *Snapshot) ([]byte, core.Stats, error) {
+			return knnPayload(snap, qq, c, k, all)
 		})
 	if err != nil {
 		s.writeError(w, err)
@@ -1069,39 +1052,24 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 }
 
 // knnPayload evaluates one C-kNN query against a snapshot and renders the
-// response body. ids, when non-nil, keys each object's sampling RNG stream
-// by its stable ID instead of its dense index: the scatter-gather path uses
-// it so answers are invariant to how the data is sharded (at the price of
-// diverging from a single snapshot server's dense streams for the same
-// seed).
-func knnPayload(snap *Snapshot, qq float64, c verify.Constraint, k, samples int, seed int64, all bool, ids []uint64) ([]byte, core.Stats, error) {
-	answers, st, err := snap.Engine.CKNN(qq, c, core.KNNOptions{
-		K:       k,
-		Samples: samples,
-		Seed:    seed,
-		IDs:     ids,
-	})
+// response body, like cpnnPayload: the satisfying objects, or with all every
+// candidate, each with its exact k-NN probability as a point bound.
+func knnPayload(snap *Snapshot, qq float64, c verify.Constraint, k int, all bool) ([]byte, core.Stats, error) {
+	answers, st, err := snap.Engine.CKNN(qq, c, core.KNNOptions{K: k})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	resp := knnResponse{
+	if !all {
+		answers = slices.DeleteFunc(answers, func(a core.KNNAnswer) bool { return a.Status != verify.Satisfy })
+	}
+	body, err := json.Marshal(knnResponse{
 		Query:   qq,
 		K:       k,
 		P:       c.P,
 		Delta:   c.Delta,
-		Samples: samples,
-		Seed:    seed,
 		Version: snap.Version,
-		Answers: []answerJSON{}, // marshal as [], not null, like the other endpoints
-	}
-	for _, a := range answers {
-		if !all && a.Status != verify.Satisfy {
-			continue
-		}
-		resp.Answers = append(resp.Answers,
-			answerJSON{ID: snap.oid(a.ID), L: a.Bounds.L, U: a.Bounds.U, Status: a.Status.String()})
-	}
-	body, err := json.Marshal(resp)
+		Answers: toAnswers(answers, snap),
+	})
 	return body, st, err
 }
 

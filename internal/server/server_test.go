@@ -106,7 +106,7 @@ func TestCacheByteIdentity(t *testing.T) {
 		"/v1/cpnn?q=500&p=0.2&delta=0.01",
 		"/v1/cpnn?q=500&p=0.2&delta=0.01&strategy=basic&all=1",
 		"/v1/pnn?q=313.7",
-		"/v1/knn?q=250&k=3&p=0.1&samples=2000&seed=5",
+		"/v1/knn?q=250&k=3&p=0.1",
 	}
 	for _, url := range urls {
 		first := get(t, cached, url)
@@ -172,7 +172,6 @@ func TestInputValidation(t *testing.T) {
 		{"knn missing k", "/v1/knn?q=1&p=0.3"},
 		{"knn zero k", "/v1/knn?q=1&k=0"},
 		{"knn negative k", "/v1/knn?q=1&k=-2"},
-		{"knn bad samples", "/v1/knn?q=1&k=2&samples=0"},
 		{"knn bad P", "/v1/knn?q=1&k=2&p=7"},
 		{"pnn missing q", "/v1/pnn"},
 	}
@@ -487,7 +486,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		"/v1/cpnn?q=100&p=0.2",
 		"/v1/cpnn?q=402&p=0.3&strategy=refine",
 		"/v1/pnn?q=250",
-		"/v1/knn?q=333&k=2&p=0.1&samples=500",
+		"/v1/knn?q=333&k=2&p=0.1",
 		"/healthz",
 		"/metrics",
 	}

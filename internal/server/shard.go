@@ -76,26 +76,25 @@ func (v *routerView) version() uint64 { return v.rt.VersionSum() }
 // runs over the merged mini-dataset through the scan index the router
 // attached to it (no R-tree is built per query), the version is the cut's
 // member-version sum, and IDs translate the mini-dataset's dense IDs back to
-// cluster-wide stable IDs. The same IDs key the k-NN sampling streams: the
-// answer must not depend on how the candidates happen to be sharded.
-func (v *routerView) snapshot(ctx context.Context, qq float64, k int) (*Snapshot, []uint64, error) {
+// cluster-wide stable IDs.
+func (v *routerView) snapshot(ctx context.Context, qq float64, k int) (*Snapshot, error) {
 	g, err := v.rt.Gather(ctx, qq, k)
 	if err != nil {
-		return nil, nil, shardError(err)
+		return nil, shardError(err)
 	}
 	if ri := obs.ReqInfoFrom(ctx); ri != nil {
 		ri.Set("fanout", strconv.Itoa(g.Fanout)) // shards the gather phase read
 	}
 	eng, err := core.NewEngineWithIndex(g.View.Dataset, g.View.Index)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return &Snapshot{
 		Engine:  eng,
 		Version: g.Version,
 		Source:  "shards",
 		IDs:     g.View.IDs,
-	}, g.View.IDs, nil
+	}, nil
 }
 
 func (b *routerBackend) admit() (view, error) {

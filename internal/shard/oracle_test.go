@@ -67,7 +67,7 @@ func oracleSpecs(rng *rand.Rand, domain float64, seed int64) []monitor.Spec {
 		case 2:
 			specs = append(specs, monitor.Spec{Kind: monitor.KindKNN, Q: q,
 				Constraint: verify.Constraint{P: 0.4, Delta: 0.05},
-				K:          2, Samples: 400, Seed: seed})
+				K:          2})
 		}
 	}
 	return specs

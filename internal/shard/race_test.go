@@ -93,7 +93,7 @@ func TestShardConcurrency(t *testing.T) {
 		case 2:
 			specs = append(specs, monitor.Spec{Kind: monitor.KindKNN, Q: q,
 				Constraint: verify.Constraint{P: 0.4, Delta: 0.05},
-				K:          2, Samples: 300, Seed: 7})
+				K:          2})
 		}
 	}
 	clientView := map[uint64][]byte{}

@@ -221,10 +221,10 @@ func FuzzBuild(f *testing.F) {
 
 		// Rebuild into a dirty table must match the fresh build bit for bit.
 		dirty := new(Table)
-		if err := dirty.Rebuild(cands[:1]); err != nil {
+		if err := dirty.Rebuild(cands[:1], 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := dirty.Rebuild(cands); err != nil {
+		if err := dirty.Rebuild(cands, 1); err != nil {
 			t.Fatalf("Rebuild failed where Build succeeded: %v", err)
 		}
 		if dirty.NumSubregions() != m || dirty.NumCandidates() != tb.NumCandidates() {

@@ -4,10 +4,12 @@
 // Given the candidate set of a query — each candidate represented by its
 // distance pdf — the space of distances is partitioned at "end-points": every
 // candidate's near point, every point where a distance pdf changes value
-// (histogram bin edges) below f_min, plus f_min and f_max. Adjacent
+// (histogram bin edges) below the cut, plus the cut and f_max. Adjacent
 // end-points delimit subregions S_1..S_M; the rightmost subregion
-// S_M = [f_min, f_max] is never subdivided because no object located beyond
-// f_min can be the nearest neighbor.
+// S_M = [cut, f_max] is never subdivided. A table is built for a neighbor
+// count k, and its cut is f_k, the k-th smallest far point: an object
+// located beyond f_k has k objects certainly closer, so it is not among the
+// k nearest. At k = 1 the cut is the paper's f_min.
 //
 // For every candidate X_i and subregion S_j the table records the subregion
 // probability s_ij = Pr(R_i ∈ S_j) and the distance cdf D_i(e_j) at the
@@ -48,7 +50,9 @@ type Table struct {
 	ends  []float64
 	m     int // number of subregions
 
-	fMin, fMax float64
+	k    int     // neighbor count the cut is placed for
+	cut  float64 // f_k, the k-th smallest far point
+	fMax float64
 
 	s    []float64 // |C| × M subregion probabilities, row-major
 	d    []float64 // |C| × (M+1) distance cdf at each end-point, row-major
@@ -96,13 +100,11 @@ type rankKey struct {
 // set.
 var ErrNoCandidates = errors.New("subregion: empty candidate set")
 
-// Build constructs the subregion table for a candidate set. Candidates whose
-// near point lies beyond f_min contribute nothing (their qualification
-// probability is zero); Build returns an error for them so that callers
-// notice broken filtering instead of silently mis-ranking.
+// Build constructs the subregion table of a nearest-neighbor query (k = 1)
+// for a candidate set; see Rebuild.
 func Build(cands []Candidate) (*Table, error) {
 	t := new(Table)
-	if err := t.Rebuild(cands); err != nil {
+	if err := t.Rebuild(cands, 1); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -114,10 +116,19 @@ func Build(cands []Candidate) (*Table, error) {
 // dominant allocation of a C-PNN evaluation) is paid once per scratch, not
 // once per query. Any data
 // previously read from the table is invalidated. The zero Table is ready for
-// Rebuild; the semantics are exactly Build's.
-func (t *Table) Rebuild(cands []Candidate) error {
+// Rebuild.
+//
+// The cut is placed for k nearest neighbors (k >= 1): at the k-th smallest
+// far point of the candidates, or at the largest when there are fewer than
+// k. Candidates whose near point lies beyond the cut cannot be among the k
+// nearest; Rebuild returns an error for them so that callers notice broken
+// filtering instead of silently mis-ranking.
+func (t *Table) Rebuild(cands []Candidate, k int) error {
 	if len(cands) == 0 {
 		return ErrNoCandidates
+	}
+	if k < 1 {
+		return fmt.Errorf("subregion: k = %d < 1", k)
 	}
 	t.order = grow(t.order, len(cands))
 	for i, c := range cands {
@@ -139,21 +150,32 @@ func (t *Table) Rebuild(cands []Candidate) error {
 	})
 	t.ids = grow(t.ids, len(cands))
 	t.dists = grow(t.dists, len(cands))
-	t.fMin = math.Inf(1)
+	t.k = k
+	t.cut = math.Inf(1)
 	t.fMax = math.Inf(-1)
-	for rank, k := range t.order {
-		c := cands[k.idx]
+	for rank, key := range t.order {
+		c := cands[key.idx]
 		t.ids[rank] = c.ID
 		t.dists[rank] = c.Dist
 		hi := c.Dist.Support().Hi
-		t.fMin = math.Min(t.fMin, hi)
+		t.cut = math.Min(t.cut, hi)
 		t.fMax = math.Max(t.fMax, hi)
 	}
+	if k > 1 {
+		// buildEndpoints refills pts, so it can hold the far points meanwhile.
+		fars := t.pts[:0]
+		for _, dh := range t.dists {
+			fars = append(fars, dh.Support().Hi)
+		}
+		slices.Sort(fars)
+		t.cut = fars[min(k, len(fars))-1]
+		t.pts = fars
+	}
 	for i, dh := range t.dists {
-		if dh.Support().Lo > t.fMin {
+		if dh.Support().Lo > t.cut {
 			return fmt.Errorf(
-				"subregion: candidate %d has near point %g beyond f_min %g; filtering should have pruned it",
-				t.ids[i], dh.Support().Lo, t.fMin)
+				"subregion: candidate %d has near point %g beyond the cut %g; filtering should have pruned it",
+				t.ids[i], dh.Support().Lo, t.cut)
 		}
 	}
 
@@ -164,29 +186,29 @@ func (t *Table) Rebuild(cands []Candidate) error {
 }
 
 // buildEndpoints assembles the sorted, deduplicated end-point list: near
-// points, distance-pdf breakpoints strictly below f_min, then f_min and
+// points, distance-pdf breakpoints strictly below the cut, then the cut and
 // f_max (paper: "no end points are defined between (e5, e6)").
 func (t *Table) buildEndpoints() {
 	pts := t.pts[:0]
 	for _, dh := range t.dists {
 		pts = append(pts, dh.Support().Lo)
 		for _, e := range dh.Edges() {
-			if e < t.fMin {
+			if e < t.cut {
 				pts = append(pts, e)
 			}
 		}
 	}
-	pts = append(pts, t.fMin)
-	if t.fMax > t.fMin {
+	pts = append(pts, t.cut)
+	if t.fMax > t.cut {
 		pts = append(pts, t.fMax)
 	} else {
 		// All far points coincide: the rightmost subregion degenerates, but
 		// the partition still needs at least one subregion; extend by an
 		// empty-width guard only when every candidate shares near == far,
-		// which cannot happen for valid pdfs, so fMax == fMin simply means
+		// which cannot happen for valid pdfs, so fMax == cut simply means
 		// a zero-width rightmost region that we merge away by adding a
 		// sentinel just above it.
-		pts = append(pts, math.Nextafter(t.fMin, math.Inf(1)))
+		pts = append(pts, math.Nextafter(t.cut, math.Inf(1)))
 	}
 	sort.Float64s(pts)
 	t.pts = pts // keep the grown capacity for the next Rebuild
@@ -284,8 +306,9 @@ func marchCDF(dh *pdf.Histogram, ends []float64, out []float64) {
 // incremental re-verification path's table maintenance primitive — a commit
 // that re-derived k folds patches them in one at a time instead of
 // reassembling the candidate slice — and is exactly equivalent to Rebuild on
-// the edited candidate set (FuzzIncrementalPatch pins this). Evicting the
-// last candidate returns ErrNoCandidates and leaves the table unchanged.
+// the edited candidate set at the table's k (FuzzIncrementalPatch pins
+// this). Evicting the last candidate returns ErrNoCandidates and leaves the
+// table unchanged.
 func (t *Table) Patch(upsert *Candidate, evict int) error {
 	cands := t.patchBuf[:0]
 	replaced := false
@@ -307,7 +330,7 @@ func (t *Table) Patch(upsert *Candidate, evict int) error {
 	if len(cands) == 0 {
 		return ErrNoCandidates
 	}
-	return t.Rebuild(cands)
+	return t.Rebuild(cands, t.k)
 }
 
 // NumCandidates returns |C|, the candidate-set size.
@@ -326,8 +349,12 @@ func (t *Table) Dist(i int) *pdf.Histogram { return t.dists[i] }
 // not mutate it.
 func (t *Table) Endpoints() []float64 { return t.ends }
 
-// FMin returns the minimum far point of the candidate set.
-func (t *Table) FMin() float64 { return t.fMin }
+// K returns the neighbor count the table's cut is placed for.
+func (t *Table) K() int { return t.k }
+
+// Cut returns the cut f_k: the k-th smallest far point of the candidate set,
+// f_min at k = 1.
+func (t *Table) Cut() float64 { return t.cut }
 
 // FMax returns the maximum far point of the candidate set.
 func (t *Table) FMax() float64 { return t.fMax }

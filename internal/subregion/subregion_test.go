@@ -48,8 +48,8 @@ func TestBuildHandExampleStructure(t *testing.T) {
 			t.Fatalf("ends[%d] = %g, want %g", i, ends[i], wantEnds[i])
 		}
 	}
-	if tb.FMin() != 5 || tb.FMax() != 8 {
-		t.Errorf("fMin/fMax = %g/%g, want 5/8", tb.FMin(), tb.FMax())
+	if tb.Cut() != 5 || tb.FMax() != 8 {
+		t.Errorf("fMin/fMax = %g/%g, want 5/8", tb.Cut(), tb.FMax())
 	}
 	// Candidates sorted by near point: IDs 10, 20, 30.
 	ids := tb.IDs()
@@ -141,8 +141,8 @@ func TestBuildSingleCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// f_min == f_max == 7: the rightmost subregion is the synthetic sliver.
-	if tb.FMin() != 7 || tb.FMax() != 7 {
-		t.Errorf("fMin/fMax = %g/%g", tb.FMin(), tb.FMax())
+	if tb.Cut() != 7 || tb.FMax() != 7 {
+		t.Errorf("fMin/fMax = %g/%g", tb.Cut(), tb.FMax())
 	}
 	if got := tb.RightmostMass(0); got != 0 {
 		t.Errorf("single candidate rightmost mass = %g, want 0", got)
@@ -263,7 +263,7 @@ func TestTableInvariants(t *testing.T) {
 		}
 		// When f_min == f_max (single effective candidate) the rightmost
 		// subregion is a synthetic sliver just above f_min.
-		return ends[m-1] == tb.FMin() && ends[m] >= tb.FMax()
+		return ends[m-1] == tb.Cut() && ends[m] >= tb.FMax()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -292,7 +292,7 @@ func TestEndpointsIncludePDFBreaks(t *testing.T) {
 	// Breakpoints at or above f_min (here 3) must NOT appear except f_min
 	// and f_max themselves.
 	for _, e := range tb.Endpoints() {
-		if e > tb.FMin() && e < tb.FMax() {
+		if e > tb.Cut() && e < tb.FMax() {
 			t.Errorf("end-point %g inside the rightmost subregion", e)
 		}
 	}
@@ -329,7 +329,7 @@ func TestRebuildReuseMatchesFresh(t *testing.T) {
 	// Dirty a reused table with a larger set, then Rebuild over each target
 	// set and compare against a fresh Build, field by field.
 	reused := new(Table)
-	if err := reused.Rebuild(gen(99, 24)); err != nil {
+	if err := reused.Rebuild(gen(99, 24), 1); err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -338,7 +338,7 @@ func TestRebuildReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := reused.Rebuild(cands); err != nil {
+		if err := reused.Rebuild(cands, 1); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := reused.NumCandidates(), fresh.NumCandidates(); got != want {
@@ -347,7 +347,7 @@ func TestRebuildReuseMatchesFresh(t *testing.T) {
 		if got, want := reused.NumSubregions(), fresh.NumSubregions(); got != want {
 			t.Fatalf("seed %d: %d subregions, want %d", seed, got, want)
 		}
-		if reused.FMin() != fresh.FMin() || reused.FMax() != fresh.FMax() {
+		if reused.Cut() != fresh.Cut() || reused.FMax() != fresh.FMax() {
 			t.Fatalf("seed %d: fmin/fmax differ", seed)
 		}
 		for j, e := range fresh.Endpoints() {
@@ -381,5 +381,39 @@ func TestRebuildReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("seed %d: Count(%d) differs", seed, j)
 			}
 		}
+	}
+}
+
+// TestRebuildCutsAtK: a table built for k cuts at the k-th smallest far
+// point (the largest when k exceeds |C|), rejects a candidate whose near
+// point lies beyond that cut, and Patch keeps the table's k.
+func TestRebuildCutsAtK(t *testing.T) {
+	u := func(id int, lo, hi float64) Candidate {
+		return Candidate{ID: id, Dist: pdf.MustHistogram([]float64{lo, hi}, []float64{1})}
+	}
+	cands := []Candidate{u(1, 0, 4), u(2, 1, 3), u(3, 2, 6), u(4, 3.5, 5)}
+	var tb Table
+	for k, want := range map[int]float64{2: 4, 3: 5, 4: 6, 9: 6} {
+		if err := tb.Rebuild(cands, k); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if tb.K() != k || tb.Cut() != want {
+			t.Fatalf("k=%d: table k %d, cut %g, want %g", k, tb.K(), tb.Cut(), want)
+		}
+	}
+	if err := tb.Rebuild(cands, 1); err == nil {
+		t.Fatal("k=1 accepted a candidate whose near point 3.5 lies beyond f_min 3")
+	}
+	if err := tb.Rebuild(cands, 0); err == nil {
+		t.Fatal("k=0 accepted")
+	}
+	if err := tb.Rebuild(cands, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Patch(nil, 4); err != nil {
+		t.Fatal(err)
+	}
+	if tb.K() != 2 || tb.Cut() != 4 {
+		t.Fatalf("after Patch: k %d, cut %g, want 2, 4", tb.K(), tb.Cut())
 	}
 }
