@@ -464,6 +464,9 @@ func (e *Engine) CKNN(q float64, c verify.Constraint, opt KNNOptions) ([]KNNAnsw
 	if err != nil || k == 0 {
 		return nil, st, err
 	}
+	if k == e.ds.Len() {
+		return e.knnCertain(q, k, c, &st), st, nil
+	}
 	sc := borrow()
 	defer sc.park()
 	_, table, err := e.prepare(q, k, opt.Bins, true, sc, &st)
@@ -492,6 +495,23 @@ func (e *Engine) knnBegin(q float64, c verify.Constraint, opt *KNNOptions) (int,
 		opt.Bins = dist.DefaultBins
 	}
 	return min(opt.K, e.ds.Len()), nil
+}
+
+// knnCertain answers CKNN and KNNIncremental when k is the dataset size:
+// every object gets the point bound [1, 1], without a table, whose |C|·M
+// floats would grow with the square of the dataset.
+func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []KNNAnswer {
+	start := time.Now()
+	pos, cut := e.candidates(q, k)
+	st.FilterTime = time.Since(start)
+	st.Candidates, st.FMin = len(pos), cut
+	b := verify.Bounds{L: 1, U: 1}
+	out := make([]KNNAnswer, len(pos))
+	for i, d := range pos {
+		out[i] = KNNAnswer{ID: e.id(d), Bounds: b, Status: verify.Classify(b, c)}
+	}
+	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
+	return out
 }
 
 // knnClassify finishes a constrained k-NN over a table cut at f_k, shared by

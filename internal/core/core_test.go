@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -342,6 +343,47 @@ func TestCKNNKEqualsOneMatchesPNN(t *testing.T) {
 		if !ok || a.Bounds.L != a.Bounds.U || math.Abs(a.Bounds.L-p) > 1e-12 {
 			t.Errorf("object %d: CKNN bound [%.17g, %.17g], PNN %.17g (candidate: %v)",
 				a.ID, a.Bounds.L, a.Bounds.U, p, ok)
+		}
+	}
+}
+
+// TestCKNNLargeK: a k at or beyond the dataset size answers every object
+// with probability 1 without building a table — its memory stays linear in
+// n, where a table over all n candidates holds |C|·M floats — and k = n/2
+// still integrates to a total mass of exactly k.
+func TestCKNNLargeK(t *testing.T) {
+	const n = 2000
+	e := genEngine(t, n, 29)
+	q := 500.0
+	c := verify.Constraint{P: 0.5, Delta: 0.01}
+	for _, k := range []int{n / 2, n, 1 << 40} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, st, err := e.CKNN(q, c, KNNOptions{K: k})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, a := range out {
+			if a.Bounds.L != a.Bounds.U || a.Bounds.L < 0 || a.Bounds.L > 1 {
+				t.Fatalf("k=%d: object %d bound [%g, %g]", k, a.ID, a.Bounds.L, a.Bounds.U)
+			}
+			sum += a.Bounds.L
+		}
+		if want := float64(min(k, n)); math.Abs(sum-want) > 1e-9 {
+			t.Errorf("k=%d: Σp = %.12g, want %g", k, sum, want)
+		}
+		if k < n {
+			continue
+		}
+		if len(out) != n || st.Candidates != n || st.Subregions != 0 || sum != n {
+			t.Errorf("k=%d: %d answers, %d candidates, %d subregions, Σp = %g; want every object at p = 1 and no table",
+				k, len(out), st.Candidates, st.Subregions, sum)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("k=%d: CKNN allocated %d bytes over %d objects, want < 1 MiB", k, got, n)
 		}
 	}
 }

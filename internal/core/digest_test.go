@@ -31,19 +31,19 @@ import (
 var answerDigests = map[string]string{
 	"uniform/stateless":         "6afc883f54d938366ed0c16203b29d693feeb3fbc824c3345508722551573ede",
 	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
-	"uniform/knn":               "206173dcdc3986403b5fbfa829b7be01cdf4adb02a40a101cc23646ce5780790",
+	"uniform/knn":               "da09641d3fea1c36e99c05ebdc64b7cdf5f162c5ad98815d5074cfdec26123c6",
 	"uniform/incremental":       "5e6b7aca6e61813c5d022486297e07164781408164c47412b4f16a4f41c893c7",
-	"uniform/knn-incremental":   "8c24813f63795b7144e910e2bde7355720e495fd20531b854d9428267dc4e966",
+	"uniform/knn-incremental":   "fe471b240b637b6328aaba74ec40824704924c213d80fa435a9b7ea0f79c2e16",
 	"histogram/stateless":       "4e27919fa4c5ac99e164889776025187566d18a510205422db414c7b1624ce5d",
 	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
-	"histogram/knn":             "0c6dd8532496d6e173b06b50beda85e84a28226b1dc70bb8737b0504221e9114",
+	"histogram/knn":             "1453650363e44d830175598c499f22a41e0b938ad74f866408a6bbfe256f41e8",
 	"histogram/incremental":     "97800e55db448a42341439c6af1e32d59f52d4a6c60ccb21814ab38d8674de16",
-	"histogram/knn-incremental": "68fb82cbc94ad562546be82f9187443b896beea19ab4c5a51cee41f533b79376",
+	"histogram/knn-incremental": "f0e099530317847e03c8d2988bb88c5bf7166548e8a5cabdc0e3114cb3201115",
 	"gaussian/stateless":        "4e97a85b5d643617cb8985ba8a8333ee7d68af3022f7649143cd29efed4c219b",
 	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
-	"gaussian/knn":              "5adac4f5ddd4ce6b1440378566073617fe55b1f2afa859f3a30e6ddb5198b789",
+	"gaussian/knn":              "8ef38d73b1567a928ba969fb039a7d9c87b7a3e0356057dc0b07e99b19042246",
 	"gaussian/incremental":      "2b1ef7777fa64777d2e58fe46bc62db5d8f8d15bc2b477de664b2ae971f14051",
-	"gaussian/knn-incremental":  "c79f5d2855460c8e17f1c7794be30eac01f612c9a292c56a231f1a2dbe668dec",
+	"gaussian/knn-incremental":  "1e51f4c8fd6f63ccd6ae73c7ffe4196b7a3e478cb6def87b3d8eddef74150235",
 	"disks/stateless":           "33b66858a1c76fb1648d9c6aa7087a0b150b046401986653fc85055a8420e9ea",
 }
 

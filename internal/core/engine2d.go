@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/geom"
@@ -79,36 +78,38 @@ func (s *source2D) check(q geom.Point) error {
 	return checkQuery(q.Y)
 }
 
-// candidates computes the 2-D candidate set at depth k: indexes into objs
-// of the objects whose near point is within f_k, plus f_k itself. The
-// R-tree bound uses bounding boxes (the k-th smallest box far point bounds
-// the circles' f_k from above, and the k boxes attaining it lie inside the
-// window); candidate circles then tighten f_k exactly before the near-point
-// prune.
-func (s *source2D) candidates(q geom.Point, k int) (candIdx []int, cut float64) {
+// candidates computes the 2-D candidate set: indexes into objs of the
+// objects whose near point is within f_min, plus f_min itself. The R-tree
+// bound uses bounding boxes (a valid upper bound on the minimal circle far
+// point); candidate circles then tighten f_min exactly before the near-point
+// prune. The 2-D engine answers C-PNN and PNN only, so it filters at k = 1;
+// a deeper filter waits for a 2-D k-NN caller.
+func (s *source2D) candidates(q geom.Point, k int) (candIdx []int, fMin float64) {
+	if k != 1 {
+		panic(fmt.Sprintf("core: 2-D filter at k = %d; only k = 1 is supported", k))
+	}
 	if len(s.objs) == 0 {
 		return nil, 0
 	}
-	boxes := s.tree.MinMaxDists(q, make([]float64, k))
-	fBox := boxes[len(boxes)-1]
+	fBox := s.tree.MinMaxDist(q)
 	window := geom.Rect{MinX: q.X - fBox, MinY: q.Y - fBox, MaxX: q.X + fBox, MaxY: q.Y + fBox}
 	var rough []int
 	s.tree.Search(window, func(_ geom.Rect, idx int) bool {
 		rough = append(rough, idx)
 		return true
 	})
-	fars := make([]float64, len(rough))
-	for i, idx := range rough {
-		fars[i] = s.objs[idx].Region.MaxDist(q)
-	}
-	slices.Sort(fars)
-	cut = fars[min(k, len(fars))-1]
+	fMin = math.Inf(1)
 	for _, idx := range rough {
-		if s.objs[idx].Region.MinDist(q) <= cut {
+		if f := s.objs[idx].Region.MaxDist(q); f < fMin {
+			fMin = f
+		}
+	}
+	for _, idx := range rough {
+		if s.objs[idx].Region.MinDist(q) <= fMin {
 			candIdx = append(candIdx, idx)
 		}
 	}
-	return candIdx, cut
+	return candIdx, fMin
 }
 
 func (s *source2D) id(pos int) int { return s.objs[pos].ID }

@@ -587,6 +587,11 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 		st.clear(0)
 		return nil, stats, inc, nil
 	}
+	if k == e.ds.Len() {
+		// No table to keep: the next evaluation re-derives from scratch.
+		st.Invalidate()
+		return e.knnCertain(q, k, c, &stats), stats, inc, nil
+	}
 	if err := e.incrementalPrepare(q, opt.Bins, k, true, st, ids, changed, &inc, &stats); err != nil {
 		return nil, stats, inc, err
 	}

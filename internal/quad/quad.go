@@ -13,10 +13,12 @@ import (
 // MaxGaussNodes bounds the cached Gauss–Legendre rule size.
 const MaxGaussNodes = 256
 
-var (
-	glMu    sync.Mutex
-	glCache = map[int]glRule{}
-)
+// glRules caches every rule size; a rule is computed on first use, and a
+// cached read takes no lock, so concurrent refinements never serialize here.
+var glRules [MaxGaussNodes + 1]struct {
+	once sync.Once
+	glRule
+}
 
 type glRule struct {
 	nodes, weights []float64
@@ -29,13 +31,8 @@ func GaussLegendre(n int) (nodes, weights []float64, err error) {
 	if n < 1 || n > MaxGaussNodes {
 		return nil, nil, fmt.Errorf("quad: gauss rule size %d outside [1, %d]", n, MaxGaussNodes)
 	}
-	glMu.Lock()
-	defer glMu.Unlock()
-	if r, ok := glCache[n]; ok {
-		return r.nodes, r.weights, nil
-	}
-	r := computeGaussLegendre(n)
-	glCache[n] = r
+	r := &glRules[n]
+	r.once.Do(func() { r.glRule = computeGaussLegendre(n) })
 	return r.nodes, r.weights, nil
 }
 

@@ -166,3 +166,93 @@ func TestKNNExactAtKOneIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNExactAllAtKBeyondCandidates: with k >= |C| every candidate is among
+// the k nearest, so ExactAll answers 1 each and allocates only its result —
+// no count distribution as wide as k.
+func TestKNNExactAllAtKBeyondCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var hs []*pdf.Histogram
+	for len(hs) < 200 {
+		hs = append(hs, randomDistances(rng)...)
+	}
+	for _, k := range []int{len(hs), 1 << 40} {
+		tb := tableFor(t, hs, k)
+		var got []float64
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if got, err = ExactAll(tb); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("k=%d: ExactAll made %v allocations, want 1", k, allocs)
+		}
+		for i, p := range got {
+			if p != 1 {
+				t.Fatalf("k=%d candidate %d: p = %g, want 1", k, i, p)
+			}
+		}
+	}
+}
+
+// TestKNNReducedRuleMatchesExactRule: deep in an overlap ExactAll integrates
+// with the few nodes its remainder bound allows, not half the candidate
+// count. On 60 distance pdfs that all start at 0 it must agree within 1e-13
+// with a plain per-candidate count DP integrated by the exact-size rule.
+func TestKNNReducedRuleMatchesExactRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	hs := make([]*pdf.Histogram, 60)
+	for i := range hs {
+		// The distance from a query inside [q−a, q+b], a < b: density 2 up to
+		// a, 1 beyond.
+		a := 1 + rng.Float64()*20
+		b := a + 0.5 + rng.Float64()*20
+		hs[i] = pdf.MustHistogram([]float64{0, a, b}, []float64{2 * a, b - a})
+	}
+	for _, k := range []int{1, 3, 10} {
+		tb := tableFor(t, hs, k)
+		got, err := ExactAll(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nC := tb.NumCandidates()
+		for i := range got {
+			want := 0.0
+			for j := 0; j < tb.NumSubregions()-1; j++ {
+				if tb.S(i, j) == 0 {
+					continue
+				}
+				nodes, weights, err := quad.GaussLegendre(AutoGLNodes(tb.Count(j)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				avg := 0.0
+				for l, x := range nodes {
+					frac := (x + 1) / 2
+					dist := make([]float64, k) // counts 0..k−1 of the others within r
+					dist[0] = 1
+					for o := 0; o < nC; o++ {
+						if o == i {
+							continue
+						}
+						d := tb.D(o, j) + (tb.D(o, j+1)-tb.D(o, j))*frac
+						for c := k - 1; c > 0; c-- {
+							dist[c] = dist[c]*(1-d) + dist[c-1]*d
+						}
+						dist[0] *= 1 - d
+					}
+					g := 0.0
+					for _, p := range dist {
+						g += p
+					}
+					avg += weights[l] / 2 * g
+				}
+				want += tb.S(i, j) * avg
+			}
+			if math.Abs(got[i]-want) > 1e-13 {
+				t.Fatalf("k=%d candidate %d: ExactAll %.17g, exact-size rule %.17g", k, i, got[i], want)
+			}
+		}
+	}
+}

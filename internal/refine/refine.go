@@ -76,6 +76,33 @@ func AutoGLNodes(n int) int {
 	return n
 }
 
+// glTolerance bounds the quadrature error ExactAll admits in one subregion
+// average: below the rounding of the count distributions it integrates.
+const glTolerance = 1e-17
+
+// knnGLNodes returns the Gauss–Legendre rule size for a subregion average of
+// ExactAll's G over S_j, where count candidates have mass and the cdfs rise
+// by rise in total: the exact size AutoGLNodes(count), or fewer nodes when
+// the rule's remainder is provably below glTolerance. On t ∈ [0, 1] the
+// n-point remainder is (n!)⁴ / ((2n+1)·((2n)!)³) · G⁽²ⁿ⁾(ξ). G is multilinear
+// in cdfs D_a(t) = D_a(0) + β_a·t, so G⁽ᵐ⁾ sums m!·e_m(β) mixed partials, each
+// an alternating sum of 2ᵐ probabilities: |G⁽ᵐ⁾| ≤ 2ᵐ⁻¹·(Σ_a β_a)ᵐ. A
+// subregion deep in an overlap holds hundreds of candidates but little
+// mass, and needs a handful of nodes instead of half its candidate count.
+func knnGLNodes(count int, rise float64) int {
+	exact := AutoGLNodes(count)
+	logTol, logRise := math.Log(glTolerance), math.Log(rise)
+	for n := 2; n < exact; n++ {
+		nf := float64(n)
+		lgN, _ := math.Lgamma(nf + 1)
+		lg2N, _ := math.Lgamma(2*nf + 1)
+		if 4*lgN-math.Log(2*nf+1)-3*lg2N+(2*nf-1)*math.Ln2+2*nf*logRise <= logTol {
+			return n
+		}
+	}
+	return exact
+}
+
 // ExactSubregion returns q_ij — the exact probability that candidate i is
 // the nearest neighbor given R_i ∈ S_j — by Gauss–Legendre integration of
 // Π_{k≠i}(1 − D_k(r)) averaged over the subregion. Within a subregion every
@@ -148,32 +175,51 @@ func Exact(t *subregion.Table, i, glNodes int) (float64, error) {
 // where G_i(r) is the probability that at most k−1 of the other candidates
 // lie within r. Inside S_j every cdf is linear, so G_i is a polynomial of
 // degree at most c_j (Table.Count) and AutoGLNodes(c_j) Gauss–Legendre nodes
-// integrate it exactly; the rightmost subregion lies beyond the cut f_k and
+// integrate it exactly; knnGLNodes takes fewer where the rule's remainder is
+// provably below 1e-17. The rightmost subregion lies beyond the cut f_k and
 // adds nothing. At each node one prefix and one suffix pass of a
 // Poisson-binomial DP truncated at k give every leave-one-out G_i — at k = 1
 // the no-division prefix × suffix product the table's Excl column holds at
 // end-points. The passes run over the candidates whose cdf is strictly
 // between 0 and 1 on S_j: a finished one (D = 1) is within r for certain
 // and shifts the count by one, an unstarted one (D = 0) never is.
+//
+// The passes are as wide as a subregion can need, not as k. Let kk be k
+// less the finished candidates: where at most kk are active, at most kk−1
+// others can lie within r, every G_i is 1 and the subregion adds s_ij
+// unintegrated; otherwise c > kk active ones need (c+1)·kk prefix entries.
+// With k >= |C| every candidate is among the k nearest and p_i = 1
+// outright. Memory is therefore O(|C|·min(k, |C|)) and time
+// O(Σ_j nodes_j·c_j·kk).
 func ExactAll(t *subregion.Table) ([]float64, error) {
 	nC, k := t.NumCandidates(), t.K()
 	out := make([]float64, nC)
+	if k >= nC {
+		for i := range out {
+			out[i] = 1
+		}
+		return out, nil
+	}
 	active := make([]int, 0, nC)
-	d := make([]float64, nC)         // cdf at the current node, by active position
-	acc := make([]float64, nC)       // avg_{S_j} G, by active position
-	pre := make([]float64, (nC+1)*k) // row a: count distribution over active[:a]
-	suf := make([]float64, k)        // count distribution over active[a+1:]
+	// By active position: the cdf at S_j's left end, its rise over S_j, its
+	// value at the current node, and avg_{S_j} G.
+	buf := make([]float64, 4*nC)
+	d0, rise, d, acc := buf[:nC], buf[nC:2*nC], buf[2*nC:3*nC], buf[3*nC:]
+	var pre []float64         // row a: count distribution over active[:a]
+	suf := make([]float64, k) // cumulative count distribution over active[a+1:]
 	for j := 0; j < t.NumSubregions()-1; j++ {
 		if t.Count(j) == 0 {
 			continue
 		}
-		active, finished := active[:0], 0
+		active, finished, totalRise := active[:0], 0, 0.0
 		for i := 0; i < nC; i++ {
-			switch {
-			case t.D(i, j) >= 1:
+			switch lo, hi := t.D(i, j), t.D(i, j+1); {
+			case lo >= 1:
 				finished++
-			case t.D(i, j+1) > 0:
+			case hi > 0:
+				d0[len(active)], rise[len(active)] = lo, hi-lo
 				active = append(active, i)
+				totalRise += math.Abs(hi - lo)
 			}
 		}
 		// kk counts of the active others, 0..kk−1, leave i among the k nearest.
@@ -181,42 +227,54 @@ func ExactAll(t *subregion.Table) ([]float64, error) {
 		if kk <= 0 {
 			continue
 		}
-		nodes, weights, err := quad.GaussLegendre(AutoGLNodes(t.Count(j)))
+		if kk >= len(active) {
+			// At most len(active)−1 others lie within r: G_i = 1 on S_j.
+			for _, i := range active {
+				out[i] += t.S(i, j)
+			}
+			continue
+		}
+		if n := (len(active) + 1) * kk; cap(pre) < n {
+			pre = make([]float64, n)
+		}
+		nodes, weights, err := quad.GaussLegendre(knnGLNodes(t.Count(j), totalRise))
 		if err != nil {
 			return nil, err
 		}
 		clear(acc[:len(active)])
 		for l, x := range nodes {
 			frac := (x + 1) / 2
-			for a, i := range active {
-				d[a] = t.D(i, j) + (t.D(i, j+1)-t.D(i, j))*frac
+			for a := range active {
+				d[a] = d0[a] + rise[a]*frac
 			}
 			clear(pre[:kk])
 			pre[0] = 1
-			for a := range active {
+			for a, da := range d[:len(active)] {
 				prev, next := pre[a*kk:(a+1)*kk], pre[(a+1)*kk:(a+2)*kk]
-				next[0] = prev[0] * (1 - d[a])
-				for c := 1; c < kk; c++ {
-					next[c] = prev[c]*(1-d[a]) + prev[c-1]*d[a]
+				next[0] = prev[0] * (1 - da)
+				for c := 1; c < len(next); c++ {
+					next[c] = prev[c]*(1-da) + prev[c-1]*da
 				}
 			}
+			// The suffix is kept cumulative and reversed — suf[kk−1−c] is the
+			// probability that at most c of active[a+1:] lie within r — so
+			// G = Σ_{c+c' < kk} pre[c]·Pr(c' of the suffix) is one dot product.
 			suf := suf[:kk]
-			clear(suf)
-			suf[0] = 1
+			for c := range suf {
+				suf[c] = 1
+			}
 			w := weights[l] / 2 // the weights sum to 2 on [−1, 1]
 			for a := len(active) - 1; a >= 0; a-- {
-				// G = Σ_{c+c' < kk} pre[c]·suf[c'], the suffix summed as it goes.
-				prev := pre[a*kk : (a+1)*kk]
-				g, cum := 0.0, 0.0
-				for c := kk - 1; c >= 0; c-- {
-					cum += suf[kk-1-c]
-					g += prev[c] * cum
+				prev, da := pre[a*kk:(a+1)*kk], d[a]
+				g := 0.0
+				for c, p := range prev {
+					g += p * suf[c]
 				}
 				acc[a] += w * g
-				for c := kk - 1; c > 0; c-- {
-					suf[c] = suf[c]*(1-d[a]) + suf[c-1]*d[a]
+				for c := 0; c < len(suf)-1; c++ {
+					suf[c] = suf[c]*(1-da) + suf[c+1]*da
 				}
-				suf[0] *= 1 - d[a]
+				suf[kk-1] *= 1 - da
 			}
 		}
 		for a, i := range active {

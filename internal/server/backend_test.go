@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,6 +195,7 @@ func TestBackendParity(t *testing.T) {
 		{name: "bad strategy", method: "GET", path: "/v1/cpnn?q=1&strategy=monte-carlo", status: 400},
 		{name: "knn missing k", method: "GET", path: "/v1/knn?q=1", status: 400},
 		{name: "knn bad k", method: "GET", path: "/v1/knn?q=1&k=two", status: 400},
+		{name: "knn k over limit", method: "GET", path: fmt.Sprintf("/v1/knn?q=1&k=%d", maxK+1), status: 400},
 
 		// 400: bodies.
 		{name: "batch null point", method: "POST", path: "/v1/batch", body: `{"queries":[1,null]}`, status: 400},
@@ -221,6 +223,8 @@ func TestBackendParity(t *testing.T) {
 		{name: "dataset malformed", method: "POST", path: "/v1/dataset", body: "1 two\n", need: needDataset, status: 400},
 		{name: "monitor unknown field", method: "POST", path: "/v1/monitors", body: `{"kind":"pnn","q":1,"bogus":1}`, need: needMonitors, status: 400},
 		{name: "monitor knn samples", method: "POST", path: "/v1/monitors", body: `{"kind":"knn","q":1,"k":2,"samples":100}`, need: needMonitors, status: 400},
+		{name: "monitor knn k over limit", method: "POST", path: "/v1/monitors",
+			body: fmt.Sprintf(`{"kind":"knn","q":1,"k":%d}`, maxK+1), need: needMonitors, status: 400},
 
 		// 404, 405 + Allow.
 		{name: "delete unknown id", method: "DELETE", path: "/v1/objects?id=99999", need: needObjects, status: 404},

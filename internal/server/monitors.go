@@ -55,6 +55,9 @@ func decodeMonitorRequest(data []byte) (monitor.Spec, error) {
 	if err := checkFinite("q", req.Q); err != nil {
 		return monitor.Spec{}, err
 	}
+	if kind == monitor.KindKNN && req.K > maxK {
+		return monitor.Spec{}, badRequest("k = %d exceeds %d", req.K, maxK)
+	}
 	spec := monitor.Spec{Kind: kind, Q: req.Q, K: req.K}
 	switch kind {
 	case monitor.KindCPNN, monitor.KindKNN:

@@ -1031,8 +1031,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if k < 1 {
-		s.writeError(w, badRequest("parameter \"k\" must be >= 1, got %d", k))
+	if k < 1 || k > maxK {
+		s.writeError(w, badRequest("parameter \"k\" must be in [1, %d], got %d", maxK, k))
 		return
 	}
 	all := r.URL.Query().Get("all") == "1"
@@ -1050,6 +1050,11 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeCached(w, r, body, src)
 }
+
+// maxK is the largest neighbor count /v1/knn and k-NN monitors accept. A
+// k-NN query's table holds about k + (overlap depth) candidates and its
+// exact integration grows with k; EXPERIMENTS.md times k up to this bound.
+const maxK = 100
 
 // knnPayload evaluates one C-kNN query against a snapshot and renders the
 // response body, like cpnnPayload: the satisfying objects, or with all every

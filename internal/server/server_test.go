@@ -172,6 +172,7 @@ func TestInputValidation(t *testing.T) {
 		{"knn missing k", "/v1/knn?q=1&p=0.3"},
 		{"knn zero k", "/v1/knn?q=1&k=0"},
 		{"knn negative k", "/v1/knn?q=1&k=-2"},
+		{"knn k over limit", "/v1/knn?q=1&k=101"},
 		{"knn bad P", "/v1/knn?q=1&k=2&p=7"},
 		{"pnn missing q", "/v1/pnn"},
 	}
