@@ -308,13 +308,11 @@ func checkQuery(q float64) error {
 // CPNNIncremental.
 func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options, res *Result) (*Result, error) {
 	n := table.NumCandidates()
-	bounds := make([]verify.Bounds, n)
-	status := make([]verify.Status, n)
-	for i := range bounds {
-		bounds[i] = verify.Bounds{L: 0, U: 1}
-	}
-
-	var prior refine.Prior = refine.TrivialPrior{}
+	var (
+		bounds []verify.Bounds
+		status []verify.Status
+		prior  refine.Prior = refine.TrivialPrior{}
+	)
 	if opt.Strategy == VR {
 		start := time.Now()
 		vres, err := verify.Run(table, c, opt.Verifiers)
@@ -326,6 +324,12 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 		res.Stats.UnknownAfter = vres.UnknownAfter
 		bounds, status = vres.Bounds, vres.Status
 		prior = refine.VerifierPrior{}
+	} else {
+		bounds = make([]verify.Bounds, n)
+		status = make([]verify.Status, n)
+		for i := range bounds {
+			bounds[i] = verify.Bounds{L: 0, U: 1}
+		}
 	}
 
 	start := time.Now()

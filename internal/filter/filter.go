@@ -189,9 +189,10 @@ func DeleteEdit(region geom.Interval, id int) Edit {
 // BenchmarkIndexMaintenance).
 const rebuildFraction = 0.25
 
-// Apply produces the index of the next dataset generation: it deep-copies
-// the current tree (readers of this index are never disturbed — MVCC by
-// copy-on-write) and replays the edits onto the copy. When the edit stream
+// Apply produces the index of the next dataset generation: it clones the
+// current tree in O(1) (readers of this index are never disturbed — MVCC by
+// copy-on-write) and replays the edits onto the clone, each update as one
+// move (see applyEdits). When the edit stream
 // is large relative to the dataset it falls back to a bulk STR rebuild, the
 // amortization strategy for wholesale reloads. The returned index is bound
 // to ds; ix may be nil to force a bulk build. A scan index refuses it.
@@ -225,14 +226,32 @@ func (ix *Index) Tree() (*rtree.Tree[int], error) {
 	return ix.tree, nil
 }
 
+// applyEdits replays edits onto tree. A DeleteEdit directly followed by an
+// InsertEdit of the same ID — the pair the store emits for an update — is
+// one rtree.Tree.Move, which keeps a small move inside its leaf (the
+// lazy-update R-tree's rule) instead of deleting and reinserting the entry.
 func applyEdits(tree *rtree.Tree[int], ds *uncertain.Dataset, edits []Edit) (*Index, error) {
-	for _, e := range edits {
-		if e.Delete {
-			if !tree.Delete(e.Rect, func(id int) bool { return id == e.ID }) {
-				return nil, fmt.Errorf("filter: apply: no entry id=%d rect=%+v", e.ID, e.Rect)
-			}
-		} else if err := tree.Insert(e.Rect, e.ID); err != nil {
+	for i := 0; i < len(edits); i++ {
+		e := edits[i]
+		match := func(id int) bool { return id == e.ID }
+		var (
+			found = true
+			err   error
+		)
+		switch {
+		case e.Delete && i+1 < len(edits) && !edits[i+1].Delete && edits[i+1].ID == e.ID:
+			i++
+			found, err = tree.Move(e.Rect, edits[i].Rect, match)
+		case e.Delete:
+			found = tree.Delete(e.Rect, match)
+		default:
+			err = tree.Insert(e.Rect, e.ID)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("filter: apply: %w", err)
+		}
+		if !found {
+			return nil, fmt.Errorf("filter: apply: no entry id=%d rect=%+v", e.ID, e.Rect)
 		}
 	}
 	if tree.Len() != ds.Len() {

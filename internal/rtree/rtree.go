@@ -6,8 +6,8 @@
 // (MinMaxDists) and collects the candidate set with a window search.
 //
 // The tree supports Guttman-style insertion with quadratic splits, deletion
-// with reinsertion, window search, the best-first far-bound walk and
-// Sort-Tile-Recursive (STR) bulk loading.
+// with reinsertion, lazy-update moves, window search, the best-first
+// far-bound walk and Sort-Tile-Recursive (STR) bulk loading.
 package rtree
 
 import (
@@ -39,6 +39,12 @@ type Tree[T any] struct {
 	// copying), which makes Clone O(1) and a commit's index maintenance O(Δ·
 	// height) instead of O(n).
 	owner *cowOwner
+
+	// findPath and choosePath are the root-to-leaf buffers of findLeaf and
+	// chooseLeaf, reused by every mutation instead of grown afresh per call.
+	// They are writer state: Clone hands them to the clone, the tree a
+	// commit goes on mutating.
+	findPath, choosePath []*node[T]
 }
 
 // nnPool recycles best-first traversal queues across MinMaxDists calls (one
@@ -119,13 +125,17 @@ func (t *Tree[T]) Len() int { return t.size }
 // single-writer/concurrent-readers contract.
 func (t *Tree[T]) Clone() *Tree[T] {
 	t.owner = &cowOwner{}
-	return &Tree[T]{
+	c := &Tree[T]{
 		root:       t.root,
 		size:       t.size,
 		maxEntries: t.maxEntries,
 		minEntries: t.minEntries,
 		owner:      &cowOwner{},
+		findPath:   t.findPath,
+		choosePath: t.choosePath,
 	}
+	t.findPath, t.choosePath = nil, nil
+	return c
 }
 
 // Height returns the number of levels in the tree; an empty tree has height 1.
@@ -142,13 +152,18 @@ func (t *Tree[T]) Insert(rect geom.Rect, item T) error {
 	if !rect.IsValid() {
 		return fmt.Errorf("rtree: invalid rect %+v", rect)
 	}
-	leaf, path := t.chooseLeaf(rect)
-	leaf.entries = append(leaf.entries, entry[T]{rect: rect, item: item})
+	t.insertEntry(entry[T]{rect: rect, item: item})
 	t.size++
+	return nil
+}
+
+// insertEntry places a validated leaf entry, splitting on overflow.
+func (t *Tree[T]) insertEntry(e entry[T]) {
+	leaf, path := t.chooseLeaf(e.rect)
+	leaf.entries = append(leaf.entries, e)
 	if len(leaf.entries) > t.maxEntries {
 		t.splitAndPropagate(path)
 	}
-	return nil
 }
 
 // measure is the metric the insertion heuristics compare nodes by: area plus
@@ -173,11 +188,12 @@ func enlarge(r, other geom.Rect) float64 { return measure(r.Union(other)) - meas
 // MBRs in place, so every node on the path must be owned). It returns the
 // chosen leaf and the root-to-leaf path, which splitAndPropagate walks back
 // up — re-deriving the path afterwards would cost a full-tree search per
-// split and make insert cost track the tree size.
+// split and make insert cost track the tree size. The path aliases
+// t.choosePath and is valid until the next chooseLeaf.
 func (t *Tree[T]) chooseLeaf(rect geom.Rect) (*node[T], []*node[T]) {
 	t.root = t.mutable(t.root)
 	n := t.root
-	path := []*node[T]{n}
+	path := append(t.choosePath[:0], n)
 	for !n.leaf {
 		best := 0
 		bestEnl := math.Inf(1)
@@ -195,6 +211,7 @@ func (t *Tree[T]) chooseLeaf(rect geom.Rect) (*node[T], []*node[T]) {
 		n = child
 		path = append(path, n)
 	}
+	t.choosePath = path
 	return n, path
 }
 
@@ -316,13 +333,72 @@ func mbr[T any](n *node[T]) geom.Rect {
 // returns true. It reports whether an item was removed. Underfull nodes are
 // dissolved and their entries reinserted, per Guttman's CondenseTree.
 func (t *Tree[T]) Delete(rect geom.Rect, match func(T) bool) bool {
-	leafPath, idx := t.findLeaf(t.root, nil, rect, match)
-	if leafPath == nil {
+	path, idx := t.findLeaf(rect, match)
+	if path == nil {
 		return false
 	}
-	// Copy-on-write: replace every shared node on the path with an owned
-	// copy, re-linking each copy into its (already owned) parent.
-	for i, old := range leafPath {
+	t.deleteAt(path, idx)
+	return true
+}
+
+// Move replaces the rectangle of one item whose rectangle equals from and
+// for which match returns true with to. It reports whether an item was
+// found, and fails without touching the tree when to is invalid — Delete
+// followed by Insert, in one descent. It follows the lazy-update R-tree's
+// rule (Kwon, Lee & Lee, MDM 2002): when to fits the leaf's rectangle as
+// its parent records it (or the leaf is the root), the entry is rewritten in
+// place and only the ancestors' rectangles are re-tightened, bottom-up, up to
+// the first one that does not change. For a moving object's small step that
+// is most moves, and each costs one root-to-leaf path copy instead of a
+// CondenseTree delete plus a chooseLeaf insert. Otherwise the item is
+// deleted at the entry already found and inserted again.
+func (t *Tree[T]) Move(from, to geom.Rect, match func(T) bool) (bool, error) {
+	if !to.IsValid() {
+		return false, fmt.Errorf("rtree: invalid rect %+v", to)
+	}
+	path, idx := t.findLeaf(from, match)
+	if path == nil {
+		return false, nil
+	}
+	last := len(path) - 1
+	if last > 0 {
+		parent, leaf := path[last-1], path[last]
+		if !parent.entries[childIndex(parent, leaf)].rect.Contains(to) {
+			item := leaf.entries[idx].item
+			t.deleteAt(path, idx)
+			t.insertEntry(entry[T]{rect: to, item: item})
+			t.size++
+			return true, nil
+		}
+	}
+	t.ownPath(path)
+	path[last].entries[idx].rect = to
+	for i := last; i > 0; i-- {
+		e := &path[i-1].entries[childIndex(path[i-1], path[i])]
+		r := mbr(path[i])
+		if e.rect == r {
+			break
+		}
+		e.rect = r
+	}
+	return true, nil
+}
+
+// childIndex returns the index of child's entry in parent.
+func childIndex[T any](parent, child *node[T]) int {
+	for j := range parent.entries {
+		if parent.entries[j].child == child {
+			return j
+		}
+	}
+	panic("rtree: path node missing from its parent")
+}
+
+// ownPath makes every node of a root-to-leaf path owned by the tree:
+// copy-on-write replaces each shared node with an owned copy, re-linked into
+// its (already owned) parent.
+func (t *Tree[T]) ownPath(path []*node[T]) {
+	for i, old := range path {
 		m := t.mutable(old)
 		if m == old {
 			continue
@@ -330,42 +406,34 @@ func (t *Tree[T]) Delete(rect geom.Rect, match func(T) bool) bool {
 		if i == 0 {
 			t.root = m
 		} else {
-			parent := leafPath[i-1]
-			for j := range parent.entries {
-				if parent.entries[j].child == old {
-					parent.entries[j].child = m
-					break
-				}
-			}
+			parent := path[i-1]
+			parent.entries[childIndex(parent, old)].child = m
 		}
-		leafPath[i] = m
+		path[i] = m
 	}
-	leaf := leafPath[len(leafPath)-1]
+}
+
+// deleteAt removes entry idx of the leaf ending path (as found by findLeaf)
+// and condenses the tree.
+func (t *Tree[T]) deleteAt(path []*node[T], idx int) {
+	t.ownPath(path)
+	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
 
 	// Condense: walk up, collecting orphaned entries from underfull nodes.
 	var orphans []entry[T]
-	for i := len(leafPath) - 1; i > 0; i-- {
-		n := leafPath[i]
-		parent := leafPath[i-1]
+	for i := len(path) - 1; i > 0; i-- {
+		n := path[i]
+		parent := path[i-1]
+		j := childIndex(parent, n)
 		if len(n.entries) < t.minEntries {
 			// Remove n from parent and orphan its entries.
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
-					break
-				}
-			}
+			parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
 			orphans = append(orphans, n.entries...)
 		} else {
 			// Tighten the parent's MBR for n.
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries[j].rect = mbr(n)
-					break
-				}
-			}
+			parent.entries[j].rect = mbr(n)
 		}
 	}
 	// Shrink the root if it lost all children or has a single internal child.
@@ -379,17 +447,12 @@ func (t *Tree[T]) Delete(rect geom.Rect, match func(T) bool) bool {
 	for _, o := range orphans {
 		t.reinsert(o)
 	}
-	return true
 }
 
 func (t *Tree[T]) reinsert(e entry[T]) {
 	if e.child == nil {
 		// Leaf entry: plain insert (rect already validated on the way in).
-		leaf, path := t.chooseLeaf(e.rect)
-		leaf.entries = append(leaf.entries, e)
-		if len(leaf.entries) > t.maxEntries {
-			t.splitAndPropagate(path)
-		}
+		t.insertEntry(e)
 		return
 	}
 	var walk func(n *node[T])
@@ -408,30 +471,42 @@ func (t *Tree[T]) reinsert(e entry[T]) {
 }
 
 // findLeaf locates a leaf containing a matching entry, returning the root
-// path and the entry index. The descent prunes on containment only: a node's
-// entry rect is (a superset of) the MBR of its subtree, so a leaf entry equal
-// to rect can live only under ancestors whose rects contain rect. Descending
-// into merely-intersecting siblings — tempting as a safety net — turns every
-// delete into a near-full scan on overlap-heavy interval data and makes
-// commit cost track the dataset size instead of the batch size.
-func (t *Tree[T]) findLeaf(n *node[T], path []*node[T], rect geom.Rect, match func(T) bool) ([]*node[T], int) {
-	path = append(path, n)
+// path and the entry index, or nil. The descent prunes on containment only: a
+// node's entry rect is (a superset of) the MBR of its subtree, so a leaf
+// entry equal to rect can live only under ancestors whose rects contain rect.
+// Descending into merely-intersecting siblings — tempting as a safety net —
+// turns every delete into a near-full scan on overlap-heavy interval data and
+// makes commit cost track the dataset size instead of the batch size. The
+// path aliases t.findPath and is valid until the next findLeaf.
+func (t *Tree[T]) findLeaf(rect geom.Rect, match func(T) bool) ([]*node[T], int) {
+	t.findPath = t.findPath[:0]
+	if idx := t.findFrom(t.root, rect, match); idx >= 0 {
+		return t.findPath, idx
+	}
+	return nil, -1
+}
+
+// findFrom searches n's subtree with n's ancestors on t.findPath, leaving
+// the path to the leaf there on success.
+func (t *Tree[T]) findFrom(n *node[T], rect geom.Rect, match func(T) bool) int {
+	t.findPath = append(t.findPath, n)
 	if n.leaf {
 		for i := range n.entries {
 			if n.entries[i].rect == rect && match(n.entries[i].item) {
-				return path, i
+				return i
 			}
 		}
-		return nil, -1
-	}
-	for i := range n.entries {
-		if n.entries[i].rect.Contains(rect) {
-			if p, idx := t.findLeaf(n.entries[i].child, path, rect, match); p != nil {
-				return p, idx
+	} else {
+		for i := range n.entries {
+			if n.entries[i].rect.Contains(rect) {
+				if idx := t.findFrom(n.entries[i].child, rect, match); idx >= 0 {
+					return idx
+				}
 			}
 		}
 	}
-	return nil, -1
+	t.findPath = t.findPath[:len(t.findPath)-1]
+	return -1
 }
 
 // Search calls fn for every item whose rectangle intersects the window. fn

@@ -56,6 +56,24 @@ func BenchmarkStoreApply(b *testing.B) {
 			})
 		}
 	}
+	// The commit of the serving bench's monitor_push: N(0, 5) moves over
+	// 20,000 Long Beach objects, where most moves stay inside their R-tree
+	// leaf.
+	b.Run("longbeach-20k/batch=64", func(b *testing.B) {
+		f := newMovingFixture(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ops := f.batch()
+			b.StartTimer()
+			if _, err := f.s.Apply(ops); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*movingBatch)/b.Elapsed().Seconds(), "ops/s")
+	})
 }
 
 // BenchmarkIndexMaintenance compares the two strategies behind filter.Apply

@@ -165,7 +165,8 @@ type Stats struct {
 // overlay over the base checkpoint: recs keeps every object's support
 // interval resident, but decoded payloads only for objects written since the
 // last checkpoint — the rest are refs into st.base's record log. Commits
-// snapshot recs in O(n/ChunkSize) and share the slots backing array with
+// snapshot recs in O(n/ChunkSize) pointer copies and then copy only the
+// 64-slot chunks the batch writes, and share the slots backing array with
 // published views copy-on-write, so commit cost tracks the batch, not the
 // dataset.
 type state struct {

@@ -260,6 +260,10 @@ func Run(t *subregion.Table, c Constraint, verifiers []Verifier) (*Result, error
 		res.Bounds[i] = Bounds{L: 0, U: 1}
 	}
 	unknown := n
+	if n > 0 && len(verifiers) > 0 {
+		res.Applied = make([]string, 0, len(verifiers))
+		res.UnknownAfter = make([]int, 0, len(verifiers))
+	}
 	for _, v := range verifiers {
 		if unknown == 0 {
 			break
