@@ -6,7 +6,7 @@
 //	cpnn-datagen -o lb.txt                       # Long-Beach-like, uniform pdfs
 //	cpnn-datagen -pdf gauss -n 10000 -o g.txt    # Gaussian pdfs (300 bars)
 //	cpnn-datagen -pdf hist -n 500 -o h.txt       # random histogram pdfs
-//	cpnn-datagen -queries 512 -o q.txt           # query workload for -batch/-replay
+//	cpnn-datagen -queries 512 -o q.txt           # query workload for cpnn-query -batch
 package main
 
 import (

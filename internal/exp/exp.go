@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/uncertain"
 	"repro/internal/verify"
 )
@@ -42,7 +41,8 @@ type Config struct {
 	// GaussBars is the histogram resolution for Gaussian pdfs; 0 means 300
 	// (paper §V.5).
 	GaussBars int
-	// Tolerance is the default Δ; the paper's default is 0.01.
+	// Tolerance is the Δ every figure but Figure 13 (which sweeps Δ) runs
+	// at, exactly as given: 0 is Δ = 0. The paper uses 0.01.
 	Tolerance float64
 }
 
@@ -53,10 +53,31 @@ func (c Config) withDefaults() Config {
 	if c.GaussBars == 0 {
 		c.GaussBars = 300
 	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.01
-	}
 	return c
+}
+
+// mean accumulates the arithmetic mean the figures plot per data point.
+type mean struct {
+	sum float64
+	n   int
+}
+
+func (m *mean) add(v float64) {
+	m.sum += v
+	m.n++
+}
+
+// addDuration adds d in milliseconds.
+func (m *mean) addDuration(d time.Duration) {
+	m.add(float64(d) / float64(time.Millisecond))
+}
+
+// value returns the mean, or 0 when nothing was added.
+func (m *mean) value() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.sum / float64(m.n)
 }
 
 // Table is a printable experiment result: one labeled column per series.
@@ -129,18 +150,18 @@ func Figure9(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var filterMS, basicMS stats.Sample
+		var filterMS, basicMS mean
 		for _, q := range uncertain.QueryWorkload(cfg.Queries, opt.Domain, cfg.Seed+1) {
 			res, err := eng.CPNN(q, verify.Constraint{P: 0.3, Delta: cfg.Tolerance},
 				core.Options{Strategy: core.Basic, BasicSteps: cfg.BasicSteps})
 			if err != nil {
 				return nil, err
 			}
-			filterMS.AddDuration(res.Stats.FilterTime)
+			filterMS.addDuration(res.Stats.FilterTime)
 			// Basic's cost is everything after filtering.
-			basicMS.AddDuration(res.Stats.InitTime + res.Stats.RefineTime)
+			basicMS.addDuration(res.Stats.InitTime + res.Stats.RefineTime)
 		}
-		t.Rows = append(t.Rows, []float64{float64(n), filterMS.Mean(), basicMS.Mean()})
+		t.Rows = append(t.Rows, []float64{float64(n), filterMS.value(), basicMS.value()})
 	}
 	return t, nil
 }
@@ -168,15 +189,15 @@ func Figure10(cfg Config) (*Table, error) {
 		c := verify.Constraint{P: p, Delta: cfg.Tolerance}
 		row := []float64{p}
 		for _, strat := range []core.Strategy{core.Basic, core.Refine, core.VR} {
-			var ms stats.Sample
+			var ms mean
 			for _, q := range queries {
 				res, err := eng.CPNN(q, c, core.Options{Strategy: strat, BasicSteps: cfg.BasicSteps})
 				if err != nil {
 					return nil, err
 				}
-				ms.AddDuration(res.Stats.Total())
+				ms.addDuration(res.Stats.Total())
 			}
-			row = append(row, ms.Mean())
+			row = append(row, ms.value())
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -205,17 +226,17 @@ func Figure11(cfg Config) (*Table, error) {
 	queries := uncertain.QueryWorkload(cfg.Queries, opt.Domain, cfg.Seed+1)
 	for _, p := range ps {
 		c := verify.Constraint{P: p, Delta: cfg.Tolerance}
-		var fMS, vMS, rMS stats.Sample
+		var fMS, vMS, rMS mean
 		for _, q := range queries {
 			res, err := eng.CPNN(q, c, core.Options{Strategy: core.VR})
 			if err != nil {
 				return nil, err
 			}
-			fMS.AddDuration(res.Stats.FilterTime)
-			vMS.AddDuration(res.Stats.InitTime + res.Stats.VerifyTime)
-			rMS.AddDuration(res.Stats.RefineTime)
+			fMS.addDuration(res.Stats.FilterTime)
+			vMS.addDuration(res.Stats.InitTime + res.Stats.VerifyTime)
+			rMS.addDuration(res.Stats.RefineTime)
 		}
-		t.Rows = append(t.Rows, []float64{p, fMS.Mean(), vMS.Mean(), rMS.Mean()})
+		t.Rows = append(t.Rows, []float64{p, fMS.value(), vMS.value(), rMS.value()})
 	}
 	return t, nil
 }
@@ -241,7 +262,7 @@ func Figure12(cfg Config) (*Table, error) {
 	queries := uncertain.QueryWorkload(cfg.Queries, opt.Domain, cfg.Seed+1)
 	for _, p := range ps {
 		c := verify.Constraint{P: p, Delta: cfg.Tolerance}
-		var frac [3]stats.Sample
+		var frac [3]mean
 		for _, q := range queries {
 			res, err := eng.CPNN(q, c, core.Options{Strategy: core.VR})
 			if err != nil {
@@ -258,10 +279,10 @@ func Figure12(cfg Config) (*Table, error) {
 				if v < len(res.Stats.UnknownAfter) {
 					last = float64(res.Stats.UnknownAfter[v])
 				}
-				frac[v].Add(last / total)
+				frac[v].add(last / total)
 			}
 		}
-		t.Rows = append(t.Rows, []float64{p, frac[0].Mean(), frac[1].Mean(), frac[2].Mean()})
+		t.Rows = append(t.Rows, []float64{p, frac[0].value(), frac[1].value(), frac[2].value()})
 	}
 	return t, nil
 }
@@ -344,16 +365,16 @@ func Figure14(cfg Config) (*Table, error) {
 		c := verify.Constraint{P: p, Delta: cfg.Tolerance}
 		row := []float64{p}
 		for _, strat := range []core.Strategy{core.Basic, core.Refine, core.VR} {
-			var ms stats.Sample
+			var ms mean
 			for _, q := range queries {
 				o := core.Options{Strategy: strat, Bins: cfg.GaussBars, BasicSteps: basicSteps}
 				res, err := eng.CPNN(q, c, o)
 				if err != nil {
 					return nil, err
 				}
-				ms.AddDuration(res.Stats.Total())
+				ms.addDuration(res.Stats.Total())
 			}
-			row = append(row, ms.Mean())
+			row = append(row, ms.value())
 		}
 		t.Rows = append(t.Rows, row)
 	}

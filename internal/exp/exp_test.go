@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // small returns a configuration fast enough for unit testing: a reduced
 // dataset and few queries. Shape assertions must hold even at this scale.
 func small() Config {
-	return Config{Queries: 6, Seed: 1, DatasetN: 8000, BasicSteps: 400, GaussBars: 60}
+	return Config{Queries: 6, Seed: 1, DatasetN: 8000, BasicSteps: 400, GaussBars: 60, Tolerance: 0.01}
 }
 
 func TestFigure9Shape(t *testing.T) {
@@ -183,5 +184,31 @@ func TestRegistryComplete(t *testing.T) {
 		if Registry[fig] == nil {
 			t.Errorf("figure %d missing from registry", fig)
 		}
+	}
+}
+
+func TestMean(t *testing.T) {
+	var m mean
+	if m.value() != 0 {
+		t.Errorf("empty mean = %g", m.value())
+	}
+	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		m.add(v)
+	}
+	if got := m.value(); got != 5 {
+		t.Errorf("mean = %g, want 5", got)
+	}
+	var d mean
+	d.addDuration(1500 * time.Microsecond)
+	if got := d.value(); got != 1.5 {
+		t.Errorf("1500µs = %g ms, want 1.5", got)
+	}
+}
+
+// TestToleranceIsExact: a zero Tolerance is Δ = 0, not a request for the
+// paper's 0.01.
+func TestToleranceIsExact(t *testing.T) {
+	if got := (Config{}).withDefaults().Tolerance; got != 0 {
+		t.Errorf("Tolerance 0 runs at Δ = %g", got)
 	}
 }

@@ -269,64 +269,6 @@ func TestTwoDFallbackCounter(t *testing.T) {
 	}
 }
 
-// TestDisableIncrementalBaseline: the scratch-path baseline retains no state
-// and produces exactly the bodies the incremental monitor settles on.
-func TestDisableIncrementalBaseline(t *testing.T) {
-	s := openStore(t)
-	ids := seedObjects(t, s, 0, 10, 5, 15, 30, 40)
-	inc := newMonitor(t, s)
-	base, err := New(Config{Store: s, Workers: 2, DisableIncremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(base.Close)
-
-	var incIDs, baseIDs []uint64
-	for _, sp := range specsAt(7) {
-		a, err := inc.Register(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := base.Register(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		incIDs, baseIDs = append(incIDs, a.ID), append(baseIDs, b.ID)
-	}
-
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 8; i++ {
-		lo := rng.Float64() * 50
-		if _, err := s.Apply([]store.Op{
-			store.UpdateObject(ids[rng.Intn(len(ids))], pdf.MustUniform(lo, lo+7)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := inc.Sync(syncTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := base.Sync(syncTimeout); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range incIDs {
-		a, _ := inc.Get(incIDs[i])
-		b, _ := base.Get(baseIDs[i])
-		if !bytes.Equal(a.Answer, b.Answer) {
-			t.Errorf("spec %d: incremental %s != baseline %s", i, a.Answer, b.Answer)
-		}
-	}
-	bst := base.Stats()
-	if bst.StateQueries != 0 || bst.StateBytes != 0 {
-		t.Errorf("baseline retained state: %d queries, %d bytes", bst.StateQueries, bst.StateBytes)
-	}
-	if bst.IncrementalReused != 0 || bst.EarlyExits != 0 {
-		t.Errorf("baseline took incremental paths: reused %d, early exits %d",
-			bst.IncrementalReused, bst.EarlyExits)
-	}
-}
-
 // TestMonitorEvictionChurnRace hammers a tiny state budget with concurrent
 // writers and registration churn, so evictions race evaluations; run under
 // -race this pins down the state-ownership discipline. Ends with an oracle

@@ -79,10 +79,6 @@ type Config struct {
 	// re-derivation on their next triggering commit). 0 means
 	// DefaultMaxStateBytes; negative disables the cap.
 	MaxStateBytes int64
-	// DisableIncremental forces every re-evaluation down the from-scratch
-	// path and retains no per-query state — the baseline the benchmark's
-	// incremental-vs-scratch comparison runs against.
-	DisableIncremental bool
 	// Logger receives structured monitor events (evaluation errors); nil
 	// discards them.
 	Logger *slog.Logger
@@ -250,7 +246,7 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:         cfg,
 		stores:      cfg.Source.Stores(),
-		incremental: !cfg.DisableIncremental && cfg.Source.Incremental(),
+		incremental: cfg.Source.Incremental(),
 		queries:     map[uint64]*standing{},
 		qix:         rtree.NewDefault[uint64](),
 		nextID:      1,

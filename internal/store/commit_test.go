@@ -93,16 +93,7 @@ func TestCommitAllocsTrackBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, ops := range batches[warm:] {
-		if _, err := f.s.Apply(ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / commits
-	allocs := float64(after.Mallocs-before.Mallocs) / commits
+	kb, allocs := commitCost(t, f.s, batches[warm:])
 	t.Logf("per commit: %.0f KB, %.0f allocations", kb, allocs)
 	if kb > 450 {
 		t.Errorf("a %d-move commit allocates %.0f KB, over 450 KB", movingBatch, kb)
@@ -110,4 +101,104 @@ func TestCommitAllocsTrackBatch(t *testing.T) {
 	if allocs > 900 {
 		t.Errorf("a %d-move commit makes %.0f allocations, over 900", movingBatch, allocs)
 	}
+}
+
+// TestCommitCostFlatInN holds a commit's cost to its batch, not to the
+// dataset: n histogram objects flattened into the paged base behind a
+// 256 KiB page cache, then commits of 8 random updates. A commit at
+// n = 100,000 may allocate at most twice what one at n = 10,000 does, in
+// count and in bytes; the difference is the R-tree's O(log n) paths. An
+// O(n) copy of the object table, an accidental flatten or a full index
+// rebuild per commit multiplies both by about ten.
+func TestCommitCostFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	if testing.Short() {
+		t.Skip("loads 110,000 objects")
+	}
+	var kb, allocs [2]float64
+	sizes := [2]int{10_000, 100_000}
+	for i, n := range sizes {
+		kb[i], allocs[i] = pagedCommitCost(t, n)
+		t.Logf("n=%d: %.1f KB, %.1f allocations a commit", n, kb[i], allocs[i])
+	}
+	if allocs[1] > 2*allocs[0] {
+		t.Errorf("commit allocations scale with n: %.1f at n=%d vs %.1f at n=%d (limit 2x)",
+			allocs[1], sizes[1], allocs[0], sizes[0])
+	}
+	if kb[1] > 2*kb[0] {
+		t.Errorf("commit bytes scale with n: %.1f KB at n=%d vs %.1f KB at n=%d (limit 2x)",
+			kb[1], sizes[1], kb[0], sizes[0])
+	}
+}
+
+// pagedCommitCost loads n histogram objects 1–25 units long over a
+// 100,000-unit domain into a store with a 256 KiB page cache, flattens them
+// into the paged base, and returns the mean KB and allocations of 200
+// commits of 8 updates, measured after 32 warm-up commits absorb the
+// post-flatten transient.
+func pagedCommitCost(t *testing.T, n int) (kb, allocs float64) {
+	s, err := Open(t.TempDir(), Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const domain = 100_000.0
+	rng := rand.New(rand.NewSource(1 + int64(n)))
+	iv := func() (float64, float64) {
+		lo := rng.Float64() * domain
+		return lo, lo + 1 + rng.Float64()*24
+	}
+	var ids []uint64
+	for off := 0; off < n; off += 512 {
+		load := make([]Op, min(512, n-off))
+		for i := range load {
+			lo, hi := iv()
+			w := make([]float64, 7)
+			for j := range w {
+				w[j] = 1 + rng.Float64()
+			}
+			load[i] = InsertObject(pdf.MustHistogram([]float64{lo, lo + (hi-lo)/4, lo + (hi-lo)/2,
+				lo + 3*(hi-lo)/4, lo + 7*(hi-lo)/8, hi - (hi-lo)/16, hi - (hi-lo)/32, hi}, w))
+		}
+		res, err := s.Apply(load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, res.IDs...)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const warm, commits = 32, 200
+	batches := make([][]Op, warm+commits)
+	for c := range batches {
+		batches[c] = make([]Op, 8)
+		for i := range batches[c] {
+			lo, hi := iv()
+			batches[c][i] = UpdateObject(ids[rng.Intn(len(ids))], pdf.MustUniform(lo, hi))
+		}
+	}
+	for _, ops := range batches[:warm] {
+		if _, err := s.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return commitCost(t, s, batches[warm:])
+}
+
+// commitCost applies each batch as one commit and returns the mean KB
+// allocated and allocations made per commit.
+func commitCost(t *testing.T, s *Store, batches [][]Op) (kb, allocs float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ops := range batches {
+		if _, err := s.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(batches))
+	return float64(after.TotalAlloc-before.TotalAlloc) / 1024 / n, float64(after.Mallocs-before.Mallocs) / n
 }

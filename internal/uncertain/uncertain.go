@@ -468,8 +468,7 @@ func WriteQueries(w io.Writer, qs []float64) error {
 }
 
 // ReadQueries parses a query workload: one finite float per line, with blank
-// lines and '#' comments skipped — the format consumed by cpnn-query -batch
-// and cpnn-bench -replay.
+// lines and '#' comments skipped — the format consumed by cpnn-query -batch.
 func ReadQueries(r io.Reader) ([]float64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -193,8 +193,7 @@ func QueryWorkload(n int, domain float64, seed int64) []float64 {
 }
 
 // ReadQueries parses a query-workload file (one finite point per line, '#'
-// comments allowed) — the format of cpnn-query -batch and cpnn-bench
-// -replay.
+// comments allowed) — the format of cpnn-query -batch.
 func ReadQueries(r io.Reader) ([]float64, error) { return uncertain.ReadQueries(r) }
 
 // WriteQueries serializes a query workload, one point per line.
