@@ -187,17 +187,30 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
+func TestMeanBasics(t *testing.T) {
 	var m mean
-	if m.value() != 0 {
-		t.Errorf("empty mean = %g", m.value())
-	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		m.add(v)
+	}
+	if m.n != 8 {
+		t.Errorf("n = %d, want 8", m.n)
+	}
+	if m.sum != 40 {
+		t.Errorf("sum = %g, want 40", m.sum)
 	}
 	if got := m.value(); got != 5 {
 		t.Errorf("mean = %g, want 5", got)
 	}
+}
+
+func TestMeanEmpty(t *testing.T) {
+	var m mean
+	if m.value() != 0 || m.n != 0 {
+		t.Errorf("empty mean = %g over %d values", m.value(), m.n)
+	}
+}
+
+func TestMeanAddDuration(t *testing.T) {
 	var d mean
 	d.addDuration(1500 * time.Microsecond)
 	if got := d.value(); got != 1.5 {
