@@ -55,19 +55,39 @@ func (l *Log) readAt(buf []byte, off int64) error {
 	return nil
 }
 
-// ReadRecord returns the record starting at logical offset ref.
+// ReadRecord returns the record starting at logical offset ref. The page
+// holding the length prefix is pinned once, for the prefix and as much of the
+// body as it holds, so a record within one page costs one Fetch.
 func (l *Log) ReadRecord(ref int64) ([]byte, error) {
-	var hdr [4]byte
-	if err := l.readAt(hdr[:], ref); err != nil {
+	var (
+		hdr   [4]byte
+		first []byte  // body bytes on the prefix's page
+		h     *Handle // pins first's page; nil when the prefix straddles pages
+	)
+	if id, within := l.page(ref); ref >= 0 && ref+int64(len(hdr)) <= l.size && within+len(hdr) <= PayloadSize {
+		var err error
+		if h, err = l.pool.Fetch(id); err != nil {
+			return nil, err
+		}
+		copy(hdr[:], h.Data()[within:])
+		first = h.Data()[within+len(hdr):]
+	} else if err := l.readAt(hdr[:], ref); err != nil {
 		return nil, err
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[:]))
 	if ref+4+n > l.size {
+		if h != nil {
+			h.Release()
+		}
 		return nil, fmt.Errorf("pagecache: record at %d claims %d bytes, stream holds %d",
 			ref, n, l.size)
 	}
 	buf := make([]byte, n)
-	if err := l.readAt(buf, ref+4); err != nil {
+	c := copy(buf, first)
+	if h != nil {
+		h.Release()
+	}
+	if err := l.readAt(buf[c:], ref+4+int64(c)); err != nil {
 		return nil, err
 	}
 	return buf, nil

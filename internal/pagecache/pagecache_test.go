@@ -107,6 +107,62 @@ func TestPoolEvictionUnderBudget(t *testing.T) {
 	}
 }
 
+// TestPoolMissReusesEvictedFrame: once the pool is full, a miss takes over
+// the CLOCK victim's frame — buffer and ring slot — so a fault allocates the
+// Handle and nothing else, and Allocate hands out the recycled buffer zeroed.
+func TestPoolMissReusesEvictedFrame(t *testing.T) {
+	p, _, _ := newTestPool(t, MinBudget) // 8 frames
+	const pages, runs = 3 * MinBudget / pager.PageSize, 200
+	ids := make([]pager.PageID, pages)
+	for i := range ids {
+		h, err := p.Allocate()
+		if err != nil {
+			t.Fatalf("allocate %d: %v", i, err)
+		}
+		ids[i] = h.ID()
+		binary.LittleEndian.PutUint64(h.Data(), uint64(i)+1)
+		h.MarkDirty()
+		h.Release()
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+
+	// A cyclic scan over three times the budget misses on every fetch.
+	before, next := p.Stats(), 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		i := next % pages
+		next++
+		h, err := p.Fetch(ids[i])
+		if err != nil {
+			t.Fatalf("fetch %d: %v", ids[i], err)
+		}
+		if got := binary.LittleEndian.Uint64(h.Data()); got != uint64(i)+1 {
+			t.Fatalf("page %d payload = %d, want %d", ids[i], got, i+1)
+		}
+		h.Release()
+	})
+	st := p.Stats()
+	if misses := st.Misses - before.Misses; misses != uint64(next) || st.Hits != before.Hits {
+		t.Fatalf("cyclic scan of %d pages over 8 frames: %d misses, %d hits in %d fetches",
+			pages, misses, st.Hits-before.Hits, next)
+	}
+	if allocs > 1 {
+		t.Fatalf("a miss allocates %.0f objects, want at most 1 (the Handle)", allocs)
+	}
+
+	h, err := p.Allocate()
+	if err != nil {
+		t.Fatalf("allocate: %v", err)
+	}
+	defer h.Release()
+	for i, b := range h.Data() {
+		if b != 0 {
+			t.Fatalf("allocated page %d over a recycled frame: byte %d = %#x, want 0", h.ID(), i, b)
+		}
+	}
+}
+
 func TestPoolPinnedPagesSurviveEviction(t *testing.T) {
 	p, _, _ := newTestPool(t, MinBudget)
 
@@ -216,6 +272,46 @@ func TestLogRoundTripIncludingMultiPageRecords(t *testing.T) {
 	}
 	if _, err := log.ReadRecord(-4); err == nil {
 		t.Fatal("negative ref succeeded")
+	}
+}
+
+// TestReadRecordPinsEachPageOnce: a record within one page costs exactly one
+// Fetch — the length prefix and the body come from the same pin — and a
+// record whose prefix straddles a page boundary still reads back whole.
+func TestReadRecordPinsEachPageOnce(t *testing.T) {
+	p, _, _ := newTestPool(t, MinBudget)
+	w := NewWriter(p, 0)
+	small := []byte("one page")
+	ref, err := w.Append(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the first page to 2 bytes short of its end, so the next prefix
+	// straddles the boundary.
+	if _, err := w.Append(make([]byte, PayloadSize-2-4-(4+len(small)))); err != nil {
+		t.Fatal(err)
+	}
+	straddle := []byte("prefix split across pages")
+	sref, err := w.Append(straddle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sref != PayloadSize-2 {
+		t.Fatalf("straddling record at %d, want %d", sref, PayloadSize-2)
+	}
+	log := NewLog(p, 0, w.Finish())
+
+	before := p.Stats()
+	got, err := log.ReadRecord(ref)
+	if err != nil || string(got) != string(small) {
+		t.Fatalf("ReadRecord = %q, %v; want %q", got, err, small)
+	}
+	st := p.Stats()
+	if fetches := st.Hits + st.Misses - before.Hits - before.Misses; fetches != 1 {
+		t.Fatalf("one-page record cost %d fetches, want 1", fetches)
+	}
+	if got, err := log.ReadRecord(sref); err != nil || string(got) != string(straddle) {
+		t.Fatalf("straddling ReadRecord = %q, %v; want %q", got, err, straddle)
 	}
 }
 

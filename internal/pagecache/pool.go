@@ -149,29 +149,36 @@ func (p *Pool) Allocate() (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
+	clear(fr.data[:]) // a recycled frame holds its victim's bytes
 	fr.pins, fr.ref, fr.dirty = 1, true, true
 	return &Handle{p: p, fr: fr}, nil
 }
 
-// newFrameLocked inserts a frame for id, evicting under budget pressure.
+// newFrameLocked maps id to a frame: a new one while the pool is under
+// budget, else the CLOCK victim, reused in place with its buffer and ring
+// slot. The caller fills the buffer.
 func (p *Pool) newFrameLocked(id pager.PageID) (*frame, error) {
-	for len(p.frames) >= p.budget {
-		if err := p.evictLocked(); err != nil {
+	var fr *frame
+	if len(p.frames) < p.budget {
+		fr = &frame{}
+		p.clock = append(p.clock, fr)
+	} else {
+		var err error
+		if fr, err = p.evictLocked(); err != nil {
 			return nil, err
 		}
 	}
-	fr := &frame{id: id}
+	fr.id, fr.pins, fr.ref, fr.dirty = id, 0, false, false
 	p.frames[id] = fr
-	p.clock = append(p.clock, fr)
 	return fr, nil
 }
 
 // evictLocked runs the CLOCK hand: pinned frames are skipped, referenced
 // frames get a second chance, and the first cold unpinned frame is written
-// back (if dirty) and recycled.
-func (p *Pool) evictLocked() error {
+// back (if dirty), unmapped and returned for reuse; the hand moves past it.
+func (p *Pool) evictLocked() (*frame, error) {
 	if len(p.clock) == 0 {
-		return fmt.Errorf("pagecache: empty pool cannot evict")
+		return nil, fmt.Errorf("pagecache: empty pool cannot evict")
 	}
 	// Two full sweeps: the first clears reference bits, the second must find
 	// a victim unless every frame is pinned.
@@ -191,15 +198,15 @@ func (p *Pool) evictLocked() error {
 		}
 		if fr.dirty {
 			if err := p.writebackLocked(fr); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		delete(p.frames, fr.id)
-		p.clock = append(p.clock[:p.hand], p.clock[p.hand+1:]...)
+		p.hand++
 		p.stats.Evictions++
-		return nil
+		return fr, nil
 	}
-	return fmt.Errorf("pagecache: all %d pages pinned; cannot evict", len(p.clock))
+	return nil, fmt.Errorf("pagecache: all %d pages pinned; cannot evict", len(p.clock))
 }
 
 // dropLocked discards a frame whose fault failed (never written back).

@@ -328,6 +328,46 @@ func TestBulkLoad(t *testing.T) {
 	}
 }
 
+// TestBulkLoad1DLeafOrder holds the property the paged checkpoint lays its
+// payloads out by: over 1-D inputs (intervals embedded at y = 0), All visits
+// a bulk-loaded tree's items in non-decreasing centre order. STR's x pass
+// sorts by centre; a leaf's MBR centre lies between its first and last item
+// centres, so the upper levels keep the leaves in that order; and the y pass
+// sees only equal keys, which it leaves in place.
+func TestBulkLoad1DLeafOrder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{1, DefaultMaxEntries, DefaultMaxEntries + 1, 300, 5000} {
+			inputs := make([]Input[int], 0, n)
+			for len(inputs) < n {
+				lo := rng.Float64() * 1e4
+				rect := geom.RectFromInterval(geom.Interval{Lo: lo, Hi: lo + rng.Float64()*25})
+				// Some intervals repeat, so equal centres meet in one slice.
+				for k := 1 + rng.Intn(3); k > 0 && len(inputs) < n; k-- {
+					inputs = append(inputs, Input[int]{Rect: rect, Item: len(inputs)})
+				}
+			}
+			tr, err := BulkLoad(inputs, DefaultMinEntries, DefaultMaxEntries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev, visited := math.Inf(-1), 0
+			tr.All(func(r geom.Rect, i int) bool {
+				if c := r.Center().X; c < prev {
+					t.Fatalf("seed %d n=%d: item %d (centre %g) visited after centre %g", seed, n, i, c, prev)
+				} else {
+					prev = c
+				}
+				visited++
+				return true
+			})
+			if visited != n {
+				t.Fatalf("seed %d n=%d: All visited %d items", seed, n, visited)
+			}
+		}
+	}
+}
+
 func TestBulkLoadInvalid(t *testing.T) {
 	if _, err := BulkLoad([]Input[int]{{Rect: geom.Rect{MinX: 1, MaxX: 0}}}, 4, 16); err == nil {
 		t.Error("invalid rect accepted in bulk load")

@@ -34,6 +34,11 @@ import (
 // one format, one set of invariants. The slot table holds what must stay
 // resident per object: stable ID, support interval, payload record ref.
 //
+// The log holds, in order: the object payloads in the packed index's leaf
+// order (a query's candidates are neighbours in the tree, so they share
+// pages), then the index nodes, the slot table and the disk table. The
+// reader is order-agnostic — every record is reached through a ref.
+//
 // The write is crash-safe: build the temp file, flush and fsync it, rename
 // over the live name, fsync the directory — a crash mid-checkpoint leaves
 // the previous checkpoint (and the full WAL) untouched. The pool that wrote
@@ -126,9 +131,9 @@ func (v viewSource) PDF(i int) pdf.PDF {
 // grouping history (group sizes decide when filter.Apply flips to an STR
 // rebuild), which differs between a primary and its replicas. The checkpoint
 // instead packs a canonical STR tree over the slot table in slot order, so
-// the file is a pure function of logical state — the replica suites compare
-// checkpoints byte for byte. Query answers are structure-independent either
-// way (candidates are sorted, f_min is a min).
+// the file — payload order included — is a pure function of logical state:
+// the replica suites compare checkpoints byte for byte. Query answers are
+// structure-independent either way (candidates are sorted, f_min is a min).
 func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int64, error) {
 	tmp := filepath.Join(dir, checkpointTmp)
 	pf, err := pager.Create(tmp)
@@ -150,14 +155,29 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 	pool := pagecache.NewPool(pf, cacheBytes)
 	w := pagecache.NewWriter(pool, 1)
 
-	// Object payloads: overlay slots encode their decoded pdf; base-resident
-	// slots copy the record bytes verbatim from the previous generation —
-	// no decode, no re-encode, so unchanged objects are byte-stable across
-	// checkpoints.
 	n := len(st.slots)
+	inputs := make([]rtree.Input[int], n)
+	for i := range inputs {
+		inputs[i] = rtree.Input[int]{Rect: geom.RectFromInterval(st.region(i)), Item: i}
+	}
+	tree, err := rtree.BulkLoad(inputs, rtree.DefaultMinEntries, rtree.DefaultMaxEntries)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: checkpoint: packing index: %w", err)
+	}
+	order := make([]int, 0, n)
+	tree.All(func(_ geom.Rect, i int) bool {
+		order = append(order, i)
+		return true
+	})
+
+	// Object payloads, in the packed tree's leaf order (centre order in 1-D),
+	// so the candidates of one query share pages. Overlay slots encode their
+	// decoded pdf; base-resident slots copy the record bytes verbatim from the
+	// previous generation — no decode, no re-encode, so unchanged objects are
+	// byte-stable across checkpoints.
 	refs := make([]int64, n)
 	var scratch []byte
-	for i := 0; i < n; i++ {
+	for _, i := range order {
 		r := st.recs.At(i)
 		var raw []byte
 		if r.p != nil {
@@ -179,14 +199,6 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 	}
 
 	// Index nodes, children before parents; the root ref lands in the header.
-	inputs := make([]rtree.Input[int], n)
-	for i := range inputs {
-		inputs[i] = rtree.Input[int]{Rect: geom.RectFromInterval(st.region(i)), Item: i}
-	}
-	tree, err := rtree.BulkLoad(inputs, rtree.DefaultMinEntries, rtree.DefaultMaxEntries)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: packing index: %w", err)
-	}
 	rootRef, err := tree.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
 		vals := children
 		if leaf {

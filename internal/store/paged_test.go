@@ -4,14 +4,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/pagecache"
 	"repro/internal/pager"
 	"repro/internal/pdf"
+	"repro/internal/verify"
 )
 
 // The paged-checkpoint suite extends the crash-injection and oracle coverage
@@ -187,6 +191,116 @@ func TestLargerThanCacheServes(t *testing.T) {
 	}
 	if got := s.Stats().OverlaySlots; got != 1 {
 		t.Fatalf("overlay depth after update+delete = %d, want 1", got)
+	}
+}
+
+// openScattered opens a store under the minimum page-cache budget, inserts n
+// 8-edge histograms at random positions of [0, n) — so slot (insertion)
+// order is not spatial order — flattens them into the base and reopens the
+// store, so every payload is behind the page cache. It returns the store and
+// the encoded payload record size (length prefix included) of each object,
+// by stable ID.
+func openScattered(t *testing.T, n int, seed int64) (*Store, map[uint64]int) {
+	t.Helper()
+	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
+	s, dir := openTemp(t, opt)
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]Op, n)
+	for i := range ops {
+		lo, w := rng.Float64()*float64(n), 1+rng.Float64()*24
+		weights := make([]float64, 7)
+		for j := range weights {
+			weights[j] = 1 + rng.Float64()
+		}
+		ops[i] = InsertObject(pdf.MustHistogram(
+			[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights))
+	}
+	res := mustApply(t, s, ops...)
+	size := make(map[uint64]int, n)
+	for i, id := range res.IDs {
+		raw, err := encodeOps([]Op{{Code: codeFor(ops[i].PDF), ID: id, PDF: ops[i].PDF}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[id] = 4 + len(raw)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.BasePages*pager.PageSize <= 10*int(st.CacheBytes) {
+		t.Fatalf("base of %d pages is not well past the %d-byte cache — test is vacuous", st.BasePages, st.CacheBytes)
+	}
+	return s, size
+}
+
+// TestCheckpointClustersPayloads holds the base's payload layout: a flatten
+// writes payloads in the packed index's leaf order, so a query's candidates
+// — neighbours on the line — share pages, and a cold probe faults about the
+// pages their payloads fill rather than one page per candidate.
+func TestCheckpointClustersPayloads(t *testing.T) {
+	const n, probes = 3000, 60
+	s, size := openScattered(t, n, 5)
+	defer s.Close()
+	v := s.View()
+	e, err := core.NewEngineWithIndex(v.Dataset, v.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	var candidates, misses uint64
+	for i := 0; i < probes; i++ {
+		q := 50 + rng.Float64()*(n-100)
+		ids := v.Index.Candidates(q).IDs
+		bytes := 0
+		for _, slot := range ids {
+			bytes += size[v.IDs[slot]]
+		}
+		bound := uint64((bytes+pagecache.PayloadSize-1)/pagecache.PayloadSize + 2)
+		before := s.Stats().PageCache.Misses
+		if _, err := e.CPNN(q, verify.Constraint{P: 0.3, Delta: 0.01}, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		got := s.Stats().PageCache.Misses - before
+		if got > bound {
+			t.Fatalf("probe q=%.1f: %d misses for %d candidates holding %d payload bytes, want <= %d",
+				q, got, len(ids), bytes, bound)
+		}
+		candidates += uint64(len(ids))
+		misses += got
+	}
+	if misses == 0 {
+		t.Fatalf("%d probes faulted nothing — test is vacuous", probes)
+	}
+	t.Logf("%d probes: %.1f candidates, %.2f misses a probe", probes,
+		float64(candidates)/probes, float64(misses)/probes)
+}
+
+// TestSnapshotFaultsEachPageOnce holds the replication snapshot to file
+// order: over a clustered base, walking the lazy payloads in slot order would
+// fault a page per object, while the snapshot reads each base page once.
+func TestSnapshotFaultsEachPageOnce(t *testing.T) {
+	const n = 3000
+	s, _ := openScattered(t, n, 7)
+	defer s.Close()
+	before := s.Stats().PageCache.Misses
+	res, err := s.SyncFrom(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Sub.Close()
+	if res.Snapshot == nil {
+		t.Fatal("expected a snapshot: the checkpoint truncated the history")
+	}
+	st := s.Stats()
+	if got := st.PageCache.Misses - before; got > uint64(st.BasePages) {
+		t.Fatalf("snapshot of %d objects faulted %d pages, base has %d", n, got, st.BasePages)
 	}
 }
 

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/geom"
 	"repro/internal/pagecache"
-	"repro/internal/pdf"
 	"repro/internal/rtree"
 	"repro/internal/uncertain"
 )
@@ -196,16 +197,6 @@ func newState() *state {
 func (st *state) region(i int) geom.Interval {
 	r := st.recs.At(i)
 	return geom.Interval{Lo: r.lo, Hi: r.hi}
-}
-
-// pdfOf returns slot i's decoded payload, faulting it from the base
-// checkpoint when only the record ref is resident.
-func (st *state) pdfOf(i int) (pdf.PDF, error) {
-	r := st.recs.At(i)
-	if r.p != nil {
-		return r.p, nil
-	}
-	return st.base.pdfAt(r.ref)
 }
 
 // ownIDs unshares the slots backing array before a structural mutation.
@@ -1072,18 +1063,36 @@ func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filte
 }
 
 // snapshotState captures the live state as a replication snapshot payload:
-// every live object as an upsert, plus the position counters. Faults every
-// lazy payload in from the base checkpoint (page-cache bounded). Runs on the
+// every live object as an upsert, plus the position counters. Runs on the
 // committer.
+//
+// Lazy payloads fault in from the base checkpoint in file order, not slot
+// order: the base lays payloads out by position, so a slot-order walk would
+// read a page per object while a file-order one reads each page once. The ops
+// stay in slot order, which is how the follower assigns its slots.
 func (s *Store) snapshotState() (checkpointState, error) {
 	st := s.st
-	ops := make([]Op, 0, len(st.slots)+len(st.dslots))
+	ops := make([]Op, len(st.slots), len(st.slots)+len(st.dslots))
+	type lazy struct {
+		ref  int64
+		slot int
+	}
+	var faults []lazy
 	for i, id := range st.slots {
-		p, err := st.pdfOf(i)
+		if r := st.recs.At(i); r.p != nil {
+			ops[i] = Op{Code: codeFor(r.p), ID: id, PDF: r.p}
+		} else {
+			faults = append(faults, lazy{ref: r.ref, slot: i})
+		}
+	}
+	slices.SortFunc(faults, func(a, b lazy) int { return cmp.Compare(a.ref, b.ref) })
+	for _, f := range faults {
+		id := st.slots[f.slot]
+		p, err := st.base.pdfAt(f.ref)
 		if err != nil {
 			return checkpointState{}, fmt.Errorf("store: snapshot: object %d: %w", id, err)
 		}
-		ops = append(ops, Op{Code: codeFor(p), ID: id, PDF: p})
+		ops[f.slot] = Op{Code: codeFor(p), ID: id, PDF: p}
 	}
 	for i, id := range st.dslots {
 		ops = append(ops, Op{Code: OpDisk, ID: id, Disk: st.disks[i]})
