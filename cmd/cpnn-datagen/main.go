@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,30 +21,43 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "cpnn-datagen:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cpnn-datagen", flag.ContinueOnError)
 	var (
-		out       = flag.String("o", "", "output file (default stdout)")
-		n         = flag.Int("n", 0, "object count (0 = Long Beach 53,144)")
-		pdfKind   = flag.String("pdf", "uniform", "pdf family: uniform, gauss or hist")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		gaussBars = flag.Int("gauss-bars", 300, "histogram bars for -pdf gauss")
-		histBars  = flag.Int("hist-bars", 8, "max bars for -pdf hist")
-		queries   = flag.Int("queries", 0, "emit a query workload of this many points instead of a dataset")
+		out       = fs.String("o", "", "output file (default stdout)")
+		n         = fs.Int("n", 0, "object count (0 = Long Beach 53,144)")
+		pdfKind   = fs.String("pdf", "uniform", "pdf family: uniform, gauss or hist")
+		seed      = fs.Int64("seed", 1, "generator seed")
+		gaussBars = fs.Int("gauss-bars", 300, "histogram bars for -pdf gauss")
+		histBars  = fs.Int("hist-bars", 8, "max bars for -pdf hist")
+		queries   = fs.Int("queries", 0, "emit a query workload of this many points instead of a dataset")
 	)
 	var lo obs.LogOptions
-	lo.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	lo.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	logger, err := lo.Logger(os.Stderr, "cpnn-datagen")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// A negative count is a typo, not a request for the Long Beach default;
 	// reject it before any generation work.
 	if *n < 0 {
-		fatal(fmt.Errorf("object count -n %d must be >= 0 (0 selects the Long Beach 53,144)", *n))
+		return fmt.Errorf("object count -n %d must be >= 0 (0 selects the Long Beach 53,144)", *n)
 	}
 	if *queries < 0 {
-		fatal(fmt.Errorf("query count -queries %d must be >= 0", *queries))
+		return fmt.Errorf("query count -queries %d must be >= 0", *queries)
 	}
 
 	opt := uncertain.LongBeachOptions(*seed)
@@ -53,18 +67,11 @@ func main() {
 
 	if *queries > 0 {
 		qs := uncertain.QueryWorkload(*queries, opt.Domain, *seed)
-		w, closeFn, err := outWriter(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := uncertain.WriteQueries(w, qs); err != nil {
-			fatal(err)
-		}
-		if err := closeFn(); err != nil {
-			fatal(err)
+		if err := writeTo(*out, stdout, func(w io.Writer) error { return uncertain.WriteQueries(w, qs) }); err != nil {
+			return err
 		}
 		logger.Info("wrote query workload", "queries", len(qs), "out", *out)
-		return
+		return nil
 	}
 
 	var ds *uncertain.Dataset
@@ -79,37 +86,32 @@ func main() {
 		err = fmt.Errorf("unknown pdf family %q (uniform, gauss, hist)", *pdfKind)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	w, closeFn, err := outWriter(*out)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := ds.WriteTo(w); err != nil {
-		fatal(err)
-	}
-	if err := closeFn(); err != nil {
-		fatal(err)
+	if err := writeTo(*out, stdout, func(w io.Writer) error {
+		_, err := ds.WriteTo(w)
+		return err
+	}); err != nil {
+		return err
 	}
 	logger.Info("wrote dataset", "objects", ds.Len(), "pdf", *pdfKind, "out", *out)
+	return nil
 }
 
-// outWriter opens the output target: a file when path is non-empty, stdout
-// otherwise. The returned close function flushes and closes the file (a
-// no-op for stdout).
-func outWriter(path string) (io.Writer, func() error, error) {
+// writeTo runs write against the output target: a file created at path when
+// path is non-empty, stdout otherwise. A file is closed after the write,
+// and a failed close is the write's error.
+func writeTo(path string, stdout io.Writer, write func(io.Writer) error) error {
 	if path == "" {
-		return os.Stdout, func() error { return nil }, nil
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return f, f.Close, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpnn-datagen:", err)
-	os.Exit(1)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

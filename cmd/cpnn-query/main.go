@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,26 +26,39 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "cpnn-query:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cpnn-query", flag.ContinueOnError)
 	var (
-		dataPath = flag.String("data", "", "dataset file (one 'lo hi' or 'hist ...' line per object)")
-		gen      = flag.Bool("gen", false, "generate the Long-Beach-like dataset instead of loading one")
-		seed     = flag.Int64("seed", 1, "generator seed for -gen")
-		q        = flag.Float64("q", 0, "query point")
-		p        = flag.Float64("p", 0.3, "threshold P in (0,1]")
-		delta    = flag.Float64("delta", 0.01, "tolerance Delta in [0,1]")
-		strategy = flag.String("strategy", "vr", "evaluation strategy: vr, refine or basic")
-		pnnMode  = flag.Bool("pnn", false, "report exact qualification probabilities instead of a C-PNN")
-		k        = flag.Int("k", 0, "evaluate a constrained k-NN query with this k (0 = plain C-PNN)")
-		batch    = flag.String("batch", "", "batch-evaluate every query point in this file (one per line)")
-		workers  = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "print per-phase statistics")
+		dataPath = fs.String("data", "", "dataset file (one 'lo hi' or 'hist ...' line per object)")
+		gen      = fs.Bool("gen", false, "generate the Long-Beach-like dataset instead of loading one")
+		seed     = fs.Int64("seed", 1, "generator seed for -gen")
+		q        = fs.Float64("q", 0, "query point")
+		p        = fs.Float64("p", 0.3, "threshold P in (0,1]")
+		delta    = fs.Float64("delta", 0.01, "tolerance Delta in [0,1]")
+		strategy = fs.String("strategy", "vr", "evaluation strategy: vr, refine or basic")
+		pnnMode  = fs.Bool("pnn", false, "report exact qualification probabilities instead of a C-PNN")
+		k        = fs.Int("k", 0, "evaluate a constrained k-NN query with this k (0 = plain C-PNN)")
+		batch    = fs.String("batch", "", "batch-evaluate every query point in this file (one per line)")
+		workers  = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+		verbose  = fs.Bool("v", false, "print per-phase statistics")
 	)
 	var lo obs.LogOptions
-	lo.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	lo.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	logger, err := lo.Logger(os.Stderr, "cpnn-query")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// Reject invalid user input before any dataset or engine work: a bad
@@ -51,35 +66,35 @@ func main() {
 	c := verify.Constraint{P: *p, Delta: *delta}
 	st, err := validateInputs(c, *strategy, *k, *pnnMode)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var batchQs []float64
 	if *batch != "" {
 		if *pnnMode || *k > 0 {
-			fatal(fmt.Errorf("-batch is a C-PNN mode; it cannot combine with -pnn or -k"))
+			return fmt.Errorf("-batch is a C-PNN mode; it cannot combine with -pnn or -k")
 		}
 		f, err := os.Open(*batch)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		batchQs, err = uncertain.ReadQueries(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if len(batchQs) == 0 {
-			fatal(fmt.Errorf("query file %s holds no query points", *batch))
+			return fmt.Errorf("query file %s holds no query points", *batch)
 		}
 	}
 
 	loadStart := time.Now()
 	ds, err := loadDataset(*dataPath, *gen, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	eng, err := core.NewEngine(ds)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	logger.Debug("engine ready",
 		"objects", ds.Len(), "build_ms", float64(time.Since(loadStart))/float64(time.Millisecond))
@@ -90,63 +105,64 @@ func main() {
 			Workers: *workers,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for i, res := range br.Results {
-			fmt.Printf("C-PNN(q=%g): %d answers of %d candidates", batchQs[i], len(res.Answers), res.Stats.Candidates)
+			fmt.Fprintf(out, "C-PNN(q=%g): %d answers of %d candidates", batchQs[i], len(res.Answers), res.Stats.Candidates)
 			for _, a := range res.Answers {
-				fmt.Printf("  %d:[%.4f,%.4f]", a.ID, a.Bounds.L, a.Bounds.U)
+				fmt.Fprintf(out, "  %d:[%.4f,%.4f]", a.ID, a.Bounds.L, a.Bounds.U)
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 		bs := br.Stats
-		fmt.Printf("batch: %d queries, %d workers, wall %v (%.0f queries/s), engine time %v\n",
+		fmt.Fprintf(out, "batch: %d queries, %d workers, wall %v (%.0f queries/s), engine time %v\n",
 			bs.Queries, bs.Workers, bs.Wall.Round(time.Microsecond),
 			float64(bs.Queries)/bs.Wall.Seconds(), bs.Aggregate.Total().Round(time.Microsecond))
-		return
+		return nil
 	}
 
 	switch {
 	case *pnnMode:
 		probs, st, err := eng.PNN(*q, core.Options{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("PNN(q=%g): %d candidates\n", *q, st.Candidates)
+		fmt.Fprintf(out, "PNN(q=%g): %d candidates\n", *q, st.Candidates)
 		for _, pr := range probs {
-			fmt.Printf("  object %6d  p=%.4f\n", pr.ID, pr.P)
+			fmt.Fprintf(out, "  object %6d  p=%.4f\n", pr.ID, pr.P)
 		}
 		if *verbose {
-			printStats(st)
+			printStats(out, st)
 		}
 	case *k > 0:
 		answers, kst, err := eng.CKNN(*q, c, core.KNNOptions{K: *k})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("C-P%dNN(q=%g, P=%g, Delta=%g):\n", *k, *q, *p, *delta)
+		fmt.Fprintf(out, "C-P%dNN(q=%g, P=%g, Delta=%g):\n", *k, *q, *p, *delta)
 		for _, a := range answers {
 			if a.Status == verify.Satisfy {
-				fmt.Printf("  object %6d  p=%.4f\n", a.ID, a.Bounds.L)
+				fmt.Fprintf(out, "  object %6d  p=%.4f\n", a.ID, a.Bounds.L)
 			}
 		}
 		if *verbose {
-			printStats(kst)
+			printStats(out, kst)
 		}
 	default:
 		res, err := eng.CPNN(*q, c, core.Options{Strategy: st})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("C-PNN(q=%g, P=%g, Delta=%g) via %v: %d answers of %d candidates\n",
+		fmt.Fprintf(out, "C-PNN(q=%g, P=%g, Delta=%g) via %v: %d answers of %d candidates\n",
 			*q, *p, *delta, st, len(res.Answers), res.Stats.Candidates)
 		for _, a := range res.Answers {
-			fmt.Printf("  object %6d  p in [%.4f, %.4f]\n", a.ID, a.Bounds.L, a.Bounds.U)
+			fmt.Fprintf(out, "  object %6d  p in [%.4f, %.4f]\n", a.ID, a.Bounds.L, a.Bounds.U)
 		}
 		if *verbose {
-			printStats(res.Stats)
+			printStats(out, res.Stats)
 		}
 	}
+	return nil
 }
 
 func loadDataset(path string, gen bool, seed int64) (*uncertain.Dataset, error) {
@@ -206,17 +222,12 @@ func parseStrategy(s string) (core.Strategy, error) {
 	}
 }
 
-func printStats(st core.Stats) {
-	fmt.Printf("stats: |C|=%d M=%d f_min=%.3f filter=%v init=%v verify=%v refine=%v\n",
+func printStats(out io.Writer, st core.Stats) {
+	fmt.Fprintf(out, "stats: |C|=%d M=%d f_min=%.3f filter=%v init=%v verify=%v refine=%v\n",
 		st.Candidates, st.Subregions, st.FMin,
 		st.FilterTime, st.InitTime, st.VerifyTime, st.RefineTime)
 	if len(st.VerifiersApplied) > 0 {
-		fmt.Printf("verifiers: %v unknown-after=%v refined=%d integrations=%d\n",
+		fmt.Fprintf(out, "verifiers: %v unknown-after=%v refined=%d integrations=%d\n",
 			st.VerifiersApplied, st.UnknownAfter, st.RefinedObjects, st.Integrations)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpnn-query:", err)
-	os.Exit(1)
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/core"
@@ -161,5 +165,39 @@ func TestLoadDatasetGenerated(t *testing.T) {
 	}
 	if ds.Len() != 53144 {
 		t.Errorf("generated %d objects, want 53144", ds.Len())
+	}
+}
+
+// TestQueryFlagsDocumented: every flag `cpnn-query -h` registers appears in
+// README as `-name` (or `-name VALUE`).
+func TestQueryFlagsDocumented(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = pw
+	runErr := run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	pw.Close()
+	usage, err := io.ReadAll(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", runErr)
+	}
+	flags := regexp.MustCompile(`(?m)^  -([a-z][a-z-]*)`).FindAllStringSubmatch(string(usage), -1)
+	if len(flags) < 14 {
+		t.Fatalf("parsed %d flags out of the usage text:\n%s", len(flags), usage)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range flags {
+		if !regexp.MustCompile("`-" + m[1] + "[` ]").Match(readme) {
+			t.Errorf("cpnn-query registers -%s, which README never mentions as `-%s`", m[1], m[1])
+		}
 	}
 }

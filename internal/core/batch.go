@@ -45,8 +45,8 @@ type BatchResult struct {
 // queryScratch is the evaluation scratch every stateless query runs on: the
 // candidate buffer, subregion table and fold arena are recycled across
 // queries, eliminating the per-query matrix allocation that would otherwise
-// dominate a C-PNN call's allocation profile. A query borrows one from
-// scratchPool unless its caller owns a Scratch.
+// dominate a C-PNN call's allocation profile. Every query borrows one from
+// scratchPool.
 type queryScratch struct {
 	cands []subregion.Candidate
 	table subregion.Table
@@ -104,44 +104,6 @@ func (sc *queryScratch) release() {
 func (sc *queryScratch) memBytes() int {
 	return sc.table.MemBytes() + 16*cap(sc.cands) + sc.arena.MemBytes()
 }
-
-// Scratch is a caller-owned reusable evaluation scratch for a long-lived
-// loop that evaluates single queries one at a time — each of the monitor's
-// re-evaluation workers holds one. It is the scratch a query would otherwise
-// borrow from core's pool, so owning one only skips the pool. A Scratch is
-// not safe for concurrent use; the zero value (and NewScratch) is ready.
-type Scratch struct{ qs queryScratch }
-
-// NewScratch returns an empty reusable evaluation scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// query returns the scratch a query runs on: the caller's own, or for a nil
-// Scratch one borrowed from the pool, which done returns.
-func (s *Scratch) query() *queryScratch {
-	if s == nil {
-		return borrow()
-	}
-	return &s.qs
-}
-
-// done parks a scratch that query borrowed. A caller-owned one stays as the
-// query left it until its owner calls Release.
-func (s *Scratch) done(qs *queryScratch) {
-	if s == nil {
-		qs.park()
-	}
-}
-
-// Release drops the scratch's references to the last query's candidates,
-// for an owner about to leave it idle. It keeps the buffers while they fit
-// the pool's 1 MiB retention cap; past it, the scratch gives up what the
-// last query grew. The next query may use the scratch as is.
-func (s *Scratch) Release() { s.qs.release() }
-
-// MemBytes returns the approximate heap footprint the scratch retains
-// between queries: subregion table, candidate buffer and fold arena. It
-// grows to the largest query the scratch has served until Release caps it.
-func (s *Scratch) MemBytes() int { return s.qs.memBytes() }
 
 // runBatch distributes n query evaluations over a worker pool — the only
 // parallelism inside core. Each query borrows a scratch from the pool (the

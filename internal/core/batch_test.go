@@ -108,7 +108,6 @@ func TestCPNNBatch2DMatchesSingles(t *testing.T) {
 		qs[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 	}
 	c := verify.Constraint{P: 0.3, Delta: 0.05}
-	sc := NewScratch()
 	for _, workers := range []int{1, 3} {
 		br, err := eng.CPNNBatch(qs, c, BatchOptions{Workers: workers})
 		if err != nil {
@@ -118,13 +117,6 @@ func TestCPNNBatch2DMatchesSingles(t *testing.T) {
 			want, err := eng.CPNN(q, c, Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			got, err := eng.CPNNScratch(q, c, Options{}, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Candidates, want.Candidates) {
-				t.Fatalf("query %d: 2-D CPNNScratch on a reused scratch differs from CPNN", i)
 			}
 			if !reflect.DeepEqual(br.Results[i].Answers, want.Answers) {
 				t.Fatalf("workers=%d query %d: 2-D batch answers differ from single", workers, i)

@@ -51,10 +51,10 @@
 //
 // Every stateless query derives its candidates in-line, one after another,
 // into a queryScratch — candidate buffer, subregion table, fold arena —
-// that it borrows from scratchPool (batch.go) unless the caller hands it a
-// Scratch. Release caps what an idle scratch keeps at 1 MiB, so the pool,
-// the batch workers and a monitor worker's own Scratch obey one limit. The
-// only goroutines core starts are CPNNBatch's query-level workers.
+// that it borrows from scratchPool (batch.go), the only place a query gets
+// one. release caps what an idle scratch keeps at 1 MiB, so single queries,
+// batch workers and the monitor's evaluations obey one limit. The only
+// goroutines core starts are CPNNBatch's query-level workers.
 package core
 
 import (
@@ -108,9 +108,6 @@ type Options struct {
 	// Verifiers overrides the verifier chain; nil means the paper's
 	// RS → L-SR → U-SR order.
 	Verifiers []verify.Verifier
-	// GLNodes overrides the Gauss–Legendre rule size for subregion
-	// integration; 0 selects the exactness-preserving automatic size.
-	GLNodes int
 	// BasicSteps is the Simpson step count of the Basic strategy; 0 means
 	// 1000.
 	BasicSteps int
@@ -133,10 +130,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine answers probabilistic nearest-neighbor queries over one 1-D
-// dataset. CPNN, CPNNScratch, CPNNBatch, PNN and PNNScratch are the embedded
-// pipeline's; the engine adds what needs the dataset itself: min/max
-// queries, the exact constrained k-NN, and the incremental entry points
-// (incremental.go).
+// dataset. CPNN, CPNNBatch and PNN are the embedded pipeline's; the engine
+// adds what needs the dataset itself: min/max queries, the exact
+// constrained k-NN, and the incremental entry points (incremental.go).
 type Engine struct {
 	pipeline[float64]
 	source1D
@@ -337,7 +333,7 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 		if status[i] != verify.Unknown {
 			continue
 		}
-		r, err := refine.Incremental(table, i, c, bounds[i], prior, opt.GLNodes)
+		r, err := refine.Incremental(table, i, c, bounds[i], prior, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -354,11 +350,11 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 // exactAll finishes a PNN: it integrates every candidate of a table exactly
 // and orders the result by descending probability, ties by ID. It is shared
 // by PNN and PNNIncremental, so both produce identical orderings.
-func exactAll(table *subregion.Table, glNodes int, st *Stats) ([]Probability, error) {
+func exactAll(table *subregion.Table, st *Stats) ([]Probability, error) {
 	start := time.Now()
 	out := make([]Probability, table.NumCandidates())
 	for i := range out {
-		p, err := refine.Exact(table, i, glNodes)
+		p, err := refine.Exact(table, i, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -194,19 +194,18 @@ func digestStateless[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Optio
 }
 
 // digestLine hashes what only the 1-D engine offers besides k-NN: PNN's
-// Stats and CPNNScratch on one reused scratch.
+// Stats, and CPNN interleaved with PNN on the pooled scratch.
 func digestLine(t *testing.T, e *Engine, qs []float64) string {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 	d := newDigest()
-	sc := NewScratch()
 	for _, q := range qs {
 		_, st, err := e.PNN(q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d.stats(st)
-		res, err := e.CPNNScratch(q, c, Options{}, sc)
+		res, err := e.CPNN(q, c, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

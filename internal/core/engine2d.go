@@ -21,11 +21,11 @@ type Object2D struct {
 }
 
 // Engine2D answers C-PNN queries over planar uncertain objects. Every entry
-// point (CPNN, CPNNScratch, CPNNBatch, PNN, PNNScratch) is the embedded
-// pipeline's; the engine adds only its source: distance pdfs derived from
-// lens areas instead of interval folds. The lens reduction depends on the
-// query point, so there is nothing query-independent to memoize (the
-// discretization memo serves the 1-D engine's analytic pdfs).
+// point (CPNN, CPNNBatch, PNN) is the embedded pipeline's; the engine adds
+// only its source: distance pdfs derived from lens areas instead of
+// interval folds. The lens reduction depends on the query point, so there
+// is nothing query-independent to memoize (the discretization memo serves
+// the 1-D engine's analytic pdfs).
 type Engine2D struct {
 	pipeline[geom.Point]
 	source2D

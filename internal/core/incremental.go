@@ -564,7 +564,7 @@ func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uin
 	if inc.Skipped || stats.Candidates == 0 {
 		return nil, stats, inc, nil
 	}
-	out, err := exactAll(&st.table, opt.GLNodes, &stats)
+	out, err := exactAll(&st.table, &stats)
 	return out, stats, inc, err
 }
 

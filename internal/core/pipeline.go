@@ -30,29 +30,23 @@ type source[Q any] interface {
 // pipeline is the paper's evaluation sequence — filter, derive, subregion
 // table, verify, refine — over a source. Engine and Engine2D embed it, so
 // every stateless entry point has this one body, run in-line on one
-// scratch: the caller's, or one borrowed from core's pool.
+// scratch borrowed from core's pool.
 type pipeline[Q any] struct {
 	src source[Q]
 }
 
 // CPNN evaluates a constrained probabilistic nearest-neighbor query at point
-// q under the given constraint and options.
+// q under the given constraint and options. The result never aliases the
+// scratch the query ran on.
 func (p *pipeline[Q]) CPNN(q Q, c verify.Constraint, opt Options) (*Result, error) {
-	return p.CPNNScratch(q, c, opt, nil)
-}
-
-// CPNNScratch is CPNN evaluated on a caller-owned scratch. Results never
-// alias scratch memory, so they stay valid across subsequent calls. A nil
-// scratch borrows one from the pool, which is plain CPNN.
-func (p *pipeline[Q]) CPNNScratch(q Q, c verify.Constraint, opt Options, sc *Scratch) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.src.check(q); err != nil {
 		return nil, err
 	}
-	qs := sc.query()
-	defer sc.done(qs)
+	qs := borrow()
+	defer qs.park()
 	return p.cpnn(q, c, opt.withDefaults(), qs)
 }
 
@@ -98,25 +92,18 @@ func (p *pipeline[Q]) cpnn(q Q, c verify.Constraint, opt Options, sc *queryScrat
 // probability. It integrates every candidate exactly, with no verification
 // pass, whose bounds a PNN would discard anyway.
 func (p *pipeline[Q]) PNN(q Q, opt Options) ([]Probability, Stats, error) {
-	return p.PNNScratch(q, opt, nil)
-}
-
-// PNNScratch is PNN evaluated on a caller-owned scratch, under CPNNScratch's
-// rules: the returned probabilities never alias scratch memory, and a nil
-// scratch is plain PNN.
-func (p *pipeline[Q]) PNNScratch(q Q, opt Options, sc *Scratch) ([]Probability, Stats, error) {
 	opt = opt.withDefaults()
 	var st Stats
 	if err := p.src.check(q); err != nil {
 		return nil, st, err
 	}
-	qs := sc.query()
-	defer sc.done(qs)
+	qs := borrow()
+	defer qs.park()
 	_, table, err := p.prepare(q, 1, opt.Bins, true, qs, &st)
 	if err != nil || table == nil {
 		return nil, st, err
 	}
-	out, err := exactAll(table, opt.GLNodes, &st)
+	out, err := exactAll(table, &st)
 	return out, st, err
 }
 

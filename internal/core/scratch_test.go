@@ -18,66 +18,69 @@ func untimed(s Stats) Stats {
 	return s
 }
 
-// scratchEngine is the scratch-taking half of the pipeline, the same on
-// Engine and Engine2D.
-type scratchEngine[Q any] interface {
-	CPNNScratch(Q, verify.Constraint, Options, *Scratch) (*Result, error)
-	PNNScratch(Q, Options, *Scratch) ([]Probability, Stats, error)
+// pooledEngine is the pooled half of the pipeline, the same on Engine and
+// Engine2D.
+type pooledEngine[Q any] interface {
+	CPNN(Q, verify.Constraint, Options) (*Result, error)
+	PNN(Q, Options) ([]Probability, Stats, error)
+	cpnn(Q, verify.Constraint, Options, *queryScratch) (*Result, error)
 }
 
-// checkNoAlias evaluates a, then b, on one scratch and requires what a
-// returned to still equal a fresh evaluation of a on a pooled scratch: a
-// result that kept a slice of the table, the candidate buffer or the arena
-// would have been overwritten by b.
-func checkNoAlias[Q any](t *testing.T, e scratchEngine[Q], a, b Q) {
+// checkNoAlias evaluates a, then b, and requires what a returned to still
+// equal a fresh evaluation of a: a result that kept a slice of the table,
+// the candidate buffer or the arena would have been overwritten by b. The
+// C-PNN half runs a and b on one borrowed scratch, released between them as
+// park would, so b is sure to reuse a's buffers; the PNN half goes through
+// the pool, as callers do.
+func checkNoAlias[Q any](t *testing.T, e pooledEngine[Q], a, b Q) {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	sc := borrow()
+	defer sc.park()
 	for _, strat := range []Strategy{VR, Refine, Basic} {
 		opt := Options{Strategy: strat}
-		sc := NewScratch()
-		got, err := e.CPNNScratch(a, c, opt, sc)
+		got, err := e.cpnn(a, c, opt.withDefaults(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sc.release()
 		if len(got.Candidates) == 0 {
 			t.Fatalf("%v: query %v has no candidates; the fixture should", strat, a)
 		}
-		if _, err := e.CPNNScratch(b, c, opt, sc); err != nil {
+		if _, err := e.cpnn(b, c, opt.withDefaults(), sc); err != nil {
 			t.Fatal(err)
 		}
-		sc.Release()
-		want, err := e.CPNNScratch(a, c, opt, nil)
+		sc.release()
+		want, err := e.CPNN(a, c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got.Stats, want.Stats = untimed(got.Stats), untimed(want.Stats)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: the result of %v changed once the scratch served %v:\n got %+v\nwant %+v", strat, a, b, got, want)
+			t.Fatalf("%v: the result of %v changed once its scratch served %v:\n got %+v\nwant %+v", strat, a, b, got, want)
 		}
 	}
 
-	sc := NewScratch()
-	got, gst, err := e.PNNScratch(a, Options{}, sc)
+	got, gst, err := e.PNN(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.PNNScratch(b, Options{}, sc); err != nil {
+	if _, _, err := e.PNN(b, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	sc.Release()
-	want, wst, err := e.PNNScratch(a, Options{}, nil)
+	want, wst, err := e.PNN(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) == 0 || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(untimed(gst), untimed(wst)) {
-		t.Fatalf("PNN of %v changed once the scratch served %v:\n got %+v %+v\nwant %+v %+v", a, b, got, gst, want, wst)
+		t.Fatalf("PNN of %v changed once the pool served %v:\n got %+v %+v\nwant %+v %+v", a, b, got, gst, want, wst)
 	}
 }
 
-// TestScratchResultsDoNotAlias: what CPNNScratch and PNNScratch return stays
-// valid while the scratch goes on to other queries and is released — the
-// property the scratch pool rests on, since a caller reads a result after
-// its scratch went back to the pool. The second query is the larger one, so
+// TestScratchResultsDoNotAlias: what CPNN and PNN return stays valid while
+// the pooled scratch they ran on goes on to other queries — the property
+// the scratch pool rests on, since a caller reads a result after its
+// scratch went back to the pool. The second query is the larger one, so
 // every buffer the first result could alias is rewritten.
 func TestScratchResultsDoNotAlias(t *testing.T) {
 	t.Run("1D", func(t *testing.T) {
@@ -120,29 +123,31 @@ func TestScratchResultsDoNotAlias(t *testing.T) {
 func TestScratchReleaseDropsCandidates(t *testing.T) {
 	eng, qs := batchTestEngine(t, 6000, 23)
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	opt := Options{}.withDefaults()
 
-	sc := NewScratch()
-	want, err := eng.CPNNScratch(qs[0], c, Options{}, sc)
+	sc := borrow()
+	defer sc.park()
+	want, err := eng.cpnn(qs[0], c, opt, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sc.MemBytes()
+	before := sc.memBytes()
 	if before <= 0 {
 		t.Fatal("a used scratch reports no retained memory")
 	}
-	sc.Release()
-	for i, cand := range sc.qs.cands[:cap(sc.qs.cands)] {
+	sc.release()
+	for i, cand := range sc.cands[:cap(sc.cands)] {
 		if cand.Dist != nil {
-			t.Fatalf("candidate buffer slot %d still holds a distance pdf after Release", i)
+			t.Fatalf("candidate buffer slot %d still holds a distance pdf after release", i)
 		}
 	}
-	if n := sc.qs.table.NumCandidates(); n != 0 {
-		t.Fatalf("table still lists %d candidates after Release", n)
+	if n := sc.table.NumCandidates(); n != 0 {
+		t.Fatalf("table still lists %d candidates after release", n)
 	}
-	if after := sc.MemBytes(); after != before {
-		t.Fatalf("Release changed the retained size: %d -> %d (float storage must stay)", before, after)
+	if after := sc.memBytes(); after != before {
+		t.Fatalf("release changed the retained size: %d -> %d (float storage must stay)", before, after)
 	}
-	got, err := eng.CPNNScratch(qs[0], c, Options{}, sc)
+	got, err := eng.cpnn(qs[0], c, opt, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,68 +172,74 @@ func capFixture() *uncertain.Dataset {
 }
 
 // TestScratchRetentionCapped: a query whose table outgrows scratchCap leaves
-// nothing over the cap parked — not in a caller-owned Scratch once
-// released, not in the pool after a single query or a batch. What it
-// leaves is the warm scratch it found: the table an ordinary query grew
-// survives the large one, and answers the next query like before.
+// nothing over the cap parked — not after a single query, not after a
+// batch. What it leaves is the warm scratch it found: the table an ordinary
+// query grew survives the large one, and answers the next query like before.
 func TestScratchRetentionCapped(t *testing.T) {
 	eng, err := NewEngine(capFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	opt := Options{}.withDefaults()
 	want, err := eng.CPNN(2010, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScratch()
-	if _, err := eng.CPNNScratch(2010, c, Options{}, sc); err != nil {
+	sc := borrow()
+	if _, err := eng.cpnn(2010, c, opt, sc); err != nil {
 		t.Fatal(err)
 	}
-	sc.Release()
-	warm := sc.qs.table.MemBytes()
+	sc.release()
+	warm := sc.table.MemBytes()
 	if warm == 0 {
 		t.Fatal("an ordinary query left its scratch without a table")
 	}
-	res, err := eng.CPNNScratch(1020, c, Options{}, sc)
+	res, err := eng.cpnn(1020, c, opt, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.MemBytes() <= scratchCap {
+	if sc.memBytes() <= scratchCap {
 		t.Fatalf("the large query (%d candidates × %d subregions) retains only %d bytes; the fixture must exceed the %d cap",
-			res.Stats.Candidates, res.Stats.Subregions, sc.MemBytes(), scratchCap)
+			res.Stats.Candidates, res.Stats.Subregions, sc.memBytes(), scratchCap)
 	}
-	sc.Release()
-	if b := sc.MemBytes(); b > scratchCap {
+	sc.release()
+	if b := sc.memBytes(); b > scratchCap {
 		t.Fatalf("a released scratch retains %d bytes, over the %d cap", b, scratchCap)
 	}
-	if b := sc.qs.table.MemBytes(); b != warm {
+	if b := sc.table.MemBytes(); b != warm {
 		t.Fatalf("the warm table (%d bytes) came back from the large query at %d bytes", warm, b)
 	}
-	got, err := eng.CPNNScratch(2010, c, Options{}, sc)
+	got, err := eng.cpnn(2010, c, opt, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.park()
 	if !reflect.DeepEqual(got.Candidates, want.Candidates) {
 		t.Fatal("a scratch back from an over-cap query answers differently")
 	}
 
+	checkPool := func(after string) {
+		t.Helper()
+		parked := make([]*queryScratch, 8)
+		for i := range parked {
+			parked[i] = borrow()
+			if b := parked[i].memBytes(); b > scratchCap {
+				t.Errorf("after %s a pooled scratch retains %d bytes, over the %d cap", after, b, scratchCap)
+			}
+		}
+		for _, p := range parked {
+			p.park()
+		}
+	}
 	if _, err := eng.CPNN(1020, c, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	checkPool("a single query")
 	if _, err := eng.CPNNBatch([]float64{1020, 2010, 1020, 3000}, c, BatchOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	parked := make([]*queryScratch, 8)
-	for i := range parked {
-		parked[i] = borrow()
-		if b := parked[i].memBytes(); b > scratchCap {
-			t.Errorf("a pooled scratch retains %d bytes, over the %d cap", b, scratchCap)
-		}
-	}
-	for _, p := range parked {
-		p.park()
-	}
+	checkPool("a batch")
 }
 
 // TestCPNNAllocations: a warm Engine.CPNN runs on a pooled scratch, so what

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -95,52 +94,6 @@ func TestCKNNStatsExposeFK(t *testing.T) {
 	}
 	if st.Candidates != 2 {
 		t.Fatalf("candidates = %d, want 2 (object [10,12] has near dist 9 > 5)", st.Candidates)
-	}
-}
-
-// TestCPNNScratchMatchesCPNN: a caller-owned scratch reused across many
-// queries returns results identical to plain CPNN on a pooled scratch.
-func TestCPNNScratchMatchesCPNN(t *testing.T) {
-	ds, err := uncertain.GenerateUniform(uncertain.GenOptions{
-		N: 200, Domain: 500, MeanLen: 8, MinLen: 1, MaxLen: 20, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := verify.Constraint{P: 0.3, Delta: 0.01}
-	sc := NewScratch()
-	for q := 5.0; q < 500; q += 37 {
-		want, err := e.CPNN(q, c, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.CPNNScratch(q, c, Options{}, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Candidates) != len(want.Candidates) {
-			t.Fatalf("q=%g: %d candidates vs %d", q, len(got.Candidates), len(want.Candidates))
-		}
-		for i := range got.Candidates {
-			if got.Candidates[i] != want.Candidates[i] {
-				t.Fatalf("q=%g candidate %d: %+v vs %+v", q, i, got.Candidates[i], want.Candidates[i])
-			}
-		}
-		gotIDs := got.AnswerIDs()
-		wantIDs := want.AnswerIDs()
-		sort.Ints(gotIDs)
-		sort.Ints(wantIDs)
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("q=%g: answers %v vs %v", q, gotIDs, wantIDs)
-		}
-	}
-	// Nil scratch falls back to the plain path.
-	if _, err := e.CPNNScratch(100, c, Options{}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

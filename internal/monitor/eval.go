@@ -118,20 +118,15 @@ func round9(v float64) float64 { return math.Round(v*1e9) / 1e9 }
 // function of the view's stable-ID object set — evaluating the same spec at
 // any view holding the same objects yields identical bytes.
 //
-// eng must be an engine over view's dataset and index (pass nil to build
-// one). sc is the caller's evaluation scratch; nil borrows one from core's
-// pool.
-func Evaluate(view *store.View, eng *core.Engine, sc *core.Scratch, spec Spec) (body []byte, radius float64, err error) {
-	if eng == nil {
-		eng, err = core.NewEngineWithIndex(view.Dataset, view.Index)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
+// eng must be an engine over view's dataset and index. The evaluation runs
+// on a scratch from core's pool. The third parameter is ignored: it exists
+// only because the monitor_push workload (bench/monitorpush.go) still
+// passes nil there.
+func Evaluate(view *store.View, eng *core.Engine, _ any, spec Spec) (body []byte, radius float64, err error) {
 	n := view.Dataset.Len()
 	switch spec.Kind {
 	case KindCPNN:
-		res, err := eng.CPNNScratch(spec.Q, spec.Constraint, core.Options{Strategy: spec.Strategy}, sc)
+		res, err := eng.CPNN(spec.Q, spec.Constraint, core.Options{Strategy: spec.Strategy})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -139,7 +134,7 @@ func Evaluate(view *store.View, eng *core.Engine, sc *core.Scratch, spec Spec) (
 		return body, boundedRadius(n > 0, res.Stats.FMin), err
 
 	case KindPNN:
-		probs, st, err := eng.PNNScratch(spec.Q, core.Options{}, sc)
+		probs, st, err := eng.PNN(spec.Q, core.Options{})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -170,14 +165,9 @@ func Evaluate(view *store.View, eng *core.Engine, sc *core.Scratch, spec Spec) (
 // state's last evaluation to dense-slot hints (see core.SlotUnknown and
 // core.SlotDeleted); full forces a complete re-derivation (feed gaps,
 // truncations, raced influence-rect growth — any time the changed set is not
-// exhaustive). Bodies are byte-identical to Evaluate on the same view.
+// exhaustive). Bodies are byte-identical to Evaluate on the same view, and
+// eng is, as for Evaluate, an engine over view's dataset and index.
 func EvaluateIncremental(view *store.View, eng *core.Engine, st *core.EvalState, spec Spec, changed map[uint64]int, full bool) (body []byte, radius float64, inc core.IncrementalStats, err error) {
-	if eng == nil {
-		eng, err = core.NewEngineWithIndex(view.Dataset, view.Index)
-		if err != nil {
-			return nil, 0, inc, err
-		}
-	}
 	if full {
 		changed = nil // CPNNIncremental & co. treat nil as "everything changed"
 	}

@@ -37,10 +37,12 @@ func TestEvaluateIncrementalMatchesEvaluate(t *testing.T) {
 	specs := specsAt(7)
 	states := make([]*core.EvalState, len(specs))
 	prev := make([][]byte, len(specs))
+	v0 := s.View()
+	eng0 := viewEngine(t, v0)
 	for i, sp := range specs {
 		states[i] = core.NewEvalState()
 		var err error
-		prev[i], _, _, err = EvaluateIncremental(s.View(), nil, states[i], sp, nil, true)
+		prev[i], _, _, err = EvaluateIncremental(v0, eng0, states[i], sp, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,12 +83,13 @@ func TestEvaluateIncrementalMatchesEvaluate(t *testing.T) {
 		}
 
 		view := s.View()
+		eng := viewEngine(t, view)
 		for i, sp := range specs {
-			fresh, _, err := Evaluate(view, nil, nil, sp)
+			fresh, _, err := freshEval(view, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			body, _, inc, err := EvaluateIncremental(view, nil, states[i], sp, changed, false)
+			body, _, inc, err := EvaluateIncremental(view, eng, states[i], sp, changed, false)
 			if err != nil {
 				t.Fatalf("step %d spec %d: %v", step, i, err)
 			}
@@ -168,7 +171,7 @@ func TestMonitorEarlyExit(t *testing.T) {
 	if got.Version != s.View().Version {
 		t.Errorf("version not advanced on early exit: %d != %d", got.Version, s.View().Version)
 	}
-	fresh, _, err := Evaluate(s.View(), nil, nil, st.Spec)
+	fresh, _, err := freshEval(s.View(), st.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func TestStateEvictionUnderCap(t *testing.T) {
 	}
 	view := s.View()
 	for _, q := range m.List() {
-		fresh, _, err := Evaluate(view, nil, nil, q.Spec)
+		fresh, _, err := freshEval(view, q.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +263,7 @@ func TestTwoDFallbackCounter(t *testing.T) {
 		t.Errorf("2-D churn triggered re-evaluations: %d -> %d", before.ReEvals, after.ReEvals)
 	}
 	got, _ := m.Get(st.ID)
-	fresh, _, err := Evaluate(s.View(), nil, nil, st.Spec)
+	fresh, _, err := freshEval(s.View(), st.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +332,7 @@ func TestMonitorEvictionChurnRace(t *testing.T) {
 
 	view := s.View()
 	for _, q := range m.List() {
-		fresh, _, err := Evaluate(view, nil, nil, q.Spec)
+		fresh, _, err := freshEval(view, q.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}

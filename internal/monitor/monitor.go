@@ -17,10 +17,10 @@
 // proportional to the queries they can actually affect, not to the number of
 // standing queries (O(affected) instead of O(queries × commits)).
 //
-// Re-evaluation runs on a bounded worker pool; each worker owns one
-// evaluation scratch (core.Scratch — candidate buffer, subregion table,
-// fold arena) and releases it after every evaluation, which holds it to
-// core's 1 MiB retention cap. Bursts coalesce: a query dirtied by
+// Re-evaluation runs on a bounded worker pool. A from-scratch evaluation
+// borrows its scratch (candidate buffer, subregion table, fold arena) from
+// core's one pool, as a batch worker does, so it obeys core's 1 MiB
+// retention cap. Bursts coalesce: a query dirtied by
 // several commits evaluates once, against the latest view. Answers are
 // canonical JSON in stable-ID terms; a query is pushed to subscribers only
 // when its answer actually changed. Slow subscribers are never waited on —
@@ -579,14 +579,12 @@ func (m *Monitor) feedLoop(i int) {
 }
 
 // worker re-evaluates dirty queries against the latest head views, one at a
-// time, on a private reusable scratch it releases after each. Evaluations
-// of one query never overlap: a query dirtied mid-evaluation is requeued
-// when its evaluation completes.
+// time. Evaluations of one query never overlap: a query dirtied
+// mid-evaluation is requeued when its evaluation completes.
 func (m *Monitor) worker() {
 	defer m.wg.Done()
 	// Per-worker buffers, so an evaluation allocates nothing for its
 	// bookkeeping: the head snapshot it runs on and the cut it reports.
-	sc := core.NewScratch()
 	heads := make([]*store.View, len(m.stores))
 	cut := make([]uint64, len(m.stores))
 	m.mu.Lock()
@@ -624,12 +622,11 @@ func (m *Monitor) worker() {
 		copy(heads, m.heads)
 		// Take ownership of the changed-ID snapshot; changes landing during
 		// the evaluation start a fresh set (and set redo).
-		ev := Eval{Spec: spec, Heads: heads, State: state, Changed: q.pending, Full: q.full, Scratch: sc}
+		ev := Eval{Spec: spec, Heads: heads, State: state, Changed: q.pending, Full: q.full}
 		q.pending, q.full = nil, false
 		m.mu.Unlock()
 
 		body, radius, inc, err := m.cfg.Source.Evaluate(ev, cut)
-		sc.Release()
 
 		m.mu.Lock()
 		m.inflight--

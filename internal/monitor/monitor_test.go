@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -66,7 +65,7 @@ func TestRegisterInitialAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err := Evaluate(s.View(), nil, nil, cpnnSpec(7))
+	fresh, _, err := freshEval(s.View(), cpnnSpec(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestPushOnRelevantChange(t *testing.T) {
 		if ev.Type != EventUpdate || ev.Update.ID != st.ID {
 			t.Fatalf("event = %+v", ev)
 		}
-		fresh, _, err := Evaluate(s.View(), nil, nil, cpnnSpec(7))
+		fresh, _, err := freshEval(s.View(), cpnnSpec(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +176,7 @@ func TestPruningSkipsUnrelatedChanges(t *testing.T) {
 	}
 	// The pruned answer is still the correct answer at the latest version.
 	st := m.List()[0]
-	fresh, _, err := Evaluate(s.View(), nil, nil, st.Spec)
+	fresh, _, err := freshEval(s.View(), st.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestTruncationReevaluatesAll(t *testing.T) {
 		t.Fatalf("truncation re-evaluated %d queries, want 2", got.ReEvals-base.ReEvals)
 	}
 	for _, st := range m.List() {
-		fresh, _, err := Evaluate(s.View(), nil, nil, st.Spec)
+		fresh, _, err := freshEval(s.View(), st.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +239,7 @@ func TestKNNUnderfilledIsUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := m.Get(st.ID)
-	fresh, _, err := Evaluate(s.View(), nil, nil, spec)
+	fresh, _, err := freshEval(s.View(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,17 +372,42 @@ func TestMonitorClose(t *testing.T) {
 	}
 }
 
-// TestEvaluateKinds smoke-tests the three canonical bodies.
+// viewEngine builds the engine over view's own index, as a store-backed
+// monitor does.
+func viewEngine(t *testing.T, view *store.View) *core.Engine {
+	t.Helper()
+	eng, err := core.NewEngineWithIndex(view.Dataset, view.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// freshEval evaluates spec from scratch on an engine built over view, the
+// recompute-all control the incremental and monitored answers are held to.
+func freshEval(view *store.View, spec Spec) ([]byte, float64, error) {
+	eng, err := core.NewEngineWithIndex(view.Dataset, view.Index)
+	if err != nil {
+		return nil, 0, err
+	}
+	return Evaluate(view, eng, nil, spec)
+}
+
+// TestEvaluateKinds smoke-tests the three canonical bodies, then holds the
+// C-PNN and PNN bodies and radii at six query points to a second pass in
+// reverse order: each evaluation borrows the pooled scratch the previous
+// query point parked, and renders the same bytes and radius bits.
 func TestEvaluateKinds(t *testing.T) {
 	s := openStore(t)
-	seedObjects(t, s, 0, 10, 5, 15, 8, 20)
+	seedObjects(t, s, 0, 10, 5, 15, 8, 20, 30, 31, 12, 40, 9, 9.5)
 	v := s.View()
+	eng := viewEngine(t, v)
 	for _, spec := range []Spec{
 		cpnnSpec(9),
 		{Kind: KindPNN, Q: 9},
 		{Kind: KindKNN, Q: 9, Constraint: verify.Constraint{P: 0.2, Delta: 0.05}, K: 2},
 	} {
-		body, radius, err := Evaluate(v, nil, nil, spec)
+		body, radius, err := Evaluate(v, eng, nil, spec)
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}
@@ -393,156 +417,27 @@ func TestEvaluateKinds(t *testing.T) {
 		if !json.Valid(body) {
 			t.Fatalf("%v: invalid JSON %s", spec.Kind, body)
 		}
-		// Deterministic: a second evaluation is byte-identical.
-		again, _, err := Evaluate(v, nil, core.NewScratch(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(body) != string(again) {
-			t.Fatalf("%v: nondeterministic body", spec.Kind)
-		}
 	}
-}
 
-// TestEvaluatePNNOnScratch: a PNN evaluation runs on the scratch it is
-// handed, and one scratch reused across kinds and query points renders the
-// same bytes and radius as evaluating without one.
-func TestEvaluatePNNOnScratch(t *testing.T) {
-	s := openStore(t)
-	seedObjects(t, s, 0, 10, 5, 15, 8, 20, 30, 31, 12, 40, 9, 9.5)
-	v := s.View()
-	sc := core.NewScratch()
-	if _, _, err := Evaluate(v, nil, sc, Spec{Kind: KindPNN, Q: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if sc.MemBytes() == 0 {
-		t.Fatal("PNN evaluation left its scratch untouched")
-	}
+	var specs []Spec
 	for _, q := range []float64{9, 14, 0, 35, 100, 9.25} {
-		for _, spec := range []Spec{{Kind: KindPNN, Q: q}, cpnnSpec(q)} {
-			want, wantR, err := Evaluate(v, nil, nil, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotR, err := Evaluate(v, nil, sc, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) || math.Float64bits(gotR) != math.Float64bits(wantR) {
-				t.Fatalf("%v q=%g: scratch body %s radius %g, pooled %s radius %g", spec.Kind, q, got, gotR, want, wantR)
-			}
+		specs = append(specs, Spec{Kind: KindPNN, Q: q}, cpnnSpec(q))
+	}
+	bodies, radii := make([][]byte, len(specs)), make([]float64, len(specs))
+	for i, spec := range specs {
+		var err error
+		if bodies[i], radii[i], err = Evaluate(v, eng, nil, spec); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// statelessSource stands a monitor on a store the way a shard cluster's
-// source stands one on its members: no per-query state, so every evaluation
-// re-derives from scratch on the evaluating worker's scratch, the last of
-// which it keeps for inspection.
-type statelessSource struct {
-	storeSource
-	mu      sync.Mutex
-	scratch *core.Scratch
-}
-
-func (s *statelessSource) Incremental() bool { return false }
-
-func (s *statelessSource) Evaluate(ev Eval, cut []uint64) ([]byte, float64, core.IncrementalStats, error) {
-	if ev.Scratch != nil {
-		s.mu.Lock()
-		s.scratch = ev.Scratch
-		s.mu.Unlock()
-	}
-	return s.storeSource.Evaluate(ev, cut)
-}
-
-// TestWorkerScratchCapped: a monitor worker's scratch obeys core's 1 MiB
-// retention cap. The only worker re-evaluates a standing PNN whose subregion
-// table exceeds the cap through a stateless source, and afterwards its
-// scratch retains at most 1 MiB; the small standing query it evaluates next
-// renders the same body as before.
-func TestWorkerScratchCapped(t *testing.T) {
-	const scratchCap = 1 << 20
-	s := openStore(t)
-	// Twenty overlapping 200-bin histograms around 1020: each folds into a
-	// distance pdf with ≈200 break points, a table of 20 × ≈2,800
-	// subregions ≈ 1.7 MB that an exact PNN integrates in milliseconds.
-	// The sparse tail beyond 2000 holds ordinary queries.
-	var ops []store.Op
-	for i := 0; i < 20; i++ {
-		edges, weights := make([]float64, 201), make([]float64, 200)
-		for k := range edges {
-			edges[k] = 1000 + 0.37*float64(i) + 0.2*float64(k)
-		}
-		for k := range weights {
-			weights[k] = float64(1 + (7*k+i)%5)
-		}
-		h, err := pdf.NewHistogram(edges, weights)
+	for i := len(specs) - 1; i >= 0; i-- {
+		got, gotR, err := Evaluate(v, eng, nil, specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops = append(ops, store.InsertObject(h))
-	}
-	for i := 0; i < 40; i++ {
-		ops = append(ops, store.InsertObject(pdf.MustUniform(2000+10*float64(i), 2025+10*float64(i))))
-	}
-	res, err := s.Apply(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, small := Spec{Kind: KindPNN, Q: 1020}, Spec{Kind: KindPNN, Q: 2110}
-	sc := core.NewScratch()
-	if _, _, err := Evaluate(s.View(), nil, sc, big); err != nil {
-		t.Fatal(err)
-	}
-	if b := sc.MemBytes(); b <= scratchCap {
-		t.Fatalf("the large PNN retains only %d bytes; the fixture must exceed the %d cap", b, scratchCap)
-	}
-
-	src := &statelessSource{storeSource: storeSource{st: s}}
-	m, err := New(Config{Source: src, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	if _, err := m.Register(big); err != nil {
-		t.Fatal(err)
-	}
-	before, err := m.Register(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewriting an object with its own pdf dirties exactly the standing
-	// query whose influence interval holds it, without changing its answer.
-	touch := func(i int) {
-		t.Helper()
-		if _, err := s.Apply([]store.Op{store.UpdateObject(res.IDs[i], ops[i].PDF)}); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got, bodies[i]) || math.Float64bits(gotR) != math.Float64bits(radii[i]) {
+			t.Fatalf("%v q=%g: second pass body %s radius %g, first %s radius %g",
+				specs[i].Kind, specs[i].Q, got, gotR, bodies[i], radii[i])
 		}
-		if err := m.Sync(syncTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	touch(0)
-	src.mu.Lock()
-	worker := src.scratch
-	src.mu.Unlock()
-	if worker == nil {
-		t.Fatal("the worker never evaluated the large PNN")
-	}
-	if b := worker.MemBytes(); b > scratchCap {
-		t.Fatalf("after the large PNN the worker's scratch retains %d bytes, over the %d cap", b, scratchCap)
-	}
-	touch(20 + 10) // [2100, 2125], inside the small query's interval
-	if got := m.Stats().ReEvals; got != 2 {
-		t.Fatalf("%d worker evaluations, want 2", got)
-	}
-	after, _ := m.Get(before.ID)
-	fresh, _, err := Evaluate(s.View(), nil, nil, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after.Answer, before.Answer) || !bytes.Equal(after.Answer, fresh) {
-		t.Fatalf("the small PNN after the large one: %s, before %s, fresh %s", after.Answer, before.Answer, fresh)
 	}
 }

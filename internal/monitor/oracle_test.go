@@ -167,7 +167,7 @@ func runOracleSeed(t *testing.T, seed int64) (pairs, affected uint64) {
 		// Oracle sweep: recompute everything at the current version.
 		view := s.View()
 		for id, sp := range specOf {
-			fresh, _, err := Evaluate(view, nil, nil, sp)
+			fresh, _, err := freshEval(view, sp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -128,7 +128,7 @@ func TestMonitorRace(t *testing.T) {
 					t.Errorf("no recorded view for version %d", ev.Update.Version)
 					continue
 				}
-				fresh, _, err := Evaluate(v, nil, nil, spAny.(Spec))
+				fresh, _, err := freshEval(v, spAny.(Spec))
 				if err != nil {
 					t.Errorf("fresh evaluation: %v", err)
 					continue
@@ -199,7 +199,7 @@ func TestMonitorRace(t *testing.T) {
 	// Final oracle sweep at the settled version.
 	view := s.View()
 	for _, st := range m.List() {
-		fresh, _, err := Evaluate(view, nil, nil, st.Spec)
+		fresh, _, err := freshEval(view, st.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,6 @@ type Eval struct {
 	State   *core.EvalState
 	Changed map[uint64]int
 	Full    bool
-	// Scratch is the evaluating worker's from-scratch evaluation scratch;
-	// nil borrows one from core's pool.
-	Scratch *core.Scratch
 }
 
 // storeSource stands a monitor on one store: evaluations run on the feed's
@@ -90,6 +87,6 @@ func (s *storeSource) Evaluate(ev Eval, cut []uint64) (body []byte, radius float
 	if ev.State != nil {
 		return EvaluateIncremental(view, eng, ev.State, ev.Spec, ev.Changed, ev.Full)
 	}
-	body, radius, err = Evaluate(view, eng, ev.Scratch, ev.Spec)
+	body, radius, err = Evaluate(view, eng, nil, ev.Spec)
 	return body, radius, inc, err
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/pdf"
@@ -19,6 +20,16 @@ import (
 )
 
 const waitTimeout = 15 * time.Second
+
+// freshEval renders spec's canonical answer body over view, on an engine
+// built over the view's own index.
+func freshEval(view *store.View, spec monitor.Spec) ([]byte, float64, error) {
+	eng, err := core.NewEngineWithIndex(view.Dataset, view.Index)
+	if err != nil {
+		return nil, 0, err
+	}
+	return monitor.Evaluate(view, eng, nil, spec)
+}
 
 func startPrimary(t *testing.T, dir string) (*store.Store, *Server) {
 	t.Helper()
@@ -352,11 +363,11 @@ func assertSameView(t *testing.T, got, want *store.View) {
 			{Kind: monitor.KindCPNN, Q: q, Constraint: verify.Constraint{P: 0.3, Delta: 0.01}},
 			{Kind: monitor.KindPNN, Q: q},
 		} {
-			w, _, err := monitor.Evaluate(want, nil, nil, sp)
+			w, _, err := freshEval(want, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, _, err := monitor.Evaluate(got, nil, nil, sp)
+			g, _, err := freshEval(got, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,11 +540,11 @@ func runEquivalenceSeed(t *testing.T, seed int64) {
 			continue
 		}
 		for _, sp := range specs {
-			want, _, err := monitor.Evaluate(pv, nil, nil, sp)
+			want, _, err := freshEval(pv, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := monitor.Evaluate(fv, nil, nil, sp)
+			got, _, err := freshEval(fv, sp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -260,7 +260,7 @@ func TestShardServerMonitors(t *testing.T) {
 
 	spec := monitor.Spec{Kind: monitor.KindCPNN, Q: 150,
 		Constraint: verify.Constraint{P: 0.3, Delta: 0.01}}
-	wantBody, _, _, err := rt.Evaluate(context.Background(), spec, nil)
+	wantBody, _, _, err := rt.Evaluate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func runShardSeed(t *testing.T, seed int64, k int) Stats {
 		}
 		view := single.View()
 		for si, sp := range specs {
-			want, _, err := monitor.Evaluate(view, nil, nil, sp)
+			want, _, err := freshEval(view, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func runShardSeed(t *testing.T, seed int64, k int) Stats {
 				t.Fatalf("step %d seed %d k=%d: subscriber view of spec %d stale (missing push):\n got %s\nwant %s",
 					step, seed, k, si, clientView[st.ID], want)
 			}
-			got, _, g, err := r.Evaluate(context.Background(), sp, nil)
+			got, _, g, err := r.Evaluate(context.Background(), sp)
 			if err != nil {
 				t.Fatalf("step %d spec %d: router: %v", step, si, err)
 			}

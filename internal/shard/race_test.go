@@ -159,7 +159,7 @@ func TestShardConcurrency(t *testing.T) {
 			qrng := rand.New(rand.NewSource(int64(200 + g)))
 			for it := 0; it < 60; it++ {
 				sp := specs[qrng.Intn(len(specs))]
-				if _, _, _, err := r.Evaluate(context.Background(), sp, nil); err != nil {
+				if _, _, _, err := r.Evaluate(context.Background(), sp); err != nil {
 					errCh <- fmt.Errorf("query %d iter %d: %v", g, it, err)
 					return
 				}
@@ -198,7 +198,7 @@ func TestShardConcurrency(t *testing.T) {
 	// single-engine, bypassing all router pruning.
 	full := fullClusterView(t, c)
 	for id, sp := range specOf {
-		want, _, err := monitor.Evaluate(full, nil, nil, sp)
+		want, _, err := freshEval(full, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -690,7 +690,7 @@ func (r *Router) growExtent(i int, rect geom.Rect) {
 // merged mini-view. The body is byte-identical to monitor.Evaluate over a
 // single store holding the same objects; the radius is the query's influence
 // radius under the returned consistency cut.
-func (r *Router) Evaluate(ctx context.Context, spec monitor.Spec, sc *core.Scratch) (body []byte, radius float64, g *Gathered, err error) {
+func (r *Router) Evaluate(ctx context.Context, spec monitor.Spec) (body []byte, radius float64, g *Gathered, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, 0, nil, err
 	}
@@ -702,7 +702,11 @@ func (r *Router) Evaluate(ctx context.Context, spec monitor.Spec, sc *core.Scrat
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	body, radius, err = monitor.Evaluate(g.View, nil, sc, spec)
+	eng, err := core.NewEngineWithIndex(g.View.Dataset, g.View.Index)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	body, radius, err = monitor.Evaluate(g.View, eng, nil, spec)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -736,7 +740,7 @@ func (s *clusterSource) Stores() []*store.Store { return s.stores }
 func (s *clusterSource) Incremental() bool      { return false }
 
 func (s *clusterSource) Evaluate(ev monitor.Eval, cut []uint64) ([]byte, float64, core.IncrementalStats, error) {
-	body, radius, g, err := s.r.Evaluate(context.Background(), ev.Spec, ev.Scratch)
+	body, radius, g, err := s.r.Evaluate(context.Background(), ev.Spec)
 	if err != nil {
 		return nil, 0, core.IncrementalStats{}, err
 	}

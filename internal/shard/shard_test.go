@@ -20,6 +20,16 @@ import (
 	"repro/internal/verify"
 )
 
+// freshEval renders spec's canonical answer body over a single view, the
+// control every routed answer is held to byte for byte.
+func freshEval(view *store.View, spec monitor.Spec) ([]byte, float64, error) {
+	eng, err := core.NewEngineWithIndex(view.Dataset, view.Index)
+	if err != nil {
+		return nil, 0, err
+	}
+	return monitor.Evaluate(view, eng, nil, spec)
+}
+
 func TestMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := Meta{Shards: 4, Cuts: []float64{1, 2.5, 100}, NextID: 17}
@@ -88,7 +98,7 @@ func TestSplitStoreReopen(t *testing.T) {
 	view := src.View()
 	spec := monitor.Spec{Kind: monitor.KindCPNN, Q: 42,
 		Constraint: verify.Constraint{P: 0.3, Delta: 0.01}}
-	want, _, err := monitor.Evaluate(view, nil, nil, spec)
+	want, _, err := freshEval(view, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +132,7 @@ func TestSplitStoreReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+	got, _, _, err := r.Evaluate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +292,7 @@ func TestRouterDeadShard(t *testing.T) {
 	farShard := ShardFor(1000, c.Meta.Cuts)
 	nearSpec := monitor.Spec{Kind: monitor.KindPNN, Q: 4}
 	farSpec := monitor.Spec{Kind: monitor.KindPNN, Q: 1004}
-	wantNear, _, _, err := r.Evaluate(context.Background(), nearSpec, nil)
+	wantNear, _, _, err := r.Evaluate(context.Background(), nearSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +302,7 @@ func TestRouterDeadShard(t *testing.T) {
 	// The near query survives: the dead shard's cached extent misses its
 	// candidate ball.
 	if ShardFor(4, c.Meta.Cuts) != farShard {
-		got, _, g, err := r.Evaluate(context.Background(), nearSpec, nil)
+		got, _, g, err := r.Evaluate(context.Background(), nearSpec)
 		if err != nil {
 			t.Fatalf("near query with dead far shard: %v", err)
 		}
@@ -304,7 +314,7 @@ func TestRouterDeadShard(t *testing.T) {
 		}
 	}
 	// The far query needs the dead shard and must say so.
-	if _, _, _, err := r.Evaluate(context.Background(), farSpec, nil); !errors.Is(err, ErrUnavailable) {
+	if _, _, _, err := r.Evaluate(context.Background(), farSpec); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("far query: got %v, want ErrUnavailable", err)
 	}
 	// A write routed to the dead shard fails unavailable.
@@ -313,11 +323,11 @@ func TestRouterDeadShard(t *testing.T) {
 	}
 
 	flaky[farShard].setDown(false)
-	want, _, err := monitor.Evaluate(fullClusterView(t, c), nil, nil, farSpec)
+	want, _, err := freshEval(fullClusterView(t, c), farSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := r.Evaluate(context.Background(), farSpec, nil)
+	got, _, _, err := r.Evaluate(context.Background(), farSpec)
 	if err != nil {
 		t.Fatalf("far query after recovery: %v", err)
 	}
@@ -393,27 +403,21 @@ func TestGatheredViewIsScanIndex(t *testing.T) {
 	}
 }
 
-// TestRouterEvaluateScratch: Router.Evaluate renders the same bytes on one
-// reused scratch as without one, for every standing-query kind, and both
-// equal a single store's evaluation of the spec.
-func TestRouterEvaluateScratch(t *testing.T) {
+// TestRouterEvaluateMatchesStore: Router.Evaluate renders the same bytes as
+// a single store's evaluation of the spec, for every standing-query kind.
+func TestRouterEvaluateMatchesStore(t *testing.T) {
 	view, r := scanTestCluster(t, 4, 200)
-	sc := core.NewScratch()
 	for _, spec := range oracleSpecs(rand.New(rand.NewSource(4)), 10000, 4) {
-		want, _, err := monitor.Evaluate(view, nil, nil, spec)
+		want, _, err := freshEval(view, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare, _, _, err := r.Evaluate(context.Background(), spec, nil)
+		got, _, _, err := r.Evaluate(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, _, err := r.Evaluate(context.Background(), spec, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bare, want) || !bytes.Equal(got, want) {
-			t.Fatalf("%v q=%g: router %s, on a scratch %s, single store %s", spec.Kind, spec.Q, bare, got, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v q=%g: router %s, single store %s", spec.Kind, spec.Q, got, want)
 		}
 	}
 }
@@ -430,11 +434,11 @@ func TestRouterContactsNearestMember(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		spec := specs[i%len(specs)]
 		spec.Q = rng.Float64() * 10000
-		want, _, err := monitor.Evaluate(view, nil, nil, spec)
+		want, _, err := freshEval(view, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+		got, _, _, err := r.Evaluate(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,11 +491,11 @@ func TestRouterWriteGrowsExtent(t *testing.T) {
 		t.Fatalf("gather at 870 holds %v, not the new object %d (contacted %d, bound %g)", g.View.IDs, id, g.Contacted, g.Bound)
 	}
 	spec := monitor.Spec{Kind: monitor.KindPNN, Q: 870}
-	want, _, err := monitor.Evaluate(fullClusterView(t, c), nil, nil, spec)
+	want, _, err := freshEval(fullClusterView(t, c), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+	got, _, _, err := r.Evaluate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,11 +562,11 @@ func hookedRouter(t *testing.T, h *hookMember, regions [][2]float64) (*Router, *
 func checkRouted(t *testing.T, r *Router, c *Cluster, q float64) {
 	t.Helper()
 	spec := monitor.Spec{Kind: monitor.KindPNN, Q: q}
-	want, _, err := monitor.Evaluate(fullClusterView(t, c), nil, nil, spec)
+	want, _, err := freshEval(fullClusterView(t, c), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := r.Evaluate(context.Background(), spec, nil)
+	got, _, _, err := r.Evaluate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

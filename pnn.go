@@ -402,7 +402,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) { return replica.Start
 // the 1-D engine, under the same Options and BatchOptions.
 type (
 	// Engine2D answers C-PNN queries over planar uncertain objects: CPNN,
-	// CPNNScratch, CPNNBatch, PNN and PNNScratch, with a Point for the query.
+	// CPNNBatch and PNN, with a Point for the query.
 	Engine2D = core.Engine2D
 	// Object2D is a disk-shaped uncertain object.
 	Object2D = core.Object2D
