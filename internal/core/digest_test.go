@@ -24,27 +24,36 @@ import (
 // one pipeline. A digest that moves means some float operation changed order
 // or operand; regenerate a constant only for a change that intends that.
 // k-NN answers hash into sections of their own (*/knn, */knn-incremental),
-// so a change to the k-NN method re-records those and nothing else.
+// and so do PNN's probabilities (*/pnn, */pnn-incremental), so a change to
+// the k-NN method or to PNN's exact integration re-records those and nothing
+// else.
 
 // answerDigests maps dataset/section to the SHA-256 of that section's answer
 // stream.
 var answerDigests = map[string]string{
-	"uniform/stateless":         "6afc883f54d938366ed0c16203b29d693feeb3fbc824c3345508722551573ede",
+	"uniform/stateless":         "9d7de15a20543272d96e2d3b4d7bc96da2dc2d38aff8dc0e55da07ce9a29b201",
+	"uniform/pnn":               "32781ab671335b4ef5a9d5cec738ff6ec30a467b0e9a3fad0a0ba557de00189e",
 	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
 	"uniform/knn":               "da09641d3fea1c36e99c05ebdc64b7cdf5f162c5ad98815d5074cfdec26123c6",
-	"uniform/incremental":       "5e6b7aca6e61813c5d022486297e07164781408164c47412b4f16a4f41c893c7",
+	"uniform/incremental":       "e08f04b74f2b5ab23edd3aa16c258e06efd87049e2ece276ae44637b14e59950",
+	"uniform/pnn-incremental":   "8e4985808a2f74da3c34776218c34a5e683ec7ee5c0b72b75d01078f072c3c77",
 	"uniform/knn-incremental":   "fe471b240b637b6328aaba74ec40824704924c213d80fa435a9b7ea0f79c2e16",
-	"histogram/stateless":       "4e27919fa4c5ac99e164889776025187566d18a510205422db414c7b1624ce5d",
+	"histogram/stateless":       "f684dc6ceaad22f8951b397f9ee5cd78382d111a7960514f64f18ea72c36d026",
+	"histogram/pnn":             "fd3885e0dab86979737cae1233dea2a74d4bb0917c04ecd16baf6f96fb53feaa",
 	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
 	"histogram/knn":             "1453650363e44d830175598c499f22a41e0b938ad74f866408a6bbfe256f41e8",
-	"histogram/incremental":     "97800e55db448a42341439c6af1e32d59f52d4a6c60ccb21814ab38d8674de16",
+	"histogram/incremental":     "fbca0d4dcd3295179b6cad9658472fea78c7385ca5788c9e572a703f71479349",
+	"histogram/pnn-incremental": "f272f0e6884b3cf0c2174c9065efad4b3ee4d2406de470d0b4f457c176b9b07f",
 	"histogram/knn-incremental": "f0e099530317847e03c8d2988bb88c5bf7166548e8a5cabdc0e3114cb3201115",
-	"gaussian/stateless":        "4e97a85b5d643617cb8985ba8a8333ee7d68af3022f7649143cd29efed4c219b",
+	"gaussian/stateless":        "f9593a180e611ea998457fd9b0acc2667681794c1ac3fb7f8d9afc3b77f71319",
+	"gaussian/pnn":              "43569dc157c2b348029a436348d6462fbc37d5879b6de7093b12fcb0b6ce190c",
 	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
 	"gaussian/knn":              "8ef38d73b1567a928ba969fb039a7d9c87b7a3e0356057dc0b07e99b19042246",
-	"gaussian/incremental":      "2b1ef7777fa64777d2e58fe46bc62db5d8f8d15bc2b477de664b2ae971f14051",
+	"gaussian/incremental":      "eae0d00962de856eefb9cbec49259ef50b4858d569baa78c08caf592f7b56188",
+	"gaussian/pnn-incremental":  "d2aa53fb347b2ebb0eb4856e58b944f50e5b44f421dec02e56a4d31714106d1c",
 	"gaussian/knn-incremental":  "1e51f4c8fd6f63ccd6ae73c7ffe4196b7a3e478cb6def87b3d8eddef74150235",
-	"disks/stateless":           "33b66858a1c76fb1648d9c6aa7087a0b150b046401986653fc85055a8420e9ea",
+	"disks/stateless":           "7680cad57fa8719457b14f09cae3e4426953a8d129a0ac0cc44766b6f9778834",
+	"disks/pnn":                 "5e3ff87ba44fee71a42c449415cc2d6fb8e5ec22849f529db5abc022d0f852ce",
 }
 
 // digest accumulates one section's answer stream.
@@ -158,9 +167,8 @@ type pipelineEngine[Q any] interface {
 	PNN(Q, Options) ([]Probability, Stats, error)
 }
 
-// digestStateless hashes CPNN under the three strategies, CPNNBatch and PNN
-// over qs. PNN's Stats are not hashed here: the planar PNN returned none when
-// the constants were recorded.
+// digestStateless hashes CPNN under the three strategies and CPNNBatch over
+// qs.
 func digestStateless[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Options) string {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
@@ -183,6 +191,15 @@ func digestStateless[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Optio
 	for _, res := range br.Results {
 		d.result(res)
 	}
+	return d.sum()
+}
+
+// digestPNN hashes PNN's probabilities over qs. Its Stats are not hashed
+// here: digestLine hashes the 1-D engine's, and the planar PNN returned none
+// when the constants were first recorded.
+func digestPNN[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Options) string {
+	t.Helper()
+	d := newDigest()
 	for _, q := range qs {
 		ps, _, err := e.PNN(q, opt)
 		if err != nil {
@@ -234,9 +251,9 @@ func digestKNN(t *testing.T, e *Engine, qs []float64) string {
 // 20-step change sequence (inserts, swap-into-hole deletes and replacements,
 // with and without slot hints) over a 60-object world of the flavour, a
 // fresh engine per step as the monitor sees one per view. CPNNIncremental
-// and PNNIncremental go into the first sum, both KNNIncremental streams into
-// the second.
-func digestIncremental(t *testing.T, flavour string, seed int64) (string, string) {
+// goes into the first sum, PNNIncremental into the second and both
+// KNNIncremental streams into the third.
+func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const span = 100
@@ -262,7 +279,7 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (string, string
 	c := verify.Constraint{P: 0.25, Delta: 0.01}
 	qC, qP, qK := rng.Float64()*span, rng.Float64()*span, rng.Float64()*span
 	stC, stB, stP, stK, stK1 := NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState()
-	d, dk := newDigest(), newDigest()
+	d, dp, dk := newDigest(), newDigest(), newDigest()
 	for step := 0; step < 20; step++ {
 		var changed map[uint64]int
 		if step > 0 {
@@ -311,9 +328,9 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (string, string
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.probs(ps)
-		d.stats(st)
-		d.inc(inc)
+		dp.probs(ps)
+		dp.stats(st)
+		dp.inc(inc)
 		as, st, inc, err := e.KNNIncremental(qK, c, KNNOptions{K: 3}, stK, ids, changed)
 		if err != nil {
 			t.Fatal(err)
@@ -329,7 +346,7 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (string, string
 		dk.knn(as, st)
 		dk.inc(inc)
 	}
-	return d.sum(), dk.sum()
+	return d.sum(), dp.sum(), dk.sum()
 }
 
 func TestAnswerDigest(t *testing.T) {
@@ -357,9 +374,10 @@ func TestAnswerDigest(t *testing.T) {
 			qs[j] = rng.Float64() * span
 		}
 		got[flavour+"/stateless"] = digestStateless(t, e, qs, Options{})
+		got[flavour+"/pnn"] = digestPNN(t, e, qs, Options{})
 		got[flavour+"/line"] = digestLine(t, e, qs)
 		got[flavour+"/knn"] = digestKNN(t, e, qs)
-		got[flavour+"/incremental"], got[flavour+"/knn-incremental"] = digestIncremental(t, flavour, int64(200+i))
+		got[flavour+"/incremental"], got[flavour+"/pnn-incremental"], got[flavour+"/knn-incremental"] = digestIncremental(t, flavour, int64(200+i))
 	}
 
 	rng := rand.New(rand.NewSource(103))
@@ -379,6 +397,7 @@ func TestAnswerDigest(t *testing.T) {
 		pts[i] = geom.Point{X: rng.Float64() * 200, Y: rng.Float64() * 200}
 	}
 	got["disks/stateless"] = digestStateless(t, e2, pts, Options{Bins: 128})
+	got["disks/pnn"] = digestPNN(t, e2, pts, Options{Bins: 128})
 
 	for key, sum := range got {
 		if want := answerDigests[key]; sum != want {
