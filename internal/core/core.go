@@ -347,25 +347,37 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 	return res, nil
 }
 
-// exactAll finishes a PNN: it integrates every candidate of a table exactly
-// and orders the result by descending probability, ties by ID. It is shared
-// by PNN and PNNIncremental, so both produce identical orderings.
+// exactAll finishes a PNN: every candidate's exact qualification
+// probability, from integrateAll over the table (cut at f_min, so k = 1),
+// ordered by descending probability, ties by ID. It is shared by PNN and
+// PNNIncremental, so both produce identical orderings.
 func exactAll(table *subregion.Table, st *Stats) ([]Probability, error) {
-	start := time.Now()
-	out := make([]Probability, table.NumCandidates())
-	for i := range out {
-		p, err := refine.Exact(table, i, 0)
-		if err != nil {
-			return nil, err
-		}
+	probs, err := integrateAll(table, st)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Probability, len(probs))
+	for i, p := range probs {
 		out[i] = Probability{ID: table.IDs()[i], P: p}
 	}
-	st.RefineTime = time.Since(start)
-	st.RefinedObjects = len(out)
 	slices.SortFunc(out, func(a, b Probability) int {
 		return cmp.Or(cmp.Compare(b.P, a.P), a.ID-b.ID)
 	})
 	return out, nil
+}
+
+// integrateAll is the refine phase of PNN and C-kNN: refine.ExactAll over
+// the table, which shares its quadrature nodes across all candidates, with
+// its wall time and the candidate count recorded in st.
+func integrateAll(table *subregion.Table, st *Stats) ([]float64, error) {
+	start := time.Now()
+	probs, err := refine.ExactAll(table)
+	if err != nil {
+		return nil, err
+	}
+	st.RefineTime = time.Since(start)
+	st.RefinedObjects = len(probs)
+	return probs, nil
 }
 
 // cpnnBasic finishes a query under the Basic strategy: exact integration for
@@ -516,11 +528,9 @@ func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []
 
 // knnClassify finishes a constrained k-NN over a table cut at f_k, shared by
 // CKNN and KNNIncremental: every candidate's exact k-NN probability
-// (refine.ExactAll) as a point bound, classified by Definition 1, sorted by
-// ID. Its wall time lands in st as the refine phase.
+// (integrateAll) as a point bound, classified by Definition 1, sorted by ID.
 func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNAnswer, error) {
-	start := time.Now()
-	probs, err := refine.ExactAll(table)
+	probs, err := integrateAll(table, st)
 	if err != nil {
 		return nil, err
 	}
@@ -530,7 +540,5 @@ func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNA
 		out[i] = KNNAnswer{ID: table.IDs()[i], Bounds: b, Status: verify.Classify(b, c)}
 	}
 	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
-	st.RefineTime = time.Since(start)
-	st.RefinedObjects = len(out)
 	return out, nil
 }

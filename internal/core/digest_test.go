@@ -32,28 +32,28 @@ import (
 // stream.
 var answerDigests = map[string]string{
 	"uniform/stateless":         "9d7de15a20543272d96e2d3b4d7bc96da2dc2d38aff8dc0e55da07ce9a29b201",
-	"uniform/pnn":               "32781ab671335b4ef5a9d5cec738ff6ec30a467b0e9a3fad0a0ba557de00189e",
+	"uniform/pnn":               "4456a3cf5cce547192e179efca9c2cbd133b2d74ef53a4259a57d85e57747db9",
 	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
 	"uniform/knn":               "da09641d3fea1c36e99c05ebdc64b7cdf5f162c5ad98815d5074cfdec26123c6",
 	"uniform/incremental":       "e08f04b74f2b5ab23edd3aa16c258e06efd87049e2ece276ae44637b14e59950",
-	"uniform/pnn-incremental":   "8e4985808a2f74da3c34776218c34a5e683ec7ee5c0b72b75d01078f072c3c77",
+	"uniform/pnn-incremental":   "9cf973446b30629591ef68b07c9aa5906e01845a8540b3bf9b7383fbc7bbcaf8",
 	"uniform/knn-incremental":   "fe471b240b637b6328aaba74ec40824704924c213d80fa435a9b7ea0f79c2e16",
 	"histogram/stateless":       "f684dc6ceaad22f8951b397f9ee5cd78382d111a7960514f64f18ea72c36d026",
-	"histogram/pnn":             "fd3885e0dab86979737cae1233dea2a74d4bb0917c04ecd16baf6f96fb53feaa",
+	"histogram/pnn":             "11f25a27217b47c4200b75424bcd1b09dc35ca37c39eb70c6fdc056bf0a384fb",
 	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
 	"histogram/knn":             "1453650363e44d830175598c499f22a41e0b938ad74f866408a6bbfe256f41e8",
 	"histogram/incremental":     "fbca0d4dcd3295179b6cad9658472fea78c7385ca5788c9e572a703f71479349",
-	"histogram/pnn-incremental": "f272f0e6884b3cf0c2174c9065efad4b3ee4d2406de470d0b4f457c176b9b07f",
+	"histogram/pnn-incremental": "a0a62c37b9c893d51c09c8f82e1523e0612f05eefc34e7d4542bf1a3e2a7081d",
 	"histogram/knn-incremental": "f0e099530317847e03c8d2988bb88c5bf7166548e8a5cabdc0e3114cb3201115",
 	"gaussian/stateless":        "f9593a180e611ea998457fd9b0acc2667681794c1ac3fb7f8d9afc3b77f71319",
-	"gaussian/pnn":              "43569dc157c2b348029a436348d6462fbc37d5879b6de7093b12fcb0b6ce190c",
+	"gaussian/pnn":              "5afa486460321e7f5564600f2845459648111ec13d7e7bcf62eeb24dd7bc5647",
 	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
 	"gaussian/knn":              "8ef38d73b1567a928ba969fb039a7d9c87b7a3e0356057dc0b07e99b19042246",
 	"gaussian/incremental":      "eae0d00962de856eefb9cbec49259ef50b4858d569baa78c08caf592f7b56188",
-	"gaussian/pnn-incremental":  "d2aa53fb347b2ebb0eb4856e58b944f50e5b44f421dec02e56a4d31714106d1c",
+	"gaussian/pnn-incremental":  "4724b8d2b86d8194288999f40f8a160d2174f4015550c070440dd1866f9c0dad",
 	"gaussian/knn-incremental":  "1e51f4c8fd6f63ccd6ae73c7ffe4196b7a3e478cb6def87b3d8eddef74150235",
 	"disks/stateless":           "7680cad57fa8719457b14f09cae3e4426953a8d129a0ac0cc44766b6f9778834",
-	"disks/pnn":                 "5e3ff87ba44fee71a42c449415cc2d6fb8e5ec22849f529db5abc022d0f852ce",
+	"disks/pnn":                 "2efdf6e94ebcd8c81b58f19797fc3420931db6b1180e88cffd55e8ce9ac241d1",
 }
 
 // digest accumulates one section's answer stream.
@@ -349,37 +349,42 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 	return d.sum(), dp.sum(), dk.sum()
 }
 
-func TestAnswerDigest(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests are recorded on amd64; other architectures may fuse multiply-adds")
-	}
-	got := map[string]string{}
-	for i, flavour := range []string{"uniform", "histogram", "gaussian"} {
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		n := 300
-		if flavour == "gaussian" {
-			n = 120 // each object is discretized once per engine
-		}
-		span := float64(n) * 2
-		pdfs := make([]pdf.PDF, n)
-		for j := range pdfs {
-			pdfs[j] = digestPDF(t, flavour, rng, span)
-		}
-		e, err := NewEngine(uncertain.NewDataset(pdfs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := make([]float64, 64)
-		for j := range qs {
-			qs[j] = rng.Float64() * span
-		}
-		got[flavour+"/stateless"] = digestStateless(t, e, qs, Options{})
-		got[flavour+"/pnn"] = digestPNN(t, e, qs, Options{})
-		got[flavour+"/line"] = digestLine(t, e, qs)
-		got[flavour+"/knn"] = digestKNN(t, e, qs)
-		got[flavour+"/incremental"], got[flavour+"/pnn-incremental"], got[flavour+"/knn-incremental"] = digestIncremental(t, flavour, int64(200+i))
-	}
+// digestFlavours names the digest's 1-D worlds, in seed order.
+var digestFlavours = []string{"uniform", "histogram", "gaussian"}
 
+// digestDiskBins is the planar world's discretization resolution.
+const digestDiskBins = 128
+
+// digestWorld builds the fixed-seed 1-D world of digestFlavours[i] and its
+// 64 query points.
+func digestWorld(t *testing.T, i int) (*Engine, []float64) {
+	t.Helper()
+	flavour := digestFlavours[i]
+	rng := rand.New(rand.NewSource(int64(100 + i)))
+	n := 300
+	if flavour == "gaussian" {
+		n = 120 // each object is discretized once per engine
+	}
+	span := float64(n) * 2
+	pdfs := make([]pdf.PDF, n)
+	for j := range pdfs {
+		pdfs[j] = digestPDF(t, flavour, rng, span)
+	}
+	e, err := NewEngine(uncertain.NewDataset(pdfs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]float64, 64)
+	for j := range qs {
+		qs[j] = rng.Float64() * span
+	}
+	return e, qs
+}
+
+// digestDisks builds the fixed-seed planar world of 400 disks and its 64
+// query points.
+func digestDisks(t *testing.T) (*Engine2D, []geom.Point) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(103))
 	disks := make([]Object2D, 400)
 	for i := range disks {
@@ -388,7 +393,7 @@ func TestAnswerDigest(t *testing.T) {
 			Radius: 1 + rng.Float64()*8,
 		}}
 	}
-	e2, err := NewEngine2D(disks)
+	e, err := NewEngine2D(disks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +401,25 @@ func TestAnswerDigest(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: rng.Float64() * 200, Y: rng.Float64() * 200}
 	}
-	got["disks/stateless"] = digestStateless(t, e2, pts, Options{Bins: 128})
-	got["disks/pnn"] = digestPNN(t, e2, pts, Options{Bins: 128})
+	return e, pts
+}
+
+func TestAnswerDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are recorded on amd64; other architectures may fuse multiply-adds")
+	}
+	got := map[string]string{}
+	for i, flavour := range digestFlavours {
+		e, qs := digestWorld(t, i)
+		got[flavour+"/stateless"] = digestStateless(t, e, qs, Options{})
+		got[flavour+"/pnn"] = digestPNN(t, e, qs, Options{})
+		got[flavour+"/line"] = digestLine(t, e, qs)
+		got[flavour+"/knn"] = digestKNN(t, e, qs)
+		got[flavour+"/incremental"], got[flavour+"/pnn-incremental"], got[flavour+"/knn-incremental"] = digestIncremental(t, flavour, int64(200+i))
+	}
+	e2, pts := digestDisks(t)
+	got["disks/stateless"] = digestStateless(t, e2, pts, Options{Bins: digestDiskBins})
+	got["disks/pnn"] = digestPNN(t, e2, pts, Options{Bins: digestDiskBins})
 
 	for key, sum := range got {
 		if want := answerDigests[key]; sum != want {

@@ -226,3 +226,111 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 		}
 	}
 }
+
+// longBeachSlice builds n objects of the paper's Long Beach workload at the
+// full dataset's density — domain and cluster count shrink with n, so
+// candidate sets are as large as on the 53,144-object set — and returns the
+// engine with, for each target size, the point of a 4,000-point scan whose
+// candidate set is nearest it.
+func longBeachSlice(tb testing.TB, n int, targets ...int) (*Engine, []float64) {
+	tb.Helper()
+	opt := uncertain.LongBeachOptions(1)
+	scale := float64(n) / float64(opt.N)
+	opt.N, opt.Domain, opt.Clusters = n, opt.Domain*scale, max(1, int(float64(opt.Clusters)*scale))
+	ds, err := uncertain.GenerateUniform(opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := NewEngine(ds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qs, off := make([]float64, len(targets)), make([]int, len(targets))
+	for i := range off {
+		off[i] = math.MaxInt
+	}
+	const scan = 4000
+	for s := 0; s < scan; s++ {
+		q := 0.05*opt.Domain + float64(s)*0.9*opt.Domain/scan
+		c := len(e.ix.Candidates(q).IDs)
+		for i, want := range targets {
+			if d := max(c-want, want-c); d < off[i] {
+				qs[i], off[i] = q, d
+			}
+		}
+	}
+	return e, qs
+}
+
+// checkPNNExact holds PNN at every point of qs to the one-candidate-at-a-time
+// reference: each probability within 1e-12 of refine.Exact over the same
+// table, and their sum within 1e-9 of 1. It returns the largest candidate
+// set checked.
+func checkPNNExact[Q any](t *testing.T, p *pipeline[Q], qs []Q, opt Options) int {
+	t.Helper()
+	opt = opt.withDefaults()
+	largest, worst := 0, 0.0
+	for _, q := range qs {
+		got, _, err := p.PNN(q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := borrow()
+		var st Stats
+		_, table, err := p.prepare(q, 1, opt.Bins, true, sc, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int]float64{}
+		for i := 0; table != nil && i < table.NumCandidates(); i++ {
+			if want[table.IDs()[i]], err = refine.Exact(table, i, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc.park()
+		if len(got) != len(want) {
+			t.Fatalf("q=%v: PNN returned %d probabilities for %d candidates", q, len(got), len(want))
+		}
+		if len(got) == 0 {
+			continue
+		}
+		sum := 0.0
+		for _, pr := range got {
+			d := math.Abs(pr.P - want[pr.ID])
+			if d > 1e-12 {
+				t.Errorf("q=%v id %d: PNN p=%.17g, refine.Exact %.17g (|diff| %.3g)", q, pr.ID, pr.P, want[pr.ID], d)
+			}
+			worst = max(worst, d)
+			sum += pr.P
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("q=%v: %d probabilities sum to %.17g", q, len(got), sum)
+		}
+		largest = max(largest, len(got))
+	}
+	t.Logf("%d queries: largest candidate set %d, largest |PNN − refine.Exact| %.3g", len(qs), largest, worst)
+	return largest
+}
+
+// TestPNNMatchesExactReference: PNN integrates every candidate at once
+// (refine.ExactAll); over real engines it agrees with integrating them one
+// at a time (refine.Exact) — on the digest's three 1-D worlds, its 400-disk
+// planar world, and a Long Beach slice at a point with about 160 candidates.
+func TestPNNMatchesExactReference(t *testing.T) {
+	for i, flavour := range digestFlavours {
+		t.Run(flavour, func(t *testing.T) {
+			e, qs := digestWorld(t, i)
+			checkPNNExact(t, &e.pipeline, qs, Options{})
+		})
+	}
+	t.Run("disks", func(t *testing.T) {
+		e, pts := digestDisks(t)
+		checkPNNExact(t, &e.pipeline, pts, Options{Bins: digestDiskBins})
+	})
+	t.Run("longbeach", func(t *testing.T) {
+		e, qs := longBeachSlice(t, 6000, 160)
+		if c := checkPNNExact(t, &e.pipeline, qs, Options{}); c < 150 {
+			t.Fatalf("largest candidate set %d, want at least 150", c)
+		}
+	})
+}
