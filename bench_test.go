@@ -332,7 +332,7 @@ func BenchmarkAblationRefinementPrior(b *testing.B) {
 	for name, prior := range priors {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := refine.Incremental(table, target, c, verify.Bounds{L: 0, U: 1}, prior, 0); err != nil {
+				if _, err := refine.Incremental(table, target, c, verify.Bounds{L: 0, U: 1}, prior); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,7 +341,7 @@ func BenchmarkAblationRefinementPrior(b *testing.B) {
 }
 
 // BenchmarkAblationQuadrature sweeps the Gauss–Legendre rule size for exact
-// subregion integration (AutoGLNodes picks exactness; fewer nodes trade
+// subregion integration (gl=auto picks the exact rule size; fewer nodes trade
 // accuracy for speed).
 func BenchmarkAblationQuadrature(b *testing.B) {
 	e := setup(b)

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/uncertain"
@@ -280,6 +281,32 @@ func BenchmarkCKNN(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkPNN measures a whole PNN — filter, derivation, the table and the
+// exact integration of every candidate — on a 20,000-object Long Beach slice
+// at full density, at the points whose candidate sets are nearest 50, 180
+// and 450. refine-ns/op is the integration phase alone (Stats.RefineTime).
+func BenchmarkPNN(b *testing.B) {
+	eng, qs := longBeachSlice(b, 20000, 50, 180, 450)
+	for _, q := range qs {
+		_, st, err := eng.PNN(q, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("C=%d", st.Candidates), func(b *testing.B) {
+			b.ReportAllocs()
+			var refine time.Duration
+			for i := 0; i < b.N; i++ {
+				_, st, err := eng.PNN(q, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				refine += st.RefineTime
+			}
+			b.ReportMetric(float64(refine.Nanoseconds())/float64(b.N), "refine-ns/op")
 		})
 	}
 }

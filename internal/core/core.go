@@ -41,11 +41,12 @@
 // A candidate is therefore filtered in one place (source.candidates, or
 // incrementalFilter for a stateful query), derived in one (pipeline.derive /
 // Engine.cacheFold, both through source.dist) and classified in one
-// (finishVerifyRefine, cpnnBasic or exactAll, each called by the pipeline and
-// by its incremental counterpart). A per-candidate explanation — which
-// verifier or refinement step decided an object — belongs in
-// finishVerifyRefine next to Stats.UnknownAfter; a request context belongs
-// in pipeline.prepare and incrementalPrepare, checked between phases.
+// (finishVerifyRefine, cpnnBasic, or refine.ExactAll under exactAll and
+// knnClassify, each called by the pipeline and by its incremental
+// counterpart). A per-candidate explanation — which verifier or refinement
+// step decided an object — belongs in finishVerifyRefine next to
+// Stats.UnknownAfter; a request context belongs in pipeline.prepare and
+// incrementalPrepare, checked between phases.
 //
 // # One scratch, one pool
 //
@@ -333,7 +334,7 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 		if status[i] != verify.Unknown {
 			continue
 		}
-		r, err := refine.Incremental(table, i, c, bounds[i], prior, 0)
+		r, err := refine.Incremental(table, i, c, bounds[i], prior)
 		if err != nil {
 			return nil, err
 		}
@@ -347,15 +348,17 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 	return res, nil
 }
 
-// exactAll finishes a PNN: every candidate's exact qualification
-// probability, from integrateAll over the table (cut at f_min, so k = 1),
-// ordered by descending probability, ties by ID. It is shared by PNN and
-// PNNIncremental, so both produce identical orderings.
+// exactAll finishes a PNN: every candidate's exact probability from
+// refine.ExactAll at k = 1, ordered by descending probability, ties by ID.
+// It is shared by PNN and PNNIncremental, so both produce identical orderings.
 func exactAll(table *subregion.Table, st *Stats) ([]Probability, error) {
-	probs, err := integrateAll(table, st)
+	start := time.Now()
+	probs, err := refine.ExactAll(table)
 	if err != nil {
 		return nil, err
 	}
+	st.RefineTime = time.Since(start)
+	st.RefinedObjects = len(probs)
 	out := make([]Probability, len(probs))
 	for i, p := range probs {
 		out[i] = Probability{ID: table.IDs()[i], P: p}
@@ -364,20 +367,6 @@ func exactAll(table *subregion.Table, st *Stats) ([]Probability, error) {
 		return cmp.Or(cmp.Compare(b.P, a.P), a.ID-b.ID)
 	})
 	return out, nil
-}
-
-// integrateAll is the refine phase of PNN and C-kNN: refine.ExactAll over
-// the table, which shares its quadrature nodes across all candidates, with
-// its wall time and the candidate count recorded in st.
-func integrateAll(table *subregion.Table, st *Stats) ([]float64, error) {
-	start := time.Now()
-	probs, err := refine.ExactAll(table)
-	if err != nil {
-		return nil, err
-	}
-	st.RefineTime = time.Since(start)
-	st.RefinedObjects = len(probs)
-	return probs, nil
 }
 
 // cpnnBasic finishes a query under the Basic strategy: exact integration for
@@ -528,9 +517,11 @@ func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []
 
 // knnClassify finishes a constrained k-NN over a table cut at f_k, shared by
 // CKNN and KNNIncremental: every candidate's exact k-NN probability
-// (integrateAll) as a point bound, classified by Definition 1, sorted by ID.
+// (refine.ExactAll) as a point bound, classified by Definition 1, sorted by
+// ID. Its wall time lands in st as the refine phase.
 func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNAnswer, error) {
-	probs, err := integrateAll(table, st)
+	start := time.Now()
+	probs, err := refine.ExactAll(table)
 	if err != nil {
 		return nil, err
 	}
@@ -540,5 +531,7 @@ func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNA
 		out[i] = KNNAnswer{ID: table.IDs()[i], Bounds: b, Status: verify.Classify(b, c)}
 	}
 	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
+	st.RefineTime = time.Since(start)
+	st.RefinedObjects = len(out)
 	return out, nil
 }

@@ -89,8 +89,8 @@ func (p *pipeline[Q]) cpnn(q Q, c verify.Constraint, opt Options, sc *queryScrat
 
 // PNN computes the exact qualification probability of every candidate — the
 // unconstrained query of the paper's Fig. 2 — sorted by descending
-// probability. It integrates every candidate exactly, with no verification
-// pass, whose bounds a PNN would discard anyway.
+// probability. It integrates every candidate exactly in one pass, with no
+// verification pass, whose bounds a PNN would discard anyway.
 func (p *pipeline[Q]) PNN(q Q, opt Options) ([]Probability, Stats, error) {
 	opt = opt.withDefaults()
 	var st Stats

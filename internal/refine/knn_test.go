@@ -223,7 +223,7 @@ func TestKNNReducedRuleMatchesExactRule(t *testing.T) {
 				if tb.S(i, j) == 0 {
 					continue
 				}
-				nodes, weights, err := quad.GaussLegendre(AutoGLNodes(tb.Count(j)))
+				nodes, weights, err := quad.GaussLegendre(autoGLNodes(tb.Count(j)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,9 +1,11 @@
-// Package refine computes exact qualification probabilities — the last
-// phase of the C-PNN pipeline (paper §IV-D) — and, through ExactAll, exact
-// k-NN membership probabilities over the same subregion table, plus the
-// Basic baseline of Cheng et al. (SIGMOD'03) and a Monte-Carlo evaluator in
-// the style of Kriegel et al. (DASFAA'07), used for cross-validation and as
-// the paper's sampling-based comparison point [9].
+// Package refine computes exact probabilities over a subregion table, the
+// last phase of the C-PNN pipeline (paper §IV-D). ExactAll is the one exact
+// integrator PNN and C-kNN run: it shares each subregion's quadrature nodes
+// across the candidates of a table cut at f_min or at f_k (the EDBT 2009
+// follow-up). C-PNN refines a candidate at a time (Incremental), and its
+// Basic strategy is the baseline of Cheng et al. (SIGMOD'03). Exact and
+// MonteCarlo (after Kriegel et al., DASFAA'07, the paper's [9]) are test
+// references that no serving path calls.
 //
 // Incremental refinement exploits the subregion table: the qualification
 // probability decomposes as p_i = Σ_j s_ij·q_ij, and within one subregion
@@ -60,12 +62,12 @@ func (TrivialPrior) Lower(*subregion.Table, int, int) float64 { return 0 }
 // Upper implements Prior.
 func (TrivialPrior) Upper(*subregion.Table, int, int) float64 { return 1 }
 
-// AutoGLNodes returns a Gauss–Legendre rule size that integrates the
+// autoGLNodes returns a Gauss–Legendre rule size that integrates the
 // subregion integrand exactly: a polynomial in up to n linear cdf factors
 // has degree at most n, and ⌊n/2⌋+1 nodes are exact to degree 2⌊n/2⌋+1 ≥ n
 // (up to quad.MaxGaussNodes). Exact passes n = |C|, ExactAll the subregion's
 // candidate count c_j.
-func AutoGLNodes(n int) int {
+func autoGLNodes(n int) int {
 	n = n/2 + 1
 	if n > quad.MaxGaussNodes {
 		n = quad.MaxGaussNodes
@@ -82,7 +84,7 @@ const glTolerance = 1e-17
 
 // knnGLNodes returns the Gauss–Legendre rule size for a subregion average of
 // ExactAll's G over S_j, where count candidates have mass and the cdfs rise
-// by rise in total: the exact size AutoGLNodes(count), or fewer nodes when
+// by rise in total: the exact size autoGLNodes(count), or fewer nodes when
 // the rule's remainder is provably below glTolerance. On t ∈ [0, 1] the
 // n-point remainder is (n!)⁴ / ((2n+1)·((2n)!)³) · G⁽²ⁿ⁾(ξ). G is multilinear
 // in cdfs D_a(t) = D_a(0) + β_a·t, so G⁽ᵐ⁾ sums m!·e_m(β) mixed partials, each
@@ -90,7 +92,7 @@ const glTolerance = 1e-17
 // subregion deep in an overlap holds hundreds of candidates but little
 // mass, and needs a handful of nodes instead of half its candidate count.
 func knnGLNodes(count int, rise float64) int {
-	exact := AutoGLNodes(count)
+	exact := autoGLNodes(count)
 	logTol, logRise := math.Log(glTolerance), math.Log(rise)
 	for n := 2; n < exact; n++ {
 		nf := float64(n)
@@ -107,7 +109,7 @@ func knnGLNodes(count int, rise float64) int {
 // the nearest neighbor given R_i ∈ S_j — by Gauss–Legendre integration of
 // Π_{k≠i}(1 − D_k(r)) averaged over the subregion. Within a subregion every
 // D_k is linear, so the table's end-point cdf values interpolate it exactly.
-// glNodes <= 0 selects AutoGLNodes.
+// glNodes <= 0 selects autoGLNodes.
 func ExactSubregion(t *subregion.Table, i, j, glNodes int) (float64, error) {
 	if j < 0 || j >= t.NumSubregions() {
 		return 0, fmt.Errorf("refine: subregion %d outside [0, %d)", j, t.NumSubregions())
@@ -119,7 +121,7 @@ func ExactSubregion(t *subregion.Table, i, j, glNodes int) (float64, error) {
 		return 0, nil // no mass here; conditional value is irrelevant
 	}
 	if glNodes <= 0 {
-		glNodes = AutoGLNodes(t.NumCandidates())
+		glNodes = autoGLNodes(t.NumCandidates())
 	}
 	ends := t.Endpoints()
 	e0, e1 := ends[j], ends[j+1]
@@ -148,7 +150,8 @@ func ExactSubregion(t *subregion.Table, i, j, glNodes int) (float64, error) {
 }
 
 // Exact returns candidate i's exact qualification probability by integrating
-// every subregion. glNodes <= 0 selects AutoGLNodes.
+// every subregion. glNodes <= 0 selects autoGLNodes. A test reference: per
+// candidate it repeats the products ExactAll shares, O(|C|²·M) each.
 func Exact(t *subregion.Table, i, glNodes int) (float64, error) {
 	p := 0.0
 	for j := 0; j < t.NumSubregions()-1; j++ {
@@ -174,7 +177,7 @@ func Exact(t *subregion.Table, i, glNodes int) (float64, error) {
 //
 // where G_i(r) is the probability that at most k−1 of the other candidates
 // lie within r. Inside S_j every cdf is linear, so G_i is a polynomial of
-// degree at most c_j (Table.Count) and AutoGLNodes(c_j) Gauss–Legendre nodes
+// degree at most c_j (Table.Count) and autoGLNodes(c_j) Gauss–Legendre nodes
 // integrate it exactly; knnGLNodes takes fewer where the rule's remainder is
 // provably below 1e-17. The rightmost subregion lies beyond the cut f_k and
 // adds nothing. At each node one prefix and one suffix pass of a
@@ -235,7 +238,7 @@ func ExactAll(t *subregion.Table) ([]float64, error) {
 			continue
 		}
 		if n := (len(active) + 1) * kk; cap(pre) < n {
-			pre = make([]float64, n)
+			pre = make([]float64, max(n, 2*cap(pre))) // at most twice the widest need
 		}
 		nodes, weights, err := quad.GaussLegendre(knnGLNodes(t.Count(j), totalRise))
 		if err != nil {
@@ -304,7 +307,7 @@ type IncrementalResult struct {
 // s_ij (paper §IV-D). start is the candidate's bound entering refinement;
 // pass the verifier output for the VR strategy or the zero value
 // Bounds{0, 1} when skipping verification.
-func Incremental(t *subregion.Table, i int, c verify.Constraint, start verify.Bounds, prior Prior, glNodes int) (IncrementalResult, error) {
+func Incremental(t *subregion.Table, i int, c verify.Constraint, start verify.Bounds, prior Prior) (IncrementalResult, error) {
 	if err := c.Validate(); err != nil {
 		return IncrementalResult{}, err
 	}
@@ -334,7 +337,7 @@ func Incremental(t *subregion.Table, i int, c verify.Constraint, start verify.Bo
 
 	for _, j := range order {
 		s := t.S(i, j)
-		q, err := ExactSubregion(t, i, j, glNodes)
+		q, err := ExactSubregion(t, i, j, 0)
 		if err != nil {
 			return res, err
 		}
@@ -430,7 +433,7 @@ func BasicAll(cands []subregion.Candidate, steps int) ([]float64, error) {
 // MonteCarlo estimates all candidates' qualification probabilities by
 // sampling each distance pdf and tallying the nearest candidate, after the
 // sampling evaluator of the paper's reference [9]. Exact ties split their
-// tally evenly. It is the ground truth oracle for the engine's tests.
+// tally evenly. It is a test reference, the engine tests' ground truth.
 func MonteCarlo(cands []subregion.Candidate, samples int, rng *rand.Rand) ([]float64, error) {
 	if len(cands) == 0 {
 		return nil, nil
@@ -464,12 +467,4 @@ func MonteCarlo(cands []subregion.Candidate, samples int, rng *rand.Rand) ([]flo
 	return counts, nil
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
+func clamp01(v float64) float64 { return min(max(v, 0), 1) }

@@ -166,14 +166,14 @@ func TestExactSubregionEdges(t *testing.T) {
 }
 
 func TestAutoGLNodes(t *testing.T) {
-	if n := AutoGLNodes(0); n < 2 {
-		t.Errorf("AutoGLNodes(0) = %d", n)
+	if n := autoGLNodes(0); n < 2 {
+		t.Errorf("autoGLNodes(0) = %d", n)
 	}
-	if n := AutoGLNodes(96); n != 49 {
-		t.Errorf("AutoGLNodes(96) = %d, want 49", n)
+	if n := autoGLNodes(96); n != 49 {
+		t.Errorf("autoGLNodes(96) = %d, want 49", n)
 	}
-	if n := AutoGLNodes(100000); n > 256 {
-		t.Errorf("AutoGLNodes uncapped: %d", n)
+	if n := autoGLNodes(100000); n > 256 {
+		t.Errorf("autoGLNodes uncapped: %d", n)
 	}
 }
 
@@ -188,7 +188,7 @@ func TestIncrementalAgreesWithExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		above, err := Incremental(tb, i, verify.Constraint{P: exact + 1e-6, Delta: 0},
-			verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0)
+			verify.Bounds{L: 0, U: 1}, VerifierPrior{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestIncrementalAgreesWithExact(t *testing.T) {
 			t.Errorf("candidate %d: exact %g escaped bounds %v", i, exact, above.Bounds)
 		}
 		below, err := Incremental(tb, i, verify.Constraint{P: exact - 1e-6, Delta: 0},
-			verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0)
+			verify.Bounds{L: 0, U: 1}, VerifierPrior{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestIncrementalEarlyStop(t *testing.T) {
 	// X3's exact probability is tiny (~0.036); with P=0.5 the verifier
 	// prior alone decides (upper bound 0.045 < 0.5): zero integrations.
 	res, err := Incremental(tb, 2, verify.Constraint{P: 0.5, Delta: 0.01},
-		verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0)
+		verify.Bounds{L: 0, U: 1}, VerifierPrior{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,12 @@ func TestIncrementalEarlyStop(t *testing.T) {
 	// For X1 (wide bounds, exact ~0.53) the trivial prior cannot decide
 	// upfront and must integrate, while the verifier prior starts tighter.
 	rv, err := Incremental(tb, 0, verify.Constraint{P: 0.5, Delta: 0.01},
-		verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0)
+		verify.Bounds{L: 0, U: 1}, VerifierPrior{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt, err := Incremental(tb, 0, verify.Constraint{P: 0.5, Delta: 0.01},
-		verify.Bounds{L: 0, U: 1}, TrivialPrior{}, 0)
+		verify.Bounds{L: 0, U: 1}, TrivialPrior{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestIncrementalRespectsTolerance(t *testing.T) {
 	// X1 exact ~0.49; P=0.4, large Delta: satisfied once the bound width
 	// shrinks under Delta, likely without full collapse.
 	res, err := Incremental(tb, 0, verify.Constraint{P: 0.4, Delta: 0.2},
-		verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0)
+		verify.Bounds{L: 0, U: 1}, VerifierPrior{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestIncrementalRespectsTolerance(t *testing.T) {
 
 func TestIncrementalInvalidConstraint(t *testing.T) {
 	tb := handTable(t)
-	if _, err := Incremental(tb, 0, verify.Constraint{P: 0}, verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0); err == nil {
+	if _, err := Incremental(tb, 0, verify.Constraint{P: 0}, verify.Bounds{L: 0, U: 1}, VerifierPrior{}); err == nil {
 		t.Error("invalid constraint accepted")
 	}
 }
@@ -383,7 +383,7 @@ func TestIncrementalConvergesProperty(t *testing.T) {
 		}
 		if exact < 1-2e-6 { // a threshold above exact is only meaningful below 1
 			above, err := Incremental(tb, i, verify.Constraint{P: exact + 1e-6, Delta: 0},
-				verify.Bounds{L: 0, U: 1}, prior, 0)
+				verify.Bounds{L: 0, U: 1}, prior)
 			if err != nil || above.Status != verify.Fail {
 				return false
 			}
@@ -395,7 +395,7 @@ func TestIncrementalConvergesProperty(t *testing.T) {
 			return true // below-threshold probe would be invalid
 		}
 		below, err := Incremental(tb, i, verify.Constraint{P: exact - 1e-6, Delta: 0},
-			verify.Bounds{L: 0, U: 1}, prior, 0)
+			verify.Bounds{L: 0, U: 1}, prior)
 		return err == nil && below.Status == verify.Satisfy
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -410,11 +410,11 @@ func TestVerifierPriorNeverWorseThanTrivial(t *testing.T) {
 	tb := handTable(t)
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 	for i := 0; i < tb.NumCandidates(); i++ {
-		rv, err := Incremental(tb, i, c, verify.Bounds{L: 0, U: 1}, VerifierPrior{}, 0)
+		rv, err := Incremental(tb, i, c, verify.Bounds{L: 0, U: 1}, VerifierPrior{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := Incremental(tb, i, c, verify.Bounds{L: 0, U: 1}, TrivialPrior{}, 0)
+		rt, err := Incremental(tb, i, c, verify.Bounds{L: 0, U: 1}, TrivialPrior{})
 		if err != nil {
 			t.Fatal(err)
 		}
