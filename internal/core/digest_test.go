@@ -35,23 +35,23 @@ var answerDigests = map[string]string{
 	"uniform/pnn":               "4456a3cf5cce547192e179efca9c2cbd133b2d74ef53a4259a57d85e57747db9",
 	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
 	"uniform/knn":               "da09641d3fea1c36e99c05ebdc64b7cdf5f162c5ad98815d5074cfdec26123c6",
-	"uniform/incremental":       "e08f04b74f2b5ab23edd3aa16c258e06efd87049e2ece276ae44637b14e59950",
-	"uniform/pnn-incremental":   "9cf973446b30629591ef68b07c9aa5906e01845a8540b3bf9b7383fbc7bbcaf8",
-	"uniform/knn-incremental":   "fe471b240b637b6328aaba74ec40824704924c213d80fa435a9b7ea0f79c2e16",
+	"uniform/incremental":       "9e6e022076b231ac37b06cf9edbc77e9e6aa7a91dfca82cd7e04db1804314c3c",
+	"uniform/pnn-incremental":   "06acc7cbbb7700e643114db90d1444ba6f9a06467e268a030784d4d394e56ba5",
+	"uniform/knn-incremental":   "7a0a78748160b5dbe42e3d222d0003c9af212ae81595afe335123c07dc45ba6a",
 	"histogram/stateless":       "f684dc6ceaad22f8951b397f9ee5cd78382d111a7960514f64f18ea72c36d026",
 	"histogram/pnn":             "11f25a27217b47c4200b75424bcd1b09dc35ca37c39eb70c6fdc056bf0a384fb",
 	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
 	"histogram/knn":             "1453650363e44d830175598c499f22a41e0b938ad74f866408a6bbfe256f41e8",
-	"histogram/incremental":     "fbca0d4dcd3295179b6cad9658472fea78c7385ca5788c9e572a703f71479349",
-	"histogram/pnn-incremental": "a0a62c37b9c893d51c09c8f82e1523e0612f05eefc34e7d4542bf1a3e2a7081d",
-	"histogram/knn-incremental": "f0e099530317847e03c8d2988bb88c5bf7166548e8a5cabdc0e3114cb3201115",
+	"histogram/incremental":     "60010e89d2be9de92a9391f96aecf8cde646af75d0d606671695bdc0edabba20",
+	"histogram/pnn-incremental": "0f6f900ace1a6798f4644af1e0990a63b3b6e8e975bbb96294b462e64c627373",
+	"histogram/knn-incremental": "6f3ddc723489250d8fdce22ee9263ac234311a41c6d1e71a9aa13ad1d51e89a5",
 	"gaussian/stateless":        "f9593a180e611ea998457fd9b0acc2667681794c1ac3fb7f8d9afc3b77f71319",
 	"gaussian/pnn":              "5afa486460321e7f5564600f2845459648111ec13d7e7bcf62eeb24dd7bc5647",
 	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
 	"gaussian/knn":              "8ef38d73b1567a928ba969fb039a7d9c87b7a3e0356057dc0b07e99b19042246",
-	"gaussian/incremental":      "eae0d00962de856eefb9cbec49259ef50b4858d569baa78c08caf592f7b56188",
-	"gaussian/pnn-incremental":  "4724b8d2b86d8194288999f40f8a160d2174f4015550c070440dd1866f9c0dad",
-	"gaussian/knn-incremental":  "1e51f4c8fd6f63ccd6ae73c7ffe4196b7a3e478cb6def87b3d8eddef74150235",
+	"gaussian/incremental":      "d68c5eb3a2525a63c070e7460c4a0bdc196d20ebb75639a4f036e35c7ad0943e",
+	"gaussian/pnn-incremental":  "dfac2a750fa9b90b84474922a38efbb1bb89c7e728c8213b91edc1a3a7e78e8f",
+	"gaussian/knn-incremental":  "8a7a8559666d1747d51f2d6c25bcb4e544dfd6dd8271e2ed1bc98bf4cc75a899",
 	"disks/stateless":           "7680cad57fa8719457b14f09cae3e4426953a8d129a0ac0cc44766b6f9778834",
 	"disks/pnn":                 "2efdf6e94ebcd8c81b58f19797fc3420931db6b1180e88cffd55e8ce9ac241d1",
 }
@@ -128,7 +128,6 @@ func (d *digest) knn(as []KNNAnswer, st Stats) {
 
 func (d *digest) inc(s IncrementalStats) {
 	d.bool(s.Skipped)
-	d.bool(s.Patched)
 	d.ints(s.Reused, s.Derived)
 }
 
