@@ -225,10 +225,9 @@ type Stats struct {
 	// InitTime covers distance pdf/cdf derivation and subregion-table
 	// construction (the paper counts this within verification).
 	InitTime time.Duration
-	// TableTime is the subregion-table share of InitTime on the stateless
-	// entry points, so InitTime − TableTime is derivation alone. The
-	// incremental entry points patch the table between derivations and leave
-	// it zero.
+	// TableTime is the subregion-table share of InitTime, so InitTime −
+	// TableTime is derivation alone. The stateless and the incremental entry
+	// points alike build the table once, after derivation, and time that.
 	TableTime time.Duration
 	// VerifyTime is the verifier-chain time.
 	VerifyTime time.Duration

@@ -19,27 +19,23 @@ import (
 // re-evaluation the set of stable IDs the triggering commits actually
 // changed.
 //
-// Three increasingly cheap paths apply, in order:
+// Two paths apply, in order:
 //
 //  1. Early exit — when the recomputed critical distance equals the cached
 //     one and no changed object is in either the cached or the fresh
 //     candidate set, the previous answer is provably byte-identical; nothing
 //     is derived and no verifier runs.
-//  2. Single-candidate patch — when exactly one candidate entered, left or
-//     moved (and dense IDs did not reshuffle), the cached subregion table is
-//     patched in place via subregion.(*Table).Patch: one fold derivation,
-//     zero matrix allocations.
-//  3. Fold-cache rebuild — otherwise the candidate set is re-assembled
+//  2. Fold-cache rebuild — otherwise the candidate set is re-assembled
 //     reusing every unchanged candidate's cached distance pdf, deriving only
-//     changed ones, and the table is rebuilt in place over the state's
+//     changed ones, and the table is rebuilt once, in place over the state's
 //     storage.
 //
-// All three produce answers bit-identical to a from-scratch evaluation
-// against the same view: folds are deterministic functions of (pdf, q)
-// (proven arena==heap by FuzzFold), the table is a pure function of the
-// candidate set regardless of input order or patch history (ID tie-break in
-// Rebuild, proven by FuzzIncrementalPatch), and verification/refinement are
-// deterministic over the table.
+// Both produce answers bit-identical to a from-scratch evaluation against
+// the same view: folds are deterministic functions of (pdf, q) (proven
+// arena==heap by FuzzFold), the table is a pure function of the candidate
+// set regardless of input order or of what the storage held before (ID
+// tie-break in Rebuild, proven by FuzzBuild), and verification/refinement
+// are deterministic over the table.
 
 // Dense-slot hints carried in a changed-ID map. A non-negative value is the
 // object's dense dataset slot as of the commit that changed it — a
@@ -56,10 +52,10 @@ const (
 // cachedFold is one retained candidate derivation: the object's discretized
 // distance pdf for the state's query point, heap-allocated so it survives
 // arena resets, plus the dense slot it occupied at the last evaluation (the
-// subregion table is keyed by dense IDs, so patching requires the mapping to
-// have held still) and the near-point distance of the object's region from
-// the query (regions of unchanged objects hold still, so the cached value
-// feeds the filter replay's survival test).
+// filter replay's first guess at where the object sits in the current view)
+// and the near-point distance of the object's region from the query (regions
+// of unchanged objects hold still, so the cached value feeds the filter
+// replay's survival test).
 type cachedFold struct {
 	h     *pdf.Histogram
 	gen   uint64
@@ -93,8 +89,7 @@ type EvalState struct {
 	folds     map[uint64]*cachedFold
 	foldBytes int
 
-	table      subregion.Table
-	tableBuilt bool
+	table subregion.Table
 
 	cands     []subregion.Candidate // assembly scratch, reused across evaluations
 	replayIDs []int                 // filter-replay scratch, reused across evaluations
@@ -132,7 +127,6 @@ func (st *EvalState) clear(fmin float64) {
 		delete(st.folds, s)
 	}
 	st.foldBytes = 0
-	st.tableBuilt = false
 	st.fmin = fmin
 	st.fminKnown = false
 	st.valid = true
@@ -143,8 +137,6 @@ type IncrementalStats struct {
 	// Skipped reports the early exit: the previous answer is provably
 	// unchanged and no result was produced.
 	Skipped bool
-	// Patched reports the single-candidate table patch path.
-	Patched bool
 	// Reused counts candidates whose cached distance pdf was kept; Derived
 	// counts fold derivations actually performed.
 	Reused, Derived int
@@ -361,11 +353,11 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 
 // incrementalPrepare runs the filter and derivation phases of an incremental
 // evaluation at filter depth k (1 for CPNN/PNN, the neighbor count for
-// k-NN): early-exit check, fold-cache classification, and (when buildTable is
-// set) the in-place table patch or rebuild. On return with inc.Skipped the
-// caller reuses its previous answer; with stats.Candidates == 0 the answer is
-// empty; otherwise st.table (or st.cands when buildTable is false) holds the
-// prepared candidate set. Filter and init timings, set sizes and the
+// k-NN): early-exit check, fold-cache assembly, and (when buildTable is set)
+// the one in-place table rebuild. On return with inc.Skipped the caller
+// reuses its previous answer; with stats.Candidates == 0 the answer is empty;
+// otherwise st.table (or st.cands when buildTable is false) holds the
+// prepared candidate set. Filter, init and table timings, set sizes and the
 // critical distance land in stats.
 func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) error {
 	start := time.Now()
@@ -386,108 +378,20 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 	start = time.Now()
 	st.gen++
 	gen := st.gen
-	// commit records a completed preparation in the state and in stats.
-	commit := func() {
-		st.fmin = fr.FMin
-		st.fminStable, st.fminKnown = fminStable, fminKnown
-		st.valid = true
-		if buildTable {
-			stats.Subregions = st.table.NumSubregions()
-		}
-		stats.InitTime = time.Since(start)
-	}
-
-	// First pass: mark reusable folds and decide patch feasibility. A patch
-	// needs a previously built table cut for the same k (a k-NN query's
-	// min(K, n) moves with the dataset size), every surviving candidate still
-	// in the dense slot the table knows it by, and at most one candidate
-	// entering, leaving or moving.
-	canPatch := buildTable && st.valid && st.tableBuilt && st.table.K() == k
-	upDense, upStable := -1, uint64(0)
+	// Assemble the candidate set in filter order: an unchanged candidate
+	// keeps its cached fold (marked with this generation), every other one is
+	// derived. Folds left off-generation have departed and are evicted; the
+	// table is then rebuilt once over the state's storage.
+	cands := st.cands[:0]
 	for _, d := range fr.IDs {
 		s := ids[d]
 		cf := st.folds[s]
-		reuse := cf != nil && st.valid
-		if reuse {
-			if _, isChanged := changed[s]; isChanged {
-				reuse = false
-			}
-		}
-		if reuse {
-			if cf.dense != d {
-				canPatch = false // dense reshuffle: the table's IDs are stale
-			}
+		if _, isChanged := changed[s]; cf != nil && st.valid && !isChanged {
 			cf.gen, cf.dense = gen, d
-			continue
-		}
-		if upDense >= 0 || (cf != nil && cf.dense != d) {
-			canPatch = false // second upsert, or a moved candidate that also re-slotted
-		}
-		upDense, upStable = d, s
-	}
-
-	if canPatch {
-		// Identify departures. More than one kills the patch path; the
-		// upsert's own (off-generation) entry is not a departure.
-		evictDense, evictStable, departed := -1, uint64(0), 0
-		for s, cf := range st.folds {
-			if cf.gen == gen || (upDense >= 0 && s == upStable) {
-				continue
-			}
-			departed++
-			evictDense, evictStable = cf.dense, s
-		}
-		if departed <= 1 {
-			var up *subregion.Candidate
-			if upDense >= 0 {
-				cf, err := e.cacheFold(q, bins, st, upStable, upDense, inc)
-				if err != nil {
-					return err
-				}
-				up = &subregion.Candidate{ID: upDense, Dist: cf.h}
-			}
-			if up == nil && evictDense < 0 {
-				// Candidate set identical and nothing changed inside it; the
-				// cached table already is the fresh one.
-				inc.Patched = true
-				inc.Reused = len(st.folds)
-				commit()
-				return nil
-			}
-			if err := st.table.Patch(up, evictDense); err != nil {
-				// The edited set no longer forms a valid table (should not
-				// happen for genuine filter output); fall back to a full
-				// re-derivation below.
-				st.Invalidate()
-			} else {
-				if evictDense >= 0 {
-					if cf := st.folds[evictStable]; cf != nil {
-						st.foldBytes -= cf.h.MemBytes()
-						delete(st.folds, evictStable)
-					}
-				}
-				inc.Patched = true
-				inc.Reused = len(st.folds)
-				if up != nil {
-					inc.Reused--
-				}
-				commit()
-				return nil
-			}
-		}
-	}
-
-	// Full path: assemble the candidate set in filter order, reusing cached
-	// folds (marked with this generation above) and deriving the rest, then
-	// evict every fold that left the candidate set.
-	cands := st.cands[:0]
-	for _, d := range fr.IDs {
-		cf := st.folds[ids[d]]
-		if cf != nil && cf.gen == gen {
 			inc.Reused++
 		} else {
 			var err error
-			if cf, err = e.cacheFold(q, bins, st, ids[d], d, inc); err != nil {
+			if cf, err = e.cacheFold(q, bins, st, s, d, inc); err != nil {
 				return err
 			}
 		}
@@ -501,13 +405,18 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 		}
 	}
 	if buildTable {
+		derived := time.Now()
 		if err := st.table.Rebuild(cands, k); err != nil {
 			st.Invalidate()
 			return fmt.Errorf("core: %w", err)
 		}
-		st.tableBuilt = true
+		stats.Subregions = st.table.NumSubregions()
+		stats.TableTime = time.Since(derived)
 	}
-	commit()
+	st.fmin = fr.FMin
+	st.fminStable, st.fminKnown = fminStable, fminKnown
+	st.valid = true
+	stats.InitTime = time.Since(start)
 	return nil
 }
 
@@ -569,10 +478,9 @@ func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uin
 }
 
 // KNNIncremental is the incremental form of CKNN; see CPNNIncremental for
-// the state/ids/changed contract. Its table, cut at f_k, is patched or
-// rebuilt like a C-PNN's, so the answers are bit-identical to CKNN on the
-// same view. On Skipped the answer slice is nil and the previous answer
-// stands.
+// the state/ids/changed contract. Its table, cut at f_k, is rebuilt like a
+// C-PNN's, so the answers are bit-identical to CKNN on the same view. On
+// Skipped the answer slice is nil and the previous answer stands.
 func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, st *EvalState, ids []uint64, changed map[uint64]int) ([]KNNAnswer, Stats, IncrementalStats, error) {
 	var inc IncrementalStats
 	var stats Stats

@@ -65,7 +65,7 @@ func (w *mutWorld) step(rng *rand.Rand) map[uint64]int {
 	}
 	n := 1 + rng.Intn(4)
 	if rng.Intn(2) == 0 {
-		n = 1 // plenty of single-op commits, so the patch path gets exercised
+		n = 1 // plenty of single-op commits: one fold derived, the rest reused
 	}
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(4); {
@@ -165,6 +165,26 @@ func sameCanon(a, b map[uint64]stableAns) bool {
 	return true
 }
 
+// foldAccounting checks an incremental step's fold counts against the
+// candidate sets by stable ID: the step derives exactly the fresh candidates
+// that changed or were not candidates at the previous step, and reuses every
+// other one.
+func foldAccounting(inc IncrementalStats, fresh, prev map[uint64]stableAns, changed map[uint64]int) error {
+	derive := 0
+	for id := range fresh {
+		_, isChanged := changed[id]
+		_, was := prev[id]
+		if isChanged || !was {
+			derive++
+		}
+	}
+	if inc.Derived != derive || inc.Reused+inc.Derived != len(fresh) {
+		return fmt.Errorf("reused %d and derived %d folds over %d candidates, want %d derived",
+			inc.Reused, inc.Derived, len(fresh), derive)
+	}
+	return nil
+}
+
 func TestIncrementalEquivalence(t *testing.T) {
 	const seeds = 50
 	c := verify.Constraint{P: 0.25, Delta: 0.01}
@@ -210,14 +230,16 @@ func TestIncrementalEquivalence(t *testing.T) {
 				aggMu.Lock()
 				agg.Reused += inc.Reused
 				agg.Derived += inc.Derived
-				if inc.Patched {
-					agg.Patched = true
-				}
 				if inc.Skipped {
 					skips++
 				}
 				aggMu.Unlock()
 				freshC := canonCPNN(want, ids)
+				if step > 0 && !inc.Skipped {
+					if err := foldAccounting(inc, freshC, prevC, changed); err != nil {
+						t.Errorf("step %d: cpnn %v", step, err)
+					}
+				}
 				if inc.Skipped {
 					if !sameCanon(freshC, prevC) {
 						t.Fatalf("step %d: cpnn skipped but fresh answer changed", step)
@@ -237,8 +259,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 					}
 					for i := range got.Candidates {
 						if got.Candidates[i] != want.Candidates[i] {
-							t.Fatalf("step %d: cpnn candidate %d: %+v vs %+v (patched=%v reused=%d)",
-								step, i, got.Candidates[i], want.Candidates[i], inc.Patched, inc.Reused)
+							t.Fatalf("step %d: cpnn candidate %d: %+v vs %+v (reused=%d derived=%d)",
+								step, i, got.Candidates[i], want.Candidates[i], inc.Reused, inc.Derived)
 						}
 					}
 					if len(got.Answers) != len(want.Answers) {
@@ -257,6 +279,11 @@ func TestIncrementalEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				freshP := canonPNN(wantP, ids)
+				if step > 0 && !incP.Skipped {
+					if err := foldAccounting(incP, freshP, prevP, changed); err != nil {
+						t.Errorf("step %d: pnn %v", step, err)
+					}
+				}
 				if incP.Skipped {
 					aggMu.Lock()
 					skips++
@@ -291,6 +318,11 @@ func TestIncrementalEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				freshK := canonKNN(wantK, ids)
+				if step > 0 && !incK.Skipped && knnOpt.K < len(ids) {
+					if err := foldAccounting(incK, freshK, prevK, changed); err != nil {
+						t.Errorf("step %d: knn %v", step, err)
+					}
+				}
 				if incK.Skipped {
 					aggMu.Lock()
 					skips++
@@ -324,9 +356,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 		// just fall through to full derivations.
 		if agg.Reused == 0 {
 			t.Error("no fold was ever reused across 50 seeds")
-		}
-		if !agg.Patched {
-			t.Error("the single-candidate patch path never ran across 50 seeds")
 		}
 		if skips == 0 {
 			t.Error("the early exit never fired across 50 seeds")

@@ -99,7 +99,8 @@ func TestCKNNStatsExposeFK(t *testing.T) {
 
 // TestCKNNStatsPhases: the stateless CKNN times every phase it runs, as
 // KNNIncremental does on a cold state, and both fill the same input-derived
-// Stats fields — set sizes, f_k and the refined count.
+// Stats fields — set sizes, f_k and the refined count. The incremental
+// evaluation times its one table rebuild inside its init phase.
 func TestCKNNStatsPhases(t *testing.T) {
 	e := genEngine(t, 2000, 5)
 	ids := make([]uint64, e.Dataset().Len())
@@ -136,5 +137,8 @@ func TestCKNNStatsPhases(t *testing.T) {
 		ist.FMin != st.FMin || ist.Candidates != st.Candidates || ist.Subregions != st.Subregions ||
 		ist.RefinedObjects != st.RefinedObjects || ist.Integrations != st.Integrations {
 		t.Fatalf("stats diverge: CKNN %+v, KNNIncremental %+v", st, ist)
+	}
+	if !(0 < ist.TableTime && ist.TableTime <= ist.InitTime) {
+		t.Fatalf("KNNIncremental table %v, init %v: want 0 < table <= init", ist.TableTime, ist.InitTime)
 	}
 }

@@ -157,15 +157,15 @@ func Evaluate(view *store.View, eng *core.Engine, _ any, spec Spec) (body []byte
 }
 
 // EvaluateIncremental is Evaluate over a persistent per-query evaluation
-// state: unchanged candidates keep their cached distance pdfs, single
-// entries/departures patch the cached subregion table in place, and when the
-// triggering changes provably cannot alter the answer the verifier is
-// skipped entirely (inc.Skipped: body is nil and the previous answer stands,
-// radius is unchanged). changed maps the stable IDs modified since the
-// state's last evaluation to dense-slot hints (see core.SlotUnknown and
-// core.SlotDeleted); full forces a complete re-derivation (feed gaps,
-// truncations, raced influence-rect growth — any time the changed set is not
-// exhaustive). Bodies are byte-identical to Evaluate on the same view, and
+// state: unchanged candidates keep their cached distance pdfs, only changed
+// and arriving ones are derived, and the subregion table is rebuilt once in
+// the state's storage; when the triggering changes provably cannot alter the
+// answer the verifier is skipped entirely (inc.Skipped: body is nil and the
+// previous answer stands, radius is unchanged). changed maps the stable IDs
+// modified since the state's last evaluation to dense-slot hints (see
+// core.SlotUnknown and core.SlotDeleted); full forces a complete
+// re-derivation (feed gaps, truncations, raced influence-rect growth — any
+// time the changed set is not exhaustive). Bodies are byte-identical to Evaluate on the same view, and
 // eng is, as for Evaluate, an engine over view's dataset and index.
 func EvaluateIncremental(view *store.View, eng *core.Engine, st *core.EvalState, spec Spec, changed map[uint64]int, full bool) (body []byte, radius float64, inc core.IncrementalStats, err error) {
 	if full {

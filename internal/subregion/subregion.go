@@ -60,11 +60,10 @@ type Table struct {
 	y    []float64 // M+1 full products Π_k (1−D_k(e_j))
 	c    []int     // M per-subregion counts of candidates with s_ij > 0
 
-	// Scratch reused across Rebuild/Patch calls; never escapes the table.
+	// Scratch reused across Rebuild calls; never escapes the table.
 	order    []rankKey
 	pts      []float64
 	pre, suf []float64
-	patchBuf []Candidate
 }
 
 // MemBytes returns the approximate heap footprint of the table's matrices
@@ -74,7 +73,7 @@ func (t *Table) MemBytes() int {
 	words := cap(t.ends) + cap(t.s) + cap(t.d) + cap(t.excl) + cap(t.y) +
 		cap(t.pts) + cap(t.pre) + cap(t.suf) +
 		cap(t.ids) + cap(t.dists) + cap(t.c)
-	return 8*words + 24*cap(t.order) + 24*cap(t.patchBuf)
+	return 8*words + 24*cap(t.order)
 }
 
 // DropCandidates clears the table's references to the last candidate set's
@@ -84,7 +83,6 @@ func (t *Table) MemBytes() int {
 // Rebuild.
 func (t *Table) DropCandidates() {
 	clear(t.dists)
-	clear(t.patchBuf[:cap(t.patchBuf)])
 	t.ids, t.dists = t.ids[:0], t.dists[:0]
 }
 
@@ -140,8 +138,10 @@ func (t *Table) Rebuild(cands []Candidate, k int) error {
 	// Near-point ties break by candidate ID so the table — and every
 	// float product computed over it, bit for bit — is a pure function of
 	// the candidate *set*, independent of input order. The incremental
-	// re-verification path (core.CPNNIncremental, Table.Patch) relies on
-	// this: patched and rebuilt-from-scratch tables must coincide exactly.
+	// re-verification path (core.CPNNIncremental) relies on this: it
+	// assembles candidates in filter order, which need not be the order a
+	// from-scratch evaluation derives them in, and the two tables must
+	// coincide exactly.
 	slices.SortFunc(t.order, func(a, b rankKey) int {
 		if a.lo != b.lo {
 			return cmp.Compare(a.lo, b.lo)
@@ -297,40 +297,6 @@ func marchCDF(dh *pdf.Histogram, ends []float64, out []float64) {
 			out[j] = cum + dh.BinDensity(bin)*(e-edges[bin])
 		}
 	}
-}
-
-// Patch applies a single-candidate edit to the table's candidate set and
-// rebuilds it in place, reusing all matrix storage: a non-nil upsert replaces
-// the candidate with the same ID (or inserts it), and evict removes the
-// candidate with that ID (pass a negative evict for none). It is the
-// incremental re-verification path's table maintenance primitive — a commit
-// that re-derived k folds patches them in one at a time instead of
-// reassembling the candidate slice — and is exactly equivalent to Rebuild on
-// the edited candidate set at the table's k (FuzzIncrementalPatch pins
-// this). Evicting the last candidate returns ErrNoCandidates and leaves the
-// table unchanged.
-func (t *Table) Patch(upsert *Candidate, evict int) error {
-	cands := t.patchBuf[:0]
-	replaced := false
-	for i, id := range t.ids {
-		if evict >= 0 && id == evict {
-			continue
-		}
-		if upsert != nil && id == upsert.ID {
-			cands = append(cands, *upsert)
-			replaced = true
-			continue
-		}
-		cands = append(cands, Candidate{ID: id, Dist: t.dists[i]})
-	}
-	if upsert != nil && !replaced {
-		cands = append(cands, *upsert)
-	}
-	t.patchBuf = cands[:0] // keep the grown capacity across patches
-	if len(cands) == 0 {
-		return ErrNoCandidates
-	}
-	return t.Rebuild(cands, t.k)
 }
 
 // NumCandidates returns |C|, the candidate-set size.
