@@ -80,6 +80,86 @@ func tablesEqual(a, b *Table) bool {
 	return true
 }
 
+// FuzzIncrementalPatch: re-deriving one candidate's fold (or evicting it)
+// and rebuilding the live table over its own storage must be exactly
+// equivalent to a fresh Build of the edited candidate set — the invariant
+// the monitor's incremental re-verification path rests on. The edited set
+// is assembled as that path assembles it, survivors first and the
+// re-derived candidate last, so it also differs in order from the fresh
+// Build's input. The last fuzz float repositions one candidate's region.
+func FuzzIncrementalPatch(f *testing.F) {
+	f.Add(-1.0, 2.0, 0.5, 1.0, -3.0, 4.0, 1.5)
+	f.Add(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.25)
+	f.Add(-0.5, 1e-6, 0.5, 2.0, 1.0, 0.25, -2.0)
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, move float64) {
+		cands := candsFromFuzz([]float64{a, b, c, d, e, g})
+		if len(cands) < 2 {
+			return
+		}
+		if math.IsNaN(move) || math.IsInf(move, 0) || math.Abs(move) > 1e9 {
+			return
+		}
+		tb, err := Build(cands)
+		if err != nil {
+			return
+		}
+
+		// Re-derive candidate 0's fold as if its object moved by `move`,
+		// keeping the near-point prune satisfied (skip otherwise — the real
+		// pipeline re-filters before rebuilding).
+		moved := cands[0].Dist.Support()
+		u, err := pdf.NewUniform(moved.Lo+move, moved.Hi+move)
+		if err != nil {
+			return
+		}
+		nd, err := dist.FromPDF(u, 0)
+		if err != nil {
+			return
+		}
+		edited := append([]Candidate(nil), cands...)
+		edited[0] = Candidate{ID: cands[0].ID, Dist: nd}
+		fMin := math.Inf(1)
+		for _, cd := range edited {
+			fMin = math.Min(fMin, cd.Dist.Support().Hi)
+		}
+		for _, cd := range edited {
+			if cd.Dist.Support().Lo > fMin {
+				return // edit would violate the filter invariant; the pipeline re-filters
+			}
+		}
+
+		assembled := append(slices.Clone(edited[1:]), edited[0])
+		if err := tb.Rebuild(assembled, 1); err != nil {
+			t.Fatalf("Rebuild of the edited set failed: %v", err)
+		}
+		fresh, err := Build(edited)
+		if err != nil {
+			t.Fatalf("Build on edited set failed where Rebuild succeeded: %v", err)
+		}
+		if !tablesEqual(tb, fresh) {
+			t.Fatal("rebuilt table differs from fresh Build after re-deriving a candidate")
+		}
+
+		// Evict the same candidate. Removing a candidate can only raise
+		// f_min, so the survivors stay filter-consistent and Rebuild and
+		// Build must agree on accepting them.
+		rest := edited[1:]
+		if err := tb.Rebuild(rest, 1); err != nil {
+			if _, berr := Build(rest); berr == nil {
+				t.Fatalf("Rebuild after evict failed where Build succeeded: %v", err)
+			}
+			return
+		}
+		fresh, err = Build(rest)
+		if err != nil {
+			t.Fatalf("Build on evicted set failed where Rebuild succeeded: %v", err)
+		}
+		if !tablesEqual(tb, fresh) {
+			t.Fatal("rebuilt table differs from fresh Build after evict")
+		}
+	})
+}
+
 // FuzzBuild: the subregion decomposition must never panic on any filtered
 // candidate set, every table it builds must satisfy the paper's structural
 // invariants, and a Rebuild into a dirty table must reproduce a fresh Build
