@@ -124,3 +124,22 @@ func BenchmarkServerBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
+
+// BenchmarkCacheHit serves one warmed /v1/cpnn request into a reused
+// writer: the result-cache hit path alone, from the ingress middleware to
+// the body write.
+func BenchmarkCacheHit(b *testing.B) {
+	s := benchServer(b, Config{})
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/cpnn?q=5000&p=0.3&delta=0.01", nil)
+	w := &hitWriter{h: http.Header{}}
+	h.ServeHTTP(w, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+	if w.h.Get("X-Cache") != "hit" {
+		b.Fatalf("X-Cache = %q, want hit", w.h.Get("X-Cache"))
+	}
+}

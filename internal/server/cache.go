@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -89,28 +88,33 @@ func newCache(entries, shards int) *cache {
 	return c
 }
 
-func (c *cache) shardFor(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[int(h.Sum32())%len(c.shards)]
+// fnv32a is hash/fnv's 32-bit FNV-1a without the hasher's allocation; it
+// picks a key's shard.
+func fnv32a(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
 }
 
-// Do returns the cached value for key, or runs fn exactly once across all
+// Do returns the cached value for kb, or runs fn exactly once across all
 // concurrent callers of the same key and caches its result. Waiters abandon
 // the flight when ctx is canceled; the leader always completes so the result
-// is not lost for the callers still waiting.
-func (c *cache) Do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, Source, error) {
-	sh := c.shardFor(key)
+// is not lost for the callers still waiting. kb may be the caller's scratch:
+// a hit only looks it up, and a miss stores its own copy.
+func (c *cache) Do(ctx context.Context, kb []byte, fn func() ([]byte, error)) ([]byte, Source, error) {
+	sh := c.shards[int(fnv32a(kb))%len(c.shards)]
 
 	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
+	if el, ok := sh.items[string(kb)]; ok {
 		sh.ll.MoveToFront(el)
 		val := el.Value.(*cacheEntry).val
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		return val, Hit, nil
 	}
-	if fl, ok := sh.calls[key]; ok {
+	if fl, ok := sh.calls[string(kb)]; ok {
 		sh.mu.Unlock()
 		select {
 		case <-fl.done:
@@ -120,6 +124,7 @@ func (c *cache) Do(ctx context.Context, key string, fn func() ([]byte, error)) (
 			return nil, Shared, ctx.Err()
 		}
 	}
+	key := string(kb)
 	fl := &flightCall{done: make(chan struct{})}
 	sh.calls[key] = fl
 	sh.mu.Unlock()

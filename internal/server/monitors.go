@@ -176,7 +176,7 @@ func (s *Server) handleMonitors(w http.ResponseWriter, r *http.Request) {
 			Monitors []monitorJSON `json:"monitors"`
 		}{out})
 	case http.MethodDelete:
-		raw := r.URL.Query().Get("id")
+		raw := query(r.URL.RawQuery).Get("id")
 		id, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			s.writeError(w, badRequest("parameter %q: %q is not a monitor id", "id", raw))
@@ -237,7 +237,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: "server is draining"})
 		return
 	}
-	ids, err := parseIDList(r.URL.Query().Get("ids"))
+	ids, err := parseIDList(query(r.URL.RawQuery).Get("ids"))
 	if err != nil {
 		s.writeError(w, err)
 		return

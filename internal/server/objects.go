@@ -208,7 +208,7 @@ func (s *Server) parseObjectsPost(w http.ResponseWriter, r *http.Request) ([]sto
 // id list) into delete ops.
 func (s *Server) parseObjectsDelete(w http.ResponseWriter, r *http.Request) ([]store.Op, error) {
 	var ids []uint64
-	if raw := r.URL.Query().Get("id"); raw != "" {
+	if raw := query(r.URL.RawQuery).Get("id"); raw != "" {
 		id, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			return nil, badRequest("parameter %q: %q is not an object id", "id", raw)

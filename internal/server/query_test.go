@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -182,4 +183,29 @@ func TestRequestParsing(t *testing.T) {
 			t.Errorf("%s: status %d, body %q; want %d, %q", tc.url, code, body, tc.status, tc.body)
 		}
 	}
+}
+
+// FuzzQueryGet holds the handlers' query reader to the standard library:
+// for any raw query and name, Get answers what url.ParseQuery(raw).Get
+// does. Inputs stop at 10,000 bytes, below the parameter count newer Go
+// releases cap ParseQuery at.
+func FuzzQueryGet(f *testing.F) {
+	names := []string{"q", "p", "delta", "strategy", "all", "k", "bound"}
+	for _, tc := range parseCases {
+		_, raw, _ := strings.Cut(tc.url, "?")
+		for _, name := range names {
+			f.Add(raw, name)
+		}
+	}
+	f.Add("a%20b=c+d&a+b=x", "a b")
+	f.Add("%71=1&q=2", "q")
+	f.Fuzz(func(t *testing.T, raw, name string) {
+		if len(raw) > 10000 {
+			t.Skip()
+		}
+		want, _ := url.ParseQuery(raw)
+		if got := query(raw).Get(name); got != want.Get(name) {
+			t.Fatalf("query(%q).Get(%q) = %q, want %q", raw, name, got, want.Get(name))
+		}
+	})
 }

@@ -38,9 +38,11 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -619,30 +621,50 @@ func checkFinite(name string, v float64) error {
 	return nil
 }
 
-func queryFloat(r *http.Request, name string) (float64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
+// query reads parameters off a raw query string exactly as net/url's
+// url.Values would (a segment holding ';', empty or failing to unescape is
+// skipped; '+' and %XX decode; the first match wins), but builds no map and
+// allocates only to decode an escaped value. A handler reads all through one.
+type query string
+
+func (q query) Get(name string) string {
+	for rest := string(q); rest != ""; {
+		var seg string
+		seg, rest, _ = strings.Cut(rest, "&")
+		if seg == "" || strings.Contains(seg, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(seg, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+func queryFloat(q query, name string) (float64, error) { return queryFloatDefault(q, name, math.NaN()) }
+
+// queryFloatDefault parses the finite float parameter name, or answers def
+// when it is absent; a NaN def makes the parameter required.
+func queryFloatDefault(q query, name string, def float64) (float64, error) {
+	raw := q.Get(name)
+	if raw == "" && math.IsNaN(def) {
 		return 0, badRequest("missing required parameter %q", name)
+	} else if raw == "" {
+		return def, nil
 	}
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
 		return 0, badRequest("parameter %q: %q is not a finite number", name, raw)
 	}
-	if err := checkFinite(name, v); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return v, checkFinite(name, v)
 }
 
-func queryFloatDefault(r *http.Request, name string, def float64) (float64, error) {
-	if r.URL.Query().Get(name) == "" {
-		return def, nil
-	}
-	return queryFloat(r, name)
-}
-
-func queryIntDefault(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func queryIntDefault(q query, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -655,12 +677,12 @@ func queryIntDefault(r *http.Request, name string, def int) (int, error) {
 
 // constraintParam parses and validates the C-PNN constraint, rejecting
 // out-of-range P and Delta before any engine work happens.
-func constraintParam(r *http.Request) (verify.Constraint, error) {
-	p, err := queryFloatDefault(r, "p", 0.3)
+func constraintParam(q query) (verify.Constraint, error) {
+	p, err := queryFloatDefault(q, "p", 0.3)
 	if err != nil {
 		return verify.Constraint{}, err
 	}
-	delta, err := queryFloatDefault(r, "delta", 0.01)
+	delta, err := queryFloatDefault(q, "delta", 0.01)
 	if err != nil {
 		return verify.Constraint{}, err
 	}
@@ -669,10 +691,6 @@ func constraintParam(r *http.Request) (verify.Constraint, error) {
 		return verify.Constraint{}, badRequest("%v", err)
 	}
 	return c, nil
-}
-
-func strategyParam(r *http.Request) (core.Strategy, error) {
-	return parseStrategy(r.URL.Query().Get("strategy"))
 }
 
 func parseStrategy(raw string) (core.Strategy, error) {
@@ -720,10 +738,14 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
 }
 
+// Header values of a cached body, shared and never mutated: assigning them
+// spares Header.Set's two slices a request.
+var jsonContentType, xCacheValues = []string{"application/json"}, [...][]string{{"miss"}, {"hit"}, {"shared"}}
+
 func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, body []byte, src Source) {
 	obs.ReqInfoFrom(r.Context()).Set("cache", src.String())
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", src.String())
+	w.Header()["Content-Type"] = jsonContentType
+	w.Header()["X-Cache"] = xCacheValues[src]
 	w.Write(body)
 }
 
@@ -845,11 +867,11 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, noun, hin
 
 // ---- handlers ----------------------------------------------------------
 
-// cacheKey renders a result-cache key: endpoint kind, the view's key
-// fragment, the all flag and the query parameters' bit patterns. Appending
-// into a stack buffer keeps the cache-hit path at one allocation (the key).
-func cacheKey(kind, vk string, all bool, parts ...uint64) string {
-	b := make([]byte, 0, 128)
+// cacheKey appends a result-cache key to b: endpoint kind, the view's key
+// fragment, the all flag and the query parameters' bit patterns. Callers
+// pass a buffer on their stack, so a cache hit builds its key without
+// allocating (cache.Do copies it only on a miss).
+func cacheKey(b []byte, kind, vk string, all bool, parts ...uint64) []byte {
 	b = append(b, kind...)
 	b = append(b, '|')
 	b = append(b, vk...)
@@ -857,14 +879,14 @@ func cacheKey(kind, vk string, all bool, parts ...uint64) string {
 	for _, p := range parts {
 		b = strconv.AppendUint(append(b, '|'), p, 16)
 	}
-	return string(b)
+	return b
 }
 
 // serve answers one (already quantized) query through the result cache: hit,
 // singleflight-collapse onto an identical in-flight evaluation, or take the
 // view's snapshot and render it under the worker pool. Every backend and
 // every query endpoint routes through here.
-func (s *Server) serve(ctx context.Context, ep endpoint, v view, key string, qq float64, k int,
+func (s *Server) serve(ctx context.Context, ep endpoint, v view, key []byte, qq float64, k int,
 	render func(snap *Snapshot) ([]byte, core.Stats, error)) ([]byte, Source, error) {
 	return s.cc.Do(ctx, key, func() ([]byte, error) {
 		return s.evaluate(func() ([]byte, error) {
@@ -888,22 +910,23 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	q, err := queryFloat(r, "q")
+	qs := query(r.URL.RawQuery)
+	q, err := queryFloat(qs, "q")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	c, err := constraintParam(r)
+	c, err := constraintParam(qs)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	strat, err := strategyParam(r)
+	strat, err := parseStrategy(qs.Get("strategy"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	all := r.URL.Query().Get("all") == "1"
+	all := qs.Get("all") == "1"
 
 	body, src, err := s.cpnnBody(r.Context(), epCPNN, v, s.snapPoint(q), c, strat, all)
 	if err != nil {
@@ -917,7 +940,8 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 // and every point of a batch request route through here, so they share keys
 // — a batch warms the cache for singles and vice versa.
 func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
-	key := cacheKey("cpnn", v.key(), all,
+	var kb [128]byte
+	key := cacheKey(kb[:0], "cpnn", v.key(), all,
 		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), uint64(strat))
 	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot) ([]byte, core.Stats, error) {
 		return cpnnPayload(snap, qq, c, strat, all)
@@ -966,13 +990,14 @@ func (s *Server) handlePNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	q, err := queryFloat(r, "q")
+	q, err := queryFloat(query(r.URL.RawQuery), "q")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	qq := s.snapPoint(q)
-	key := cacheKey("pnn", v.key(), false, math.Float64bits(qq))
+	var kb [128]byte
+	key := cacheKey(kb[:0], "pnn", v.key(), false, math.Float64bits(qq))
 	body, src, err := s.serve(r.Context(), epPNN, v, key, qq, 1,
 		func(snap *Snapshot) ([]byte, core.Stats, error) {
 			return pnnPayload(snap, qq)
@@ -1016,17 +1041,18 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	q, err := queryFloat(r, "q")
+	qs := query(r.URL.RawQuery)
+	q, err := queryFloat(qs, "q")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	c, err := constraintParam(r)
+	c, err := constraintParam(qs)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	k, err := queryIntDefault(r, "k", 0)
+	k, err := queryIntDefault(qs, "k", 0)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -1035,10 +1061,11 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("parameter \"k\" must be in [1, %d], got %d", maxK, k))
 		return
 	}
-	all := r.URL.Query().Get("all") == "1"
+	all := qs.Get("all") == "1"
 
 	qq := s.snapPoint(q)
-	key := cacheKey("knn", v.key(), all, math.Float64bits(qq), math.Float64bits(c.P),
+	var kb [128]byte
+	key := cacheKey(kb[:0], "knn", v.key(), all, math.Float64bits(qq), math.Float64bits(c.P),
 		math.Float64bits(c.Delta), uint64(k))
 	body, src, err := s.serve(r.Context(), epKNN, v, key, qq, k,
 		func(snap *Snapshot) ([]byte, core.Stats, error) {
@@ -1093,7 +1120,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		source := r.URL.Query().Get("source")
+		source := query(r.URL.RawQuery).Get("source")
 		if source == "" {
 			source = "upload"
 		}

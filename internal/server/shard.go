@@ -217,12 +217,13 @@ func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	q, err := queryFloat(r, "q")
+	qs := query(r.URL.RawQuery)
+	q, err := queryFloat(qs, "q")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	k, err := queryIntDefault(r, "k", 1)
+	k, err := queryIntDefault(qs, "k", 1)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -246,14 +247,15 @@ func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	q, err := queryFloat(r, "q")
+	qs := query(r.URL.RawQuery)
+	q, err := queryFloat(qs, "q")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	// The pruning bound is +Inf when the router gathers everything, so it
 	// deliberately bypasses the finite-number guard; only NaN is nonsense.
-	raw := r.URL.Query().Get("bound")
+	raw := qs.Get("bound")
 	bound, perr := strconv.ParseFloat(raw, 64)
 	if raw == "" || perr != nil || math.IsNaN(bound) {
 		s.writeError(w, badRequest("parameter %q: %q is not a number", "bound", raw))
