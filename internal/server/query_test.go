@@ -99,8 +99,8 @@ var parseCases = []parseCase{
 	{url: "/v1/knn?q=500&k=0", status: 400, body: errJSON(`parameter \"k\" must be in [1, 100], got 0`)},
 	{url: "/v1/knn?q=500&k=-2", status: 400, body: errJSON(`parameter \"k\" must be in [1, 100], got -2`)},
 	{url: "/v1/knn?q=500&k=101", status: 400, body: errJSON(`parameter \"k\" must be in [1, 100], got 101`)},
-	{url: "/v1/knn?q=500", status: 400, body: errJSON(`parameter \"k\" must be in [1, 100], got 0`)},
-	{url: "/v1/knn?q=500&k=", status: 400, body: errJSON(`parameter \"k\" must be in [1, 100], got 0`)},
+	{url: "/v1/knn?q=500", status: 400, body: errJSON(`missing required parameter \"k\"`)},
+	{url: "/v1/knn?q=500&k=", status: 400, body: errJSON(`missing required parameter \"k\"`)},
 	{url: "/v1/knn?k=3", status: 400, body: errJSON(`missing required parameter \"q\"`)},
 	{url: "/v1/knn?q=500&k=3&p=NaN", status: 400, body: errJSON(`parameter \"p\": NaN is not a finite number`)},
 	{url: "/v1/knn?q=500&k=3&delta=2", status: 400, body: errJSON(`verify: tolerance Delta=2 outside [0, 1]`)},

@@ -663,9 +663,14 @@ func queryFloatDefault(q query, name string, def float64) (float64, error) {
 	return v, checkFinite(name, v)
 }
 
+// queryIntDefault parses the integer parameter name, or answers def when it
+// is absent; every integer parameter is a count, so a def below 1 makes it
+// required.
 func queryIntDefault(q query, name string, def int) (int, error) {
 	raw := q.Get(name)
-	if raw == "" {
+	if raw == "" && def < 1 {
+		return 0, badRequest("missing required parameter %q", name)
+	} else if raw == "" {
 		return def, nil
 	}
 	v, err := strconv.Atoi(raw)
