@@ -745,7 +745,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // Header values of a cached body, shared and never mutated: assigning them
 // spares Header.Set's two slices a request.
-var jsonContentType, xCacheValues = []string{"application/json"}, [...][]string{{"miss"}, {"hit"}, {"shared"}}
+var jsonContentType, xCacheValues = []string{"application/json"}, [...][]string{Miss: {"miss"}, Hit: {"hit"}, Shared: {"shared"}}
 
 func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, body []byte, src Source) {
 	obs.ReqInfoFrom(r.Context()).Set("cache", src.String())
