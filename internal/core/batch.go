@@ -42,18 +42,18 @@ type BatchResult struct {
 	Stats   BatchStats
 }
 
-// queryScratch is the evaluation scratch every stateless query runs on: the
-// candidate buffer, subregion table and fold arena are recycled across
-// queries, eliminating the per-query matrix allocation that would otherwise
-// dominate a C-PNN call's allocation profile. Every query borrows one from
-// scratchPool.
+// queryScratch is the evaluation scratch every query runs on, stateless or
+// standing: the candidate buffer, subregion table and fold arena are
+// recycled across queries, eliminating the per-query matrix allocation that
+// would otherwise dominate a C-PNN call's allocation profile. Every query
+// borrows one from scratchPool.
 type queryScratch struct {
 	cands []subregion.Candidate
 	table subregion.Table
 	arena pdf.Alloc
-	// warmCands and warmTable are the buffers the current query found,
-	// which release restores should the query leave the scratch over
-	// scratchCap.
+	// warmCands and warmTable are the buffers the current query found —
+	// what the last release left, within scratchCap — which release
+	// restores should the query leave the scratch over scratchCap.
 	warmCands []subregion.Candidate
 	warmTable subregion.Table
 }
@@ -65,11 +65,13 @@ type queryScratch struct {
 // 1.49 MB. 1 MiB keeps everything up to ≈p99.5 warm; a query past it runs
 // on its scratch like any other and release hands the scratch back the
 // buffers it had before that query, so only those queries allocate their
-// table afresh and the warm scratch never has to regrow.
+// table afresh and the warm scratch never has to regrow. A standing query's
+// incremental evaluation rebuilds its table on a pooled scratch too, so the
+// same cap bounds it.
 const scratchCap = 1 << 20
 
-// scratchPool holds the idle scratches of the stateless entry points and the
-// batch workers, each within scratchCap.
+// scratchPool holds the idle scratches of the stateless entry points, the
+// batch workers and the incremental entry points, each within scratchCap.
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // borrow takes a scratch from the pool; park returns it.
@@ -86,9 +88,10 @@ func (sc *queryScratch) park() {
 // keeps every buffer's capacity for the next. A query that left the
 // scratch over scratchCap keeps nothing it grew: the candidate buffer and
 // table go back to the ones it found, which were within the cap, and the
-// fold arena is dropped (it regrows in a few geometric steps). Results
-// never alias scratch memory (collect copies), so releasing after a query
-// returns is safe.
+// fold arena is dropped (it regrows in a few geometric steps). What is left
+// is within the cap, so it is what the next query finds. Results never
+// alias scratch memory (collect copies), so releasing after a query returns
+// is safe.
 func (sc *queryScratch) release() {
 	clear(sc.cands[:cap(sc.cands)])
 	sc.table.DropCandidates()
@@ -96,7 +99,7 @@ func (sc *queryScratch) release() {
 	if sc.memBytes() > scratchCap {
 		sc.cands, sc.table, sc.arena = sc.warmCands, sc.warmTable, pdf.Alloc{}
 	}
-	sc.warmCands, sc.warmTable = nil, subregion.Table{}
+	sc.warmCands, sc.warmTable = sc.cands, sc.table
 }
 
 // memBytes returns the approximate heap footprint the scratch retains

@@ -34,7 +34,8 @@
 //     interval folds behind the discretization memo — and what needs the
 //     dataset itself: Min/Max, CKNN, and the incremental entry points of
 //     incremental.go, whose prepare step is the pipeline's stateful
-//     counterpart (same phases, folds and table kept in an EvalState).
+//     counterpart (same phases, folds kept in an EvalState, the table
+//     rebuilt on a pooled scratch).
 //   - Engine2D (Q = geom.Point) adds source2D — disks, a bounding-box R-tree,
 //     the lens-area reduction — and nothing else.
 //
@@ -53,7 +54,9 @@
 // Every stateless query derives its candidates in-line, one after another,
 // into a queryScratch — candidate buffer, subregion table, fold arena —
 // that it borrows from scratchPool (batch.go), the only place a query gets
-// one. release caps what an idle scratch keeps at 1 MiB, so single queries,
+// one. A standing query's incremental evaluation borrows one the same way
+// and assembles its cached folds on it; its EvalState holds no table.
+// release caps what an idle scratch keeps at 1 MiB, so single queries,
 // batch workers and the monitor's evaluations obey one limit. The only
 // goroutines core starts are CPNNBatch's query-level workers.
 package core
@@ -363,7 +366,7 @@ func exactAll(table *subregion.Table, st *Stats) ([]Probability, error) {
 		out[i] = Probability{ID: table.IDs()[i], P: p}
 	}
 	slices.SortFunc(out, func(a, b Probability) int {
-		return cmp.Or(cmp.Compare(b.P, a.P), a.ID-b.ID)
+		return cmp.Or(cmp.Compare(b.P, a.P), cmp.Compare(a.ID, b.ID))
 	})
 	return out, nil
 }
@@ -399,7 +402,7 @@ func collect(res *Result, ids []int, bounds []verify.Bounds, status []verify.Sta
 	for i, id := range ids {
 		res.Candidates[i] = Answer{ID: id, Bounds: bounds[i], Status: status[i]}
 	}
-	slices.SortFunc(res.Candidates, func(a, b Answer) int { return a.ID - b.ID })
+	slices.SortFunc(res.Candidates, func(a, b Answer) int { return cmp.Compare(a.ID, b.ID) })
 	for _, a := range res.Candidates {
 		if a.Status == verify.Satisfy {
 			res.Answers = append(res.Answers, a)
@@ -510,7 +513,7 @@ func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []
 	for i, d := range pos {
 		out[i] = KNNAnswer{ID: e.id(d), Bounds: b, Status: verify.Classify(b, c)}
 	}
-	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
+	slices.SortFunc(out, func(a, b KNNAnswer) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -529,7 +532,7 @@ func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNA
 		b := verify.Bounds{L: p, U: p}
 		out[i] = KNNAnswer{ID: table.IDs()[i], Bounds: b, Status: verify.Classify(b, c)}
 	}
-	slices.SortFunc(out, func(a, b KNNAnswer) int { return a.ID - b.ID })
+	slices.SortFunc(out, func(a, b KNNAnswer) int { return cmp.Compare(a.ID, b.ID) })
 	st.RefineTime = time.Since(start)
 	st.RefinedObjects = len(out)
 	return out, nil

@@ -182,3 +182,74 @@ func TestEngine2DStrategiesAgree(t *testing.T) {
 		t.Errorf("RS alone refined %d objects, the full chain %d: the verifier subset did not run", refinedRS, refinedVR)
 	}
 }
+
+// TestIDOrderAtExtremeIDs: Candidates and Answers ascend by ID, and PNN
+// probability ties break by ascending ID, for any distinct int IDs. IDs spread
+// over the whole int range are what a comparator subtracting one ID from
+// another gets wrong: the difference wraps past MaxInt and flips its sign.
+// Every third disk repeats the one before it, so PNN has exact ties.
+func TestIDOrderAtExtremeIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	c := verify.Constraint{P: 0.05, Delta: 0.01}
+	q := geom.Point{X: 5, Y: 5}
+	opt := Options{Bins: 32}
+	ascending := func(what string, set int, as []Answer) {
+		t.Helper()
+		for i := 1; i < len(as); i++ {
+			if as[i-1].ID >= as[i].ID {
+				t.Fatalf("set %d: %s out of ID order at %d: %d then %d", set, what, i, as[i-1].ID, as[i].ID)
+			}
+		}
+	}
+	ties := 0
+	for set := 0; set < 200; set++ {
+		objs := make([]Object2D, 12)
+		seen := map[int]bool{}
+		for i := range objs {
+			id := int(rng.Uint64())
+			switch {
+			case i == 0:
+				id = math.MaxInt
+			case i == 1:
+				id = math.MinInt
+			}
+			for seen[id] {
+				id = int(rng.Uint64())
+			}
+			seen[id] = true
+			region := geom.Circle{
+				Center: geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10},
+				Radius: 1 + rng.Float64()*3,
+			}
+			if i%3 == 2 {
+				region = objs[i-1].Region
+			}
+			objs[i] = Object2D{ID: id, Region: region}
+		}
+		eng, err := NewEngine2D(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.CPNN(q, c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ascending("Candidates", set, res.Candidates)
+		ascending("Answers", set, res.Answers)
+		probs, _, err := eng.PNN(q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(probs); i++ {
+			if probs[i-1].P == probs[i].P {
+				ties++
+				if probs[i-1].ID >= probs[i].ID {
+					t.Fatalf("set %d: PNN tie at P = %g out of ID order: %d then %d", set, probs[i].P, probs[i-1].ID, probs[i].ID)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no PNN probabilities tied; the repeated disks should tie")
+	}
+}

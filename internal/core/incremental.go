@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -27,8 +28,9 @@ import (
 //     is derived and no verifier runs.
 //  2. Fold-cache rebuild — otherwise the candidate set is re-assembled
 //     reusing every unchanged candidate's cached distance pdf, deriving only
-//     changed ones, and the table is rebuilt once, in place over the state's
-//     storage.
+//     changed ones, on a scratch borrowed from core's pool like any
+//     stateless query's; the table is rebuilt once on that scratch, the
+//     answer finished over it, and the scratch parked.
 //
 // Both produce answers bit-identical to a from-scratch evaluation against
 // the same view: folds are deterministic functions of (pdf, q) (proven
@@ -67,11 +69,14 @@ type cachedFold struct {
 // cached fold, for memory accounting.
 const foldEntryOverhead = 64
 
-// EvalState is the persistent evaluation state of one standing query: the
-// last candidate set with each candidate's derived distance pdf (keyed by
-// stable ID), the last subregion table, and the last critical distance. It
-// is owned by a single query — evaluations against different query points or
-// specs must not share one — and is not safe for concurrent use.
+// EvalState is the persistent evaluation state of one standing query: what
+// its next evaluation reads back. That is the last candidate set with each
+// candidate's derived distance pdf (keyed by stable ID), the last critical
+// distance and the object attaining it, and the filter replay's scratch. The
+// subregion table is not kept: each evaluation rebuilds it from the folds on
+// a pooled scratch. A state is owned by a single query — evaluations against
+// different query points or specs must not share one — and is not safe for
+// concurrent use.
 //
 // The zero value is not ready; use NewEvalState.
 type EvalState struct {
@@ -89,10 +94,7 @@ type EvalState struct {
 	folds     map[uint64]*cachedFold
 	foldBytes int
 
-	table subregion.Table
-
-	cands     []subregion.Candidate // assembly scratch, reused across evaluations
-	replayIDs []int                 // filter-replay scratch, reused across evaluations
+	replayIDs []int // filter-replay scratch, reused across evaluations
 }
 
 // NewEvalState returns an empty evaluation state.
@@ -111,12 +113,11 @@ func (st *EvalState) Valid() bool { return st.valid }
 // errors).
 func (st *EvalState) Invalidate() { st.valid = false }
 
-// MemBytes returns the approximate heap footprint of the state: cached folds,
-// the retained subregion table, and assembly scratch. The monitor accounts
-// this against its configured state-cache cap.
+// MemBytes returns the approximate heap footprint of the state: cached folds
+// and the filter-replay scratch. The monitor accounts this against its
+// configured state-cache cap.
 func (st *EvalState) MemBytes() int {
-	return st.foldBytes + len(st.folds)*foldEntryOverhead +
-		st.table.MemBytes() + 24*cap(st.cands) + 8*cap(st.replayIDs)
+	return st.foldBytes + len(st.folds)*foldEntryOverhead + 8*cap(st.replayIDs)
 }
 
 // clear resets the state to a valid empty candidate set at critical distance
@@ -353,13 +354,15 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 
 // incrementalPrepare runs the filter and derivation phases of an incremental
 // evaluation at filter depth k (1 for CPNN/PNN, the neighbor count for
-// k-NN): early-exit check, fold-cache assembly, and (when buildTable is set)
-// the one in-place table rebuild. On return with inc.Skipped the caller
-// reuses its previous answer; with stats.Candidates == 0 the answer is empty;
-// otherwise st.table (or st.cands when buildTable is false) holds the
-// prepared candidate set. Filter, init and table timings, set sizes and the
-// critical distance land in stats.
-func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) error {
+// k-NN): early-exit check, then fold-cache assembly on a scratch borrowed
+// from core's pool and, when buildTable is set, the table rebuilt on it. It
+// returns that scratch, holding the prepared candidate set and its table,
+// and the caller parks it once the answer is collected. It returns no
+// scratch on an error, on inc.Skipped (the caller reuses its previous
+// answer) and when stats.Candidates == 0 (the answer is empty). Filter,
+// init and table timings, set sizes and the critical distance land in
+// stats.
+func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) (*queryScratch, error) {
 	start := time.Now()
 	fr, fminStable, fminKnown := e.incrementalFilter(q, k, st, ids, changed)
 	stats.FilterTime = time.Since(start)
@@ -368,11 +371,11 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 
 	if st.skipCheck(fr.FMin, fr.IDs, ids, changed) {
 		inc.Skipped = true
-		return nil
+		return nil, nil
 	}
 	if len(fr.IDs) == 0 {
 		st.clear(fr.FMin)
-		return nil
+		return nil, nil
 	}
 
 	start = time.Now()
@@ -381,8 +384,9 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 	// Assemble the candidate set in filter order: an unchanged candidate
 	// keeps its cached fold (marked with this generation), every other one is
 	// derived. Folds left off-generation have departed and are evicted; the
-	// table is then rebuilt once over the state's storage.
-	cands := st.cands[:0]
+	// table is then rebuilt once on the scratch.
+	sc := borrow()
+	cands := slices.Grow(sc.cands[:0], len(fr.IDs))
 	for _, d := range fr.IDs {
 		s := ids[d]
 		cf := st.folds[s]
@@ -392,12 +396,13 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 		} else {
 			var err error
 			if cf, err = e.cacheFold(q, bins, st, s, d, inc); err != nil {
-				return err
+				sc.park()
+				return nil, err
 			}
 		}
 		cands = append(cands, subregion.Candidate{ID: d, Dist: cf.h})
 	}
-	st.cands = cands
+	sc.cands = cands
 	for s, cf := range st.folds {
 		if cf.gen != gen {
 			st.foldBytes -= cf.h.MemBytes()
@@ -406,18 +411,19 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 	}
 	if buildTable {
 		derived := time.Now()
-		if err := st.table.Rebuild(cands, k); err != nil {
+		if err := sc.table.Rebuild(cands, k); err != nil {
 			st.Invalidate()
-			return fmt.Errorf("core: %w", err)
+			sc.park()
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		stats.Subregions = st.table.NumSubregions()
+		stats.Subregions = sc.table.NumSubregions()
 		stats.TableTime = time.Since(derived)
 	}
 	st.fmin = fr.FMin
 	st.fminStable, st.fminKnown = fminStable, fminKnown
 	st.valid = true
 	stats.InitTime = time.Since(start)
-	return nil
+	return sc, nil
 }
 
 // CPNNIncremental evaluates a constrained probabilistic nearest-neighbor
@@ -439,19 +445,18 @@ func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st
 	}
 	opt = opt.withDefaults()
 	res := &Result{}
-	if err := e.incrementalPrepare(q, opt.Bins, 1, opt.Strategy != Basic, st, ids, changed, &inc, &res.Stats); err != nil {
+	sc, err := e.incrementalPrepare(q, opt.Bins, 1, opt.Strategy != Basic, st, ids, changed, &inc, &res.Stats)
+	if err != nil || inc.Skipped {
 		return nil, inc, err
 	}
-	if inc.Skipped {
-		return nil, inc, nil
-	}
-	if res.Stats.Candidates == 0 {
+	if sc == nil {
 		return res, inc, nil
 	}
+	defer sc.park()
 	if opt.Strategy == Basic {
-		res, err = cpnnBasic(st.cands, c, opt, res)
+		res, err = cpnnBasic(sc.cands, c, opt, res)
 	} else {
-		res, err = finishVerifyRefine(&st.table, c, opt, res)
+		res, err = finishVerifyRefine(&sc.table, c, opt, res)
 	}
 	return res, inc, err
 }
@@ -467,13 +472,12 @@ func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uin
 		return nil, stats, inc, err
 	}
 	opt = opt.withDefaults()
-	if err := e.incrementalPrepare(q, opt.Bins, 1, true, st, ids, changed, &inc, &stats); err != nil {
+	sc, err := e.incrementalPrepare(q, opt.Bins, 1, true, st, ids, changed, &inc, &stats)
+	if sc == nil {
 		return nil, stats, inc, err
 	}
-	if inc.Skipped || stats.Candidates == 0 {
-		return nil, stats, inc, nil
-	}
-	out, err := exactAll(&st.table, &stats)
+	defer sc.park()
+	out, err := exactAll(&sc.table, &stats)
 	return out, stats, inc, err
 }
 
@@ -496,16 +500,16 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 		return nil, stats, inc, nil
 	}
 	if k == e.ds.Len() {
-		// No table to keep: the next evaluation re-derives from scratch.
+		// Every object is certain and no fold is derived, so there is
+		// nothing to cache: the next evaluation re-derives from scratch.
 		st.Invalidate()
 		return e.knnCertain(q, k, c, &stats), stats, inc, nil
 	}
-	if err := e.incrementalPrepare(q, opt.Bins, k, true, st, ids, changed, &inc, &stats); err != nil {
+	sc, err := e.incrementalPrepare(q, opt.Bins, k, true, st, ids, changed, &inc, &stats)
+	if sc == nil {
 		return nil, stats, inc, err
 	}
-	if inc.Skipped || stats.Candidates == 0 {
-		return nil, stats, inc, nil
-	}
-	out, err := knnClassify(&st.table, c, &stats)
+	defer sc.park()
+	out, err := knnClassify(&sc.table, c, &stats)
 	return out, stats, inc, err
 }

@@ -423,3 +423,151 @@ func TestIncrementalStateErrors(t *testing.T) {
 		t.Fatal("k=0 accepted")
 	}
 }
+
+// foldsAndReplayBytes is what an EvalState's next evaluation reads back,
+// counted from the state's contents: each cached fold with its entry
+// overhead, and the filter replay's scratch.
+func foldsAndReplayBytes(st *EvalState) int {
+	n := 8 * cap(st.replayIDs)
+	for _, cf := range st.folds {
+		n += cf.h.MemBytes() + foldEntryOverhead
+	}
+	return n
+}
+
+// TestEvalStateHoldsFoldsOnly: after every CPNN, PNN and k-NN incremental
+// step, a state accounts its cached folds and its replay scratch and
+// nothing else — the subregion table and the candidate buffer live on a
+// pooled scratch, not in the state. On a query whose table is ≈4 MB the
+// state stays under one byte per table cell.
+func TestEvalStateHoldsFoldsOnly(t *testing.T) {
+	check := func(what string, st *EvalState) {
+		t.Helper()
+		if got, want := st.MemBytes(), foldsAndReplayBytes(st); got != want {
+			t.Fatalf("%s: MemBytes %d, want folds and replay scratch %d", what, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	w := newMutWorld(rng, 60)
+	c := verify.Constraint{P: 0.25, Delta: 0.01}
+	stC, stP, stK := NewEvalState(), NewEvalState(), NewEvalState()
+	for step := 0; step < 12; step++ {
+		var changed map[uint64]int
+		if step > 0 {
+			changed = w.step(rng)
+		}
+		eng, ids := w.view(t)
+		if _, _, err := eng.CPNNIncremental(40, c, Options{}, stC, ids, changed); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("step %d cpnn", step), stC)
+		if _, _, _, err := eng.PNNIncremental(60, Options{}, stP, ids, changed); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("step %d pnn", step), stP)
+		if _, _, _, err := eng.KNNIncremental(50, c, KNNOptions{K: 3}, stK, ids, changed); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("step %d knn", step), stK)
+	}
+
+	eng, err := NewEngine(capFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, eng.Dataset().Len())
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	st := NewEvalState()
+	res, _, err := eng.CPNNIncremental(1020, c, Options{}, st, ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("large cpnn", st)
+	if cells := res.Stats.Candidates * (res.Stats.Subregions + 1); st.MemBytes() >= cells {
+		t.Fatalf("a state over %d candidates × %d subregions holds %d bytes, at least one a table cell",
+			res.Stats.Candidates, res.Stats.Subregions, st.MemBytes())
+	}
+}
+
+// TestIncrementalConcurrentStates: two goroutines evaluating their own
+// states on the same sequence of engines answer byte for byte as the same
+// evaluations run one after another. Under -race this is the contract that
+// standing queries share nothing but the engine and core's scratch pool.
+func TestIncrementalConcurrentStates(t *testing.T) {
+	type view struct {
+		eng     *Engine
+		ids     []uint64
+		changed map[uint64]int
+	}
+	rng := rand.New(rand.NewSource(5))
+	w := newMutWorld(rng, 60)
+	views := make([]view, 12)
+	for i := range views {
+		if i > 0 {
+			views[i].changed = w.step(rng)
+		}
+		views[i].eng, views[i].ids = w.view(t)
+	}
+	c := verify.Constraint{P: 0.25, Delta: 0.01}
+	// run evaluates one standing query of each kind around q over every view
+	// and returns the digest of its answers.
+	run := func(q float64) (string, error) {
+		stC, stB, stP, stK := NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState()
+		d := newDigest()
+		for _, v := range views {
+			res, inc, err := v.eng.CPNNIncremental(q, c, Options{}, stC, v.ids, v.changed)
+			if err != nil {
+				return "", err
+			}
+			d.result(res)
+			d.inc(inc)
+			res, inc, err = v.eng.CPNNIncremental(q+3, c, Options{Strategy: Basic}, stB, v.ids, v.changed)
+			if err != nil {
+				return "", err
+			}
+			d.result(res)
+			d.inc(inc)
+			ps, st, inc, err := v.eng.PNNIncremental(q+7, Options{}, stP, v.ids, v.changed)
+			if err != nil {
+				return "", err
+			}
+			d.probs(ps)
+			d.stats(st)
+			d.inc(inc)
+			as, st, inc, err := v.eng.KNNIncremental(q-5, c, KNNOptions{K: 3}, stK, v.ids, v.changed)
+			if err != nil {
+				return "", err
+			}
+			d.knn(as, st)
+			d.inc(inc)
+		}
+		return d.sum(), nil
+	}
+	qs := [2]float64{30, 70}
+	var want, got [2]string
+	var errs [2]error
+	for i, q := range qs {
+		if want[i], errs[i] = run(q); errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(q)
+		}()
+	}
+	wg.Wait()
+	for i := range qs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("query at %g: concurrent answers digest %s, sequential %s", qs[i], got[i], want[i])
+		}
+	}
+}

@@ -144,11 +144,9 @@ func (p *pipeline[Q]) prepare(q Q, k, bins int, buildTable bool, sc *queryScratc
 
 // derive derives the distance pdf of every filtered position, in order and
 // in-line, into the scratch's candidate buffer and fold arena (the 1-D
-// source memoizes discretization). It is a query's first write to its
-// scratch, so it notes the buffers the query found for release. The first
-// failing candidate stops the derivation and names itself in the error.
+// source memoizes discretization). The first failing candidate stops the
+// derivation and names itself in the error.
 func (p *pipeline[Q]) derive(sc *queryScratch, pos []int, q Q, bins int) ([]subregion.Candidate, error) {
-	sc.warmCands, sc.warmTable = sc.cands, sc.table
 	sc.arena.Reset()
 	cands := slices.Grow(sc.cands[:0], len(pos))
 	for _, d := range pos {

@@ -172,9 +172,10 @@ func capFixture() *uncertain.Dataset {
 }
 
 // TestScratchRetentionCapped: a query whose table outgrows scratchCap leaves
-// nothing over the cap parked — not after a single query, not after a
-// batch. What it leaves is the warm scratch it found: the table an ordinary
-// query grew survives the large one, and answers the next query like before.
+// nothing over the cap parked — not after a single query, a batch or a
+// standing query's incremental evaluation. What it leaves is the warm
+// scratch it found: the table an ordinary query grew survives the large one,
+// and answers the next query like before.
 func TestScratchRetentionCapped(t *testing.T) {
 	eng, err := NewEngine(capFixture())
 	if err != nil {
@@ -240,6 +241,21 @@ func TestScratchRetentionCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPool("a batch")
+
+	// A standing query rebuilds its table on a pooled scratch as well, so an
+	// incremental evaluation past the cap parks within it too.
+	ids := make([]uint64, eng.Dataset().Len())
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	inc, _, err := eng.CPNNIncremental(1020, c, Options{}, NewEvalState(), ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := inc.Stats.Candidates * (inc.Stats.Subregions + 1); 24*cells <= scratchCap {
+		t.Fatalf("the incremental evaluation's table has only %d cells; the fixture must exceed the %d cap", cells, scratchCap)
+	}
+	checkPool("an incremental evaluation")
 }
 
 // TestCPNNAllocations: a warm Engine.CPNN runs on a pooled scratch, so what

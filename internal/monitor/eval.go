@@ -158,10 +158,10 @@ func Evaluate(view *store.View, eng *core.Engine, _ any, spec Spec) (body []byte
 
 // EvaluateIncremental is Evaluate over a persistent per-query evaluation
 // state: unchanged candidates keep their cached distance pdfs, only changed
-// and arriving ones are derived, and the subregion table is rebuilt once in
-// the state's storage; when the triggering changes provably cannot alter the
-// answer the verifier is skipped entirely (inc.Skipped: body is nil and the
-// previous answer stands, radius is unchanged). changed maps the stable IDs
+// and arriving ones are derived, and the subregion table is rebuilt once on
+// a scratch from core's pool; when the triggering changes provably cannot
+// alter the answer the verifier is skipped entirely (inc.Skipped: body is nil
+// and the previous answer stands, radius is unchanged). changed maps the stable IDs
 // modified since the state's last evaluation to dense-slot hints (see
 // core.SlotUnknown and core.SlotDeleted); full forces a complete
 // re-derivation (feed gaps, truncations, raced influence-rect growth — any

@@ -17,10 +17,11 @@
 // proportional to the queries they can actually affect, not to the number of
 // standing queries (O(affected) instead of O(queries × commits)).
 //
-// Re-evaluation runs on a bounded worker pool. A from-scratch evaluation
-// borrows its scratch (candidate buffer, subregion table, fold arena) from
-// core's one pool, as a batch worker does, so it obeys core's 1 MiB
-// retention cap. Bursts coalesce: a query dirtied by
+// Re-evaluation runs on a bounded worker pool. Every evaluation, from
+// scratch or incremental, borrows its scratch (candidate buffer, subregion
+// table, fold arena) from core's one pool, as a batch worker does, so it
+// obeys core's 1 MiB retention cap; a standing query's state keeps only its
+// cached folds. Bursts coalesce: a query dirtied by
 // several commits evaluates once, against the latest view. Answers are
 // canonical JSON in stable-ID terms; a query is pushed to subscribers only
 // when its answer actually changed. Slow subscribers are never waited on —
@@ -58,7 +59,7 @@ var ErrUnknownMonitor = errors.New("monitor: unknown monitor id")
 const DefaultMaxMonitors = 65536
 
 // DefaultMaxStateBytes caps the memory retained by per-query evaluation
-// states (cached distance pdfs and subregion tables) when
+// states (cached distance pdfs and the filter replay's scratch) when
 // Config.MaxStateBytes is zero.
 const DefaultMaxStateBytes = 64 << 20
 

@@ -162,10 +162,11 @@ func FuzzIncrementalPatch(f *testing.F) {
 
 // FuzzBuild: the subregion decomposition must never panic on any filtered
 // candidate set, every table it builds must satisfy the paper's structural
-// invariants, and a Rebuild into a dirty table must reproduce a fresh Build
-// exactly, whatever order the candidates arrive in — the invariant the
-// monitor's incremental re-verification rests on, since it assembles a
-// candidate set in filter order over storage a previous set left behind.
+// invariants and equal the four-pass reference fill bit for bit, and a
+// Rebuild into a dirty table must reproduce a fresh Build exactly, whatever
+// order the candidates arrive in — the invariant the monitor's incremental
+// re-verification rests on, since it assembles a candidate set in filter
+// order over storage a previous set left behind.
 func FuzzBuild(f *testing.F) {
 	f.Add(-1.0, 2.0, 0.5, 1.0, -3.0, 4.0)
 	f.Add(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
@@ -178,6 +179,9 @@ func FuzzBuild(f *testing.F) {
 		tb, err := Build(cands)
 		if err != nil {
 			return // rejecting a degenerate set is fine; panicking is not
+		}
+		if what := matchesReference(tb); what != "" {
+			t.Fatalf("fused fill's %s differs from the four-pass reference", what)
 		}
 
 		m := tb.NumSubregions()

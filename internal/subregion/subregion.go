@@ -67,8 +67,8 @@ type Table struct {
 }
 
 // MemBytes returns the approximate heap footprint of the table's matrices
-// and scratch. Long-lived caches that retain tables across evaluations (the
-// monitor's per-query state) use it for accounting against their memory cap.
+// and scratch. A pool that keeps tables between queries (core's scratch
+// pool) uses it to hold what an idle table retains to a cap.
 func (t *Table) MemBytes() int {
 	words := cap(t.ends) + cap(t.s) + cap(t.d) + cap(t.excl) + cap(t.y) +
 		cap(t.pts) + cap(t.pre) + cap(t.suf) +
@@ -78,9 +78,8 @@ func (t *Table) MemBytes() int {
 
 // DropCandidates clears the table's references to the last candidate set's
 // distance pdfs while keeping every float matrix's capacity, so a table
-// parked between queries (a pooled or monitor-owned scratch) pins no histogram
-// of the query it last served. The table reads as empty until the next
-// Rebuild.
+// parked between queries (on a pooled scratch) pins no histogram of the query
+// it last served. The table reads as empty until the next Rebuild.
 func (t *Table) DropCandidates() {
 	clear(t.dists)
 	t.ids, t.dists = t.ids[:0], t.dists[:0]
@@ -109,12 +108,11 @@ func Build(cands []Candidate) (*Table, error) {
 }
 
 // Rebuild constructs the table in place for a new candidate set, reusing the
-// table's backing arrays — every stateless query rebuilds the table of the
-// scratch it borrowed from core's pool, so per-query matrix allocation (the
-// dominant allocation of a C-PNN evaluation) is paid once per scratch, not
-// once per query. Any data
-// previously read from the table is invalidated. The zero Table is ready for
-// Rebuild.
+// table's backing arrays — every query, stateless or standing, rebuilds the
+// table of the scratch it borrowed from core's pool, so per-query matrix
+// allocation (the dominant allocation of a C-PNN evaluation) is paid once
+// per scratch, not once per query. Any data previously read from the table
+// is invalidated. The zero Table is ready for Rebuild.
 //
 // The cut is placed for k nearest neighbors (k >= 1): at the k-th smallest
 // far point of the candidates, or at the largest when there are fewer than
@@ -215,86 +213,81 @@ func (t *Table) buildEndpoints() {
 	t.ends = dedupe(pts)
 }
 
-// fillMatrices computes, per candidate, the cdf at each end-point by a
-// single linear march over the distance histogram, then derives subregion
-// probabilities, per-subregion counts and exclusive cdf products.
+// fillMatrices computes the matrices in two passes over the candidate rows.
+// The forward pass walks each row once: a linear march over the row's
+// distance histogram yields the cdf at each end-point, and as each value
+// lands the subregion probability it closes (with the count c_j), the
+// exclusive prefix Π_{k<i}(1−D_k(e_j)) and the running product for the
+// next row are written beside it. The backward pass folds the suffix
+// Π_{k>i}(1−D_k(e_j)) into excl. Prefix and suffix scans avoid dividing by
+// potentially zero (1 − D_k) factors, and every access walks the row-major
+// matrices with stride one. Each element gets the same float operations, in
+// the same order, as a separate pass per matrix would give it.
 func (t *Table) fillMatrices() {
-	nC := len(t.dists)
-	nE := len(t.ends)
+	nC, nE, m := len(t.dists), len(t.ends), t.m
 	t.d = grow(t.d, nC*nE)
-	t.s = grow(t.s, nC*t.m)
+	t.s = grow(t.s, nC*m)
 	t.excl = grow(t.excl, nC*nE)
 	t.y = grow(t.y, nE)
-	t.c = grow(t.c, t.m)
-	clear(t.c) // c accumulates via ++; every other matrix is fully overwritten
-
-	for i, dh := range t.dists {
-		row := t.d[i*nE : (i+1)*nE]
-		marchCDF(dh, t.ends, row)
-		srow := t.s[i*t.m : (i+1)*t.m]
-		for j := 0; j < t.m; j++ {
-			v := row[j+1] - row[j]
-			if v < 0 {
-				v = 0 // rounding guard; cdf is monotone analytically
-			}
-			srow[j] = v
-			if v > 0 {
-				t.c[j]++
-			}
-		}
-	}
-
-	// Exclusive products per end-point via prefix/suffix scans, which avoids
-	// dividing by potentially zero (1 − D_k) factors. The scans run candidate-
-	// major so every access walks the row-major matrices with stride one: the
-	// forward pass leaves Π_{k<i}(1−D_k(e_j)) in excl, the backward pass folds
-	// in the suffix. The arithmetic (and so the result, bit for bit) is the
-	// same as scanning per end-point; only the traversal order differs.
+	t.c = grow(t.c, m)
 	t.pre = grow(t.pre, nE)
 	t.suf = grow(t.suf, nE)
-	pre, suf := t.pre, t.suf
+	clear(t.c) // c accumulates via ++; every other matrix is fully overwritten
+	ends, cnt := t.ends, t.c
+	pre, suf := t.pre[:len(ends)], t.suf[:len(ends)]
 	for j := range pre {
 		pre[j] = 1
 		suf[j] = 1
 	}
-	for i := 0; i < nC; i++ {
-		drow := t.d[i*nE : (i+1)*nE]
-		erow := t.excl[i*nE : (i+1)*nE]
-		for j, dv := range drow {
+
+	near := 0 // end-points at or below the current row's near point
+	for i, dh := range t.dists {
+		drow := t.d[i*nE:][:len(ends)]
+		erow := t.excl[i*nE:][:len(ends)]
+		srow := t.s[i*m:][:m]
+		edges, nBins := dh.Edges(), dh.NumBins()
+		// Rows ascend by near point, so the end-points at or below it only
+		// grow; ends[0] is the smallest near point, so there is at least
+		// one. There the cdf is 0, the subregions closed are empty and the
+		// prefix product is multiplied by exactly 1, which leaves it as is.
+		for near < len(ends) && ends[near] <= edges[0] {
+			near++
+		}
+		clear(drow[:near])
+		clear(srow[:near-1])
+		copy(erow[:near], pre)
+		bin, cum, prev := 0, 0.0, 0.0
+		for j := near; j < len(ends); j++ {
+			e := ends[j]
+			for bin < nBins && edges[bin+1] <= e {
+				cum += dh.BinMass(bin)
+				bin++
+			}
+			dv := 1.0
+			if bin < nBins {
+				dv = cum + dh.BinDensity(bin)*(e-edges[bin])
+			}
+			drow[j] = dv
+			v := dv - prev
+			if v < 0 {
+				v = 0 // rounding guard; cdf is monotone analytically
+			}
+			srow[j-1] = v
+			if v > 0 {
+				cnt[j-1]++
+			}
+			prev = dv
 			erow[j] = pre[j]
 			pre[j] *= 1 - dv
 		}
 	}
 	copy(t.y, pre)
 	for i := nC - 1; i >= 0; i-- {
-		drow := t.d[i*nE : (i+1)*nE]
-		erow := t.excl[i*nE : (i+1)*nE]
+		drow := t.d[i*nE:][:len(ends)]
+		erow := t.excl[i*nE:][:len(ends)]
 		for j, dv := range drow {
 			erow[j] *= suf[j]
 			suf[j] *= 1 - dv
-		}
-	}
-}
-
-// marchCDF writes cdf values of dh at every point of the ascending slice
-// ends into out, in O(len(ends) + bins) time.
-func marchCDF(dh *pdf.Histogram, ends []float64, out []float64) {
-	edges := dh.Edges()
-	nBins := dh.NumBins()
-	bin := 0
-	cum := 0.0
-	for j, e := range ends {
-		for bin < nBins && edges[bin+1] <= e {
-			cum += dh.BinMass(bin)
-			bin++
-		}
-		switch {
-		case e <= edges[0]:
-			out[j] = 0
-		case bin >= nBins:
-			out[j] = 1
-		default:
-			out[j] = cum + dh.BinDensity(bin)*(e-edges[bin])
 		}
 	}
 }
