@@ -424,6 +424,16 @@ func TestIncrementalStateErrors(t *testing.T) {
 	}
 }
 
+// identityIDs maps each of n dense slots to the stable ID of the same
+// number, the ID map of a dataset that has never changed.
+func identityIDs(n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	return ids
+}
+
 // foldsAndReplayBytes is what an EvalState's next evaluation reads back,
 // counted from the state's contents: each cached fold with its entry
 // overhead, and the filter replay's scratch.
@@ -475,10 +485,7 @@ func TestEvalStateHoldsFoldsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]uint64, eng.Dataset().Len())
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
+	ids := identityIDs(eng.Dataset().Len())
 	st := NewEvalState()
 	res, _, err := eng.CPNNIncremental(1020, c, Options{}, st, ids, nil)
 	if err != nil {

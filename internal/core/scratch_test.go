@@ -244,10 +244,7 @@ func TestScratchRetentionCapped(t *testing.T) {
 
 	// A standing query rebuilds its table on a pooled scratch as well, so an
 	// incremental evaluation past the cap parks within it too.
-	ids := make([]uint64, eng.Dataset().Len())
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
+	ids := identityIDs(eng.Dataset().Len())
 	inc, _, err := eng.CPNNIncremental(1020, c, Options{}, NewEvalState(), ids, nil)
 	if err != nil {
 		t.Fatal(err)

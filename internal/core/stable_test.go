@@ -103,10 +103,7 @@ func TestCKNNStatsExposeFK(t *testing.T) {
 // evaluation times its one table rebuild inside its init phase.
 func TestCKNNStatsPhases(t *testing.T) {
 	e := genEngine(t, 2000, 5)
-	ids := make([]uint64, e.Dataset().Len())
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
+	ids := identityIDs(e.Dataset().Len())
 	c := verify.Constraint{P: 0.1, Delta: 0.01}
 	opt := KNNOptions{K: 3}
 
