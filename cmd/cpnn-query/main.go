@@ -17,6 +17,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		pnnMode  = fs.Bool("pnn", false, "report exact qualification probabilities instead of a C-PNN")
 		k        = fs.Int("k", 0, "evaluate a constrained k-NN query with this k (0 = plain C-PNN)")
 		batch    = fs.String("batch", "", "batch-evaluate every query point in this file (one per line)")
-		workers  = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+		workers  = fs.Int("workers", 0, "goroutines evaluating the -batch points (0 = GOMAXPROCS)")
 		verbose  = fs.Bool("v", false, "print per-phase statistics")
 	)
 	var lo obs.LogOptions
@@ -100,24 +103,24 @@ func run(args []string, out io.Writer) error {
 		"objects", ds.Len(), "build_ms", float64(time.Since(loadStart))/float64(time.Millisecond))
 
 	if *batch != "" {
-		br, err := eng.CPNNBatch(batchQs, c, core.BatchOptions{
-			Options: core.Options{Strategy: st},
-			Workers: *workers,
-		})
+		start := time.Now()
+		results, used, err := cpnnAll(eng, batchQs, c, core.Options{Strategy: st}, *workers)
 		if err != nil {
 			return err
 		}
-		for i, res := range br.Results {
+		wall := time.Since(start)
+		var engine time.Duration
+		for i, res := range results {
 			fmt.Fprintf(out, "C-PNN(q=%g): %d answers of %d candidates", batchQs[i], len(res.Answers), res.Stats.Candidates)
 			for _, a := range res.Answers {
 				fmt.Fprintf(out, "  %d:[%.4f,%.4f]", a.ID, a.Bounds.L, a.Bounds.U)
 			}
 			fmt.Fprintln(out)
+			engine += res.Stats.Total()
 		}
-		bs := br.Stats
-		fmt.Fprintf(out, "batch: %d queries, %d workers, wall %v (%.0f queries/s), engine time %v\n",
-			bs.Queries, bs.Workers, bs.Wall.Round(time.Microsecond),
-			float64(bs.Queries)/bs.Wall.Seconds(), bs.Aggregate.Total().Round(time.Microsecond))
+		fmt.Fprintf(out, "batch: %d queries on %d goroutines, wall %v (%.0f queries/s), engine time %v\n",
+			len(batchQs), used, wall.Round(time.Microsecond),
+			float64(len(batchQs))/wall.Seconds(), engine.Round(time.Microsecond))
 		return nil
 	}
 
@@ -163,6 +166,37 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// cpnnAll evaluates a C-PNN at every point of qs, with up to workers
+// goroutines (GOMAXPROCS when workers <= 0) each taking the next point. It
+// returns the results index-aligned with qs and the goroutine count used;
+// if any query fails, the error names the lowest failing index.
+func cpnnAll(eng *core.Engine, qs []float64, c verify.Constraint, opt core.Options, workers int) ([]*core.Result, int, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(qs))
+	results := make([]*core.Result, len(qs))
+	errs := make([]error, len(qs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(qs); i = int(next.Add(1) - 1) {
+				results[i], errs[i] = eng.CPNN(qs[i], c, opt)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, workers, fmt.Errorf("batch query %d (q=%g): %w", i, qs[i], err)
+		}
+	}
+	return results, workers, nil
 }
 
 func loadDataset(path string, gen bool, seed int64) (*uncertain.Dataset, error) {

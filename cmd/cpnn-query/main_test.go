@@ -3,10 +3,13 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -198,6 +201,93 @@ func TestQueryFlagsDocumented(t *testing.T) {
 	for _, m := range flags {
 		if !regexp.MustCompile("`-" + m[1] + "[` ]").Match(readme) {
 			t.Errorf("cpnn-query registers -%s, which README never mentions as `-%s`", m[1], m[1])
+		}
+	}
+}
+
+// TestBatchNamesBadPoint: a -batch file holding a non-finite point fails
+// before any engine work and names the point's line, and the fan-out behind
+// -batch names the index of the query that fails.
+func TestBatchNamesBadPoint(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "ds.txt")
+	if err := os.WriteFile(data, []byte("1 2\n5 9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	queries := filepath.Join(dir, "qs.txt")
+	if err := os.WriteFile(queries, []byte("# sweep\n3\nNaN\n7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-data", data, "-batch", queries}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("run -batch over a NaN point = %v, want an error naming line 3", err)
+	}
+
+	ds, err := loadDataset(data, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	for _, workers := range []int{1, 3} {
+		_, _, err := cpnnAll(eng, []float64{3, math.Inf(1), 7, math.NaN()}, c, core.Options{}, workers)
+		if err == nil || !strings.Contains(err.Error(), "query 1 ") {
+			t.Errorf("workers=%d: cpnnAll = %v, want an error naming query 1", workers, err)
+		}
+	}
+}
+
+// TestBatchMatchesSingles: -batch prints, in file order, each point's
+// answers exactly as a CPNN call answers them, whatever -workers is.
+func TestBatchMatchesSingles(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "ds.txt")
+	if err := os.WriteFile(data, []byte("1 2\n5 9\n4 6\n12 15\n2.5 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	qs := []float64{3, 8, 0.5, 13, 6}
+	var file strings.Builder
+	for _, q := range qs {
+		fmt.Fprintln(&file, q)
+	}
+	queries := filepath.Join(dir, "qs.txt")
+	if err := os.WriteFile(queries, []byte(file.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := loadDataset(data, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, q := range qs {
+		res, err := eng.CPNN(q, verify.Constraint{P: 0.3, Delta: 0.01}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "C-PNN(q=%g): %d answers of %d candidates", q, len(res.Answers), res.Stats.Candidates)
+		for _, a := range res.Answers {
+			fmt.Fprintf(&want, "  %d:[%.4f,%.4f]", a.ID, a.Bounds.L, a.Bounds.U)
+		}
+		fmt.Fprintln(&want)
+	}
+	for _, workers := range []string{"1", "4"} {
+		var out strings.Builder
+		if err := run([]string{"-data", data, "-batch", queries, "-workers", workers}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got, summary, _ := strings.Cut(out.String(), "batch: ")
+		if got != want.String() {
+			t.Errorf("-workers %s answers:\n%s\nwant:\n%s", workers, got, want.String())
+		}
+		if !strings.HasPrefix(summary, fmt.Sprintf("%d queries on ", len(qs))) {
+			t.Errorf("-workers %s summary %q", workers, summary)
 		}
 	}
 }

@@ -14,6 +14,9 @@
 //	VR     — run the verifier chain, then incrementally refine only the
 //	         objects the verifiers leave unknown (the paper's solution).
 //
+// Basic and Refine are the baselines of the paper's Figures 9, 10 and 14;
+// the stateless entry points run them, the incremental ones run VR only.
+//
 // It also answers plain PNN queries (exact probabilities for the whole
 // candidate set), probabilistic min/max queries (PNN with q at −∞/+∞, per the
 // paper's introduction), and constrained probabilistic k-NN queries — the
@@ -42,9 +45,9 @@
 // A candidate is therefore filtered in one place (source.candidates, or
 // incrementalFilter for a stateful query), derived in one (pipeline.derive /
 // Engine.cacheFold, both through source.dist) and classified in one
-// (finishVerifyRefine, cpnnBasic, or refine.ExactAll under exactAll and
-// knnClassify, each called by the pipeline and by its incremental
-// counterpart). A per-candidate explanation — which verifier or refinement
+// (finishVerifyRefine, or refine.ExactAll under exactAll and knnClassify,
+// each called by the pipeline and by its incremental counterpart; cpnnBasic,
+// the Basic baseline, by the pipeline alone). A per-candidate explanation — which verifier or refinement
 // step decided an object — belongs in finishVerifyRefine next to
 // Stats.UnknownAfter; a request context belongs in pipeline.prepare and
 // incrementalPrepare, checked between phases.
@@ -53,12 +56,14 @@
 //
 // Every stateless query derives its candidates in-line, one after another,
 // into a queryScratch — candidate buffer, subregion table, fold arena —
-// that it borrows from scratchPool (batch.go), the only place a query gets
+// that it borrows from scratchPool (scratch.go), the only place a query gets
 // one. A standing query's incremental evaluation borrows one the same way
 // and assembles its cached folds on it; its EvalState holds no table.
-// release caps what an idle scratch keeps at 1 MiB, so single queries,
-// batch workers and the monitor's evaluations obey one limit. The only
-// goroutines core starts are CPNNBatch's query-level workers.
+// release caps what an idle scratch keeps at 1 MiB, so single queries and
+// the monitor's evaluations obey one limit. Core starts no goroutines:
+// every entry point runs on its caller's goroutine, and a caller with many
+// query points fans them out itself (cpnn-query -batch, the server's
+// /v1/batch).
 package core
 
 import (
@@ -134,7 +139,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine answers probabilistic nearest-neighbor queries over one 1-D
-// dataset. CPNN, CPNNBatch and PNN are the embedded pipeline's; the engine
+// dataset. CPNN and PNN are the embedded pipeline's; the engine
 // adds what needs the dataset itself: min/max queries, the exact
 // constrained k-NN, and the incremental entry points (incremental.go).
 type Engine struct {
@@ -372,8 +377,7 @@ func exactAll(table *subregion.Table, st *Stats) ([]Probability, error) {
 }
 
 // cpnnBasic finishes a query under the Basic strategy: exact integration for
-// every candidate, then thresholding. It is shared by the stateless pipeline
-// and CPNNIncremental.
+// every candidate, then thresholding. Only the stateless pipeline runs it.
 func cpnnBasic(cands []subregion.Candidate, c verify.Constraint, opt Options, res *Result) (*Result, error) {
 	start := time.Now()
 	probs, err := refine.BasicAll(cands, opt.BasicSteps)

@@ -581,3 +581,24 @@ func TestCKNNFilterMatchesLinearPredicate(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineRejectsNonFinite: every stateless 1-D entry point refuses a NaN
+// or infinite query point before any engine work.
+func TestEngineRejectsNonFinite(t *testing.T) {
+	eng, err := NewEngine(figure2Dataset(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := eng.CPNN(bad, c, Options{}); err == nil {
+			t.Errorf("CPNN accepted %g", bad)
+		}
+		if _, _, err := eng.PNN(bad, Options{}); err == nil {
+			t.Errorf("PNN accepted %g", bad)
+		}
+		if _, _, err := eng.CKNN(bad, c, KNNOptions{K: 2}); err == nil {
+			t.Errorf("CKNN accepted %g", bad)
+		}
+	}
+}

@@ -24,40 +24,36 @@ import (
 // one pipeline. A digest that moves means some float operation changed order
 // or operand; regenerate a constant only for a change that intends that.
 // k-NN answers hash into sections of their own (*/knn, */knn-incremental),
-// and so do PNN's probabilities (*/pnn, */pnn-incremental) and the Basic
-// baseline's standing-query answers (*/incremental-basic), so a change to
-// the k-NN method, to PNN's exact integration or to the incremental Basic
-// path re-records those and nothing else.
+// and so do PNN's probabilities (*/pnn, */pnn-incremental), so a change to
+// the k-NN method or to PNN's exact integration re-records those and nothing
+// else.
 
 // answerDigests maps dataset/section to the SHA-256 of that section's answer
 // stream.
 var answerDigests = map[string]string{
-	"uniform/stateless":           "9d7de15a20543272d96e2d3b4d7bc96da2dc2d38aff8dc0e55da07ce9a29b201",
-	"uniform/pnn":                 "4456a3cf5cce547192e179efca9c2cbd133b2d74ef53a4259a57d85e57747db9",
-	"uniform/line":                "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
-	"uniform/knn":                 "da09641d3fea1c36e99c05ebdc64b7cdf5f162c5ad98815d5074cfdec26123c6",
-	"uniform/incremental":         "0487829ae7d28fb9e11b85bd7b9dfb2531c428e7826df3cb1551877e13d1d1f2",
-	"uniform/incremental-basic":   "fd5b55fbe98202cb38158217a69d42c9dd1f0694c2816e5e6cc3e7830f403355",
-	"uniform/pnn-incremental":     "06acc7cbbb7700e643114db90d1444ba6f9a06467e268a030784d4d394e56ba5",
-	"uniform/knn-incremental":     "7a0a78748160b5dbe42e3d222d0003c9af212ae81595afe335123c07dc45ba6a",
-	"histogram/stateless":         "f684dc6ceaad22f8951b397f9ee5cd78382d111a7960514f64f18ea72c36d026",
-	"histogram/pnn":               "11f25a27217b47c4200b75424bcd1b09dc35ca37c39eb70c6fdc056bf0a384fb",
-	"histogram/line":              "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
-	"histogram/knn":               "1453650363e44d830175598c499f22a41e0b938ad74f866408a6bbfe256f41e8",
-	"histogram/incremental":       "283b4fccd02623aebaeb8a7ce2c806d98caed6f212f66914357e0e353c29952e",
-	"histogram/incremental-basic": "04d12f321bbf8153d98c8895ead5160eb730a579c0bb82983975061549ea4804",
-	"histogram/pnn-incremental":   "0f6f900ace1a6798f4644af1e0990a63b3b6e8e975bbb96294b462e64c627373",
-	"histogram/knn-incremental":   "6f3ddc723489250d8fdce22ee9263ac234311a41c6d1e71a9aa13ad1d51e89a5",
-	"gaussian/stateless":          "f9593a180e611ea998457fd9b0acc2667681794c1ac3fb7f8d9afc3b77f71319",
-	"gaussian/pnn":                "5afa486460321e7f5564600f2845459648111ec13d7e7bcf62eeb24dd7bc5647",
-	"gaussian/line":               "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
-	"gaussian/knn":                "8ef38d73b1567a928ba969fb039a7d9c87b7a3e0356057dc0b07e99b19042246",
-	"gaussian/incremental":        "a72a0195b4195353d19d23a254accd7f1edc896fe382931e8c2ddad76d830a2b",
-	"gaussian/incremental-basic":  "c781e212815dc1bd8a38a5767cf97e07fde9b76abdeb135c0c725fdf1dc84750",
-	"gaussian/pnn-incremental":    "dfac2a750fa9b90b84474922a38efbb1bb89c7e728c8213b91edc1a3a7e78e8f",
-	"gaussian/knn-incremental":    "8a7a8559666d1747d51f2d6c25bcb4e544dfd6dd8271e2ed1bc98bf4cc75a899",
-	"disks/stateless":             "7680cad57fa8719457b14f09cae3e4426953a8d129a0ac0cc44766b6f9778834",
-	"disks/pnn":                   "2efdf6e94ebcd8c81b58f19797fc3420931db6b1180e88cffd55e8ce9ac241d1",
+	"uniform/stateless":         "9d7de15a20543272d96e2d3b4d7bc96da2dc2d38aff8dc0e55da07ce9a29b201",
+	"uniform/pnn":               "4456a3cf5cce547192e179efca9c2cbd133b2d74ef53a4259a57d85e57747db9",
+	"uniform/line":              "1c3b1e652e44652287b45552101eb0c4b6f302fc27c2cdb0625026d47a796111",
+	"uniform/knn":               "da09641d3fea1c36e99c05ebdc64b7cdf5f162c5ad98815d5074cfdec26123c6",
+	"uniform/incremental":       "0487829ae7d28fb9e11b85bd7b9dfb2531c428e7826df3cb1551877e13d1d1f2",
+	"uniform/pnn-incremental":   "06acc7cbbb7700e643114db90d1444ba6f9a06467e268a030784d4d394e56ba5",
+	"uniform/knn-incremental":   "7a0a78748160b5dbe42e3d222d0003c9af212ae81595afe335123c07dc45ba6a",
+	"histogram/stateless":       "f684dc6ceaad22f8951b397f9ee5cd78382d111a7960514f64f18ea72c36d026",
+	"histogram/pnn":             "11f25a27217b47c4200b75424bcd1b09dc35ca37c39eb70c6fdc056bf0a384fb",
+	"histogram/line":            "d895c50d07384d7b83f291a6871eb1c56d388fb6014e1039986a29b8663372ad",
+	"histogram/knn":             "1453650363e44d830175598c499f22a41e0b938ad74f866408a6bbfe256f41e8",
+	"histogram/incremental":     "283b4fccd02623aebaeb8a7ce2c806d98caed6f212f66914357e0e353c29952e",
+	"histogram/pnn-incremental": "0f6f900ace1a6798f4644af1e0990a63b3b6e8e975bbb96294b462e64c627373",
+	"histogram/knn-incremental": "6f3ddc723489250d8fdce22ee9263ac234311a41c6d1e71a9aa13ad1d51e89a5",
+	"gaussian/stateless":        "f9593a180e611ea998457fd9b0acc2667681794c1ac3fb7f8d9afc3b77f71319",
+	"gaussian/pnn":              "5afa486460321e7f5564600f2845459648111ec13d7e7bcf62eeb24dd7bc5647",
+	"gaussian/line":             "e0428caa3325173a59f92c9e5cc73086164a07bda07d7e051fb6264bac67788d",
+	"gaussian/knn":              "8ef38d73b1567a928ba969fb039a7d9c87b7a3e0356057dc0b07e99b19042246",
+	"gaussian/incremental":      "a72a0195b4195353d19d23a254accd7f1edc896fe382931e8c2ddad76d830a2b",
+	"gaussian/pnn-incremental":  "dfac2a750fa9b90b84474922a38efbb1bb89c7e728c8213b91edc1a3a7e78e8f",
+	"gaussian/knn-incremental":  "8a7a8559666d1747d51f2d6c25bcb4e544dfd6dd8271e2ed1bc98bf4cc75a899",
+	"disks/stateless":           "7680cad57fa8719457b14f09cae3e4426953a8d129a0ac0cc44766b6f9778834",
+	"disks/pnn":                 "2efdf6e94ebcd8c81b58f19797fc3420931db6b1180e88cffd55e8ce9ac241d1",
 }
 
 // digest accumulates one section's answer stream.
@@ -166,12 +162,12 @@ func digestPDF(t *testing.T, flavour string, rng *rand.Rand, span float64) pdf.P
 // pipelineEngine is what the digest drives on both engines.
 type pipelineEngine[Q any] interface {
 	CPNN(Q, verify.Constraint, Options) (*Result, error)
-	CPNNBatch([]Q, verify.Constraint, BatchOptions) (*BatchResult, error)
 	PNN(Q, Options) ([]Probability, Stats, error)
 }
 
-// digestStateless hashes CPNN under the three strategies and CPNNBatch over
-// qs.
+// digestStateless hashes CPNN under the three strategies over qs, then
+// under the given options once more: the recorded constants hash that
+// second pass too.
 func digestStateless[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Options) string {
 	t.Helper()
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
@@ -187,11 +183,11 @@ func digestStateless[Q any](t *testing.T, e pipelineEngine[Q], qs []Q, opt Optio
 			d.result(res)
 		}
 	}
-	br, err := e.CPNNBatch(qs, c, BatchOptions{Options: opt, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range br.Results {
+	for _, q := range qs {
+		res, err := e.CPNN(q, c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d.result(res)
 	}
 	return d.sum()
@@ -254,10 +250,9 @@ func digestKNN(t *testing.T, e *Engine, qs []float64) string {
 // 20-step change sequence (inserts, swap-into-hole deletes and replacements,
 // with and without slot hints) over a 60-object world of the flavour, a
 // fresh engine per step as the monitor sees one per view. CPNNIncremental
-// goes into the first sum, PNNIncremental into the second, both
-// KNNIncremental streams into the third and CPNNIncremental under Basic into
-// the fourth.
-func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn, basic string) {
+// goes into the first sum, PNNIncremental into the second and both
+// KNNIncremental streams into the third.
+func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const span = 100
@@ -282,8 +277,8 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 	}
 	c := verify.Constraint{P: 0.25, Delta: 0.01}
 	qC, qP, qK := rng.Float64()*span, rng.Float64()*span, rng.Float64()*span
-	stC, stB, stP, stK, stK1 := NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState()
-	d, dp, dk, db := newDigest(), newDigest(), newDigest(), newDigest()
+	stC, stP, stK, stK1 := NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState()
+	d, dp, dk := newDigest(), newDigest(), newDigest()
 	for step := 0; step < 20; step++ {
 		var changed map[uint64]int
 		if step > 0 {
@@ -322,12 +317,6 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 		}
 		d.result(res)
 		d.inc(inc)
-		res, inc, err = e.CPNNIncremental(qC, c, Options{Strategy: Basic}, stB, ids, changed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.result(res)
-		db.inc(inc)
 		ps, st, inc, err := e.PNNIncremental(qP, Options{}, stP, ids, changed)
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +339,7 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 		dk.knn(as, st)
 		dk.inc(inc)
 	}
-	return d.sum(), dp.sum(), dk.sum(), db.sum()
+	return d.sum(), dp.sum(), dk.sum()
 }
 
 // digestFlavours names the digest's 1-D worlds, in seed order.
@@ -419,7 +408,7 @@ func TestAnswerDigest(t *testing.T) {
 		got[flavour+"/pnn"] = digestPNN(t, e, qs, Options{})
 		got[flavour+"/line"] = digestLine(t, e, qs)
 		got[flavour+"/knn"] = digestKNN(t, e, qs)
-		got[flavour+"/incremental"], got[flavour+"/pnn-incremental"], got[flavour+"/knn-incremental"], got[flavour+"/incremental-basic"] = digestIncremental(t, flavour, int64(200+i))
+		got[flavour+"/incremental"], got[flavour+"/pnn-incremental"], got[flavour+"/knn-incremental"] = digestIncremental(t, flavour, int64(200+i))
 	}
 	e2, pts := digestDisks(t)
 	got["disks/stateless"] = digestStateless(t, e2, pts, Options{Bins: digestDiskBins})

@@ -21,7 +21,7 @@ type Object2D struct {
 }
 
 // Engine2D answers C-PNN queries over planar uncertain objects. Every entry
-// point (CPNN, CPNNBatch, PNN) is the embedded pipeline's; the engine adds
+// point (CPNN, PNN) is the embedded pipeline's; the engine adds
 // only its source: distance pdfs derived from lens areas instead of
 // interval folds. The lens reduction depends on the query point, so there
 // is nothing query-independent to memoize (the discretization memo serves

@@ -253,3 +253,21 @@ func TestIDOrderAtExtremeIDs(t *testing.T) {
 		t.Fatal("no PNN probabilities tied; the repeated disks should tie")
 	}
 }
+
+// TestEngine2DRejectsNonFinite: the planar entry points refuse a query
+// point with a NaN or infinite coordinate.
+func TestEngine2DRejectsNonFinite(t *testing.T) {
+	eng, err := NewEngine2D([]Object2D{{ID: 0, Region: geom.Circle{Center: geom.Point{X: 1, Y: 1}, Radius: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	for _, bad := range []geom.Point{{X: math.NaN(), Y: 0}, {X: 0, Y: math.Inf(1)}, {X: math.Inf(-1), Y: 0}} {
+		if _, err := eng.CPNN(bad, c, Options{}); err == nil {
+			t.Errorf("2-D CPNN accepted %v", bad)
+		}
+		if _, _, err := eng.PNN(bad, Options{}); err == nil {
+			t.Errorf("2-D PNN accepted %v", bad)
+		}
+	}
+}

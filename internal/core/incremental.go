@@ -355,14 +355,13 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 // incrementalPrepare runs the filter and derivation phases of an incremental
 // evaluation at filter depth k (1 for CPNN/PNN, the neighbor count for
 // k-NN): early-exit check, then fold-cache assembly on a scratch borrowed
-// from core's pool and, when buildTable is set, the table rebuilt on it. It
-// returns that scratch, holding the prepared candidate set and its table,
-// and the caller parks it once the answer is collected. It returns no
-// scratch on an error, on inc.Skipped (the caller reuses its previous
-// answer) and when stats.Candidates == 0 (the answer is empty). Filter,
-// init and table timings, set sizes and the critical distance land in
-// stats.
-func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) (*queryScratch, error) {
+// from core's pool and the table rebuilt on it. It returns that scratch,
+// holding the prepared candidate set and its table, and the caller parks it
+// once the answer is collected. It returns no scratch on an error, on
+// inc.Skipped (the caller reuses its previous answer) and when
+// stats.Candidates == 0 (the answer is empty). Filter, init and table
+// timings, set sizes and the critical distance land in stats.
+func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) (*queryScratch, error) {
 	start := time.Now()
 	fr, fminStable, fminKnown := e.incrementalFilter(q, k, st, ids, changed)
 	stats.FilterTime = time.Since(start)
@@ -409,16 +408,14 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 			delete(st.folds, s)
 		}
 	}
-	if buildTable {
-		derived := time.Now()
-		if err := sc.table.Rebuild(cands, k); err != nil {
-			st.Invalidate()
-			sc.park()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		stats.Subregions = sc.table.NumSubregions()
-		stats.TableTime = time.Since(derived)
+	derived := time.Now()
+	if err := sc.table.Rebuild(cands, k); err != nil {
+		st.Invalidate()
+		sc.park()
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	stats.Subregions = sc.table.NumSubregions()
+	stats.TableTime = time.Since(derived)
 	st.fmin = fr.FMin
 	st.fminStable, st.fminKnown = fminStable, fminKnown
 	st.valid = true
@@ -433,9 +430,13 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, buildTable bool, st 
 // modified since the state's last evaluation — pass nil to force a full
 // re-derivation. The result is bit-identical to CPNN on the same view; on
 // IncrementalStats.Skipped the result is nil and the caller's previous
-// answer stands unchanged.
+// answer stands unchanged. A standing query runs the paper's method only:
+// any opt.Strategy other than VR is an error.
 func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st *EvalState, ids []uint64, changed map[uint64]int) (*Result, IncrementalStats, error) {
 	var inc IncrementalStats
+	if opt.Strategy != VR {
+		return nil, inc, fmt.Errorf("core: incremental evaluation runs VR only, not %v", opt.Strategy)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, inc, err
 	}
@@ -445,7 +446,7 @@ func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st
 	}
 	opt = opt.withDefaults()
 	res := &Result{}
-	sc, err := e.incrementalPrepare(q, opt.Bins, 1, opt.Strategy != Basic, st, ids, changed, &inc, &res.Stats)
+	sc, err := e.incrementalPrepare(q, opt.Bins, 1, st, ids, changed, &inc, &res.Stats)
 	if err != nil || inc.Skipped {
 		return nil, inc, err
 	}
@@ -453,11 +454,7 @@ func (e *Engine) CPNNIncremental(q float64, c verify.Constraint, opt Options, st
 		return res, inc, nil
 	}
 	defer sc.park()
-	if opt.Strategy == Basic {
-		res, err = cpnnBasic(sc.cands, c, opt, res)
-	} else {
-		res, err = finishVerifyRefine(&sc.table, c, opt, res)
-	}
+	res, err = finishVerifyRefine(&sc.table, c, opt, res)
 	return res, inc, err
 }
 
@@ -472,7 +469,7 @@ func (e *Engine) PNNIncremental(q float64, opt Options, st *EvalState, ids []uin
 		return nil, stats, inc, err
 	}
 	opt = opt.withDefaults()
-	sc, err := e.incrementalPrepare(q, opt.Bins, 1, true, st, ids, changed, &inc, &stats)
+	sc, err := e.incrementalPrepare(q, opt.Bins, 1, st, ids, changed, &inc, &stats)
 	if sc == nil {
 		return nil, stats, inc, err
 	}
@@ -505,7 +502,7 @@ func (e *Engine) KNNIncremental(q float64, c verify.Constraint, opt KNNOptions, 
 		st.Invalidate()
 		return e.knnCertain(q, k, c, &stats), stats, inc, nil
 	}
-	sc, err := e.incrementalPrepare(q, opt.Bins, k, true, st, ids, changed, &inc, &stats)
+	sc, err := e.incrementalPrepare(q, opt.Bins, k, st, ids, changed, &inc, &stats)
 	if sc == nil {
 		return nil, stats, inc, err
 	}

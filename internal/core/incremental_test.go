@@ -201,9 +201,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 			qP := rng.Float64() * 100
 			qK := rng.Float64() * 100
 			optC := Options{}
-			if seed%5 == 4 {
-				optC.Strategy = Basic // the no-table incremental path
-			}
 			knnOpt := KNNOptions{K: 3}
 
 			stC, stP, stK := NewEvalState(), NewEvalState(), NewEvalState()
@@ -422,6 +419,13 @@ func TestIncrementalStateErrors(t *testing.T) {
 	if _, _, _, err := eng.KNNIncremental(1, c, KNNOptions{K: 0}, NewEvalState(), ids, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	// A standing query runs the paper's method only: a baseline is an error,
+	// never a silent VR evaluation.
+	for _, s := range []Strategy{Refine, Basic} {
+		if _, _, err := eng.CPNNIncremental(1, c, Options{Strategy: s}, NewEvalState(), ids, nil); err == nil {
+			t.Fatalf("CPNNIncremental accepted strategy %v", s)
+		}
+	}
 }
 
 // identityIDs maps each of n dense slots to the stable ID of the same
@@ -521,16 +525,10 @@ func TestIncrementalConcurrentStates(t *testing.T) {
 	// run evaluates one standing query of each kind around q over every view
 	// and returns the digest of its answers.
 	run := func(q float64) (string, error) {
-		stC, stB, stP, stK := NewEvalState(), NewEvalState(), NewEvalState(), NewEvalState()
+		stC, stP, stK := NewEvalState(), NewEvalState(), NewEvalState()
 		d := newDigest()
 		for _, v := range views {
 			res, inc, err := v.eng.CPNNIncremental(q, c, Options{}, stC, v.ids, v.changed)
-			if err != nil {
-				return "", err
-			}
-			d.result(res)
-			d.inc(inc)
-			res, inc, err = v.eng.CPNNIncremental(q+3, c, Options{Strategy: Basic}, stB, v.ids, v.changed)
 			if err != nil {
 				return "", err
 			}

@@ -50,28 +50,8 @@ func (p *pipeline[Q]) CPNN(q Q, c verify.Constraint, opt Options) (*Result, erro
 	return p.cpnn(q, c, opt.withDefaults(), qs)
 }
 
-// CPNNBatch evaluates one C-PNN per query point, fanning the queries out
-// over a bounded worker pool — its one edge over a loop of CPNN calls, which
-// run the same body on the same pooled scratch. Results are index-aligned
-// with qs; answers are identical to evaluating each point with CPNN. The
-// first failing query aborts the batch.
-func (p *pipeline[Q]) CPNNBatch(qs []Q, c verify.Constraint, opt BatchOptions) (*BatchResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	for i, q := range qs {
-		if err := p.src.check(q); err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
-		}
-	}
-	o := opt.Options.withDefaults()
-	return runBatch(len(qs), opt.Workers, func(i int, sc *queryScratch) (*Result, error) {
-		return p.cpnn(qs[i], c, o, sc)
-	})
-}
-
-// cpnn is the CPNN body, shared by the single-query entry points and the
-// batch workers. Inputs are already validated and opt already defaulted.
+// cpnn is the CPNN body on a borrowed scratch. Inputs are already
+// validated and opt already defaulted.
 func (p *pipeline[Q]) cpnn(q Q, c verify.Constraint, opt Options, sc *queryScratch) (*Result, error) {
 	res := &Result{}
 	cands, table, err := p.prepare(q, 1, opt.Bins, opt.Strategy != Basic, sc, &res.Stats)

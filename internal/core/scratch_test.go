@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -77,6 +78,23 @@ func checkNoAlias[Q any](t *testing.T, e pooledEngine[Q], a, b Q) {
 	}
 }
 
+// longBeachEngine builds an engine over n objects of the Long-Beach-like
+// generator and returns it with a 48-point query workload.
+func longBeachEngine(t testing.TB, n int, seed int64) (*Engine, []float64) {
+	t.Helper()
+	opt := uncertain.LongBeachOptions(seed)
+	opt.N = n
+	ds, err := uncertain.GenerateUniform(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, uncertain.QueryWorkload(48, opt.Domain, seed+100)
+}
+
 // TestScratchResultsDoNotAlias: what CPNN and PNN return stays valid while
 // the pooled scratch they ran on goes on to other queries — the property
 // the scratch pool rests on, since a caller reads a result after its
@@ -84,7 +102,7 @@ func checkNoAlias[Q any](t *testing.T, e pooledEngine[Q], a, b Q) {
 // every buffer the first result could alias is rewritten.
 func TestScratchResultsDoNotAlias(t *testing.T) {
 	t.Run("1D", func(t *testing.T) {
-		eng, qs := batchTestEngine(t, 6000, 23)
+		eng, qs := longBeachEngine(t, 6000, 23)
 		small, large, most := qs[0], qs[0], 0
 		for _, q := range qs {
 			res, err := eng.CPNN(q, verify.Constraint{P: 0.3, Delta: 0.01}, Options{})
@@ -121,7 +139,7 @@ func TestScratchResultsDoNotAlias(t *testing.T) {
 // its last query's distance pdfs, keeps its float storage while within the
 // retention cap, and serves the next query like a fresh one.
 func TestScratchReleaseDropsCandidates(t *testing.T) {
-	eng, qs := batchTestEngine(t, 6000, 23)
+	eng, qs := longBeachEngine(t, 6000, 23)
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 	opt := Options{}.withDefaults()
 
@@ -172,7 +190,7 @@ func capFixture() *uncertain.Dataset {
 }
 
 // TestScratchRetentionCapped: a query whose table outgrows scratchCap leaves
-// nothing over the cap parked — not after a single query, a batch or a
+// nothing over the cap parked — not after a single query, concurrent ones or a
 // standing query's incremental evaluation. What it leaves is the warm
 // scratch it found: the table an ordinary query grew survives the large one,
 // and answers the next query like before.
@@ -237,10 +255,26 @@ func TestScratchRetentionCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPool("a single query")
-	if _, err := eng.CPNNBatch([]float64{1020, 2010, 1020, 3000}, c, BatchOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range []float64{1020, 2010} {
+				if _, err := eng.CPNN(q, c, Options{}); err != nil {
+					errs[i] = err
+				}
+			}
+		}()
 	}
-	checkPool("a batch")
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkPool("concurrent queries")
 
 	// A standing query rebuilds its table on a pooled scratch as well, so an
 	// incremental evaluation past the cap parks within it too.
@@ -263,7 +297,7 @@ func TestCPNNAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random")
 	}
-	eng, qs := batchTestEngine(t, 6000, 23)
+	eng, qs := longBeachEngine(t, 6000, 23)
 	c := verify.Constraint{P: 0.3, Delta: 0.01}
 	run := func() {
 		for _, q := range qs {

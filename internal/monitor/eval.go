@@ -54,12 +54,12 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Spec describes one standing query. Constraint applies to KindCPNN and
-// KindKNN; Strategy to KindCPNN; K to KindKNN.
+// KindKNN; K to KindKNN. A standing C-PNN runs the paper's method, VR: the
+// baselines are not served.
 type Spec struct {
 	Kind       Kind
 	Q          float64
 	Constraint verify.Constraint
-	Strategy   core.Strategy
 	K          int
 }
 
@@ -126,7 +126,7 @@ func Evaluate(view *store.View, eng *core.Engine, _ any, spec Spec) (body []byte
 	n := view.Dataset.Len()
 	switch spec.Kind {
 	case KindCPNN:
-		res, err := eng.CPNN(spec.Q, spec.Constraint, core.Options{Strategy: spec.Strategy})
+		res, err := eng.CPNN(spec.Q, spec.Constraint, core.Options{})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -175,7 +175,7 @@ func EvaluateIncremental(view *store.View, eng *core.Engine, st *core.EvalState,
 	n := view.Dataset.Len()
 	switch spec.Kind {
 	case KindCPNN:
-		res, inc, err := eng.CPNNIncremental(spec.Q, spec.Constraint, core.Options{Strategy: spec.Strategy}, st, ids, changed)
+		res, inc, err := eng.CPNNIncremental(spec.Q, spec.Constraint, core.Options{}, st, ids, changed)
 		if err != nil || inc.Skipped {
 			return nil, 0, inc, err
 		}

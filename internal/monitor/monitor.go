@@ -19,7 +19,7 @@
 //
 // Re-evaluation runs on a bounded worker pool. Every evaluation, from
 // scratch or incremental, borrows its scratch (candidate buffer, subregion
-// table, fold arena) from core's one pool, as a batch worker does, so it
+// table, fold arena) from core's one pool, as a stateless query does, so it
 // obeys core's 1 MiB retention cap; a standing query's state keeps only its
 // cached folds. Bursts coalesce: a query dirtied by
 // several commits evaluates once, against the latest view. Answers are

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -89,9 +88,8 @@ func oracleDataset1D(t *testing.T, seed int64) *uncertain.Dataset {
 }
 
 // TestOracleCrossCheck1D runs the 50-dataset seeded cross-check for the 1-D
-// engine: C-PNN answers (single and batch, which must agree exactly), exact
-// PNN probabilities, and filtered objects, all against the brute-force
-// oracle.
+// engine: C-PNN answers, exact PNN probabilities, and filtered objects, all
+// against the brute-force oracle.
 func TestOracleCrossCheck1D(t *testing.T) {
 	passed := 0
 	for seed := int64(1); seed <= 50; seed++ {
@@ -105,18 +103,11 @@ func TestOracleCrossCheck1D(t *testing.T) {
 			c := verify.Constraint{P: 0.15 + 0.5*rng.Float64(), Delta: 0.02 + 0.08*rng.Float64()}
 			qs := []float64{10 + 80*rng.Float64(), 10 + 80*rng.Float64()}
 
-			br, err := eng.CPNNBatch(qs, c, core.BatchOptions{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i, q := range qs {
 				label := labelFor("1D", seed, i)
 				single, err := eng.CPNN(q, c, core.Options{})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(br.Results[i].Candidates, single.Candidates) {
-					t.Errorf("%s: batch result differs from single evaluation", label)
 				}
 				p := PNN1D(ds, q, oracleSamples, rng)
 				checkAgainstOracle(t, label, single, p, c, eps1D)
@@ -226,18 +217,11 @@ func TestOracleCrossCheck2D(t *testing.T) {
 			c := verify.Constraint{P: 0.15 + 0.5*rng.Float64(), Delta: 0.02 + 0.08*rng.Float64()}
 			q := geom.Point{X: 5 + rng.Float64()*40, Y: 5 + rng.Float64()*40}
 
-			br, err := eng.CPNNBatch([]geom.Point{q}, c, core.BatchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			single, err := eng.CPNN(q, c, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := labelFor("2D", seed, 0)
-			if !reflect.DeepEqual(br.Results[0].Candidates, single.Candidates) {
-				t.Errorf("%s: batch result differs from single evaluation", label)
-			}
 			p := PNN2D(objs, q, oracleSamples, rng)
 			checkAgainstOracle(t, label, single, p, c, eps2D)
 		})

@@ -173,7 +173,8 @@ func TestBackendParity(t *testing.T) {
 	}{
 		// Good reads: bodies equal modulo version.
 		{name: "cpnn", method: "GET", path: "/v1/cpnn?q=137.5&p=0.3&delta=0.01", status: 200},
-		{name: "cpnn all basic", method: "GET", path: "/v1/cpnn?q=201&p=0.5&delta=0.05&all=1&strategy=basic", status: 200},
+		{name: "cpnn all vr", method: "GET", path: "/v1/cpnn?q=201&p=0.5&delta=0.05&all=1&strategy=vr",
+			status: 200, sameAs: "/v1/cpnn?q=201&p=0.5&delta=0.05&all=1"},
 		{name: "pnn", method: "GET", path: "/v1/pnn?q=137.5", status: 200},
 		{name: "pnn edge", method: "GET", path: "/v1/pnn?q=330", status: 200},
 		{name: "knn", method: "GET", path: "/v1/knn?q=100&k=2&p=0.3&delta=0.05", status: 200},
@@ -193,6 +194,7 @@ func TestBackendParity(t *testing.T) {
 		{name: "NaN p", method: "GET", path: "/v1/knn?q=1&k=2&p=NaN", status: 400},
 		{name: "bad delta", method: "GET", path: "/v1/cpnn?q=1&delta=-0.1", status: 400},
 		{name: "bad strategy", method: "GET", path: "/v1/cpnn?q=1&strategy=monte-carlo", status: 400},
+		{name: "cpnn all basic", method: "GET", path: "/v1/cpnn?q=201&p=0.5&delta=0.05&all=1&strategy=basic", status: 400},
 		{name: "knn missing k", method: "GET", path: "/v1/knn?q=1", status: 400},
 		{name: "knn bad k", method: "GET", path: "/v1/knn?q=1&k=two", status: 400},
 		{name: "knn k over limit", method: "GET", path: fmt.Sprintf("/v1/knn?q=1&k=%d", maxK+1), status: 400},
@@ -201,6 +203,7 @@ func TestBackendParity(t *testing.T) {
 		{name: "batch null point", method: "POST", path: "/v1/batch", body: `{"queries":[1,null]}`, status: 400},
 		{name: "batch unknown field", method: "POST", path: "/v1/batch", body: `{"queries":[1],"bogus":true}`, status: 400},
 		{name: "batch empty", method: "POST", path: "/v1/batch", body: `{"queries":[]}`, status: 400},
+		{name: "batch basic", method: "POST", path: "/v1/batch", body: `{"queries":[1],"strategy":"basic"}`, status: 400},
 		{name: "batch over limit", method: "POST", path: "/v1/batch",
 			body: repeatJSON(`{"queries":[`, "1", MaxBatchQueries+1, `]}`), status: 400},
 		{name: "objects empty", method: "POST", path: "/v1/objects", body: `{"objects":[]}`, need: needObjects, status: 400},
@@ -222,6 +225,7 @@ func TestBackendParity(t *testing.T) {
 		{name: "dataset empty", method: "POST", path: "/v1/dataset", body: "\n", need: needDataset, status: 400},
 		{name: "dataset malformed", method: "POST", path: "/v1/dataset", body: "1 two\n", need: needDataset, status: 400},
 		{name: "monitor unknown field", method: "POST", path: "/v1/monitors", body: `{"kind":"pnn","q":1,"bogus":1}`, need: needMonitors, status: 400},
+		{name: "monitor basic", method: "POST", path: "/v1/monitors", body: `{"kind":"cpnn","q":1,"strategy":"basic"}`, need: needMonitors, status: 400},
 		{name: "monitor knn samples", method: "POST", path: "/v1/monitors", body: `{"kind":"knn","q":1,"k":2,"samples":100}`, need: needMonitors, status: 400},
 		{name: "monitor knn k over limit", method: "POST", path: "/v1/monitors",
 			body: fmt.Sprintf(`{"kind":"knn","q":1,"k":%d}`, maxK+1), need: needMonitors, status: 400},

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/verify"
 )
 
@@ -19,9 +20,11 @@ const MaxBatchQueries = 4096
 // points at float precision fit comfortably within 1 MiB.
 const DefaultMaxBatchBytes = 1 << 20
 
-// batchRequest is the POST /v1/batch body. P, Delta, Strategy and All apply
-// to every query of the batch. Queries decodes through pointers so a JSON
-// null point is rejected instead of silently becoming 0.
+// batchRequest is the POST /v1/batch body. P, Delta and All apply to every
+// query of the batch. Strategy is kept only for checkStrategy: the decoder
+// is strict, so without the field a client's "strategy":"vr" would be a 400.
+// Queries decodes through pointers so a JSON null point is rejected instead
+// of silently becoming 0.
 type batchRequest struct {
 	Queries  []*float64 `json:"queries"`
 	P        *float64   `json:"p"`
@@ -61,7 +64,7 @@ type batchResponse struct {
 
 // parseBatchRequest decodes and fully validates a batch body before any
 // engine work: every coordinate must be finite (shared checkFinite guard),
-// the constraint valid, the strategy known.
+// the constraint valid, the strategy VR.
 func (s *Server) parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, verify.Constraint, error) {
 	var req batchRequest
 	if err := decodeStrict(w, r, DefaultMaxBatchBytes, "batch", "", &req); err != nil {
@@ -98,6 +101,9 @@ func (s *Server) parseBatchRequest(w http.ResponseWriter, r *http.Request) (batc
 	if err := c.Validate(); err != nil {
 		return req, verify.Constraint{}, badRequest("%v", err)
 	}
+	if err := checkStrategy(req.Strategy); err != nil {
+		return req, verify.Constraint{}, err
+	}
 	return req, c, nil
 }
 
@@ -125,12 +131,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	strat, err := parseStrategy(req.Strategy)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-
 	queries := req.points()
 	start := time.Now()
 
@@ -157,7 +157,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(qq float64, out *outcome) {
 			defer wg.Done()
-			out.body, out.src, out.err = s.cpnnBody(r.Context(), epBatch, v, qq, c, strat, req.All)
+			out.body, out.src, out.err = s.cpnnBody(r.Context(), epBatch, v, qq, c, req.All)
 		}(qq, slot[qq])
 	}
 	wg.Wait()
@@ -167,7 +167,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Count:    len(queries),
 		P:        c.P,
 		Delta:    c.Delta,
-		Strategy: strat.String(),
+		Strategy: core.VR.String(),
 		Results:  make([]json.RawMessage, 0, len(queries)),
 		Cache:    make([]string, 0, len(queries)),
 	}

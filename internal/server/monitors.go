@@ -26,7 +26,8 @@ import (
 // monitorRequest is the POST /v1/monitors body. P and Delta are pointers so
 // an explicit 0 (valid for delta, rejected for p) is distinguishable from an
 // omitted field taking the default — matching /v1/cpnn's query-parameter
-// semantics.
+// semantics. Strategy is kept only for checkStrategy: the decoder is strict,
+// so without the field a client's "strategy":"vr" would be a 400.
 type monitorRequest struct {
 	Kind     string   `json:"kind"`
 	Q        float64  `json:"q"`
@@ -75,12 +76,8 @@ func decodeMonitorRequest(data []byte) (monitor.Spec, error) {
 			spec.Constraint.Delta = *req.Delta
 		}
 	}
-	if kind == monitor.KindCPNN {
-		strat, err := parseStrategy(req.Strategy)
-		if err != nil {
-			return monitor.Spec{}, err
-		}
-		spec.Strategy = strat
+	if err := checkStrategy(req.Strategy); err != nil {
+		return monitor.Spec{}, err
 	}
 	if err := spec.Validate(); err != nil {
 		return monitor.Spec{}, badRequest("%v", err)

@@ -335,7 +335,7 @@ func FuzzMonitorRequest(f *testing.F) {
 	f.Add([]byte(`{"kind":"cpnn","q":7,"p":0.3,"delta":0.01}`))
 	f.Add([]byte(`{"kind":"pnn","q":-12.5}`))
 	f.Add([]byte(`{"kind":"knn","q":3,"p":0.5,"k":2}`))
-	f.Add([]byte(`{"kind":"cpnn","q":1e308,"strategy":"basic"}`))
+	f.Add([]byte(`{"kind":"cpnn","q":1e308,"strategy":"vr"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"kind":"cpnn","q":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

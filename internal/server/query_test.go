@@ -14,6 +14,12 @@ import (
 // appears inside the JSON string (quotes already escaped).
 func errJSON(escaped string) string { return `{"error":"` + escaped + `"}` + "\n" }
 
+// notServed is the 400 body of a strategy other than VR, on every surface
+// that reads one.
+func notServed(strategy string) string {
+	return errJSON(`strategy \"` + strategy + `\" is not served: the server runs VR only (cpnn-query -strategy runs the paper's baselines)`)
+}
+
 // parseCase is one request of TestRequestParsing. An error row pins the
 // status and the exact body; a 200 row names the plainly spelled URL whose
 // body it must equal byte for byte.
@@ -30,7 +36,6 @@ type parseCase struct {
 var parseReferences = map[string]string{
 	"/v1/cpnn?q=500":                         `{"query":500,"p":0.3,"delta":0.01,"strategy":"VR","version":1,"answers":[`,
 	"/v1/cpnn?q=500&p=0.2":                   `{"query":500,"p":0.2,"delta":0.01,"strategy":"VR","version":1,"answers":[`,
-	"/v1/cpnn?q=500&strategy=refine":         `{"query":500,"p":0.3,"delta":0.01,"strategy":"Refine","version":1,"answers":[`,
 	"/v1/cpnn?q=500&all=1":                   `{"query":500,"p":0.3,"delta":0.01,"strategy":"VR","version":1,"answers":[`,
 	"/v1/pnn?q=313.7":                        `{"query":313.7,"version":1,"probabilities":[`,
 	"/v1/knn?q=500&k=3":                      `{"query":500,"k":3,"p":0.3,"delta":0.01,"version":1,"answers":[`,
@@ -80,10 +85,14 @@ var parseCases = []parseCase{
 	{url: "/v1/cpnn?q=500&delta=-0.1", status: 400, body: errJSON(`verify: tolerance Delta=-0.1 outside [0, 1]`)},
 	{url: "/v1/cpnn?q=500&delta=1.5", status: 400, body: errJSON(`verify: tolerance Delta=1.5 outside [0, 1]`)},
 	// /v1/cpnn: strategy and all.
-	{url: "/v1/cpnn?q=500&strategy=%72efine", same: "/v1/cpnn?q=500&strategy=refine"},
+	{url: "/v1/cpnn?q=500&strategy=vr", same: "/v1/cpnn?q=500"},
+	{url: "/v1/cpnn?q=500&strategy=%76r", same: "/v1/cpnn?q=500"},
 	{url: "/v1/cpnn?q=500&strategy=%zz", same: "/v1/cpnn?q=500"},
-	{url: "/v1/cpnn?q=500&strategy=monte-carlo", status: 400, body: errJSON(`unknown strategy \"monte-carlo\" (vr, refine, basic)`)},
-	{url: "/v1/cpnn?q=500&strategy=VR", status: 400, body: errJSON(`unknown strategy \"VR\" (vr, refine, basic)`)},
+	{url: "/v1/cpnn?q=500&strategy=refine", status: 400, body: notServed("refine")},
+	{url: "/v1/cpnn?q=500&strategy=%72efine", status: 400, body: notServed("refine")},
+	{url: "/v1/cpnn?q=500&strategy=basic", status: 400, body: notServed("basic")},
+	{url: "/v1/cpnn?q=500&strategy=monte-carlo", status: 400, body: notServed("monte-carlo")},
+	{url: "/v1/cpnn?q=500&strategy=VR", status: 400, body: notServed("VR")},
 	{url: "/v1/cpnn?q=500&all=%31", same: "/v1/cpnn?q=500&all=1"},
 	{url: "/v1/cpnn?q=500&all=true", same: "/v1/cpnn?q=500"},
 	// /v1/pnn.

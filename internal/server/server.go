@@ -14,7 +14,7 @@
 //     swaps the pointer, so reloads never block readers and every request
 //     resolves entirely against one snapshot.
 //   - A sharded LRU result cache keyed by (snapshot version, endpoint,
-//     quantized query point, constraint, strategy). Concurrent identical
+//     quantized query point, constraint). Concurrent identical
 //     queries collapse onto one evaluation (singleflight). Because keys embed
 //     the snapshot version, a reload invalidates the whole cache atomically:
 //     entries for the old snapshot can never match a new request.
@@ -698,17 +698,14 @@ func constraintParam(q query) (verify.Constraint, error) {
 	return c, nil
 }
 
-func parseStrategy(raw string) (core.Strategy, error) {
-	switch raw {
-	case "", "vr":
-		return core.VR, nil
-	case "refine":
-		return core.Refine, nil
-	case "basic":
-		return core.Basic, nil
-	default:
-		return 0, badRequest("unknown strategy %q (vr, refine, basic)", raw)
+// checkStrategy is the strategy check /v1/cpnn, /v1/batch and /v1/monitors
+// share. The server runs the paper's method only: "" and "vr" pass, and any
+// other value, the paper's baselines included, is a 400.
+func checkStrategy(raw string) error {
+	if raw == "" || raw == "vr" {
+		return nil
 	}
+	return badRequest("strategy %q is not served: the server runs VR only (cpnn-query -strategy runs the paper's baselines)", raw)
 }
 
 // ---- responses ---------------------------------------------------------
@@ -926,14 +923,13 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	strat, err := parseStrategy(qs.Get("strategy"))
-	if err != nil {
+	if err := checkStrategy(qs.Get("strategy")); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	all := qs.Get("all") == "1"
 
-	body, src, err := s.cpnnBody(r.Context(), epCPNN, v, s.snapPoint(q), c, strat, all)
+	body, src, err := s.cpnnBody(r.Context(), epCPNN, v, s.snapPoint(q), c, all)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -944,12 +940,12 @@ func (s *Server) handleCPNN(w http.ResponseWriter, r *http.Request) {
 // cpnnBody serves one C-PNN point of a view. Both the single-query endpoint
 // and every point of a batch request route through here, so they share keys
 // — a batch warms the cache for singles and vice versa.
-func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, Source, error) {
+func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, c verify.Constraint, all bool) ([]byte, Source, error) {
 	var kb [128]byte
 	key := cacheKey(kb[:0], "cpnn", v.key(), all,
-		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta), uint64(strat))
+		math.Float64bits(qq), math.Float64bits(c.P), math.Float64bits(c.Delta))
 	return s.serve(ctx, ep, v, key, qq, 1, func(snap *Snapshot) ([]byte, core.Stats, error) {
-		return cpnnPayload(snap, qq, c, strat, all)
+		return cpnnPayload(snap, qq, c, all)
 	})
 }
 
@@ -959,8 +955,8 @@ func (s *Server) cpnnBody(ctx context.Context, ep endpoint, v view, qq float64, 
 // answers bit-identically to an R-tree — so a sharded server's body differs
 // from a single server's only in the version field. The engine derives on a
 // scratch from core's pool, which never shows in the body.
-func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Strategy, all bool) ([]byte, core.Stats, error) {
-	res, err := snap.Engine.CPNN(qq, c, core.Options{Strategy: strat})
+func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, all bool) ([]byte, core.Stats, error) {
+	res, err := snap.Engine.CPNN(qq, c, core.Options{})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -968,7 +964,7 @@ func cpnnPayload(snap *Snapshot, qq float64, c verify.Constraint, strat core.Str
 		Query:    qq,
 		P:        c.P,
 		Delta:    c.Delta,
-		Strategy: strat.String(),
+		Strategy: core.VR.String(),
 		Version:  snap.Version,
 		Answers:  toAnswers(res.Answers, snap),
 		Stats: statsJSON{

@@ -104,7 +104,7 @@ func TestCacheByteIdentity(t *testing.T) {
 
 	urls := []string{
 		"/v1/cpnn?q=500&p=0.2&delta=0.01",
-		"/v1/cpnn?q=500&p=0.2&delta=0.01&strategy=basic&all=1",
+		"/v1/cpnn?q=500&p=0.2&delta=0.01&strategy=vr&all=1",
 		"/v1/pnn?q=313.7",
 		"/v1/knn?q=250&k=3&p=0.1",
 	}
@@ -485,7 +485,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	writeTo := map[string]*Server{"store": shapes[1].srv, "replica": shapes[1].srv, "router": shapes[3].srv}
 	urls := []string{
 		"/v1/cpnn?q=100&p=0.2",
-		"/v1/cpnn?q=402&p=0.3&strategy=refine",
+		"/v1/cpnn?q=402&p=0.3&strategy=vr&all=1",
 		"/v1/pnn?q=250",
 		"/v1/knn?q=333&k=2&p=0.1",
 		"/healthz",

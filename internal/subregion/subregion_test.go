@@ -300,8 +300,8 @@ func TestEndpointsIncludePDFBreaks(t *testing.T) {
 
 // TestRebuildReuseMatchesFresh: a table dirtied by a previous build and then
 // Rebuilt over a new candidate set, in any order, must be indistinguishable
-// from a freshly built table — the batch path recycles tables through a pool
-// and relies on this, and the incremental path assembles its candidates in
+// from a freshly built table — every query recycles tables through core's
+// scratch pool and relies on this, and the incremental path assembles its candidates in
 // filter order rather than the order a fresh query derives them in.
 func TestRebuildReuseMatchesFresh(t *testing.T) {
 	gen := func(seed int64, n int) []Candidate {

@@ -10,8 +10,8 @@
 // probability threshold P and tolerance Δ, letting the engine answer with
 // cheap probability bounds instead of exact integrals: candidates are pruned
 // by an R-tree filter, reduced to distance distributions by a shared
-// derivation stage (parallel per-candidate folds serving both the 1-D and
-// 2-D engines, with query-independent discretizations of analytic pdfs
+// derivation stage (per-candidate folds serving both the 1-D and 2-D
+// engines, with query-independent discretizations of analytic pdfs
 // memoized across queries), bounded by the RS / L-SR / U-SR probabilistic
 // verifiers, and only the stragglers reach incremental refinement.
 //
@@ -76,19 +76,6 @@ type (
 	KNNOptions = core.KNNOptions
 	// KNNAnswer is one object of a constrained k-NN result.
 	KNNAnswer = core.KNNAnswer
-)
-
-// Batch evaluation, re-exported from the engine: CPNNBatch — the same method
-// on Engine and Engine2D — fans many query points out over a bounded worker
-// pool, each running CPNN's body on a pooled scratch, with answers identical
-// to calling CPNN per point.
-type (
-	// BatchOptions tunes batch evaluation (embedded Options + Workers).
-	BatchOptions = core.BatchOptions
-	// BatchResult is one Result per query point plus batch statistics.
-	BatchResult = core.BatchResult
-	// BatchStats aggregates the costs of one batch evaluation.
-	BatchStats = core.BatchStats
 )
 
 // Evaluation strategies (paper §V).
@@ -399,10 +386,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) { return replica.Start
 
 // Two-dimensional support (the paper's §IV-A extension): disk-shaped
 // uncertainty regions reduce to distance pdfs and run the same pipeline as
-// the 1-D engine, under the same Options and BatchOptions.
+// the 1-D engine, under the same Options.
 type (
 	// Engine2D answers C-PNN queries over planar uncertain objects: CPNN,
-	// CPNNBatch and PNN, with a Point for the query.
+	// and PNN, with a Point for the query.
 	Engine2D = core.Engine2D
 	// Object2D is a disk-shaped uncertain object.
 	Object2D = core.Object2D
