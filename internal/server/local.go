@@ -74,6 +74,14 @@ func newLocalBackend(s *Server) (*localBackend, error) {
 	b.feedDone = make(chan struct{})
 	go func() {
 		defer close(b.feedDone)
+		// A commit that landed between the install above and Watch sent
+		// this feed no notice (a replica's follower replays from the
+		// moment it starts); install it now rather than at the next one.
+		if cfg.Store.View().Version > s.snap.Load().Version {
+			if err := s.installLatestView(s.snap.Load().Source); err != nil {
+				s.m.followerErrors.Add(1)
+			}
+		}
 		for range feed.C() {
 			if err := s.installLatestView(s.snap.Load().Source); err != nil {
 				// The snapshot silently freezing would be invisible;

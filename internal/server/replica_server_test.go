@@ -83,6 +83,9 @@ func replicaPairOver(t *testing.T, pdfs []pdf.PDF, base Config) (primary, rep *S
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// CaughtUp can report a catch-up to a primary position heard before the
+	// seed commit; wait until the replica serves that commit too.
+	waitReplicaVersion(t, rep, primary.Snapshot().Version)
 	return primary, rep
 }
 
