@@ -61,7 +61,7 @@ func BenchmarkCKNNFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ids, _ := eng.candidates(qs[i%len(qs)], 3); len(ids) < 3 {
+		if ids, _ := eng.candidates(qs[i%len(qs)], 3, nil); len(ids) < 3 {
 			b.Fatalf("%d candidates at k=3", len(ids))
 		}
 	}

@@ -33,6 +33,12 @@
 // seam is asked once per query and once per candidate; folds, verifiers and
 // refinement never see it.
 //
+// A query orders its candidates once. The 1-D source lists them
+// ID-ascending, the 2-D source in R-tree order; the subregion table sorts
+// its rows by near point and ranks each by ID as it does (Table.IDRank), and
+// collect and knnClassify write row i's answer at that rank, so Result and
+// CKNN answers come out in ID order with no sort of their own.
+//
 //   - Engine (Q = float64) adds source1D — dense IDs, the filter.Index R-tree,
 //     interval folds behind the discretization memo — and what needs the
 //     dataset itself: Min/Max, CKNN, and the incremental entry points of
@@ -54,13 +60,14 @@
 //
 // # One scratch, one pool
 //
-// Every stateless query derives its candidates in-line, one after another,
-// into a queryScratch — candidate buffer, subregion table, fold arena —
-// that it borrows from scratchPool (scratch.go), the only place a query gets
-// one. A standing query's incremental evaluation borrows one the same way
-// and assembles its cached folds on it; its EvalState holds no table.
-// release caps what an idle scratch keeps at 1 MiB, so single queries and
-// the monitor's evaluations obey one limit. Core starts no goroutines:
+// Every stateless query filters and derives its candidates in-line, one
+// after another, into a queryScratch — candidate ID list, candidate buffer,
+// subregion table, fold arena — that it borrows from scratchPool
+// (scratch.go), the only place a query gets one. A standing query's
+// incremental evaluation borrows one the same way and assembles its cached
+// folds on it; its EvalState holds no table. release caps what an idle
+// scratch keeps at 1 MiB, so single queries and the monitor's evaluations
+// obey one limit. Core starts no goroutines:
 // every entry point runs on its caller's goroutine, and a caller with many
 // query points fans them out itself (cpnn-query -batch, the server's
 // /v1/batch).
@@ -162,18 +169,19 @@ func (s *source1D) check(q float64) error { return checkQuery(q) }
 // far point, by the best-first walk, and the candidates are the objects
 // whose near point does not exceed it, by the window search (an object
 // beyond f_k has k objects certainly closer). At k = 1 both are
-// Index.Candidates.
-func (s *source1D) candidates(q float64, k int) ([]int, float64) {
+// Index.AppendCandidates. Positions are dense IDs, which the window search
+// appends ascending.
+func (s *source1D) candidates(q float64, k int, buf []int) ([]int, float64) {
 	if k == 1 {
-		fr := s.ix.Candidates(q)
+		fr := s.ix.AppendCandidates(buf, q)
 		return fr.IDs, fr.FMin
 	}
 	fars := s.ix.FarBounds(q, k)
 	if len(fars) == 0 {
-		return nil, 0
+		return buf, 0
 	}
 	fk := fars[len(fars)-1]
-	return s.ix.Within(q, fk), fk
+	return s.ix.AppendWithin(buf, q, fk), fk
 }
 
 func (s *source1D) id(pos int) int { return pos }
@@ -351,7 +359,7 @@ func finishVerifyRefine(table *subregion.Table, c verify.Constraint, opt Options
 	}
 	res.Stats.RefineTime = time.Since(start)
 
-	collect(res, table.IDs(), bounds, status)
+	collect(res, table.IDs(), table.IDRank, bounds, status)
 	return res, nil
 }
 
@@ -395,18 +403,36 @@ func cpnnBasic(cands []subregion.Candidate, c verify.Constraint, opt Options, re
 		bounds[i] = verify.Bounds{L: probs[i], U: probs[i]}
 		status[i] = verify.Classify(bounds[i], c)
 	}
-	collect(res, ids, bounds, status)
+	collect(res, ids, idRanks(ids), bounds, status)
 	return res, nil
 }
 
-// collect fills a Result's answer slices, sorted by object ID. Candidates
-// are sorted once; Answers inherit the order by filtering afterwards.
-func collect(res *Result, ids []int, bounds []verify.Bounds, status []verify.Status) {
+// idRanks returns the rank function collect lists rows by when there is no
+// table to ask: each row's position in ID order, by one sort of the row
+// indices. Only the Basic baseline needs it, whose integration dwarfs the
+// sort; the 1-D source's rows are already ascending, the 2-D source's in
+// R-tree order.
+func idRanks(ids []int) func(i int) int {
+	rows := make([]int, len(ids))
+	for i := range rows {
+		rows[i] = i
+	}
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+	rank := make([]int, len(ids))
+	for r, i := range rows {
+		rank[i] = r
+	}
+	return func(i int) int { return rank[i] }
+}
+
+// collect fills a Result's answer slices in object-ID order without sorting:
+// row i's answer lands at rank(i), its ID's position among the candidate IDs
+// in ascending order. Answers inherit the order by filtering afterwards.
+func collect(res *Result, ids []int, rank func(i int) int, bounds []verify.Bounds, status []verify.Status) {
 	res.Candidates = make([]Answer, len(ids))
 	for i, id := range ids {
-		res.Candidates[i] = Answer{ID: id, Bounds: bounds[i], Status: status[i]}
+		res.Candidates[rank(i)] = Answer{ID: id, Bounds: bounds[i], Status: status[i]}
 	}
-	slices.SortFunc(res.Candidates, func(a, b Answer) int { return cmp.Compare(a.ID, b.ID) })
 	for _, a := range res.Candidates {
 		if a.Status == verify.Satisfy {
 			res.Answers = append(res.Answers, a)
@@ -506,10 +532,11 @@ func (e *Engine) knnBegin(q float64, c verify.Constraint, opt *KNNOptions) (int,
 
 // knnCertain answers CKNN and KNNIncremental when k is the dataset size:
 // every object gets the point bound [1, 1], without a table, whose |C|·M
-// floats would grow with the square of the dataset.
+// floats would grow with the square of the dataset. The candidates come
+// ID-ascending, so the answers do.
 func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []KNNAnswer {
 	start := time.Now()
-	pos, cut := e.candidates(q, k)
+	pos, cut := e.candidates(q, k, nil)
 	st.FilterTime = time.Since(start)
 	st.Candidates, st.FMin = len(pos), cut
 	b := verify.Bounds{L: 1, U: 1}
@@ -517,14 +544,14 @@ func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []
 	for i, d := range pos {
 		out[i] = KNNAnswer{ID: e.id(d), Bounds: b, Status: verify.Classify(b, c)}
 	}
-	slices.SortFunc(out, func(a, b KNNAnswer) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
 // knnClassify finishes a constrained k-NN over a table cut at f_k, shared by
 // CKNN and KNNIncremental: every candidate's exact k-NN probability
-// (refine.ExactAll) as a point bound, classified by Definition 1, sorted by
-// ID. Its wall time lands in st as the refine phase.
+// (refine.ExactAll) as a point bound, classified by Definition 1, listed by
+// ID (row i at table.IDRank(i)). Its wall time lands in st as the refine
+// phase.
 func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNAnswer, error) {
 	start := time.Now()
 	probs, err := refine.ExactAll(table)
@@ -534,9 +561,8 @@ func knnClassify(table *subregion.Table, c verify.Constraint, st *Stats) ([]KNNA
 	out := make([]KNNAnswer, len(probs))
 	for i, p := range probs {
 		b := verify.Bounds{L: p, U: p}
-		out[i] = KNNAnswer{ID: table.IDs()[i], Bounds: b, Status: verify.Classify(b, c)}
+		out[table.IDRank(i)] = KNNAnswer{ID: table.IDs()[i], Bounds: b, Status: verify.Classify(b, c)}
 	}
-	slices.SortFunc(out, func(a, b KNNAnswer) int { return cmp.Compare(a.ID, b.ID) })
 	st.RefineTime = time.Since(start)
 	st.RefinedObjects = len(out)
 	return out, nil

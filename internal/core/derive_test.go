@@ -37,12 +37,11 @@ type failingSource struct{ n int }
 var errDeriveSentinel = errors.New("boom")
 
 func (failingSource) check(float64) error { return nil }
-func (s failingSource) candidates(float64, int) ([]int, float64) {
-	pos := make([]int, s.n)
-	for i := range pos {
-		pos[i] = i
+func (s failingSource) candidates(_ float64, _ int, buf []int) ([]int, float64) {
+	for i := range s.n {
+		buf = append(buf, i)
 	}
-	return pos, 1
+	return buf, 1
 }
 func (failingSource) id(pos int) int { return 1000 + pos }
 func (failingSource) dist(pos int, _ float64, _ int, a *pdf.Alloc) (*pdf.Histogram, error) {
@@ -57,7 +56,7 @@ func (failingSource) dist(pos int, _ float64, _ int, a *pdf.Alloc) (*pdf.Histogr
 // points surface it, and the scratch serves the next query as usual.
 func TestDeriveSetPropagatesError(t *testing.T) {
 	p := &pipeline[float64]{src: failingSource{n: 100}}
-	pos, _ := p.src.candidates(0, 1)
+	pos, _ := p.src.candidates(0, 1, nil)
 	sc := new(queryScratch)
 	_, err := p.derive(sc, pos, 0, 0)
 	if !errors.Is(err, errDeriveSentinel) {

@@ -79,37 +79,43 @@ func (s *source2D) check(q geom.Point) error {
 }
 
 // candidates computes the 2-D candidate set: indexes into objs of the
-// objects whose near point is within f_min, plus f_min itself. The R-tree
-// bound uses bounding boxes (a valid upper bound on the minimal circle far
-// point); candidate circles then tighten f_min exactly before the near-point
-// prune. The 2-D engine answers C-PNN and PNN only, so it filters at k = 1;
-// a deeper filter waits for a 2-D k-NN caller.
-func (s *source2D) candidates(q geom.Point, k int) (candIdx []int, fMin float64) {
+// objects whose near point is within f_min, appended to buf in R-tree
+// order, plus f_min itself. The R-tree bound uses bounding boxes (a valid
+// upper bound on the minimal circle far point); candidate circles then
+// tighten f_min exactly before the near-point prune, which compacts the
+// rough window hits in place. The order is not by ID: the Basic baseline
+// multiplies its survival factors in candidate order, and that order is
+// what its recorded answers were computed in. The 2-D engine answers C-PNN
+// and PNN only, so it filters at k = 1; a deeper filter waits for a 2-D
+// k-NN caller.
+func (s *source2D) candidates(q geom.Point, k int, buf []int) ([]int, float64) {
 	if k != 1 {
 		panic(fmt.Sprintf("core: 2-D filter at k = %d; only k = 1 is supported", k))
 	}
 	if len(s.objs) == 0 {
-		return nil, 0
+		return buf, 0
 	}
 	fBox := s.tree.MinMaxDist(q)
 	window := geom.Rect{MinX: q.X - fBox, MinY: q.Y - fBox, MaxX: q.X + fBox, MaxY: q.Y + fBox}
-	var rough []int
+	n := len(buf)
 	s.tree.Search(window, func(_ geom.Rect, idx int) bool {
-		rough = append(rough, idx)
+		buf = append(buf, idx)
 		return true
 	})
-	fMin = math.Inf(1)
+	rough := buf[n:]
+	fMin := math.Inf(1)
 	for _, idx := range rough {
 		if f := s.objs[idx].Region.MaxDist(q); f < fMin {
 			fMin = f
 		}
 	}
+	cands := rough[:0]
 	for _, idx := range rough {
 		if s.objs[idx].Region.MinDist(q) <= fMin {
-			candIdx = append(candIdx, idx)
+			cands = append(cands, idx)
 		}
 	}
-	return candIdx, fMin
+	return buf[:n+len(cands)], fMin
 }
 
 func (s *source2D) id(pos int) int { return s.objs[pos].ID }

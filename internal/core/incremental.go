@@ -312,7 +312,7 @@ func (e *Engine) replayFilter(q float64, st *EvalState, ids []uint64, changed ma
 // replay either.
 func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64, changed map[uint64]int) (filter.Result, uint64, bool) {
 	if k > 1 {
-		cands, fk := e.candidates(q, k)
+		cands, fk := e.candidates(q, k, nil)
 		return filter.Result{IDs: cands, FMin: fk}, 0, false
 	}
 	if fr, fs, ok := e.replayFilter(q, st, ids, changed); ok {

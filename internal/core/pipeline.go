@@ -12,9 +12,14 @@ import (
 
 // source is everything the pipeline needs to know about a dataset: how to
 // reject a bad query point, which objects survive the filter at depth k (as
-// positions in the source's own numbering, with the filtering bound f_k, the
-// k-th smallest far point: f_min at k = 1), the external ID of a position,
-// and the distance pdf of one object from the query point.
+// positions in the source's own numbering, appended to buf, with the
+// filtering bound f_k, the k-th smallest far point: f_min at k = 1), the
+// external ID of a position, and the distance pdf of one object from the
+// query point. The candidate order must be a function of the query alone;
+// answers are listed by ID whatever it is (the table's IDRank, cpnnBasic's
+// ranks). The 1-D source lists dense IDs ascending, which makes both of
+// those O(n); the 2-D source lists R-tree order, which the Basic baseline's
+// recorded products were computed in.
 // Past derivation every stage works on distance distributions alone, which
 // is why one pipeline serves any dimension (the paper's §IV-A note).
 //
@@ -22,7 +27,7 @@ import (
 // (id, dist) — never from inside a fold, a verifier or a refinement loop.
 type source[Q any] interface {
 	check(q Q) error
-	candidates(q Q, k int) (pos []int, cut float64)
+	candidates(q Q, k int, buf []int) (pos []int, cut float64)
 	id(pos int) int
 	dist(pos int, q Q, bins int, a *pdf.Alloc) (*pdf.Histogram, error)
 }
@@ -90,12 +95,14 @@ func (p *pipeline[Q]) PNN(q Q, opt Options) ([]Probability, Stats, error) {
 // prepare runs the phases every stateless query starts with: filter and
 // derive at depth k (1 for C-PNN and PNN, the neighbor count for k-NN) and —
 // unless the strategy integrates candidates directly — the subregion table
-// cut for k, built in place over the scratch's, with phase timings (the
+// cut for k, built in place over the scratch's — the candidate positions
+// land on the scratch too — with phase timings (the
 // table's own inside InitTime) and set sizes recorded in st. An empty
 // candidate set returns nil candidates and a nil table.
 func (p *pipeline[Q]) prepare(q Q, k, bins int, buildTable bool, sc *queryScratch, st *Stats) ([]subregion.Candidate, *subregion.Table, error) {
 	start := time.Now()
-	pos, cut := p.src.candidates(q, k)
+	pos, cut := p.src.candidates(q, k, sc.pos[:0])
+	sc.pos = pos
 	st.FilterTime = time.Since(start)
 	st.Candidates = len(pos)
 	st.FMin = cut

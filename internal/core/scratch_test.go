@@ -290,9 +290,10 @@ func TestScratchRetentionCapped(t *testing.T) {
 }
 
 // TestCPNNAllocations: a warm Engine.CPNN runs on a pooled scratch, so what
-// it allocates is its result and bookkeeping (≈19 objects a query here) —
-// not a subregion table, candidate buffer and fold histogram per query,
-// which cost ≈96 objects a query on this fixture.
+// it allocates is its result and bookkeeping (≈9 objects a query here) —
+// not a subregion table, candidate ID list and buffer and fold histogram per
+// query, which cost ≈96 objects a query on this fixture (≈13 while the
+// filter still grew a fresh ID list per query).
 func TestCPNNAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random")
@@ -307,8 +308,10 @@ func TestCPNNAllocations(t *testing.T) {
 		}
 	}
 	run()
-	if perQuery := testing.AllocsPerRun(5, run) / float64(len(qs)); perQuery > 30 {
-		t.Fatalf("a warm Engine.CPNN allocates %.1f objects a query, want at most 30", perQuery)
+	perQuery := testing.AllocsPerRun(5, run) / float64(len(qs))
+	t.Logf("a warm Engine.CPNN allocates %.1f objects a query", perQuery)
+	if perQuery > 10 {
+		t.Fatalf("a warm Engine.CPNN allocates %.1f objects a query, want at most 10", perQuery)
 	}
 }
 

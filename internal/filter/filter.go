@@ -56,24 +56,33 @@ type Result struct {
 }
 
 // Candidates returns the candidate set for query point q.
-func (ix *Index) Candidates(q float64) Result {
+func (ix *Index) Candidates(q float64) Result { return ix.AppendCandidates(nil, q) }
+
+// AppendCandidates is Candidates with the candidate IDs appended to dst —
+// a query's scratch buffer, so a warm query allocates none — and returned
+// as Result.IDs.
+func (ix *Index) AppendCandidates(dst []int, q float64) Result {
 	if ix.tree == nil {
-		return ix.scanCandidates(q)
+		return ix.scanCandidates(dst, q)
 	}
 	if ix.tree.Len() == 0 {
-		return Result{}
+		return Result{IDs: dst}
 	}
 	fMin := ix.tree.MinMaxDist(geom.Point{X: q, Y: 0})
-	return Result{IDs: ix.Within(q, fMin), FMin: fMin}
+	return Result{IDs: ix.AppendWithin(dst, q, fMin), FMin: fMin}
 }
 
 // Within returns the IDs of every indexed region whose near point lies
 // within bound of q — exactly the regions with MinDist(q) <= bound —
 // ascending. With bound = f_min this is the candidate set, with f_k the k-NN
 // filter's; a shard's gather step runs it against the router's global bound.
-func (ix *Index) Within(q, bound float64) []int {
+func (ix *Index) Within(q, bound float64) []int { return ix.AppendWithin(nil, q, bound) }
+
+// AppendWithin is Within with the IDs appended to dst; the prefix dst
+// already holds is kept as it is.
+func (ix *Index) AppendWithin(dst []int, q, bound float64) []int {
 	if ix.tree == nil {
-		return ix.scanWithin(q, bound)
+		return ix.scanWithin(dst, q, bound)
 	}
 	// The window only narrows the search; MinDist(q) <= bound is the
 	// predicate. [q-bound, q+bound] is not a superset of it: its edges are
@@ -82,18 +91,21 @@ func (ix *Index) Within(q, bound float64) []int {
 	// beyond q+w is, by monotone rounding, more than w > bound away.
 	w := math.Nextafter(bound, math.Inf(1))
 	window := geom.Rect{MinX: q - w, MinY: 0, MaxX: q + w, MaxY: 0}
-	var ids []int
+	n := len(dst)
 	ix.tree.Search(window, func(r geom.Rect, id int) bool {
 		if r.Interval().MinDist(q) <= bound {
-			ids = append(ids, id)
+			dst = append(dst, id)
 		}
 		return true
 	})
 	// Canonical ascending order: tree traversal order depends on insertion
-	// history, and downstream consumers (answer assembly, incremental replay)
-	// require the candidate order to be a function of the set alone.
-	sort.Ints(ids)
-	return ids
+	// history. The order is part of the contract, not a convenience: a
+	// shard's gather concatenates members' lists and the incremental filter
+	// finds its f_min witness in it, and core's sources promise their
+	// candidates ID-ascending (answer assembly ranks rows by ID itself and
+	// needs no input order).
+	sort.Ints(dst[n:])
+	return dst
 }
 
 // FarBounds returns the k smallest far-point distances from q, ascending

@@ -221,3 +221,59 @@ func TestWithinMatchesLinearAtUlpEdges(t *testing.T) {
 		checkWithin(t, mkDataset(ivs), q, bound)
 	}
 }
+
+// TestAppendWithinNoAlloc: AppendWithin and AppendCandidates append exactly
+// Within's and Candidates' IDs after whatever dst already holds, on the
+// R-tree and on the scan index, and appending into a buffer with room
+// allocates nothing — a query filters into its scratch's ID list (not
+// checked under -race, whose instrumentation moves the tree search's
+// closure to the heap).
+func TestAppendWithinNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	intervals := make([][2]float64, 3000)
+	for i := range intervals {
+		lo := rng.Float64() * 1000
+		intervals[i] = [2]float64{lo, lo + 0.5 + rng.Float64()*20}
+	}
+	ds := mkDataset(intervals)
+	tree, err := NewIndex(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []int{-7, 1 << 40, 3}
+	for _, ix := range []struct {
+		name string
+		*Index
+	}{{"tree", tree}, {"scan", NewScan(ds)}} {
+		buf := make([]int, 0, len(prefix)+ds.Len())
+		for trial := 0; trial < 50; trial++ {
+			q := rng.Float64()*1100 - 50
+			fr := ix.Candidates(q)
+			got := ix.AppendCandidates(append(buf[:0], prefix...), q)
+			if !slices.Equal(got.IDs[:len(prefix)], prefix) || !slices.Equal(got.IDs[len(prefix):], fr.IDs) ||
+				math.Float64bits(got.FMin) != math.Float64bits(fr.FMin) {
+				t.Fatalf("%s q=%g: AppendCandidates %+v, want %v then %+v", ix.name, q, got, prefix, fr)
+			}
+			for _, bound := range []float64{0, fr.FMin, rng.Float64() * 40} {
+				want := ix.Within(q, bound)
+				if !slices.IsSorted(want) {
+					t.Fatalf("%s q=%g bound=%g: Within %v not ascending", ix.name, q, bound, want)
+				}
+				got := ix.AppendWithin(append(buf[:0], prefix...), q, bound)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+					t.Fatalf("%s q=%g bound=%g: AppendWithin %v, want %v then %v", ix.name, q, bound, got, prefix, want)
+				}
+			}
+			if raceEnabled {
+				continue // the race detector moves the search closure to the heap
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				buf = ix.AppendWithin(buf[:1], q, fr.FMin+5)
+				buf = ix.AppendCandidates(buf[:0], q).IDs
+			})
+			if allocs != 0 {
+				t.Fatalf("%s q=%g: appending into a buffer with room allocates %g objects, want 0", ix.name, q, allocs)
+			}
+		}
+	}
+}

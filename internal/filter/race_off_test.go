@@ -1,0 +1,5 @@
+//go:build !race
+
+package filter
+
+const raceEnabled = false

@@ -29,10 +29,10 @@ func (ix *Index) scanFar(i int, q geom.Point) float64 {
 	return geom.RectFromInterval(ix.ds.Region(i)).MaxDist(q)
 }
 
-func (ix *Index) scanCandidates(q float64) Result {
+func (ix *Index) scanCandidates(dst []int, q float64) Result {
 	n := ix.ds.Len()
 	if n == 0 {
-		return Result{}
+		return Result{IDs: dst}
 	}
 	qp := geom.Point{X: q, Y: 0}
 	fMin := math.Inf(1)
@@ -41,21 +41,21 @@ func (ix *Index) scanCandidates(q float64) Result {
 			fMin = d
 		}
 	}
-	return Result{IDs: ix.scanWithin(q, fMin), FMin: fMin}
+	return Result{IDs: ix.scanWithin(dst, q, fMin), FMin: fMin}
 }
 
-func (ix *Index) scanWithin(q, bound float64) []int {
-	var ids []int
+func (ix *Index) scanWithin(dst []int, q, bound float64) []int {
+	n0 := len(dst)
 	for i, n := 0, ix.ds.Len(); i < n; i++ {
 		if ix.ds.Region(i).MinDist(q) <= bound {
-			if ids == nil {
+			if len(dst) == n0 {
 				// A filtered set is mostly candidates: size for the rest of it.
-				ids = make([]int, 0, n-i)
+				dst = slices.Grow(dst, n-i)
 			}
-			ids = append(ids, i)
+			dst = append(dst, i)
 		}
 	}
-	return ids
+	return dst
 }
 
 // scanFarBounds keeps the k (1 <= k <= Len) smallest far-point distances in

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -240,4 +241,110 @@ func hasTiedNear(t *Table) bool {
 		}
 	}
 	return false
+}
+
+// buildEndpointsReference is the end-point assembly buildEndpoints replaced:
+// every near point and every distance-pdf edge below the cut, the cut and
+// f_max (or the sentinel past the cut), sorted in one pass and deduplicated.
+// It is the reference the merge is held to bit for bit.
+func (t *Table) buildEndpointsReference() []float64 {
+	var pts []float64
+	for _, dh := range t.dists {
+		pts = append(pts, dh.Support().Lo)
+		for _, e := range dh.Edges() {
+			if e < t.cut {
+				pts = append(pts, e)
+			}
+		}
+	}
+	pts = append(pts, t.cut)
+	if t.fMax > t.cut {
+		pts = append(pts, t.fMax)
+	} else {
+		pts = append(pts, math.Nextafter(t.cut, math.Inf(1)))
+	}
+	sort.Float64s(pts)
+	out := pts[:0]
+	for i, v := range pts {
+		if i == 0 || v > out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// gaussCandidates draws a candidate set of discretized truncated Gaussians
+// (the paper's 300-bar histograms, and coarser ones) around a query at 50,
+// some straddling it, filtered at depth k.
+func gaussCandidates(t *testing.T, rng *rand.Rand, k int) []Candidate {
+	t.Helper()
+	const q = 50.0
+	n := 1 + rng.Intn(30)
+	cands := make([]Candidate, n)
+	fars := make([]float64, n)
+	for i := range cands {
+		lo := q - 20 + rng.Float64()*35
+		g, err := pdf.PaperGaussian(lo, lo+1+rng.Float64()*12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := pdf.Discretize(g, []int{7, 40, 300}[rng.Intn(3)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := dist.FromPDF(h, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands[i] = Candidate{ID: i, Dist: d}
+		fars[i] = d.Support().Hi
+	}
+	slices.Sort(fars)
+	fk := fars[min(k, len(fars))-1]
+	return slices.DeleteFunc(cands, func(c Candidate) bool { return c.Dist.Support().Lo > fk })
+}
+
+// TestEndpointsMatchSortReference: merging the rows' ascending near points
+// with the sorted break points gives the end-points one sort and dedupe of
+// everything gave, bit for bit, on uniform, histogram and discretized
+// Gaussian candidates at k = 1 and deeper cuts, in shuffled input order and
+// on a reused table. The rows come in (near, ID) order, and their IDRank
+// lists them by ID.
+func TestEndpointsMatchSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	var dirty Table
+	for trial := 0; trial < 600; trial++ {
+		k := 1
+		if trial%3 > 0 {
+			k = 2 + rng.Intn(6)
+		}
+		var cands []Candidate
+		if trial%2 == 0 {
+			cands = refCandidates(t, rng, k)
+		} else {
+			cands = gaussCandidates(t, rng, k)
+		}
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		for _, tb := range []*Table{new(Table), &dirty} {
+			if err := tb.Rebuild(cands, k); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if got, want := tb.Endpoints(), tb.buildEndpointsReference(); !sameBits(got, want) {
+				t.Fatalf("trial %d (k=%d, |C|=%d): end-points\n%v\nwant\n%v", trial, k, len(cands), got, want)
+			}
+			for i := 1; i < tb.NumCandidates(); i++ {
+				lo, prev := tb.Dist(i).Support().Lo, tb.Dist(i-1).Support().Lo
+				if lo < prev || lo == prev && tb.IDs()[i] <= tb.IDs()[i-1] {
+					t.Fatalf("trial %d: rows %d, %d out of (near, ID) order", trial, i-1, i)
+				}
+			}
+			byID := make([]int, tb.NumCandidates())
+			for i, id := range tb.IDs() {
+				byID[tb.IDRank(i)] = id
+			}
+			if !slices.IsSorted(byID) || len(slices.Compact(slices.Clone(byID))) != len(byID) {
+				t.Fatalf("trial %d: IDRank lists the rows as %v, not by ascending ID", trial, byID)
+			}
+		}
+	}
 }

@@ -16,6 +16,12 @@
 // subregion's lower end-point — exactly the number pairs of Fig. 7(b) — plus
 // the exclusive products Π_{k≠i}(1 − D_k(e_j)) that Lemma 2 and Eq. 11
 // consume.
+//
+// As in §IV-A, the candidates are numbered X_1..X_|C| by near point once and
+// the end-points sorted once: the rows' near points already ascend, so only
+// the break points are sorted before the two lists are merged. Each row also
+// knows its rank by ID (Table.IDRank), so a caller lists per-candidate
+// results by ID without sorting them again.
 package subregion
 
 import (
@@ -24,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/pdf"
 )
@@ -40,13 +45,16 @@ type Candidate struct {
 
 // Table is the subregion decomposition of one query's candidate set.
 //
-// Candidates are sorted by ascending near point and addressed by a local
-// index 0..NumCandidates()-1 (the paper's X_1..X_|C| renaming); IDs maps back
-// to dataset IDs. End-points are Ends[0..M]; subregion j (0-based) spans
-// [Ends[j], Ends[j+1]] and the rightmost subregion has index M-1.
+// Candidates are sorted by ascending near point, ties by ID, and addressed by
+// a local index 0..NumCandidates()-1 (the paper's X_1..X_|C| renaming); IDs
+// maps back to dataset IDs and IDRank to each row's place in ID order, so a
+// caller lists per-candidate results by ID without sorting them. End-points
+// are Ends[0..M]; subregion j (0-based) spans [Ends[j], Ends[j+1]] and the
+// rightmost subregion has index M-1.
 type Table struct {
 	ids   []int
 	dists []*pdf.Histogram
+	rank  []int // rank[i] is row i's position in ascending ID order
 	ends  []float64
 	m     int // number of subregions
 
@@ -60,7 +68,9 @@ type Table struct {
 	y    []float64 // M+1 full products Π_k (1−D_k(e_j))
 	c    []int     // M per-subregion counts of candidates with s_ij > 0
 
-	// Scratch reused across Rebuild calls; never escapes the table.
+	// Scratch reused across Rebuild calls; never escapes the table. pts
+	// holds the sorted break points the end-points are merged from; ends
+	// has a backing array of its own, the merge's output.
 	order    []rankKey
 	pts      []float64
 	pre, suf []float64
@@ -72,8 +82,8 @@ type Table struct {
 func (t *Table) MemBytes() int {
 	words := cap(t.ends) + cap(t.s) + cap(t.d) + cap(t.excl) + cap(t.y) +
 		cap(t.pts) + cap(t.pre) + cap(t.suf) +
-		cap(t.ids) + cap(t.dists) + cap(t.c)
-	return 8*words + 24*cap(t.order)
+		cap(t.ids) + cap(t.rank) + cap(t.dists) + cap(t.c)
+	return 8*words + 32*cap(t.order)
 }
 
 // DropCandidates clears the table's references to the last candidate set's
@@ -82,15 +92,16 @@ func (t *Table) MemBytes() int {
 // it last served. The table reads as empty until the next Rebuild.
 func (t *Table) DropCandidates() {
 	clear(t.dists)
-	t.ids, t.dists = t.ids[:0], t.dists[:0]
+	t.ids, t.dists, t.rank = t.ids[:0], t.dists[:0], t.rank[:0]
 }
 
-// rankKey is one candidate's sort key in Rebuild: near point, then ID, with
-// the candidate's position in the input slice carried along.
+// rankKey is one candidate's sort key in Rebuild: near point and ID, with the
+// candidate's position in the input slice and its rank by ID carried along.
 type rankKey struct {
-	lo  float64
-	id  int
-	idx int
+	lo     float64
+	id     int
+	idx    int
+	idRank int
 }
 
 // ErrNoCandidates is returned when a table is built from an empty candidate
@@ -114,6 +125,12 @@ func Build(cands []Candidate) (*Table, error) {
 // per scratch, not once per query. Any data previously read from the table
 // is invalidated. The zero Table is ready for Rebuild.
 //
+// Rows are ordered by near point, ties by ID, for any input order — so the
+// table, and every float product computed over it, bit for bit, is a pure
+// function of the candidate set — in two stable passes: by ID, which costs
+// O(n) on the ID-ascending input every core source gives and fixes each
+// row's IDRank, then a stable sort by near point.
+//
 // The cut is placed for k nearest neighbors (k >= 1): at the k-th smallest
 // far point of the candidates, or at the largest when there are fewer than
 // k. Candidates whose near point lies beyond the cut cannot be among the k
@@ -133,28 +150,28 @@ func (t *Table) Rebuild(cands []Candidate, k int) error {
 		}
 		t.order[i] = rankKey{lo: c.Dist.Support().Lo, id: c.ID, idx: i}
 	}
-	// Near-point ties break by candidate ID so the table — and every
-	// float product computed over it, bit for bit — is a pure function of
-	// the candidate *set*, independent of input order. The incremental
-	// re-verification path (core.CPNNIncremental) relies on this: it
-	// assembles candidates in filter order, which need not be the order a
-	// from-scratch evaluation derives them in, and the two tables must
-	// coincide exactly.
-	slices.SortFunc(t.order, func(a, b rankKey) int {
-		if a.lo != b.lo {
-			return cmp.Compare(a.lo, b.lo)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	// Near-point ties break by candidate ID, which the stable pass keeps
+	// from the ID pass. The incremental re-verification path
+	// (core.CPNNIncremental) relies on the order being a function of the
+	// set: it assembles candidates in filter order, which need not be the
+	// order a from-scratch evaluation derives them in, and the two tables
+	// must coincide exactly.
+	slices.SortFunc(t.order, func(a, b rankKey) int { return cmp.Compare(a.id, b.id) })
+	for r := range t.order {
+		t.order[r].idRank = r
+	}
+	slices.SortStableFunc(t.order, func(a, b rankKey) int { return cmp.Compare(a.lo, b.lo) })
 	t.ids = grow(t.ids, len(cands))
 	t.dists = grow(t.dists, len(cands))
+	t.rank = grow(t.rank, len(cands))
 	t.k = k
 	t.cut = math.Inf(1)
 	t.fMax = math.Inf(-1)
-	for rank, key := range t.order {
+	for row, key := range t.order {
 		c := cands[key.idx]
-		t.ids[rank] = c.ID
-		t.dists[rank] = c.Dist
+		t.ids[row] = c.ID
+		t.dists[row] = c.Dist
+		t.rank[row] = key.idRank
 		hi := c.Dist.Support().Hi
 		t.cut = math.Min(t.cut, hi)
 		t.fMax = math.Max(t.fMax, hi)
@@ -185,20 +202,40 @@ func (t *Table) Rebuild(cands []Candidate, k int) error {
 
 // buildEndpoints assembles the sorted, deduplicated end-point list: near
 // points, distance-pdf breakpoints strictly below the cut, then the cut and
-// f_max (paper: "no end points are defined between (e5, e6)").
+// f_max (paper: "no end points are defined between (e5, e6)"). The near
+// points come off the rows already ascending, so only the break points are
+// sorted, and the two lists are merged.
 func (t *Table) buildEndpoints() {
+	// A histogram's first edge is its near point; the rest ascend, so the
+	// scan stops at the first one at or past the cut.
 	pts := t.pts[:0]
 	for _, dh := range t.dists {
-		pts = append(pts, dh.Support().Lo)
-		for _, e := range dh.Edges() {
-			if e < t.cut {
-				pts = append(pts, e)
+		for _, e := range dh.Edges()[1:] {
+			if e >= t.cut {
+				break
 			}
+			pts = append(pts, e)
 		}
 	}
-	pts = append(pts, t.cut)
+	slices.Sort(pts)
+	t.pts = pts // keep the grown capacity for the next Rebuild
+
+	ends := t.ends[:0]
+	j := 0
+	for _, dh := range t.dists {
+		lo := dh.Support().Lo
+		for j < len(pts) && pts[j] < lo {
+			ends = appendNew(ends, pts[j])
+			j++
+		}
+		ends = appendNew(ends, lo)
+	}
+	for _, e := range pts[j:] {
+		ends = appendNew(ends, e)
+	}
+	ends = appendNew(ends, t.cut)
 	if t.fMax > t.cut {
-		pts = append(pts, t.fMax)
+		ends = append(ends, t.fMax)
 	} else {
 		// All far points coincide: the rightmost subregion degenerates, but
 		// the partition still needs at least one subregion; extend by an
@@ -206,11 +243,9 @@ func (t *Table) buildEndpoints() {
 		// which cannot happen for valid pdfs, so fMax == cut simply means
 		// a zero-width rightmost region that we merge away by adding a
 		// sentinel just above it.
-		pts = append(pts, math.Nextafter(t.cut, math.Inf(1)))
+		ends = append(ends, math.Nextafter(t.cut, math.Inf(1)))
 	}
-	sort.Float64s(pts)
-	t.pts = pts // keep the grown capacity for the next Rebuild
-	t.ends = dedupe(pts)
+	t.ends = ends
 }
 
 // fillMatrices computes the matrices in two passes over the candidate rows.
@@ -301,6 +336,11 @@ func (t *Table) NumSubregions() int { return t.m }
 // IDs returns the dataset IDs in near-point order; callers must not mutate.
 func (t *Table) IDs() []int { return t.ids }
 
+// IDRank returns the position of candidate i's ID among the candidate IDs in
+// ascending order: writing row i's result at IDRank(i) lists the candidates
+// by ID.
+func (t *Table) IDRank(i int) int { return t.rank[i] }
+
 // Dist returns candidate i's distance pdf.
 func (t *Table) Dist(i int) *pdf.Histogram { return t.dists[i] }
 
@@ -339,14 +379,13 @@ func (t *Table) Count(j int) int { return t.c[j] }
 // rightmost subregion — the quantity the RS verifier subtracts from one.
 func (t *Table) RightmostMass(i int) float64 { return t.S(i, t.m-1) }
 
-func dedupe(sorted []float64) []float64 {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v > out[len(out)-1] {
-			out = append(out, v)
-		}
+// appendNew appends v to the ascending, duplicate-free ends unless it equals
+// the last value — the dedupe of a sorted list, one value at a time.
+func appendNew(ends []float64, v float64) []float64 {
+	if len(ends) == 0 || v > ends[len(ends)-1] {
+		return append(ends, v)
 	}
-	return out
+	return ends
 }
 
 // grow returns a slice of length n, reusing s's backing array when its

@@ -233,17 +233,6 @@ type Result struct {
 	UnknownAfter []int
 }
 
-// Unknown returns the local indices still unclassified, in order.
-func (r *Result) Unknown() []int {
-	var out []int
-	for i, st := range r.Status {
-		if st == Unknown {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Run initializes every candidate to bounds [0, 1] and status unknown, then
 // applies the verifiers in order, classifying after each and stopping early
 // once no candidate remains unknown (paper Fig. 5).

@@ -196,9 +196,6 @@ func TestRunChainHandExample(t *testing.T) {
 	if res.Status[0] != Unknown {
 		t.Errorf("X1 = %v, want unknown", res.Status[0])
 	}
-	if got := res.Unknown(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("Unknown() = %v", got)
-	}
 	if len(res.Applied) != 3 {
 		t.Errorf("Applied = %v", res.Applied)
 	}
