@@ -14,6 +14,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pdf"
+	"repro/internal/replica"
+	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/uncertain"
 	"repro/internal/verify"
 )
@@ -451,6 +455,152 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Dataset: ds, MaxInFlight: -3}); err == nil {
 		t.Error("negative max in-flight accepted")
+	}
+
+	// The serving-shape rules. Each contradictory combination of mode fields
+	// is refused with its own message, before the server serves anything.
+	openStore := func(t *testing.T) *store.Store {
+		st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	populated := func(t *testing.T) *store.Store {
+		st := openStore(t)
+		ops, err := store.DatasetOps(testDataset(t, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// A follower of a primary that is never there: it stays uncaught-up,
+	// which is all a server over it needs to exist.
+	follower := func(t *testing.T) *replica.Follower {
+		st, err := store.OpenFollower(t.TempDir(), store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fol, err := replica.StartFollower(replica.FollowerConfig{
+			Store: st, Primary: "127.0.0.1:1",
+			BackoffMin: 50 * time.Millisecond, BackoffMax: time.Second,
+		})
+		if err != nil {
+			st.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			fol.Close()
+			st.Close()
+		})
+		return fol
+	}
+	router := func(t *testing.T) (*shard.Cluster, *shard.Router) {
+		return clusterOver(t, []pdf.PDF{pdf.MustUniform(0, 10), pdf.MustUniform(20, 30)}, 2)
+	}
+	const (
+		routerAlone = "server: ShardRouter cannot be combined with Dataset, Store or replication (the data lives in the shard cluster)"
+		routerRole  = "server: a server is a shard router or a shard member, not both"
+	)
+	for _, tc := range []struct {
+		name string
+		cfg  func(t *testing.T) Config
+		want string
+	}{
+		{"router with dataset", func(t *testing.T) Config {
+			_, rt := router(t)
+			return Config{ShardRouter: rt, Dataset: ds}
+		}, routerAlone},
+		{"router with store", func(t *testing.T) Config {
+			_, rt := router(t)
+			return Config{ShardRouter: rt, Store: openStore(t)}
+		}, routerAlone},
+		{"router with replica", func(t *testing.T) Config {
+			_, rt := router(t)
+			return Config{ShardRouter: rt, Replica: follower(t)}
+		}, routerAlone},
+		{"router with replication", func(t *testing.T) Config {
+			_, rt := router(t)
+			return Config{ShardRouter: rt, Replication: &replica.Server{}}
+		}, routerAlone},
+		{"router with member", func(t *testing.T) Config {
+			_, rt := router(t)
+			return Config{ShardRouter: rt, ShardMember: true}
+		}, routerRole},
+		{"cluster without router", func(t *testing.T) Config {
+			cl, _ := router(t)
+			return Config{ShardCluster: cl, Dataset: ds}
+		}, "server: ShardCluster requires ShardRouter"},
+		{"member without store", func(t *testing.T) Config {
+			return Config{ShardMember: true, Dataset: ds}
+		}, "server: shard member mode requires a store"},
+		{"replica with dataset", func(t *testing.T) Config {
+			return Config{Replica: follower(t), Dataset: ds}
+		}, "server: Config.Dataset cannot be combined with Replica (the dataset comes from the primary)"},
+		{"replica with foreign store", func(t *testing.T) Config {
+			return Config{Replica: follower(t), Store: openStore(t)}
+		}, "server: Config.Store must be the Replica's own store"},
+		{"no dataset", func(t *testing.T) Config {
+			return Config{Store: openStore(t)}
+		}, "server: Config.Dataset is required"},
+		{"empty dataset", func(t *testing.T) Config {
+			return Config{Store: openStore(t), Dataset: uncertain.NewDataset(nil)}
+		}, "server: initial dataset is empty"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.cfg(t))
+			if err == nil {
+				s.Close()
+				t.Fatalf("accepted, want %q", tc.want)
+			}
+			if err.Error() != tc.want {
+				t.Fatalf("error %q, want %q", err, tc.want)
+			}
+		})
+	}
+
+	// The shapes next to those rules are accepted, and each serves what its
+	// mode says under its default source label.
+	for _, tc := range []struct {
+		name    string
+		cfg     func(t *testing.T) Config
+		objects int
+		source  string
+	}{
+		{"member over an empty store", func(t *testing.T) Config {
+			return Config{Store: openStore(t), ShardMember: true}
+		}, 0, "store"},
+		{"populated store with a seed dataset", func(t *testing.T) Config {
+			return Config{Store: populated(t), Dataset: ds}
+		}, testDataset(t, 3).Len(), "store"},
+		{"seeded empty store", func(t *testing.T) Config {
+			return Config{Store: openStore(t), Dataset: ds, Source: "seed"}
+		}, ds.Len(), "seed"},
+		{"bare dataset", func(t *testing.T) Config {
+			return Config{Dataset: ds}
+		}, ds.Len(), ""},
+		{"replica", func(t *testing.T) Config {
+			return Config{Replica: follower(t)}
+		}, 0, "replica:127.0.0.1:1"},
+		{"replica over its own store", func(t *testing.T) Config {
+			fol := follower(t)
+			return Config{Replica: fol, Store: fol.Store(), Source: "mirror"}
+		}, 0, "mirror"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.cfg(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if snap := s.Snapshot(); snap.Objects != tc.objects || snap.Source != tc.source {
+				t.Fatalf("serves %d objects from %q, want %d from %q", snap.Objects, snap.Source, tc.objects, tc.source)
+			}
+		})
 	}
 }
 
