@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/pdf"
 	"repro/internal/shard"
@@ -511,6 +512,51 @@ func TestShardMemberClaim(t *testing.T) {
 	} {
 		if got := claimed(step.path, step.claim); got != step.want {
 			t.Fatalf("%s with claim %q: status %d, want %d", step.path, step.claim, got, step.want)
+		}
+	}
+}
+
+// TestShardWireBytes pins the member wire's JSON replies byte for byte. A
+// router and its members may come from different builds, so the field
+// names, their order and the zero values of an empty member are the
+// protocol, not an encoding detail.
+func TestShardWireBytes(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Apply([]store.Op{
+		store.InsertObject(pdf.MustUniform(10.5, 20.25)),
+		store.InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 0.5}),
+		store.InsertObject(pdf.MustUniform(30, 45)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	populated, err := New(Config{Store: st, ShardMember: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer populated.Close()
+	empty, _, _ := memberServers(t, 1)
+	for _, tc := range []struct {
+		srv        *Server
+		path, want string
+	}{
+		{populated, "/internal/shard/info",
+			`{"ids_1d":[1,3],"ids_2d":[2],"next_id":4,"version":1,"extent":{"minx":10.5,"miny":0,"maxx":45,"maxy":0},"has_extent":true}` + "\n"},
+		{populated, "/internal/shard/bound?q=12&k=2",
+			`{"extent":{"minx":10.5,"miny":0,"maxx":45,"maxy":0},"has_extent":true,"fars":[8.25,33],"version":1}` + "\n"},
+		{empty[0], "/internal/shard/info",
+			`{"ids_1d":null,"ids_2d":null,"next_id":1,"version":0,"extent":{"minx":0,"miny":0,"maxx":0,"maxy":0},"has_extent":false}` + "\n"},
+		{empty[0], "/internal/shard/bound?q=12&k=2",
+			`{"extent":{"minx":0,"miny":0,"maxx":0,"maxy":0},"has_extent":false,"fars":null,"version":0}` + "\n"},
+	} {
+		rec := get(t, tc.srv, tc.path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, rec.Code, rec.Body.Bytes())
+		}
+		if got := rec.Body.String(); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.path, got, tc.want)
 		}
 	}
 }
