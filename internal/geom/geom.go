@@ -79,9 +79,12 @@ func (p Point) Dist(other Point) float64 {
 
 // Rect is an axis-aligned rectangle in the plane. One-dimensional intervals
 // are embedded as rectangles with MinY == MaxY == 0 so the same R-tree serves
-// both dimensionalities.
+// both dimensionalities. The JSON names are the shard member wire's.
 type Rect struct {
-	MinX, MinY, MaxX, MaxY float64
+	MinX float64 `json:"minx"`
+	MinY float64 `json:"miny"`
+	MaxX float64 `json:"maxx"`
+	MaxY float64 `json:"maxy"`
 }
 
 // RectFromInterval embeds a 1-D interval on the x-axis.

@@ -208,7 +208,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(shard.VersionHeader, strconv.FormatUint(info.Version, 10))
-	writeJSON(w, http.StatusOK, shard.InfoToWire(info))
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
@@ -238,7 +238,7 @@ func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(shard.VersionHeader, strconv.FormatUint(b.Version, 10))
-	writeJSON(w, http.StatusOK, shard.BoundToWire(b))
+	writeJSON(w, http.StatusOK, b)
 }
 
 func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {

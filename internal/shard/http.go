@@ -14,15 +14,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
 // The member wire protocol. A member server (cpnn-serve -shard-of) exposes
 //
-//	GET  /internal/shard/info              → WireInfo (JSON)
-//	GET  /internal/shard/bound?q=&k=       → WireBound (JSON)
+//	GET  /internal/shard/info              → MemberInfo (JSON)
+//	GET  /internal/shard/bound?q=&k=       → BoundInfo (JSON)
 //	GET  /internal/shard/gather?q=&bound=  → EncodeItems payload (octet-stream)
 //	POST /internal/shard/apply             → body: store.EncodeOps payload;
 //	                                          reply: WireApply (JSON)
@@ -48,66 +47,6 @@ const VersionHeader = "X-Shard-Version"
 
 // ClaimHeader carries the router's claim on every wire request.
 const ClaimHeader = "X-Shard-Router"
-
-// WireRect is a geom.Rect in JSON form.
-type WireRect struct {
-	MinX float64 `json:"minx"`
-	MinY float64 `json:"miny"`
-	MaxX float64 `json:"maxx"`
-	MaxY float64 `json:"maxy"`
-}
-
-// RectToWire converts for transport.
-func RectToWire(r geom.Rect) WireRect {
-	return WireRect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-}
-
-// Rect converts back.
-func (w WireRect) Rect() geom.Rect {
-	return geom.Rect{MinX: w.MinX, MinY: w.MinY, MaxX: w.MaxX, MaxY: w.MaxY}
-}
-
-// WireInfo is MemberInfo in JSON form.
-type WireInfo struct {
-	IDs1D     []uint64 `json:"ids_1d"`
-	IDs2D     []uint64 `json:"ids_2d"`
-	NextID    uint64   `json:"next_id"`
-	Version   uint64   `json:"version"`
-	Extent    WireRect `json:"extent"`
-	HasExtent bool     `json:"has_extent"`
-}
-
-// InfoToWire converts for transport.
-func InfoToWire(i MemberInfo) WireInfo {
-	return WireInfo{IDs1D: i.IDs1D, IDs2D: i.IDs2D, NextID: i.NextID,
-		Version: i.Version, Extent: RectToWire(i.Extent), HasExtent: i.HasExtent}
-}
-
-// Info converts back.
-func (w WireInfo) Info() MemberInfo {
-	return MemberInfo{IDs1D: w.IDs1D, IDs2D: w.IDs2D, NextID: w.NextID,
-		Version: w.Version, Extent: w.Extent.Rect(), HasExtent: w.HasExtent}
-}
-
-// WireBound is BoundInfo in JSON form.
-type WireBound struct {
-	Extent    WireRect  `json:"extent"`
-	HasExtent bool      `json:"has_extent"`
-	Fars      []float64 `json:"fars"`
-	Version   uint64    `json:"version"`
-}
-
-// BoundToWire converts for transport.
-func BoundToWire(b BoundInfo) WireBound {
-	return WireBound{Extent: RectToWire(b.Extent), HasExtent: b.HasExtent,
-		Fars: b.Fars, Version: b.Version}
-}
-
-// Bound converts back.
-func (w WireBound) Bound() BoundInfo {
-	return BoundInfo{Extent: w.Extent.Rect(), HasExtent: w.HasExtent,
-		Fars: w.Fars, Version: w.Version}
-}
 
 // WireApply is a store.ApplyResult in JSON form.
 type WireApply struct {
@@ -219,11 +158,11 @@ func (h *HTTPMember) Info() (MemberInfo, error) {
 		return MemberInfo{}, err
 	}
 	defer resp.Body.Close()
-	var w WireInfo
-	if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
+	var info MemberInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return MemberInfo{}, fmt.Errorf("shard: decoding info: %w", err)
 	}
-	return w.Info(), nil
+	return info, nil
 }
 
 // Bound implements Member.
@@ -236,11 +175,11 @@ func (h *HTTPMember) Bound(ctx context.Context, q float64, k int) (BoundInfo, er
 		return BoundInfo{}, err
 	}
 	defer resp.Body.Close()
-	var w WireBound
-	if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
+	var b BoundInfo
+	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
 		return BoundInfo{}, fmt.Errorf("shard: decoding bound: %w", err)
 	}
-	return w.Bound(), nil
+	return b, nil
 }
 
 // Gather implements Member.

@@ -13,18 +13,19 @@ import (
 
 // BoundInfo is one shard's reply to the scatter (bound) phase of a query:
 // everything the router needs to compute the global filter bound and decide
-// whether this shard can hold a candidate.
+// whether this shard can hold a candidate. Its JSON form is the member
+// wire's /internal/shard/bound reply.
 type BoundInfo struct {
 	// Extent is the bounding rectangle of the shard's live 1-D regions;
 	// valid only when HasExtent (an empty shard has none).
-	Extent    geom.Rect
-	HasExtent bool
+	Extent    geom.Rect `json:"extent"`
+	HasExtent bool      `json:"has_extent"`
 	// Fars holds the shard's min(k, n) smallest far-point distances from the
 	// query point, ascending (filter.Index.FarBounds, an R-tree walk: the
 	// reply costs O(log n) for small k and never more than k clamped to n).
-	Fars []float64
+	Fars []float64 `json:"fars"`
 	// Version is the shard's store version the reply was computed at.
-	Version uint64
+	Version uint64 `json:"version"`
 }
 
 // Item is one gathered candidate object in stable-ID terms.
@@ -34,17 +35,19 @@ type Item struct {
 }
 
 // MemberInfo is a shard's full identity snapshot, used to boot the router's
-// owner map and ID counter.
+// owner map and ID counter. Its JSON form is the member wire's
+// /internal/shard/info reply.
 type MemberInfo struct {
 	// IDs1D and IDs2D list the shard's live stable IDs per family.
-	IDs1D, IDs2D []uint64
+	IDs1D []uint64 `json:"ids_1d"`
+	IDs2D []uint64 `json:"ids_2d"`
 	// NextID is the shard's durable ID counter.
-	NextID uint64
+	NextID uint64 `json:"next_id"`
 	// Version is the shard's store version.
-	Version uint64
+	Version uint64 `json:"version"`
 	// Extent/HasExtent mirror BoundInfo for the 1-D family.
-	Extent    geom.Rect
-	HasExtent bool
+	Extent    geom.Rect `json:"extent"`
+	HasExtent bool      `json:"has_extent"`
 }
 
 // Member is one shard as seen by the router. Implementations: Local wraps an
