@@ -378,12 +378,11 @@ func (r *Router) refreshOwnersLocked() {
 
 // Reload replaces the cluster's contents with a dataset: one truncate
 // barrier, then routed bulk inserts with fresh stable IDs in dataset order
-// (matching a single store's DatasetOps assignment).
+// (a single store's DatasetOps batch, placed).
 func (r *Router) Reload(ctx context.Context, ds *uncertain.Dataset) (store.ApplyResult, error) {
-	ops := make([]store.Op, 0, ds.Len()+1)
-	ops = append(ops, store.Truncate())
-	for _, o := range ds.Objects() {
-		ops = append(ops, store.InsertObject(o.PDF))
+	ops, err := store.DatasetOps(ds)
+	if err != nil {
+		return store.ApplyResult{}, err
 	}
 	return r.Apply(ctx, ops)
 }
