@@ -279,6 +279,7 @@ func (k obsKit) storeOptions(o store.Options) store.Options {
 // replication or sharding machinery the flags asked for.
 type serveApp struct {
 	srv     *server.Server
+	st      *store.Store // the store opened for srv, closed by it once it exists
 	fol     *replica.Follower
 	repl    *replica.Server
 	router  *shard.Router  // -shards / -router: the scatter-gather front
@@ -288,8 +289,10 @@ type serveApp struct {
 
 // Close tears the assembly down in dependency order: the follower stops
 // applying before the replication listener stops streaming, both before the
-// server checkpoints and closes its store, and the router's members and the
-// cluster's member stores last (the server only borrows them).
+// server checkpoints and closes its store (or, when buildServer failed
+// before the server existed, the store is closed bare), and the router's
+// members and the cluster's member stores last (the server only borrows
+// them).
 func (a *serveApp) Close() error {
 	if a.fol != nil {
 		a.fol.Close()
@@ -297,7 +300,12 @@ func (a *serveApp) Close() error {
 	if a.repl != nil {
 		a.repl.Close()
 	}
-	err := a.srv.Close()
+	var err error
+	if a.srv != nil {
+		err = a.srv.Close()
+	} else if a.st != nil {
+		err = a.st.Close()
+	}
 	if a.router != nil {
 		a.router.Close()
 	}
@@ -319,23 +327,8 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 		kit.log = obs.Discard()
 	}
 	a := &serveApp{}
-	var st *store.Store
 	fail := func(err error) (*serveApp, error) {
-		if a.fol != nil {
-			a.fol.Close()
-		}
-		if a.repl != nil {
-			a.repl.Close()
-		}
-		if st != nil {
-			st.Close()
-		}
-		if a.router != nil {
-			a.router.Close()
-		}
-		if a.cluster != nil {
-			a.cluster.Close()
-		}
+		a.Close()
 		return nil, err
 	}
 
@@ -412,12 +405,12 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 		if o.shardOf >= meta.Shards {
 			return fail(fmt.Errorf("-shard-of %d: the cluster in %s has %d shards", o.shardOf, o.dataDir, meta.Shards))
 		}
-		st, err = store.Open(shard.Dir(o.dataDir, o.shardOf),
+		a.st, err = store.Open(shard.Dir(o.dataDir, o.shardOf),
 			kit.storeOptions(store.Options{NoSync: o.noSync, CacheBytes: o.cacheBytes, ExplicitIDs: true}))
 		if err != nil {
 			return fail(err)
 		}
-		cfg.Store = st
+		cfg.Store = a.st
 		cfg.ShardMember = true
 		a.source = fmt.Sprintf("shard %d of %s", o.shardOf, o.dataDir)
 		cfg.Source = a.source
@@ -474,7 +467,7 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 			return fail(fmt.Errorf("-follow is mutually exclusive with -gen/-data: the dataset is replicated from the primary"))
 		}
 		var err error
-		st, err = store.OpenFollower(o.dataDir, kit.storeOptions(store.Options{NoSync: o.noSync, CacheBytes: o.cacheBytes}))
+		a.st, err = store.OpenFollower(o.dataDir, kit.storeOptions(store.Options{NoSync: o.noSync, CacheBytes: o.cacheBytes}))
 		if err != nil {
 			return fail(err)
 		}
@@ -482,7 +475,7 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 			"Follower lag behind the primary, observed after each applied batch.", obs.LagBuckets)
 		kit.reg.Register(applyLag)
 		a.fol, err = replica.StartFollower(replica.FollowerConfig{
-			Store: st, Primary: o.follow, Dir: o.dataDir,
+			Store: a.st, Primary: o.follow, Dir: o.dataDir,
 			Logger:   kit.log.With("subsystem", "replica"),
 			Tracer:   kit.tracer,
 			ApplyLag: applyLag,
@@ -494,22 +487,22 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 
 	case o.dataDir != "":
 		var err error
-		st, err = store.Open(o.dataDir, kit.storeOptions(store.Options{NoSync: o.noSync, CacheBytes: o.cacheBytes}))
+		a.st, err = store.Open(o.dataDir, kit.storeOptions(store.Options{NoSync: o.noSync, CacheBytes: o.cacheBytes}))
 		if err != nil {
 			return fail(err)
 		}
-		cfg.Store = st
+		cfg.Store = a.st
 	}
 
 	if o.replicateAddr != "" {
 		// A follower can itself replicate onward (chained replicas): its
 		// replayed commits land in its own WAL and log feed like any others.
-		if st == nil {
+		if a.st == nil {
 			return fail(fmt.Errorf("-replicate-addr requires -data-dir (the WAL is what gets shipped)"))
 		}
 		var err error
 		a.repl, err = replica.StartServer(replica.ServerConfig{
-			Store: st, Addr: o.replicateAddr, AdvertiseHTTP: o.advertiseHTTP,
+			Store: a.st, Addr: o.replicateAddr, AdvertiseHTTP: o.advertiseHTTP,
 		})
 		if err != nil {
 			return fail(err)
@@ -521,12 +514,12 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 		switch {
 		case a.fol != nil:
 			// server.New labels replica snapshots itself.
-		case st != nil && (st.View().Dataset.Len() > 0 || len(st.View().Disks) > 0):
+		case a.st != nil && (a.st.View().Dataset.Len() > 0 || len(a.st.View().Disks) > 0):
 			// The durable contents win (disks-only stores count: seeding would
 			// truncate them); -gen/-data would have been only the seed.
 			if o.gen || o.dataPath != "" {
 				kit.log.Warn("store already populated; ignoring -gen/-data",
-					"dir", o.dataDir, "objects", st.View().Dataset.Len(), "disks", len(st.View().Disks))
+					"dir", o.dataDir, "objects", a.st.View().Dataset.Len(), "disks", len(a.st.View().Disks))
 			}
 			a.source = fmt.Sprintf("store:%s", o.dataDir)
 			cfg.Source = a.source
