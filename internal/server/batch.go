@@ -85,18 +85,9 @@ func (s *Server) parseBatchRequest(w http.ResponseWriter, r *http.Request) (batc
 			return req, verify.Constraint{}, err
 		}
 	}
-	c := verify.Constraint{P: 0.3, Delta: 0.01}
-	if req.P != nil {
-		if err := checkFinite("p", *req.P); err != nil {
-			return req, verify.Constraint{}, err
-		}
-		c.P = *req.P
-	}
-	if req.Delta != nil {
-		if err := checkFinite("delta", *req.Delta); err != nil {
-			return req, verify.Constraint{}, err
-		}
-		c.Delta = *req.Delta
+	c, err := bodyConstraint(req.P, req.Delta)
+	if err != nil {
+		return req, verify.Constraint{}, err
 	}
 	if err := c.Validate(); err != nil {
 		return req, verify.Constraint{}, badRequest("%v", err)

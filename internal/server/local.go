@@ -12,39 +12,29 @@ import (
 )
 
 // localBackend serves the server's own current *Snapshot. Dataset-only,
-// store, replica and shard-member servers are all this backend: they differ
-// in whether a store makes writes durable and in which gate applies — a
-// replica refuses reads until its first catch-up and bounces writes to the
-// primary, a shard member refuses client writes (the router owns placement).
+// store, replica and shard-member servers are all this backend: newBackend
+// picks whether it starts from the store's view or a seed dataset and what
+// the view is labelled, and they differ afterwards in whether a store makes
+// writes durable and in which gate applies — a replica refuses reads until
+// its first catch-up and bounces writes to the primary, a shard member
+// refuses client writes (the router owns placement).
 type localBackend struct {
 	s        *Server
 	feedDone chan struct{} // snapshot-follower goroutine exit (store mode)
 }
 
-// newLocalBackend installs the initial snapshot and, with a store attached,
-// starts the continuous-query subsystem and the feed follower.
-func newLocalBackend(s *Server) (*localBackend, error) {
+// newLocalBackend installs the initial snapshot — seed when it is non-nil,
+// the store's current view labelled source otherwise — and, with a store
+// attached, starts the continuous-query subsystem and the feed follower.
+func newLocalBackend(s *Server, seed *uncertain.Dataset, source string) (*localBackend, error) {
 	cfg := &s.cfg
 	b := &localBackend{s: s}
 	s.monitorsHint = "continuous queries require a store (run cpnn-serve with -data-dir)"
-	if cfg.Replica != nil || cfg.ShardMember || storeHasData(cfg.Store) {
-		// Serve the store's durable contents; a configured Dataset loses to
-		// them (it was only the seed). A replica serves its follower store
-		// even when still empty — the read gate keeps requests away until
-		// the first catch-up, and the feed goroutine below installs every
-		// replayed view.
-		source := cfg.Source
-		if source == "" {
-			if cfg.Replica != nil {
-				source = "replica:" + cfg.Replica.Source()
-			} else {
-				source = "store"
-			}
-		}
-		if err := s.installLatestView(source); err != nil {
+	if seed != nil {
+		if _, err := s.Reload(seed, source); err != nil {
 			return nil, err
 		}
-	} else if _, err := s.Reload(cfg.Dataset, cfg.Source); err != nil {
+	} else if err := s.installLatestView(source); err != nil {
 		return nil, err
 	}
 	s.m.reloads.Store(0) // the initial load is not a reload

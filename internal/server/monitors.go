@@ -14,7 +14,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/verify"
 )
 
 // Continuous queries: POST /v1/monitors registers a standing C-PNN/PNN/k-NN
@@ -62,18 +61,8 @@ func decodeMonitorRequest(data []byte) (monitor.Spec, error) {
 	spec := monitor.Spec{Kind: kind, Q: req.Q, K: req.K}
 	switch kind {
 	case monitor.KindCPNN, monitor.KindKNN:
-		spec.Constraint = verify.Constraint{P: 0.3, Delta: 0.01} // /v1/cpnn's defaults
-		if req.P != nil {
-			if err := checkFinite("p", *req.P); err != nil {
-				return monitor.Spec{}, err
-			}
-			spec.Constraint.P = *req.P
-		}
-		if req.Delta != nil {
-			if err := checkFinite("delta", *req.Delta); err != nil {
-				return monitor.Spec{}, err
-			}
-			spec.Constraint.Delta = *req.Delta
+		if spec.Constraint, err = bodyConstraint(req.P, req.Delta); err != nil {
+			return monitor.Spec{}, err
 		}
 	}
 	if err := checkStrategy(req.Strategy); err != nil {

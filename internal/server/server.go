@@ -7,8 +7,10 @@
 //   - One handler per endpoint over a narrow backend interface. The local
 //     backend (local.go) serves this server's own snapshot — dataset-only,
 //     store, replica and shard member differ only in their gates; the router
-//     backend (shard.go) serves a shard cluster by scatter-gather. Cache,
-//     singleflight and worker pool sit in front of both.
+//     backend (shard.go) serves a shard cluster by scatter-gather. New
+//     resolves Config's mode fields into one of the two once (newBackend),
+//     refusing contradictory combinations. Cache, singleflight and worker
+//     pool sit in front of both.
 //   - Copy-on-write dataset snapshots. The engine lives behind an atomic
 //     pointer; POST /v1/dataset builds a fresh engine off to the side and
 //     swaps the pointer, so reloads never block readers and every request
@@ -175,40 +177,9 @@ func storeHasData(st *store.Store) bool {
 	return v.Dataset.Len() > 0 || len(v.Disks) > 0
 }
 
+// withDefaults fills and checks the numeric settings. The mode fields are
+// newBackend's.
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.ShardRouter != nil {
-		if cfg.Dataset != nil || cfg.Store != nil || cfg.Replica != nil || cfg.Replication != nil {
-			return cfg, errors.New("server: ShardRouter cannot be combined with Dataset, Store or replication (the data lives in the shard cluster)")
-		}
-		if cfg.ShardMember {
-			return cfg, errors.New("server: a server is a shard router or a shard member, not both")
-		}
-	}
-	if cfg.ShardCluster != nil && cfg.ShardRouter == nil {
-		return cfg, errors.New("server: ShardCluster requires ShardRouter")
-	}
-	if cfg.ShardMember && cfg.Store == nil {
-		return cfg, errors.New("server: shard member mode requires a store")
-	}
-	if cfg.Replica != nil {
-		if cfg.Dataset != nil {
-			return cfg, errors.New("server: Config.Dataset cannot be combined with Replica (the dataset comes from the primary)")
-		}
-		if cfg.Store == nil {
-			cfg.Store = cfg.Replica.Store()
-		} else if cfg.Store != cfg.Replica.Store() {
-			return cfg, errors.New("server: Config.Store must be the Replica's own store")
-		}
-	}
-	// A shard member may boot over a still-empty store: the router fills it.
-	if cfg.Replica == nil && cfg.ShardRouter == nil && !cfg.ShardMember && !storeHasData(cfg.Store) {
-		if cfg.Dataset == nil {
-			return cfg, errors.New("server: Config.Dataset is required")
-		}
-		if cfg.Dataset.Len() == 0 {
-			return cfg, errors.New("server: initial dataset is empty")
-		}
-	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = DefaultCacheEntries
 	}
@@ -255,6 +226,19 @@ type Snapshot struct {
 	// vkey is Version in decimal — the cache-key fragment, rendered once at
 	// install time so the cache-hit path formats nothing.
 	vkey string
+}
+
+// newSnapshot makes eng the snapshot at version, loaded now.
+func newSnapshot(eng *core.Engine, version uint64, ids []uint64, source string) *Snapshot {
+	return &Snapshot{
+		Engine:   eng,
+		Version:  version,
+		Objects:  eng.Dataset().Len(),
+		Source:   source,
+		LoadedAt: time.Now(),
+		IDs:      ids,
+		vkey:     strconv.FormatUint(version, 10),
+	}
 }
 
 // oid translates an engine (dense) object ID to the externally-visible ID.
@@ -386,12 +370,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.reg.Register(obs.CollectorFunc(s.collect))
 	s.reg.Register(phase)
-	if cfg.ShardRouter != nil {
-		s.be, err = newRouterBackend(s)
-	} else {
-		s.be, err = newLocalBackend(s)
-	}
-	if err != nil {
+	if s.be, err = newBackend(s); err != nil {
 		return nil, err
 	}
 	if cfg.Metrics != nil {
@@ -399,6 +378,44 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.buildMux()
 	return s, nil
+}
+
+// newBackend resolves Config's mode fields into the backend that serves
+// them; it is the one place the serving shape is decided. A router serves its
+// shard cluster. Everything else is a local backend, which either installs
+// the store's view — a replica's follower store (even while still empty: the
+// read gate keeps requests away until the first catch-up), a shard member's
+// store (even while empty: the router fills it) or a populated store, whose
+// durable contents win over a seed Dataset — or seeds from Dataset. A Config
+// that contradicts itself is refused before anything is served.
+func newBackend(s *Server) (backend, error) {
+	cfg := &s.cfg
+	switch {
+	case cfg.ShardRouter != nil && (cfg.Dataset != nil || cfg.Store != nil || cfg.Replica != nil || cfg.Replication != nil):
+		return nil, errors.New("server: ShardRouter cannot be combined with Dataset, Store or replication (the data lives in the shard cluster)")
+	case cfg.ShardRouter != nil && cfg.ShardMember:
+		return nil, errors.New("server: a server is a shard router or a shard member, not both")
+	case cfg.ShardRouter != nil:
+		return newRouterBackend(s)
+	case cfg.ShardCluster != nil:
+		return nil, errors.New("server: ShardCluster requires ShardRouter")
+	case cfg.ShardMember && cfg.Store == nil:
+		return nil, errors.New("server: shard member mode requires a store")
+	case cfg.Replica != nil && cfg.Dataset != nil:
+		return nil, errors.New("server: Config.Dataset cannot be combined with Replica (the dataset comes from the primary)")
+	case cfg.Replica != nil && cfg.Store != nil && cfg.Store != cfg.Replica.Store():
+		return nil, errors.New("server: Config.Store must be the Replica's own store")
+	case cfg.Replica != nil:
+		cfg.Store = cfg.Replica.Store()
+		return newLocalBackend(s, nil, cmp.Or(cfg.Source, "replica:"+cfg.Replica.Source()))
+	case cfg.ShardMember || storeHasData(cfg.Store):
+		return newLocalBackend(s, nil, cmp.Or(cfg.Source, "store"))
+	case cfg.Dataset == nil:
+		return nil, errors.New("server: Config.Dataset is required")
+	case cfg.Dataset.Len() == 0:
+		return nil, errors.New("server: initial dataset is empty")
+	}
+	return newLocalBackend(s, cfg.Dataset, cfg.Source)
 }
 
 // Drain flips /healthz to not-ready so load balancers stop routing here
@@ -430,15 +447,7 @@ func (s *Server) installLatestView(source string) error {
 	if err != nil {
 		return err
 	}
-	snap := &Snapshot{
-		Engine:   eng,
-		Version:  v.Version,
-		Objects:  v.Dataset.Len(),
-		Source:   source,
-		LoadedAt: time.Now(),
-		IDs:      v.IDs,
-		vkey:     strconv.FormatUint(v.Version, 10),
-	}
+	snap := newSnapshot(eng, v.Version, v.IDs, source)
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	if cur := s.snap.Load(); cur == nil || snap.Version > cur.Version {
@@ -488,14 +497,7 @@ func (s *Server) Reload(ds *uncertain.Dataset, source string) (*Snapshot, error)
 	if old := s.snap.Load(); old != nil {
 		version = old.Version + 1
 	}
-	snap := &Snapshot{
-		Engine:   eng,
-		Version:  version,
-		Objects:  ds.Len(),
-		Source:   source,
-		LoadedAt: time.Now(),
-		vkey:     strconv.FormatUint(version, 10),
-	}
+	snap := newSnapshot(eng, version, nil, source)
 	s.snap.Store(snap)
 	s.cc.Purge()
 	s.m.reloads.Add(1)
@@ -680,20 +682,44 @@ func queryIntDefault(q query, name string, def int) (int, error) {
 	return v, nil
 }
 
+// defaultConstraint is what a request that omits "p" or "delta" gets, in a
+// query string or a JSON body.
+var defaultConstraint = verify.Constraint{P: 0.3, Delta: 0.01}
+
 // constraintParam parses and validates the C-PNN constraint, rejecting
 // out-of-range P and Delta before any engine work happens.
 func constraintParam(q query) (verify.Constraint, error) {
-	p, err := queryFloatDefault(q, "p", 0.3)
+	p, err := queryFloatDefault(q, "p", defaultConstraint.P)
 	if err != nil {
 		return verify.Constraint{}, err
 	}
-	delta, err := queryFloatDefault(q, "delta", 0.01)
+	delta, err := queryFloatDefault(q, "delta", defaultConstraint.Delta)
 	if err != nil {
 		return verify.Constraint{}, err
 	}
 	c := verify.Constraint{P: p, Delta: delta}
 	if err := c.Validate(); err != nil {
 		return verify.Constraint{}, badRequest("%v", err)
+	}
+	return c, nil
+}
+
+// bodyConstraint reads a JSON body's optional "p" and "delta" as
+// constraintParam reads the query's: an omitted one takes the same default,
+// a given one must be finite. Validating the result is the caller's.
+func bodyConstraint(p, delta *float64) (verify.Constraint, error) {
+	c := defaultConstraint
+	if p != nil {
+		if err := checkFinite("p", *p); err != nil {
+			return c, err
+		}
+		c.P = *p
+	}
+	if delta != nil {
+		if err := checkFinite("delta", *delta); err != nil {
+			return c, err
+		}
+		c.Delta = *delta
 	}
 	return c, nil
 }
