@@ -23,10 +23,6 @@ type ServerConfig struct {
 	AdvertiseHTTP string
 	// HeartbeatEvery is the idle-stream heartbeat period; 0 means 1s.
 	HeartbeatEvery time.Duration
-	// SubBuffer is the per-follower live-tail buffer in records; 0 means
-	// store.DefaultLogBuffer. A follower that falls further behind than this
-	// is transparently re-synced from the on-disk log.
-	SubBuffer int
 	// WriteTimeout bounds each frame write; 0 means 10s.
 	WriteTimeout time.Duration
 }
@@ -43,14 +39,16 @@ type ServerStats struct {
 	// Heartbeats counts heartbeat frames sent.
 	Heartbeats uint64
 	// Resyncs counts transparent log re-syncs after a follower's live tail
-	// overflowed.
+	// had a hole: it overflowed (a Gap), or a snapshot install on this
+	// store broke the log.
 	Resyncs uint64
 }
 
 // Server streams the store's committed log to followers. One goroutine per
 // connection; a connection serves history from the on-disk WAL (or a
 // snapshot when the log was truncated past the requested position), then its
-// live tail, with heartbeats carrying the primary position during idle
+// live tail — the records riding a change-feed subscription of
+// store.DefaultWatchBuffer deltas — with heartbeats carrying the primary position during idle
 // stretches. Start with StartServer; Close stops the listener and drops
 // every follower.
 type Server struct {
@@ -193,7 +191,7 @@ func (s *Server) serve(conn net.Conn) {
 	from := hello.FromSeq
 	welcomed := false
 	for {
-		res, err := s.cfg.Store.SyncFrom(from, s.cfg.SubBuffer)
+		res, err := s.cfg.Store.SyncFrom(from, 0)
 		if err != nil {
 			send(frameError, []byte(err.Error()))
 			return
@@ -236,7 +234,7 @@ func (s *Server) serve(conn net.Conn) {
 		if !again {
 			return // store closed; nothing more will ever commit
 		}
-		// Live tail overflowed: pick history back up from where we got to.
+		// The live tail had a hole: pick history back up from where we got to.
 		s.resyncs.Add(1)
 		from = lastSent + 1
 	}
@@ -252,25 +250,29 @@ func (s *Server) sendRecord(send func(frameType, []byte) error, rec store.LogRec
 	return nil
 }
 
-// streamTail relays the live subscription until it closes or the connection
-// dies. Returns (resync, ok): resync means the sub lagged and the caller
-// should re-sync from lastSent; !ok means the connection is done.
-func (s *Server) streamTail(send func(frameType, []byte) error, sub *store.LogSub, lastSent *uint64) (bool, bool) {
+// streamTail relays the live subscription's records until it closes or the
+// connection dies. Returns (resync, ok): resync means the tail has a hole —
+// a Gap, or a delta whose records are missing or do not start at
+// lastSent+1 — and the caller should re-sync from lastSent+1; !ok means the
+// connection is done.
+func (s *Server) streamTail(send func(frameType, []byte) error, sub *store.Sub, lastSent *uint64) (bool, bool) {
 	hb := time.NewTicker(s.cfg.HeartbeatEvery)
 	defer hb.Stop()
 	for {
 		select {
-		case rec, ok := <-sub.C():
+		case d, ok := <-sub.C():
 			if !ok {
-				if sub.Lagged() {
-					return true, true
-				}
 				return false, true // store closed
 			}
-			if err := s.sendRecord(send, rec); err != nil {
-				return false, false
+			if len(d.Records) == 0 || d.Records[0].Seq != *lastSent+1 {
+				return true, true
 			}
-			*lastSent = rec.Seq
+			for _, rec := range d.Records {
+				if err := s.sendRecord(send, rec); err != nil {
+					return false, false
+				}
+				*lastSent = rec.Seq
+			}
 		case <-hb.C:
 			v := s.cfg.Store.View()
 			pm := positionMsg{

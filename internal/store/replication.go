@@ -3,13 +3,16 @@ package store
 // Replication support: the store's WAL doubles as a replication log. A
 // primary serves it through SyncFrom — history from the on-disk log (or a
 // full snapshot when a checkpoint already truncated the requested range)
-// plus a live tail through a LogSub the committer feeds record by record. A
-// follower store (OpenFollower) replays shipped records through
-// ApplyReplicated — the exact payload bytes the primary committed, so the
-// replayed state is bit-identical by construction — and bootstraps or
-// re-bootstraps through InstallSnapshot. Followers write the records to
-// their own WAL and take their own checkpoints, so a restarted follower
-// resumes from its local position instead of re-shipping history.
+// plus a live tail that is an ordinary change-feed subscription (Watch):
+// every Delta carries its commit group's records, and a Gap or a delta with
+// no records tells the reader to call SyncFrom again from where it got to,
+// so there is one subscriber table and one lag protocol. A follower store
+// (OpenFollower) replays shipped records through ApplyReplicated — the exact
+// payload bytes the primary committed, so the replayed state is
+// bit-identical by construction — and bootstraps or re-bootstraps through
+// InstallSnapshot. Followers write the records to their own WAL and take
+// their own checkpoints, so a restarted follower resumes from its local
+// position instead of re-shipping history.
 
 import (
 	"errors"
@@ -69,47 +72,6 @@ type LogRecord struct {
 	Payload []byte
 }
 
-// LogSub is a live subscription to committed log records, created by
-// SyncFrom. Unlike the change feed's Gap protocol, a lagging log subscriber
-// is simply cut (its channel closes with Lagged reporting true): the reader
-// resyncs from the on-disk log at its own pace instead of the committer ever
-// blocking or buffering unboundedly.
-type LogSub struct {
-	st     *Store
-	ch     chan LogRecord
-	lagged bool // guarded by st.watchMu
-	gone   bool // removed from the table (lag, Close, or store close)
-}
-
-// C returns the record channel. Records arrive in sequence order with no
-// gaps until the channel closes.
-func (l *LogSub) C() <-chan LogRecord { return l.ch }
-
-// Lagged reports whether the subscription was cut for falling behind the
-// committer. Meaningful once C is closed; false then means the subscription
-// (or the store) was closed normally.
-func (l *LogSub) Lagged() bool {
-	l.st.watchMu.Lock()
-	defer l.st.watchMu.Unlock()
-	return l.lagged
-}
-
-// Close cancels the subscription. Safe to call concurrently with publishes
-// and more than once.
-func (l *LogSub) Close() {
-	l.st.watchMu.Lock()
-	defer l.st.watchMu.Unlock()
-	if !l.gone {
-		l.gone = true
-		delete(l.st.logSubs, l)
-		close(l.ch)
-	}
-}
-
-// DefaultLogBuffer is the LogSub channel capacity used when SyncFrom is
-// called with a non-positive buffer.
-const DefaultLogBuffer = 256
-
 // SyncResult is one consistent replication handoff: everything through Seq
 // is covered by Snapshot or Records, everything after arrives on Sub.
 type SyncResult struct {
@@ -126,23 +88,19 @@ type SyncResult struct {
 	Snapshot []byte
 	// Records are the historical records [fromSeq, Seq], contiguous.
 	Records []LogRecord
-	// Sub streams records committed after Seq. The caller owns it and must
-	// Close it when done.
-	Sub *LogSub
+	// Sub is a change-feed subscription registered at Seq: its deltas carry
+	// the records committed after it (Delta.Records). The caller owns it and
+	// must Close it when done.
+	Sub *Sub
 }
 
 // SyncFrom assembles everything a follower needs to catch up from fromSeq
 // (its last applied sequence + 1): either the historical records still in
-// the WAL or a full snapshot, plus a live subscription registered atomically
-// at the same position — no record is ever missed or duplicated between the
-// two. It runs on the committer, serialized with commits and checkpoints.
+// the WAL or a full snapshot, plus a Watch subscription (buffer as for Watch)
+// registered atomically at the same position — no record is ever missed or
+// duplicated between the two. It runs on the committer, serialized with
+// commits and checkpoints.
 func (s *Store) SyncFrom(fromSeq uint64, buffer int) (*SyncResult, error) {
-	if buffer <= 0 {
-		buffer = DefaultLogBuffer
-	}
-	if buffer < 2 {
-		buffer = 2
-	}
 	args := &syncArgs{fromSeq: fromSeq, buffer: buffer}
 	if _, err := s.submit(&request{sync: args, resp: make(chan result, 1)}); err != nil {
 		return nil, err
@@ -189,15 +147,11 @@ func (s *Store) handleSync(r *request) {
 			out.Snapshot = stream
 		}
 	}
-	sub := &LogSub{st: s, ch: make(chan LogRecord, a.buffer)}
-	s.watchMu.Lock()
-	if s.watchersClosed {
-		s.watchMu.Unlock()
-		r.resp <- result{err: ErrClosed}
+	sub, err := s.Watch(a.buffer)
+	if err != nil {
+		r.resp <- result{err: err}
 		return
 	}
-	s.logSubs[sub] = struct{}{}
-	s.watchMu.Unlock()
 	out.Sub = sub
 	a.out = out
 	r.resp <- result{}
@@ -243,47 +197,6 @@ func (s *Store) readLogHistory(from uint64) ([]LogRecord, bool) {
 		return nil, false
 	}
 	return out, true
-}
-
-// publishLog delivers a commit group's records to every log subscriber. A
-// subscriber without room for the whole group is cut (lagged) rather than
-// ever blocking the committer; it resyncs through SyncFrom. This is a
-// different protocol from the change feed's OfferLossy on purpose: a log
-// stream with a hole is useless to a follower, so a laggard's channel is
-// closed instead of marked and resumed. The committer is the only sender,
-// so the len/cap check is race-free in the conservative direction.
-func (s *Store) publishLog(recs []LogRecord) {
-	if len(recs) == 0 {
-		return
-	}
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	for sub := range s.logSubs {
-		if len(sub.ch)+len(recs) > cap(sub.ch) {
-			sub.lagged, sub.gone = true, true
-			delete(s.logSubs, sub)
-			close(sub.ch)
-			s.logDropped.Add(1)
-			continue
-		}
-		for _, lr := range recs {
-			sub.ch <- lr
-		}
-	}
-}
-
-// cutLogSubs cuts every log subscriber as lagged — after a snapshot install
-// the log stream has a hole no subscriber can bridge, so chained consumers
-// must resync. Runs on the committer.
-func (s *Store) cutLogSubs() {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	for sub := range s.logSubs {
-		sub.lagged, sub.gone = true, true
-		delete(s.logSubs, sub)
-		close(sub.ch)
-		s.logDropped.Add(1)
-	}
 }
 
 // Role returns the store's replication role.
@@ -361,10 +274,11 @@ func (s *Store) stageReplicated(lr LogRecord, rec *deltaRec) (staged, error) {
 // by the routine Checkpoint uses (tmp+fsync+rename — a crash on either side
 // of the rename recovers a consistent store — then the local WAL is reset),
 // and one view with a Truncated delta is published so every derived consumer
-// rebuilds. The installed state is paged from its first view: payloads fault
-// from the new base, nothing stays resident in the overlay. Snapshots older
-// than the local version are rejected with ErrOutOfSync — replication never
-// moves a follower backwards.
+// rebuilds. That delta carries no records — a snapshot is a hole in the log —
+// so chained replication tails re-sync. The installed state is paged from its
+// first view: payloads fault from the new base, nothing stays resident in the
+// overlay. Snapshots older than the local version are rejected with
+// ErrOutOfSync — replication never moves a follower backwards.
 func (s *Store) InstallSnapshot(stream []byte) error {
 	if s.role != RoleFollower {
 		return fmt.Errorf("store: InstallSnapshot on a %s store", s.role)
@@ -409,8 +323,5 @@ func (s *Store) handleInstall(r *request) {
 	}
 	s.view.Store(view)
 	s.publish(view, &deltaRec{truncated: true})
-	// A snapshot is a hole no log subscriber can bridge; chained consumers
-	// must resync.
-	s.cutLogSubs()
 	r.resp <- result{res: ApplyResult{Version: cs.Version, Seq: cs.Seq}}
 }

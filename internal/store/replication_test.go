@@ -132,11 +132,11 @@ func TestReplicationLiveTail(t *testing.T) {
 		mustApply(t, p, InsertObject(pdf.MustUniform(float64(i), float64(i+1))))
 	}
 	got := 0
-	for rec := range res.Sub.C() {
-		if _, err := f.ApplyReplicated([]LogRecord{rec}); err != nil {
+	for d := range res.Sub.C() {
+		if _, err := f.ApplyReplicated(d.Records); err != nil {
 			t.Fatalf("ApplyReplicated: %v", err)
 		}
-		if got++; got == 10 {
+		if got += len(d.Records); got == 10 {
 			break
 		}
 	}
@@ -211,8 +211,8 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 
 	// The live tail continues past the snapshot.
 	mustApply(t, p, InsertObject(pdf.MustUniform(50, 60)))
-	rec := <-res.Sub.C()
-	if _, err := f.ApplyReplicated([]LogRecord{rec}); err != nil {
+	d := <-res.Sub.C()
+	if _, err := f.ApplyReplicated(d.Records); err != nil {
 		t.Fatalf("ApplyReplicated after snapshot: %v", err)
 	}
 	assertStoresEqual(t, p, pdir, f, fdir)
@@ -330,7 +330,8 @@ func TestApplyReplicatedOutOfSync(t *testing.T) {
 	defer res.Sub.Close()
 	mustApply(t, p, InsertObject(pdf.MustUniform(0, 1)))
 	mustApply(t, p, InsertObject(pdf.MustUniform(2, 3)))
-	r1, r2 := <-res.Sub.C(), <-res.Sub.C()
+	d1, d2 := <-res.Sub.C(), <-res.Sub.C()
+	r1, r2 := d1.Records[0], d2.Records[0]
 
 	// A gap (r2 without r1) must be rejected without mutating anything.
 	if _, err := f.ApplyReplicated([]LogRecord{r2}); !errors.Is(err, ErrOutOfSync) {
@@ -427,7 +428,7 @@ func TestFollowerResumesFromLocalWAL(t *testing.T) {
 	assertStoresEqual(t, p, pdir, f, fdir)
 }
 
-func TestLogSubLagIsCut(t *testing.T) {
+func TestSyncTailLagIsGap(t *testing.T) {
 	p, _ := openTemp(t, Options{})
 	defer p.Close()
 	res, err := p.SyncFrom(1, 2)
@@ -437,19 +438,26 @@ func TestLogSubLagIsCut(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mustApply(t, p, InsertObject(pdf.MustUniform(float64(i), float64(i+1))))
 	}
-	// Drain whatever made it; the channel must close with Lagged set.
+	// Whatever made it through the 2-slot tail is contiguous from seq 1,
+	// then a Gap marks the hole.
 	n := 0
-	for range res.Sub.C() {
-		n++
+	for d := range res.Sub.C() {
+		if d.Gap {
+			break
+		}
+		for _, r := range d.Records {
+			if r.Seq != uint64(n)+1 {
+				t.Fatalf("tail record seq %d, want %d", r.Seq, n+1)
+			}
+			n++
+		}
 	}
+	res.Sub.Close()
 	if n >= 8 {
 		t.Fatalf("received all %d records through a 2-slot buffer", n)
 	}
-	if !res.Sub.Lagged() {
-		t.Fatalf("cut subscription does not report Lagged")
-	}
-	if p.Stats().LogDropped == 0 {
-		t.Fatalf("LogDropped not counted")
+	if p.Stats().FeedDropped == 0 {
+		t.Fatalf("FeedDropped not counted")
 	}
 	// A fresh sync picks up from wherever the reader got to.
 	res2, err := p.SyncFrom(uint64(n)+1, 64)
@@ -479,7 +487,7 @@ func TestChainedFollowerSync(t *testing.T) {
 	assertStoresEqual(t, p, pdir, f2, f2dir)
 }
 
-func TestInstallSnapshotCutsLogSubs(t *testing.T) {
+func TestInstallSnapshotPublishesNoRecords(t *testing.T) {
 	p, _ := openTemp(t, Options{})
 	defer p.Close()
 	for i := 0; i < 3; i++ {
@@ -491,12 +499,14 @@ func TestInstallSnapshotCutsLogSubs(t *testing.T) {
 
 	f, _ := openFollowerTemp(t, Options{})
 	defer f.Close()
-	// A downstream subscriber attached to the follower before the snapshot
-	// lands must be cut — snapshots are holes a log stream cannot express.
+	// A downstream tail attached to the follower before the snapshot lands
+	// must see a delta with no records — snapshots are holes a log stream
+	// cannot express, so the tail re-syncs.
 	down, err := f.SyncFrom(1, 8)
 	if err != nil {
 		t.Fatalf("follower SyncFrom: %v", err)
 	}
+	defer down.Sub.Close()
 	res, err := p.SyncFrom(1, 8)
 	if err != nil {
 		t.Fatalf("SyncFrom: %v", err)
@@ -505,10 +515,9 @@ func TestInstallSnapshotCutsLogSubs(t *testing.T) {
 	if err := f.InstallSnapshot(res.Snapshot); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
-	if _, ok := <-down.Sub.C(); ok {
-		t.Fatalf("downstream sub still open across a snapshot install")
-	}
-	if !down.Sub.Lagged() {
-		t.Fatalf("downstream sub not marked lagged after snapshot install")
+	d := <-down.Sub.C()
+	if !d.Truncated || d.Gap || len(d.Records) != 0 || d.View.Seq != res.Seq {
+		t.Fatalf("install delta: truncated %v, gap %v, %d records, seq %d — want a truncation at seq %d with no records",
+			d.Truncated, d.Gap, len(d.Records), d.View.Seq, res.Seq)
 	}
 }

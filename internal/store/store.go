@@ -140,11 +140,8 @@ type Stats struct {
 	// Gap delivery).
 	FeedSubscribers int
 	FeedDropped     uint64
-	// Role is the replication role; LogSubscribers counts live replication
-	// log subscriptions and LogDropped the ones cut for lagging.
-	Role           Role
-	LogSubscribers int
-	LogDropped     uint64
+	// Role is the replication role.
+	Role Role
 	// Version and Seq mirror the current view.
 	Version, Seq uint64
 	// Objects1D and Objects2D count live objects.
@@ -226,12 +223,10 @@ type Store struct {
 	reqCh  chan *request
 	doneCh chan struct{}
 
-	watchMu        sync.Mutex // guards watchers, logSubs, watchersClosed, per-Sub flags
+	watchMu        sync.Mutex // guards watchers, watchersClosed, per-Sub flags
 	watchers       map[*Sub]struct{}
-	logSubs        map[*LogSub]struct{}
 	watchersClosed bool
 	watchDropped   atomic.Uint64
-	logDropped     atomic.Uint64
 
 	broken atomic.Bool
 
@@ -349,7 +344,6 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 		reqCh:    make(chan *request, 256),
 		doneCh:   make(chan struct{}),
 		watchers: map[*Sub]struct{}{},
-		logSubs:  map[*LogSub]struct{}{},
 		st:       st,
 		tornTail: torn,
 	}
@@ -410,7 +404,6 @@ func (s *Store) Stats() Stats {
 	v := s.View()
 	s.watchMu.Lock()
 	subs := len(s.watchers)
-	logSubs := len(s.logSubs)
 	s.watchMu.Unlock()
 	// A checkpoint racing this read can momentarily advance ckptSeq past the
 	// loaded view's Seq; clamp instead of underflowing.
@@ -422,8 +415,6 @@ func (s *Store) Stats() Stats {
 		FeedSubscribers:        subs,
 		FeedDropped:            s.watchDropped.Load(),
 		Role:                   s.role,
-		LogSubscribers:         logSubs,
-		LogDropped:             s.logDropped.Load(),
 		OpsApplied:             s.opsApplied.Load(),
 		Commits:                s.commits.Load(),
 		WALBytes:               s.walSize.Load(),
@@ -585,7 +576,6 @@ func (s *Store) commitGroup(group []*request) {
 		opsTotal  uint64
 		batches   uint64
 		rec       deltaRec
-		logRecs   []LogRecord
 	)
 	for _, r := range group {
 		if s.broken.Load() {
@@ -623,7 +613,7 @@ func (s *Store) commitGroup(group []*request) {
 				rebuild = rebuild || stg.rebuild
 				opsTotal += uint64(stg.nops)
 				batches++
-				logRecs = append(logRecs, LogRecord{Seq: stg.seq, Version: stg.version, Payload: stg.payload})
+				rec.records = append(rec.records, LogRecord{Seq: stg.seq, Version: stg.version, Payload: stg.payload})
 				last = ApplyResult{Version: stg.version, Seq: stg.seq}
 				n++
 			}
@@ -646,7 +636,7 @@ func (s *Store) commitGroup(group []*request) {
 		rebuild = rebuild || staged.rebuild
 		opsTotal += uint64(len(r.ops))
 		batches++
-		logRecs = append(logRecs, LogRecord{Seq: staged.seq, Version: staged.version, Payload: staged.payload})
+		rec.records = append(rec.records, LogRecord{Seq: staged.seq, Version: staged.version, Payload: staged.payload})
 		committed = append(committed, r)
 		outcomes = append(outcomes, ApplyResult{Version: staged.version, Seq: staged.seq, IDs: staged.ids})
 		errs = append(errs, nil)
@@ -682,9 +672,9 @@ func (s *Store) commitGroup(group []*request) {
 		// Fix up cumulative byte offsets now that the group's position in the
 		// appended stream is known.
 		cum := total - uint64(len(buf))
-		for i := range logRecs {
-			cum += uint64(walHeaderSize + 8 + len(logRecs[i].Payload))
-			logRecs[i].WALOffset = cum
+		for i := range rec.records {
+			cum += uint64(walHeaderSize + 8 + len(rec.records[i].Payload))
+			rec.records[i].WALOffset = cum
 		}
 
 		view, err := s.materialize(s.View(), nil, edits, rebuild)
@@ -701,7 +691,6 @@ func (s *Store) commitGroup(group []*request) {
 		s.opsApplied.Add(opsTotal)
 		s.commits.Add(batches)
 		s.publish(view, &rec)
-		s.publishLog(logRecs)
 	}
 
 	if wantCkpt || (s.opt.CheckpointBytes > 0 && s.wal.size >= s.opt.CheckpointBytes) {

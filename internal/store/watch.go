@@ -11,10 +11,15 @@ import (
 // rectangles against standing queries' influence regions, so only the queries
 // a batch can possibly affect ever re-evaluate.
 //
+// Each delta also carries the group's WAL records, so the same feed is the
+// replication log's live tail: SyncFrom registers a Watch at the position
+// its history ends, and a replication server ships Delta.Records in order.
+//
 // Delivery is lossy under backpressure by design: a subscriber that cannot
 // keep up has its stream cut and receives a single Gap delta instead, telling
-// it to catch up from the latest view. Deltas are therefore never blocked on
-// a slow consumer and the committer never waits.
+// it to catch up from the latest view (a replication tail re-syncs from the
+// on-disk log). Deltas are therefore never blocked on a slow consumer and the
+// committer never waits.
 
 // ChangeKind classifies one object change of a committed batch.
 type ChangeKind uint8
@@ -85,12 +90,19 @@ type Delta struct {
 	// resumes normally; deltas read after the resync whose version the
 	// resynced view already covers can be skipped.
 	Gap bool
+	// Records are the group's WAL records in sequence order, as replication
+	// ships them. A Gap carries none, and neither does the Truncated delta
+	// of a follower's snapshot install: that is a hole in the log, so a
+	// replication tail meeting either re-syncs through SyncFrom.
+	Records []LogRecord
 }
 
-// deltaRec accumulates a commit group's changes as its batches stage.
+// deltaRec accumulates a commit group's changes and WAL records as its
+// batches stage.
 type deltaRec struct {
 	changes   []Change
 	truncated bool
+	records   []LogRecord
 }
 
 // Sub is one change-feed subscription. Receive deltas from C; Close releases
@@ -182,7 +194,7 @@ func OfferLossy[T any](ch chan T, lagging *bool, v, marker T) bool {
 func (s *Store) publish(view *View, rec *deltaRec) {
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
-	d := Delta{View: view, Changes: rec.changes, Truncated: rec.truncated}
+	d := Delta{View: view, Changes: rec.changes, Truncated: rec.truncated, Records: rec.records}
 	for sub := range s.watchers {
 		if !OfferLossy(sub.ch, &sub.gap, d, Delta{View: view, Gap: true}) {
 			s.watchDropped.Add(1)
@@ -198,11 +210,6 @@ func (s *Store) closeWatchers() {
 	s.watchersClosed = true
 	for sub := range s.watchers {
 		delete(s.watchers, sub)
-		close(sub.ch)
-	}
-	for sub := range s.logSubs {
-		sub.gone = true
-		delete(s.logSubs, sub)
 		close(sub.ch)
 	}
 }
