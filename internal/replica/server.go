@@ -171,12 +171,14 @@ func (s *Server) serve(conn net.Conn) {
 	defer s.followers.Add(-1)
 
 	// The follower never speaks again on a healthy stream; a reader
-	// goroutine watches for EOF so a dead peer tears the writer down
-	// promptly instead of lingering until the next write times out.
+	// goroutine watches for EOF and closes gone, so a dead peer or Close
+	// tears the writer down promptly instead of at its next write.
+	gone := make(chan struct{})
 	go func() {
 		var one [1]byte
 		conn.Read(one[:])
 		conn.Close()
+		close(gone)
 	}()
 
 	w := bufio.NewWriterSize(conn, 64<<10)
@@ -226,7 +228,7 @@ func (s *Server) serve(conn net.Conn) {
 				return
 			}
 		}
-		again, ok := s.streamTail(send, res.Sub, &lastSent)
+		again, ok := s.streamTail(send, res.Sub, gone, &lastSent)
 		res.Sub.Close()
 		if !ok {
 			return
@@ -254,12 +256,14 @@ func (s *Server) sendRecord(send func(frameType, []byte) error, rec store.LogRec
 // connection dies. Returns (resync, ok): resync means the tail has a hole —
 // a Gap, or a delta whose records are missing or do not start at
 // lastSent+1 — and the caller should re-sync from lastSent+1; !ok means the
-// connection is done.
-func (s *Server) streamTail(send func(frameType, []byte) error, sub *store.Sub, lastSent *uint64) (bool, bool) {
+// connection is done, including once gone closes.
+func (s *Server) streamTail(send func(frameType, []byte) error, sub *store.Sub, gone <-chan struct{}, lastSent *uint64) (bool, bool) {
 	hb := time.NewTicker(s.cfg.HeartbeatEvery)
 	defer hb.Stop()
 	for {
 		select {
+		case <-gone:
+			return false, false
 		case d, ok := <-sub.C():
 			if !ok {
 				return false, true // store closed

@@ -105,3 +105,30 @@ func TestLiveTailOverflowResyncs(t *testing.T) {
 			st.Resyncs, st.SnapshotsSent)
 	}
 }
+
+// An idle follower connection sits in the live tail between heartbeats;
+// Close must drop it at once, not at the next heartbeat write.
+func TestCloseDoesNotWaitForHeartbeat(t *testing.T) {
+	p, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv, err := StartServer(ServerConfig{Store: p, Addr: "127.0.0.1:0", HeartbeatEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dialRaw(t, srv.Addr(), 1)
+	defer conn.Close()
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still waiting on an idle follower connection after 2s")
+	}
+}
