@@ -257,7 +257,6 @@ func (s *Store) stageReplicated(lr LogRecord, rec *deltaRec) (staged, error) {
 		return staged{}, fmt.Errorf("store: replicated apply failure: %w", err)
 	}
 	st.seq, st.version = lr.Seq, lr.Version
-	st.nextID = maxAssigned(st.nextID, decoded)
 	return staged{
 		seq:     lr.Seq,
 		version: lr.Version,

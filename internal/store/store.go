@@ -332,7 +332,6 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 		}
 		st.seq = rec.Seq
 		st.version++
-		st.nextID = maxAssigned(st.nextID, rec.Ops)
 	}
 
 	s := &Store{
@@ -385,16 +384,6 @@ func (s *Store) logger() *slog.Logger {
 }
 
 var discardLogger = slog.New(slog.DiscardHandler)
-
-// maxAssigned keeps nextID above every ID a replayed batch assigned.
-func maxAssigned(next uint64, ops []Op) uint64 {
-	for _, op := range ops {
-		if op.ID >= next {
-			next = op.ID + 1
-		}
-	}
-	return next
-}
 
 // View returns the current MVCC view. It never blocks on writers.
 func (s *Store) View() *View { return s.view.Load() }
