@@ -48,9 +48,9 @@ type ServerStats struct {
 // connection; a connection serves history from the on-disk WAL (or a
 // snapshot when the log was truncated past the requested position), then its
 // live tail — the records riding a change-feed subscription of
-// store.DefaultWatchBuffer deltas — with heartbeats carrying the primary position during idle
-// stretches. Start with StartServer; Close stops the listener and drops
-// every follower.
+// store.DefaultWatchBuffer deltas — with heartbeats carrying the primary
+// position during idle stretches. Start with StartServer; Close stops the
+// listener and drops every follower.
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener

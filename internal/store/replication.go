@@ -5,14 +5,13 @@ package store
 // full snapshot when a checkpoint already truncated the requested range)
 // plus a live tail that is an ordinary change-feed subscription (Watch):
 // every Delta carries its commit group's records, and a Gap or a delta with
-// no records tells the reader to call SyncFrom again from where it got to,
-// so there is one subscriber table and one lag protocol. A follower store
-// (OpenFollower) replays shipped records through ApplyReplicated — the exact
-// payload bytes the primary committed, so the replayed state is
-// bit-identical by construction — and bootstraps or re-bootstraps through
-// InstallSnapshot. Followers write the records to their own WAL and take
-// their own checkpoints, so a restarted follower resumes from its local
-// position instead of re-shipping history.
+// no records tells the reader to call SyncFrom again from where it got to.
+// A follower store (OpenFollower) replays shipped records through
+// ApplyReplicated — the exact payload bytes the primary committed, so the
+// replayed state is bit-identical by construction — and bootstraps or
+// re-bootstraps through InstallSnapshot. Followers write the records to
+// their own WAL and take their own checkpoints, so a restarted follower
+// resumes from its local position instead of re-shipping history.
 
 import (
 	"errors"
