@@ -1,6 +1,9 @@
 package pnn_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
 	"regexp"
@@ -168,5 +171,51 @@ func TestReadmeLayout(t *testing.T) {
 	}
 	for name := range documented {
 		t.Errorf("README's Layout table lists internal/%s, which does not exist", name)
+	}
+}
+
+// TestReadmeFacadeNames is the facade half of the docs self-check: every
+// pnn.Name in README.md or in pnn.go's package comment is an exported
+// top-level name of pnn.go.
+func TestReadmeFacadeNames(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "pnn.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Top-level names; the pattern below matches capitalized ones only.
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				declared[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					declared[s.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declared[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := regexp.MustCompile(`\bpnn\.([A-Z][A-Za-z0-9_]*)`)
+	for _, doc := range []struct{ name, text string }{
+		{"README.md", string(readme)},
+		{"pnn.go's package comment", f.Doc.Text()},
+	} {
+		for _, m := range ref.FindAllStringSubmatch(doc.text, -1) {
+			if !declared[m[1]] {
+				t.Errorf("%s names pnn.%s, which pnn.go does not export", doc.name, m[1])
+			}
+		}
 	}
 }
