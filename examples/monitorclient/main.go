@@ -15,30 +15,33 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	pnn "repro"
+	"repro/internal/monitor"
+	"repro/internal/store"
 )
 
 func main() {
-	dir := filepath.Join(os.TempDir(), "cpnn-monitor-example")
-	os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "cpnn-monitorclient-*")
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer os.RemoveAll(dir)
 
-	st, err := pnn.OpenStore(dir, pnn.StoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer st.Close()
 
 	// Five taxis reporting uncertain positions along a road (1-D).
-	res, err := st.Apply([]pnn.StoreOp{
-		pnn.InsertObjectOp(pnn.MustUniform(100, 120)),
-		pnn.InsertObjectOp(pnn.MustUniform(140, 150)),
-		pnn.InsertObjectOp(pnn.MustUniform(300, 330)),
-		pnn.InsertObjectOp(pnn.MustUniform(520, 540)),
-		pnn.InsertObjectOp(pnn.MustUniform(900, 930)),
+	res, err := st.Apply([]store.Op{
+		store.InsertObject(pnn.MustUniform(100, 120)),
+		store.InsertObject(pnn.MustUniform(140, 150)),
+		store.InsertObject(pnn.MustUniform(300, 330)),
+		store.InsertObject(pnn.MustUniform(520, 540)),
+		store.InsertObject(pnn.MustUniform(900, 930)),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -46,15 +49,15 @@ func main() {
 	taxis := res.IDs
 
 	// The monitor rides the store's change feed.
-	mon, err := pnn.NewMonitor(pnn.MonitorConfig{Store: st})
+	mon, err := monitor.New(monitor.Config{Store: st})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer mon.Close()
 
 	// A passenger stands at x=135: which taxi is nearest with P ≥ 0.3?
-	state, err := mon.Register(pnn.MonitorSpec{
-		Kind:       pnn.MonitorCPNN,
+	state, err := mon.Register(monitor.Spec{
+		Kind:       monitor.KindCPNN,
 		Q:          135,
 		Constraint: pnn.Constraint{P: 0.3, Delta: 0.01},
 	})
@@ -71,8 +74,8 @@ func main() {
 	defer sub.Close()
 
 	// Taxi 5 is far away; moving it is pruned — no update arrives.
-	if _, err := st.Apply([]pnn.StoreOp{
-		pnn.UpdateObjectOp(taxis[4], pnn.MustUniform(940, 970)),
+	if _, err := st.Apply([]store.Op{
+		store.UpdateObject(taxis[4], pnn.MustUniform(940, 970)),
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -88,8 +91,8 @@ func main() {
 
 	// Taxi 3 pulls up right next to the passenger: the answer changes and an
 	// update is pushed.
-	if _, err := st.Apply([]pnn.StoreOp{
-		pnn.UpdateObjectOp(taxis[2], pnn.MustUniform(130, 138)),
+	if _, err := st.Apply([]store.Op{
+		store.UpdateObject(taxis[2], pnn.MustUniform(130, 138)),
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ev := <-sub.C()
-	if ev.Type != pnn.MonitorEventUpdate {
+	if ev.Type != monitor.EventUpdate {
 		log.Fatalf("expected an update, got %+v", ev)
 	}
 	fmt.Printf("taxi %d arrived: pushed update (version %d): %s\n",

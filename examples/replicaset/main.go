@@ -20,29 +20,34 @@ import (
 	"time"
 
 	pnn "repro"
+	"repro/internal/core"
+	"repro/internal/replica"
+	"repro/internal/store"
 )
 
 func main() {
-	base := filepath.Join(os.TempDir(), "cpnn-replicaset-example")
-	os.RemoveAll(base)
+	base, err := os.MkdirTemp("", "cpnn-replicaset-*")
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer os.RemoveAll(base)
 
 	// The primary: an ordinary durable store plus a replication listener
 	// that streams its WAL to any follower that connects.
-	primary, err := pnn.OpenStore(filepath.Join(base, "primary"), pnn.StoreOptions{})
+	primary, err := store.Open(filepath.Join(base, "primary"), store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer primary.Close()
-	res, err := primary.Apply([]pnn.StoreOp{
-		pnn.InsertObjectOp(pnn.MustUniform(18, 22)),
-		pnn.InsertObjectOp(pnn.MustUniform(19, 21)),
-		pnn.InsertObjectOp(pnn.MustUniform(30, 40)),
+	res, err := primary.Apply([]store.Op{
+		store.InsertObject(pnn.MustUniform(18, 22)),
+		store.InsertObject(pnn.MustUniform(19, 21)),
+		store.InsertObject(pnn.MustUniform(30, 40)),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	repl, err := pnn.StartReplication(pnn.ReplicationConfig{
+	repl, err := replica.StartServer(replica.ServerConfig{
 		Store: primary, Addr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -54,12 +59,12 @@ func main() {
 
 	// The follower: its own durable store (local writes refused) plus a
 	// connection that replays the primary's stream into it.
-	fstore, err := pnn.OpenFollowerStore(filepath.Join(base, "replica"), pnn.StoreOptions{})
+	fstore, err := store.OpenFollower(filepath.Join(base, "replica"), store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer fstore.Close()
-	fol, err := pnn.StartFollower(pnn.FollowerConfig{
+	fol, err := replica.StartFollower(replica.FollowerConfig{
 		Store: fstore, Primary: repl.Addr(),
 	})
 	if err != nil {
@@ -77,9 +82,9 @@ func main() {
 
 	// Both sides answer from their own MVCC views; the pdfs replicated
 	// byte-for-byte, so the answers agree exactly.
-	answer := func(label string, st *pnn.Store) {
+	answer := func(label string, st *store.Store) {
 		v := st.View()
-		eng, err := pnn.EngineFromView(v)
+		eng, err := core.NewEngineWithIndex(v.Dataset, v.Index)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,8 +108,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer feed.Close()
-	up, err := primary.Apply([]pnn.StoreOp{
-		pnn.UpdateObjectOp(res.IDs[2], pnn.MustUniform(19, 23)), // server room cools off
+	up, err := primary.Apply([]store.Op{
+		store.UpdateObject(res.IDs[2], pnn.MustUniform(19, 23)), // server room cools off
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -124,8 +129,8 @@ func main() {
 
 	// The follower's store refuses local writes — in the HTTP server this
 	// surfaces as a 307 redirect to the primary (or 403 without one).
-	if _, err := fstore.Apply([]pnn.StoreOp{pnn.TruncateOp()}); err != nil {
+	if _, err := fstore.Apply([]store.Op{store.Truncate()}); err != nil {
 		fmt.Printf("follower write refused: %v (errors.Is(ErrFollower)=%v)\n",
-			err, errors.Is(err, pnn.ErrFollowerStore))
+			err, errors.Is(err, store.ErrFollower))
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"net/http"
 
 	pnn "repro"
+	"repro/internal/server"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 		pnn.MustUniform(20, 25),
 		pnn.MustUniform(11, 16),
 	})
-	srv, err := pnn.NewServer(pnn.ServerConfig{Dataset: ds, Source: "taxis", Quantum: 1})
+	srv, err := server.New(server.Config{Dataset: ds, Source: "taxis", Quantum: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

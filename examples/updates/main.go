@@ -11,28 +11,31 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	pnn "repro"
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 func main() {
-	dir := filepath.Join(os.TempDir(), "cpnn-updates-example")
-	os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "cpnn-updates-*")
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer os.RemoveAll(dir)
 
 	// Open (and implicitly create) the durable store. Every committed batch
 	// is written to the write-ahead log and fsync'd before Apply returns.
-	st, err := pnn.OpenStore(dir, pnn.StoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Three temperature sensors, each reporting an uncertainty interval.
-	res, err := st.Apply([]pnn.StoreOp{
-		pnn.InsertObjectOp(pnn.MustUniform(18, 22)), // sensor in the hallway
-		pnn.InsertObjectOp(pnn.MustUniform(19, 21)), // sensor by the window
-		pnn.InsertObjectOp(pnn.MustUniform(30, 40)), // sensor in the server room
+	res, err := st.Apply([]store.Op{
+		store.InsertObject(pnn.MustUniform(18, 22)), // sensor in the hallway
+		store.InsertObject(pnn.MustUniform(19, 21)), // sensor by the window
+		store.InsertObject(pnn.MustUniform(30, 40)), // sensor in the server room
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -45,7 +48,7 @@ func main() {
 	// maps them back to the stable IDs the store assigned.
 	answer := func(label string) {
 		v := st.View()
-		eng, err := pnn.EngineFromView(v)
+		eng, err := core.NewEngineWithIndex(v.Dataset, v.Index)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,16 +65,16 @@ func main() {
 
 	// The server-room sensor cools down and the window sensor drifts; the
 	// whole batch commits atomically and bumps the version once.
-	if _, err := st.Apply([]pnn.StoreOp{
-		pnn.UpdateObjectOp(ids[2], pnn.MustUniform(19.5, 20.5)),
-		pnn.UpdateObjectOp(ids[1], pnn.MustUniform(24, 26)),
+	if _, err := st.Apply([]store.Op{
+		store.UpdateObject(ids[2], pnn.MustUniform(19.5, 20.5)),
+		store.UpdateObject(ids[1], pnn.MustUniform(24, 26)),
 	}); err != nil {
 		log.Fatal(err)
 	}
 	answer("after updates")
 
 	// Decommission the hallway sensor.
-	if _, err := st.Apply([]pnn.StoreOp{pnn.DeleteObjectOp(ids[0])}); err != nil {
+	if _, err := st.Apply([]store.Op{store.Delete(ids[0])}); err != nil {
 		log.Fatal(err)
 	}
 	answer("after delete")
@@ -88,7 +91,7 @@ func main() {
 	if err := st.Close(); err != nil {
 		log.Fatal(err)
 	}
-	re, err := pnn.OpenStore(dir, pnn.StoreOptions{})
+	re, err := store.Open(dir, store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,13 @@
 //		fmt.Println(a.ID, a.Bounds)
 //	}
 //
-// The package is a facade over the building blocks in internal/: the query
-// engine (internal/core), verifiers (internal/verify), subregion tables
-// (internal/subregion), distance distributions (internal/dist), the R-tree
-// (internal/rtree) and refinement integrators (internal/refine).
+// The package is the paper's engine as a library, over the building blocks
+// in internal/: the query engine (internal/core), verifiers
+// (internal/verify), subregion tables (internal/subregion), distance
+// distributions (internal/dist), the R-tree (internal/rtree) and refinement
+// integrators (internal/refine). The serving layers (HTTP server, durable
+// store, monitors, replication, sharding) are internal to the module; see
+// cmd/cpnn-serve and the examples.
 package pnn
 
 import (
@@ -39,12 +42,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/monitor"
 	"repro/internal/pdf"
-	"repro/internal/replica"
-	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/store"
 	"repro/internal/uncertain"
 	"repro/internal/verify"
 )
@@ -186,204 +184,6 @@ func ReadQueries(r io.Reader) ([]float64, error) { return uncertain.ReadQueries(
 // WriteQueries serializes a query workload, one point per line.
 func WriteQueries(w io.Writer, qs []float64) error { return uncertain.WriteQueries(w, qs) }
 
-// Serving layer, re-exported from internal/server: a concurrent HTTP/JSON
-// query service with a sharded result cache, singleflight collapsing of
-// identical in-flight queries, a bounded evaluation pool and atomic dataset
-// snapshot reloads.
-type (
-	// Server is a long-lived concurrent C-PNN query service.
-	Server = server.Server
-	// ServerConfig configures a Server; only Dataset is required.
-	ServerConfig = server.Config
-	// Snapshot is one immutable generation of a server's dataset.
-	Snapshot = server.Snapshot
-)
-
-// NewServer builds a query service around an initial dataset. Serve it with
-// http.ListenAndServe(addr, srv.Handler()) or mount Handler() in a larger
-// mux; cmd/cpnn-serve is the stand-alone binary.
-func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
-
-// Durable store, re-exported from internal/store: a write-ahead-logged,
-// checkpointed, crash-recovering uncertain-object store with MVCC views and
-// live (incremental, copy-on-write) filter-index maintenance. Attach one to
-// a ServerConfig to make every server mutation durable, or drive it
-// directly with Apply.
-type (
-	// Store is the durable mutation subsystem. Open one with OpenStore.
-	Store = store.Store
-	// StoreOptions tunes durability (fsync, checkpoint cadence).
-	StoreOptions = store.Options
-	// StoreView is one immutable MVCC generation: dataset, stable-ID
-	// mapping, filter index, 2-D disks.
-	StoreView = store.View
-	// StoreOp is one logged operation; build them with the *Op helpers.
-	StoreOp = store.Op
-	// StoreStats snapshots the store's operational counters.
-	StoreStats = store.Stats
-	// StoreApplyResult reports a committed batch (assigned IDs, version).
-	StoreApplyResult = store.ApplyResult
-	// StoreDisk is one live 2-D object of a view.
-	StoreDisk = store.Disk
-)
-
-// OpenStore opens (creating or crash-recovering) a durable store in dir.
-func OpenStore(dir string, opt StoreOptions) (*Store, error) { return store.Open(dir, opt) }
-
-// InsertObjectOp returns the op inserting a 1-D object (uniform or
-// histogram pdf); the store assigns its stable ID at commit.
-func InsertObjectOp(p PDF) StoreOp { return store.InsertObject(p) }
-
-// UpdateObjectOp returns the op replacing object id's pdf.
-func UpdateObjectOp(id uint64, p PDF) StoreOp { return store.UpdateObject(id, p) }
-
-// InsertDiskOp returns the op inserting a 2-D disk object.
-func InsertDiskOp(c Circle) StoreOp { return store.InsertDisk(c) }
-
-// UpdateDiskOp returns the op replacing object id's disk region.
-func UpdateDiskOp(id uint64, c Circle) StoreOp { return store.UpdateDisk(id, c) }
-
-// DeleteObjectOp returns the op removing object id (either family).
-func DeleteObjectOp(id uint64) StoreOp { return store.Delete(id) }
-
-// TruncateOp returns the op removing every object.
-func TruncateOp() StoreOp { return store.Truncate() }
-
-// DatasetToOps converts a dataset into the truncate+insert batch that loads
-// it durably.
-func DatasetToOps(ds *Dataset) ([]StoreOp, error) { return store.DatasetOps(ds) }
-
-// EngineFromView wraps a store view's dataset and incrementally-maintained
-// index in a query engine without rebuilding anything. Engine answer IDs
-// are the view's dense IDs; translate through view.IDs for stable IDs.
-func EngineFromView(v *StoreView) (*Engine, error) {
-	return core.NewEngineWithIndex(v.Dataset, v.Index)
-}
-
-// Change feed, re-exported from internal/store: every committed batch
-// publishes one StoreDelta (the new view plus changed-object rectangles) to
-// Store.Watch subscribers — the substrate of continuous monitoring.
-type (
-	// StoreDelta is one committed group's effect.
-	StoreDelta = store.Delta
-	// StoreChange is one changed object with its old/new MBRs.
-	StoreChange = store.Change
-	// StoreSub is one change-feed subscription (Store.Watch).
-	StoreSub = store.Sub
-)
-
-// Continuous queries, re-exported from internal/monitor: standing
-// C-PNN/PNN/k-NN queries maintained incrementally over the change feed of a
-// store, or of every member store of a shard cluster. Each evaluation's
-// critical distance (the filtering bound f_min, or f_k for k-NN) becomes an
-// influence interval indexed in an R-tree; a committed batch spatially joins
-// its changed rectangles against those intervals and re-evaluates only the
-// queries it can possibly affect — answer updates are pushed to subscribers.
-type (
-	// Monitor maintains standing queries over a store or a shard cluster.
-	// Create with NewMonitor.
-	Monitor = monitor.Monitor
-	// MonitorConfig configures a Monitor: set Store to stand it on one store,
-	// or Source (see NewShardMonitorSource) to stand it on a cluster.
-	MonitorConfig = monitor.Config
-	// MonitorSource is what a Monitor stands on: member stores plus an
-	// evaluator over them.
-	MonitorSource = monitor.Source
-	// MonitorSpec describes one standing query.
-	MonitorSpec = monitor.Spec
-	// MonitorKind selects the standing-query flavor (cpnn, pnn, knn).
-	MonitorKind = monitor.Kind
-	// MonitorState is a snapshot of one standing query.
-	MonitorState = monitor.State
-	// MonitorUpdate is one pushed answer change.
-	MonitorUpdate = monitor.Update
-	// MonitorSubscription consumes pushed updates.
-	MonitorSubscription = monitor.Subscription
-	// MonitorEvent is one subscription delivery (update or lagged).
-	MonitorEvent = monitor.Event
-	// MonitorStats snapshots the monitor's counters (re-evals, pruned, ...).
-	MonitorStats = monitor.Stats
-)
-
-// Standing-query kinds.
-const (
-	// MonitorCPNN is a standing constrained PNN.
-	MonitorCPNN = monitor.KindCPNN
-	// MonitorPNN is a standing unconstrained PNN.
-	MonitorPNN = monitor.KindPNN
-	// MonitorKNN is a standing constrained k-NN.
-	MonitorKNN = monitor.KindKNN
-)
-
-// Subscription event types.
-const (
-	// MonitorEventUpdate carries a changed answer.
-	MonitorEventUpdate = monitor.EventUpdate
-	// MonitorEventLagged reports dropped updates on a slow subscriber.
-	MonitorEventLagged = monitor.EventLagged
-)
-
-// NewMonitor builds and starts a continuous-query monitor over the change
-// feeds of cfg.Store, or of the cluster behind cfg.Source.
-func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
-
-// NewShardMonitorSource returns the MonitorConfig.Source of an in-process
-// cluster: the monitor joins every member store's change feed and
-// re-evaluates through r, so standing answers always match a scatter-gather
-// read. stores must be the cluster's member stores (ShardCluster.Stores).
-func NewShardMonitorSource(r *ShardRouter, stores []*Store) (MonitorSource, error) {
-	return shard.NewMonitorSource(r, stores)
-}
-
-// Replication, re-exported from internal/replica: a primary streams its WAL
-// to followers over TCP (raw payload bytes, so replicas are byte-identical);
-// each follower replays the stream into its own durable store and publishes
-// the same MVCC views, change feed and monitors the primary would — attach
-// the Follower to a ServerConfig (field Replica) for a read replica that
-// serves 503 until caught up and redirects writes to the primary.
-type (
-	// ReplicationServer streams a store's WAL to followers. Create with
-	// StartReplication.
-	ReplicationServer = replica.Server
-	// ReplicationConfig configures a ReplicationServer; Store and Addr are
-	// required.
-	ReplicationConfig = replica.ServerConfig
-	// ReplicationStats counts followers, shipped records/bytes, snapshots.
-	ReplicationStats = replica.ServerStats
-	// Follower replicates a primary's WAL into a follower store. Create
-	// with StartFollower over an OpenFollowerStore store.
-	Follower = replica.Follower
-	// FollowerConfig configures a Follower; Store and Primary are required.
-	FollowerConfig = replica.FollowerConfig
-	// FollowerStats snapshots a follower's replication counters and lag.
-	FollowerStats = replica.FollowerStats
-	// ReplicationLag measures a follower's distance behind its primary in
-	// versions, seconds and WAL bytes.
-	ReplicationLag = replica.Lag
-	// StoreRole says whether a store accepts local writes (primary) or only
-	// replicated ones (follower).
-	StoreRole = store.Role
-)
-
-// ErrFollowerStore is the error a follower store's Apply returns: local
-// writes must be routed to the primary.
-var ErrFollowerStore = store.ErrFollower
-
-// OpenFollowerStore opens (creating or crash-recovering) a follower store in
-// dir: local writes are refused, only a Follower's replicated commits apply.
-func OpenFollowerStore(dir string, opt StoreOptions) (*Store, error) {
-	return store.OpenFollower(dir, opt)
-}
-
-// StartReplication starts streaming a store's WAL to followers.
-func StartReplication(cfg ReplicationConfig) (*ReplicationServer, error) {
-	return replica.StartServer(cfg)
-}
-
-// StartFollower connects a follower store to a primary's replication address
-// and keeps it caught up; see examples/replicaset for the full loop.
-func StartFollower(cfg FollowerConfig) (*Follower, error) { return replica.StartFollower(cfg) }
-
 // Two-dimensional support (the paper's §IV-A extension): disk-shaped
 // uncertainty regions reduce to distance pdfs and run the same pipeline as
 // the 1-D engine, under the same Options.
@@ -401,47 +201,3 @@ type (
 
 // New2D indexes planar uncertain objects and returns a 2-D query engine.
 func New2D(objs []Object2D) (*Engine2D, error) { return core.NewEngine2D(objs) }
-
-// Sharded scatter-gather serving (internal/shard): a store's domain split
-// into K spatial shards, writes routed by owning shard, queries fanned only
-// to shards whose extent intersects the candidate ball, and the merged
-// candidates verified by one exact single-engine pass — answers are
-// byte-identical to a single store's.
-type (
-	// ShardCluster is a set of locally-open member stores plus routing
-	// metadata. Create with CreateShardCluster or OpenShardCluster.
-	ShardCluster = shard.Cluster
-	// ShardMeta is the durable cluster layout (member count, routing cuts,
-	// cluster-wide ID counter).
-	ShardMeta = shard.Meta
-	// ShardRouter is the scatter-gather front of a shard cluster.
-	ShardRouter = shard.Router
-	// ShardRouterConfig assembles a ShardRouter over Members and Cuts.
-	ShardRouterConfig = shard.RouterConfig
-	// ShardMember is one shard in a router's view: a local store or a
-	// remote process speaking the wire protocol.
-	ShardMember = shard.Member
-	// ShardStats snapshots a router's fan-out, retry and skew counters.
-	ShardStats = shard.Stats
-)
-
-// ErrShardUnavailable marks a query or write that needed an unreachable
-// member; servers map it to 503 + Retry-After.
-var ErrShardUnavailable = shard.ErrUnavailable
-
-// CreateShardCluster partitions a store view's objects into k STR-packed
-// shards under dir, preserving every stable ID.
-func CreateShardCluster(dir string, k int, view *StoreView, opt StoreOptions) (*ShardCluster, error) {
-	return shard.CreateCluster(dir, k, view, opt)
-}
-
-// OpenShardCluster opens every member store of an existing cluster.
-func OpenShardCluster(dir string, opt StoreOptions) (*ShardCluster, error) {
-	return shard.OpenCluster(dir, opt)
-}
-
-// SplitStore partitions an existing single-store directory into a k-shard
-// cluster under dstDir, leaving the source untouched.
-func SplitStore(srcDir, dstDir string, k int, opt StoreOptions) (ShardMeta, error) {
-	return shard.SplitStore(srcDir, dstDir, k, opt)
-}
