@@ -61,7 +61,7 @@
 // # One scratch, one pool
 //
 // Every stateless query filters and derives its candidates in-line, one
-// after another, into a queryScratch — candidate ID list, candidate buffer,
+// after another, into a queryScratch — filter hit list, candidate buffer,
 // subregion table, fold arena — that it borrows from scratchPool
 // (scratch.go), the only place a query gets one. A standing query's
 // incremental evaluation borrows one the same way and assembles its cached
@@ -154,9 +154,11 @@ type Engine struct {
 	source1D
 }
 
-// source1D is the pipeline's view of a 1-D dataset: positions are dense
-// dataset IDs, the filter is the R-tree index, and distance pdfs are interval
-// folds through the deriver's discretization memo.
+// source1D is the pipeline's view of a 1-D dataset: hits name dense dataset
+// IDs, the filter is the dataset's filter.Index (an R-tree, or a scan over a
+// gathered mini-view), and distance pdfs are interval folds — of a uniform
+// object straight from its hit's region, of any other through the deriver's
+// discretization memo.
 type source1D struct {
 	ds   *uncertain.Dataset
 	ix   *filter.Index
@@ -169,12 +171,11 @@ func (s *source1D) check(q float64) error { return checkQuery(q) }
 // far point, by the best-first walk, and the candidates are the objects
 // whose near point does not exceed it, by the window search (an object
 // beyond f_k has k objects certainly closer). At k = 1 both are
-// Index.AppendCandidates. Positions are dense IDs, which the window search
+// Index.AppendCandidates. Hits name dense IDs, which the window search
 // appends ascending.
-func (s *source1D) candidates(q float64, k int, buf []int) ([]int, float64) {
+func (s *source1D) candidates(q float64, k int, buf []filter.Hit) ([]filter.Hit, float64) {
 	if k == 1 {
-		fr := s.ix.AppendCandidates(buf, q)
-		return fr.IDs, fr.FMin
+		return s.ix.AppendCandidates(buf, q)
 	}
 	fars := s.ix.FarBounds(q, k)
 	if len(fars) == 0 {
@@ -184,10 +185,17 @@ func (s *source1D) candidates(q float64, k int, buf []int) ([]int, float64) {
 	return s.ix.AppendWithin(buf, q, fk), fk
 }
 
-func (s *source1D) id(pos int) int { return pos }
+func (s *source1D) id(h filter.Hit) int { return h.ID }
 
-func (s *source1D) dist(pos int, q float64, bins int, a *pdf.Alloc) (*pdf.Histogram, error) {
-	return s.memo.distFor(s.ds.Object(pos), q, bins, a)
+// dist folds a uniform object from the region its hit carries — the same
+// float operations dist.FromPDFIn applies to its pdf, without loading the
+// object record or dereferencing its boxed pdf — and derives any other
+// through the memo.
+func (s *source1D) dist(h filter.Hit, q float64, bins int, a *pdf.Alloc) (*pdf.Histogram, error) {
+	if s.ds.Uniform(h.ID) {
+		return dist.FromUniformIn(a, h.Region, q)
+	}
+	return s.memo.distFor(s.ds.Object(h.ID), q, bins, a)
 }
 
 // NewEngine indexes the dataset and returns a ready engine.
@@ -536,13 +544,13 @@ func (e *Engine) knnBegin(q float64, c verify.Constraint, opt *KNNOptions) (int,
 // ID-ascending, so the answers do.
 func (e *Engine) knnCertain(q float64, k int, c verify.Constraint, st *Stats) []KNNAnswer {
 	start := time.Now()
-	pos, cut := e.candidates(q, k, nil)
+	hits, cut := e.candidates(q, k, nil)
 	st.FilterTime = time.Since(start)
-	st.Candidates, st.FMin = len(pos), cut
+	st.Candidates, st.FMin = len(hits), cut
 	b := verify.Bounds{L: 1, U: 1}
-	out := make([]KNNAnswer, len(pos))
-	for i, d := range pos {
-		out[i] = KNNAnswer{ID: e.id(d), Bounds: b, Status: verify.Classify(b, c)}
+	out := make([]KNNAnswer, len(hits))
+	for i, h := range hits {
+		out[i] = KNNAnswer{ID: e.id(h), Bounds: b, Status: verify.Classify(b, c)}
 	}
 	return out
 }

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/filter"
 	"repro/internal/pdf"
+	"repro/internal/store"
 	"repro/internal/uncertain"
 	"repro/internal/verify"
 )
@@ -37,15 +40,15 @@ type failingSource struct{ n int }
 var errDeriveSentinel = errors.New("boom")
 
 func (failingSource) check(float64) error { return nil }
-func (s failingSource) candidates(_ float64, _ int, buf []int) ([]int, float64) {
+func (s failingSource) candidates(_ float64, _ int, buf []filter.Hit) ([]filter.Hit, float64) {
 	for i := range s.n {
-		buf = append(buf, i)
+		buf = append(buf, filter.Hit{ID: i})
 	}
 	return buf, 1
 }
-func (failingSource) id(pos int) int { return 1000 + pos }
-func (failingSource) dist(pos int, _ float64, _ int, a *pdf.Alloc) (*pdf.Histogram, error) {
-	if pos%7 == 3 {
+func (failingSource) id(h filter.Hit) int { return 1000 + h.ID }
+func (failingSource) dist(h filter.Hit, _ float64, _ int, a *pdf.Alloc) (*pdf.Histogram, error) {
+	if h.ID%7 == 3 {
 		return nil, errDeriveSentinel
 	}
 	return a.NewHistogram([]float64{0, 1}, []float64{1})
@@ -132,24 +135,122 @@ func BenchmarkDeriveCandidates(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
+		hits := make([]filter.Hit, n)
+		for i := range hits {
+			hits[i] = filter.Hit{ID: i, Region: ds.Region(i)}
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			// Pre-warm the memo and the scratch: steady-state queries pay
 			// only the folds.
 			sc := new(queryScratch)
-			if _, err := eng.derive(sc, ids, 25.0, dist.DefaultBins); err != nil {
+			if _, err := eng.derive(sc, hits, 25.0, dist.DefaultBins); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.derive(sc, ids, 25.0, dist.DefaultBins); err != nil {
+				if _, err := eng.derive(sc, hits, 25.0, dist.DefaultBins); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestHitDerivationMatchesPDF: a candidate derived through its filter hit —
+// a uniform object folded from the hit's region, any other through the
+// memo — is the histogram dist.FromPDF derives from the object's own pdf,
+// edges and bin weights equal under ==. It covers uniform, histogram,
+// discretized-Gaussian, analytic-Gaussian and mixed datasets at k = 1, 3
+// and 10, on a tree index, a scan index and a store view (whose dataset is
+// Source-backed, so every object takes the pdf path there).
+func TestHitDerivationMatchesPDF(t *testing.T) {
+	opt := uncertain.GenOptions{N: 400, Domain: 1000, MeanLen: 8, MinLen: 0.5, MaxLen: 40, Seed: 43}
+	gen := map[string]func() (*uncertain.Dataset, error){
+		"uniform":   func() (*uncertain.Dataset, error) { return uncertain.GenerateUniform(opt) },
+		"histogram": func() (*uncertain.Dataset, error) { return uncertain.GenerateHistogram(opt, 6) },
+		"gaussian":  func() (*uncertain.Dataset, error) { return uncertain.GenerateGaussian(opt, 20) },
+		"analytic":  func() (*uncertain.Dataset, error) { return uncertain.GenerateGaussianAnalytic(opt) },
+	}
+	sets := map[string]*uncertain.Dataset{}
+	mixed := make([]pdf.PDF, opt.N)
+	for i, name := range []string{"uniform", "histogram", "gaussian", "analytic"} {
+		ds, err := gen[name]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[name] = ds
+		for j := i; j < opt.N; j += 4 {
+			mixed[j] = ds.Object(j).PDF
+		}
+	}
+	sets["mixed"] = uncertain.NewDataset(mixed)
+
+	rng := rand.New(rand.NewSource(43))
+	for name, ds := range sets {
+		engines := map[string]*Engine{}
+		var err error
+		if engines["tree"], err = NewEngine(ds); err != nil {
+			t.Fatal(err)
+		}
+		if engines["scan"], err = NewEngineWithIndex(ds, filter.NewScan(ds)); err != nil {
+			t.Fatal(err)
+		}
+		if name != "analytic" && name != "mixed" { // the store logs uniform and histogram pdfs only
+			st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			ops, err := store.DatasetOps(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Apply(ops); err != nil {
+				t.Fatal(err)
+			}
+			v := st.View()
+			if engines["store"], err = NewEngineWithIndex(v.Dataset, v.Index); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ixName, eng := range engines {
+			for _, k := range []int{1, 3, 10} {
+				for probe := 0; probe < 20; probe++ {
+					q := 50 + rng.Float64()*900
+					checkHitDerivation(t, fmt.Sprintf("%s/%s k=%d q=%g", name, ixName, k, q), eng, q, k)
+				}
+			}
+		}
+	}
+}
+
+// checkHitDerivation derives eng's candidates for q at filter depth k as a
+// query does and compares each with dist.FromPDF over the object's pdf.
+func checkHitDerivation(t *testing.T, what string, eng *Engine, q float64, k int) {
+	t.Helper()
+	sc := borrow()
+	defer sc.park()
+	var st Stats
+	cands, _, err := eng.prepare(q, k, dist.DefaultBins, false, sc, &st)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if len(cands) < k {
+		t.Fatalf("%s: %d candidates", what, len(cands))
+	}
+	for _, c := range cands {
+		want, err := dist.FromPDF(eng.ds.Object(c.ID).PDF, q)
+		if err != nil {
+			t.Fatalf("%s: object %d: %v", what, c.ID, err)
+		}
+		got := c.Dist
+		same := slices.Equal(got.Edges(), want.Edges()) && got.NumBins() == want.NumBins()
+		for i := 0; same && i < got.NumBins(); i++ {
+			same = got.BinDensity(i) == want.BinDensity(i) && got.BinMass(i) == want.BinMass(i)
+		}
+		if !same {
+			t.Fatalf("%s: object %d (%T) derives %v, its pdf %v", what, c.ID, eng.ds.Object(c.ID).PDF, got.Edges(), want.Edges())
+		}
 	}
 }

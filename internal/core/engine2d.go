@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
+	"repro/internal/filter"
 	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/rtree"
@@ -78,17 +79,18 @@ func (s *source2D) check(q geom.Point) error {
 	return checkQuery(q.Y)
 }
 
-// candidates computes the 2-D candidate set: indexes into objs of the
-// objects whose near point is within f_min, appended to buf in R-tree
-// order, plus f_min itself. The R-tree bound uses bounding boxes (a valid
-// upper bound on the minimal circle far point); candidate circles then
-// tighten f_min exactly before the near-point prune, which compacts the
-// rough window hits in place. The order is not by ID: the Basic baseline
+// candidates computes the 2-D candidate set: hits naming, by index into
+// objs, the objects whose near point is within f_min, appended to buf in
+// R-tree order, plus f_min itself. A hit's region is left zero: a disk is
+// no interval, and dist reads it from objs. The R-tree bound uses bounding
+// boxes (a valid upper bound on the minimal circle far point); candidate
+// circles then tighten f_min exactly before the near-point prune, which
+// compacts the rough window hits in place. The order is not by ID: the Basic baseline
 // multiplies its survival factors in candidate order, and that order is
 // what its recorded answers were computed in. The 2-D engine answers C-PNN
 // and PNN only, so it filters at k = 1; a deeper filter waits for a 2-D
 // k-NN caller.
-func (s *source2D) candidates(q geom.Point, k int, buf []int) ([]int, float64) {
+func (s *source2D) candidates(q geom.Point, k int, buf []filter.Hit) ([]filter.Hit, float64) {
 	if k != 1 {
 		panic(fmt.Sprintf("core: 2-D filter at k = %d; only k = 1 is supported", k))
 	}
@@ -99,27 +101,27 @@ func (s *source2D) candidates(q geom.Point, k int, buf []int) ([]int, float64) {
 	window := geom.Rect{MinX: q.X - fBox, MinY: q.Y - fBox, MaxX: q.X + fBox, MaxY: q.Y + fBox}
 	n := len(buf)
 	s.tree.Search(window, func(_ geom.Rect, idx int) bool {
-		buf = append(buf, idx)
+		buf = append(buf, filter.Hit{ID: idx})
 		return true
 	})
 	rough := buf[n:]
 	fMin := math.Inf(1)
-	for _, idx := range rough {
-		if f := s.objs[idx].Region.MaxDist(q); f < fMin {
+	for _, h := range rough {
+		if f := s.objs[h.ID].Region.MaxDist(q); f < fMin {
 			fMin = f
 		}
 	}
 	cands := rough[:0]
-	for _, idx := range rough {
-		if s.objs[idx].Region.MinDist(q) <= fMin {
-			cands = append(cands, idx)
+	for _, h := range rough {
+		if s.objs[h.ID].Region.MinDist(q) <= fMin {
+			cands = append(cands, h)
 		}
 	}
 	return buf[:n+len(cands)], fMin
 }
 
-func (s *source2D) id(pos int) int { return s.objs[pos].ID }
+func (s *source2D) id(h filter.Hit) int { return s.objs[h.ID].ID }
 
-func (s *source2D) dist(pos int, q geom.Point, bins int, a *pdf.Alloc) (*pdf.Histogram, error) {
-	return dist.FromCircleIn(a, s.objs[pos].Region, q, bins)
+func (s *source2D) dist(h filter.Hit, q geom.Point, bins int, a *pdf.Alloc) (*pdf.Histogram, error) {
+	return dist.FromCircleIn(a, s.objs[h.ID].Region, q, bins)
 }

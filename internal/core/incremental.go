@@ -72,7 +72,7 @@ const foldEntryOverhead = 64
 // EvalState is the persistent evaluation state of one standing query: what
 // its next evaluation reads back. That is the last candidate set with each
 // candidate's derived distance pdf (keyed by stable ID), the last critical
-// distance and the object attaining it, and the filter replay's scratch. The
+// distance and the object attaining it, and the filter's ID scratch. The
 // subregion table is not kept: each evaluation rebuilds it from the folds on
 // a pooled scratch. A state is owned by a single query — evaluations against
 // different query points or specs must not share one — and is not safe for
@@ -94,7 +94,7 @@ type EvalState struct {
 	folds     map[uint64]*cachedFold
 	foldBytes int
 
-	replayIDs []int // filter-replay scratch, reused across evaluations
+	replayIDs []int // filter scratch: the last filter's candidate IDs, reused across evaluations
 }
 
 // NewEvalState returns an empty evaluation state.
@@ -114,7 +114,7 @@ func (st *EvalState) Valid() bool { return st.valid }
 func (st *EvalState) Invalidate() { st.valid = false }
 
 // MemBytes returns the approximate heap footprint of the state: cached folds
-// and the filter-replay scratch. The monitor accounts this against its
+// and the filter's ID scratch. The monitor accounts this against its
 // configured state-cache cap.
 func (st *EvalState) MemBytes() int {
 	return st.foldBytes + len(st.folds)*foldEntryOverhead + 8*cap(st.replayIDs)
@@ -306,25 +306,39 @@ func (e *Engine) replayFilter(q float64, st *EvalState, ids []uint64, changed ma
 // evaluation at filter depth k. For k = 1 — by cache replay when the state
 // supports it, else through the R-tree — it also returns the stable ID
 // attaining the critical distance (known whenever ok; the tree path recovers
-// it from the candidate set, where the attaining object always appears since
-// its near point cannot exceed its far point). For k > 1 the bound is f_k,
-// which is not a far-point minimum: there is no witness to follow, so no
-// replay either.
-func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64, changed map[uint64]int) (filter.Result, uint64, bool) {
+// it from the hits' regions, where the attaining object always appears
+// since its near point cannot exceed its far point). For k > 1 the bound is
+// f_k, which is not a far-point minimum: there is no witness to follow, so
+// no replay either. The tree paths filter into sc's hit list and list the
+// IDs in the state's filter scratch, which the result's IDs alias.
+func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64, changed map[uint64]int, sc *queryScratch) (filter.Result, uint64, bool) {
 	if k > 1 {
-		cands, fk := e.candidates(q, k, nil)
-		return filter.Result{IDs: cands, FMin: fk}, 0, false
+		hits, fk := e.candidates(q, k, sc.hits[:0])
+		sc.hits = hits
+		return filter.Result{IDs: st.hitIDs(hits), FMin: fk}, 0, false
 	}
 	if fr, fs, ok := e.replayFilter(q, st, ids, changed); ok {
 		return fr, fs, true
 	}
-	fr := e.ix.Candidates(q)
-	for _, d := range fr.IDs {
-		if e.ds.Region(d).MaxDist(q) == fr.FMin {
-			return fr, ids[d], true
+	hits, fMin := e.ix.AppendCandidates(sc.hits[:0], q)
+	sc.hits = hits
+	fr := filter.Result{IDs: st.hitIDs(hits), FMin: fMin}
+	for _, h := range hits {
+		if h.Region.MaxDist(q) == fMin {
+			return fr, ids[h.ID], true
 		}
 	}
 	return fr, 0, false
+}
+
+// hitIDs lists the hits' IDs in the state's filter scratch and returns them.
+func (st *EvalState) hitIDs(hits []filter.Hit) []int {
+	out := st.replayIDs[:0]
+	for _, h := range hits {
+		out = append(out, h.ID)
+	}
+	st.replayIDs = out
+	return out
 }
 
 // cacheFold derives the distance pdf of the object in dense slot d (stable
@@ -333,7 +347,8 @@ func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64
 // reset, so the arena is never used here. A failed derivation invalidates the
 // state.
 func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, inc *IncrementalStats) (*cachedFold, error) {
-	h, err := e.dist(d, q, bins, nil)
+	region := e.ds.Region(d)
+	h, err := e.dist(filter.Hit{ID: d, Region: region}, q, bins, nil)
 	if err != nil {
 		st.Invalidate()
 		return nil, err
@@ -346,7 +361,7 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 		st.foldBytes -= cf.h.MemBytes()
 	}
 	cf.h, cf.gen, cf.dense = h, st.gen, d
-	cf.near = e.ds.Region(d).MinDist(q)
+	cf.near = region.MinDist(q)
 	st.foldBytes += h.MemBytes()
 	inc.Derived++
 	return cf, nil
@@ -363,17 +378,20 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 // timings, set sizes and the critical distance land in stats.
 func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) (*queryScratch, error) {
 	start := time.Now()
-	fr, fminStable, fminKnown := e.incrementalFilter(q, k, st, ids, changed)
+	sc := borrow()
+	fr, fminStable, fminKnown := e.incrementalFilter(q, k, st, ids, changed, sc)
 	stats.FilterTime = time.Since(start)
 	stats.Candidates = len(fr.IDs)
 	stats.FMin = fr.FMin
 
 	if st.skipCheck(fr.FMin, fr.IDs, ids, changed) {
 		inc.Skipped = true
+		sc.park()
 		return nil, nil
 	}
 	if len(fr.IDs) == 0 {
 		st.clear(fr.FMin)
+		sc.park()
 		return nil, nil
 	}
 
@@ -384,7 +402,6 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids [
 	// keeps its cached fold (marked with this generation), every other one is
 	// derived. Folds left off-generation have departed and are evicted; the
 	// table is then rebuilt once on the scratch.
-	sc := borrow()
 	cands := slices.Grow(sc.cands[:0], len(fr.IDs))
 	for _, d := range fr.IDs {
 		s := ids[d]

@@ -216,7 +216,7 @@ func TestFinishOrderMatchesSort(t *testing.T) {
 		pos, _ := eng2.source2D.candidates(q, 1, nil)
 		candIDs := make([]int, len(pos))
 		for i, p := range pos {
-			candIDs[i] = objs[p].ID
+			candIDs[i] = objs[p.ID].ID
 		}
 		if !slices.IsSorted(candIDs) {
 			unsorted++

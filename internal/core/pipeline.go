@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/pdf"
 	"repro/internal/subregion"
 	"repro/internal/verify"
@@ -12,14 +13,16 @@ import (
 
 // source is everything the pipeline needs to know about a dataset: how to
 // reject a bad query point, which objects survive the filter at depth k (as
-// positions in the source's own numbering, appended to buf, with the
-// filtering bound f_k, the k-th smallest far point: f_min at k = 1), the
-// external ID of a position, and the distance pdf of one object from the
-// query point. The candidate order must be a function of the query alone;
-// answers are listed by ID whatever it is (the table's IDRank, cpnnBasic's
-// ranks). The 1-D source lists dense IDs ascending, which makes both of
-// those O(n); the 2-D source lists R-tree order, which the Basic baseline's
-// recorded products were computed in.
+// hits appended to buf, with the filtering bound f_k, the k-th smallest far
+// point: f_min at k = 1), the external ID of a hit, and the distance pdf of
+// the object a hit names from the query point. A hit's ID is a position in
+// the source's own numbering; the 1-D source's hits also carry the region
+// the filter tested, from which it folds a uniform object without loading
+// the object or its pdf. The candidate order must be a function of the
+// query alone; answers are listed by ID whatever it is (the table's IDRank,
+// cpnnBasic's ranks). The 1-D source lists dense IDs ascending, which makes
+// both of those O(n); the 2-D source lists R-tree order, which the Basic
+// baseline's recorded products were computed in.
 // Past derivation every stage works on distance distributions alone, which
 // is why one pipeline serves any dimension (the paper's §IV-A note).
 //
@@ -27,9 +30,9 @@ import (
 // (id, dist) — never from inside a fold, a verifier or a refinement loop.
 type source[Q any] interface {
 	check(q Q) error
-	candidates(q Q, k int, buf []int) (pos []int, cut float64)
-	id(pos int) int
-	dist(pos int, q Q, bins int, a *pdf.Alloc) (*pdf.Histogram, error)
+	candidates(q Q, k int, buf []filter.Hit) (hits []filter.Hit, cut float64)
+	id(h filter.Hit) int
+	dist(h filter.Hit, q Q, bins int, a *pdf.Alloc) (*pdf.Histogram, error)
 }
 
 // pipeline is the paper's evaluation sequence — filter, derive, subregion
@@ -95,23 +98,23 @@ func (p *pipeline[Q]) PNN(q Q, opt Options) ([]Probability, Stats, error) {
 // prepare runs the phases every stateless query starts with: filter and
 // derive at depth k (1 for C-PNN and PNN, the neighbor count for k-NN) and —
 // unless the strategy integrates candidates directly — the subregion table
-// cut for k, built in place over the scratch's — the candidate positions
-// land on the scratch too — with phase timings (the
-// table's own inside InitTime) and set sizes recorded in st. An empty
-// candidate set returns nil candidates and a nil table.
+// cut for k, built in place over the scratch's — the filter's hits land on
+// the scratch too — with phase timings (the table's own inside InitTime)
+// and set sizes recorded in st. An empty candidate set returns nil
+// candidates and a nil table.
 func (p *pipeline[Q]) prepare(q Q, k, bins int, buildTable bool, sc *queryScratch, st *Stats) ([]subregion.Candidate, *subregion.Table, error) {
 	start := time.Now()
-	pos, cut := p.src.candidates(q, k, sc.pos[:0])
-	sc.pos = pos
+	hits, cut := p.src.candidates(q, k, sc.hits[:0])
+	sc.hits = hits
 	st.FilterTime = time.Since(start)
-	st.Candidates = len(pos)
+	st.Candidates = len(hits)
 	st.FMin = cut
-	if len(pos) == 0 {
+	if len(hits) == 0 {
 		return nil, nil, nil
 	}
 
 	start = time.Now()
-	cands, err := p.derive(sc, pos, q, bins)
+	cands, err := p.derive(sc, hits, q, bins)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,16 +132,16 @@ func (p *pipeline[Q]) prepare(q Q, k, bins int, buildTable bool, sc *queryScratc
 	return cands, table, nil
 }
 
-// derive derives the distance pdf of every filtered position, in order and
-// in-line, into the scratch's candidate buffer and fold arena (the 1-D
-// source memoizes discretization). The first failing candidate stops the
-// derivation and names itself in the error.
-func (p *pipeline[Q]) derive(sc *queryScratch, pos []int, q Q, bins int) ([]subregion.Candidate, error) {
+// derive derives the distance pdf of every hit, in order and in-line, into
+// the scratch's candidate buffer and fold arena (the 1-D source folds a
+// uniform hit from its region and memoizes discretization). The first
+// failing candidate stops the derivation and names itself in the error.
+func (p *pipeline[Q]) derive(sc *queryScratch, hits []filter.Hit, q Q, bins int) ([]subregion.Candidate, error) {
 	sc.arena.Reset()
-	cands := slices.Grow(sc.cands[:0], len(pos))
-	for _, d := range pos {
-		id := p.src.id(d)
-		h, err := p.src.dist(d, q, bins, &sc.arena)
+	cands := slices.Grow(sc.cands[:0], len(hits))
+	for _, hit := range hits {
+		id := p.src.id(hit)
+		h, err := p.src.dist(hit, q, bins, &sc.arena)
 		if err != nil {
 			return nil, fmt.Errorf("core: object %d: %w", id, err)
 		}

@@ -157,11 +157,11 @@ func TestVerifierBoundsBracketExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := 10 + rng.Float64()*100
-		fr := eng.ix.Candidates(q)
-		if len(fr.IDs) == 0 {
+		hits, _ := eng.ix.AppendCandidates(nil, q)
+		if len(hits) == 0 {
 			continue
 		}
-		cands, err := eng.derive(new(queryScratch), fr.IDs, q, 0)
+		cands, err := eng.derive(new(queryScratch), hits, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

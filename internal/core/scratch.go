@@ -3,24 +3,25 @@ package core
 import (
 	"sync"
 
+	"repro/internal/filter"
 	"repro/internal/pdf"
 	"repro/internal/subregion"
 )
 
 // queryScratch is the evaluation scratch every query runs on, stateless or
-// standing: the candidate ID list, candidate buffer, subregion table and
+// standing: the filter's hit list, candidate buffer, subregion table and
 // fold arena are recycled across queries, eliminating the per-query matrix
 // and filter allocations that would otherwise dominate a C-PNN call's
 // allocation profile. Every query borrows one from scratchPool.
 type queryScratch struct {
-	pos   []int
+	hits  []filter.Hit
 	cands []subregion.Candidate
 	table subregion.Table
 	arena pdf.Alloc
-	// warmPos, warmCands and warmTable are the buffers the current query
+	// warmHits, warmCands and warmTable are the buffers the current query
 	// found — what the last release left, within scratchCap — which release
 	// restores should the query leave the scratch over scratchCap.
-	warmPos   []int
+	warmHits  []filter.Hit
 	warmCands []subregion.Candidate
 	warmTable subregion.Table
 }
@@ -53,8 +54,8 @@ func (sc *queryScratch) park() {
 // release readies the scratch to sit idle: it clears what the scratch still
 // references of its last query — the candidate set's distance pdfs — and
 // keeps every buffer's capacity for the next. A query that left the
-// scratch over scratchCap keeps nothing it grew: the candidate ID list,
-// candidate buffer and table go back to the ones it found, which were within the cap, and the
+// scratch over scratchCap keeps nothing it grew: the hit list, candidate
+// buffer and table go back to the ones it found, which were within the cap, and the
 // fold arena is dropped (it regrows in a few geometric steps). What is left
 // is within the cap, so it is what the next query finds. Results never
 // alias scratch memory (collect copies), so releasing after a query returns
@@ -64,14 +65,14 @@ func (sc *queryScratch) release() {
 	sc.table.DropCandidates()
 	sc.arena.Release()
 	if sc.memBytes() > scratchCap {
-		sc.pos, sc.cands, sc.table, sc.arena = sc.warmPos, sc.warmCands, sc.warmTable, pdf.Alloc{}
+		sc.hits, sc.cands, sc.table, sc.arena = sc.warmHits, sc.warmCands, sc.warmTable, pdf.Alloc{}
 	}
-	sc.warmPos, sc.warmCands, sc.warmTable = sc.pos, sc.cands, sc.table
+	sc.warmHits, sc.warmCands, sc.warmTable = sc.hits, sc.cands, sc.table
 }
 
 // memBytes returns the approximate heap footprint the scratch retains
-// between queries: subregion table, candidate ID list, candidate buffer and
-// fold arena.
+// between queries: subregion table, hit list, candidate buffer and fold
+// arena.
 func (sc *queryScratch) memBytes() int {
-	return sc.table.MemBytes() + 8*cap(sc.pos) + 16*cap(sc.cands) + sc.arena.MemBytes()
+	return sc.table.MemBytes() + 24*cap(sc.hits) + 16*cap(sc.cands) + sc.arena.MemBytes()
 }

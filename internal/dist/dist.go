@@ -64,7 +64,7 @@ func FromPDFIn(a *pdf.Alloc, p pdf.PDF, q float64) (*pdf.Histogram, error) {
 	}
 	switch v := p.(type) {
 	case pdf.Uniform:
-		return fromUniform(a, v, q)
+		return fromUniform(a, v.Support(), q)
 	case *pdf.Histogram:
 		return FoldHistogramIn(a, v, q)
 	default:
@@ -76,13 +76,24 @@ func FromPDFIn(a *pdf.Alloc, p pdf.PDF, q float64) (*pdf.Histogram, error) {
 	}
 }
 
-// fromUniform is the closed-form distance pdf of a uniform attribute. With
-// support [lo, hi] of length L and q inside it, the distance density is 2/L
-// on [0, a] (both arms contribute) and 1/L on (a, b], where a and b are the
-// nearer and farther region endpoints' distances; with q outside, the
-// distance is simply uniform over [near, far].
-func fromUniform(al *pdf.Alloc, u pdf.Uniform, q float64) (*pdf.Histogram, error) {
-	iv := u.Support()
+// FromUniformIn is the distance pdf of an attribute uniform over iv, drawn
+// from the arena (nil means the heap): bit for bit what FromPDFIn returns for
+// a pdf.Uniform with support iv, for a caller that holds the region but not
+// the pdf — the 1-D engine folds a uniform candidate straight from its index
+// leaf. iv must be a valid uniform support, Lo < Hi.
+func FromUniformIn(a *pdf.Alloc, iv geom.Interval, q float64) (*pdf.Histogram, error) {
+	if !isFinite(q) {
+		return nil, fmt.Errorf("dist: non-finite query point %g", q)
+	}
+	return fromUniform(a, iv, q)
+}
+
+// fromUniform is the closed-form distance pdf of an attribute uniform over
+// iv. With support [lo, hi] of length L and q inside it, the distance
+// density is 2/L on [0, a] (both arms contribute) and 1/L on (a, b], where a
+// and b are the nearer and farther region endpoints' distances; with q
+// outside, the distance is simply uniform over [near, far].
+func fromUniform(al *pdf.Alloc, iv geom.Interval, q float64) (*pdf.Histogram, error) {
 	if q <= iv.Lo || q >= iv.Hi {
 		near, far := iv.MinDist(q), iv.MaxDist(q)
 		return al.NewHistogram([]float64{near, far}, []float64{1})

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -223,9 +224,9 @@ func TestWithinMatchesLinearAtUlpEdges(t *testing.T) {
 }
 
 // TestAppendWithinNoAlloc: AppendWithin and AppendCandidates append exactly
-// Within's and Candidates' IDs after whatever dst already holds, on the
-// R-tree and on the scan index, and appending into a buffer with room
-// allocates nothing — a query filters into its scratch's ID list (not
+// Within's and Candidates' IDs, as hits, after whatever dst already holds,
+// on the R-tree and on the scan index, and appending into a buffer with room
+// allocates nothing — a query filters into its scratch's hit list (not
 // checked under -race, whose instrumentation moves the tree search's
 // closure to the heap).
 func TestAppendWithinNoAlloc(t *testing.T) {
@@ -240,19 +241,19 @@ func TestAppendWithinNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := []int{-7, 1 << 40, 3}
+	prefix := []Hit{{ID: -7}, {ID: 1 << 40, Region: geom.Interval{Lo: 1, Hi: 2}}, {ID: 3}}
 	for _, ix := range []struct {
 		name string
 		*Index
 	}{{"tree", tree}, {"scan", NewScan(ds)}} {
-		buf := make([]int, 0, len(prefix)+ds.Len())
+		buf := make([]Hit, 0, len(prefix)+ds.Len())
 		for trial := 0; trial < 50; trial++ {
 			q := rng.Float64()*1100 - 50
 			fr := ix.Candidates(q)
-			got := ix.AppendCandidates(append(buf[:0], prefix...), q)
-			if !slices.Equal(got.IDs[:len(prefix)], prefix) || !slices.Equal(got.IDs[len(prefix):], fr.IDs) ||
-				math.Float64bits(got.FMin) != math.Float64bits(fr.FMin) {
-				t.Fatalf("%s q=%g: AppendCandidates %+v, want %v then %+v", ix.name, q, got, prefix, fr)
+			got, fMin := ix.AppendCandidates(append(buf[:0], prefix...), q)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(hitIDs(got[len(prefix):]), fr.IDs) ||
+				math.Float64bits(fMin) != math.Float64bits(fr.FMin) {
+				t.Fatalf("%s q=%g: AppendCandidates %+v (f_min %g), want %v then %+v", ix.name, q, got, fMin, prefix, fr)
 			}
 			for _, bound := range []float64{0, fr.FMin, rng.Float64() * 40} {
 				want := ix.Within(q, bound)
@@ -260,7 +261,7 @@ func TestAppendWithinNoAlloc(t *testing.T) {
 					t.Fatalf("%s q=%g bound=%g: Within %v not ascending", ix.name, q, bound, want)
 				}
 				got := ix.AppendWithin(append(buf[:0], prefix...), q, bound)
-				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(hitIDs(got[len(prefix):]), want) {
 					t.Fatalf("%s q=%g bound=%g: AppendWithin %v, want %v then %v", ix.name, q, bound, got, prefix, want)
 				}
 			}
@@ -269,10 +270,42 @@ func TestAppendWithinNoAlloc(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(20, func() {
 				buf = ix.AppendWithin(buf[:1], q, fr.FMin+5)
-				buf = ix.AppendCandidates(buf[:0], q).IDs
+				buf, _ = ix.AppendCandidates(buf[:0], q)
 			})
 			if allocs != 0 {
 				t.Fatalf("%s q=%g: appending into a buffer with room allocates %g objects, want 0", ix.name, q, allocs)
+			}
+		}
+	}
+}
+
+// TestSortHits: sortHits orders hits by ID as a sort of the IDs does, and
+// keeps each hit's region with its ID, on the input shapes that defeat a
+// naive quicksort (sorted, reversed, organ-pipe, all equal, few distinct)
+// as well as random ones, at sizes around the insertion-sort cutoff and
+// well past it.
+func TestSortHits(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	shapes := map[string]func(i, n int) int{
+		"random":     func(_, _ int) int { return rng.Intn(1 << 30) },
+		"sorted":     func(i, _ int) int { return i },
+		"reversed":   func(i, n int) int { return n - i },
+		"organ-pipe": func(i, n int) int { return min(i, n-i) },
+		"equal":      func(_, _ int) int { return 7 },
+		"few":        func(_, _ int) int { return rng.Intn(4) },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{0, 1, 2, 3, 11, 12, 13, 40, 257, 3000} {
+			h := make([]Hit, n)
+			for i := range h {
+				id := shape(i, n)
+				h[i] = Hit{ID: id, Region: geom.Interval{Lo: float64(id), Hi: float64(id) + 1}}
+			}
+			want := slices.Clone(h)
+			slices.SortStableFunc(want, func(a, b Hit) int { return a.ID - b.ID })
+			sortHits(h)
+			if !slices.Equal(h, want) {
+				t.Fatalf("%s n=%d: sortHits disagrees with a stable sort by ID", name, n)
 			}
 		}
 	}

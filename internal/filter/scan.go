@@ -29,10 +29,10 @@ func (ix *Index) scanFar(i int, q geom.Point) float64 {
 	return geom.RectFromInterval(ix.ds.Region(i)).MaxDist(q)
 }
 
-func (ix *Index) scanCandidates(dst []int, q float64) Result {
+func (ix *Index) scanCandidates(dst []Hit, q float64) ([]Hit, float64) {
 	n := ix.ds.Len()
 	if n == 0 {
-		return Result{IDs: dst}
+		return dst, 0
 	}
 	qp := geom.Point{X: q, Y: 0}
 	fMin := math.Inf(1)
@@ -41,18 +41,18 @@ func (ix *Index) scanCandidates(dst []int, q float64) Result {
 			fMin = d
 		}
 	}
-	return Result{IDs: ix.scanWithin(dst, q, fMin), FMin: fMin}
+	return ix.scanWithin(dst, q, fMin), fMin
 }
 
-func (ix *Index) scanWithin(dst []int, q, bound float64) []int {
+func (ix *Index) scanWithin(dst []Hit, q, bound float64) []Hit {
 	n0 := len(dst)
 	for i, n := 0, ix.ds.Len(); i < n; i++ {
-		if ix.ds.Region(i).MinDist(q) <= bound {
+		if iv := ix.ds.Region(i); iv.MinDist(q) <= bound {
 			if len(dst) == n0 {
 				// A filtered set is mostly candidates: size for the rest of it.
 				dst = slices.Grow(dst, n-i)
 			}
-			dst = append(dst, i)
+			dst = append(dst, Hit{ID: i, Region: iv})
 		}
 	}
 	return dst

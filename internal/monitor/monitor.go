@@ -59,7 +59,7 @@ var ErrUnknownMonitor = errors.New("monitor: unknown monitor id")
 const DefaultMaxMonitors = 65536
 
 // DefaultMaxStateBytes caps the memory retained by per-query evaluation
-// states (cached distance pdfs and the filter replay's scratch) when
+// states (cached distance pdfs and the filter's ID scratch) when
 // Config.MaxStateBytes is zero.
 const DefaultMaxStateBytes = 64 << 20
 

@@ -127,8 +127,10 @@ func gatherView(v *store.View, q, bound float64) []Item {
 			items = append(items, Item{ID: v.IDs[slot], PDF: o.PDF})
 		}
 	} else {
-		for _, slot := range v.Index.Within(q, bound) {
-			items = append(items, Item{ID: v.IDs[slot], PDF: v.Dataset.Object(slot).PDF})
+		hits := v.Index.AppendWithin(nil, q, bound)
+		items = make([]Item, len(hits))
+		for i, h := range hits {
+			items[i] = Item{ID: v.IDs[h.ID], PDF: v.Dataset.Object(h.ID).PDF}
 		}
 	}
 	slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.ID, b.ID) })

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/oracle"
 	"repro/internal/pdf"
+	"repro/internal/uncertain"
 )
 
 // TestRandomOpsAgainstModel drives a store with seeded random op sequences
@@ -130,5 +132,86 @@ func TestIncrementalIndexMatchesBulkRebuild(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestHitRegionsMatchDataset: every hit a filter index hands back carries
+// exactly its object's region. The 1-D engine folds a uniform candidate
+// from that region alone, so a stale leaf rectangle would silently give a
+// wrong probability. It holds for the index a store view carries through a
+// few hundred commits by Index.Apply, and for NewIndex and NewScan over a
+// materialized copy of the final view. The view's Source-backed dataset
+// marks no object uniform — the engine never trusts a region in place of a
+// pdf it would have to fault in — while the copy marks exactly its
+// pdf.Uniform objects.
+func TestHitRegionsMatchDataset(t *testing.T) {
+	check := func(what string, ix *filter.Index, q float64) {
+		t.Helper()
+		ds := ix.Dataset()
+		hits, fMin := ix.AppendCandidates(nil, q)
+		if len(hits) == 0 {
+			t.Fatalf("%s q=%g: no candidates over %d objects", what, q, ds.Len())
+		}
+		// A ball wider than the candidate set reaches past f_min's leaves.
+		hits = ix.AppendWithin(hits, q, 4*fMin+1)
+		for _, h := range hits {
+			if want := ds.Region(h.ID); h.Region != want {
+				t.Fatalf("%s q=%g: hit %d region %+v, dataset %+v", what, q, h.ID, h.Region, want)
+			}
+		}
+	}
+	s, _ := openTemp(t, Options{NoSync: true})
+	defer s.Close()
+	sc := newOpScript(43)
+	rng := rand.New(rand.NewSource(43))
+	load := make([]Op, 400)
+	for i := range load {
+		load[i] = InsertObject(sc.randomPDF())
+		sc.live = append(sc.live, sc.nextID)
+		sc.nextID++
+	}
+	if _, err := s.Apply(load); err != nil {
+		t.Fatal(err)
+	}
+	for commit := 0; commit < 300; commit++ {
+		if _, err := s.Apply(sc.batch(4)); err != nil {
+			t.Fatalf("commit %d: %v", commit, err)
+		}
+		v := s.View()
+		dom := v.Dataset.Domain()
+		check(fmt.Sprintf("view after commit %d", commit), v.Index, dom.Lo+rng.Float64()*dom.Length())
+	}
+
+	v := s.View()
+	pdfs := make([]pdf.PDF, v.Dataset.Len())
+	uniforms := 0
+	for i := range pdfs {
+		pdfs[i] = v.Dataset.Object(i).PDF
+		if v.Dataset.Uniform(i) {
+			t.Fatalf("Source-backed view marks object %d uniform", i)
+		}
+	}
+	mat := uncertain.NewDataset(pdfs)
+	for i, p := range pdfs {
+		_, isUniform := p.(pdf.Uniform)
+		if mat.Uniform(i) != isUniform {
+			t.Fatalf("object %d (%T) marked uniform = %v", i, p, mat.Uniform(i))
+		}
+		if isUniform {
+			uniforms++
+		}
+	}
+	if uniforms == 0 || uniforms == len(pdfs) {
+		t.Fatalf("%d of %d objects uniform: the mix exercises only one derivation", uniforms, len(pdfs))
+	}
+	tree, err := filter.NewIndex(mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := mat.Domain()
+	for probe := 0; probe < 50; probe++ {
+		q := dom.Lo + rng.Float64()*dom.Length()
+		check("NewIndex", tree, q)
+		check("NewScan", filter.NewScan(mat), q)
 	}
 }

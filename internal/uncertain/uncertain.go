@@ -49,16 +49,23 @@ type Source interface {
 // 0..Len()-1, either fully materialized or backed by a Source.
 type Dataset struct {
 	objects []Object
+	// uniform has bit i set when object i's pdf is a pdf.Uniform: its
+	// region alone then fixes its distance pdf. nil when backed by a Source.
+	uniform []uint64
 	src     Source // nil when materialized
 }
 
 // NewDataset builds a dataset from pdfs, assigning sequential IDs.
 func NewDataset(pdfs []pdf.PDF) *Dataset {
 	objs := make([]Object, len(pdfs))
+	uniform := make([]uint64, (len(pdfs)+63)/64)
 	for i, p := range pdfs {
 		objs[i] = Object{ID: i, PDF: p}
+		if _, ok := p.(pdf.Uniform); ok {
+			uniform[i/64] |= 1 << (i % 64)
+		}
 	}
-	return &Dataset{objects: objs}
+	return &Dataset{objects: objs, uniform: uniform}
 }
 
 // NewBackedDataset wraps a Source as a dataset. Objects are assembled on
@@ -81,6 +88,16 @@ func (d *Dataset) Object(id int) Object {
 		return Object{ID: id, PDF: d.src.PDF(id)}
 	}
 	return d.objects[id]
+}
+
+// Uniform reports whether the object with the given ID has a pdf.Uniform
+// pdf, so that its uncertainty region alone determines its distance pdf
+// (dist.FromUniformIn). The flags are fixed when a materialized dataset is
+// built, from the pdfs it holds; a Source-backed dataset reports false for
+// every object, since telling would fault the payload in.
+func (d *Dataset) Uniform(id int) bool {
+	u := uint(id)
+	return u/64 < uint(len(d.uniform)) && d.uniform[u/64]&(1<<(u%64)) != 0
 }
 
 // Region returns the uncertainty region of the object with the given ID
