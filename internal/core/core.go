@@ -48,9 +48,9 @@
 //   - Engine2D (Q = geom.Point) adds source2D — disks, a bounding-box R-tree,
 //     the lens-area reduction — and nothing else.
 //
-// A candidate is therefore filtered in one place (source.candidates, or
-// incrementalFilter for a stateful query), derived in one (pipeline.derive /
-// Engine.cacheFold, both through source.dist) and classified in one
+// A candidate is therefore filtered in one place (source.candidates, for a
+// stateful query too), derived in one (pipeline.derive / Engine.cacheFold,
+// both through source.dist) and classified in one
 // (finishVerifyRefine, or refine.ExactAll under exactAll and knnClassify,
 // each called by the pipeline and by its incremental counterpart; cpnnBasic,
 // the Basic baseline, by the pipeline alone). A per-candidate explanation — which verifier or refinement

@@ -247,11 +247,11 @@ func digestKNN(t *testing.T, e *Engine, qs []float64) string {
 }
 
 // digestIncremental hashes the incremental entry points along a scripted
-// 20-step change sequence (inserts, swap-into-hole deletes and replacements,
-// with and without slot hints) over a 60-object world of the flavour, a
-// fresh engine per step as the monitor sees one per view. CPNNIncremental
-// goes into the first sum, PNNIncremental into the second and both
-// KNNIncremental streams into the third.
+// 20-step change sequence (inserts, swap-into-hole deletes and replacements)
+// over a 60-object world of the flavour, a fresh engine per step as the
+// monitor sees one per view. CPNNIncremental goes into the first sum,
+// PNNIncremental into the second and both KNNIncremental streams into the
+// third.
 func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -269,11 +269,12 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 	for i := 0; i < 60; i++ {
 		insert()
 	}
-	hint := func(slot int) int {
-		if rng.Intn(2) == 0 {
-			return SlotUnknown
-		}
-		return slot
+	// draw consumes the coin each insert and update once tossed for a
+	// dense-slot hint, so the op sequences — and the constants — stay as
+	// recorded. The changed set's values are unread.
+	draw := func() int {
+		rng.Intn(2)
+		return 0
 	}
 	c := verify.Constraint{P: 0.25, Delta: 0.01}
 	qC, qP, qK := rng.Float64()*span, rng.Float64()*span, rng.Float64()*span
@@ -286,18 +287,18 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 			for op := 0; op <= step%3; op++ {
 				switch rng.Intn(4) {
 				case 0:
-					changed[insert()] = hint(len(slots) - 1)
+					changed[insert()] = draw()
 				case 1:
 					slot := rng.Intn(len(slots))
 					id, last := slots[slot], len(slots)-1
 					slots[slot] = slots[last]
 					slots = slots[:last]
 					delete(objs, id)
-					changed[id] = SlotDeleted
+					changed[id] = 0
 				default:
 					slot := rng.Intn(len(slots))
 					objs[slots[slot]] = digestPDF(t, flavour, rng, span)
-					changed[slots[slot]] = hint(slot)
+					changed[slots[slot]] = draw()
 				}
 			}
 		}
@@ -330,7 +331,7 @@ func digestIncremental(t *testing.T, flavour string, seed int64) (cpnn, pnn, knn
 		}
 		dk.knn(as, st)
 		dk.inc(inc)
-		// K = 1 filters like a C-PNN (R-tree or cache replay), deeper K by the
+		// K = 1 filters like a C-PNN (Index.AppendCandidates), deeper K by the
 		// f_k walk.
 		as, st, inc, err = e.KNNIncremental(qC, c, KNNOptions{K: 1}, stK1, ids, changed)
 		if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/filter"
@@ -20,6 +19,8 @@ import (
 // re-evaluation the set of stable IDs the triggering commits actually
 // changed.
 //
+// Every evaluation filters exactly as a stateless query does — f_min (f_k)
+// and the candidate set over the index — and only then consults the state.
 // Two paths apply, in order:
 //
 //  1. Early exit — when the recomputed critical distance equals the cached
@@ -39,30 +40,12 @@ import (
 // tie-break in Rebuild, proven by FuzzBuild), and verification/refinement
 // are deterministic over the table.
 
-// Dense-slot hints carried in a changed-ID map. A non-negative value is the
-// object's dense dataset slot as of the commit that changed it — a
-// best-effort accelerator which incremental evaluation validates against the
-// current view before trusting (later commits may have re-slotted the
-// object). The two sentinels are authoritative where hints are not:
-// SlotDeleted asserts the object is gone from the view, SlotUnknown asserts
-// nothing.
-const (
-	SlotUnknown = -1
-	SlotDeleted = -2
-)
-
 // cachedFold is one retained candidate derivation: the object's discretized
 // distance pdf for the state's query point, heap-allocated so it survives
-// arena resets, plus the dense slot it occupied at the last evaluation (the
-// filter replay's first guess at where the object sits in the current view)
-// and the near-point distance of the object's region from the query (regions
-// of unchanged objects hold still, so the cached value feeds the filter
-// replay's survival test).
+// arena resets, and the evaluation generation that last used it.
 type cachedFold struct {
-	h     *pdf.Histogram
-	gen   uint64
-	dense int
-	near  float64
+	h   *pdf.Histogram
+	gen uint64
 }
 
 // foldEntryOverhead approximates the map-entry plus struct overhead of one
@@ -71,9 +54,9 @@ const foldEntryOverhead = 64
 
 // EvalState is the persistent evaluation state of one standing query: what
 // its next evaluation reads back. That is the last candidate set with each
-// candidate's derived distance pdf (keyed by stable ID), the last critical
-// distance and the object attaining it, and the filter's ID scratch. The
-// subregion table is not kept: each evaluation rebuilds it from the folds on
+// candidate's derived distance pdf (keyed by stable ID) and the last critical
+// distance. The filter is not cached: each evaluation filters over the index
+// like a stateless query, and rebuilds the subregion table from the folds on
 // a pooled scratch. A state is owned by a single query — evaluations against
 // different query points or specs must not share one — and is not safe for
 // concurrent use.
@@ -84,17 +67,8 @@ type EvalState struct {
 	fmin  float64 // critical distance (f_min / f_k) at that evaluation
 	gen   uint64  // bumped per evaluation; entries off-generation are evicted
 
-	// fminStable is the stable ID of an object attaining fmin at the last
-	// evaluation (valid when fminKnown). As long as that object is unchanged
-	// its far-point distance still equals fmin, which lets the filter replay
-	// recompute the critical distance from the changed set alone.
-	fminStable uint64
-	fminKnown  bool
-
 	folds     map[uint64]*cachedFold
 	foldBytes int
-
-	replayIDs []int // filter scratch: the last filter's candidate IDs, reused across evaluations
 }
 
 // NewEvalState returns an empty evaluation state.
@@ -113,11 +87,10 @@ func (st *EvalState) Valid() bool { return st.valid }
 // errors).
 func (st *EvalState) Invalidate() { st.valid = false }
 
-// MemBytes returns the approximate heap footprint of the state: cached folds
-// and the filter's ID scratch. The monitor accounts this against its
-// configured state-cache cap.
+// MemBytes returns the approximate heap footprint of the state's cached
+// folds. The monitor accounts this against its configured state-cache cap.
 func (st *EvalState) MemBytes() int {
-	return st.foldBytes + len(st.folds)*foldEntryOverhead + 8*cap(st.replayIDs)
+	return st.foldBytes + len(st.folds)*foldEntryOverhead
 }
 
 // clear resets the state to a valid empty candidate set at critical distance
@@ -129,7 +102,6 @@ func (st *EvalState) clear(fmin float64) {
 	}
 	st.foldBytes = 0
 	st.fmin = fmin
-	st.fminKnown = false
 	st.valid = true
 }
 
@@ -165,16 +137,16 @@ func (e *Engine) beginIncremental(q float64, st *EvalState, ids []uint64, change
 }
 
 // skipCheck reports whether the previous answer is provably unchanged: the
-// critical distance is bit-equal and no changed object is in the fresh
-// candidate set (dense IDs) or was in the cached one (stable IDs). Unchanged
-// objects keep their exact distances, so under these conditions the two
-// candidate sets — and every fold over them — coincide exactly.
-func (st *EvalState) skipCheck(fmin float64, denseIDs []int, ids []uint64, changed map[uint64]int) bool {
+// critical distance is bit-equal and no changed object is among the fresh
+// hits (dense IDs) or was in the cached candidate set (stable IDs).
+// Unchanged objects keep their exact distances, so under these conditions
+// the two candidate sets — and every fold over them — coincide exactly.
+func (st *EvalState) skipCheck(fmin float64, hits []filter.Hit, ids []uint64, changed map[uint64]int) bool {
 	if !st.valid || fmin != st.fmin {
 		return false
 	}
-	for _, d := range denseIDs {
-		if _, ok := changed[ids[d]]; ok {
+	for _, h := range hits {
+		if _, ok := changed[ids[h.ID]]; ok {
 			return false
 		}
 	}
@@ -186,169 +158,13 @@ func (st *EvalState) skipCheck(fmin float64, denseIDs []int, ids []uint64, chang
 	return true
 }
 
-// replayFilter recomputes the filtering phase from the state's cache and the
-// changed set alone, bypassing the R-tree — the per-evaluation cost the
-// standing-query path pays even when a commit touches a handful of objects.
-// It is sound exactly when the changed set is exhaustive over objects that
-// could matter (the monitor's influence-region invariant: an unlisted object
-// kept its region, or moved entirely outside the query's critical ball, so
-// its near point exceeds the old critical distance and its far point cannot
-// lower it):
-//
-//   - The critical distance can only shrink, to min(fmin, far(changed)),
-//     because the object that attained the old fmin is unchanged (when it is
-//     itself in the changed set the replay bails to the tree).
-//   - The new candidate set is then the cached candidates whose near point
-//     still clears the bound, plus the changed objects that do.
-//
-// Distances are computed by the same float operations as the tree path, so
-// the result — and every answer derived from it — is bit-identical. The
-// second return is the stable ID attaining the new critical distance; ok
-// reports whether the replay applied.
-func (e *Engine) replayFilter(q float64, st *EvalState, ids []uint64, changed map[uint64]int) (filter.Result, uint64, bool) {
-	if !st.valid || !st.fminKnown || len(ids) == 0 {
-		return filter.Result{}, 0, false
-	}
-	if _, ok := changed[st.fminStable]; ok {
-		return filter.Result{}, 0, false
-	}
-	// Resolve the dense slot of every changed object still in the view and of
-	// every cached candidate: commit-time hints and cached slots are validated
-	// against the view's ID map, the rest resolved in one sweep. A changed ID
-	// absent from the sweep is deleted; a cached unchanged one would mean the
-	// changed set was not exhaustive after all — bail to the tree.
-	n := len(ids)
-	slots := make(map[uint64]int, len(changed))
-	var need map[uint64]struct{}
-	miss := func(s uint64) {
-		if need == nil {
-			need = make(map[uint64]struct{})
-		}
-		need[s] = struct{}{}
-	}
-	for s, hint := range changed {
-		switch {
-		case hint == SlotDeleted:
-		case hint >= 0 && hint < n && ids[hint] == s:
-			slots[s] = hint
-		default:
-			if cf := st.folds[s]; cf != nil && cf.dense >= 0 && cf.dense < n && ids[cf.dense] == s {
-				slots[s] = cf.dense
-			} else {
-				miss(s)
-			}
-		}
-	}
-	for s, cf := range st.folds {
-		if _, ch := changed[s]; ch {
-			continue
-		}
-		if cf.dense < 0 || cf.dense >= n || ids[cf.dense] != s {
-			miss(s) // re-slotted by an unrelated delete
-		}
-	}
-	if len(need) > 0 {
-		for d, s := range ids {
-			if _, ok := need[s]; ok {
-				slots[s] = d
-				delete(need, s)
-				if len(need) == 0 {
-					break
-				}
-			}
-		}
-		for s := range need {
-			if _, ch := changed[s]; !ch {
-				return filter.Result{}, 0, false // unchanged candidate vanished
-			}
-		}
-	}
-
-	fmin, fminStable := st.fmin, st.fminStable
-	for s := range changed {
-		d, ok := slots[s]
-		if !ok {
-			continue // deleted
-		}
-		if far := e.ds.Region(d).MaxDist(q); far < fmin {
-			fmin, fminStable = far, s
-		}
-	}
-	out := st.replayIDs[:0]
-	for s, cf := range st.folds {
-		if _, ch := changed[s]; ch {
-			continue
-		}
-		if cf.near > fmin {
-			continue
-		}
-		d := cf.dense
-		if d < 0 || d >= n || ids[d] != s {
-			d = slots[s]
-		}
-		out = append(out, d)
-	}
-	for s := range changed {
-		d, ok := slots[s]
-		if !ok {
-			continue
-		}
-		if e.ds.Region(d).MinDist(q) <= fmin {
-			out = append(out, d)
-		}
-	}
-	sort.Ints(out)
-	st.replayIDs = out
-	return filter.Result{IDs: out, FMin: fmin}, fminStable, true
-}
-
-// incrementalFilter produces the filtering result for an incremental
-// evaluation at filter depth k. For k = 1 — by cache replay when the state
-// supports it, else through the R-tree — it also returns the stable ID
-// attaining the critical distance (known whenever ok; the tree path recovers
-// it from the hits' regions, where the attaining object always appears
-// since its near point cannot exceed its far point). For k > 1 the bound is
-// f_k, which is not a far-point minimum: there is no witness to follow, so
-// no replay either. The tree paths filter into sc's hit list and list the
-// IDs in the state's filter scratch, which the result's IDs alias.
-func (e *Engine) incrementalFilter(q float64, k int, st *EvalState, ids []uint64, changed map[uint64]int, sc *queryScratch) (filter.Result, uint64, bool) {
-	if k > 1 {
-		hits, fk := e.candidates(q, k, sc.hits[:0])
-		sc.hits = hits
-		return filter.Result{IDs: st.hitIDs(hits), FMin: fk}, 0, false
-	}
-	if fr, fs, ok := e.replayFilter(q, st, ids, changed); ok {
-		return fr, fs, true
-	}
-	hits, fMin := e.ix.AppendCandidates(sc.hits[:0], q)
-	sc.hits = hits
-	fr := filter.Result{IDs: st.hitIDs(hits), FMin: fMin}
-	for _, h := range hits {
-		if h.Region.MaxDist(q) == fMin {
-			return fr, ids[h.ID], true
-		}
-	}
-	return fr, 0, false
-}
-
-// hitIDs lists the hits' IDs in the state's filter scratch and returns them.
-func (st *EvalState) hitIDs(hits []filter.Hit) []int {
-	out := st.replayIDs[:0]
-	for _, h := range hits {
-		out = append(out, h.ID)
-	}
-	st.replayIDs = out
-	return out
-}
-
-// cacheFold derives the distance pdf of the object in dense slot d (stable
-// ID s) and installs it in the state's fold cache under the current
-// generation. The fold lives on the heap — cached folds outlive any arena
-// reset, so the arena is never used here. A failed derivation invalidates the
-// state.
-func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, inc *IncrementalStats) (*cachedFold, error) {
-	region := e.ds.Region(d)
-	h, err := e.dist(filter.Hit{ID: d, Region: region}, q, bins, nil)
+// cacheFold derives the distance pdf of the hit's object (stable ID s) as a
+// stateless query does — a uniform object straight from the hit's region —
+// and installs it in the state's fold cache under the current generation.
+// The fold lives on the heap — cached folds outlive any arena reset, so the
+// arena is never used here. A failed derivation invalidates the state.
+func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, hit filter.Hit, inc *IncrementalStats) (*cachedFold, error) {
+	h, err := e.dist(hit, q, bins, nil)
 	if err != nil {
 		st.Invalidate()
 		return nil, err
@@ -360,8 +176,7 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 	} else {
 		st.foldBytes -= cf.h.MemBytes()
 	}
-	cf.h, cf.gen, cf.dense = h, st.gen, d
-	cf.near = region.MinDist(q)
+	cf.h, cf.gen = h, st.gen
 	st.foldBytes += h.MemBytes()
 	inc.Derived++
 	return cf, nil
@@ -369,28 +184,30 @@ func (e *Engine) cacheFold(q float64, bins int, st *EvalState, s uint64, d int, 
 
 // incrementalPrepare runs the filter and derivation phases of an incremental
 // evaluation at filter depth k (1 for CPNN/PNN, the neighbor count for
-// k-NN): early-exit check, then fold-cache assembly on a scratch borrowed
-// from core's pool and the table rebuilt on it. It returns that scratch,
-// holding the prepared candidate set and its table, and the caller parks it
-// once the answer is collected. It returns no scratch on an error, on
-// inc.Skipped (the caller reuses its previous answer) and when
-// stats.Candidates == 0 (the answer is empty). Filter, init and table
-// timings, set sizes and the critical distance land in stats.
+// k-NN): the stateless pipeline's filter into a scratch borrowed from core's
+// pool, the early-exit check, then fold-cache assembly and the table rebuilt
+// on that scratch. It returns the scratch, holding the prepared candidate
+// set and its table, and the caller parks it once the answer is collected.
+// It returns no scratch on an error, on inc.Skipped (the caller reuses its
+// previous answer) and when stats.Candidates == 0 (the answer is empty).
+// Filter, init and table timings, set sizes and the critical distance land
+// in stats.
 func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids []uint64, changed map[uint64]int, inc *IncrementalStats, stats *Stats) (*queryScratch, error) {
 	start := time.Now()
 	sc := borrow()
-	fr, fminStable, fminKnown := e.incrementalFilter(q, k, st, ids, changed, sc)
+	hits, cut := e.candidates(q, k, sc.hits[:0])
+	sc.hits = hits
 	stats.FilterTime = time.Since(start)
-	stats.Candidates = len(fr.IDs)
-	stats.FMin = fr.FMin
+	stats.Candidates = len(hits)
+	stats.FMin = cut
 
-	if st.skipCheck(fr.FMin, fr.IDs, ids, changed) {
+	if st.skipCheck(cut, hits, ids, changed) {
 		inc.Skipped = true
 		sc.park()
 		return nil, nil
 	}
-	if len(fr.IDs) == 0 {
-		st.clear(fr.FMin)
+	if len(hits) == 0 {
+		st.clear(cut)
 		sc.park()
 		return nil, nil
 	}
@@ -402,21 +219,21 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids [
 	// keeps its cached fold (marked with this generation), every other one is
 	// derived. Folds left off-generation have departed and are evicted; the
 	// table is then rebuilt once on the scratch.
-	cands := slices.Grow(sc.cands[:0], len(fr.IDs))
-	for _, d := range fr.IDs {
-		s := ids[d]
+	cands := slices.Grow(sc.cands[:0], len(hits))
+	for _, h := range hits {
+		s := ids[h.ID]
 		cf := st.folds[s]
 		if _, isChanged := changed[s]; cf != nil && st.valid && !isChanged {
-			cf.gen, cf.dense = gen, d
+			cf.gen = gen
 			inc.Reused++
 		} else {
 			var err error
-			if cf, err = e.cacheFold(q, bins, st, s, d, inc); err != nil {
+			if cf, err = e.cacheFold(q, bins, st, s, h, inc); err != nil {
 				sc.park()
 				return nil, err
 			}
 		}
-		cands = append(cands, subregion.Candidate{ID: d, Dist: cf.h})
+		cands = append(cands, subregion.Candidate{ID: h.ID, Dist: cf.h})
 	}
 	sc.cands = cands
 	for s, cf := range st.folds {
@@ -433,8 +250,7 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids [
 	}
 	stats.Subregions = sc.table.NumSubregions()
 	stats.TableTime = time.Since(derived)
-	st.fmin = fr.FMin
-	st.fminStable, st.fminKnown = fminStable, fminKnown
+	st.fmin = cut
 	st.valid = true
 	stats.InitTime = time.Since(start)
 	return sc, nil
@@ -443,9 +259,9 @@ func (e *Engine) incrementalPrepare(q float64, bins, k int, st *EvalState, ids [
 // CPNNIncremental evaluates a constrained probabilistic nearest-neighbor
 // query against the engine's view, reusing the per-query state from the
 // previous evaluation. ids maps dense dataset IDs to stable external IDs
-// (length Dataset().Len()); changed holds the stable IDs of every object
-// modified since the state's last evaluation — pass nil to force a full
-// re-derivation. The result is bit-identical to CPNN on the same view; on
+// (length Dataset().Len()); changed's keys are the stable IDs of every
+// object modified since the state's last evaluation, and its values are not
+// read — pass nil to force a full re-derivation. The result is bit-identical to CPNN on the same view; on
 // IncrementalStats.Skipped the result is nil and the caller's previous
 // answer stands unchanged. A standing query runs the paper's method only:
 // any opt.Strategy other than VR is an error.

@@ -50,18 +50,15 @@ func (w *mutWorld) insert(rng *rand.Rand) uint64 {
 	return id
 }
 
-// step applies 1..4 random ops and returns the changed stable IDs with
-// dense-slot hints. Hints are dropped (SlotUnknown) at random so both the
-// hinted and the sweep-resolution paths of the filter replay get exercised;
-// op coalescing within a step can also leave hints stale, which the replay
-// must survive by validating them.
+// step applies 1..4 random ops and returns the changed stable IDs as the
+// changed set's keys; its values are unread. draw consumes the coin each op
+// once tossed for a dense-slot hint, so every seed replays the op sequence
+// it always has.
 func (w *mutWorld) step(rng *rand.Rand) map[uint64]int {
 	changed := map[uint64]int{}
-	hintOr := func(slot int) int {
-		if rng.Intn(2) == 0 {
-			return SlotUnknown
-		}
-		return slot
+	draw := func() int {
+		rng.Intn(2)
+		return 0
 	}
 	n := 1 + rng.Intn(4)
 	if rng.Intn(2) == 0 {
@@ -70,7 +67,7 @@ func (w *mutWorld) step(rng *rand.Rand) map[uint64]int {
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(4); {
 		case r == 0: // insert
-			changed[w.insert(rng)] = hintOr(len(w.slots) - 1)
+			changed[w.insert(rng)] = draw()
 		case r == 1 && len(w.slots) > 5: // delete, swap-into-hole
 			slot := rng.Intn(len(w.slots))
 			id := w.slots[slot]
@@ -78,11 +75,7 @@ func (w *mutWorld) step(rng *rand.Rand) map[uint64]int {
 			w.slots[slot] = w.slots[last]
 			w.slots = w.slots[:last]
 			delete(w.objs, id)
-			if rng.Intn(2) == 0 {
-				changed[id] = SlotDeleted
-			} else {
-				changed[id] = SlotUnknown // sweep must conclude "deleted"
-			}
+			changed[id] = draw()
 		default: // update in place
 			slot := rng.Intn(len(w.slots))
 			id := w.slots[slot]
@@ -96,7 +89,7 @@ func (w *mutWorld) step(rng *rand.Rand) map[uint64]int {
 			} else {
 				w.objs[id] = randUniform(rng)
 			}
-			changed[id] = hintOr(slot)
+			changed[id] = draw()
 		}
 	}
 	return changed
@@ -438,11 +431,10 @@ func identityIDs(n int) []uint64 {
 	return ids
 }
 
-// foldsAndReplayBytes is what an EvalState's next evaluation reads back,
-// counted from the state's contents: each cached fold with its entry
-// overhead, and the filter replay's scratch.
-func foldsAndReplayBytes(st *EvalState) int {
-	n := 8 * cap(st.replayIDs)
+// foldsBytes is what an EvalState's next evaluation reads back, counted
+// from the state's contents: each cached fold with its entry overhead.
+func foldsBytes(st *EvalState) int {
+	n := 0
 	for _, cf := range st.folds {
 		n += cf.h.MemBytes() + foldEntryOverhead
 	}
@@ -450,15 +442,15 @@ func foldsAndReplayBytes(st *EvalState) int {
 }
 
 // TestEvalStateHoldsFoldsOnly: after every CPNN, PNN and k-NN incremental
-// step, a state accounts its cached folds and its replay scratch and
-// nothing else — the subregion table and the candidate buffer live on a
-// pooled scratch, not in the state. On a query whose table is ≈4 MB the
-// state stays under one byte per table cell.
+// step, a state accounts its cached folds and nothing else — the subregion
+// table, the candidate buffer and the filter's hits live on a pooled
+// scratch, not in the state. On a query whose table is ≈4 MB the state stays
+// under one byte per table cell.
 func TestEvalStateHoldsFoldsOnly(t *testing.T) {
 	check := func(what string, st *EvalState) {
 		t.Helper()
-		if got, want := st.MemBytes(), foldsAndReplayBytes(st); got != want {
-			t.Fatalf("%s: MemBytes %d, want folds and replay scratch %d", what, got, want)
+		if got, want := st.MemBytes(), foldsBytes(st); got != want {
+			t.Fatalf("%s: MemBytes %d, want folds %d", what, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -499,6 +491,47 @@ func TestEvalStateHoldsFoldsOnly(t *testing.T) {
 	if cells := res.Stats.Candidates * (res.Stats.Subregions + 1); st.MemBytes() >= cells {
 		t.Fatalf("a state over %d candidates × %d subregions holds %d bytes, at least one a table cell",
 			res.Stats.Candidates, res.Stats.Subregions, st.MemBytes())
+	}
+}
+
+// TestIncrementalAllocations: a warm standing C-PNN whose step changes one
+// of its candidates filters, re-derives that one fold and rebuilds its
+// table on a pooled scratch in a bounded number of allocations — the cost
+// every monitor evaluation that does not exit early pays on top of the
+// verifiers'.
+func TestIncrementalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	eng, qs := longBeachEngine(t, 6000, 23)
+	ids := identityIDs(eng.Dataset().Len())
+	c := verify.Constraint{P: 0.3, Delta: 0.01}
+	states := make([]*EvalState, len(qs))
+	changed := make([]map[uint64]int, len(qs))
+	for i, q := range qs {
+		states[i] = NewEvalState()
+		if _, _, err := eng.CPNNIncremental(q, c, Options{}, states[i], ids, nil); err != nil {
+			t.Fatal(err)
+		}
+		hits, _ := eng.candidates(q, 1, nil)
+		changed[i] = map[uint64]int{ids[hits[len(hits)/2].ID]: 0}
+	}
+	run := func() {
+		for i, q := range qs {
+			_, inc, err := eng.CPNNIncremental(q, c, Options{}, states[i], ids, changed[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inc.Skipped || inc.Derived != 1 {
+				t.Fatalf("q=%v: skipped %v, derived %d; want one fold re-derived", q, inc.Skipped, inc.Derived)
+			}
+		}
+	}
+	run()
+	perQuery := testing.AllocsPerRun(5, run) / float64(len(qs))
+	t.Logf("a warm CPNNIncremental step with one changed candidate allocates %.2f objects a query", perQuery)
+	if perQuery > 16 {
+		t.Fatalf("a warm CPNNIncremental step allocates %.2f objects a query, want at most 16", perQuery)
 	}
 }
 

@@ -114,10 +114,9 @@ func (ix *Index) AppendWithin(dst []Hit, q, bound float64) []Hit {
 	})
 	// Canonical ascending order: tree traversal order depends on insertion
 	// history. The order is part of the contract, not a convenience: a
-	// shard's gather concatenates members' lists and the incremental filter
-	// finds its f_min witness in it, and core's sources promise their
-	// candidates ID-ascending (answer assembly ranks rows by ID itself and
-	// needs no input order).
+	// shard's gather concatenates members' lists, and core's sources promise
+	// their candidates ID-ascending (answer assembly ranks rows by ID itself
+	// and needs no input order).
 	sortHits(dst[n:])
 	return dst
 }

@@ -57,12 +57,12 @@ func TestEvaluateIncrementalMatchesEvaluate(t *testing.T) {
 			id := ids[rng.Intn(len(ids))]
 			lo := rng.Float64() * 60
 			ops = append(ops, store.UpdateObject(id, pdf.MustUniform(lo, lo+5)))
-			changed[id] = core.SlotUnknown
+			changed[id] = 0
 		case 1: // move an object far away (possible departure)
 			id := ids[rng.Intn(len(ids))]
 			lo := 400 + rng.Float64()*200
 			ops = append(ops, store.UpdateObject(id, pdf.MustUniform(lo, lo+8)))
-			changed[id] = core.SlotUnknown
+			changed[id] = 0
 		case 2: // insert near the query point (possible arrival)
 			lo := rng.Float64() * 30
 			ops = append(ops, store.InsertObject(pdf.MustUniform(lo, lo+6)))
@@ -72,14 +72,14 @@ func TestEvaluateIncrementalMatchesEvaluate(t *testing.T) {
 			ops = append(ops,
 				store.UpdateObject(a, pdf.MustUniform(la, la+4)),
 				store.UpdateObject(b, pdf.MustUniform(lb, lb+4)))
-			changed[a], changed[b] = core.SlotUnknown, core.SlotUnknown
+			changed[a], changed[b] = 0, 0
 		}
 		res, err := s.Apply(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range res.IDs {
-			changed[id] = core.SlotUnknown
+			changed[id] = 0
 		}
 
 		view := s.View()

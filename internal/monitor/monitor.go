@@ -101,8 +101,9 @@ type standing struct {
 	evaluating bool // a worker is evaluating this query right now
 	redo       bool // dirtied again while evaluating; requeue on completion
 
-	// pending accumulates the stable IDs changed by the commits that dirtied
-	// this query since its last evaluation; full marks the set as
+	// pending accumulates, as its keys, the stable IDs changed by the
+	// commits that dirtied this query since its last evaluation (the values
+	// are unread, as for EvaluateIncremental); full marks the set as
 	// non-exhaustive (feed gap, truncation, raced influence-rect growth),
 	// forcing the next evaluation to re-derive everything. Both are guarded
 	// by the monitor mutex; an evaluating worker owns a snapshot.
@@ -539,20 +540,13 @@ func (m *Monitor) feedLoop(i int) {
 					m.nTwoDFallbacks++
 					continue
 				}
-				hint := core.SlotUnknown
-				switch {
-				case ch.Kind == store.ChangeDelete:
-					hint = core.SlotDeleted
-				case ch.Slot >= 0:
-					hint = ch.Slot
-				}
 				collect := func(_ geom.Rect, id uint64) bool {
 					hit[id] = struct{}{}
 					if q := m.queries[id]; q != nil && m.incremental {
 						if q.pending == nil {
 							q.pending = map[uint64]int{}
 						}
-						q.pending[ch.ID] = hint
+						q.pending[ch.ID] = 0
 					}
 					return true
 				}

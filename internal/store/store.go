@@ -885,7 +885,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 				old := st.region(slot)
 				if rec != nil {
 					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeUpdate, Slot: slot,
+						ID: op.ID, Kind: ChangeUpdate,
 						OldRect: geom.RectFromInterval(old),
 						NewRect: geom.RectFromInterval(sup),
 					})
@@ -900,7 +900,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 			} else {
 				if rec != nil {
 					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeInsert, Slot: len(st.slots),
+						ID: op.ID, Kind: ChangeInsert,
 						NewRect: geom.RectFromInterval(sup),
 					})
 				}
@@ -919,7 +919,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 			if slot, ok := st.dslotOf[op.ID]; ok {
 				if rec != nil {
 					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeUpdate, TwoD: true, Slot: -1,
+						ID: op.ID, Kind: ChangeUpdate, TwoD: true,
 						OldRect: geom.RectFromCircle(st.disks[slot]),
 						NewRect: geom.RectFromCircle(op.Disk),
 					})
@@ -928,7 +928,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 			} else {
 				if rec != nil {
 					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeInsert, TwoD: true, Slot: -1,
+						ID: op.ID, Kind: ChangeInsert, TwoD: true,
 						NewRect: geom.RectFromCircle(op.Disk),
 					})
 				}
@@ -941,7 +941,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 				old := st.region(slot)
 				if rec != nil {
 					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeDelete, Slot: -1,
+						ID: op.ID, Kind: ChangeDelete,
 						OldRect: geom.RectFromInterval(old),
 					})
 				}
@@ -969,7 +969,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 				st.disksDirty = true
 				if rec != nil {
 					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeDelete, TwoD: true, Slot: -1,
+						ID: op.ID, Kind: ChangeDelete, TwoD: true,
 						OldRect: geom.RectFromCircle(st.disks[slot]),
 					})
 				}

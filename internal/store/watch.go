@@ -62,12 +62,6 @@ type Change struct {
 	OldRect geom.Rect
 	// NewRect bounds the object's region after the batch (insert/update).
 	NewRect geom.Rect
-	// Slot is the object's dense dataset slot right after this op applied,
-	// or -1 when none exists (deletes, 2-D objects). It is a best-effort
-	// hint for incremental evaluators: later ops — even in the same batch —
-	// may re-slot the object, so consumers must validate it against the
-	// view they evaluate (e.g. View.IDs[Slot] == ID) before trusting it.
-	Slot int
 }
 
 // Delta is one committed group's effect, as delivered to Watch subscribers.
