@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,6 +129,43 @@ func TestObjectsInsertUpdateDelete(t *testing.T) {
 // TestDatasetReloadIsDurable reloads through the store, restarts the server
 // over the same directory, and expects the reloaded dataset and a strictly
 // higher version to survive.
+// TestObjectsNonFiniteBodies pins the exact 400 body a non-finite number in
+// a POST /v1/objects spec renders, by field. JSON cannot spell NaN or ±Inf,
+// so the specs go through toOp directly, the step a decoded body takes, and
+// the error through the server's writeError.
+func TestObjectsNonFiniteBodies(t *testing.T) {
+	s := storeBackedServer(t, t.TempDir(), 1)
+	defer s.Close()
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		spec objectSpec
+		i    int
+		body string
+	}{
+		{objectSpec{Hist: &histSpec{Edges: []float64{0, 1, inf, 3}, Weights: []float64{1, 1, 1}}}, 2,
+			errJSON(`parameter \"objects[2].hist.edges[2]\": +Inf is not a finite number`)},
+		{objectSpec{Hist: &histSpec{Edges: []float64{0, 1, 2}, Weights: []float64{1, nan}}}, 0,
+			errJSON(`parameter \"objects[0].hist.weights[1]\": NaN is not a finite number`)},
+		{objectSpec{Hist: &histSpec{Edges: []float64{-inf, 1}, Weights: []float64{nan}}}, 11,
+			errJSON(`parameter \"objects[11].hist.edges[0]\": -Inf is not a finite number`)},
+		{objectSpec{Uniform: &uniformSpec{Lo: 0, Hi: inf}}, 3,
+			errJSON(`parameter \"objects[3].uniform.hi\": +Inf is not a finite number`)},
+		{objectSpec{Disk: &diskSpec{X: 1, Y: nan, R: 1}}, 1,
+			errJSON(`parameter \"objects[1].disk.y\": NaN is not a finite number`)},
+	}
+	for _, c := range cases {
+		_, err := c.spec.toOp(c.i)
+		if err == nil {
+			t.Fatalf("spec %d accepted, want %s", c.i, c.body)
+		}
+		w := httptest.NewRecorder()
+		s.writeError(w, err)
+		if w.Code != http.StatusBadRequest || w.Body.String() != c.body {
+			t.Errorf("spec %d: %d %q, want 400 %q", c.i, w.Code, w.Body.String(), c.body)
+		}
+	}
+}
+
 func TestDatasetReloadIsDurable(t *testing.T) {
 	dir := t.TempDir()
 	s := storeBackedServer(t, dir, 2)

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -138,16 +140,18 @@ func TestCrashDuringPagedCheckpointAtPageBoundaries(t *testing.T) {
 }
 
 // TestLargerThanCacheServes commits a dataset several times the page-cache
-// budget, checkpoints it to disk, and verifies queries and further updates
-// keep working — with the pool actually evicting, not silently growing.
+// budget, checkpoints it to disk, reopens it so every payload is behind the
+// page cache, and verifies queries and further updates keep working — with
+// the scan itself faulting and evicting, not the pool silently growing.
 func TestLargerThanCacheServes(t *testing.T) {
 	dir := t.TempDir()
 	// Minimum budget: 8 pages = 32 KiB of payload cache.
-	s, err := Open(dir, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
+	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
+	s, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() { s.Close() }()
 	const n = 3000 // histogram payloads; well past 32 KiB encoded
 	sc := newOpScript(77)
 	ops := make([]Op, 0, n)
@@ -160,6 +164,14 @@ func TestLargerThanCacheServes(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	// The view published before the flatten still holds the decoded pdfs;
+	// a reopened store's view reads every payload from the base.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, opt); err != nil {
+		t.Fatal(err)
+	}
 
 	st := s.Stats()
 	if st.BasePages*pager.PageSize <= int(st.CacheBytes) {
@@ -170,7 +182,9 @@ func TestLargerThanCacheServes(t *testing.T) {
 		t.Fatalf("after flatten: %d base, %d overlay slots", st.BaseSlots, st.OverlaySlots)
 	}
 
-	// Faulting every object (answer assembly touches payloads) must evict.
+	// Faulting every object (answer assembly touches payloads) must miss
+	// and evict: the scan reads a base many times the budget.
+	before := st.PageCache
 	v := s.View()
 	for i := 0; i < v.Dataset.Len(); i++ {
 		if v.Dataset.Object(i).PDF == nil {
@@ -178,8 +192,9 @@ func TestLargerThanCacheServes(t *testing.T) {
 		}
 	}
 	st = s.Stats()
-	if st.PageCache.Evictions == 0 {
-		t.Fatalf("full scan over %d pages never evicted: %+v", st.BasePages, st.PageCache)
+	if st.PageCache.Misses <= before.Misses || st.PageCache.Evictions <= before.Evictions {
+		t.Fatalf("full scan over %d pages: misses %d -> %d, evictions %d -> %d; want both to grow",
+			st.BasePages, before.Misses, st.PageCache.Misses, before.Evictions, st.PageCache.Evictions)
 	}
 	if int64(st.PageCache.ResidentPages)*pager.PageSize > st.CacheBytes {
 		t.Fatalf("resident %d pages exceeds budget %d bytes", st.PageCache.ResidentPages, st.CacheBytes)
@@ -301,6 +316,89 @@ func TestSnapshotFaultsEachPageOnce(t *testing.T) {
 	st := s.Stats()
 	if got := st.PageCache.Misses - before; got > uint64(st.BasePages) {
 		t.Fatalf("snapshot of %d objects faulted %d pages, base has %d", n, got, st.BasePages)
+	}
+}
+
+// Checkpoint digests of TestCheckpointBytesStable's op sequence: the sha256
+// of checkpoint.db after its first and its second flatten.
+const (
+	stableFirstSHA  = "db6a6837b00a3e664c8cd9dfece5ba5b35724a79641f8ac815318cbc0b010c11"
+	stableSecondSHA = "0b8f0ddc962456cd992be2912a7cbadec9fbcee9cf697bb553df1e56b5906ff8"
+)
+
+// TestCheckpointBytesStable holds the paged checkpoint to its bytes. A fixed
+// op sequence — histograms, uniforms and disks, then updates, deletes and
+// inserts on top of the first base — is flattened twice, so the second file
+// copies unchanged payloads from the first and encodes the changed ones.
+// Both files must hash to the recorded digests: any change to payload order,
+// the copy, the index pack or the framing shows here.
+func TestCheckpointBytesStable(t *testing.T) {
+	const n = 3000 // ≈100 base pages: past one 64-page extent
+	rng := rand.New(rand.NewSource(46))
+	hist := func() pdf.PDF {
+		lo, w := rng.Float64()*float64(n), 1+rng.Float64()*24
+		weights := make([]float64, 7)
+		for j := range weights {
+			weights[j] = 1 + rng.Float64()
+		}
+		return pdf.MustHistogram(
+			[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights)
+	}
+	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
+	s, dir := openTemp(t, opt)
+	defer s.Close()
+	digest := func() string {
+		t.Helper()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+
+	ops := make([]Op, 0, n+10)
+	for i := 0; i < n; i++ {
+		if i%10 == 9 {
+			lo := rng.Float64() * float64(n)
+			ops = append(ops, InsertObject(pdf.MustUniform(lo, lo+1+rng.Float64()*8)))
+		} else {
+			ops = append(ops, InsertObject(hist()))
+		}
+	}
+	for i := 0; i < 10; i++ {
+		ops = append(ops, InsertDisk(geom.Circle{Center: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Radius: 1 + rng.Float64()}))
+	}
+	mustApply(t, s, ops...)
+	if got := digest(); got != stableFirstSHA {
+		t.Errorf("first checkpoint sha256 = %s, want %s", got, stableFirstSHA)
+	}
+
+	live := make([]uint64, n)
+	for i := range live {
+		live[i] = uint64(i + 1)
+	}
+	for b := 0; b < 20; b++ {
+		ops = ops[:0]
+		for j := 0; j < 25; j++ {
+			k := rng.Intn(len(live))
+			switch r := rng.Intn(10); {
+			case r < 7:
+				ops = append(ops, UpdateObject(live[k], hist()))
+			case r < 8:
+				ops = append(ops, InsertObject(hist()))
+			default:
+				ops = append(ops, Delete(live[k]))
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
+		mustApply(t, s, ops...)
+	}
+	if got := digest(); got != stableSecondSHA {
+		t.Errorf("second checkpoint sha256 = %s, want %s", got, stableSecondSHA)
 	}
 }
 
