@@ -1,8 +1,10 @@
 package pagecache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,47 +26,57 @@ func newTestPool(t *testing.T, budget int64) (*Pool, *pager.File, string) {
 	return NewPool(f, budget), f, path
 }
 
+// writePages appends one CRC-stamped page per payload to f, laid out as a
+// Writer lays its pages, and returns their IDs.
+func writePages(t *testing.T, f *pager.File, payloads ...[]byte) []pager.PageID {
+	t.Helper()
+	ids := make([]pager.PageID, len(payloads))
+	for i, b := range payloads {
+		var page [pager.PageSize]byte
+		copy(page[4:], b)
+		binary.LittleEndian.PutUint32(page[:4], crc32.Checksum(page[4:], crcTable))
+		ids[i] = pager.PageID(f.NumPages())
+		if err := f.WriteExtent(ids[i], page[:]); err != nil {
+			t.Fatalf("write page %d: %v", ids[i], err)
+		}
+	}
+	return ids
+}
+
+// numbered returns n page payloads, payload i holding i*7919 + 1.
+func numbered(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.AppendUint64(nil, uint64(i)*7919+1)
+	}
+	return out
+}
+
 func TestPoolRoundTripAndStats(t *testing.T) {
 	p, f, _ := newTestPool(t, MinBudget)
+	id := writePages(t, f, []byte("hello pagecache"))[0]
 
-	// Allocate a page, write a payload, flush, drop from cache, fault back.
-	h, err := p.Allocate()
-	if err != nil {
-		t.Fatalf("allocate: %v", err)
-	}
-	id := h.ID()
-	copy(h.Data(), []byte("hello pagecache"))
-	h.MarkDirty()
-	h.Release()
-	if err := p.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-
-	// A fresh pool must fault the page from disk and verify the checksum.
-	p2 := NewPool(f, MinBudget)
-	h2, err := p2.Fetch(id)
+	// A cold pool must fault the page from disk and verify the checksum.
+	h, err := p.Fetch(id)
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
-	if got := string(h2.Data()[:15]); got != "hello pagecache" {
+	if got := string(h.Data()[:15]); got != "hello pagecache" {
 		t.Fatalf("payload = %q", got)
 	}
-	h2.Release()
+	h.Release()
 
-	st := p2.Stats()
+	st := p.Stats()
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("stats after cold fetch = %+v", st)
 	}
-	if h3, err := p2.Fetch(id); err != nil {
+	if h, err := p.Fetch(id); err != nil {
 		t.Fatalf("refetch: %v", err)
 	} else {
-		h3.Release()
+		h.Release()
 	}
-	st = p2.Stats()
-	if st.Hits != 1 {
+	st = p.Stats()
+	if st.Hits != 1 || st.Writebacks != 0 {
 		t.Fatalf("stats after warm fetch = %+v", st)
 	}
 	if st.BudgetBytes != MinBudget {
@@ -73,60 +85,38 @@ func TestPoolRoundTripAndStats(t *testing.T) {
 }
 
 func TestPoolEvictionUnderBudget(t *testing.T) {
-	p, _, _ := newTestPool(t, MinBudget) // 8 frames
+	p, f, _ := newTestPool(t, MinBudget) // 8 frames
 
-	// Fill well past the budget; every page must still read back correctly.
-	const pages = 40
-	ids := make([]pager.PageID, pages)
-	for i := 0; i < pages; i++ {
-		h, err := p.Allocate()
-		if err != nil {
-			t.Fatalf("allocate %d: %v", i, err)
+	// Fault well past the budget; every page must still read back correctly.
+	ids := writePages(t, f, numbered(40)...)
+	for round := 0; round < 2; round++ {
+		for i, id := range ids {
+			h, err := p.Fetch(id)
+			if err != nil {
+				t.Fatalf("fetch %d: %v", i, err)
+			}
+			if got := binary.LittleEndian.Uint64(h.Data()); got != uint64(i)*7919+1 {
+				t.Fatalf("page %d payload = %d, want %d", id, got, uint64(i)*7919+1)
+			}
+			h.Release()
 		}
-		ids[i] = h.ID()
-		binary.LittleEndian.PutUint64(h.Data(), uint64(i)*7919)
-		h.MarkDirty()
-		h.Release()
 	}
 	st := p.Stats()
 	if st.ResidentPages > 8 {
 		t.Fatalf("resident = %d, budget is 8 frames", st.ResidentPages)
 	}
-	if st.Evictions == 0 || st.Writebacks == 0 {
-		t.Fatalf("expected evictions and writebacks, got %+v", st)
-	}
-	for i, id := range ids {
-		h, err := p.Fetch(id)
-		if err != nil {
-			t.Fatalf("fetch %d: %v", i, err)
-		}
-		if got := binary.LittleEndian.Uint64(h.Data()); got != uint64(i)*7919 {
-			t.Fatalf("page %d payload = %d, want %d", id, got, uint64(i)*7919)
-		}
-		h.Release()
+	if st.Evictions == 0 || st.Misses != 80 {
+		t.Fatalf("two scans of 40 pages over 8 frames: %+v, want 80 misses and evictions", st)
 	}
 }
 
 // TestPoolMissReusesEvictedFrame: once the pool is full, a miss takes over
-// the CLOCK victim's frame — buffer and ring slot — so a fault allocates the
-// Handle and nothing else, and Allocate hands out the recycled buffer zeroed.
+// the CLOCK victim's frame — buffer and ring slot — and Fetch returns its
+// Handle by value, so a fault allocates nothing.
 func TestPoolMissReusesEvictedFrame(t *testing.T) {
-	p, _, _ := newTestPool(t, MinBudget) // 8 frames
+	p, f, _ := newTestPool(t, MinBudget) // 8 frames
 	const pages, runs = 3 * MinBudget / pager.PageSize, 200
-	ids := make([]pager.PageID, pages)
-	for i := range ids {
-		h, err := p.Allocate()
-		if err != nil {
-			t.Fatalf("allocate %d: %v", i, err)
-		}
-		ids[i] = h.ID()
-		binary.LittleEndian.PutUint64(h.Data(), uint64(i)+1)
-		h.MarkDirty()
-		h.Release()
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
+	ids := writePages(t, f, numbered(pages)...)
 
 	// A cyclic scan over three times the budget misses on every fetch.
 	before, next := p.Stats(), 0
@@ -137,8 +127,8 @@ func TestPoolMissReusesEvictedFrame(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fetch %d: %v", ids[i], err)
 		}
-		if got := binary.LittleEndian.Uint64(h.Data()); got != uint64(i)+1 {
-			t.Fatalf("page %d payload = %d, want %d", ids[i], got, i+1)
+		if got := binary.LittleEndian.Uint64(h.Data()); got != uint64(i)*7919+1 {
+			t.Fatalf("page %d payload = %d, want %d", ids[i], got, uint64(i)*7919+1)
 		}
 		h.Release()
 	})
@@ -147,76 +137,45 @@ func TestPoolMissReusesEvictedFrame(t *testing.T) {
 		t.Fatalf("cyclic scan of %d pages over 8 frames: %d misses, %d hits in %d fetches",
 			pages, misses, st.Hits-before.Hits, next)
 	}
-	if allocs > 1 {
-		t.Fatalf("a miss allocates %.0f objects, want at most 1 (the Handle)", allocs)
-	}
-
-	h, err := p.Allocate()
-	if err != nil {
-		t.Fatalf("allocate: %v", err)
-	}
-	defer h.Release()
-	for i, b := range h.Data() {
-		if b != 0 {
-			t.Fatalf("allocated page %d over a recycled frame: byte %d = %#x, want 0", h.ID(), i, b)
-		}
+	if allocs > 0 {
+		t.Fatalf("a miss allocates %.0f objects, want 0", allocs)
 	}
 }
 
 func TestPoolPinnedPagesSurviveEviction(t *testing.T) {
-	p, _, _ := newTestPool(t, MinBudget)
+	p, f, _ := newTestPool(t, MinBudget)
+	ids := writePages(t, f, append([][]byte{[]byte("pinned")}, numbered(30)...)...)
 
-	pinned, err := p.Allocate()
+	pinned, err := p.Fetch(ids[0])
 	if err != nil {
-		t.Fatalf("allocate: %v", err)
+		t.Fatalf("fetch: %v", err)
 	}
-	copy(pinned.Data(), []byte("pinned"))
-	pinned.MarkDirty()
-
-	for i := 0; i < 30; i++ {
-		h, err := p.Allocate()
+	for _, id := range ids[1:] {
+		h, err := p.Fetch(id)
 		if err != nil {
-			t.Fatalf("allocate filler: %v", err)
+			t.Fatalf("fetch filler: %v", err)
 		}
-		h.MarkDirty()
 		h.Release()
 	}
 	if got := string(pinned.Data()[:6]); got != "pinned" {
 		t.Fatalf("pinned payload = %q", got)
+	}
+	if st := p.Stats(); st.Evictions == 0 {
+		t.Fatalf("30 fillers over 8 frames never evicted: %+v", st)
 	}
 	pinned.Release()
 }
 
 func TestFetchChecksumMismatchNamesPageAndOffset(t *testing.T) {
 	p, f, path := newTestPool(t, MinBudget)
-
-	h, err := p.Allocate()
-	if err != nil {
-		t.Fatalf("allocate: %v", err)
-	}
-	id := h.ID()
-	copy(h.Data(), []byte("soon to be corrupted"))
-	h.MarkDirty()
-	h.Release()
-	if err := p.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
+	ids := writePages(t, f, []byte("a healthy page"), []byte("soon to be corrupted"))
+	id := ids[1]
 	if err := f.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
+	corrupt(t, path, int64(id)*pager.PageSize+100)
 
-	// Flip a payload byte on disk behind the pool's back.
-	raw, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatalf("open raw: %v", err)
-	}
-	off := int64(id)*pager.PageSize + 100
-	if _, err := raw.WriteAt([]byte{0xFF}, off); err != nil {
-		t.Fatalf("corrupt: %v", err)
-	}
-	raw.Close()
-
-	_, err = NewPool(f, MinBudget).Fetch(id)
+	_, err := p.Fetch(id)
 	if err == nil {
 		t.Fatal("fetch of corrupted page succeeded")
 	}
@@ -230,48 +189,204 @@ func TestFetchChecksumMismatchNamesPageAndOffset(t *testing.T) {
 	}
 }
 
-func TestLogRoundTripIncludingMultiPageRecords(t *testing.T) {
-	p, _, _ := newTestPool(t, MinBudget)
+// corrupt flips the byte at off of the file at path, behind any pool's back.
+func corrupt(t *testing.T, path string, off int64) {
+	t.Helper()
+	raw, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatalf("open raw: %v", err)
+	}
+	defer raw.Close()
+	b := []byte{0}
+	if _, err := raw.ReadAt(b, off); err != nil {
+		t.Fatalf("read byte %d: %v", off, err)
+	}
+	b[0] ^= 0xFF
+	if _, err := raw.WriteAt(b, off); err != nil {
+		t.Fatalf("corrupt: %v", err)
+	}
+}
 
+// logRecords writes records of the given sizes (random bytes) through a
+// Writer whose stream starts at page 0 and returns them, their refs and the
+// stream size.
+func logRecords(t *testing.T, p *Pool, sizes []int) ([][]byte, []int64, int64) {
+	t.Helper()
 	w := NewWriter(p, 0)
 	rng := rand.New(rand.NewSource(42))
-	var recs [][]byte
-	var refs []int64
-	// Mix of tiny records and records spanning several pages.
-	sizes := []int{0, 1, 17, 4000, PayloadSize, PayloadSize + 1, 3*PayloadSize + 5, 9, 12345}
-	for _, n := range sizes {
-		data := make([]byte, n)
-		rng.Read(data)
-		ref, err := w.Append(data)
+	recs := make([][]byte, len(sizes))
+	refs := make([]int64, len(sizes))
+	for i, n := range sizes {
+		recs[i] = make([]byte, n)
+		rng.Read(recs[i])
+		ref, err := w.Append(recs[i])
 		if err != nil {
 			t.Fatalf("append %d bytes: %v", n, err)
 		}
-		recs = append(recs, data)
-		refs = append(refs, ref)
+		refs[i] = ref
 	}
-	size := w.Finish()
-	if err := p.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
+	size, err := w.Finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
 	}
+	return recs, refs, size
+}
 
-	// Read through a tighter pool to force faulting.
-	log := NewLog(p, 0, size)
+// Tiny records, records spanning several pages, one spanning an extent
+// boundary and one longer than an extent.
+var mixedSizes = []int{0, 1, 17, 4000, PayloadSize, PayloadSize + 1, 3*PayloadSize + 5, 9, 12345,
+	ExtentPages*PayloadSize - 20000, 50, ExtentPages*PayloadSize + 7, 3}
+
+func TestLogRoundTripIncludingMultiPageRecords(t *testing.T) {
+	p, f, _ := newTestPool(t, MinBudget)
+	recs, refs, size := logRecords(t, p, mixedSizes)
+
+	// Read through a cold pool to force faulting.
+	log := NewLog(NewPool(f, MinBudget), 0, size)
 	for i, ref := range refs {
-		got, err := log.ReadRecord(ref)
+		got, err := log.ReadRecord(nil, ref)
 		if err != nil {
 			t.Fatalf("read record %d: %v", i, err)
 		}
-		if string(got) != string(recs[i]) {
+		if !bytes.Equal(got, recs[i]) {
 			t.Fatalf("record %d mismatch (%d vs %d bytes)", i, len(got), len(recs[i]))
 		}
 	}
 
 	// Out-of-bounds reference must fail loudly, not read garbage.
-	if _, err := log.ReadRecord(size - 1); err == nil {
+	if _, err := log.ReadRecord(nil, size-1); err == nil {
 		t.Fatal("read past stream end succeeded")
 	}
-	if _, err := log.ReadRecord(-4); err == nil {
+	if _, err := log.ReadRecord(nil, -4); err == nil {
 		t.Fatal("negative ref succeeded")
+	}
+}
+
+// TestReadRecordAppendsToDst: ReadRecord appends after dst's bytes and, on a
+// warm page with room in dst, allocates nothing.
+func TestReadRecordAppendsToDst(t *testing.T) {
+	p, _, _ := newTestPool(t, MinBudget)
+	recs, refs, size := logRecords(t, p, []int{17, 300})
+	log := NewLog(p, 0, size)
+	got, err := log.ReadRecord([]byte("prefix:"), refs[1])
+	if err != nil || string(got) != "prefix:"+string(recs[1]) {
+		t.Fatalf("ReadRecord(prefix) = %q, %v", got, err)
+	}
+	buf := make([]byte, 0, 512)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := log.ReadRecord(buf, refs[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm one-page ReadRecord into a roomy dst allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestWriterWritesExtents holds the writer's file to the page layout a
+// page-at-a-time writer would leave — pages in stream order, each with its
+// CRC, the tail of the last page zero — and its pool to what it installs:
+// every written page counted as a write-back, the first budget's worth of
+// pages cached clean, nothing evicted.
+func TestWriterWritesExtents(t *testing.T) {
+	p, f, path := newTestPool(t, MinBudget) // 8 frames
+	recs, _, size := logRecords(t, p, mixedSizes)
+	var stream []byte
+	for _, r := range recs {
+		stream = binary.LittleEndian.AppendUint32(stream, uint32(len(r)))
+		stream = append(stream, r...)
+	}
+	if int64(len(stream)) != size {
+		t.Fatalf("stream size %d, want %d", size, len(stream))
+	}
+	pages := (len(stream) + PayloadSize - 1) / PayloadSize
+	if f.NumPages() != pages || pages <= ExtentPages {
+		t.Fatalf("file holds %d pages, want %d (past one %d-page extent)", f.NumPages(), pages, ExtentPages)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < pages; k++ {
+		page := raw[k*pager.PageSize : (k+1)*pager.PageSize]
+		want := make([]byte, PayloadSize)
+		copy(want, stream[min(k*PayloadSize, len(stream)):])
+		if !bytes.Equal(page[4:], want) {
+			t.Fatalf("page %d payload differs from the stream", k)
+		}
+		if err := checkPage(pager.PageID(k), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := p.Stats()
+	if st.Writebacks != uint64(pages) || st.Evictions != 0 || st.ResidentPages != 8 || st.Hits+st.Misses != 0 {
+		t.Fatalf("pool after writing %d pages: %+v; want %d write-backs, 8 resident, no eviction or fetch",
+			pages, st, pages)
+	}
+	for id := pager.PageID(0); id < 8; id++ {
+		h, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	if st := p.Stats(); st.Hits != 8 || st.Misses != 0 {
+		t.Fatalf("the first 8 pages are not the installed ones: %+v", st)
+	}
+}
+
+// TestScannerReadsRecords: the scanner returns every record whole, in
+// ascending order and after jumping back, and reads its file directly —
+// the pool it came from sees no fetch.
+func TestScannerReadsRecords(t *testing.T) {
+	p, f, _ := newTestPool(t, MinBudget)
+	recs, refs, size := logRecords(t, p, mixedSizes)
+	pool := NewPool(f, MinBudget)
+	sc := NewLog(pool, 0, size).Scanner()
+	order := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 3, 12, 0}
+	for _, i := range order {
+		got, err := sc.Record(refs[i])
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(got, recs[i]) {
+			t.Fatalf("record %d mismatch (%d vs %d bytes)", i, len(got), len(recs[i]))
+		}
+	}
+	if _, err := sc.Record(size - 1); err == nil {
+		t.Fatal("scan past stream end succeeded")
+	}
+	if st := pool.Stats(); st.Hits+st.Misses != 0 || st.ResidentPages != 0 {
+		t.Fatalf("scanner went through the pool: %+v", st)
+	}
+}
+
+// TestScannerChecksumNamesPage: a record on a rotten page fails the scan
+// with the page and its byte offset; records on sound pages of the same
+// extent still read.
+func TestScannerChecksumNamesPage(t *testing.T) {
+	p, f, path := newTestPool(t, MinBudget)
+	recs, refs, size := logRecords(t, p, []int{100, 3 * PayloadSize, 100})
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2 // the middle record's pages are 0..3
+	corrupt(t, path, bad*pager.PageSize+50)
+	sc := NewLog(NewPool(f, MinBudget), 0, size).Scanner()
+	if got, err := sc.Record(refs[0]); err != nil || !bytes.Equal(got, recs[0]) {
+		t.Fatalf("record on a sound page: %v", err)
+	}
+	_, err := sc.Record(refs[1])
+	if err == nil {
+		t.Fatal("scan over a corrupted page succeeded")
+	}
+	for _, want := range []string{fmt.Sprintf("page %d", bad), fmt.Sprintf("byte offset %d", bad*pager.PageSize), "checksum mismatch"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if got, err := sc.Record(refs[2]); err != nil || !bytes.Equal(got, recs[2]) {
+		t.Fatalf("record after the rotten page: %v", err)
 	}
 }
 
@@ -299,10 +414,14 @@ func TestReadRecordPinsEachPageOnce(t *testing.T) {
 	if sref != PayloadSize-2 {
 		t.Fatalf("straddling record at %d, want %d", sref, PayloadSize-2)
 	}
-	log := NewLog(p, 0, w.Finish())
+	size, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := NewLog(p, 0, size)
 
 	before := p.Stats()
-	got, err := log.ReadRecord(ref)
+	got, err := log.ReadRecord(nil, ref)
 	if err != nil || string(got) != string(small) {
 		t.Fatalf("ReadRecord = %q, %v; want %q", got, err, small)
 	}
@@ -310,7 +429,7 @@ func TestReadRecordPinsEachPageOnce(t *testing.T) {
 	if fetches := st.Hits + st.Misses - before.Hits - before.Misses; fetches != 1 {
 		t.Fatalf("one-page record cost %d fetches, want 1", fetches)
 	}
-	if got, err := log.ReadRecord(sref); err != nil || string(got) != string(straddle) {
+	if got, err := log.ReadRecord(nil, sref); err != nil || string(got) != string(straddle) {
 		t.Fatalf("straddling ReadRecord = %q, %v; want %q", got, err, straddle)
 	}
 }

@@ -1,14 +1,16 @@
 // Package pagecache is the buffer-pool layer between the store and the 4 KiB
-// pager: a concurrency-safe page cache with a configurable byte budget, CLOCK
-// eviction, pinned page handles and dirty-page write-back, plus an
-// append-only record log and the R-tree node record codec built on top of it.
+// pager: a concurrency-safe, read-only page cache with a configurable byte
+// budget, CLOCK eviction and pinned page handles, plus an append-only record
+// log (its extent writer and read-ahead scanner) and the R-tree node record
+// codec built on top of it.
 //
 // Every page carries a CRC-32C of its payload in its first four bytes, so a
 // torn or bit-rotted page is detected at fault time with its page number and
 // byte offset — the page-granular analogue of the WAL's record checksums.
-// The store's paged checkpoints write object records and index nodes through
-// a Pool (dirty pages stream back to disk as the budget fills) and serve
-// queries from datasets larger than memory by faulting pages back on demand.
+// The store's paged checkpoints write object records and index nodes with a
+// Writer, which streams whole extents to the file and warms the pool with
+// what it wrote, and serve queries from datasets larger than memory by
+// faulting pages back through the pool on demand.
 package pagecache
 
 import (
@@ -33,8 +35,9 @@ const MinBudget = 8 * pager.PageSize
 
 // Stats counts pool activity. Hits and Misses count Fetch calls served from
 // memory versus from disk; Evictions counts frames recycled under budget
-// pressure; Writebacks counts dirty pages flushed to disk (on eviction or
-// Flush). ResidentPages and BudgetBytes describe the current footprint.
+// pressure, which only faults do; Writebacks counts the pages a Writer wrote
+// to the pool's file. ResidentPages and BudgetBytes describe the current
+// footprint.
 type Stats struct {
 	Hits, Misses, Evictions, Writebacks uint64
 	ResidentPages                       int
@@ -43,7 +46,8 @@ type Stats struct {
 
 // Pool caches pages of a pager.File under a byte budget with CLOCK eviction.
 // It is safe for concurrent use; readers pin pages through Handles while
-// decoding and release them immediately after.
+// decoding and release them immediately after. A pool never writes: its
+// frames are always the pages' bytes on disk.
 type Pool struct {
 	mu     sync.Mutex
 	f      *pager.File
@@ -55,11 +59,10 @@ type Pool struct {
 }
 
 type frame struct {
-	id    pager.PageID
-	data  [pager.PageSize]byte
-	pins  int
-	ref   bool // CLOCK reference bit
-	dirty bool
+	id   pager.PageID
+	data [pager.PageSize]byte
+	pins int
+	ref  bool // CLOCK reference bit
 }
 
 // NewPool wraps f with a pool holding at most budgetBytes of pages.
@@ -82,22 +85,15 @@ type Handle struct {
 	fr *frame
 }
 
-// Data returns the page payload (PayloadSize bytes, excluding the CRC).
-// Mutating it requires MarkDirty before Release.
-func (h *Handle) Data() []byte { return h.fr.data[4:] }
+// Data returns the page payload (PayloadSize bytes, excluding the CRC). It
+// is read-only.
+func (h Handle) Data() []byte { return h.fr.data[4:] }
 
 // ID returns the page number.
-func (h *Handle) ID() pager.PageID { return h.fr.id }
-
-// MarkDirty schedules the page for write-back (on eviction or Flush).
-func (h *Handle) MarkDirty() {
-	h.p.mu.Lock()
-	h.fr.dirty = true
-	h.p.mu.Unlock()
-}
+func (h Handle) ID() pager.PageID { return h.fr.id }
 
 // Release unpins the page. The Handle must not be used afterwards.
-func (h *Handle) Release() {
+func (h Handle) Release() {
 	h.p.mu.Lock()
 	if h.fr.pins > 0 {
 		h.fr.pins--
@@ -107,51 +103,61 @@ func (h *Handle) Release() {
 
 // Fetch pins page id, faulting it from disk (and verifying its checksum) on
 // a miss.
-func (p *Pool) Fetch(id pager.PageID) (*Handle, error) {
+func (p *Pool) Fetch(id pager.PageID) (Handle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fr, ok := p.frames[id]; ok {
 		p.stats.Hits++
 		fr.pins++
 		fr.ref = true
-		return &Handle{p: p, fr: fr}, nil
+		return Handle{p: p, fr: fr}, nil
 	}
 	p.stats.Misses++
 	fr, err := p.newFrameLocked(id)
 	if err != nil {
-		return nil, err
+		return Handle{}, err
 	}
 	if err := p.f.ReadPage(id, fr.data[:]); err != nil {
 		p.dropLocked(fr)
-		return nil, err
+		return Handle{}, err
 	}
-	want := binary.LittleEndian.Uint32(fr.data[:4])
-	if got := crc32.Checksum(fr.data[4:], crcTable); got != want {
+	if err := checkPage(id, fr.data[:]); err != nil {
 		p.dropLocked(fr)
-		return nil, fmt.Errorf(
+		return Handle{}, err
+	}
+	fr.pins, fr.ref = 1, true
+	return Handle{p: p, fr: fr}, nil
+}
+
+// checkPage verifies a page's stored CRC-32C against its payload.
+func checkPage(id pager.PageID, page []byte) error {
+	want := binary.LittleEndian.Uint32(page[:4])
+	if got := crc32.Checksum(page[4:], crcTable); got != want {
+		return fmt.Errorf(
 			"pagecache: page %d (byte offset %d): checksum mismatch (stored %08x, computed %08x)",
 			id, int64(id)*pager.PageSize, want, got)
 	}
-	fr.pins, fr.ref = 1, true
-	return &Handle{p: p, fr: fr}, nil
+	return nil
 }
 
-// Allocate appends a fresh zeroed page to the file and pins it dirty, so the
-// checksum is computed when the page is written back.
-func (p *Pool) Allocate() (*Handle, error) {
-	id, err := p.f.Allocate()
-	if err != nil {
-		return nil, err
-	}
+// install records an extent a Writer has just written to the pool's file
+// starting at page first, and caches its pages as clean frames while the
+// pool is under budget. It never evicts: a flatten leaves the pool as warm
+// as its budget, not churned by every page it wrote.
+func (p *Pool) install(first pager.PageID, extent []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr, err := p.newFrameLocked(id)
-	if err != nil {
-		return nil, err
+	for o := 0; o < len(extent); o += pager.PageSize {
+		p.stats.Writebacks++
+		id := first + pager.PageID(o/pager.PageSize)
+		if _, ok := p.frames[id]; ok || len(p.frames) >= p.budget {
+			continue
+		}
+		fr := &frame{id: id, ref: true}
+		copy(fr.data[:], extent[o:])
+		p.clock = append(p.clock, fr)
+		p.frames[id] = fr
 	}
-	clear(fr.data[:]) // a recycled frame holds its victim's bytes
-	fr.pins, fr.ref, fr.dirty = 1, true, true
-	return &Handle{p: p, fr: fr}, nil
 }
 
 // newFrameLocked maps id to a frame: a new one while the pool is under
@@ -168,14 +174,14 @@ func (p *Pool) newFrameLocked(id pager.PageID) (*frame, error) {
 			return nil, err
 		}
 	}
-	fr.id, fr.pins, fr.ref, fr.dirty = id, 0, false, false
+	fr.id, fr.pins, fr.ref = id, 0, false
 	p.frames[id] = fr
 	return fr, nil
 }
 
 // evictLocked runs the CLOCK hand: pinned frames are skipped, referenced
-// frames get a second chance, and the first cold unpinned frame is written
-// back (if dirty), unmapped and returned for reuse; the hand moves past it.
+// frames get a second chance, and the first cold unpinned frame is unmapped
+// and returned for reuse; the hand moves past it.
 func (p *Pool) evictLocked() (*frame, error) {
 	if len(p.clock) == 0 {
 		return nil, fmt.Errorf("pagecache: empty pool cannot evict")
@@ -196,11 +202,6 @@ func (p *Pool) evictLocked() (*frame, error) {
 			p.hand++
 			continue
 		}
-		if fr.dirty {
-			if err := p.writebackLocked(fr); err != nil {
-				return nil, err
-			}
-		}
 		delete(p.frames, fr.id)
 		p.hand++
 		p.stats.Evictions++
@@ -209,7 +210,7 @@ func (p *Pool) evictLocked() (*frame, error) {
 	return nil, fmt.Errorf("pagecache: all %d pages pinned; cannot evict", len(p.clock))
 }
 
-// dropLocked discards a frame whose fault failed (never written back).
+// dropLocked discards a frame whose fault failed.
 func (p *Pool) dropLocked(fr *frame) {
 	delete(p.frames, fr.id)
 	for i, c := range p.clock {
@@ -221,32 +222,6 @@ func (p *Pool) dropLocked(fr *frame) {
 			break
 		}
 	}
-}
-
-// writebackLocked stamps the payload checksum and writes the page.
-func (p *Pool) writebackLocked(fr *frame) error {
-	binary.LittleEndian.PutUint32(fr.data[:4], crc32.Checksum(fr.data[4:], crcTable))
-	if err := p.f.WritePage(fr.id, fr.data[:]); err != nil {
-		return err
-	}
-	fr.dirty = false
-	p.stats.Writebacks++
-	return nil
-}
-
-// Flush writes back every dirty page without evicting anything. A durable
-// checkpoint flushes, then syncs the underlying file.
-func (p *Pool) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, fr := range p.clock {
-		if fr.dirty {
-			if err := p.writebackLocked(fr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Stats returns a snapshot of the pool counters.

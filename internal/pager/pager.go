@@ -1,7 +1,8 @@
 // Package pager implements the page-granular file under the store's disk
 // layout — the paper's "the lists can be partitioned into disk pages" (§IV-D
 // implementation notes) taken as the unit of I/O. A File allocates, reads,
-// writes and syncs whole 4 KiB pages and nothing else; caching, checksums
+// writes and syncs whole 4 KiB pages — one at a time, or an extent of
+// adjacent pages in one system call — and nothing else; caching, checksums
 // and record framing live one layer up in internal/pagecache.
 package pager
 
@@ -83,20 +84,31 @@ func (pf *File) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("pager: buffer size %d != page size", len(buf))
 	}
+	return pf.ReadExtent(id, buf)
+}
+
+// ReadExtent fills buf, a whole number of pages, with the pages starting at
+// id in one read. Every page must already exist.
+func (pf *File) ReadExtent(id PageID, buf []byte) error {
+	k, err := extentPages(buf)
+	if err != nil {
+		return err
+	}
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
-	if uint32(id) >= pf.pages {
+	if uint64(id)+k > uint64(pf.pages) {
+		miss := max(id, PageID(pf.pages)) // the first page that is not there
 		return fmt.Errorf("pager: read of page %d (byte offset %d) beyond end (%d pages)",
-			id, int64(id)*PageSize, pf.pages)
+			miss, int64(miss)*PageSize, pf.pages)
 	}
-	_, err := pf.f.ReadAt(buf, int64(id)*PageSize)
-	if err != nil {
-		return fmt.Errorf("pager: reading page %d (byte offset %d): %w", id, int64(id)*PageSize, err)
+	if n, err := pf.f.ReadAt(buf, int64(id)*PageSize); err != nil {
+		bad := id + PageID(n/PageSize) // the page the read stopped in
+		return fmt.Errorf("pager: reading page %d (byte offset %d): %w", bad, int64(bad)*PageSize, err)
 	}
 	return nil
 }
 
-// WritePage writes buf (PageSize bytes) to page id.
+// WritePage writes buf (PageSize bytes) to page id, which must exist.
 func (pf *File) WritePage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("pager: buffer size %d != page size", len(buf))
@@ -111,6 +123,39 @@ func (pf *File) WritePage(id PageID, buf []byte) error {
 		return fmt.Errorf("pager: writing page %d (byte offset %d): %w", id, int64(id)*PageSize, err)
 	}
 	return nil
+}
+
+// WriteExtent writes buf, a whole number of pages, to the pages starting at
+// id in one write. The extent may run past the end of the file, which grows
+// to hold it, but may not leave a hole: id is at most NumPages.
+func (pf *File) WriteExtent(id PageID, buf []byte) error {
+	k, err := extentPages(buf)
+	if err != nil {
+		return err
+	}
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	end := uint64(id) + k
+	if uint32(id) > pf.pages {
+		return fmt.Errorf("pager: write of page %d (byte offset %d) leaves a hole after page %d",
+			id, int64(id)*PageSize, pf.pages)
+	}
+	if end >= uint64(InvalidPage) {
+		return errors.New("pager: page space exhausted")
+	}
+	if _, err := pf.f.WriteAt(buf, int64(id)*PageSize); err != nil {
+		return fmt.Errorf("pager: writing pages [%d, %d) (byte offset %d): %w", id, end, int64(id)*PageSize, err)
+	}
+	pf.pages = max(pf.pages, uint32(end))
+	return nil
+}
+
+// extentPages returns the page count of an extent buffer.
+func extentPages(buf []byte) (uint64, error) {
+	if len(buf) == 0 || len(buf)%PageSize != 0 {
+		return 0, fmt.Errorf("pager: buffer size %d is not a whole number of pages", len(buf))
+	}
+	return uint64(len(buf) / PageSize), nil
 }
 
 // Sync forces all written pages to stable storage. Durable checkpoints call

@@ -13,6 +13,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -725,12 +726,11 @@ func PartitionSTR(rects []geom.Rect, k int) ([][]int, []float64) {
 		idx[i] = i
 	}
 	cx := func(i int) float64 { return rects[idx[i]].Center().X }
-	sort.Slice(idx, func(a, b int) bool {
-		ca, cb := rects[idx[a]].Center().X, rects[idx[b]].Center().X
-		if ca != cb {
-			return ca < cb
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmpStrKey(strKey{rects[a].Center().X, a}, strKey{rects[b].Center().X, b}); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return a - b
 	})
 	groups := make([][]int, k)
 	cuts := make([]float64, 0, k-1)
@@ -833,74 +833,90 @@ func stampOwner[T any](n *node[T], owner *cowOwner) {
 	}
 }
 
-// strPack tiles leaf inputs into leaf nodes.
-func strPack[T any](inputs []Input[T], capPerNode int) []*node[T] {
-	items := append([]Input[T](nil), inputs...)
-	sort.Slice(items, func(i, j int) bool {
-		return items[i].Rect.Center().X < items[j].Rect.Center().X
-	})
-	sliceCount := int(math.Ceil(math.Sqrt(float64(len(items)) / float64(capPerNode))))
+// strKey is one sort key of an STR pass: a centre coordinate and the index
+// of the rectangle it belongs to. Sorting 16-byte keys with an inline
+// compare runs the same pdqsort over the same comparisons as sorting the
+// rectangles themselves, so the permutation is the same.
+type strKey struct {
+	c float64
+	i int
+}
+
+func cmpStrKey(a, b strKey) int {
+	if a.c < b.c {
+		return -1
+	}
+	if a.c > b.c {
+		return 1
+	}
+	return 0
+}
+
+// strOrder returns the Sort-Tile-Recursive order of n rectangles and the
+// slab size: the indices sorted on centre X, then each vertical slab of
+// perSlice sorted on centre Y. A slab whose centres share one Y (every slab
+// of a 1-D tree) is left as it is, which is what sorting it would do.
+func strOrder(n, capPerNode int, rect func(i int) geom.Rect) ([]strKey, int) {
+	keys := make([]strKey, n)
+	for i := range keys {
+		keys[i] = strKey{c: rect(i).Center().X, i: i}
+	}
+	slices.SortFunc(keys, cmpStrKey)
+	sliceCount := int(math.Ceil(math.Sqrt(float64(n) / float64(capPerNode))))
 	if sliceCount < 1 {
 		sliceCount = 1
 	}
-	perSlice := int(math.Ceil(float64(len(items)) / float64(sliceCount)))
-	var out []*node[T]
-	for s := 0; s < len(items); s += perSlice {
-		end := s + perSlice
-		if end > len(items) {
-			end = len(items)
+	perSlice := int(math.Ceil(float64(n) / float64(sliceCount)))
+	for s := 0; s < n; s += perSlice {
+		slab := keys[s:min(s+perSlice, n)]
+		y0, flat := rect(slab[0].i).Center().Y, true
+		for k := range slab {
+			slab[k].c = rect(slab[k].i).Center().Y
+			flat = flat && slab[k].c == y0
 		}
-		slice := items[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Rect.Center().Y < slice[j].Rect.Center().Y
-		})
-		for o := 0; o < len(slice); o += capPerNode {
-			e := o + capPerNode
-			if e > len(slice) {
-				e = len(slice)
-			}
-			n := &node[T]{leaf: true}
-			for _, in := range slice[o:e] {
-				n.entries = append(n.entries, entry[T]{rect: in.Rect, item: in.Item})
-			}
+		if !flat {
+			slices.SortFunc(slab, cmpStrKey)
+		}
+	}
+	return keys, perSlice
+}
+
+// strTile cuts an STR order into nodes: each slab of perSlice keys into
+// runs of capPerNode, calling fill with a new node's presized entries and
+// the keys that fill them.
+func strTile[T any](keys []strKey, perSlice, capPerNode int, leaf bool, fill func(dst []entry[T], keys []strKey)) []*node[T] {
+	out := make([]*node[T], 0, (len(keys)+capPerNode-1)/capPerNode)
+	for s := 0; s < len(keys); s += perSlice {
+		slab := keys[s:min(s+perSlice, len(keys))]
+		for o := 0; o < len(slab); o += capPerNode {
+			run := slab[o:min(o+capPerNode, len(slab))]
+			n := &node[T]{leaf: leaf, entries: make([]entry[T], len(run), capPerNode)}
+			fill(n.entries, run)
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
+// strPack tiles leaf inputs into leaf nodes.
+func strPack[T any](inputs []Input[T], capPerNode int) []*node[T] {
+	keys, perSlice := strOrder(len(inputs), capPerNode, func(i int) geom.Rect { return inputs[i].Rect })
+	return strTile(keys, perSlice, capPerNode, true, func(dst []entry[T], run []strKey) {
+		for k, key := range run {
+			in := &inputs[key.i]
+			dst[k] = entry[T]{rect: in.Rect, item: in.Item}
+		}
+	})
+}
+
 // strPackEntries tiles internal entries into internal nodes.
 func strPackEntries[T any](ents []entry[T], capPerNode int) []*node[T] {
-	items := append([]entry[T](nil), ents...)
-	sort.Slice(items, func(i, j int) bool {
-		return items[i].rect.Center().X < items[j].rect.Center().X
+	keys, perSlice := strOrder(len(ents), capPerNode, func(i int) geom.Rect { return ents[i].rect })
+	return strTile(keys, perSlice, capPerNode, false, func(dst []entry[T], run []strKey) {
+		for k, key := range run {
+			dst[k] = ents[key.i]
+		}
 	})
-	sliceCount := int(math.Ceil(math.Sqrt(float64(len(items)) / float64(capPerNode))))
-	if sliceCount < 1 {
-		sliceCount = 1
-	}
-	perSlice := int(math.Ceil(float64(len(items)) / float64(sliceCount)))
-	var out []*node[T]
-	for s := 0; s < len(items); s += perSlice {
-		end := s + perSlice
-		if end > len(items) {
-			end = len(items)
-		}
-		slice := items[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].rect.Center().Y < slice[j].rect.Center().Y
-		})
-		for o := 0; o < len(slice); o += capPerNode {
-			e := o + capPerNode
-			if e > len(slice) {
-				e = len(slice)
-			}
-			n := &node[T]{leaf: false}
-			n.entries = append(n.entries, slice[o:e]...)
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Dump serializes the tree bottom-up: emit is called once per node, children

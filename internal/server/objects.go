@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -79,13 +80,12 @@ func (o objectSpec) toOp(i int) (store.Op, error) {
 	if set != 1 {
 		return store.Op{}, badRequest("objects[%d]: exactly one of uniform, hist, disk required", i)
 	}
-	field := func(name string) string { return fmt.Sprintf("objects[%d].%s", i, name) }
 	switch {
 	case o.Uniform != nil:
-		if err := checkFinite(field("uniform.lo"), o.Uniform.Lo); err != nil {
+		if err := checkField(o.Uniform.Lo, i, "uniform.lo", -1); err != nil {
 			return store.Op{}, err
 		}
-		if err := checkFinite(field("uniform.hi"), o.Uniform.Hi); err != nil {
+		if err := checkField(o.Uniform.Hi, i, "uniform.hi", -1); err != nil {
 			return store.Op{}, err
 		}
 		u, err := pdf.NewUniform(o.Uniform.Lo, o.Uniform.Hi)
@@ -95,12 +95,12 @@ func (o objectSpec) toOp(i int) (store.Op, error) {
 		return store.Op{Code: store.OpUniform, ID: o.ID, PDF: u}, nil
 	case o.Hist != nil:
 		for j, e := range o.Hist.Edges {
-			if err := checkFinite(field(fmt.Sprintf("hist.edges[%d]", j)), e); err != nil {
+			if err := checkField(e, i, "hist.edges", j); err != nil {
 				return store.Op{}, err
 			}
 		}
 		for j, wt := range o.Hist.Weights {
-			if err := checkFinite(field(fmt.Sprintf("hist.weights[%d]", j)), wt); err != nil {
+			if err := checkField(wt, i, "hist.weights", j); err != nil {
 				return store.Op{}, err
 			}
 		}
@@ -110,13 +110,13 @@ func (o objectSpec) toOp(i int) (store.Op, error) {
 		}
 		return store.Op{Code: store.OpHist, ID: o.ID, PDF: h}, nil
 	default:
-		if err := checkFinite(field("disk.x"), o.Disk.X); err != nil {
+		if err := checkField(o.Disk.X, i, "disk.x", -1); err != nil {
 			return store.Op{}, err
 		}
-		if err := checkFinite(field("disk.y"), o.Disk.Y); err != nil {
+		if err := checkField(o.Disk.Y, i, "disk.y", -1); err != nil {
 			return store.Op{}, err
 		}
-		if err := checkFinite(field("disk.r"), o.Disk.R); err != nil {
+		if err := checkField(o.Disk.R, i, "disk.r", -1); err != nil {
 			return store.Op{}, err
 		}
 		if o.Disk.R <= 0 {
@@ -125,6 +125,19 @@ func (o objectSpec) toOp(i int) (store.Op, error) {
 		c := geom.Circle{Center: geom.Point{X: o.Disk.X, Y: o.Disk.Y}, Radius: o.Disk.R}
 		return store.Op{Code: store.OpDisk, ID: o.ID, Disk: c}, nil
 	}
+}
+
+// checkField is checkFinite on field name of objects[i] (element j of it
+// when j >= 0). It builds the field's name only for a value that fails: a
+// histogram has tens of edges and weights, and a valid one names none.
+func checkField(v float64, i int, name string, j int) error {
+	if !math.IsNaN(v) && !math.IsInf(v, 0) {
+		return nil
+	}
+	if j >= 0 {
+		name = fmt.Sprintf("%s[%d]", name, j)
+	}
+	return checkFinite(fmt.Sprintf("objects[%d].%s", i, name), v)
 }
 
 // storeError maps store failures onto HTTP statuses: unknown IDs are 404s,

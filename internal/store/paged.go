@@ -41,9 +41,9 @@ import (
 //
 // The write is crash-safe: build the temp file, flush and fsync it, rename
 // over the live name, fsync the directory — a crash mid-checkpoint leaves
-// the previous checkpoint (and the full WAL) untouched. The pool that wrote
-// the temp file becomes the new base's read pool — the fd follows the
-// rename, and every page it holds is already hot.
+// the previous checkpoint (and the full WAL) untouched. The pool the writer
+// warmed becomes the new base's read pool — the fd follows the rename, and
+// every page it holds is already hot.
 
 const ckptMagicV2 = "CPNNCKP2"
 
@@ -76,20 +76,26 @@ func newBase(f *pager.File, pool *pagecache.Pool, log *pagecache.Log) *base {
 	return b
 }
 
-// pdfAt decodes the object payload stored at ref.
+// pdfAt decodes the object payload stored at ref. The record is read into a
+// stack buffer (a histogram of up to 30 bins fits) and decoded as the one op
+// it holds, so a fault allocates the pdf and nothing else.
 func (b *base) pdfAt(ref int64) (pdf.PDF, error) {
-	rec, err := b.log.ReadRecord(ref)
+	var buf [512]byte
+	rec, err := b.log.ReadRecord(buf[:0], ref)
 	if err != nil {
 		return nil, err
 	}
-	ops, err := decodeOps(rec)
+	if len(rec) < 4 || byteOrder.Uint32(rec) != 1 {
+		return nil, fmt.Errorf("record at %d is not an object payload", ref)
+	}
+	op, rest, err := decodeOp(rec[4:])
 	if err != nil {
 		return nil, fmt.Errorf("record at %d: %w", ref, err)
 	}
-	if len(ops) != 1 || ops[0].PDF == nil {
+	if len(rest) != 0 || op.PDF == nil {
 		return nil, fmt.Errorf("record at %d is not an object payload", ref)
 	}
-	return ops[0].PDF, nil
+	return op.PDF, nil
 }
 
 // viewSource adapts a frozen slot table to uncertain.Source: regions come
@@ -172,11 +178,18 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 
 	// Object payloads, in the packed tree's leaf order (centre order in 1-D),
 	// so the candidates of one query share pages. Overlay slots encode their
-	// decoded pdf; base-resident slots copy the record bytes verbatim from the
-	// previous generation — no decode, no re-encode, so unchanged objects are
-	// byte-stable across checkpoints.
+	// decoded pdf as a one-op batch; base-resident slots copy the record
+	// bytes verbatim from the previous generation — no decode, no re-encode,
+	// so unchanged objects are byte-stable across checkpoints. The copy reads
+	// the previous base through a private read-ahead scanner, not the
+	// readers' pool: the new leaf order is the old one apart from the
+	// changed objects, so the scan is sequential and leaves the queries'
+	// pages cached.
 	refs := make([]int64, n)
-	var scratch []byte
+	var (
+		scratch []byte
+		scan    *pagecache.Scanner
+	)
 	for _, i := range order {
 		r := st.recs.At(i)
 		var raw []byte
@@ -186,12 +199,18 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 				return nil, nil, fmt.Errorf("store: checkpoint: object %d: pdf %T has no durable encoding",
 					st.slots[i], r.p)
 			}
-			raw, err = encodeOps([]Op{{Code: code, ID: st.slots[i], PDF: r.p}})
-			if err != nil {
+			scratch = binary.LittleEndian.AppendUint32(scratch[:0], 1)
+			if scratch, err = appendOp(scratch, Op{Code: code, ID: st.slots[i], PDF: r.p}); err != nil {
 				return nil, nil, fmt.Errorf("store: checkpoint: object %d: %w", st.slots[i], err)
 			}
-		} else if raw, err = st.base.log.ReadRecord(r.ref); err != nil {
-			return nil, nil, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
+			raw = scratch
+		} else {
+			if scan == nil {
+				scan = st.base.log.Scanner()
+			}
+			if raw, err = scan.Record(r.ref); err != nil {
+				return nil, nil, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
+			}
 		}
 		if refs[i], err = w.Append(raw); err != nil {
 			return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
@@ -242,8 +261,8 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
 	}
 
-	logSize := w.Finish()
-	if err := pool.Flush(); err != nil {
+	logSize, err := w.Finish()
+	if err != nil {
 		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
 	}
 
@@ -325,7 +344,7 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 	pool := pagecache.NewPool(pf, cacheBytes)
 	b := newBase(pf, pool, pagecache.NewLog(pool, 1, logSize))
 
-	slotTab, err := b.log.ReadRecord(int64(binary.LittleEndian.Uint64(hdr[40:48])))
+	slotTab, err := b.log.ReadRecord(nil, int64(binary.LittleEndian.Uint64(hdr[40:48])))
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: slot table: %w", err)
 	}
@@ -348,7 +367,7 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 		st.slotOf[id] = i
 	}
 
-	diskTab, err := b.log.ReadRecord(int64(binary.LittleEndian.Uint64(hdr[48:56])))
+	diskTab, err := b.log.ReadRecord(nil, int64(binary.LittleEndian.Uint64(hdr[48:56])))
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: disk table: %w", err)
 	}
@@ -369,12 +388,13 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 		st.dslotOf[id] = i
 	}
 
+	var raw []byte // node records; DecodeNode copies out of it
 	tree, err := rtree.Rebuild(int64(binary.LittleEndian.Uint64(hdr[56:64])),
 		int(binary.LittleEndian.Uint64(hdr[64:72])),
 		rtree.DefaultMinEntries, rtree.DefaultMaxEntries,
 		func(ref int64) (bool, []geom.Rect, []int, []int64, error) {
-			raw, err := b.log.ReadRecord(ref)
-			if err != nil {
+			var err error
+			if raw, err = b.log.ReadRecord(raw[:0], ref); err != nil {
 				return false, nil, nil, nil, err
 			}
 			nd, err := pagecache.DecodeNode(raw)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -316,6 +318,99 @@ func TestSnapshotFaultsEachPageOnce(t *testing.T) {
 	st := s.Stats()
 	if got := st.PageCache.Misses - before; got > uint64(st.BasePages) {
 		t.Fatalf("snapshot of %d objects faulted %d pages, base has %d", n, got, st.BasePages)
+	}
+}
+
+// TestPayloadFaultAllocations holds a cold payload fault to the pdf it
+// returns: the record is read into a stack buffer and decoded as its one op,
+// so the allocations are the histogram's own.
+func TestPayloadFaultAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const n, runs = 3000, 400
+	s, _ := openScattered(t, n, 9)
+	defer s.Close()
+	v := s.View()
+	// Slot order is insertion order, which is not the leaf order the base
+	// lays payloads in, so a walk over slots faults a page at nearly every
+	// step under the 8-page cache.
+	before, next := s.Stats().PageCache, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if v.Dataset.Object(next).PDF == nil {
+			t.Fatalf("object %d faulted to nil", next)
+		}
+		next++
+	})
+	st := s.Stats().PageCache
+	if misses := st.Misses - before.Misses; misses < uint64(next)*3/4 {
+		t.Fatalf("%d faults missed %d times — not cold, test is vacuous", next, misses)
+	}
+	t.Logf("%.2f allocations a cold fault (%d faults, %d misses)", allocs, next, st.Misses-before.Misses)
+	if allocs > 6 {
+		t.Fatalf("a cold payload fault allocates %.2f objects, want at most 6", allocs)
+	}
+}
+
+// TestCheckpointFailsOnCorruptBase flips a byte in a payload page of the
+// base. The next flatten copies unchanged payloads out of that base, so it
+// must fail naming the page and its byte offset — and leave checkpoint.db
+// and the WAL as they were and the store serving.
+func TestCheckpointFailsOnCorruptBase(t *testing.T) {
+	const n = 3000
+	s, _ := openScattered(t, n, 13)
+	defer s.Close()
+	mustApply(t, s, UpdateObject(s.View().IDs[n/2], pdf.MustUniform(1000, 1001)))
+
+	// Page 1 is the first stream page: the payloads of the objects leftmost
+	// in the packed leaf order, none of them the one just updated.
+	const page = 1
+	ckpt, wal := filepath.Join(s.dir, checkpointName), filepath.Join(s.dir, walName)
+	raw, err := os.OpenFile(ckpt, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.WriteAt([]byte{0x5A}, page*pager.PageSize+100); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	ckptBefore, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walBefore, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = s.Checkpoint()
+	if err == nil {
+		t.Fatal("checkpoint over a corrupt base succeeded")
+	}
+	if want := fmt.Sprintf("page %d (byte offset %d)", page, page*pager.PageSize); !strings.Contains(err.Error(), want) {
+		t.Fatalf("checkpoint error %q does not name %q", err, want)
+	}
+	for name, before := range map[string][]byte{ckpt: ckptBefore, wal: walBefore} {
+		if after, err := os.ReadFile(name); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s changed by the failed checkpoint (%v)", filepath.Base(name), err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(s.dir, checkpointTmp)); !os.IsNotExist(err) {
+		t.Fatalf("failed checkpoint left %s behind", checkpointTmp)
+	}
+
+	// The store still commits and answers queries away from the rotten page.
+	mustApply(t, s, InsertObject(pdf.MustUniform(1500, 1510)))
+	v := s.View()
+	if v.Dataset.Len() != n+1 {
+		t.Fatalf("after the failed checkpoint: %d objects, want %d", v.Dataset.Len(), n+1)
+	}
+	e, err := core.NewEngineWithIndex(v.Dataset, v.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := e.CPNN(1505, verify.Constraint{P: 0.3, Delta: 0.01}, core.Options{}); err != nil || len(res.Candidates) == 0 {
+		t.Fatalf("query after the failed checkpoint: %d candidates, %v", len(res.Candidates), err)
 	}
 }
 
