@@ -6,8 +6,9 @@
 // `go run ./cmd/cpnn-bench` and recorded in EXPERIMENTS.md.
 //
 // BenchmarkVerifier* covers Table III (per-verifier complexity), and the
-// Ablation* benches measure the design choices DESIGN.md calls out: verifier
-// ordering, quadrature sizing and the incremental-refinement prior.
+// Ablation* benches measure three of the implementation's design choices:
+// the verifier order (Fig. 5's cheap-first chain), the quadrature size, and
+// the verifier prior of incremental refinement (§IV-D).
 package pnn_test
 
 import (

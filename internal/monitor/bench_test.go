@@ -126,7 +126,7 @@ func BenchmarkMonitorCommitBatch(b *testing.B) {
 // spatial join, and the (few) triggered re-evaluations, through quiescence.
 // The standing-query count is the axis: with influence pruning the cost
 // should stay nearly flat as queries grow, where naive re-evaluate-all is
-// linear (EXPERIMENTS.md, "Continuous monitoring").
+// linear.
 func BenchmarkMonitorCommit(b *testing.B) {
 	for _, nq := range []int{16, 256} {
 		b.Run(fmt.Sprintf("queries=%d", nq), func(b *testing.B) {

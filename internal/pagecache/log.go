@@ -119,7 +119,7 @@ type Scanner struct {
 	ext     []byte       // loaded pages
 	first   pager.PageID // page of ext[0]
 	pages   int          // pages loaded into ext
-	checked uint64       // bit k: page first+k passed its CRC check
+	checked uint64       // bit k: page first+k passed its CRC check (ExtentPages <= 64)
 	rec     []byte       // the last record returned
 }
 

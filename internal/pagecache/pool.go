@@ -149,10 +149,10 @@ func (p *Pool) install(first pager.PageID, extent []byte) {
 	defer p.mu.Unlock()
 	for o := 0; o < len(extent); o += pager.PageSize {
 		p.stats.Writebacks++
-		id := first + pager.PageID(o/pager.PageSize)
-		if _, ok := p.frames[id]; ok || len(p.frames) >= p.budget {
+		if len(p.frames) >= p.budget {
 			continue
 		}
+		id := first + pager.PageID(o/pager.PageSize)
 		fr := &frame{id: id, ref: true}
 		copy(fr.data[:], extent[o:])
 		p.clock = append(p.clock, fr)

@@ -11,6 +11,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -727,10 +728,7 @@ func PartitionSTR(rects []geom.Rect, k int) ([][]int, []float64) {
 	}
 	cx := func(i int) float64 { return rects[idx[i]].Center().X }
 	slices.SortFunc(idx, func(a, b int) int {
-		if c := cmpStrKey(strKey{rects[a].Center().X, a}, strKey{rects[b].Center().X, b}); c != 0 {
-			return c
-		}
-		return a - b
+		return cmp.Or(cmp.Compare(rects[a].Center().X, rects[b].Center().X), cmp.Compare(a, b))
 	})
 	groups := make([][]int, k)
 	cuts := make([]float64, 0, k-1)

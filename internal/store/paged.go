@@ -188,8 +188,11 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 	refs := make([]int64, n)
 	var (
 		scratch []byte
-		scan    *pagecache.Scanner
+		scan    *pagecache.Scanner // nil without a base: every slot is resident
 	)
+	if st.base != nil {
+		scan = st.base.log.Scanner()
+	}
 	for _, i := range order {
 		r := st.recs.At(i)
 		var raw []byte
@@ -204,13 +207,8 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 				return nil, nil, fmt.Errorf("store: checkpoint: object %d: %w", st.slots[i], err)
 			}
 			raw = scratch
-		} else {
-			if scan == nil {
-				scan = st.base.log.Scanner()
-			}
-			if raw, err = scan.Record(r.ref); err != nil {
-				return nil, nil, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
-			}
+		} else if raw, err = scan.Record(r.ref); err != nil {
+			return nil, nil, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
 		}
 		if refs[i], err = w.Append(raw); err != nil {
 			return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
