@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/pagecache"
 	"repro/internal/pager"
 	"repro/internal/pdf"
@@ -417,12 +416,12 @@ func TestCheckpointFailsOnCorruptBase(t *testing.T) {
 // Checkpoint digests of TestCheckpointBytesStable's op sequence: the sha256
 // of checkpoint.db after its first and its second flatten.
 const (
-	stableFirstSHA  = "db6a6837b00a3e664c8cd9dfece5ba5b35724a79641f8ac815318cbc0b010c11"
-	stableSecondSHA = "0b8f0ddc962456cd992be2912a7cbadec9fbcee9cf697bb553df1e56b5906ff8"
+	stableFirstSHA  = "8f2e3120eb8dfd91e33e9475830ac32efb134458e92140cb081da5fdf693eafb"
+	stableSecondSHA = "38631f71503e06a626e30463a2c6f64cd24d4a00d51c4f0a4d33918973ee459b"
 )
 
 // TestCheckpointBytesStable holds the paged checkpoint to its bytes. A fixed
-// op sequence — histograms, uniforms and disks, then updates, deletes and
+// op sequence — histograms and uniforms, then updates, deletes and
 // inserts on top of the first base — is flattened twice, so the second file
 // copies unchanged payloads from the first and encodes the changed ones.
 // Both files must hash to the recorded digests: any change to payload order,
@@ -463,9 +462,6 @@ func TestCheckpointBytesStable(t *testing.T) {
 		} else {
 			ops = append(ops, InsertObject(hist()))
 		}
-	}
-	for i := 0; i < 10; i++ {
-		ops = append(ops, InsertDisk(geom.Circle{Center: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Radius: 1 + rng.Float64()}))
 	}
 	mustApply(t, s, ops...)
 	if got := digest(); got != stableFirstSHA {
@@ -588,7 +584,7 @@ func TestLegacyV1CheckpointUpgrade(t *testing.T) {
 		if res.IDs[0] != nextID || res.Version != 8 || res.Seq != 8 {
 			t.Fatalf("commit over v1 base: %+v", res)
 		}
-		mustApply(t, s, InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 3}))
+		mustApply(t, s, InsertObject(pdf.MustUniform(600, 602)), Delete(nextID+1))
 		live := s.View()
 		crash := copyFiles(t, dir) // kill -9: v1 checkpoint + two WAL records
 		s.Close()
@@ -602,9 +598,9 @@ func TestLegacyV1CheckpointUpgrade(t *testing.T) {
 		}
 		defer re.Close()
 		sameView(t, "v1 + WAL tail", re.View(), live)
-		if v := re.View(); v.Version != 9 || v.Seq != 9 || v.Dataset.Len() != 40 || len(v.Disks) != 1 || v.NextID != nextID+2 {
-			t.Fatalf("v1 + WAL recovery: version=%d seq=%d len=%d disks=%d nextID=%d",
-				v.Version, v.Seq, v.Dataset.Len(), len(v.Disks), v.NextID)
+		if v := re.View(); v.Version != 9 || v.Seq != 9 || v.Dataset.Len() != 40 || v.NextID != nextID+2 {
+			t.Fatalf("v1 + WAL recovery: version=%d seq=%d len=%d nextID=%d",
+				v.Version, v.Seq, v.Dataset.Len(), v.NextID)
 		}
 		if err := re.Checkpoint(); err != nil {
 			t.Fatal(err)
