@@ -514,12 +514,12 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 		switch {
 		case a.fol != nil:
 			// server.New labels replica snapshots itself.
-		case a.st != nil && (a.st.View().Dataset.Len() > 0 || len(a.st.View().Disks) > 0):
-			// The durable contents win (disks-only stores count: seeding would
-			// truncate them); -gen/-data would have been only the seed.
+		case a.st != nil && a.st.View().Dataset.Len() > 0:
+			// The durable contents win; -gen/-data would have been only the
+			// seed.
 			if o.gen || o.dataPath != "" {
 				kit.log.Warn("store already populated; ignoring -gen/-data",
-					"dir", o.dataDir, "objects", a.st.View().Dataset.Len(), "disks", len(a.st.View().Disks))
+					"dir", o.dataDir, "objects", a.st.View().Dataset.Len())
 			}
 			a.source = fmt.Sprintf("store:%s", o.dataDir)
 			cfg.Source = a.source

@@ -142,7 +142,7 @@ func inspect(out io.Writer, dir string, s *store.Store) error {
 	fmt.Fprintf(out, "version:      %d\n", st.Version)
 	fmt.Fprintf(out, "seq:          %d\n", st.Seq)
 	fmt.Fprintf(out, "objects (1d): %d\n", st.Objects1D)
-	fmt.Fprintf(out, "objects (2d): %d\n", st.Objects2D)
+	fmt.Fprintf(out, "dropped (2d): %d disks of older data (2-D runs in cpnn-query)\n", st.DroppedDisks)
 	// Compaction debt at a glance: the WAL tail is what the next boot must
 	// replay, and the checkpoint age is how long it has been accruing.
 	fmt.Fprintf(out, "wal tail:     %d bytes\n", st.WALBytes)
@@ -189,8 +189,12 @@ func inspect(out io.Writer, dir string, s *store.Store) error {
 }
 
 // verifyStore proves the recovered state is servable: every pdf validates
-// and a C-PNN probe at the domain center runs end to end.
+// and a C-PNN probe at the domain center runs end to end. It names the 2-D
+// disks recovery dropped, if the directory's older data held any.
 func verifyStore(out io.Writer, s *store.Store) error {
+	if n := s.Stats().DroppedDisks; n > 0 {
+		fmt.Fprintf(out, "note: dropped %d 2-D disks of older data (2-D runs in cpnn-query)\n", n)
+	}
 	v := s.View()
 	if err := v.Dataset.Validate(); err != nil {
 		return fmt.Errorf("dataset validation: %w", err)

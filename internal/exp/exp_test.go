@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/uncertain"
+	"repro/internal/verify"
 )
 
 // small returns a configuration fast enough for unit testing: a reduced
@@ -43,35 +47,68 @@ func TestFigure9Shape(t *testing.T) {
 	}
 }
 
+// TestFigure10Shape gates the figure's shape on work, not wall time: a
+// millisecond cell moves with the scheduler, while the objects each strategy
+// refines and the integrations it runs over the figure's queries do not.
 func TestFigure10Shape(t *testing.T) {
-	tab, err := Figure10(small())
+	cfg := small()
+	tab, err := Figure10(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// At every P: VR <= Refine <= Basic. Both VR and Refine average a
-	// fraction of a millisecond per query here, so one scheduler preemption
-	// (test packages run concurrently, possibly on one core) shifts a cell
-	// by ~0.1ms; the absolute slop must swallow that while still failing if
-	// VR ever degenerates to full refinement (a multi-ms jump).
-	for r := range tab.Rows {
-		basic, _ := tab.Cell(r, "basic_ms")
-		refine, _ := tab.Cell(r, "refine_ms")
-		vr, _ := tab.Cell(r, "vr_ms")
-		if basic < refine {
-			t.Errorf("row %d: Basic %g < Refine %g", r, basic, refine)
-		}
-		if vr > refine*1.5+0.25 {
-			t.Errorf("row %d: VR %g not faster than Refine %g", r, vr, refine)
+	for _, col := range []string{"basic_ms", "refine_ms", "vr_ms"} {
+		if _, err := tab.Cell(0, col); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// VR at P=0.3 (row 1) is meaningfully cheaper than Basic.
-	basic, _ := tab.Cell(1, "basic_ms")
-	vr, _ := tab.Cell(1, "vr_ms")
-	if vr > basic/2 {
-		t.Errorf("VR %g not well below Basic %g at P=0.3", vr, basic)
+
+	// The figure's queries, replayed per strategy and threshold.
+	cfg = cfg.withDefaults()
+	ds, opt, err := longBeach(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := uncertain.QueryWorkload(cfg.Queries, opt.Domain, cfg.Seed+1)
+	work := func(p float64, strat core.Strategy) (refined, integrations int) {
+		c := verify.Constraint{P: p, Delta: cfg.Tolerance}
+		for _, q := range queries {
+			res, err := eng.CPNN(q, c, core.Options{Strategy: strat, BasicSteps: cfg.BasicSteps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refined += res.Stats.RefinedObjects
+			integrations += res.Stats.Integrations
+		}
+		return refined, integrations
+	}
+	// At every P: VR refines no more objects, and integrates no more, than
+	// Refine, which refines every candidate as Basic does.
+	for r := range tab.Rows {
+		p := tab.Rows[r][0]
+		basic, _ := work(p, core.Basic)
+		refine, refineInt := work(p, core.Refine)
+		vr, vrInt := work(p, core.VR)
+		if refine > basic {
+			t.Errorf("P=%g: Refine refined %d objects, Basic %d", p, refine, basic)
+		}
+		if vr > refine || vrInt > refineInt {
+			t.Errorf("P=%g: VR refined %d objects in %d integrations, Refine %d in %d",
+				p, vr, vrInt, refine, refineInt)
+		}
+	}
+	// VR at P=0.3 refines well under half of what Basic does: a VR that
+	// degenerates to full refinement refines every candidate and fails here.
+	basic, _ := work(0.3, core.Basic)
+	vr, _ := work(0.3, core.VR)
+	if basic == 0 || vr > basic/2 {
+		t.Errorf("P=0.3: VR refined %d objects, not well below Basic's %d", vr, basic)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/store"
 	"repro/internal/verify"
@@ -225,48 +224,6 @@ func TestStateEvictionUnderCap(t *testing.T) {
 		if !bytes.Equal(q.Answer, fresh) {
 			t.Errorf("monitor %d wrong under eviction churn: %s != %s", q.ID, q.Answer, fresh)
 		}
-	}
-}
-
-// TestTwoDFallbackCounter: disk (2-D) churn cannot affect 1-D standing
-// queries; the feed loop skips it without dirtying anyone and counts the skip.
-func TestTwoDFallbackCounter(t *testing.T) {
-	s := openStore(t)
-	seedObjects(t, s, 0, 10, 5, 15)
-	m := newMonitor(t, s)
-	st, err := m.Register(cpnnSpec(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.Stats()
-
-	res, err := s.Apply([]store.Op{
-		store.InsertDisk(geom.Circle{Center: geom.Point{X: 7, Y: 0}, Radius: 2}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply([]store.Op{store.Delete(res.IDs[0])}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Sync(syncTimeout); err != nil {
-		t.Fatal(err)
-	}
-
-	after := m.Stats()
-	if after.TwoDFallbacks != before.TwoDFallbacks+2 {
-		t.Errorf("TwoDFallbacks = %d, want %d", after.TwoDFallbacks, before.TwoDFallbacks+2)
-	}
-	if after.ReEvals != before.ReEvals {
-		t.Errorf("2-D churn triggered re-evaluations: %d -> %d", before.ReEvals, after.ReEvals)
-	}
-	got, _ := m.Get(st.ID)
-	fresh, _, err := freshEval(s.View(), st.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Answer, fresh) {
-		t.Errorf("answer wrong after 2-D churn: %s != %s", got.Answer, fresh)
 	}
 }
 

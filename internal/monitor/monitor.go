@@ -177,11 +177,6 @@ type Stats struct {
 	// exit: the triggering changes provably could not alter the answer, so
 	// no fold was derived and no verifier ran.
 	EarlyExits uint64
-	// TwoDFallbacks counts 2-D object changes the spatial join skipped.
-	// Standing queries are 1-D (their evaluation never reads the view's
-	// disks), so the skip is sound — the counter exists so the coverage gap
-	// stays visible if 2-D standing queries are ever added.
-	TwoDFallbacks uint64
 	// IncrementalReused counts candidate folds served from per-query states;
 	// IncrementalDerived counts folds actually recomputed. Their ratio is
 	// the monitor-side derivation saving.
@@ -224,7 +219,7 @@ type Monitor struct {
 
 	// counters, guarded by mu (the hot paths already hold it)
 	nDeltas, nGaps, nAffected, nPruned, nReEvals, nPushes, nDropped, nErrors uint64
-	nEarlyExits, nTwoDFallbacks, nStateEvictions, nIncReused, nIncDerived    uint64
+	nEarlyExits, nStateEvictions, nIncReused, nIncDerived                    uint64
 }
 
 // New builds and starts a monitor over the change feeds of cfg.Source's
@@ -417,7 +412,6 @@ func (m *Monitor) Stats() Stats {
 		Dropped:            m.nDropped,
 		Errors:             m.nErrors,
 		EarlyExits:         m.nEarlyExits,
-		TwoDFallbacks:      m.nTwoDFallbacks,
 		IncrementalReused:  m.nIncReused,
 		IncrementalDerived: m.nIncDerived,
 		StateBytes:         m.stateBytes,
@@ -532,14 +526,6 @@ func (m *Monitor) feedLoop(i int) {
 		} else {
 			hit := map[uint64]struct{}{}
 			for _, ch := range d.Changes {
-				if ch.TwoD {
-					// Standing queries are 1-D — evaluation never reads the
-					// view's disks — so disk churn provably cannot touch
-					// them. Counted so the skip stays visible (see
-					// Stats.TwoDFallbacks) if 2-D standing queries land.
-					m.nTwoDFallbacks++
-					continue
-				}
 				collect := func(_ geom.Rect, id uint64) bool {
 					hit[id] = struct{}{}
 					if q := m.queries[id]; q != nil && m.incremental {

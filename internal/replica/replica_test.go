@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/pdf"
 	"repro/internal/store"
@@ -149,7 +148,7 @@ func TestFollowerCatchUpAndLiveTail(t *testing.T) {
 
 	// Live tail.
 	for i := 0; i < 15; i++ {
-		if _, err := p.Apply([]store.Op{store.InsertDisk(geom.Circle{Center: geom.Point{X: float64(i), Y: 1}, Radius: 2})}); err != nil {
+		if _, err := p.Apply([]store.Op{store.InsertObject(pdf.MustUniform(float64(i), float64(i)+2))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +283,7 @@ func TestSnapshotBootstrapFreshFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Apply([]store.Op{store.InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 1}, Radius: 1})}); err != nil {
+		if _, err := p.Apply([]store.Op{store.InsertObject(pdf.MustUniform(1, 3))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,8 +301,8 @@ func TestSnapshotBootstrapFreshFollower(t *testing.T) {
 	// a v2 file with nothing resident in the overlay, byte-equal to what the
 	// primary writes at the same seq.
 	st := fs.Stats()
-	if st.OverlaySlots != 0 || st.BaseSlots != 34 || st.BasePages == 0 {
-		t.Fatalf("bootstrapped follower: overlay %d, base %d slots, %d pages — want 0, 34, > 0",
+	if st.OverlaySlots != 0 || st.BaseSlots != 37 || st.BasePages == 0 {
+		t.Fatalf("bootstrapped follower: overlay %d, base %d slots, %d pages — want 0, 37, > 0",
 			st.OverlaySlots, st.BaseSlots, st.BasePages)
 	}
 	if st.Checkpoints != 1 || st.LastCheckpointUnixNano <= 0 || st.CheckpointNanos == 0 {
@@ -355,8 +354,8 @@ func assertSameView(t *testing.T, got, want *store.View) {
 		t.Fatalf("view at version %d seq %d nextID %d, want %d/%d/%d",
 			got.Version, got.Seq, got.NextID, want.Version, want.Seq, want.NextID)
 	}
-	if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Disks, want.Disks) {
-		t.Fatalf("tables differ: ids %v disks %v, want %v %v", got.IDs, got.Disks, want.IDs, want.Disks)
+	if !reflect.DeepEqual(got.IDs, want.IDs) {
+		t.Fatalf("tables differ: ids %v, want %v", got.IDs, want.IDs)
 	}
 	for _, q := range []float64{-5, 3, 20, 57.5, 110} {
 		for _, sp := range []monitor.Spec{

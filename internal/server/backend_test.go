@@ -211,7 +211,9 @@ func TestBackendParity(t *testing.T) {
 			body: repeatJSON(`{"objects":[`, "{}", MaxObjectsBatch+1, `]}`), need: needObjects, status: 400},
 		{name: "objects unknown field", method: "POST", path: "/v1/objects", body: `{"objects":[],"bogus":1}`, need: needObjects, status: 400},
 		{name: "objects two payloads", method: "POST", path: "/v1/objects",
-			body: `{"objects":[{"uniform":{"lo":0,"hi":1},"disk":{"x":0,"y":0,"r":1}}]}`, need: needObjects, status: 400},
+			body: `{"objects":[{"uniform":{"lo":0,"hi":1},"hist":{"edges":[0,1],"weights":[1]}}]}`, need: needObjects, status: 400},
+		{name: "objects disk", method: "POST", path: "/v1/objects",
+			body: `{"objects":[{"disk":{"x":0,"y":0,"r":1}}]}`, need: needObjects, status: 400},
 		{name: "objects inverted uniform", method: "POST", path: "/v1/objects",
 			body: `{"objects":[{"uniform":{"lo":5,"hi":1}}]}`, need: needObjects, status: 400},
 		{name: "objects infinite hi", method: "POST", path: "/v1/objects",

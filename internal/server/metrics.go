@@ -125,7 +125,6 @@ func (s *Server) collectStore(e *obs.Emitter) {
 		age := max(0, time.Since(time.Unix(0, st.LastCheckpointUnixNano)).Seconds())
 		obs.Gauge(e, p+"checkpoint_age_seconds", "Seconds since the last completed checkpoint.", age)
 	}
-	obs.Gauge(e, p+"objects_2d", "Live 2-D objects in the store.", st.Objects2D)
 	obs.Gauge(e, p+"feed_subscribers", "Live change-feed subscriptions.", st.FeedSubscribers)
 	obs.Counter(e, p+"feed_dropped_total", "Deltas dropped on lagging change-feed subscribers.", st.FeedDropped)
 	obs.Counter(e, "cpnn_server_snapshot_follower_errors_total",
@@ -165,7 +164,6 @@ func collectMonitor(e *obs.Emitter, prefix string, ms monitor.Stats) {
 	obs.Counter(e, p+"dropped_total", "Updates dropped on slow subscribers.", ms.Dropped)
 	obs.Counter(e, p+"errors_total", "Failed evaluations (some standing answers may be stale until their next triggering commit).", ms.Errors)
 	obs.Counter(e, p+"early_exit_total", "Re-evaluations resolved without running the verifier (changes provably could not alter the answer).", ms.EarlyExits)
-	obs.Counter(e, p+"2d_fallback_total", "2-D object changes skipped by the spatial join (standing queries are 1-D).", ms.TwoDFallbacks)
 	obs.Counter(e, p+"folds_reused_total", "Candidate folds served from per-query incremental states.", ms.IncrementalReused)
 	obs.Counter(e, p+"folds_derived_total", "Candidate folds recomputed.", ms.IncrementalDerived)
 	obs.Gauge(e, p+"state_bytes", "Memory retained by per-query incremental evaluation states.", ms.StateBytes)

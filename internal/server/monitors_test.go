@@ -313,7 +313,6 @@ func TestMetricsMonitorBlock(t *testing.T) {
 		"cpnn_server_monitor_reevals_total",
 		"cpnn_server_monitor_pruned_total",
 		"cpnn_server_monitor_early_exit_total",
-		"cpnn_server_monitor_2d_fallback_total",
 		"cpnn_server_monitor_state_bytes",
 		"cpnn_server_monitor_state_evictions_total",
 		"cpnn_server_monitor_folds_reused_total",

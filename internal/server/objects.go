@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/store"
 )
@@ -25,7 +24,9 @@ type objectSpec struct {
 	ID      uint64       `json:"id,omitempty"`
 	Uniform *uniformSpec `json:"uniform,omitempty"`
 	Hist    *histSpec    `json:"hist,omitempty"`
-	Disk    *diskSpec    `json:"disk,omitempty"`
+	// Disk is decoded only to be refused with errDiskObject: the store holds
+	// 1-D objects, and a 2-D disk was a payload of builds that stored them.
+	Disk any `json:"disk,omitempty"`
 }
 
 type uniformSpec struct {
@@ -36,12 +37,6 @@ type uniformSpec struct {
 type histSpec struct {
 	Edges   []float64 `json:"edges"`
 	Weights []float64 `json:"weights"`
-}
-
-type diskSpec struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	R float64 `json:"r"`
 }
 
 type objectsRequest struct {
@@ -71,17 +66,13 @@ const MaxObjectsBatch = 65536
 // here, through the same checkFinite guard as the query paths, so malformed
 // objects are 400s before any WAL traffic.
 func (o objectSpec) toOp(i int) (store.Op, error) {
-	set := 0
-	for _, present := range []bool{o.Uniform != nil, o.Hist != nil, o.Disk != nil} {
-		if present {
-			set++
-		}
+	if o.Disk != nil {
+		return store.Op{}, badRequest("objects[%d]: 2-D disks are not stored or served; 2-D queries run in cpnn-query and the library's pnn.New2D", i)
 	}
-	if set != 1 {
-		return store.Op{}, badRequest("objects[%d]: exactly one of uniform, hist, disk required", i)
+	if (o.Uniform != nil) == (o.Hist != nil) {
+		return store.Op{}, badRequest("objects[%d]: exactly one of uniform, hist required", i)
 	}
-	switch {
-	case o.Uniform != nil:
+	if o.Uniform != nil {
 		if err := checkField(o.Uniform.Lo, i, "uniform.lo", -1); err != nil {
 			return store.Op{}, err
 		}
@@ -93,38 +84,22 @@ func (o objectSpec) toOp(i int) (store.Op, error) {
 			return store.Op{}, badRequest("objects[%d]: %v", i, err)
 		}
 		return store.Op{Code: store.OpUniform, ID: o.ID, PDF: u}, nil
-	case o.Hist != nil:
-		for j, e := range o.Hist.Edges {
-			if err := checkField(e, i, "hist.edges", j); err != nil {
-				return store.Op{}, err
-			}
-		}
-		for j, wt := range o.Hist.Weights {
-			if err := checkField(wt, i, "hist.weights", j); err != nil {
-				return store.Op{}, err
-			}
-		}
-		h, err := pdf.NewHistogram(o.Hist.Edges, o.Hist.Weights)
-		if err != nil {
-			return store.Op{}, badRequest("objects[%d]: %v", i, err)
-		}
-		return store.Op{Code: store.OpHist, ID: o.ID, PDF: h}, nil
-	default:
-		if err := checkField(o.Disk.X, i, "disk.x", -1); err != nil {
-			return store.Op{}, err
-		}
-		if err := checkField(o.Disk.Y, i, "disk.y", -1); err != nil {
-			return store.Op{}, err
-		}
-		if err := checkField(o.Disk.R, i, "disk.r", -1); err != nil {
-			return store.Op{}, err
-		}
-		if o.Disk.R <= 0 {
-			return store.Op{}, badRequest("objects[%d]: disk radius %g must be > 0", i, o.Disk.R)
-		}
-		c := geom.Circle{Center: geom.Point{X: o.Disk.X, Y: o.Disk.Y}, Radius: o.Disk.R}
-		return store.Op{Code: store.OpDisk, ID: o.ID, Disk: c}, nil
 	}
+	for j, e := range o.Hist.Edges {
+		if err := checkField(e, i, "hist.edges", j); err != nil {
+			return store.Op{}, err
+		}
+	}
+	for j, wt := range o.Hist.Weights {
+		if err := checkField(wt, i, "hist.weights", j); err != nil {
+			return store.Op{}, err
+		}
+	}
+	h, err := pdf.NewHistogram(o.Hist.Edges, o.Hist.Weights)
+	if err != nil {
+		return store.Op{}, badRequest("objects[%d]: %v", i, err)
+	}
+	return store.Op{Code: store.OpHist, ID: o.ID, PDF: h}, nil
 }
 
 // checkField is checkFinite on field name of objects[i] (element j of it

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/store"
 	"repro/internal/uncertain"
@@ -150,8 +149,8 @@ func TestObjectsNonFiniteBodies(t *testing.T) {
 			errJSON(`parameter \"objects[11].hist.edges[0]\": -Inf is not a finite number`)},
 		{objectSpec{Uniform: &uniformSpec{Lo: 0, Hi: inf}}, 3,
 			errJSON(`parameter \"objects[3].uniform.hi\": +Inf is not a finite number`)},
-		{objectSpec{Disk: &diskSpec{X: 1, Y: nan, R: 1}}, 1,
-			errJSON(`parameter \"objects[1].disk.y\": NaN is not a finite number`)},
+		{objectSpec{Disk: map[string]any{"x": 1.0, "y": nan, "r": 1.0}}, 1,
+			errJSON(`objects[1]: 2-D disks are not stored or served; 2-D queries run in cpnn-query and the library's pnn.New2D`)},
 	}
 	for _, c := range cases {
 		_, err := c.spec.toOp(c.i)
@@ -203,38 +202,6 @@ func TestDatasetReloadIsDurable(t *testing.T) {
 	json.Unmarshal(w.Body.Bytes(), &resp)
 	if resp.Version != 3 {
 		t.Fatalf("post-restart commit version %d", resp.Version)
-	}
-}
-
-// TestDisksOnlyStoreIsNotTreatedAsEmpty guards against a seed dataset
-// truncating (and destroying) a store that holds only 2-D objects: such a
-// store counts as populated, so the server serves it (with an empty 1-D
-// dataset) and the seed is ignored.
-func TestDisksOnlyStoreIsNotTreatedAsEmpty(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Apply([]store.Op{
-		store.InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 3}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	seed := uncertain.NewDataset([]pdf.PDF{pdf.MustUniform(0, 1)})
-	s, err := New(Config{Store: st, Dataset: seed, QueueTimeout: -1})
-	if err != nil {
-		st.Close()
-		t.Fatal(err)
-	}
-	defer s.Close()
-	v := st.View()
-	if len(v.Disks) != 1 {
-		t.Fatalf("seed dataset destroyed the stored disks: %d left", len(v.Disks))
-	}
-	if v.Dataset.Len() != 0 {
-		t.Fatalf("seed dataset was applied over a populated store: %d 1-D objects", v.Dataset.Len())
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // TestHTTPMemberDecodesWire holds HTTPMember's decoding to the member wire's
 // pinned JSON replies (the encoding side is pinned in internal/server's
 // TestShardWireBytes): a router must read a member of another build exactly,
-// populated or empty.
+// populated or empty. The older build's info replies also listed the
+// member's 2-D disk IDs under "ids_2d"; a router reads past them.
 func TestHTTPMemberDecodesWire(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -23,15 +24,31 @@ func TestHTTPMemberDecodesWire(t *testing.T) {
 	}{
 		{
 			name:  "populated",
+			info:  `{"ids_1d":[1,3],"next_id":4,"version":1,"extent":{"minx":10.5,"miny":0,"maxx":45,"maxy":0},"has_extent":true}`,
+			bound: `{"extent":{"minx":10.5,"miny":0,"maxx":45,"maxy":0},"has_extent":true,"fars":[8.25,33],"version":1}`,
+			wantInfo: MemberInfo{IDs1D: []uint64{1, 3}, NextID: 4, Version: 1,
+				Extent: geom.Rect{MinX: 10.5, MaxX: 45}, HasExtent: true},
+			wantBound: BoundInfo{Extent: geom.Rect{MinX: 10.5, MaxX: 45}, HasExtent: true,
+				Fars: []float64{8.25, 33}, Version: 1},
+		},
+		{
+			name:  "populated older build",
 			info:  `{"ids_1d":[1,3],"ids_2d":[2],"next_id":4,"version":1,"extent":{"minx":10.5,"miny":0,"maxx":45,"maxy":0},"has_extent":true}`,
 			bound: `{"extent":{"minx":10.5,"miny":0,"maxx":45,"maxy":0},"has_extent":true,"fars":[8.25,33],"version":1}`,
-			wantInfo: MemberInfo{IDs1D: []uint64{1, 3}, IDs2D: []uint64{2}, NextID: 4, Version: 1,
+			wantInfo: MemberInfo{IDs1D: []uint64{1, 3}, NextID: 4, Version: 1,
 				Extent: geom.Rect{MinX: 10.5, MaxX: 45}, HasExtent: true},
 			wantBound: BoundInfo{Extent: geom.Rect{MinX: 10.5, MaxX: 45}, HasExtent: true,
 				Fars: []float64{8.25, 33}, Version: 1},
 		},
 		{
 			name:      "empty",
+			info:      `{"ids_1d":null,"next_id":1,"version":0,"extent":{"minx":0,"miny":0,"maxx":0,"maxy":0},"has_extent":false}`,
+			bound:     `{"extent":{"minx":0,"miny":0,"maxx":0,"maxy":0},"has_extent":false,"fars":null,"version":0}`,
+			wantInfo:  MemberInfo{NextID: 1},
+			wantBound: BoundInfo{},
+		},
+		{
+			name:      "empty older build",
 			info:      `{"ids_1d":null,"ids_2d":null,"next_id":1,"version":0,"extent":{"minx":0,"miny":0,"maxx":0,"maxy":0},"has_extent":false}`,
 			bound:     `{"extent":{"minx":0,"miny":0,"maxx":0,"maxy":0},"has_extent":false,"fars":null,"version":0}`,
 			wantInfo:  MemberInfo{NextID: 1},

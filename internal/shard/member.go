@@ -38,14 +38,15 @@ type Item struct {
 // owner map and ID counter. Its JSON form is the member wire's
 // /internal/shard/info reply.
 type MemberInfo struct {
-	// IDs1D and IDs2D list the shard's live stable IDs per family.
+	// IDs1D lists the shard's live stable IDs. (A member of an older build
+	// also sends the IDs of its 2-D disks under another key; the router has
+	// nothing to route to them and ignores it.)
 	IDs1D []uint64 `json:"ids_1d"`
-	IDs2D []uint64 `json:"ids_2d"`
 	// NextID is the shard's durable ID counter.
 	NextID uint64 `json:"next_id"`
 	// Version is the shard's store version.
 	Version uint64 `json:"version"`
-	// Extent/HasExtent mirror BoundInfo for the 1-D family.
+	// Extent/HasExtent mirror BoundInfo.
 	Extent    geom.Rect `json:"extent"`
 	HasExtent bool      `json:"has_extent"`
 }
@@ -95,9 +96,6 @@ func (l *Local) Info() (MemberInfo, error) {
 		IDs1D:   append([]uint64(nil), v.IDs...),
 		NextID:  v.NextID,
 		Version: v.Version,
-	}
-	for _, d := range v.Disks {
-		info.IDs2D = append(info.IDs2D, d.ID)
 	}
 	info.Extent, info.HasExtent = v.Index.Bounds()
 	return info, nil

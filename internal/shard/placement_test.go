@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/store"
 )
@@ -134,8 +133,7 @@ func TestRouterRejectsLikeAStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	disk := geom.Circle{Center: geom.Point{X: 1, Y: 1}, Radius: 1}
-	setup := []store.Op{store.InsertObject(pdf.MustUniform(0, 1)), store.InsertDisk(disk)}
+	setup := []store.Op{store.InsertObject(pdf.MustUniform(0, 1)), store.InsertObject(pdf.MustUniform(1, 2))}
 	if _, err := r.Apply(ctx, setup); err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +149,8 @@ func TestRouterRejectsLikeAStore(t *testing.T) {
 		"unknown update":        {valid, store.UpdateObject(99, pdf.MustUniform(0, 1))},
 		"unknown delete":        {valid, store.Delete(99)},
 		"delete id zero":        {store.Delete(0)},
-		"family 1d->2d":         {valid, store.UpdateDisk(1, disk)},
-		"family 2d->1d":         {valid, store.UpdateObject(2, pdf.MustUniform(0, 1))},
-		"bad disk":              {valid, store.InsertDisk(geom.Circle{Radius: -1})},
+		"disk insert":           {valid, {Code: store.OpDisk}},
+		"disk update":           {valid, {Code: store.OpDisk, ID: 2}},
 		"unsupported pdf":       {valid, {Code: store.OpUniform, PDF: gauss}},
 		"nil pdf":               {{Code: store.OpHist}},
 		"unknown code":          {valid, {Code: 42}},

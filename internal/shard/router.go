@@ -69,10 +69,9 @@ type Router struct {
 
 	// wmu serializes writes: owner map, ID counter, per-shard counts.
 	wmu      sync.Mutex
-	owner    map[uint64]ownerRef
+	owner    map[uint64]int // live stable ID -> owning shard
 	nextID   uint64
-	n1, n2   int
-	perShard []int // live 1-D objects per shard (skew metric)
+	perShard []int // live objects per shard (skew metric)
 
 	// emu guards the cached member extents. A query skips every member
 	// whose cached extent provably misses its candidate ball, dead or alive,
@@ -87,14 +86,9 @@ type Router struct {
 	mergeNanos                    atomic.Int64
 }
 
-type ownerRef struct {
-	shard  int
-	family uint8 // 1 = 1-D, 2 = disk
-}
-
 type extentCache struct {
 	rect geom.Rect
-	has  bool // member holds 1-D objects
+	has  bool // member holds objects
 }
 
 // reaches reports whether the extent may hold an object whose near point
@@ -120,7 +114,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cuts:     append([]float64(nil), cfg.Cuts...),
 		obs:      cfg.Obs,
 		log:      obs.Or(cfg.Obs.Logger),
-		owner:    map[uint64]ownerRef{},
+		owner:    map[uint64]int{},
 		nextID:   cfg.NextID,
 		perShard: make([]int, len(cfg.Members)),
 		extents:  make([]extentCache, len(cfg.Members)),
@@ -135,18 +129,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		for _, id := range info.IDs1D {
 			if prev, ok := r.owner[id]; ok {
-				return nil, fmt.Errorf("shard: object %d owned by both shard %d and %d", id, prev.shard, i)
+				return nil, fmt.Errorf("shard: object %d owned by both shard %d and %d", id, prev, i)
 			}
-			r.owner[id] = ownerRef{shard: i, family: 1}
+			r.owner[id] = i
 		}
-		for _, id := range info.IDs2D {
-			if prev, ok := r.owner[id]; ok {
-				return nil, fmt.Errorf("shard: object %d owned by both shard %d and %d", id, prev.shard, i)
-			}
-			r.owner[id] = ownerRef{shard: i, family: 2}
-		}
-		r.n1 += len(info.IDs1D)
-		r.n2 += len(info.IDs2D)
 		r.perShard[i] = len(info.IDs1D)
 		if info.NextID > r.nextID {
 			r.nextID = info.NextID
@@ -159,11 +145,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Shards returns the member count.
 func (r *Router) Shards() int { return len(r.members) }
 
-// Objects returns the cluster-wide live 1-D object count.
+// Objects returns the cluster-wide live object count.
 func (r *Router) Objects() int {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
-	return r.n1
+	return len(r.owner)
 }
 
 // Close closes every member.
@@ -205,19 +191,19 @@ func (r *Router) VersionsKey() string {
 // Apply validates, routes and commits an op batch. Semantics mirror a
 // single store's Apply: inserts are assigned cluster-unique stable IDs in
 // op order, updates and deletes address the owning shard (an unknown ID is
-// store.ErrUnknownID, a family mismatch store.ErrInvalidOp), truncation
-// clears every shard. Validation is all-up-front, so an invalid batch
-// touches nothing; a member failure mid-batch leaves the shards it already
-// reached committed (per-shard atomicity, not global) and returns
-// ErrUnavailable. The result's Version is the cluster version sum; Seq is
-// meaningless across shards and reported as 0.
+// store.ErrUnknownID), truncation clears every shard. Validation is
+// all-up-front, so an invalid batch touches nothing; a member failure
+// mid-batch leaves the shards it already reached committed (per-shard
+// atomicity, not global) and returns ErrUnavailable. The result's Version
+// is the cluster version sum; Seq is meaningless across shards and
+// reported as 0.
 func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, error) {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	// The store's own validator over the cluster-wide owner map: the router
 	// accepts exactly what a member will. What is left to decide is placement.
-	family := func(id uint64) uint8 { return r.owner[id].family }
-	assigned, ids, err := store.ValidateOps(ops, family, r.nextID, false)
+	live := func(id uint64) bool { _, ok := r.owner[id]; return ok }
+	assigned, ids, err := store.ValidateOps(ops, live, r.nextID, false)
 	if err != nil {
 		return store.ApplyResult{}, err
 	}
@@ -264,8 +250,7 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 			clear(r.extents)
 			r.emu.Unlock()
 			seg = make([][]store.Op, k)
-			r.owner = map[uint64]ownerRef{}
-			r.n1, r.n2 = 0, 0
+			r.owner = map[uint64]int{}
 			r.perShard = make([]int, k)
 			continue
 		}
@@ -273,38 +258,27 @@ func (r *Router) Apply(ctx context.Context, ops []store.Op) (store.ApplyResult, 
 		// failure resync starts close), which makes it the in-batch record
 		// too — an ID stays on the shard that owns it, and only a new object
 		// is placed, by its region centre through the cuts.
-		ref, owned := r.owner[op.ID]
+		shard, owned := r.owner[op.ID]
 		var region geom.Rect
 		if op.PDF != nil {
 			region = geom.RectFromInterval(op.PDF.Support())
 		}
 		switch {
 		case op.Code == store.OpDelete:
-			if ref.family == 1 {
-				r.n1--
-				r.perShard[ref.shard]--
-			} else {
-				r.n2--
-			}
+			r.perShard[shard]--
 			delete(r.owner, op.ID)
-		case owned:
-		case op.Code == store.OpDisk:
-			ref = ownerRef{shard: ShardFor(op.Disk.Center.X, r.cuts), family: 2}
-			r.owner[op.ID] = ref
-			r.n2++
-		default:
-			ref = ownerRef{shard: ShardFor(region.Center().X, r.cuts), family: 1}
-			r.owner[op.ID] = ref
-			r.n1++
-			r.perShard[ref.shard]++
+		case !owned:
+			shard = ShardFor(region.Center().X, r.cuts)
+			r.owner[op.ID] = shard
+			r.perShard[shard]++
 		}
-		// A 1-D write grows its owner's cached extent before it commits, so
-		// no query can read the new version and skip the owner on an extent
+		// An upsert grows its owner's cached extent before it commits, so no
+		// query can read the new version and skip the owner on an extent
 		// that misses the object.
 		if op.PDF != nil {
-			r.growExtent(ref.shard, region)
+			r.growExtent(shard, region)
 		}
-		seg[ref.shard] = append(seg[ref.shard], op)
+		seg[shard] = append(seg[shard], op)
 		if op.ID >= r.nextID {
 			r.nextID = op.ID + 1
 		}
@@ -337,33 +311,22 @@ func (r *Router) applyMember(ctx context.Context, i int, payload []byte) error {
 // truth after a partial write failure; unreachable members keep their
 // previous entries.
 func (r *Router) refreshOwnersLocked() {
-	owner := map[uint64]ownerRef{}
+	owner := map[uint64]int{}
 	perShard := make([]int, len(r.members))
-	n1, n2 := 0, 0
 	for i, m := range r.members {
 		info, err := m.Info()
 		if err != nil {
-			for id, ref := range r.owner {
-				if ref.shard == i {
-					owner[id] = ref
-					if ref.family == 1 {
-						n1++
-						perShard[i]++
-					} else {
-						n2++
-					}
+			for id, shard := range r.owner {
+				if shard == i {
+					owner[id] = i
+					perShard[i]++
 				}
 			}
 			continue
 		}
 		for _, id := range info.IDs1D {
-			owner[id] = ownerRef{shard: i, family: 1}
+			owner[id] = i
 		}
-		for _, id := range info.IDs2D {
-			owner[id] = ownerRef{shard: i, family: 2}
-		}
-		n1 += len(info.IDs1D)
-		n2 += len(info.IDs2D)
 		perShard[i] = len(info.IDs1D)
 		if info.NextID > r.nextID {
 			r.nextID = info.NextID
@@ -373,7 +336,7 @@ func (r *Router) refreshOwnersLocked() {
 		r.extents[i] = extentCache{rect: info.Extent, has: info.HasExtent}
 		r.emu.Unlock()
 	}
-	r.owner, r.n1, r.n2, r.perShard = owner, n1, n2, perShard
+	r.owner, r.perShard = owner, perShard
 }
 
 // Reload replaces the cluster's contents with a dataset: one truncate
@@ -770,7 +733,7 @@ type Stats struct {
 func (r *Router) Stats() Stats {
 	r.wmu.Lock()
 	perShard := append([]int(nil), r.perShard...)
-	n1 := r.n1
+	n := len(r.owner)
 	r.wmu.Unlock()
 	vers := make([]uint64, len(r.members))
 	for i, m := range r.members {
@@ -778,7 +741,7 @@ func (r *Router) Stats() Stats {
 	}
 	return Stats{
 		Shards:         len(r.members),
-		Objects:        n1,
+		Objects:        n,
 		PerShard:       perShard,
 		Queries:        r.queries.Load(),
 		Retries:        r.retries.Load(),

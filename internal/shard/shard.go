@@ -220,17 +220,13 @@ func CreateClusterCuts(dir string, cuts []float64, view *store.View, opt store.O
 }
 
 // viewObjects flattens a view into parallel (routing rect, explicit-ID
-// upsert) slices covering both object families.
+// upsert) slices.
 func viewObjects(view *store.View) ([]geom.Rect, []store.Op) {
 	var rects []geom.Rect
 	var ops []store.Op
 	for slot, o := range view.Dataset.Objects() {
 		rects = append(rects, geom.RectFromInterval(o.Region()))
 		ops = append(ops, store.UpdateObject(view.IDs[slot], o.PDF))
-	}
-	for _, d := range view.Disks {
-		rects = append(rects, geom.RectFromCircle(d.Region))
-		ops = append(ops, store.UpdateDisk(d.ID, d.Region))
 	}
 	return rects, ops
 }

@@ -6,13 +6,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/filter"
-	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/pdf"
 	"repro/internal/store"
@@ -88,10 +89,6 @@ func TestSplitStoreReopen(t *testing.T) {
 		lo := float64(i * 10)
 		ops = append(ops, store.InsertObject(pdf.MustUniform(lo, lo+5)))
 	}
-	// A couple of disks, to prove the 2-D family survives the split.
-	ops = append(ops,
-		store.InsertDisk(geom.Circle{Center: geom.Point{X: 3, Y: 4}, Radius: 1}),
-		store.InsertDisk(geom.Circle{Center: geom.Point{X: 150, Y: 0}, Radius: 2}))
 	if _, err := src.Apply(ops); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +116,12 @@ func TestSplitStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	total, disks := 0, 0
+	total := 0
 	for _, st := range c.Stores {
-		v := st.View()
-		total += v.Dataset.Len()
-		disks += len(v.Disks)
+		total += st.View().Dataset.Len()
 	}
-	if total != 20 || disks != 2 {
-		t.Fatalf("cluster holds %d objects, %d disks; want 20, 2", total, disks)
+	if total != 20 {
+		t.Fatalf("cluster holds %d objects, want 20", total)
 	}
 	r, err := c.Router()
 	if err != nil {
@@ -166,12 +161,12 @@ func TestRouterValidation(t *testing.T) {
 	}
 	res, err := r.Apply(context.Background(), []store.Op{
 		store.InsertObject(pdf.MustUniform(0, 1)),
-		store.InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 1}, Radius: 1}),
+		store.InsertObject(pdf.MustUniform(1, 2)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid, did := res.IDs[0], res.IDs[1]
+	oid := res.IDs[0]
 
 	for name, tc := range map[string]struct {
 		ops  []store.Op
@@ -179,9 +174,8 @@ func TestRouterValidation(t *testing.T) {
 	}{
 		"unknown update": {[]store.Op{store.UpdateObject(99, pdf.MustUniform(0, 1))}, store.ErrUnknownID},
 		"unknown delete": {[]store.Op{store.Delete(99)}, store.ErrUnknownID},
-		"family 1d->2d":  {[]store.Op{store.UpdateDisk(oid, geom.Circle{Center: geom.Point{X: 0, Y: 0}, Radius: 1})}, store.ErrInvalidOp},
-		"family 2d->1d":  {[]store.Op{store.UpdateObject(did, pdf.MustUniform(0, 1))}, store.ErrInvalidOp},
-		"bad disk":       {[]store.Op{store.InsertDisk(geom.Circle{Radius: -1})}, store.ErrInvalidOp},
+		"disk insert":    {[]store.Op{{Code: store.OpDisk}}, store.ErrInvalidOp},
+		"disk update":    {[]store.Op{{Code: store.OpDisk, ID: oid}}, store.ErrInvalidOp},
 		"update after truncate": {[]store.Op{store.Truncate(),
 			store.UpdateObject(oid, pdf.MustUniform(0, 1))}, store.ErrUnknownID},
 	} {
@@ -616,4 +610,47 @@ func TestRouterBoundReplyOnlyGrowsExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRouted(t, r, c, 870)
+}
+
+// TestSplitDropsDisks splits a store directory an older build wrote with 2-D
+// disks among its 1-D objects (internal/store's testdata/disks_v2): the
+// cluster holds the 1-D objects only, and the ID sequence continues past the
+// last disk's ID.
+func TestSplitDropsDisks(t *testing.T) {
+	srcDir, dstDir := t.TempDir(), t.TempDir()
+	for _, name := range []string{"checkpoint.db", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join("..", "store", "testdata", "disks_v2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(srcDir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := SplitStore(srcDir, dstDir, 3, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.NextID != 70 {
+		t.Fatalf("split NextID %d, want 70 (past disk 69)", meta.NextID)
+	}
+	c, err := OpenCluster(dstDir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Router()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Objects(); n != 60 {
+		t.Fatalf("cluster holds %d objects, want the 60 1-D ones", n)
+	}
+	res, err := r.Apply(context.Background(), []store.Op{store.InsertObject(pdf.MustUniform(0, 1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IDs[0] != 70 {
+		t.Fatalf("first post-split insert got ID %d, want 70", res.IDs[0])
+	}
 }

@@ -18,7 +18,7 @@ import (
 // InstallSnapshot):
 //
 //	[8] version  [8] seq  [8] nextID
-//	[op batch]   — one upsert per live object, in slot order (1-D then 2-D)
+//	[op batch]   — one upsert per live object, in slot order
 //
 // The op batch reuses the WAL encoding, so loading a snapshot is exactly
 // "replay these upserts into an empty store": one code path, one set of

@@ -2,9 +2,9 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 )
 
@@ -20,13 +20,13 @@ func TestExplicitIDs(t *testing.T) {
 	}
 	if _, err := s.Apply([]Op{
 		UpdateObject(5, pdf.MustUniform(0, 1)),
-		UpdateDisk(9, geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 1}),
+		UpdateObject(9, pdf.MustHistogram([]float64{1, 2, 3}, []float64{1, 2})),
 	}); err != nil {
 		t.Fatalf("explicit upsert-insert: %v", err)
 	}
 	v := s.View()
-	if v.Dataset.Len() != 1 || v.IDs[0] != 5 || len(v.Disks) != 1 || v.Disks[0].ID != 9 {
-		t.Fatalf("explicit inserts mis-stored: ids=%v disks=%+v", v.IDs, v.Disks)
+	if v.Dataset.Len() != 2 || v.IDs[0] != 5 || v.IDs[1] != 9 {
+		t.Fatalf("explicit inserts mis-stored: ids=%v", v.IDs)
 	}
 	if v.NextID != 10 {
 		t.Fatalf("counter after explicit ID 9: NextID = %d, want 10", v.NextID)
@@ -35,7 +35,7 @@ func TestExplicitIDs(t *testing.T) {
 	if _, err := s.Apply([]Op{UpdateObject(5, pdf.MustUniform(2, 3))}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.View().Dataset.Len(); n != 1 {
+	if n := s.View().Dataset.Len(); n != 2 {
 		t.Fatalf("explicit update duplicated the object: %d live", n)
 	}
 	if err := s.Close(); err != nil {
@@ -72,13 +72,13 @@ func TestExplicitIDs(t *testing.T) {
 }
 
 // TestEncodeOpsRoundTrip checks the exported wire encoding: EncodeOps and
-// DecodeOps are inverses and pdfs survive bit-exactly.
+// DecodeOps are inverses and pdfs survive bit-exactly. A disk upsert from an
+// older build's snapshot stream still decodes, but no build encodes one.
 func TestEncodeOpsRoundTrip(t *testing.T) {
 	ops := []Op{
 		Truncate(),
 		{Code: OpUniform, ID: 1, PDF: pdf.MustUniform(0.1, 10.7)},
 		{Code: OpHist, ID: 2, PDF: pdf.MustHistogram([]float64{0, 1, 2}, []float64{1, 3})},
-		{Code: OpDisk, ID: 3, Disk: geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 0.5}},
 		Delete(2),
 	}
 	payload, err := EncodeOps(ops)
@@ -103,5 +103,23 @@ func TestEncodeOpsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeOps(payload[:len(payload)-2]); err == nil {
 		t.Fatal("truncated payload decoded")
+	}
+
+	_, snapshot := plantDiskFixture(t)
+	old, err := DecodeOps(snapshot[24:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disks []uint64
+	for _, op := range old {
+		if op.Code == OpDisk {
+			disks = append(disks, op.ID)
+		}
+	}
+	if fmt.Sprint(disks) != "[65 32 33 64 69]" {
+		t.Fatalf("fixture snapshot decodes disks %v", disks)
+	}
+	if _, err := EncodeOps(old); !errors.Is(err, ErrInvalidOp) {
+		t.Fatalf("re-encoding a batch with a disk: %v, want ErrInvalidOp", err)
 	}
 }

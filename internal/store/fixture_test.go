@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,6 +31,8 @@ import (
 // The build that wrote it held 60 1-D objects and 5 disks at version 5, and
 // its 1-D content and answers hashed to fixtureSHA (fixtureDigest) both after
 // an open of the directory and after a follower installed the snapshot.
+// Tests may no longer encode a disk, so every disk case reads its bytes from
+// here.
 const (
 	fixtureSHA    = "4b5ed2c492b12803b82feff48963e2de736c612c585e86d53e3e5cf8b7e24165"
 	fixtureDisks  = 5
@@ -55,6 +59,22 @@ func plantDiskFixture(t *testing.T) (dir string, snapshot []byte) {
 		t.Fatal(err)
 	}
 	return dir, snapshot
+}
+
+// plantDiskCheckpoint copies only testdata/disks_v2's checkpoint into a fresh
+// store directory: the position a follower of the fixture's primary held
+// before the WAL tail was shipped to it.
+func plantDiskCheckpoint(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "disks_v2", checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // fixtureDigest hashes a view's 1-D content and answers: its position, every
@@ -96,9 +116,30 @@ func fixtureDigest(t *testing.T, v *View) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// fixtureRecords reads the fixture's WAL tail as replication records.
+func fixtureRecords(t *testing.T) []LogRecord {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "disks_v2", walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, _, torn, err := scanWAL(f)
+	if err != nil || torn || len(recs) != 3 {
+		t.Fatalf("fixture WAL: %d records, torn=%v, %v", len(recs), torn, err)
+	}
+	out := make([]LogRecord, len(recs))
+	for i, r := range recs {
+		// The fixture's store never installed a snapshot: version = seq.
+		out[i] = LogRecord{Seq: r.Seq, Version: r.Seq, Payload: r.Payload}
+	}
+	return out
+}
+
 // TestDiskFixture opens the fixture directory (checkpoint plus WAL tail) and
-// installs its snapshot on a follower, and holds both to the 1-D answers
-// and ID counter of the build that wrote them.
+// installs its snapshot on a follower. Both serve the 1-D objects exactly as
+// the build that wrote them did, drop its 5 live disks, and keep every
+// disk's ID taken.
 func TestDiskFixture(t *testing.T) {
 	dir, snapshot := plantDiskFixture(t)
 
@@ -108,15 +149,23 @@ func TestDiskFixture(t *testing.T) {
 	}
 	defer s.Close()
 	v := s.View()
-	if v.Version != 5 || v.Dataset.Len() != 60 || len(v.Disks) != fixtureDisks || v.NextID != fixtureNextID {
-		t.Fatalf("open: version=%d len=%d disks=%d nextID=%d", v.Version, v.Dataset.Len(), len(v.Disks), v.NextID)
+	if v.Version != 5 || v.Dataset.Len() != 60 || v.NextID != fixtureNextID {
+		t.Fatalf("open: version=%d len=%d nextID=%d", v.Version, v.Dataset.Len(), v.NextID)
+	}
+	if got := s.Stats().DroppedDisks; got != fixtureDisks {
+		t.Errorf("open: dropped %d disks, want %d", got, fixtureDisks)
 	}
 	if got := fixtureDigest(t, v); got != fixtureSHA {
 		t.Errorf("open: 1-D digest %s, want %s", got, fixtureSHA)
 	}
+	// Disk 69 was the last ID the old build assigned.
 	res := mustApply(t, s, InsertObject(pdf.MustUniform(10, 12)))
 	if res.IDs[0] != fixtureNextID {
 		t.Errorf("open: next insert took ID %d, want %d", res.IDs[0], fixtureNextID)
+	}
+	// A client cannot address a dropped disk: it is not a live object.
+	if _, err := s.Apply([]Op{Delete(32)}); !errors.Is(err, ErrUnknownID) {
+		t.Errorf("delete of a dropped disk: %v, want ErrUnknownID", err)
 	}
 
 	f, err := OpenFollower(t.TempDir(), Options{NoSync: true, CheckpointBytes: -1})
@@ -128,10 +177,92 @@ func TestDiskFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	fv := f.View()
-	if fv.Version != 5 || fv.Dataset.Len() != 60 || len(fv.Disks) != fixtureDisks || fv.NextID != fixtureNextID {
-		t.Fatalf("install: version=%d len=%d disks=%d nextID=%d", fv.Version, fv.Dataset.Len(), len(fv.Disks), fv.NextID)
+	if fv.Version != 5 || fv.Dataset.Len() != 60 || fv.NextID != fixtureNextID {
+		t.Fatalf("install: version=%d len=%d nextID=%d", fv.Version, fv.Dataset.Len(), fv.NextID)
+	}
+	if got := f.Stats().DroppedDisks; got != fixtureDisks {
+		t.Errorf("install: dropped %d disks, want %d", got, fixtureDisks)
 	}
 	if got := fixtureDigest(t, fv); got != fixtureSHA {
 		t.Errorf("install: 1-D digest %s, want %s", got, fixtureSHA)
+	}
+}
+
+// TestDiskFixtureReplicated ships the fixture's WAL tail to a follower that
+// recovered only its checkpoint, as an older primary would. The disk ops
+// drop without publishing a change, the 1-D answers match the fixture's,
+// and the follower keeps the dropped IDs so a later delete of one is a
+// no-op — until a restart after its flatten has forgotten them, when the
+// same delete must fail loudly.
+func TestDiskFixtureReplicated(t *testing.T) {
+	dir := plantDiskCheckpoint(t)
+	opt := Options{NoSync: true, CheckpointBytes: -1}
+	f, err := OpenFollower(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().DroppedDisks; got != fixtureDisks {
+		t.Errorf("checkpoint: dropped %d disks, want %d", got, fixtureDisks)
+	}
+	sub, err := f.Watch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ApplyReplicated(fixtureRecords(t)); err != nil {
+		t.Fatal(err)
+	}
+	var changes []string
+	for _, ch := range (<-sub.C()).Changes {
+		changes = append(changes, fmt.Sprintf("%s %d", ch.Kind, ch.ID))
+	}
+	sub.Close()
+	if want := "[insert 66 update 5 delete 10 insert 68 update 40]"; fmt.Sprint(changes) != want {
+		t.Errorf("replicated changes %v, want only the 1-D ops' %s", changes, want)
+	}
+	if got := fixtureDigest(t, f.View()); got != fixtureSHA {
+		t.Errorf("replicated: 1-D digest %s, want %s", got, fixtureSHA)
+	}
+	if got := f.Stats().DroppedDisks; got != fixtureDisks {
+		t.Errorf("replicated: dropped %d disks, want %d", got, fixtureDisks)
+	}
+
+	deleteDisk := func(seq, id uint64) error {
+		payload, err := EncodeOps([]Op{Delete(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.ApplyReplicated([]LogRecord{{Seq: seq, Version: seq, Payload: payload}})
+		return err
+	}
+	if err := deleteDisk(6, 32); err != nil {
+		t.Fatalf("delete of a dropped disk: %v", err)
+	}
+	if got := f.Stats().DroppedDisks; got != fixtureDisks-1 {
+		t.Errorf("after the delete: dropped %d disks, want %d", got, fixtureDisks-1)
+	}
+
+	// The flatten writes an empty disk table, so the reopened follower no
+	// longer knows disk 33.
+	if err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = OpenFollower(dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if got := f.Stats().DroppedDisks; got != 0 {
+		t.Errorf("after flatten and reopen: dropped %d disks, want 0", got)
+	}
+	if err := deleteDisk(7, 33); !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("delete of a forgotten disk: %v, want ErrUnknownID", err)
+	}
+	if v := f.View(); v.Seq != 6 {
+		t.Fatalf("the failed record moved the follower to seq %d", v.Seq)
+	}
+	if err := deleteDisk(7, 1); !errors.Is(err, ErrBroken) {
+		t.Fatalf("after the failed apply: %v, want ErrBroken", err)
 	}
 }

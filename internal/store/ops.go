@@ -1,6 +1,6 @@
 // Package store is the durable mutation subsystem of the C-PNN engine: a
 // write-ahead log of object-level operations (insert/update/delete of 1-D
-// uncertain objects and 2-D disks, plus whole-dataset truncation), group
+// uncertain objects, plus whole-dataset truncation), group
 // committed and fsync'd, with periodic checkpoints serialized through the
 // pager's page-granular files. Recovery replays the WAL over the latest
 // checkpoint; torn or corrupt tail records are detected by per-record
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 )
 
@@ -29,16 +28,18 @@ import (
 type OpCode uint8
 
 const (
-	// OpTruncate removes every object (both families) in one step; a bulk
-	// dataset reload is logged as a truncate followed by inserts.
+	// OpTruncate removes every object in one step; a bulk dataset reload is
+	// logged as a truncate followed by inserts.
 	OpTruncate OpCode = 1
-	// OpDelete removes one object by stable ID (either family).
+	// OpDelete removes one object by stable ID.
 	OpDelete OpCode = 2
 	// OpUniform upserts a 1-D object with a uniform pdf.
 	OpUniform OpCode = 3
 	// OpHist upserts a 1-D object with a histogram pdf.
 	OpHist OpCode = 4
-	// OpDisk upserts a 2-D object with a disk-shaped uncertainty region.
+	// OpDisk upserted a 2-D disk in builds that stored them. No build
+	// writes it any more; logs and snapshot streams from those builds still
+	// hold it, so decodeOp parses it and applyDecoded drops the disk.
 	OpDisk OpCode = 5
 )
 
@@ -55,8 +56,6 @@ type Op struct {
 	// kinds with a durable encoding are accepted: pdf.Uniform and
 	// *pdf.Histogram.
 	PDF pdf.PDF
-	// Disk carries the uncertainty region of OpDisk upserts.
-	Disk geom.Circle
 }
 
 // InsertObject returns the op inserting a new 1-D object with pdf p.
@@ -64,12 +63,6 @@ func InsertObject(p pdf.PDF) Op { return Op{Code: codeFor(p), PDF: p} }
 
 // UpdateObject returns the op replacing object id's pdf with p.
 func UpdateObject(id uint64, p pdf.PDF) Op { return Op{Code: codeFor(p), ID: id, PDF: p} }
-
-// InsertDisk returns the op inserting a new 2-D object with region c.
-func InsertDisk(c geom.Circle) Op { return Op{Code: OpDisk, Disk: c} }
-
-// UpdateDisk returns the op replacing object id's disk region with c.
-func UpdateDisk(id uint64, c geom.Circle) Op { return Op{Code: OpDisk, ID: id, Disk: c} }
 
 // Delete returns the op removing object id.
 func Delete(id uint64) Op { return Op{Code: OpDelete, ID: id} }
@@ -143,11 +136,6 @@ func appendOp(buf []byte, op Op) ([]byte, error) {
 			buf = appendFloat(buf, h.BinMass(i))
 		}
 		return buf, nil
-	case OpDisk:
-		buf = binary.LittleEndian.AppendUint64(buf, op.ID)
-		buf = appendFloat(buf, op.Disk.Center.X)
-		buf = appendFloat(buf, op.Disk.Center.Y)
-		return appendFloat(buf, op.Disk.Radius), nil
 	default:
 		return nil, fmt.Errorf("store: unknown op code %d", op.Code)
 	}
@@ -225,6 +213,8 @@ func decodeOp(b []byte) (Op, []byte, error) {
 		}
 		return Op{Code: OpHist, ID: id, PDF: h}, b, nil
 	case OpDisk:
+		// The disk's centre and radius are checked like any payload, so a
+		// corrupt record still fails; only the ID survives the decode.
 		id, err := takeID()
 		if err != nil {
 			return Op{}, nil, err
@@ -239,7 +229,7 @@ func decodeOp(b []byte) (Op, []byte, error) {
 		if !isFinite(x) || !isFinite(y) || !isFinite(r) || r <= 0 {
 			return Op{}, nil, fmt.Errorf("store: op for object %d: invalid disk (%g,%g r=%g)", id, x, y, r)
 		}
-		return Op{Code: OpDisk, ID: id, Disk: geom.Circle{Center: geom.Point{X: x, Y: y}, Radius: r}}, b, nil
+		return Op{Code: OpDisk, ID: id}, b, nil
 	default:
 		return Op{}, nil, fmt.Errorf("store: unknown op code %d", code)
 	}

@@ -39,6 +39,11 @@ import (
 // pages), then the index nodes, the slot table and the disk table. The
 // reader is order-agnostic — every record is reached through a ref.
 //
+// The disk table held the 2-D disks of builds that stored them (per disk:
+// stable ID, centre x, centre y, radius). A build writes it empty, so the
+// layout and the header are the same as ever; the reader still parses a
+// non-empty one and drops its disks (state.dropDisk).
+//
 // The write is crash-safe: build the temp file, flush and fsync it, rename
 // over the live name, fsync the directory — a crash mid-checkpoint leaves
 // the previous checkpoint (and the full WAL) untouched. The pool the writer
@@ -245,16 +250,8 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
 	}
 
-	// Disk table: the 2-D family is tiny metadata; it stays fully resident.
-	scratch = binary.LittleEndian.AppendUint64(scratch[:0], uint64(len(st.dslots)))
-	for i, id := range st.dslots {
-		d := st.disks[i]
-		scratch = binary.LittleEndian.AppendUint64(scratch, id)
-		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(d.Center.X))
-		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(d.Center.Y))
-		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(d.Radius))
-	}
-	diskTabRef, err := w.Append(scratch)
+	// Disk table: always empty (a count of zero).
+	diskTabRef, err := w.Append(binary.LittleEndian.AppendUint64(scratch[:0], 0))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
 	}
@@ -290,7 +287,7 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 }
 
 // loadCheckpoint recovers the checkpoint under dir into a fresh state. For a
-// v2 checkpoint it loads only metadata (slot and disk tables, index nodes) —
+// v2 checkpoint it loads only metadata (slot table, index nodes) —
 // object payloads stay on disk behind the returned state's base — and
 // returns the rebuilt index tree for materialize to carry forward. A legacy
 // v1 checkpoint (op stream) is replayed fully resident; the tree is nil and
@@ -372,18 +369,8 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 	if len(diskTab) < 8 || (len(diskTab)-8)%32 != 0 {
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: disk table of %d bytes", len(diskTab))
 	}
-	for i, nd := 0, (len(diskTab)-8)/32; i < nd; i++ {
-		e := diskTab[8+32*i:]
-		id := binary.LittleEndian.Uint64(e[:8])
-		st.dslots = append(st.dslots, id)
-		st.disks = append(st.disks, geom.Circle{
-			Center: geom.Point{
-				X: math.Float64frombits(binary.LittleEndian.Uint64(e[8:16])),
-				Y: math.Float64frombits(binary.LittleEndian.Uint64(e[16:24])),
-			},
-			Radius: math.Float64frombits(binary.LittleEndian.Uint64(e[24:32])),
-		})
-		st.dslotOf[id] = i
+	for e := diskTab[8:]; len(e) > 0; e = e[32:] {
+		st.dropDisk(binary.LittleEndian.Uint64(e[:8]))
 	}
 
 	var raw []byte // node records; DecodeNode copies out of it

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pdf"
 )
 
@@ -82,7 +81,7 @@ func TestReplicationHistoryCatchUp(t *testing.T) {
 		mustApply(t, p,
 			InsertObject(pdf.MustUniform(float64(i*10), float64(i*10+5))),
 			InsertObject(pdf.MustHistogram([]float64{0, 1, 2}, []float64{1, float64(i + 1)})),
-			InsertDisk(geom.Circle{Center: geom.Point{X: float64(i), Y: 2}, Radius: 1}),
+			InsertObject(pdf.MustUniform(float64(i), float64(i+1))),
 		)
 	}
 	mustApply(t, p, Delete(1), UpdateObject(2, pdf.MustUniform(7, 9)))
@@ -155,12 +154,12 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	for p.View().Dataset.Len() < 36 {
 		mustApply(t, p, sc.batch(8)...)
 	}
-	n := p.View().Dataset.Len()
 	// The checkpoint resets the WAL: history before it is gone.
 	if err := p.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	mustApply(t, p, InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 1}, Radius: 3}))
+	mustApply(t, p, InsertObject(pdf.MustUniform(1, 4)))
+	n := p.View().Dataset.Len()
 
 	f, fdir := openFollowerTemp(t, Options{})
 	defer f.Close()
@@ -178,8 +177,8 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	if err := f.InstallSnapshot(res.Snapshot); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
-	if fv := f.View(); fv.Seq != res.Seq || fv.Dataset.Len() != n || len(fv.Disks) != 1 {
-		t.Fatalf("after install: seq %d, %d objects, %d disks", fv.Seq, fv.Dataset.Len(), len(fv.Disks))
+	if fv := f.View(); fv.Seq != res.Seq || fv.Dataset.Len() != n {
+		t.Fatalf("after install: seq %d, %d objects", fv.Seq, fv.Dataset.Len())
 	}
 
 	// The bootstrap lands paged, before the follower checkpoints on its own:

@@ -41,7 +41,7 @@ var ErrBroken = errors.New("store: broken by an earlier WAL failure")
 var ErrUnknownID = errors.New("store: unknown object id")
 
 // ErrInvalidOp marks a semantically invalid operation (unsupported pdf kind,
-// family mismatch); servers map it to 400.
+// unknown op code); servers map it to 400.
 var ErrInvalidOp = errors.New("store: invalid op")
 
 // Options tunes a store. The zero value is the durable default.
@@ -70,18 +70,10 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Disk is one live 2-D object of a view.
-type Disk struct {
-	// ID is the object's stable ID.
-	ID uint64
-	// Region is the uncertainty disk.
-	Region geom.Circle
-}
-
 // View is one immutable MVCC generation of the store: a dense dataset (slot
-// i holds the object with stable ID IDs[i]), the filter index maintained
-// incrementally over it, and the live 2-D objects. Views are never mutated;
-// each committed batch publishes a new one.
+// i holds the object with stable ID IDs[i]) and the filter index maintained
+// incrementally over it. Views are never mutated; each committed batch
+// publishes a new one.
 type View struct {
 	// Version increases by one per committed batch and is monotonic across
 	// restarts — it is persisted in checkpoints and reconstructed from the
@@ -89,14 +81,12 @@ type View struct {
 	Version uint64
 	// Seq is the last committed batch sequence number.
 	Seq uint64
-	// Dataset holds the 1-D objects with dense IDs 0..Len()-1.
+	// Dataset holds the objects with dense IDs 0..Len()-1.
 	Dataset *uncertain.Dataset
 	// IDs maps dense dataset IDs to stable object IDs.
 	IDs []uint64
 	// Index is the filter index over Dataset, ready for an engine.
 	Index *filter.Index
-	// Disks holds the live 2-D objects in slot order.
-	Disks []Disk
 	// NextID is the stable ID the next ID-assigning insert would receive.
 	// It is durable (checkpointed and reconstructed from the WAL), so a
 	// shard router can recover its cluster-wide ID counter as the maximum
@@ -144,8 +134,11 @@ type Stats struct {
 	Role Role
 	// Version and Seq mirror the current view.
 	Version, Seq uint64
-	// Objects1D and Objects2D count live objects.
-	Objects1D, Objects2D int
+	// Objects1D counts live objects.
+	Objects1D int
+	// DroppedDisks counts the 2-D disks that data from an older build held
+	// live and this store dropped on open or replay (see applyDecoded).
+	DroppedDisks int
 	// PageCache reports the base checkpoint's buffer-pool counters; zero
 	// until the store writes (or recovers) a paged checkpoint.
 	PageCache pagecache.Stats
@@ -159,35 +152,46 @@ type Stats struct {
 	OverlaySlots, BaseSlots int
 }
 
-// state is the committer-owned mutable object table. The 1-D family is an
-// overlay over the base checkpoint: recs keeps every object's support
-// interval resident, but decoded payloads only for objects written since the
-// last checkpoint — the rest are refs into st.base's record log. Commits
-// snapshot recs in O(n/ChunkSize) pointer copies and then copy only the
-// 64-slot chunks the batch writes, and share the slots backing array with
-// published views copy-on-write, so commit cost tracks the batch, not the
-// dataset.
+// state is the committer-owned mutable object table, an overlay over the
+// base checkpoint: recs keeps every object's support interval resident, but
+// decoded payloads only for objects written since the last checkpoint — the
+// rest are refs into st.base's record log. Commits snapshot recs in
+// O(n/ChunkSize) pointer copies and then copy only the 64-slot chunks the
+// batch writes, and share the slots backing array with published views
+// copy-on-write, so commit cost tracks the batch, not the dataset.
 type state struct {
 	seq     uint64
 	version uint64
 	nextID  uint64
 
-	slots     []uint64 // dense slot -> stable ID (1-D)
+	slots     []uint64 // dense slot -> stable ID
 	idsShared bool     // slots' backing array is aliased by a published view
 	recs      chunked.Slice[slotRec]
 	resident  int   // slots holding a decoded payload (the overlay depth)
 	base      *base // latest paged checkpoint; nil before the first one
 	slotOf    map[uint64]int
 
-	dslots     []uint64 // dense slot -> stable ID (2-D)
-	disks      []geom.Circle
-	dslotOf    map[uint64]int
-	disksDirty bool // 2-D set changed since the last published view
+	// dropped holds the IDs of the disks an older build's data held live
+	// (dropDisk), so that the log's later updates and deletes of them replay
+	// as no-ops.
+	dropped map[uint64]struct{}
 }
 
 func newState() *state {
 	// Stable IDs start at 1: ID zero is the "assign me" sentinel of inserts.
-	return &state{nextID: 1, slotOf: map[uint64]int{}, dslotOf: map[uint64]int{}}
+	return &state{nextID: 1, slotOf: map[uint64]int{}, dropped: map[uint64]struct{}{}}
+}
+
+// dropDisk is the one place a 2-D disk from an older build's data goes: the
+// checkpoint's disk table and every logged OpDisk upsert end here. The disk
+// is not stored, but its ID stays taken — nextID moves past it — and is
+// remembered so that a later update or delete of it in the same log tail,
+// or in an older primary's replication stream, is a no-op.
+func (st *state) dropDisk(id uint64) {
+	if st.nextID <= id {
+		st.nextID = id + 1
+	}
+	st.dropped[id] = struct{}{}
 }
 
 // region returns slot i's support interval from resident metadata.
@@ -232,6 +236,7 @@ type Store struct {
 
 	baseRef atomic.Pointer[base] // mirrors st.base for Stats readers
 	overlay atomic.Int64         // mirrors st.resident for Stats readers
+	dropped atomic.Int64         // mirrors len(st.dropped) for Stats readers
 
 	opsApplied  atomic.Uint64
 	commits     atomic.Uint64
@@ -366,9 +371,13 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 	if torn {
 		s.logger().Warn("recovery dropped a torn WAL tail", "dir", dir)
 	}
+	if n := len(st.dropped); n > 0 {
+		s.logger().Warn("recovery dropped 2-D disks: the store holds 1-D objects only, 2-D runs in cpnn-query",
+			"dir", dir, "disks", n)
+	}
 	s.logger().Info("store recovered",
 		"dir", dir, "version", view.Version, "seq", view.Seq,
-		"objects_1d", view.Dataset.Len(), "objects_2d", len(view.Disks),
+		"objects_1d", view.Dataset.Len(),
 		"wal_records", len(recs), "checkpoint", haveCkpt)
 	go s.committer()
 	ok = true
@@ -416,7 +425,7 @@ func (s *Store) Stats() Stats {
 		Version:                v.Version,
 		Seq:                    v.Seq,
 		Objects1D:              v.Dataset.Len(),
-		Objects2D:              len(v.Disks),
+		DroppedDisks:           int(s.dropped.Load()),
 	}
 	out.CacheBytes = s.opt.CacheBytes
 	if b := s.baseRef.Load(); b != nil {
@@ -716,7 +725,7 @@ type staged struct {
 // state is untouched.
 func (s *Store) stageBatch(ops []Op, rec *deltaRec) (staged, error) {
 	st := s.st
-	assigned, ids, err := ValidateOps(ops, st.family, st.nextID, s.opt.ExplicitIDs)
+	assigned, ids, err := ValidateOps(ops, st.live, st.nextID, s.opt.ExplicitIDs)
 	if err != nil {
 		return staged{}, err
 	}
@@ -755,63 +764,30 @@ func (s *Store) stageBatch(ops []Op, rec *deltaRec) (staged, error) {
 	}, nil
 }
 
-// family reports which family holds stable ID id: 1 for a live 1-D object,
-// 2 for a live disk, 0 for neither.
-func (st *state) family(id uint64) uint8 {
-	if _, ok := st.slotOf[id]; ok {
-		return 1
-	}
-	if _, ok := st.dslotOf[id]; ok {
-		return 2
-	}
-	return 0
+// live reports whether stable ID id names a live object.
+func (st *state) live(id uint64) bool {
+	_, ok := st.slotOf[id]
+	return ok
 }
 
 // ValidateOps is the one definition of batch validity: it checks ops against
 // the live objects plus in-batch effects and returns them with assigned IDs
-// alongside the per-op affected IDs. family reports a stable ID's family
-// before the batch (1 = 1-D, 2 = disk, 0 = unknown) — a store's slot maps, a
-// shard router's cluster-wide owner map, so the two cannot disagree on what
-// a member will accept; inserts are numbered from nextID. With explicit set
+// alongside the per-op affected IDs. live reports whether a stable ID names
+// a live object before the batch — a store's slot map, a shard router's
+// cluster-wide owner map, so the two cannot disagree on what a member will
+// accept; inserts are numbered from nextID. With explicit set
 // (Options.ExplicitIDs), an upsert addressing an unknown non-zero ID is an
 // insert under that ID rather than an error.
-func ValidateOps(ops []Op, family func(id uint64) uint8, nextID uint64, explicit bool) ([]Op, []uint64, error) {
-	// Overlay of in-batch existence changes: the family an ID holds after
-	// the ops so far (0 = deleted); absent = consult family.
-	overlay := map[uint64]uint8{}
+func ValidateOps(ops []Op, live func(id uint64) bool, nextID uint64, explicit bool) ([]Op, []uint64, error) {
+	// Overlay of in-batch existence changes: whether an ID is live after the
+	// ops so far; absent = consult live.
+	overlay := map[uint64]bool{}
 	truncated := false
-	current := func(id uint64) uint8 {
+	current := func(id uint64) bool {
 		if v, ok := overlay[id]; ok {
 			return v
 		}
-		if truncated {
-			return 0
-		}
-		return family(id)
-	}
-	// upsert resolves an upsert's ID: zero takes the next counter value, any
-	// other must address a live object of family fam (or, with explicit, none).
-	upsert := func(i int, op *Op, fam uint8) error {
-		if op.ID == 0 {
-			op.ID = nextID
-			nextID++
-		} else {
-			switch current(op.ID) {
-			case fam: // update
-			case 0:
-				if !explicit {
-					return fmt.Errorf("ops[%d]: update: %w %d", i, ErrUnknownID, op.ID)
-				}
-				if op.ID >= nextID {
-					nextID = op.ID + 1
-				}
-			default: // live in the other family, 3-fam
-				return fmt.Errorf("ops[%d]: %w: object %d is %d-D, payload %d-D",
-					i, ErrInvalidOp, op.ID, 3-fam, fam)
-			}
-		}
-		overlay[op.ID] = fam
-		return nil
+		return !truncated && live(id)
 	}
 	out := make([]Op, len(ops))
 	ids := make([]uint64, len(ops))
@@ -819,30 +795,33 @@ func ValidateOps(ops []Op, family func(id uint64) uint8, nextID uint64, explicit
 		switch op.Code {
 		case OpTruncate:
 			truncated = true
-			overlay = map[uint64]uint8{}
+			overlay = map[uint64]bool{}
 			out[i] = op
 			continue
 		case OpDelete:
-			if op.ID == 0 || current(op.ID) == 0 {
+			if op.ID == 0 || !current(op.ID) {
 				return nil, nil, fmt.Errorf("ops[%d]: delete: %w %d", i, ErrUnknownID, op.ID)
 			}
-			overlay[op.ID] = 0
+			overlay[op.ID] = false
 		case OpUniform, OpHist:
 			if op.PDF == nil || codeFor(op.PDF) != op.Code {
 				return nil, nil, fmt.Errorf("ops[%d]: %w: pdf %T does not match op code %d",
 					i, ErrInvalidOp, op.PDF, op.Code)
 			}
-			if err := upsert(i, &op, 1); err != nil {
-				return nil, nil, err
+			// Zero takes the next counter value; any other ID must address a
+			// live object (or, with explicit, inserts under that ID).
+			if op.ID == 0 {
+				op.ID = nextID
+				nextID++
+			} else if !current(op.ID) {
+				if !explicit {
+					return nil, nil, fmt.Errorf("ops[%d]: update: %w %d", i, ErrUnknownID, op.ID)
+				}
+				if op.ID >= nextID {
+					nextID = op.ID + 1
+				}
 			}
-		case OpDisk:
-			if !(op.Disk.Radius > 0) || !isFinite(op.Disk.Radius) ||
-				!isFinite(op.Disk.Center.X) || !isFinite(op.Disk.Center.Y) {
-				return nil, nil, fmt.Errorf("ops[%d]: %w: invalid disk %+v", i, ErrInvalidOp, op.Disk)
-			}
-			if err := upsert(i, &op, 2); err != nil {
-				return nil, nil, err
-			}
+			overlay[op.ID] = true
 		default:
 			return nil, nil, fmt.Errorf("ops[%d]: %w: unknown code %d", i, ErrInvalidOp, op.Code)
 		}
@@ -852,12 +831,14 @@ func ValidateOps(ops []Op, family func(id uint64) uint8, nextID uint64, explicit
 }
 
 // applyDecoded mutates the state with already-validated decoded ops,
-// emitting the incremental index edits (in dense-slot terms) for the 1-D
-// family. Deletes swap the last slot into the hole so dense IDs stay dense;
-// the displaced object's index entry moves with it. rebuild reports that the
-// edit stream is useless (truncation) and the index must be rebuilt. rec,
-// when non-nil, collects the change-feed records (stable-ID terms, old/new
-// MBRs); recovery passes nil and pays nothing.
+// emitting the incremental index edits (in dense-slot terms). Deletes swap
+// the last slot into the hole so dense IDs stay dense; the displaced
+// object's index entry moves with it. rebuild reports that the edit stream
+// is useless (truncation) and the index must be rebuilt. rec, when non-nil,
+// collects the change-feed records (stable-ID terms, old/new MBRs); recovery
+// passes nil and pays nothing. WAL replay, snapshot installs and replicated
+// records all come through here, so an OpDisk from an older build's log is
+// dropped here and nowhere else (dropDisk): it publishes no change.
 func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebuild bool, err error) {
 	for _, op := range ops {
 		switch op.Code {
@@ -871,10 +852,8 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 			st.slots, st.idsShared = nil, false
 			st.recs.Truncate(0)
 			st.resident = 0
-			st.dslots, st.disks = nil, nil
 			st.slotOf = map[uint64]int{}
-			st.dslotOf = map[uint64]int{}
-			st.disksDirty = true
+			clear(st.dropped)
 			edits, rebuild = nil, true
 		case OpUniform, OpHist:
 			if st.nextID <= op.ID {
@@ -912,30 +891,7 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 				edits = append(edits, filter.InsertEdit(sup, slot))
 			}
 		case OpDisk:
-			if st.nextID <= op.ID {
-				st.nextID = op.ID + 1
-			}
-			st.disksDirty = true
-			if slot, ok := st.dslotOf[op.ID]; ok {
-				if rec != nil {
-					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeUpdate, TwoD: true,
-						OldRect: geom.RectFromCircle(st.disks[slot]),
-						NewRect: geom.RectFromCircle(op.Disk),
-					})
-				}
-				st.disks[slot] = op.Disk
-			} else {
-				if rec != nil {
-					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeInsert, TwoD: true,
-						NewRect: geom.RectFromCircle(op.Disk),
-					})
-				}
-				st.dslots = append(st.dslots, op.ID)
-				st.disks = append(st.disks, op.Disk)
-				st.dslotOf[op.ID] = len(st.dslots) - 1
-			}
+			st.dropDisk(op.ID) // insert or update alike
 		case OpDelete:
 			if slot, ok := st.slotOf[op.ID]; ok {
 				old := st.region(slot)
@@ -965,21 +921,8 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 				st.slots = st.slots[:last]
 				st.recs.Truncate(last)
 				delete(st.slotOf, op.ID)
-			} else if slot, ok := st.dslotOf[op.ID]; ok {
-				st.disksDirty = true
-				if rec != nil {
-					rec.changes = append(rec.changes, Change{
-						ID: op.ID, Kind: ChangeDelete, TwoD: true,
-						OldRect: geom.RectFromCircle(st.disks[slot]),
-					})
-				}
-				last := len(st.dslots) - 1
-				if slot != last {
-					st.dslots[slot], st.disks[slot] = st.dslots[last], st.disks[last]
-					st.dslotOf[st.dslots[slot]] = slot
-				}
-				st.dslots, st.disks = st.dslots[:last], st.disks[:last]
-				delete(st.dslotOf, op.ID)
+			} else if _, ok := st.dropped[op.ID]; ok {
+				delete(st.dropped, op.ID) // the disk was never stored
 			} else {
 				return nil, false, fmt.Errorf("%w %d", ErrUnknownID, op.ID)
 			}
@@ -1016,26 +959,16 @@ func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filte
 	if err != nil {
 		return nil, err
 	}
-	var disks []Disk
-	if prev != nil && !st.disksDirty {
-		disks = prev.Disks
-	} else {
-		disks = make([]Disk, len(st.disks))
-		for i := range disks {
-			disks[i] = Disk{ID: st.dslots[i], Region: st.disks[i]}
-		}
-	}
-	st.disksDirty = false
 	n := len(st.slots)
 	st.idsShared = true
 	s.overlay.Store(int64(st.resident))
+	s.dropped.Store(int64(len(st.dropped)))
 	return &View{
 		Version: st.version,
 		Seq:     st.seq,
 		Dataset: ds,
 		IDs:     st.slots[:n:n],
 		Index:   ix,
-		Disks:   disks,
 		NextID:  st.nextID,
 	}, nil
 }
@@ -1050,7 +983,7 @@ func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filte
 // stay in slot order, which is how the follower assigns its slots.
 func (s *Store) snapshotState() (checkpointState, error) {
 	st := s.st
-	ops := make([]Op, len(st.slots), len(st.slots)+len(st.dslots))
+	ops := make([]Op, len(st.slots))
 	type lazy struct {
 		ref  int64
 		slot int
@@ -1071,9 +1004,6 @@ func (s *Store) snapshotState() (checkpointState, error) {
 			return checkpointState{}, fmt.Errorf("store: snapshot: object %d: %w", id, err)
 		}
 		ops[f.slot] = Op{Code: codeFor(p), ID: id, PDF: p}
-	}
-	for i, id := range st.dslots {
-		ops = append(ops, Op{Code: OpDisk, ID: id, Disk: st.disks[i]})
 	}
 	return checkpointState{Version: st.version, Seq: st.seq, NextID: st.nextID, Ops: ops}, nil
 }
@@ -1137,7 +1067,7 @@ func (s *Store) flatten(st *state) error {
 	s.ckptNanos.Add(uint64(time.Since(start).Nanoseconds()))
 	s.logger().Debug("checkpoint written",
 		"seq", st.seq, "version", st.version,
-		"objects", len(st.slots)+len(st.dslots), "pages", b.f.NumPages(),
+		"objects", len(st.slots), "pages", b.f.NumPages(),
 		"elapsed", time.Since(start))
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 	"repro/internal/verify"
@@ -102,8 +101,9 @@ func TestUnknownIDAndInvalidOps(t *testing.T) {
 	if _, err := s.Apply([]Op{{Code: OpUniform}}); !errors.Is(err, ErrInvalidOp) {
 		t.Fatalf("nil pdf: %v", err)
 	}
-	if _, err := s.Apply([]Op{InsertDisk(geom.Circle{Radius: -1})}); !errors.Is(err, ErrInvalidOp) {
-		t.Fatalf("bad disk: %v", err)
+	// 2-D disks are not stored: a disk upsert is an unknown op.
+	if _, err := s.Apply([]Op{{Code: OpDisk}}); !errors.Is(err, ErrInvalidOp) {
+		t.Fatalf("disk upsert: %v", err)
 	}
 	// A failed batch must not have mutated anything.
 	if v := s.View(); v.Dataset.Len() != 1 || v.Version != 1 {
@@ -129,33 +129,12 @@ func TestBatchAtomicity(t *testing.T) {
 	}
 }
 
-func TestFamilyMismatch(t *testing.T) {
-	s, _ := openTemp(t, Options{})
-	defer s.Close()
-	res := mustApply(t, s,
-		InsertObject(pdf.MustUniform(0, 1)),
-		InsertDisk(geom.Circle{Center: geom.Point{X: 1, Y: 2}, Radius: 3}),
-	)
-	oneD, twoD := res.IDs[0], res.IDs[1]
-	if _, err := s.Apply([]Op{UpdateDisk(oneD, geom.Circle{Radius: 1})}); !errors.Is(err, ErrInvalidOp) {
-		t.Fatalf("2-D payload on 1-D id: %v", err)
-	}
-	if _, err := s.Apply([]Op{UpdateObject(twoD, pdf.MustUniform(0, 1))}); !errors.Is(err, ErrInvalidOp) {
-		t.Fatalf("1-D payload on 2-D id: %v", err)
-	}
-	// Deleting across families works (delete is family-agnostic).
-	mustApply(t, s, Delete(twoD))
-	if v := s.View(); len(v.Disks) != 0 || v.Dataset.Len() != 1 {
-		t.Fatalf("after disk delete: %d disks %d objects", len(v.Disks), v.Dataset.Len())
-	}
-}
-
 func TestTruncateAndDatasetOps(t *testing.T) {
 	s, _ := openTemp(t, Options{})
 	defer s.Close()
 	mustApply(t, s,
 		InsertObject(pdf.MustUniform(0, 1)),
-		InsertDisk(geom.Circle{Center: geom.Point{X: 0, Y: 0}, Radius: 1}),
+		InsertObject(pdf.MustUniform(2, 3)),
 	)
 
 	ds := mustDataset(t, 10, 7)
@@ -165,8 +144,8 @@ func TestTruncateAndDatasetOps(t *testing.T) {
 	}
 	res := mustApply(t, s, ops...)
 	v := s.View()
-	if v.Dataset.Len() != 10 || len(v.Disks) != 0 {
-		t.Fatalf("after reload: %d objects %d disks", v.Dataset.Len(), len(v.Disks))
+	if v.Dataset.Len() != 10 {
+		t.Fatalf("after reload: %d objects", v.Dataset.Len())
 	}
 	if res.Version != 2 {
 		t.Fatalf("version = %d", res.Version)
@@ -188,7 +167,6 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	res := mustApply(t, s,
 		InsertObject(pdf.MustUniform(3, 9)),
 		InsertObject(pdf.MustHistogram([]float64{0, 1, 2, 3}, []float64{1, 2, 1})),
-		InsertDisk(geom.Circle{Center: geom.Point{X: 4, Y: 5}, Radius: 2}),
 	)
 	mustApply(t, s, UpdateObject(res.IDs[0], pdf.MustUniform(30, 90)))
 	if err := s.Close(); err != nil {
@@ -201,15 +179,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	defer re.Close()
 	v := re.View()
-	if v.Version != 2 || v.Dataset.Len() != 2 || len(v.Disks) != 1 {
-		t.Fatalf("recovered view: version %d, %d objects, %d disks", v.Version, v.Dataset.Len(), len(v.Disks))
+	if v.Version != 2 || v.Dataset.Len() != 2 {
+		t.Fatalf("recovered view: version %d, %d objects", v.Version, v.Dataset.Len())
 	}
 	slot := slotOfID(t, v, res.IDs[0])
 	if sup := v.Dataset.Object(slot).Region(); sup.Lo != 30 || sup.Hi != 90 {
 		t.Fatalf("recovered region %+v", sup)
-	}
-	if v.Disks[0].Region.Center.X != 4 || v.Disks[0].Region.Radius != 2 {
-		t.Fatalf("recovered disk %+v", v.Disks[0])
 	}
 
 	// Versions stay monotonic across the restart.

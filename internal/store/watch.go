@@ -49,15 +49,13 @@ func (k ChangeKind) String() string {
 }
 
 // Change is one changed object of a committed batch, in stable-ID terms with
-// the bounding rectangles a spatial join needs. For 1-D objects the rects are
-// degenerate in y (RectFromInterval); for 2-D disks they are the disk MBRs.
+// the bounding rectangles a spatial join needs: an object's support interval,
+// degenerate in y (RectFromInterval).
 type Change struct {
 	// ID is the object's stable ID.
 	ID uint64
 	// Kind says whether the object was inserted, updated or deleted.
 	Kind ChangeKind
-	// TwoD marks a 2-D (disk) object.
-	TwoD bool
 	// OldRect bounds the object's region before the batch (update/delete).
 	OldRect geom.Rect
 	// NewRect bounds the object's region after the batch (insert/update).

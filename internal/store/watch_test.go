@@ -62,25 +62,12 @@ func TestWatchDeliversChanges(t *testing.T) {
 		t.Fatalf("update NewRect = %+v, want [5,15]", d.Changes[0].NewRect)
 	}
 
-	// Disk ops are flagged TwoD and carry circle MBRs.
-	dres, err := s.Apply([]Op{InsertDisk(geom.Circle{Center: geom.Point{X: 3, Y: 4}, Radius: 2})})
-	if err != nil {
+	// Delete emits the old rect (the object updated to [5,15] above).
+	if _, err := s.Apply([]Op{Delete(res.IDs[0])}); err != nil {
 		t.Fatal(err)
 	}
 	d = <-sub.C()
-	if len(d.Changes) != 1 || !d.Changes[0].TwoD || d.Changes[0].Kind != ChangeInsert {
-		t.Fatalf("disk delta = %+v", d)
-	}
-	if got := d.Changes[0].NewRect; got.MinX != 1 || got.MaxX != 5 || got.MinY != 2 || got.MaxY != 6 {
-		t.Fatalf("disk MBR = %+v", got)
-	}
-
-	// Delete emits the old rect (the 1-D object updated to [5,15] above).
-	if _, err := s.Apply([]Op{Delete(res.IDs[0]), Delete(dres.IDs[0])}); err != nil {
-		t.Fatal(err)
-	}
-	d = <-sub.C()
-	if len(d.Changes) != 2 || d.Changes[0].Kind != ChangeDelete || !d.Changes[1].TwoD {
+	if len(d.Changes) != 1 || d.Changes[0].Kind != ChangeDelete {
 		t.Fatalf("delete delta = %+v", d)
 	}
 	if d.Changes[0].OldRect.MinX != 5 || d.Changes[0].OldRect.MaxX != 15 {
