@@ -24,8 +24,9 @@ type objectSpec struct {
 	ID      uint64       `json:"id,omitempty"`
 	Uniform *uniformSpec `json:"uniform,omitempty"`
 	Hist    *histSpec    `json:"hist,omitempty"`
-	// Disk is decoded only to be refused with errDiskObject: the store holds
-	// 1-D objects, and a 2-D disk was a payload of builds that stored them.
+	// Disk is decoded only so toOp can refuse it with a message naming
+	// where 2-D runs: the store holds 1-D objects, and a disk was a payload
+	// of older builds.
 	Disk any `json:"disk,omitempty"`
 }
 

@@ -39,42 +39,38 @@ const (
 	fixtureNextID = 70
 )
 
+// plantDiskCheckpoint copies only testdata/disks_v2's checkpoint into a fresh
+// store directory: the position a follower of the fixture's primary held
+// before the WAL tail was shipped to it.
+func plantDiskCheckpoint(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	copyFixture(t, dir, checkpointName)
+	return dir
+}
+
 // plantDiskFixture copies testdata/disks_v2's checkpoint and WAL into a fresh
 // store directory and returns it with the snapshot stream.
 func plantDiskFixture(t *testing.T) (dir string, snapshot []byte) {
 	t.Helper()
-	src := filepath.Join("testdata", "disks_v2")
-	dir = t.TempDir()
-	for _, name := range []string{checkpointName, walName} {
-		b, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snapshot, err := os.ReadFile(filepath.Join(src, "snapshot.bin"))
+	dir = plantDiskCheckpoint(t)
+	copyFixture(t, dir, walName)
+	snapshot, err := os.ReadFile(filepath.Join("testdata", "disks_v2", "snapshot.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return dir, snapshot
 }
 
-// plantDiskCheckpoint copies only testdata/disks_v2's checkpoint into a fresh
-// store directory: the position a follower of the fixture's primary held
-// before the WAL tail was shipped to it.
-func plantDiskCheckpoint(t *testing.T) string {
+func copyFixture(t *testing.T, dir, name string) {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "disks_v2", checkpointName))
+	b, err := os.ReadFile(filepath.Join("testdata", "disks_v2", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, checkpointName), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return dir
 }
 
 // fixtureDigest hashes a view's 1-D content and answers: its position, every
