@@ -414,10 +414,14 @@ func TestCheckpointFailsOnCorruptBase(t *testing.T) {
 }
 
 // Checkpoint digests of TestCheckpointBytesStable's op sequence: the sha256
-// of checkpoint.db after its first and its second flatten.
+// of checkpoint.db after its first and its second flatten, and of the same
+// files from page 1 on — the record stream without the header page.
 const (
 	stableFirstSHA  = "8f2e3120eb8dfd91e33e9475830ac32efb134458e92140cb081da5fdf693eafb"
 	stableSecondSHA = "38631f71503e06a626e30463a2c6f64cd24d4a00d51c4f0a4d33918973ee459b"
+
+	stableFirstBodySHA  = "a208c21e4c7b6bae2ee92897253518cda98811efb992e5288502476223952be6"
+	stableSecondBodySHA = "534aa95b5a1452b11272bf9296d13027f478568af68baf529e1bc1f0b9966a09"
 )
 
 // TestCheckpointBytesStable holds the paged checkpoint to its bytes. A fixed
@@ -425,7 +429,9 @@ const (
 // inserts on top of the first base — is flattened twice, so the second file
 // copies unchanged payloads from the first and encodes the changed ones.
 // Both files must hash to the recorded digests: any change to payload order,
-// the copy, the index pack or the framing shows here.
+// the copy, the index pack or the framing shows here. The digests from page 1
+// on hold the record stream apart from the header page, so a header-only
+// format change re-records the first pair and leaves the second.
 func TestCheckpointBytesStable(t *testing.T) {
 	const n = 3000 // ≈100 base pages: past one 64-page extent
 	rng := rand.New(rand.NewSource(46))
@@ -441,7 +447,7 @@ func TestCheckpointBytesStable(t *testing.T) {
 	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
 	s, dir := openTemp(t, opt)
 	defer s.Close()
-	digest := func() string {
+	digest := func() (file, body string) {
 		t.Helper()
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -450,8 +456,8 @@ func TestCheckpointBytesStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(b)
-		return hex.EncodeToString(sum[:])
+		sum, bodySum := sha256.Sum256(b), sha256.Sum256(b[pager.PageSize:])
+		return hex.EncodeToString(sum[:]), hex.EncodeToString(bodySum[:])
 	}
 
 	ops := make([]Op, 0, n+10)
@@ -464,8 +470,12 @@ func TestCheckpointBytesStable(t *testing.T) {
 		}
 	}
 	mustApply(t, s, ops...)
-	if got := digest(); got != stableFirstSHA {
+	got, body := digest()
+	if got != stableFirstSHA {
 		t.Errorf("first checkpoint sha256 = %s, want %s", got, stableFirstSHA)
+	}
+	if body != stableFirstBodySHA {
+		t.Errorf("first checkpoint sha256 from page 1 = %s, want %s", body, stableFirstBodySHA)
 	}
 
 	live := make([]uint64, n)
@@ -488,8 +498,12 @@ func TestCheckpointBytesStable(t *testing.T) {
 		}
 		mustApply(t, s, ops...)
 	}
-	if got := digest(); got != stableSecondSHA {
+	got, body = digest()
+	if got != stableSecondSHA {
 		t.Errorf("second checkpoint sha256 = %s, want %s", got, stableSecondSHA)
+	}
+	if body != stableSecondBodySHA {
+		t.Errorf("second checkpoint sha256 from page 1 = %s, want %s", body, stableSecondBodySHA)
 	}
 }
 
