@@ -205,7 +205,20 @@ type Writer struct {
 // have allocated pages 0..base-1 already (the header pages); the stream's
 // pages are appended after them.
 func NewWriter(pool *Pool, base pager.PageID) *Writer {
-	return &Writer{pool: pool, base: base, next: base, ext: make([]byte, ExtentPages*pager.PageSize)}
+	return ResumeWriter(pool, base, 0)
+}
+
+// ResumeWriter continues the stream whose first page is base at logical
+// offset off, which must be page-aligned (a multiple of PayloadSize): the
+// first record lands at the start of page base+off/PayloadSize and refs
+// continue the stream's, so a Log over the longer stream reads old and new
+// records alike. Pages before that one are never written.
+func ResumeWriter(pool *Pool, base pager.PageID, off int64) *Writer {
+	if off < 0 || off%PayloadSize != 0 {
+		panic(fmt.Sprintf("pagecache: resuming a stream at offset %d, not a page boundary", off))
+	}
+	next := base + pager.PageID(off/PayloadSize)
+	return &Writer{pool: pool, base: base, off: off, next: next, ext: make([]byte, ExtentPages*pager.PageSize)}
 }
 
 // Append writes one length-prefixed record and returns its reference.

@@ -143,16 +143,23 @@ func checkPage(id pager.PageID, page []byte) error {
 // install records an extent a Writer has just written to the pool's file
 // starting at page first, and caches its pages as clean frames while the
 // pool is under budget. It never evicts: a flatten leaves the pool as warm
-// as its budget, not churned by every page it wrote.
+// as its budget, not churned by every page it wrote. A page already cached
+// takes the new bytes in its frame: an append that failed before its header
+// was written left pages past the stream no reader can reach, and the next
+// append writes them again.
 func (p *Pool) install(first pager.PageID, extent []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for o := 0; o < len(extent); o += pager.PageSize {
 		p.stats.Writebacks++
+		id := first + pager.PageID(o/pager.PageSize)
+		if fr, ok := p.frames[id]; ok {
+			copy(fr.data[:], extent[o:])
+			continue
+		}
 		if len(p.frames) >= p.budget {
 			continue
 		}
-		id := first + pager.PageID(o/pager.PageSize)
 		fr := &frame{id: id, ref: true}
 		copy(fr.data[:], extent[o:])
 		p.clock = append(p.clock, fr)

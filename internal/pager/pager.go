@@ -125,6 +125,26 @@ func (pf *File) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
+// WriteWithin writes buf at byte offset off of page id, which must exist,
+// in one write: a part of a page smaller than a page, such as one header
+// slot in its own sector.
+func (pf *File) WriteWithin(id PageID, off int, buf []byte) error {
+	if off < 0 || off+len(buf) > PageSize {
+		return fmt.Errorf("pager: write of bytes [%d, %d) outside a page", off, off+len(buf))
+	}
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	if uint32(id) >= pf.pages {
+		return fmt.Errorf("pager: write of page %d (byte offset %d) beyond end (%d pages)",
+			id, int64(id)*PageSize, pf.pages)
+	}
+	at := int64(id)*PageSize + int64(off)
+	if _, err := pf.f.WriteAt(buf, at); err != nil {
+		return fmt.Errorf("pager: writing page %d (byte offset %d): %w", id, at, err)
+	}
+	return nil
+}
+
 // WriteExtent writes buf, a whole number of pages, to the pages starting at
 // id in one write. The extent may run past the end of the file, which grows
 // to hold it, but may not leave a hole: id is at most NumPages.

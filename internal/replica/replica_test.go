@@ -312,8 +312,8 @@ func TestSnapshotBootstrapFreshFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	pb, fb := readCheckpointFiles(t, pdir, fdir)
-	if !bytes.HasPrefix(fb, []byte("CPNNCKP2")) {
-		t.Fatalf("bootstrapped checkpoint magic = %q, want CPNNCKP2", fb[:8])
+	if !bytes.HasPrefix(fb, []byte("CPNNCKP3")) {
+		t.Fatalf("bootstrapped checkpoint magic = %q, want CPNNCKP3", fb[:8])
 	}
 	if !bytes.Equal(pb, fb) {
 		t.Fatalf("bootstrapped checkpoint differs from the primary's at seq %d: %d vs %d bytes",

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -96,7 +97,8 @@ func TestDumpRebuildRoundTrip(t *testing.T) {
 		}
 		var recs []rec
 		root, err := tr.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
-			recs = append(recs, rec{leaf, rects, items, children})
+			// The slices are Dump's reused buffers: keep copies.
+			recs = append(recs, rec{leaf, slices.Clone(rects), slices.Clone(items), slices.Clone(children)})
 			return int64(len(recs) - 1), nil
 		})
 		if err != nil {

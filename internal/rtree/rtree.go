@@ -923,31 +923,42 @@ func strPackEntries[T any](ents []entry[T], capPerNode int) []*node[T] {
 // references are passed to the parent's emit call, and Dump returns the
 // root's reference. The layout round-trips exactly through Rebuild, so a
 // recovered tree is structurally identical to the dumped one and yields
-// byte-identical traversal orders.
+// byte-identical traversal orders. rects, items and children are buffers
+// Dump reuses, one set per tree level: they are valid only during the emit
+// call, which copies what it keeps.
 func (t *Tree[T]) Dump(emit func(leaf bool, rects []geom.Rect, items []T, children []int64) (int64, error)) (int64, error) {
-	var walk func(n *node[T]) (int64, error)
-	walk = func(n *node[T]) (int64, error) {
-		rects := make([]geom.Rect, len(n.entries))
+	type level struct {
+		rects    []geom.Rect
+		items    []T
+		children []int64
+	}
+	levels := make([]level, t.Height()+1)
+	var walk func(n *node[T], depth int) (int64, error)
+	walk = func(n *node[T], depth int) (int64, error) {
+		lv := &levels[depth]
+		rects := lv.rects[:0]
 		if n.leaf {
-			items := make([]T, len(n.entries))
+			items := lv.items[:0]
 			for i := range n.entries {
-				rects[i] = n.entries[i].rect
-				items[i] = n.entries[i].item
+				rects = append(rects, n.entries[i].rect)
+				items = append(items, n.entries[i].item)
 			}
+			lv.rects, lv.items = rects, items
 			return emit(true, rects, items, nil)
 		}
-		children := make([]int64, len(n.entries))
+		children := lv.children[:0]
 		for i := range n.entries {
-			rects[i] = n.entries[i].rect
-			ref, err := walk(n.entries[i].child)
+			ref, err := walk(n.entries[i].child, depth+1)
 			if err != nil {
 				return 0, err
 			}
-			children[i] = ref
+			rects = append(rects, n.entries[i].rect)
+			children = append(children, ref)
 		}
+		lv.rects, lv.children = rects, children
 		return emit(false, rects, nil, children)
 	}
-	return walk(t.root)
+	return walk(t.root, 0)
 }
 
 // rebuildMaxDepth bounds Rebuild's recursion so a corrupted checkpoint with

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/filter"
+	"repro/internal/pager"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 	"repro/internal/verify"
@@ -190,52 +191,80 @@ func BenchmarkQueryUnderUpdateLoad(b *testing.B) {
 // BenchmarkFlatten times one flatten of store_rw's store: 100k 8-edge
 // histograms behind a 256 KiB page cache, fsync off, flattened after each
 // 4,000 updates (500 commits of 8). Commits run outside the timer; each
-// timed op (ns/op) is one Checkpoint, which re-packs the index, copies the
-// unchanged payloads out of the previous base and writes the new one.
-// The numbers feed EXPERIMENTS.md "Capacity".
+// timed op (ns/op) is one flatten. full is an explicit Checkpoint, which
+// re-packs the index, copies the unchanged payloads out of the previous base
+// and writes a new file; appended is the WAL trigger's flatten, which appends
+// the changed payloads, the live index and the slot table to the file (a
+// full rewrite outside the timer resets the file whenever the next flatten
+// would be full under the 2x rule). The numbers feed EXPERIMENTS.md
+// "Capacity".
 func BenchmarkFlatten(b *testing.B) {
 	const n, commits, batch = 100_000, 500, 8
-	s, err := Open(b.TempDir(), Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 256 << 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(1))
-	hist := func() pdf.PDF {
-		lo, w := rng.Float64()*n, 1+rng.Float64()*24
-		weights := make([]float64, 7)
-		for j := range weights {
-			weights[j] = 1 + rng.Float64()
-		}
-		return pdf.MustHistogram(
-			[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights)
-	}
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = InsertObject(hist())
-	}
-	seeded, err := s.Apply(ops)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	ops = ops[:batch]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for c := 0; c < commits; c++ {
-			for j := range ops {
-				ops[j] = UpdateObject(seeded.IDs[rng.Intn(n)], hist())
-			}
-			if _, err := s.Apply(ops); err != nil {
+	for _, mode := range []string{"full", "appended"} {
+		b.Run(mode, func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 256 << 10})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StartTimer()
-		if err := s.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
+			defer s.Close()
+			rng := rand.New(rand.NewSource(1))
+			hist := func() pdf.PDF {
+				lo, w := rng.Float64()*n, 1+rng.Float64()*24
+				weights := make([]float64, 7)
+				for j := range weights {
+					weights[j] = 1 + rng.Float64()
+				}
+				return pdf.MustHistogram(
+					[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights)
+			}
+			ops := make([]Op, n)
+			for i := range ops {
+				ops[i] = InsertObject(hist())
+			}
+			seeded, err := s.Apply(ops)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			ops = ops[:batch]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if st := s.Stats(); mode == "appended" && int64(st.BasePages)*pager.PageSize >= 2*st.CompactedBytes {
+					if err := s.Checkpoint(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for c := 0; c < commits; c++ {
+					for j := range ops {
+						ops[j] = UpdateObject(seeded.IDs[rng.Intn(n)], hist())
+					}
+					if _, err := s.Apply(ops); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				flatten := s.Checkpoint
+				if mode == "appended" {
+					flatten = s.autoCheckpoint
+				}
+				if err := flatten(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := s.Stats(); mode == "appended" && st.AppendedFlattens != uint64(b.N) {
+				b.Fatalf("%d of %d flattens appended", st.AppendedFlattens, b.N)
+			}
+		})
 	}
+}
+
+// autoCheckpoint flattens as the committer's WAL-size trigger does:
+// appending a generation where the base allows one, else rewriting it.
+func (s *Store) autoCheckpoint() error {
+	_, err := s.submit(&request{checkpoint: true, auto: true, resp: make(chan result, 1)})
+	return err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 
 	"repro/internal/chunked"
 	"repro/internal/geom"
@@ -17,40 +19,146 @@ import (
 	"repro/internal/rtree"
 )
 
-// The v2 paged checkpoint keeps the dataset on disk instead of streaming it
+// The paged checkpoint keeps the dataset on disk instead of streaming it
 // through memory: every object payload, R-tree node and lookup table is one
 // record in a pagecache.Log, and recovery maps the records back without
 // materializing anything but metadata. Page 0 is the header, written
-// directly (outside the pool's per-page CRC framing):
+// directly (outside the pool's per-page CRC framing); pages 1.. hold the
+// record stream.
 //
-//	[0:8]   magic "CPNNCKP2"
-//	[8:16]  version          [16:24] seq             [24:32] nextID
-//	[32:40] record-log size  [40:48] slot-table ref  [48:56] disk-table ref
-//	[56:64] tree root ref    [64:72] tree entry count
-//	[72:76] CRC-32C over bytes [8:72]
+// The v3 header ("CPNNCKP3") holds two slots, slot k at byte k*512 of page 0,
+// each in its own 512-byte sector and written by its own write:
+//
+//	[0:8]   magic "CPNNCKP3"
+//	[8:16]  generation       [16:24] version         [24:32] seq
+//	[32:40] nextID           [40:48] record-log size [48:56] slot-table ref
+//	[56:64] disk-table ref   [64:72] tree root ref   [72:80] tree entry count
+//	[80:88] compacted size (file bytes after the last full rewrite)
+//	[88:92] CRC-32C over bytes [0:88]
+//
+// The reader takes the valid slot with the higher generation. The v2 header
+// ("CPNNCKP2", one slot: version, seq, nextID, log size, slot-table,
+// disk-table and root refs, entry count, CRC over [8:72]) is still read, as
+// generation 0; a build that reads only v2 refuses a v3 file at its magic, so
+// it never opens a stale generation whose WAL was reset since.
 //
 // Object payload records reuse the WAL op encoding (a one-op batch), so a
 // faulted-in object decodes through exactly the code path recovery replays —
 // one format, one set of invariants. The slot table holds what must stay
 // resident per object: stable ID, support interval, payload record ref.
 //
-// The log holds, in order: the object payloads in the packed index's leaf
-// order (a query's candidates are neighbours in the tree, so they share
-// pages), then the index nodes, the slot table and the disk table. The
-// reader is order-agnostic — every record is reached through a ref.
+// A flatten is full or appended.
+//
+// A full rewrite writes a new file: the object payloads in the packed
+// index's leaf order (a query's candidates are neighbours in the tree, so
+// they share pages), then the index nodes, the slot table and the disk
+// table, and the header with generation 1 in slot 0 and slot 1 empty. Its
+// bytes are a pure function of the logical state. It is crash-safe: build
+// the temp file, fsync it, rename over the live name, fsync the directory —
+// a crash mid-checkpoint leaves the previous checkpoint (and the full WAL)
+// untouched. The pool the writer warmed becomes the new file's read pool —
+// the fd follows the rename, and every page it holds is already hot.
+//
+// An appended generation extends the live file from the page after the
+// stream's end: the overlay's payloads in centre order, the live index and
+// the slot table, whose unchanged refs still point at earlier generations'
+// payloads. Nothing else is copied and no page holding a live record is
+// written again. The pages are fsynced, then the older header slot takes
+// the next generation and is fsynced, and only then is the WAL reset; a
+// crash before the slot lands leaves the previous generation and the WAL
+// that extends it, and the next open cuts the unreferenced pages off. Every
+// generation of a file shares its read pool.
+//
+// The committer's WAL-size trigger appends while a v3 base exists and the
+// file is smaller than appendLimit times its compacted size; every other
+// flatten — an explicit Checkpoint, a snapshot install, the first flatten,
+// one over a v2 base, one past the limit — is a full rewrite.
 //
 // The disk table held the 2-D disks of builds that stored them (per disk:
-// stable ID, centre x, centre y, radius). A build writes it empty, so the
-// layout and the header are the same as ever; the reader still parses a
-// non-empty one and drops its disks (state.dropDisk).
-//
-// The write is crash-safe: build the temp file, flush and fsync it, rename
-// over the live name, fsync the directory — a crash mid-checkpoint leaves
-// the previous checkpoint (and the full WAL) untouched. The pool the writer
-// warmed becomes the new base's read pool — the fd follows the rename, and
-// every page it holds is already hot.
+// stable ID, centre x, centre y, radius). A build writes it empty; the
+// reader still parses a non-empty one and drops its disks (state.dropDisk).
 
-const ckptMagicV2 = "CPNNCKP2"
+const (
+	ckptMagicV2 = "CPNNCKP2"
+	ckptMagicV3 = "CPNNCKP3"
+
+	// hdrSlotSize is the sector one v3 header slot fills; hdrSlotLen is the
+	// part of it the slot uses.
+	hdrSlotSize = 512
+	hdrSlotLen  = 92
+
+	// appendLimit bounds a file's growth by appended generations: a flatten
+	// appends only while the file is smaller than appendLimit times its size
+	// after the last full rewrite.
+	appendLimit = 2
+)
+
+// ckptHeader is one checkpoint generation's header.
+type ckptHeader struct {
+	gen                  uint64 // 1 at a full rewrite, +1 per appended generation; 0 for v2
+	version, seq, nextID uint64
+	logSize              int64 // record-stream bytes
+	slotTab, diskTab     int64 // record refs
+	root                 int64 // index root record ref
+	entries              int   // index entry count
+	compacted            int64 // file bytes after the last full rewrite; 0 for v2
+	slot                 int   // the v3 header slot holding it
+}
+
+// end returns the file bytes the generation's stream reaches: the header
+// page and every stream page.
+func (h ckptHeader) end() int64 {
+	return (1 + (h.logSize+pagecache.PayloadSize-1)/pagecache.PayloadSize) * pager.PageSize
+}
+
+// encode lays h out as a v3 header slot, padded to its sector.
+func (h ckptHeader) encode() []byte {
+	b := make([]byte, hdrSlotSize)
+	copy(b[:8], ckptMagicV3)
+	for i, v := range []uint64{h.gen, h.version, h.seq, h.nextID, uint64(h.logSize), uint64(h.slotTab),
+		uint64(h.diskTab), uint64(h.root), uint64(h.entries), uint64(h.compacted)} {
+		binary.LittleEndian.PutUint64(b[8+8*i:], v)
+	}
+	binary.LittleEndian.PutUint32(b[88:hdrSlotLen], crc32.Checksum(b[:88], crcTable))
+	return b
+}
+
+// decodeSlot parses the v3 header slot k of page 0; ok is false for an empty,
+// torn or garbled slot.
+func decodeSlot(page []byte, k int) (h ckptHeader, ok bool) {
+	b := page[k*hdrSlotSize : k*hdrSlotSize+hdrSlotLen]
+	if string(b[:8]) != ckptMagicV3 || binary.LittleEndian.Uint32(b[88:]) != crc32.Checksum(b[:88], crcTable) {
+		return ckptHeader{}, false
+	}
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8+8*i:]) }
+	return ckptHeader{gen: u(0), version: u(1), seq: u(2), nextID: u(3), logSize: int64(u(4)),
+		slotTab: int64(u(5)), diskTab: int64(u(6)), root: int64(u(7)), entries: int(u(8)),
+		compacted: int64(u(9)), slot: k}, true
+}
+
+// parseHeader reads the live generation's header out of page 0 of a paged
+// checkpoint: the valid v3 slot with the higher generation, or the v2 header.
+func parseHeader(page []byte) (ckptHeader, error) {
+	if string(page[:8]) == ckptMagicV2 {
+		if want, got := binary.LittleEndian.Uint32(page[72:76]), crc32.Checksum(page[8:72], crcTable); want != got {
+			return ckptHeader{}, fmt.Errorf("header CRC mismatch (stored %08x, computed %08x)", want, got)
+		}
+		u := func(o int) uint64 { return binary.LittleEndian.Uint64(page[o : o+8]) }
+		return ckptHeader{version: u(8), seq: u(16), nextID: u(24), logSize: int64(u(32)),
+			slotTab: int64(u(40)), diskTab: int64(u(48)), root: int64(u(56)), entries: int(u(64))}, nil
+	}
+	h0, ok0 := decodeSlot(page, 0)
+	h1, ok1 := decodeSlot(page, 1)
+	switch {
+	case ok0 && (!ok1 || h0.gen > h1.gen):
+		return h0, nil
+	case ok1:
+		return h1, nil
+	case string(page[:8]) == ckptMagicV3 || string(page[hdrSlotSize:hdrSlotSize+8]) == ckptMagicV3:
+		return ckptHeader{}, fmt.Errorf("no valid header slot")
+	}
+	return ckptHeader{}, fmt.Errorf("bad magic %q", page[:8])
+}
 
 // slotRec is one dense slot of the committer's object table. The support
 // interval is always resident (the filter phase reads it, never the
@@ -63,22 +171,48 @@ type slotRec struct {
 	ref    int64   // payload record in the base log; -1 before any checkpoint
 }
 
-// base is one on-disk checkpoint generation serving lazy payload reads. A
-// new base replaces st.base at every checkpoint; old ones stay reachable
-// through the views that still fault from them.
-type base struct {
+// baseFile is one checkpoint file and its read pool, shared by every
+// generation of the file. The file is closed when the last generation
+// referencing it — and so the last view faulting from it — is collected; a
+// collected generation never closes the file under a newer one.
+type baseFile struct {
 	f    *pager.File
 	pool *pagecache.Pool
-	log  *pagecache.Log
 }
 
-func newBase(f *pager.File, pool *pagecache.Pool, log *pagecache.Log) *base {
-	b := &base{f: f, pool: pool, log: log}
-	// A checkpoint renames over the previous generation's file; POSIX keeps
-	// the unlinked inode readable through the open fd. Close it only when the
-	// last view referencing this base is collected.
-	runtime.SetFinalizer(b, func(b *base) { b.f.Close() })
-	return b
+func newBaseFile(f *pager.File, pool *pagecache.Pool) *baseFile {
+	bf := &baseFile{f: f, pool: pool}
+	// A full rewrite renames over the previous file; POSIX keeps the
+	// unlinked inode readable through the open fd.
+	runtime.SetFinalizer(bf, func(bf *baseFile) { bf.f.Close() })
+	return bf
+}
+
+// base is one generation of an on-disk checkpoint serving lazy payload
+// reads: a log over its file's stream up to the generation's end. A new base
+// replaces st.base at every flatten; old ones stay reachable through the
+// views that still fault from them.
+type base struct {
+	*baseFile
+	log *pagecache.Log
+	hdr ckptHeader
+}
+
+func newBase(bf *baseFile, hdr ckptHeader) *base {
+	return &base{baseFile: bf, log: pagecache.NewLog(bf.pool, 1, hdr.logSize), hdr: hdr}
+}
+
+// appendable reports whether the next automatic flatten may append to the
+// base file instead of rewriting it.
+func (st *state) appendable() bool {
+	b := st.base
+	return b != nil && b.hdr.gen > 0 && int64(b.f.NumPages())*pager.PageSize < appendLimit*b.hdr.compacted
+}
+
+// flattenWork is what one flatten wrote.
+type flattenWork struct {
+	bytes  int64 // bytes written to the checkpoint file
+	copied int   // unchanged payload records copied from the previous base
 }
 
 // pdfAt decodes the object payload stored at ref. The record is read into a
@@ -90,17 +224,24 @@ func (b *base) pdfAt(ref int64) (pdf.PDF, error) {
 	if err != nil {
 		return nil, err
 	}
+	op, err := decodePayload(rec, ref)
+	return op.PDF, err
+}
+
+// decodePayload decodes the object payload record rec read at ref: a one-op
+// batch holding an upsert.
+func decodePayload(rec []byte, ref int64) (Op, error) {
 	if len(rec) < 4 || byteOrder.Uint32(rec) != 1 {
-		return nil, fmt.Errorf("record at %d is not an object payload", ref)
+		return Op{}, fmt.Errorf("record at %d is not an object payload", ref)
 	}
 	op, rest, err := decodeOp(rec[4:])
 	if err != nil {
-		return nil, fmt.Errorf("record at %d: %w", ref, err)
+		return Op{}, fmt.Errorf("record at %d: %w", ref, err)
 	}
 	if len(rest) != 0 || op.PDF == nil {
-		return nil, fmt.Errorf("record at %d is not an object payload", ref)
+		return Op{}, fmt.Errorf("record at %d is not an object payload", ref)
 	}
-	return op.PDF, nil
+	return op, nil
 }
 
 // viewSource adapts a frozen slot table to uncertain.Source: regions come
@@ -134,9 +275,9 @@ func (v viewSource) PDF(i int) pdf.PDF {
 	return p
 }
 
-// writeCheckpointPaged writes the v2 checkpoint for st under dir and returns
-// the new base plus the payload record ref per slot (for rebinding the slot
-// table to the new generation).
+// writeCheckpointPaged writes st as a full rewrite of the checkpoint under
+// dir, rebinds every slot of st to its payload record in the new file once
+// it is in place, and returns the new base.
 //
 // The dumped index is NOT the live tree: live tree shape depends on commit
 // grouping history (group sizes decide when filter.Apply flips to an STR
@@ -145,11 +286,12 @@ func (v viewSource) PDF(i int) pdf.PDF {
 // the file — payload order included — is a pure function of logical state:
 // the replica suites compare checkpoints byte for byte. Query answers are
 // structure-independent either way (candidates are sorted, f_min is a min).
-func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int64, error) {
+func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flattenWork, error) {
+	var work flattenWork
 	tmp := filepath.Join(dir, checkpointTmp)
 	pf, err := pager.Create(tmp)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	ok := false
 	defer func() {
@@ -159,9 +301,9 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 		}
 	}()
 	if id, err := pf.Allocate(); err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	} else if id != 0 {
-		return nil, nil, fmt.Errorf("store: checkpoint: fresh file starts at page %d", id)
+		return nil, work, fmt.Errorf("store: checkpoint: fresh file starts at page %d", id)
 	}
 	pool := pagecache.NewPool(pf, cacheBytes)
 	w := pagecache.NewWriter(pool, 1)
@@ -173,7 +315,7 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 	}
 	tree, err := rtree.BulkLoad(inputs, rtree.DefaultMinEntries, rtree.DefaultMaxEntries)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: packing index: %w", err)
+		return nil, work, fmt.Errorf("store: checkpoint: packing index: %w", err)
 	}
 	order := make([]int, 0, n)
 	tree.All(func(_ geom.Rect, i int) bool {
@@ -202,96 +344,202 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, []int
 		r := st.recs.At(i)
 		var raw []byte
 		if r.p != nil {
-			code := codeFor(r.p)
-			if code == 0 {
-				return nil, nil, fmt.Errorf("store: checkpoint: object %d: pdf %T has no durable encoding",
-					st.slots[i], r.p)
-			}
-			scratch = binary.LittleEndian.AppendUint32(scratch[:0], 1)
-			if scratch, err = appendOp(scratch, Op{Code: code, ID: st.slots[i], PDF: r.p}); err != nil {
-				return nil, nil, fmt.Errorf("store: checkpoint: object %d: %w", st.slots[i], err)
+			if scratch, err = appendPayload(scratch[:0], st.slots[i], r.p); err != nil {
+				return nil, work, err
 			}
 			raw = scratch
 		} else if raw, err = scan.Record(r.ref); err != nil {
-			return nil, nil, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
+			return nil, work, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
+		} else {
+			work.copied++
 		}
 		if refs[i], err = w.Append(raw); err != nil {
-			return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+			return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 		}
 	}
 
-	// Index nodes, children before parents; the root ref lands in the header.
-	rootRef, err := tree.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
-		vals := children
-		if leaf {
-			vals = make([]int64, len(items))
-			for i, it := range items {
-				vals[i] = int64(it)
-			}
-		}
-		scratch = pagecache.AppendNode(scratch[:0], leaf, rects, vals)
-		return w.Append(scratch)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: dumping index: %w", err)
+	hdr := ckptHeader{gen: 1, version: st.version, seq: st.seq, nextID: st.nextID, entries: tree.Len()}
+	if hdr.root, err = dumpIndex(w, tree, &scratch); err != nil {
+		return nil, work, err
 	}
-
-	// Slot table: per 1-D object, the metadata recovery keeps resident.
-	scratch = binary.LittleEndian.AppendUint64(scratch[:0], uint64(n))
-	for i := 0; i < n; i++ {
-		r := st.recs.At(i)
-		scratch = binary.LittleEndian.AppendUint64(scratch, st.slots[i])
-		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(r.lo))
-		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(r.hi))
-		scratch = binary.LittleEndian.AppendUint64(scratch, uint64(refs[i]))
+	if hdr.slotTab, err = w.Append(encodeSlotTable(st, refs)); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
-	slotTabRef, err := w.Append(scratch)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
-	}
-
 	// Disk table: always empty (a count of zero).
-	diskTabRef, err := w.Append(binary.LittleEndian.AppendUint64(scratch[:0], 0))
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+	if hdr.diskTab, err = w.Append(binary.LittleEndian.AppendUint64(scratch[:0], 0)); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
-
-	logSize, err := w.Finish()
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+	if hdr.logSize, err = w.Finish(); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
+	hdr.compacted = hdr.end()
 
-	var hdr [pager.PageSize]byte
-	copy(hdr[:8], ckptMagicV2)
-	binary.LittleEndian.PutUint64(hdr[8:16], st.version)
-	binary.LittleEndian.PutUint64(hdr[16:24], st.seq)
-	binary.LittleEndian.PutUint64(hdr[24:32], st.nextID)
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(logSize))
-	binary.LittleEndian.PutUint64(hdr[40:48], uint64(slotTabRef))
-	binary.LittleEndian.PutUint64(hdr[48:56], uint64(diskTabRef))
-	binary.LittleEndian.PutUint64(hdr[56:64], uint64(rootRef))
-	binary.LittleEndian.PutUint64(hdr[64:72], uint64(tree.Len()))
-	binary.LittleEndian.PutUint32(hdr[72:76], crc32.Checksum(hdr[8:72], crcTable))
-	if err := pf.WritePage(0, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+	var page [pager.PageSize]byte
+	copy(page[:], hdr.encode())
+	if err := pf.WritePage(0, page[:]); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if err := pf.Sync(); err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, checkpointName)); err != nil {
-		return nil, nil, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	syncDir(dir)
 	ok = true
-	return newBase(pf, pool, pagecache.NewLog(pool, 1, logSize)), refs, nil
+	for i, ref := range refs {
+		r := st.recs.At(i)
+		st.recs.Set(i, slotRec{lo: r.lo, hi: r.hi, ref: ref})
+	}
+	work.bytes = hdr.compacted
+	return newBase(newBaseFile(pf, pool), hdr), work, nil
+}
+
+// appendGeneration writes st as the next generation of b's file: the
+// overlay's payloads, tree (the live index over st's slots) and the slot
+// table, appended from the page after b's stream, then the older header
+// slot. Once the generation is durable it rebinds the overlay's slots to
+// their new payload records; the other slots keep their refs, which point
+// into the same file.
+func appendGeneration(b *base, st *state, tree *rtree.Tree[int]) (*base, flattenWork, error) {
+	var work flattenWork
+	n := len(st.slots)
+	if tree.Len() != n {
+		return nil, work, fmt.Errorf("store: checkpoint: live index holds %d entries, slot table %d", tree.Len(), n)
+	}
+	// One pass encodes the slot table and finds the overlay; the overlay's
+	// refs are filled in once its payloads are written.
+	type key struct {
+		centre float64
+		slot   int
+	}
+	var overlay []key
+	slotTab := make([]byte, 8+32*n)
+	binary.LittleEndian.PutUint64(slotTab, uint64(n))
+	for i, e := 0, slotTab[8:]; i < n; i, e = i+1, e[32:] {
+		r := st.recs.At(i)
+		binary.LittleEndian.PutUint64(e, st.slots[i])
+		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(r.lo))
+		binary.LittleEndian.PutUint64(e[16:], math.Float64bits(r.hi))
+		binary.LittleEndian.PutUint64(e[24:], uint64(r.ref))
+		if r.p != nil {
+			overlay = append(overlay, key{centre: (r.lo + r.hi) / 2, slot: i})
+		}
+	}
+	// Centre order, as a full rewrite's leaf order is in 1-D: a query's
+	// changed candidates share this generation's pages.
+	slices.SortFunc(overlay, func(a, b key) int {
+		if c := cmp.Compare(a.centre, b.centre); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.slot, b.slot)
+	})
+
+	from := (b.hdr.logSize + pagecache.PayloadSize - 1) / pagecache.PayloadSize * pagecache.PayloadSize
+	w := pagecache.ResumeWriter(b.pool, 1, from)
+	var scratch []byte
+	for _, k := range overlay {
+		var err error
+		if scratch, err = appendPayload(scratch[:0], st.slots[k.slot], st.recs.At(k.slot).p); err != nil {
+			return nil, work, err
+		}
+		ref, err := w.Append(scratch)
+		if err != nil {
+			return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		}
+		binary.LittleEndian.PutUint64(slotTab[8+32*k.slot+24:], uint64(ref))
+	}
+	hdr := ckptHeader{gen: b.hdr.gen + 1, version: st.version, seq: st.seq, nextID: st.nextID,
+		diskTab: b.hdr.diskTab, entries: n, compacted: b.hdr.compacted, slot: 1 - b.hdr.slot}
+	var err error
+	if hdr.root, err = dumpIndex(w, tree, &scratch); err != nil {
+		return nil, work, err
+	}
+	if hdr.slotTab, err = w.Append(slotTab); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	if hdr.logSize, err = w.Finish(); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	if err := b.f.Sync(); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	slot := hdr.encode()
+	if err := b.f.WriteWithin(0, hdr.slot*hdrSlotSize, slot); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	if err := b.f.Sync(); err != nil {
+		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	for _, k := range overlay {
+		r := st.recs.At(k.slot)
+		ref := int64(binary.LittleEndian.Uint64(slotTab[8+32*k.slot+24:]))
+		st.recs.Set(k.slot, slotRec{lo: r.lo, hi: r.hi, ref: ref})
+	}
+	work.bytes = hdr.end() - b.hdr.end() + int64(len(slot))
+	return newBase(b.baseFile, hdr), work, nil
+}
+
+// appendPayload appends the payload record of object id, one upsert of p
+// encoded as a one-op batch, to buf.
+func appendPayload(buf []byte, id uint64, p pdf.PDF) ([]byte, error) {
+	code := codeFor(p)
+	if code == 0 {
+		return buf, fmt.Errorf("store: checkpoint: object %d: pdf %T has no durable encoding", id, p)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	buf, err := appendOp(buf, Op{Code: code, ID: id, PDF: p})
+	if err != nil {
+		return buf, fmt.Errorf("store: checkpoint: object %d: %w", id, err)
+	}
+	return buf, nil
+}
+
+// dumpIndex appends tree's nodes to w, children before parents, and
+// returns the root's ref. scratch is reused for the node encodings.
+func dumpIndex(w *pagecache.Writer, tree *rtree.Tree[int], scratch *[]byte) (int64, error) {
+	var itemVals []int64
+	root, err := tree.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
+		vals := children
+		if leaf {
+			itemVals = itemVals[:0]
+			for _, it := range items {
+				itemVals = append(itemVals, int64(it))
+			}
+			vals = itemVals
+		}
+		*scratch = pagecache.AppendNode((*scratch)[:0], leaf, rects, vals)
+		return w.Append(*scratch)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("store: checkpoint: dumping index: %w", err)
+	}
+	return root, nil
+}
+
+// encodeSlotTable encodes the slot table — per object its stable ID,
+// support interval and payload ref — in one presized pass.
+func encodeSlotTable(st *state, refs []int64) []byte {
+	n := len(st.slots)
+	buf := make([]byte, 8+32*n)
+	binary.LittleEndian.PutUint64(buf, uint64(n))
+	for i, e := 0, buf[8:]; i < n; i, e = i+1, e[32:] {
+		r := st.recs.At(i)
+		binary.LittleEndian.PutUint64(e, st.slots[i])
+		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(r.lo))
+		binary.LittleEndian.PutUint64(e[16:], math.Float64bits(r.hi))
+		binary.LittleEndian.PutUint64(e[24:], uint64(refs[i]))
+	}
+	return buf
 }
 
 // loadCheckpoint recovers the checkpoint under dir into a fresh state. For a
-// v2 checkpoint it loads only metadata (slot table, index nodes) —
-// object payloads stay on disk behind the returned state's base — and
-// returns the rebuilt index tree for materialize to carry forward. A legacy
-// v1 checkpoint (op stream) is replayed fully resident; the tree is nil and
-// the first materialize bulk-builds it. Reports whether a checkpoint existed.
+// paged checkpoint it loads only the live generation's metadata (slot table,
+// index nodes) — object payloads stay on disk behind the returned state's
+// base — and returns the rebuilt index tree for materialize to carry
+// forward. A legacy v1 checkpoint (op stream) is replayed fully resident;
+// the tree is nil and the first materialize bulk-builds it. Reports whether
+// a checkpoint existed.
 func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], bool, error) {
 	st := newState()
 	path := filepath.Join(dir, checkpointName)
@@ -301,16 +549,19 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 		}
 		return nil, nil, false, fmt.Errorf("store: %w", err)
 	}
+	if err := trimAppendDebris(path); err != nil {
+		return nil, nil, false, err
+	}
 	pf, err := pager.Open(path)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
-	var hdr [pager.PageSize]byte
-	if err := pf.ReadPage(0, hdr[:]); err != nil {
+	var page [pager.PageSize]byte
+	if err := pf.ReadPage(0, page[:]); err != nil {
 		pf.Close()
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
-	if string(hdr[:8]) == ckptMagic {
+	if string(page[:8]) == ckptMagic {
 		// v1 checkpoint from an older build: replay the op stream resident.
 		pf.Close()
 		cs, ok, err := readCheckpoint(dir)
@@ -323,23 +574,21 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 		}
 		return st, nil, true, nil
 	}
+	hdr, err := parseHeader(page[:])
+	if err != nil {
+		pf.Close()
+		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
+	}
+	b := newBase(newBaseFile(pf, pagecache.NewPool(pf, cacheBytes)), hdr)
 	ok := false
 	defer func() {
 		if !ok {
+			runtime.SetFinalizer(b.baseFile, nil)
 			pf.Close()
 		}
 	}()
-	if string(hdr[:8]) != ckptMagicV2 {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: bad magic %q", hdr[:8])
-	}
-	if want, got := binary.LittleEndian.Uint32(hdr[72:76]), crc32.Checksum(hdr[8:72], crcTable); want != got {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: header CRC mismatch (stored %08x, computed %08x)", want, got)
-	}
-	logSize := int64(binary.LittleEndian.Uint64(hdr[32:40]))
-	pool := pagecache.NewPool(pf, cacheBytes)
-	b := newBase(pf, pool, pagecache.NewLog(pool, 1, logSize))
 
-	slotTab, err := b.log.ReadRecord(nil, int64(binary.LittleEndian.Uint64(hdr[40:48])))
+	slotTab, err := b.log.ReadRecord(nil, hdr.slotTab)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: slot table: %w", err)
 	}
@@ -362,7 +611,7 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 		st.slotOf[id] = i
 	}
 
-	diskTab, err := b.log.ReadRecord(nil, int64(binary.LittleEndian.Uint64(hdr[48:56])))
+	diskTab, err := b.log.ReadRecord(nil, hdr.diskTab)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: disk table: %w", err)
 	}
@@ -374,9 +623,7 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 	}
 
 	var raw []byte // node records; DecodeNode copies out of it
-	tree, err := rtree.Rebuild(int64(binary.LittleEndian.Uint64(hdr[56:64])),
-		int(binary.LittleEndian.Uint64(hdr[64:72])),
-		rtree.DefaultMinEntries, rtree.DefaultMaxEntries,
+	tree, err := rtree.Rebuild(hdr.root, hdr.entries, rtree.DefaultMinEntries, rtree.DefaultMaxEntries,
 		func(ref int64) (bool, []geom.Rect, []int, []int64, error) {
 			var err error
 			if raw, err = b.log.ReadRecord(raw[:0], ref); err != nil {
@@ -403,9 +650,33 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 	}
 
 	st.base = b
-	st.version = binary.LittleEndian.Uint64(hdr[8:16])
-	st.seq = binary.LittleEndian.Uint64(hdr[16:24])
-	st.nextID = binary.LittleEndian.Uint64(hdr[24:32])
+	st.version, st.seq, st.nextID = hdr.version, hdr.seq, hdr.nextID
 	ok = true
 	return st, tree, true, nil
+}
+
+// trimAppendDebris cuts a v3 checkpoint file back to its live generation's
+// end: pages past it are an append that crashed before its header slot
+// landed, which no header references and the WAL still covers. A file of any
+// other kind, or one too short for its own header, is left to the loader to
+// judge.
+func trimAppendDebris(path string) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	var page [pager.PageSize]byte
+	if _, err := f.ReadAt(page[:], 0); err != nil {
+		return nil
+	}
+	hdr, err := parseHeader(page[:])
+	info, serr := f.Stat()
+	if err != nil || hdr.gen == 0 || serr != nil || info.Size() <= hdr.end() {
+		return nil
+	}
+	if err := f.Truncate(hdr.end()); err != nil {
+		return fmt.Errorf("store: cutting an unfinished checkpoint append: %w", err)
+	}
+	return f.Sync()
 }

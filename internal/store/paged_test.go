@@ -572,7 +572,7 @@ func TestLegacyV1CheckpointUpgrade(t *testing.T) {
 		}
 		s.Close()
 
-		if got := checkpointMagic(t, dir); got != ckptMagicV2 {
+		if got := checkpointMagic(t, dir); got != ckptMagicV3 {
 			t.Fatalf("checkpoint magic after upgrade = %q", got)
 		}
 		re, err := Open(dir, Options{NoSync: true})
@@ -619,7 +619,7 @@ func TestLegacyV1CheckpointUpgrade(t *testing.T) {
 		if err := re.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if got := checkpointMagic(t, crash); got != ckptMagicV2 {
+		if got := checkpointMagic(t, crash); got != ckptMagicV3 {
 			t.Fatalf("checkpoint magic after upgrade = %q", got)
 		}
 	})

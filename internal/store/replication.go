@@ -308,7 +308,7 @@ func (s *Store) handleInstall(r *request) {
 		r.resp <- result{err: fmt.Errorf("%w: loading snapshot: %v", ErrOutOfSync, err)}
 		return
 	}
-	if err := s.flatten(st); err != nil {
+	if err := s.flatten(st, false); err != nil {
 		r.resp <- result{err: err}
 		return
 	}

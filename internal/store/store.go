@@ -112,9 +112,15 @@ type Stats struct {
 	// WALBytes is the current WAL length; WALAppendedBytes the total ever
 	// appended (survives WAL resets).
 	WALBytes, WALAppendedBytes uint64
-	// Checkpoints counts completed checkpoints; CheckpointNanos their total
-	// wall time.
-	Checkpoints, CheckpointNanos uint64
+	// Checkpoints counts completed checkpoints (flattens); CheckpointNanos
+	// their total wall time. FullFlattens counts the ones that rewrote the
+	// base file and AppendedFlattens the ones that appended a generation to
+	// it. FlattenBytes counts the bytes flattens wrote to checkpoint files;
+	// FlattenCopied the unchanged payload records full rewrites copied from
+	// the previous base.
+	Checkpoints, CheckpointNanos   uint64
+	FullFlattens, AppendedFlattens uint64
+	FlattenBytes, FlattenCopied    uint64
 	// WALRecords counts WAL records written since the last checkpoint (the
 	// batches a reopen would replay right now).
 	WALRecords uint64
@@ -142,8 +148,13 @@ type Stats struct {
 	// PageCache reports the base checkpoint's buffer-pool counters; zero
 	// until the store writes (or recovers) a paged checkpoint.
 	PageCache pagecache.Stats
-	// BasePages counts pages in the base checkpoint file.
-	BasePages int
+	// BasePages counts pages in the base checkpoint file. Generation is its
+	// live header generation (1 after a full rewrite, one more per appended
+	// flatten, 0 for a file an older build wrote) and CompactedBytes its size
+	// after the last full rewrite.
+	BasePages      int
+	Generation     uint64
+	CompactedBytes int64
 	// CacheBytes is the resolved page-cache budget.
 	CacheBytes int64
 	// OverlaySlots counts 1-D objects whose decoded payloads are resident in
@@ -244,6 +255,10 @@ type Store struct {
 	walAppended atomic.Uint64
 	checkpoints atomic.Uint64
 	ckptNanos   atomic.Uint64
+	fullFlat    atomic.Uint64
+	appendFlat  atomic.Uint64
+	flatBytes   atomic.Uint64
+	flatCopied  atomic.Uint64
 	ckptSeq     atomic.Uint64 // WAL seq covered by the latest checkpoint
 	ckptTime    atomic.Int64  // unix nanos of the latest checkpoint write
 	tornTail    bool
@@ -256,7 +271,8 @@ type request struct {
 	rep        []LogRecord // replicated records (follower stores only)
 	install    []byte      // snapshot stream to install (follower stores only)
 	sync       *syncArgs   // replication sync request (runs standalone)
-	checkpoint bool
+	checkpoint bool        // flatten after the group: a full rewrite unless auto
+	auto       bool        // flatten as the WAL-size trigger does (tests and benchmarks)
 	resp       chan result
 }
 
@@ -419,6 +435,10 @@ func (s *Store) Stats() Stats {
 		WALAppendedBytes:       s.walAppended.Load(),
 		Checkpoints:            s.checkpoints.Load(),
 		CheckpointNanos:        s.ckptNanos.Load(),
+		FullFlattens:           s.fullFlat.Load(),
+		AppendedFlattens:       s.appendFlat.Load(),
+		FlattenBytes:           s.flatBytes.Load(),
+		FlattenCopied:          s.flatCopied.Load(),
 		WALRecords:             walRecs,
 		LastCheckpointUnixNano: s.ckptTime.Load(),
 		TornTailDropped:        s.tornTail,
@@ -431,6 +451,7 @@ func (s *Store) Stats() Stats {
 	if b := s.baseRef.Load(); b != nil {
 		out.PageCache = b.pool.Stats()
 		out.BasePages = b.f.NumPages()
+		out.Generation, out.CompactedBytes = b.hdr.gen, b.hdr.compacted
 	}
 	// The resident counter and the loaded view are separate atomics; a
 	// racing commit can skew them by a batch. Clamp instead of going negative.
@@ -457,7 +478,8 @@ func (s *Store) Apply(ops []Op) (ApplyResult, error) {
 	return s.submit(&request{ops: ops, resp: make(chan result, 1)})
 }
 
-// Checkpoint flattens the current state into a new paged base file and
+// Checkpoint flattens the current state into a new paged base file — a
+// full rewrite, whose bytes are a function of the logical state alone — and
 // resets the WAL. It runs on the committer, serialized with commits.
 func (s *Store) Checkpoint() error {
 	_, err := s.submit(&request{checkpoint: true, resp: make(chan result, 1)})
@@ -571,6 +593,7 @@ func (s *Store) commitGroup(group []*request) {
 		outcomes  []ApplyResult
 		errs      []error // parallel to committed: partial replication errors
 		wantCkpt  bool
+		fullCkpt  bool // an explicit Checkpoint asked for the flatten
 		opsTotal  uint64
 		batches   uint64
 		rec       deltaRec
@@ -584,7 +607,7 @@ func (s *Store) commitGroup(group []*request) {
 			continue
 		}
 		if r.checkpoint {
-			wantCkpt = true
+			wantCkpt, fullCkpt = true, fullCkpt || !r.auto
 			committed = append(committed, r)
 			outcomes = append(outcomes, ApplyResult{})
 			errs = append(errs, nil)
@@ -692,7 +715,7 @@ func (s *Store) commitGroup(group []*request) {
 	}
 
 	if wantCkpt || (s.opt.CheckpointBytes > 0 && s.wal.size >= s.opt.CheckpointBytes) {
-		if err := s.checkpointLocked(); err != nil {
+		if err := s.checkpointLocked(!fullCkpt); err != nil {
 			for i, r := range committed {
 				if r.checkpoint {
 					r.resp <- result{err: err}
@@ -977,10 +1000,10 @@ func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filte
 // every live object as an upsert, plus the position counters. Runs on the
 // committer.
 //
-// Lazy payloads fault in from the base checkpoint in file order, not slot
-// order: the base lays payloads out by position, so a slot-order walk would
-// read a page per object while a file-order one reads each page once. The ops
-// stay in slot order, which is how the follower assigns its slots.
+// Lazy payloads are read through a scanner of the base log, never the
+// readers' page cache, in ref order across every generation of the file, so
+// each page is read once and the queries' pages stay cached. The ops stay in
+// slot order, which is how the follower assigns its slots.
 func (s *Store) snapshotState() (checkpointState, error) {
 	st := s.st
 	ops := make([]Op, len(st.slots))
@@ -996,14 +1019,22 @@ func (s *Store) snapshotState() (checkpointState, error) {
 			faults = append(faults, lazy{ref: r.ref, slot: i})
 		}
 	}
+	if len(faults) == 0 {
+		return checkpointState{Version: st.version, Seq: st.seq, NextID: st.nextID, Ops: ops}, nil
+	}
 	slices.SortFunc(faults, func(a, b lazy) int { return cmp.Compare(a.ref, b.ref) })
+	scan := st.base.log.Scanner()
 	for _, f := range faults {
 		id := st.slots[f.slot]
-		p, err := st.base.pdfAt(f.ref)
+		rec, err := scan.Record(f.ref)
 		if err != nil {
 			return checkpointState{}, fmt.Errorf("store: snapshot: object %d: %w", id, err)
 		}
-		ops[f.slot] = Op{Code: codeFor(p), ID: id, PDF: p}
+		op, err := decodePayload(rec, f.ref)
+		if err != nil {
+			return checkpointState{}, fmt.Errorf("store: snapshot: object %d: %w", id, err)
+		}
+		ops[f.slot] = Op{Code: op.Code, ID: id, PDF: op.PDF}
 	}
 	return checkpointState{Version: st.version, Seq: st.seq, NextID: st.nextID, Ops: ops}, nil
 }
@@ -1018,28 +1049,51 @@ func (s *Store) encodeSnapshot() ([]byte, error) {
 }
 
 // checkpointLocked runs on the committer goroutine with exclusive state
-// access and flattens the live state into a new base.
-func (s *Store) checkpointLocked() error {
+// access and flattens the live state into a new base: a full rewrite, or
+// with auto set an appended generation where the base allows one.
+func (s *Store) checkpointLocked(auto bool) error {
 	if s.broken.Load() {
 		return ErrBroken
 	}
-	return s.flatten(s.st)
+	return s.flatten(s.st, auto)
 }
 
-// flatten is the one way state reaches disk as a checkpoint: write st as the
-// paged v2 checkpoint durably, reset the WAL (its records are now
-// redundant), then drop the overlay — every slot rebinds to its record in
-// the new base and gives up its decoded payload, so resident memory returns
-// to metadata plus page-cache budget. It runs on the committer. st is the
-// live state for a plain checkpoint and InstallSnapshot's scratch state for
-// a bootstrap; until the checkpoint file is renamed into place a failure
-// leaves st, the live state, the WAL and checkpoint.db as they were.
-func (s *Store) flatten(st *state) error {
+// flatten is the one way state reaches disk as a checkpoint: write st to the
+// paged checkpoint durably, then drop the overlay — every slot rebinds to
+// its record in the new base and gives up its decoded payload, so resident
+// memory returns to metadata plus page-cache budget — and reset the WAL (its
+// records are now redundant). It runs on the committer. st is the live
+// state for a plain checkpoint and InstallSnapshot's scratch state for a
+// bootstrap; until the new generation is durable a failure leaves st, the
+// live state, the WAL and checkpoint.db's live generation as they were.
+//
+// With auto set and st.appendable(), the live state is appended to the base
+// file as a new generation (appendGeneration, with the published view's
+// index); otherwise the file is rewritten whole (writeCheckpointPaged).
+func (s *Store) flatten(st *state, auto bool) error {
 	start := time.Now()
-	b, refs, err := writeCheckpointPaged(s.dir, st, s.opt.CacheBytes)
+	var (
+		b        *base
+		work     flattenWork
+		err      error
+		appended = auto && st == s.st && st.appendable()
+	)
+	if appended {
+		var tree *rtree.Tree[int]
+		if tree, err = s.View().Index.Tree(); err == nil {
+			b, work, err = appendGeneration(st.base, st, tree)
+		}
+	} else {
+		b, work, err = writeCheckpointPaged(s.dir, st, s.opt.CacheBytes)
+	}
 	if err != nil {
 		return err
 	}
+	// The new generation is durable and st is bound to it: it is the file's
+	// live one from here on, whatever the WAL reset does, and a later append
+	// must extend it.
+	st.resident = 0
+	st.base = b
 	if err := s.wal.reset(); err != nil {
 		if st != s.st {
 			// checkpoint.db now holds a position the live state never
@@ -1049,25 +1103,29 @@ func (s *Store) flatten(st *state) error {
 			// checkpoint only reports the error: its st is the live state,
 			// which the un-reset WAL still extends.)
 			s.broken.Store(true)
+		} else {
+			s.baseRef.Store(b)
+			s.overlay.Store(0)
 		}
 		return err
 	}
-	for i, ref := range refs {
-		r := st.recs.At(i)
-		st.recs.Set(i, slotRec{lo: r.lo, hi: r.hi, ref: ref})
-	}
-	st.resident = 0
-	st.base = b
 	s.baseRef.Store(b)
 	s.overlay.Store(0)
 	s.walSize.Store(0)
 	s.ckptSeq.Store(st.seq)
 	s.ckptTime.Store(time.Now().UnixNano())
 	s.checkpoints.Add(1)
+	if appended {
+		s.appendFlat.Add(1)
+	} else {
+		s.fullFlat.Add(1)
+	}
+	s.flatBytes.Add(uint64(work.bytes))
+	s.flatCopied.Add(uint64(work.copied))
 	s.ckptNanos.Add(uint64(time.Since(start).Nanoseconds()))
 	s.logger().Debug("checkpoint written",
-		"seq", st.seq, "version", st.version,
-		"objects", len(st.slots), "pages", b.f.NumPages(),
+		"seq", st.seq, "version", st.version, "appended", appended, "generation", b.hdr.gen,
+		"objects", len(st.slots), "pages", b.f.NumPages(), "bytes", work.bytes,
 		"elapsed", time.Since(start))
 	return nil
 }
