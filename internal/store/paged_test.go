@@ -417,8 +417,8 @@ func TestCheckpointFailsOnCorruptBase(t *testing.T) {
 // of checkpoint.db after its first and its second flatten, and of the same
 // files from page 1 on — the record stream without the header page.
 const (
-	stableFirstSHA  = "8f2e3120eb8dfd91e33e9475830ac32efb134458e92140cb081da5fdf693eafb"
-	stableSecondSHA = "38631f71503e06a626e30463a2c6f64cd24d4a00d51c4f0a4d33918973ee459b"
+	stableFirstSHA  = "190ec996bfeaf1cc235bad675795b4d915b1e8149b315cc740cfa17fb2acde6e"
+	stableSecondSHA = "3a2ee3e972a7c60245bd84c478fd18e6ea4b4ffc1a684fd82ea7708477bfd08b"
 
 	stableFirstBodySHA  = "a208c21e4c7b6bae2ee92897253518cda98811efb992e5288502476223952be6"
 	stableSecondBodySHA = "534aa95b5a1452b11272bf9296d13027f478568af68baf529e1bc1f0b9966a09"
