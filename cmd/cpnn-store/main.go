@@ -2,7 +2,7 @@
 //
 //	cpnn-store -dir DIR inspect   # print version/seq/object counts/WAL state
 //	cpnn-store -dir DIR compact   # checkpoint and truncate the WAL
-//	cpnn-store -dir DIR verify    # recover, validate every pdf, run a probe query
+//	cpnn-store -dir DIR verify    # recover, check the index records, validate every pdf, run a probe query
 //	cpnn-store -dir DIR -into CLUSTER -shards 4 split
 //	                              # partition DIR into a 4-shard cluster
 //
@@ -160,6 +160,10 @@ func inspect(out io.Writer, dir string, s *store.Store) error {
 	// the page cache, and how deep the MVCC overlay has grown since the last
 	// flatten (each overlay slot holds a decoded payload in memory).
 	fmt.Fprintf(out, "base pages:   %d (%d bytes on disk)\n", st.BasePages, st.BasePages*4096)
+	// Appended flattens grow the file from its compacted size; the automatic
+	// flatten rewrites it whole once it reaches twice that.
+	fmt.Fprintf(out, "generation:   %d (file %d bytes, compacted %d bytes)\n",
+		st.Generation, st.BasePages*4096, st.CompactedBytes)
 	fmt.Fprintf(out, "cache budget: %d bytes (%d resident pages, %d hits, %d misses, %d evictions)\n",
 		st.CacheBytes, st.PageCache.ResidentPages, st.PageCache.Hits, st.PageCache.Misses, st.PageCache.Evictions)
 	fmt.Fprintf(out, "overlay:      %d slots resident, %d served from base\n", st.OverlaySlots, st.BaseSlots)
@@ -188,12 +192,19 @@ func inspect(out io.Writer, dir string, s *store.Store) error {
 	return nil
 }
 
-// verifyStore proves the recovered state is servable: every pdf validates
-// and a C-PNN probe at the domain center runs end to end. It names the 2-D
-// disks recovery dropped, if the directory's older data held any.
+// verifyStore proves the recovered state is servable: the base checkpoint's
+// index records check out (store.CheckBase), every pdf validates and a
+// C-PNN probe at the domain center runs end to end. It names the 2-D disks
+// recovery dropped, if the directory's older data held any.
 func verifyStore(out io.Writer, s *store.Store) error {
 	if n := s.Stats().DroppedDisks; n > 0 {
 		fmt.Fprintf(out, "note: dropped %d 2-D disks of older data (2-D runs in cpnn-query)\n", n)
+	}
+	if c, err := s.CheckBase(); err != nil {
+		return fmt.Errorf("checkpoint index: %w", err)
+	} else if c.Nodes > 0 {
+		fmt.Fprintf(out, "index: generation %d, %d node records, depth %d, %d slots each reached once\n",
+			c.Generation, c.Nodes, c.Depth, c.Slots)
 	}
 	v := s.View()
 	if err := v.Dataset.Validate(); err != nil {

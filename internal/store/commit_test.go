@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/geom"
+	"repro/internal/pagecache"
+	"repro/internal/pager"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -201,4 +204,129 @@ func commitCost(t *testing.T, s *Store, batches [][]Op) (kb, allocs float64) {
 	runtime.ReadMemStats(&after)
 	n := float64(len(batches))
 	return float64(after.TotalAlloc-before.TotalAlloc) / 1024 / n, float64(after.Mallocs-before.Mallocs) / n
+}
+
+// TestFlattenWorkCounts holds an automatic flatten's work to the change, not
+// to the dataset: n uniform objects flattened into the base, then rounds of
+// Δ = 4,000 updates (500 commits of 8) with the WAL trigger set to one
+// round, as in store_rw. An appended flatten copies no unchanged payload
+// record and writes at most Δ payload records, one slot table and one index
+// dump, in whole pages, plus one header slot; the first flatten with the
+// file at twice its compacted size or more is a full rewrite.
+func TestFlattenWorkCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 110,000 objects")
+	}
+	for _, n := range []int{10_000, 100_000} {
+		flattenWorkCounts(t, n)
+	}
+}
+
+func flattenWorkCounts(t *testing.T, n int) {
+	const domain, delta, batch = 100_000.0, 4000, 8
+	rng := rand.New(rand.NewSource(int64(n)))
+	uniform := func() pdf.PDF {
+		lo := rng.Float64() * domain
+		return pdf.MustUniform(lo, lo+1+rng.Float64()*24)
+	}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for off := 0; off < n; off += 512 {
+		load := make([]Op, min(512, n-off))
+		for i := range load {
+			load[i] = InsertObject(uniform())
+		}
+		ids = append(ids, mustApply(t, s, load...).IDs...)
+	}
+	update := func() []Op {
+		ops := make([]Op, batch)
+		for i := range ops {
+			ops[i] = UpdateObject(ids[rng.Intn(n)], uniform())
+		}
+		return ops
+	}
+	// Every commit of 8 uniform updates logs the same number of bytes, so
+	// the trigger fires at the end of each round.
+	before := s.Stats().WALAppendedBytes
+	mustApply(t, s, update()...)
+	perCommit := s.Stats().WALAppendedBytes - before
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{NoSync: true, CheckpointBytes: int64(perCommit) * delta / batch,
+		CacheBytes: 256 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	payload, err := appendPayload(nil, 1, uniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := 4 + len(payload) // every uniform payload record's size
+
+	appended := 0
+	for round := 0; ; round++ {
+		if round == 8 {
+			t.Fatalf("n=%d: no full rewrite after %d appended flattens", n, appended)
+		}
+		st0 := s.Stats()
+		wantFull := int64(st0.BasePages)*pager.PageSize >= appendLimit*st0.CompactedBytes
+		for c := 0; c < delta/batch; c++ {
+			mustApply(t, s, update()...)
+		}
+		st := s.Stats()
+		if st.Checkpoints-st0.Checkpoints != 1 {
+			t.Fatalf("n=%d round %d: %d flattens, want 1", n, round, st.Checkpoints-st0.Checkpoints)
+		}
+		written := st.FlattenBytes - st0.FlattenBytes
+		if wantFull {
+			if st.FullFlattens-st0.FullFlattens != 1 {
+				t.Fatalf("n=%d round %d: file of %d pages, compacted %d bytes, and the flatten appended",
+					n, round, st0.BasePages, st0.CompactedBytes)
+			}
+			if written != uint64(st.BasePages)*pager.PageSize || st.Generation != 1 {
+				t.Fatalf("n=%d round %d: full rewrite wrote %d bytes of a %d-page file, generation %d",
+					n, round, written, st.BasePages, st.Generation)
+			}
+			if appended == 0 {
+				t.Fatalf("n=%d: the first automatic flatten was full", n)
+			}
+			t.Logf("n=%d: %d appended flattens, then a full rewrite of %d bytes", n, appended, written)
+			return
+		}
+		if st.AppendedFlattens-st0.AppendedFlattens != 1 {
+			t.Fatalf("n=%d round %d: file of %d pages, compacted %d bytes, and the flatten was full",
+				n, round, st0.BasePages, st0.CompactedBytes)
+		}
+		appended++
+		if copied := st.FlattenCopied - st0.FlattenCopied; copied != 0 {
+			t.Fatalf("n=%d round %d: an appended flatten copied %d unchanged payload records", n, round, copied)
+		}
+		// The index the flatten dumped is the live one, unchanged since.
+		tree, err := s.View().Index.Tree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump int
+		if _, err := tree.Dump(func(_ bool, rects []geom.Rect, _ []int, _ []int64) (int64, error) {
+			dump += 4 + 5 + 40*len(rects)
+			return 0, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		stream := record*delta + dump + 4 + 8 + 32*n
+		limit := uint64((stream+pagecache.PayloadSize-1)/pagecache.PayloadSize*pager.PageSize + hdrSlotSize)
+		if written > limit {
+			t.Fatalf("n=%d round %d: an appended flatten wrote %d bytes, over %d (%d payload records of %d bytes, a %d-byte dump, a %d-slot table)",
+				n, round, written, limit, delta, record, dump, n)
+		}
+		t.Logf("n=%d round %d: appended %d bytes (limit %d) to a %d-page file", n, round, written, limit, st.BasePages)
+	}
 }

@@ -218,7 +218,33 @@ func TestLargerThanCacheServes(t *testing.T) {
 // by stable ID.
 func openScattered(t *testing.T, n int, seed int64) (*Store, map[uint64]int) {
 	t.Helper()
-	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
+	s, _, ops, ids := loadScattered(t, n, seed, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
+	size := make(map[uint64]int, n)
+	for i, id := range ids {
+		raw, err := encodeOps([]Op{{Code: codeFor(ops[i].PDF), ID: id, PDF: ops[i].PDF}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[id] = 4 + len(raw)
+	}
+	if st := s.Stats(); st.BasePages*pager.PageSize <= 10*int(st.CacheBytes) {
+		t.Fatalf("base of %d pages is not well past the %d-byte cache — test is vacuous", st.BasePages, st.CacheBytes)
+	}
+	return s, size
+}
+
+// openScatteredDir is openScattered under opt, returning the store's
+// directory instead of the payload sizes.
+func openScatteredDir(t *testing.T, n int, seed int64, opt Options) (*Store, string) {
+	t.Helper()
+	s, dir, _, _ := loadScattered(t, n, seed, opt)
+	return s, dir
+}
+
+// loadScattered builds openScattered's store under opt and returns it with
+// its directory, the insert ops and the IDs they were assigned.
+func loadScattered(t *testing.T, n int, seed int64, opt Options) (*Store, string, []Op, []uint64) {
+	t.Helper()
 	s, dir := openTemp(t, opt)
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]Op, n)
@@ -232,14 +258,6 @@ func openScattered(t *testing.T, n int, seed int64) (*Store, map[uint64]int) {
 			[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights))
 	}
 	res := mustApply(t, s, ops...)
-	size := make(map[uint64]int, n)
-	for i, id := range res.IDs {
-		raw, err := encodeOps([]Op{{Code: codeFor(ops[i].PDF), ID: id, PDF: ops[i].PDF}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		size[id] = 4 + len(raw)
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +268,7 @@ func openScattered(t *testing.T, n int, seed int64) (*Store, map[uint64]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.BasePages*pager.PageSize <= 10*int(st.CacheBytes) {
-		t.Fatalf("base of %d pages is not well past the %d-byte cache — test is vacuous", st.BasePages, st.CacheBytes)
-	}
-	return s, size
+	return s, dir, ops, res.IDs
 }
 
 // TestCheckpointClustersPayloads holds the base's payload layout: a flatten
@@ -299,8 +314,10 @@ func TestCheckpointClustersPayloads(t *testing.T) {
 }
 
 // TestSnapshotFaultsEachPageOnce holds the replication snapshot to file
-// order: over a clustered base, walking the lazy payloads in slot order would
-// fault a page per object, while the snapshot reads each base page once.
+// order and off the readers' page cache: over a clustered base, walking the
+// lazy payloads in slot order would fault a page per object, while the
+// snapshot reads the base through the log's scanner in ref order, each page
+// once, and the pool misses nothing.
 func TestSnapshotFaultsEachPageOnce(t *testing.T) {
 	const n = 3000
 	s, _ := openScattered(t, n, 7)
@@ -315,8 +332,22 @@ func TestSnapshotFaultsEachPageOnce(t *testing.T) {
 		t.Fatal("expected a snapshot: the checkpoint truncated the history")
 	}
 	st := s.Stats()
-	if got := st.PageCache.Misses - before; got > uint64(st.BasePages) {
-		t.Fatalf("snapshot of %d objects faulted %d pages, base has %d", n, got, st.BasePages)
+	if got := st.PageCache.Misses - before; got != 0 {
+		t.Fatalf("snapshot of %d objects faulted %d pages through the pool (base has %d), want 0", n, got, st.BasePages)
+	}
+	// The stream is the one the view's decoded pdfs encode to.
+	v := s.View()
+	ops := make([]Op, v.Dataset.Len())
+	for i := range ops {
+		p := v.Dataset.Object(i).PDF
+		ops[i] = Op{Code: codeFor(p), ID: v.IDs[i], PDF: p}
+	}
+	want, err := encodeCheckpoint(checkpointState{Version: v.Version, Seq: v.Seq, NextID: v.NextID, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Snapshot, want) {
+		t.Fatalf("snapshot stream of %d bytes differs from the view's %d", len(res.Snapshot), len(want))
 	}
 }
 
