@@ -514,7 +514,7 @@ func buildServer(o serveOpts, cfg server.Config, kit obsKit) (*serveApp, error) 
 		switch {
 		case a.fol != nil:
 			// server.New labels replica snapshots itself.
-		case a.st != nil && a.st.View().Dataset.Len() > 0:
+		case server.StoreHasData(a.st):
 			// The durable contents win; -gen/-data would have been only the
 			// seed.
 			if o.gen || o.dataPath != "" {

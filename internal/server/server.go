@@ -165,8 +165,11 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 }
 
-// storeHasData reports whether an attached store holds any durable objects.
-func storeHasData(st *store.Store) bool {
+// StoreHasData reports whether an attached store holds any durable objects:
+// the one rule for "the store is populated", by which the server serves the
+// store's contents instead of a configured dataset and cpnn-serve ignores
+// -gen/-data.
+func StoreHasData(st *store.Store) bool {
 	return st != nil && st.View().Dataset.Len() > 0
 }
 
@@ -401,7 +404,7 @@ func newBackend(s *Server) (backend, error) {
 	case cfg.Replica != nil:
 		cfg.Store = cfg.Replica.Store()
 		return newLocalBackend(s, nil, cmp.Or(cfg.Source, "replica:"+cfg.Replica.Source()))
-	case cfg.ShardMember || storeHasData(cfg.Store):
+	case cfg.ShardMember || StoreHasData(cfg.Store):
 		return newLocalBackend(s, nil, cmp.Or(cfg.Source, "store"))
 	case cfg.Dataset == nil:
 		return nil, errors.New("server: Config.Dataset is required")
