@@ -136,7 +136,7 @@ func (s *Server) collectStore(e *obs.Emitter) {
 	obs.Counter(e, pc+"hits_total", "Page reads served from the buffer pool.", st.PageCache.Hits)
 	obs.Counter(e, pc+"misses_total", "Page reads that faulted a page in from disk.", st.PageCache.Misses)
 	obs.Counter(e, pc+"evictions_total", "Pages evicted by read faults to stay within the budget.", st.PageCache.Evictions)
-	obs.Counter(e, pc+"writebacks_total", "Pages the last checkpoint writer wrote to the base file.", st.PageCache.Writebacks)
+	obs.Counter(e, pc+"writebacks_total", "Pages flattens wrote to the current base file: its last full rewrite and every generation appended since.", st.PageCache.Writebacks)
 	obs.Gauge(e, pc+"resident_pages", "Pages currently resident in the buffer pool.", st.PageCache.ResidentPages)
 	obs.Gauge(e, pc+"budget_bytes", "Configured page-cache budget.", st.CacheBytes)
 	obs.Gauge(e, pc+"base_pages", "Pages in the base checkpoint file (on-disk footprint).", st.BasePages)

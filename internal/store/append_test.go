@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,7 +175,8 @@ func TestV3HeaderFailsV2MagicCheck(t *testing.T) {
 // TestViewsSurviveAppendedFlattens holds a view taken before three appended
 // flattens and one full rewrite to byte-identical answers: it faults every
 // payload from the generation it was published over, through the file the
-// rewrite renamed away, with the collector run between steps.
+// rewrite renamed away, with the collector run between steps — and from two
+// reader goroutines while the flattens write through the shared pool.
 func TestViewsSurviveAppendedFlattens(t *testing.T) {
 	s, _ := openScatteredDir(t, 1200, 45, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
 	defer s.Close()
@@ -182,25 +184,51 @@ func TestViewsSurviveAppendedFlattens(t *testing.T) {
 	// The reopened store's view faults every unchanged slot from the file.
 	updateRandom(t, s, rng, 8)
 	old := s.View()
-	answers := func() string {
+	answers := func() (string, error) {
 		e, err := core.NewEngineWithIndex(old.Dataset, old.Index)
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		var sb strings.Builder
 		for q := 10.0; q < 1200; q += 37 {
 			res, err := e.CPNN(q, verify.Constraint{P: 0.2, Delta: 0.01}, core.Options{})
 			if err != nil {
-				t.Fatal(err)
+				return "", err
 			}
 			fmt.Fprintf(&sb, "%v %v\n", res.Answers, res.Candidates)
 		}
 		for i := 0; i < old.Dataset.Len(); i++ {
 			fmt.Fprintf(&sb, "%v\n", old.Dataset.Object(i).PDF)
 		}
-		return sb.String()
+		return sb.String(), nil
 	}
-	want := answers()
+	want, err := answers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got, err := answers(); err != nil || got != want {
+					t.Errorf("a reader saw the old view's answers change (%v)", err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	for step := 0; step < 4; step++ {
 		updateRandom(t, s, rng, 100)
 		if step < 3 {
@@ -211,8 +239,8 @@ func TestViewsSurviveAppendedFlattens(t *testing.T) {
 		updateRandom(t, s, rng, 8)
 		runtime.GC()
 		runtime.GC()
-		if got := answers(); got != want {
-			t.Fatalf("step %d: the old view's answers changed", step)
+		if got, err := answers(); err != nil || got != want {
+			t.Fatalf("step %d: the old view's answers changed (%v)", step, err)
 		}
 	}
 	if st := s.Stats(); st.AppendedFlattens != 3 || st.FullFlattens != 1 {

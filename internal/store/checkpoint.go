@@ -10,7 +10,7 @@ import (
 	"repro/internal/pager"
 )
 
-// The checkpoint the store writes is the paged v2 file in paged.go. This file
+// The checkpoint the store writes is the paged v3 file in paged.go. This file
 // holds the two things that are older than it.
 //
 // The snapshot stream is how a primary ships its whole state to a follower
@@ -30,7 +30,7 @@ import (
 // stream back to back. No build writes it any more; readCheckpoint stays so
 // that stores from before the paged format, and followers bootstrapped by a
 // build that still persisted snapshots this way, reopen without an operator
-// step. The first checkpoint after such an open rewrites the file as v2.
+// step. The first checkpoint after such an open rewrites the file as v3.
 
 const (
 	checkpointName = "checkpoint.db"

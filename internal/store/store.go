@@ -1019,11 +1019,11 @@ func (s *Store) snapshotState() (checkpointState, error) {
 			faults = append(faults, lazy{ref: r.ref, slot: i})
 		}
 	}
-	if len(faults) == 0 {
-		return checkpointState{Version: st.version, Seq: st.seq, NextID: st.nextID, Ops: ops}, nil
-	}
 	slices.SortFunc(faults, func(a, b lazy) int { return cmp.Compare(a.ref, b.ref) })
-	scan := st.base.log.Scanner()
+	var scan *pagecache.Scanner // nil without lazy slots, and so without a base
+	if len(faults) > 0 {
+		scan = st.base.log.Scanner()
+	}
 	for _, f := range faults {
 		id := st.slots[f.slot]
 		rec, err := scan.Record(f.ref)
@@ -1094,6 +1094,8 @@ func (s *Store) flatten(st *state, auto bool) error {
 	// must extend it.
 	st.resident = 0
 	st.base = b
+	s.baseRef.Store(b)
+	s.overlay.Store(0)
 	if err := s.wal.reset(); err != nil {
 		if st != s.st {
 			// checkpoint.db now holds a position the live state never
@@ -1103,14 +1105,9 @@ func (s *Store) flatten(st *state, auto bool) error {
 			// checkpoint only reports the error: its st is the live state,
 			// which the un-reset WAL still extends.)
 			s.broken.Store(true)
-		} else {
-			s.baseRef.Store(b)
-			s.overlay.Store(0)
 		}
 		return err
 	}
-	s.baseRef.Store(b)
-	s.overlay.Store(0)
 	s.walSize.Store(0)
 	s.ckptSeq.Store(st.seq)
 	s.ckptTime.Store(time.Now().UnixNano())
