@@ -464,3 +464,65 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 		t.Fatal("truncated entries decoded")
 	}
 }
+
+// TestResumeWriterContinuesStream appends to a finished stream from the page
+// after its end: old and new refs read back through one Log over the longer
+// stream, no page before the resume point is written again, and a second
+// append over the same pages — one that failed before its header landed,
+// retried — replaces what the pool cached of the first.
+func TestResumeWriterContinuesStream(t *testing.T) {
+	p, f, path := newTestPool(t, 64*pager.PageSize)
+	recs, refs, size := logRecords(t, p, []int{10, 5000, 300})
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := (size + PayloadSize - 1) / PayloadSize * PayloadSize
+	appendRecs := func(fill byte) ([][]byte, []int64, int64) {
+		w := ResumeWriter(p, 0, from)
+		var more [][]byte
+		var moreRefs []int64
+		for _, n := range []int{7, 2 * PayloadSize, 40} {
+			rec := bytes.Repeat([]byte{fill}, n)
+			ref, err := w.Append(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			more, moreRefs = append(more, rec), append(moreRefs, ref)
+		}
+		end, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return more, moreRefs, end
+	}
+	check := func(more [][]byte, moreRefs []int64, end int64) {
+		t.Helper()
+		log := NewLog(p, 0, end)
+		for i, ref := range append(append([]int64(nil), refs...), moreRefs...) {
+			want := append(append([][]byte(nil), recs...), more...)[i]
+			got, err := log.ReadRecord(nil, ref)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("record %d at %d: %d bytes, %v; want %d bytes", i, ref, len(got), err, len(want))
+			}
+		}
+	}
+	more, moreRefs, end := appendRecs(0xAA)
+	if moreRefs[0] != from {
+		t.Fatalf("first resumed record at %d, want the page-aligned %d", moreRefs[0], from)
+	}
+	check(more, moreRefs, end)
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after[:len(before)], before) || f.NumPages() <= len(before)/pager.PageSize {
+		t.Fatalf("resuming rewrote the stream's pages or added none (%d -> %d pages)",
+			len(before)/pager.PageSize, f.NumPages())
+	}
+	more, moreRefs, end = appendRecs(0x55)
+	check(more, moreRefs, end)
+	if len(p.clock) != len(p.frames) {
+		t.Fatalf("the pool holds %d frames for %d pages after the retried append", len(p.clock), len(p.frames))
+	}
+}

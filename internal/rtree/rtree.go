@@ -932,7 +932,7 @@ func (t *Tree[T]) Dump(emit func(leaf bool, rects []geom.Rect, items []T, childr
 		items    []T
 		children []int64
 	}
-	levels := make([]level, t.Height()+1)
+	levels := make([]level, t.Height())
 	var walk func(n *node[T], depth int) (int64, error)
 	walk = func(n *node[T], depth int) (int64, error) {
 		lv := &levels[depth]

@@ -362,7 +362,7 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 	if hdr.root, err = dumpIndex(w, tree, &scratch); err != nil {
 		return nil, work, err
 	}
-	if hdr.slotTab, err = w.Append(encodeSlotTable(st, refs)); err != nil {
+	if hdr.slotTab, err = w.Append(encodeSlotTable(st, func(i int, _ slotRec) int64 { return refs[i] })); err != nil {
 		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	// Disk table: always empty (a count of zero).
@@ -414,18 +414,12 @@ func appendGeneration(b *base, st *state, tree *rtree.Tree[int]) (*base, flatten
 		slot   int
 	}
 	var overlay []key
-	slotTab := make([]byte, 8+32*n)
-	binary.LittleEndian.PutUint64(slotTab, uint64(n))
-	for i, e := 0, slotTab[8:]; i < n; i, e = i+1, e[32:] {
-		r := st.recs.At(i)
-		binary.LittleEndian.PutUint64(e, st.slots[i])
-		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(r.lo))
-		binary.LittleEndian.PutUint64(e[16:], math.Float64bits(r.hi))
-		binary.LittleEndian.PutUint64(e[24:], uint64(r.ref))
+	slotTab := encodeSlotTable(st, func(i int, r slotRec) int64 {
 		if r.p != nil {
 			overlay = append(overlay, key{centre: (r.lo + r.hi) / 2, slot: i})
 		}
-	}
+		return r.ref
+	})
 	// Centre order, as a full rewrite's leaf order is in 1-D: a query's
 	// changed candidates share this generation's pages.
 	slices.SortFunc(overlay, func(a, b key) int {
@@ -518,8 +512,9 @@ func dumpIndex(w *pagecache.Writer, tree *rtree.Tree[int], scratch *[]byte) (int
 }
 
 // encodeSlotTable encodes the slot table — per object its stable ID,
-// support interval and payload ref — in one presized pass.
-func encodeSlotTable(st *state, refs []int64) []byte {
+// support interval and payload ref, ref(i, r) for slot i holding r — in one
+// presized pass.
+func encodeSlotTable(st *state, ref func(i int, r slotRec) int64) []byte {
 	n := len(st.slots)
 	buf := make([]byte, 8+32*n)
 	binary.LittleEndian.PutUint64(buf, uint64(n))
@@ -528,7 +523,7 @@ func encodeSlotTable(st *state, refs []int64) []byte {
 		binary.LittleEndian.PutUint64(e, st.slots[i])
 		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(r.lo))
 		binary.LittleEndian.PutUint64(e[16:], math.Float64bits(r.hi))
-		binary.LittleEndian.PutUint64(e[24:], uint64(refs[i]))
+		binary.LittleEndian.PutUint64(e[24:], uint64(ref(i, r)))
 	}
 	return buf
 }

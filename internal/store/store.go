@@ -1067,16 +1067,17 @@ func (s *Store) checkpointLocked(auto bool) error {
 // bootstrap; until the new generation is durable a failure leaves st, the
 // live state, the WAL and checkpoint.db's live generation as they were.
 //
-// With auto set and st.appendable(), the live state is appended to the base
-// file as a new generation (appendGeneration, with the published view's
-// index); otherwise the file is rewritten whole (writeCheckpointPaged).
+// With auto set (only ever for the live state, whose index the published
+// view holds) and st.appendable(), st is appended to the base file as a new
+// generation (appendGeneration); otherwise the file is rewritten whole
+// (writeCheckpointPaged).
 func (s *Store) flatten(st *state, auto bool) error {
 	start := time.Now()
 	var (
 		b        *base
 		work     flattenWork
 		err      error
-		appended = auto && st == s.st && st.appendable()
+		appended = auto && st.appendable()
 	)
 	if appended {
 		var tree *rtree.Tree[int]
