@@ -453,7 +453,57 @@ const (
 
 	stableFirstBodySHA  = "a208c21e4c7b6bae2ee92897253518cda98811efb992e5288502476223952be6"
 	stableSecondBodySHA = "534aa95b5a1452b11272bf9296d13027f478568af68baf529e1bc1f0b9966a09"
+
+	// stableAppendedSHA is TestAppendedCheckpointBytesStable's digest of
+	// checkpoint.db after one appended flatten.
+	stableAppendedSHA = "c811588eb5e371415368cc46b91dc12e71f608e60c4c05adec1120f6403e4bb6"
 )
+
+// TestAppendedCheckpointBytesStable holds an appended generation to its
+// bytes, as TestCheckpointBytesStable holds a full rewrite. A fixed op
+// sequence — updates, inserts and deletes, applied one call per commit
+// group so the live index's shape is fixed too — is flattened by the WAL
+// trigger onto a rewritten base, and the file must hash to the recorded
+// digest: any change to the overlay's payload order, the live index dump,
+// the slot table or the header slot shows here.
+func TestAppendedCheckpointBytesStable(t *testing.T) {
+	const n = 2000
+	s, dir := openScatteredDir(t, n, 53, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
+	defer s.Close()
+	rng := rand.New(rand.NewSource(54))
+	live := append([]uint64(nil), s.View().IDs...)
+	for g := 0; g < 40; g++ {
+		ops := make([]Op, 0, 12)
+		for j := 0; j < 12; j++ {
+			k := rng.Intn(len(live))
+			lo, w := rng.Float64()*float64(n), 1+rng.Float64()*24
+			h := pdf.MustHistogram([]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + w}, []float64{1, 2, 3, 1})
+			switch r := rng.Intn(10); {
+			case r < 7:
+				ops = append(ops, UpdateObject(live[k], h))
+			case r < 8:
+				ops = append(ops, InsertObject(pdf.MustUniform(lo, lo+w)))
+			default:
+				ops = append(ops, Delete(live[k]))
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
+		res := mustApply(t, s, ops...)
+		for j, op := range ops {
+			if op.Code == OpUniform && op.ID == 0 {
+				live = append(live, res.IDs[j])
+			}
+		}
+	}
+	mustAutoCheckpoint(t, s, true)
+	b, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != stableAppendedSHA {
+		t.Errorf("checkpoint sha256 after an appended flatten = %x, want %s", sum, stableAppendedSHA)
+	}
+}
 
 // TestCheckpointBytesStable holds the paged checkpoint to its bytes. A fixed
 // op sequence — histograms and uniforms, then updates, deletes and
