@@ -193,7 +193,8 @@ func inspect(out io.Writer, dir string, s *store.Store) error {
 }
 
 // verifyStore proves the recovered state is servable: the base checkpoint's
-// index records check out (store.CheckBase), every pdf validates and a
+// live generation, index shape and payload records check out
+// (store.CheckBase), every pdf validates and a
 // C-PNN probe at the domain center runs end to end. It names the 2-D disks
 // recovery dropped, if the directory's older data held any.
 func verifyStore(out io.Writer, s *store.Store) error {

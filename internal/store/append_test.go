@@ -338,8 +338,11 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 
 // TestCheckBaseNamesCorruptLeaf corrupts one leaf entry of the live
 // generation's index in a copied store — its slot number, with the page's
-// CRC fixed up so only the deep check can see it — and expects CheckBase
-// to fail naming the slot the entry now claims.
+// CRC fixed up so only the generation reader can see it — and expects Open
+// to refuse the file naming the slot the entry now claims: served, it would
+// drop one object from every candidate set and fold another from the wrong
+// region. (cpnn-store verify opens the store first, so it fails the same
+// way.)
 func TestCheckBaseNamesCorruptLeaf(t *testing.T) {
 	const n = 1000
 	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
@@ -391,14 +394,69 @@ func TestCheckBaseNamesCorruptLeaf(t *testing.T) {
 	}
 
 	re, err := Open(crash, opt)
+	if err == nil {
+		re.Close()
+	}
+	if want := fmt.Sprintf("slot %d ", slot^1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open over a corrupt leaf entry (slot %d -> %d): err = %v, want it to name %q",
+			slot, slot^1, err, want)
+	}
+}
+
+// TestCheckBaseNamesCorruptPayload corrupts the stable ID inside one payload
+// record of the first generation, under an appended one, with the page's CRC
+// fixed up. Recovery reads no payload, so the store opens; CheckBase decodes
+// every payload the live slot table references and must name the slot.
+func TestCheckBaseNamesCorruptPayload(t *testing.T) {
+	const n = 1000
+	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
+	s, dir := openScatteredDir(t, n, 55, opt)
+	rng := rand.New(rand.NewSource(56))
+	updateRandom(t, s, rng, 80)
+	mustAutoCheckpoint(t, s, true)
+	if c, err := s.CheckBase(); err != nil || c.Slots != n || c.Generation != 2 {
+		t.Fatalf("CheckBase of a sound store = %+v, %v", c, err)
+	}
+	// A slot whose payload the append left in the first generation.
+	firstEnd := (s.baseRef.Load().hdr.compacted/pager.PageSize - 1) * pagecache.PayloadSize
+	slot := -1
+	var ref int64
+	for i := 0; i < n && slot < 0; i++ {
+		if r := s.st.recs.At(i); r.ref < firstEnd {
+			slot, ref = i, r.ref
+		}
+	}
+	if slot < 0 {
+		t.Fatal("every payload was appended — test is vacuous")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	crash := copyFiles(t, dir)
+	path := filepath.Join(crash, checkpointName)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ID follows the record's length prefix, the batch count and the op
+	// code.
+	off := ref + 4 + 4 + 1
+	page := 1 + off/pagecache.PayloadSize
+	file[page*pager.PageSize+4+off%pagecache.PayloadSize] ^= 1
+	putPageCRC(file[page*pager.PageSize : (page+1)*pager.PageSize])
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(crash, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	_, err = re.CheckBase()
-	if want := fmt.Sprintf("slot %d ", slot^1); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("CheckBase over a corrupt leaf entry (slot %d -> %d): err = %v, want it to name %q",
-			slot, slot^1, err, want)
+	if want := fmt.Sprintf("slot %d ", slot); err == nil || !strings.Contains(err.Error(), want) ||
+		!strings.Contains(err.Error(), "payload record holds id") {
+		t.Fatalf("CheckBase over a corrupt payload ID (slot %d): err = %v, want it to name %q", slot, err, want)
 	}
 }
 

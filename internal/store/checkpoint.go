@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 
 	"repro/internal/pager"
 )
@@ -78,50 +77,28 @@ func decodeCheckpoint(b []byte) (checkpointState, error) {
 	return cs, nil
 }
 
-// readCheckpoint loads and verifies the v1 checkpoint under dir. A missing file
-// returns ok=false; a present-but-corrupt file returns an error, because
-// silently starting empty would be data loss.
-func readCheckpoint(dir string) (checkpointState, bool, error) {
-	path := filepath.Join(dir, checkpointName)
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		return checkpointState{}, false, nil
-	}
-	pf, err := pager.Open(path)
-	if err != nil {
-		return checkpointState{}, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
-	}
-	defer pf.Close()
-
-	var page [pager.PageSize]byte
-	if err := pf.ReadPage(0, page[:]); err != nil {
-		return checkpointState{}, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
-	}
-	if string(page[:8]) != ckptMagic {
-		return checkpointState{}, false, fmt.Errorf("store: corrupt checkpoint: bad magic %q", page[:8])
-	}
+// readCheckpoint loads and verifies the v1 checkpoint in pf, whose page 0
+// the caller has read into page (and reuses as a page buffer). A corrupt
+// file is an error, because silently starting empty would be data loss.
+func readCheckpoint(pf *pager.File, page []byte) (checkpointState, error) {
 	streamLen := binary.LittleEndian.Uint64(page[8:16])
 	wantCRC := binary.LittleEndian.Uint32(page[16:20])
-	maxLen := uint64(pf.NumPages()-1) * pager.PageSize
-	if pf.NumPages() < 1 || streamLen > maxLen {
-		return checkpointState{}, false, fmt.Errorf(
+	if maxLen := uint64(pf.NumPages()-1) * pager.PageSize; streamLen > maxLen {
+		return checkpointState{}, fmt.Errorf(
 			"store: corrupt checkpoint: stream of %d bytes in %d pages", streamLen, pf.NumPages())
 	}
 	stream := make([]byte, 0, streamLen)
 	for id := pager.PageID(1); uint64(len(stream)) < streamLen; id++ {
-		if err := pf.ReadPage(id, page[:]); err != nil {
-			return checkpointState{}, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
+		if err := pf.ReadPage(id, page); err != nil {
+			return checkpointState{}, fmt.Errorf("store: corrupt checkpoint: %w", err)
 		}
 		take := min(uint64(pager.PageSize), streamLen-uint64(len(stream)))
 		stream = append(stream, page[:take]...)
 	}
 	if crc32.Checksum(stream, crcTable) != wantCRC {
-		return checkpointState{}, false, fmt.Errorf("store: corrupt checkpoint: checksum mismatch")
+		return checkpointState{}, fmt.Errorf("store: corrupt checkpoint: checksum mismatch")
 	}
-	cs, err := decodeCheckpoint(stream)
-	if err != nil {
-		return checkpointState{}, false, err
-	}
-	return cs, true, nil
+	return decodeCheckpoint(stream)
 }
 
 // syncDir best-effort fsyncs a directory so a rename survives power loss.

@@ -47,7 +47,9 @@ import (
 // one format, one set of invariants. The slot table holds what must stay
 // resident per object: stable ID, support interval, payload record ref.
 //
-// A flatten is full or appended.
+// A flatten is full or appended. One writer lays out a generation's records
+// for both kinds (writeGeneration), and one reader decodes and checks them,
+// for recovery and for Store.CheckBase alike (readGeneration).
 //
 // A full rewrite writes a new file: the object payloads in the packed
 // index's leaf order (a query's candidates are neighbours in the tree, so
@@ -287,11 +289,10 @@ func (v viewSource) PDF(i int) pdf.PDF {
 // the replica suites compare checkpoints byte for byte. Query answers are
 // structure-independent either way (candidates are sorted, f_min is a min).
 func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flattenWork, error) {
-	var work flattenWork
 	tmp := filepath.Join(dir, checkpointTmp)
 	pf, err := pager.Create(tmp)
 	if err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	ok := false
 	defer func() {
@@ -301,9 +302,9 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 		}
 	}()
 	if id, err := pf.Allocate(); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	} else if id != 0 {
-		return nil, work, fmt.Errorf("store: checkpoint: fresh file starts at page %d", id)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: fresh file starts at page %d", id)
 	}
 	pool := pagecache.NewPool(pf, cacheBytes)
 	w := pagecache.NewWriter(pool, 1)
@@ -315,84 +316,46 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 	}
 	tree, err := rtree.BulkLoad(inputs, rtree.DefaultMinEntries, rtree.DefaultMaxEntries)
 	if err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: packing index: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: packing index: %w", err)
 	}
+	// Every payload, in the packed tree's leaf order (centre order in 1-D),
+	// so the candidates of one query share pages.
 	order := make([]int, 0, n)
 	tree.All(func(_ geom.Rect, i int) bool {
 		order = append(order, i)
 		return true
 	})
 
-	// Object payloads, in the packed tree's leaf order (centre order in 1-D),
-	// so the candidates of one query share pages. Overlay slots encode their
-	// decoded pdf as a one-op batch; base-resident slots copy the record
-	// bytes verbatim from the previous generation — no decode, no re-encode,
-	// so unchanged objects are byte-stable across checkpoints. The copy reads
-	// the previous base through a private read-ahead scanner, not the
-	// readers' pool: the new leaf order is the old one apart from the
-	// changed objects, so the scan is sequential and leaves the queries'
-	// pages cached.
-	refs := make([]int64, n)
-	var (
-		scratch []byte
-		scan    *pagecache.Scanner // nil without a base: every slot is resident
-	)
-	if st.base != nil {
-		scan = st.base.log.Scanner()
-	}
-	for _, i := range order {
-		r := st.recs.At(i)
-		var raw []byte
-		if r.p != nil {
-			if scratch, err = appendPayload(scratch[:0], st.slots[i], r.p); err != nil {
-				return nil, work, err
-			}
-			raw = scratch
-		} else if raw, err = scan.Record(r.ref); err != nil {
-			return nil, work, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
-		} else {
-			work.copied++
-		}
-		if refs[i], err = w.Append(raw); err != nil {
-			return nil, work, fmt.Errorf("store: checkpoint: %w", err)
-		}
-	}
-
-	hdr := ckptHeader{gen: 1, version: st.version, seq: st.seq, nextID: st.nextID, entries: tree.Len()}
-	if hdr.root, err = dumpIndex(w, tree, &scratch); err != nil {
-		return nil, work, err
-	}
-	if hdr.slotTab, err = w.Append(encodeSlotTable(st, func(i int, _ slotRec) int64 { return refs[i] })); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	hdr := ckptHeader{gen: 1, version: st.version, seq: st.seq, nextID: st.nextID}
+	tab, _ := encodeSlotTable(st)
+	copied, err := writeGeneration(w, st, tab, order, tree, &hdr)
+	if err != nil {
+		return nil, flattenWork{}, err
 	}
 	// Disk table: always empty (a count of zero).
-	if hdr.diskTab, err = w.Append(binary.LittleEndian.AppendUint64(scratch[:0], 0)); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+	if hdr.diskTab, err = w.Append(binary.LittleEndian.AppendUint64(nil, 0)); err != nil {
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if hdr.logSize, err = w.Finish(); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	hdr.compacted = hdr.end()
 
 	var page [pager.PageSize]byte
 	copy(page[:], hdr.encode())
 	if err := pf.WritePage(0, page[:]); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if err := pf.Sync(); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, checkpointName)); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	syncDir(dir)
 	ok = true
-	for i, ref := range refs {
-		r := st.recs.At(i)
-		st.recs.Set(i, slotRec{lo: r.lo, hi: r.hi, ref: ref})
-	}
-	work.bytes = hdr.compacted
-	return newBase(newBaseFile(pf, pool), hdr), work, nil
+	rebind(st, nil, tab)
+	return newBase(newBaseFile(pf, pool), hdr), flattenWork{bytes: hdr.compacted, copied: copied}, nil
 }
 
 // appendGeneration writes st as the next generation of b's file: the
@@ -402,76 +365,141 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 // their new payload records; the other slots keep their refs, which point
 // into the same file.
 func appendGeneration(b *base, st *state, tree *rtree.Tree[int]) (*base, flattenWork, error) {
-	var work flattenWork
-	n := len(st.slots)
-	if tree.Len() != n {
-		return nil, work, fmt.Errorf("store: checkpoint: live index holds %d entries, slot table %d", tree.Len(), n)
-	}
-	// One pass encodes the slot table and finds the overlay; the overlay's
-	// refs are filled in once its payloads are written.
-	type key struct {
-		centre float64
-		slot   int
-	}
-	var overlay []key
-	slotTab := encodeSlotTable(st, func(i int, r slotRec) int64 {
-		if r.p != nil {
-			overlay = append(overlay, key{centre: (r.lo + r.hi) / 2, slot: i})
-		}
-		return r.ref
-	})
-	// Centre order, as a full rewrite's leaf order is in 1-D: a query's
-	// changed candidates share this generation's pages.
-	slices.SortFunc(overlay, func(a, b key) int {
-		if c := cmp.Compare(a.centre, b.centre); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.slot, b.slot)
-	})
+	// The overlay in centre order, as a full rewrite's leaf order is in 1-D:
+	// a query's changed candidates share this generation's pages.
+	tab, order := encodeSlotTable(st)
+	centre := func(i int) float64 { e := tab[8+32*i:]; return (f64(e[8:]) + f64(e[16:])) / 2 }
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(centre(a), centre(b)), cmp.Compare(a, b)) })
 
 	from := (b.hdr.logSize + pagecache.PayloadSize - 1) / pagecache.PayloadSize * pagecache.PayloadSize
 	w := pagecache.ResumeWriter(b.pool, 1, from)
-	var scratch []byte
-	for _, k := range overlay {
-		var err error
-		if scratch, err = appendPayload(scratch[:0], st.slots[k.slot], st.recs.At(k.slot).p); err != nil {
-			return nil, work, err
-		}
-		ref, err := w.Append(scratch)
-		if err != nil {
-			return nil, work, fmt.Errorf("store: checkpoint: %w", err)
-		}
-		binary.LittleEndian.PutUint64(slotTab[8+32*k.slot+24:], uint64(ref))
-	}
 	hdr := ckptHeader{gen: b.hdr.gen + 1, version: st.version, seq: st.seq, nextID: st.nextID,
-		diskTab: b.hdr.diskTab, entries: n, compacted: b.hdr.compacted, slot: 1 - b.hdr.slot}
-	var err error
-	if hdr.root, err = dumpIndex(w, tree, &scratch); err != nil {
-		return nil, work, err
-	}
-	if hdr.slotTab, err = w.Append(slotTab); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		diskTab: b.hdr.diskTab, compacted: b.hdr.compacted, slot: 1 - b.hdr.slot}
+	_, err := writeGeneration(w, st, tab, order, tree, &hdr)
+	if err != nil {
+		return nil, flattenWork{}, err
 	}
 	if hdr.logSize, err = w.Finish(); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if err := b.f.Sync(); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	slot := hdr.encode()
 	if err := b.f.WriteWithin(0, hdr.slot*hdrSlotSize, slot); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	if err := b.f.Sync(); err != nil {
-		return nil, work, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
-	for _, k := range overlay {
-		r := st.recs.At(k.slot)
-		ref := int64(binary.LittleEndian.Uint64(slotTab[8+32*k.slot+24:]))
-		st.recs.Set(k.slot, slotRec{lo: r.lo, hi: r.hi, ref: ref})
+	rebind(st, order, tab)
+	return newBase(b.baseFile, hdr), flattenWork{bytes: hdr.end() - b.hdr.end() + int64(len(slot))}, nil
+}
+
+// encodeSlotTable encodes the slot table — per object its stable ID,
+// support interval and payload ref — in one presized pass, and returns it
+// with the overlay: the slots holding a decoded pdf, in slot order.
+func encodeSlotTable(st *state) (tab []byte, overlay []int) {
+	n := len(st.slots)
+	tab = make([]byte, 8+32*n)
+	binary.LittleEndian.PutUint64(tab, uint64(n))
+	for i, e := 0, tab[8:]; i < n; i, e = i+1, e[32:] {
+		r := st.recs.At(i)
+		binary.LittleEndian.PutUint64(e, st.slots[i])
+		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(r.lo))
+		binary.LittleEndian.PutUint64(e[16:], math.Float64bits(r.hi))
+		binary.LittleEndian.PutUint64(e[24:], uint64(r.ref))
+		if r.p != nil {
+			overlay = append(overlay, i)
+		}
 	}
-	work.bytes = hdr.end() - b.hdr.end() + int64(len(slot))
-	return newBase(b.baseFile, hdr), work, nil
+	return tab, overlay
+}
+
+// writeGeneration is the one writer of both flatten kinds. It appends one
+// generation's records to w — the payloads of the slots in order, tree's
+// nodes (children before parents), then the slot table tab, with each
+// written payload's ref patched into it — and sets hdr's root, slot-table and
+// entry-count fields.
+//
+// An overlay slot's payload is encoded from its pdf; a base slot's record is
+// copied verbatim, so unchanged objects are byte-stable across checkpoints,
+// through a private read-ahead scanner rather than the readers' pool: a
+// rewrite's leaf order is the previous one apart from the changed objects,
+// so the scan is sequential and leaves the queries' pages cached. copied
+// counts the copies.
+func writeGeneration(w *pagecache.Writer, st *state, tab []byte, order []int, tree *rtree.Tree[int], hdr *ckptHeader) (copied int, err error) {
+	if n := len(st.slots); tree.Len() != n {
+		return 0, fmt.Errorf("store: checkpoint: index holds %d entries, slot table %d", tree.Len(), n)
+	}
+	var (
+		scratch []byte
+		scan    *pagecache.Scanner // opened at the first base slot
+	)
+	for _, i := range order {
+		r := st.recs.At(i)
+		var raw []byte
+		if r.p != nil {
+			if scratch, err = appendPayload(scratch[:0], st.slots[i], r.p); err != nil {
+				return 0, err
+			}
+			raw = scratch
+		} else {
+			if scan == nil {
+				scan = st.base.log.Scanner()
+			}
+			if raw, err = scan.Record(r.ref); err != nil {
+				return 0, fmt.Errorf("store: checkpoint: copying object %d payload: %w", st.slots[i], err)
+			}
+			copied++
+		}
+		var ref int64
+		if ref, err = w.Append(raw); err != nil {
+			return 0, fmt.Errorf("store: checkpoint: %w", err)
+		}
+		binary.LittleEndian.PutUint64(tab[8+32*i+24:], uint64(ref))
+	}
+
+	var itemVals []int64
+	hdr.root, err = tree.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
+		vals := children
+		if leaf {
+			itemVals = itemVals[:0]
+			for _, it := range items {
+				itemVals = append(itemVals, int64(it))
+			}
+			vals = itemVals
+		}
+		scratch = pagecache.AppendNode(scratch[:0], leaf, rects, vals)
+		return w.Append(scratch)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("store: checkpoint: dumping index: %w", err)
+	}
+	if hdr.slotTab, err = w.Append(tab); err != nil {
+		return 0, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	hdr.entries = tree.Len()
+	return copied, nil
+}
+
+// rebind points the slots in order at their payload records in the slot
+// table tab, dropping their decoded pdfs, once tab's generation is durable.
+// A nil order rebinds every slot, in slot order: a full rewrite moved every
+// record, and sequential writes keep the table's chunks in cache.
+func rebind(st *state, order []int, tab []byte) {
+	set := func(i int) {
+		r := st.recs.At(i)
+		st.recs.Set(i, slotRec{lo: r.lo, hi: r.hi, ref: int64(binary.LittleEndian.Uint64(tab[8+32*i+24:]))})
+	}
+	if order == nil {
+		for i := range st.slots {
+			set(i)
+		}
+	}
+	for _, i := range order {
+		set(i)
+	}
 }
 
 // appendPayload appends the payload record of object id, one upsert of p
@@ -489,58 +517,21 @@ func appendPayload(buf []byte, id uint64, p pdf.PDF) ([]byte, error) {
 	return buf, nil
 }
 
-// dumpIndex appends tree's nodes to w, children before parents, and
-// returns the root's ref. scratch is reused for the node encodings.
-func dumpIndex(w *pagecache.Writer, tree *rtree.Tree[int], scratch *[]byte) (int64, error) {
-	var itemVals []int64
-	root, err := tree.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
-		vals := children
-		if leaf {
-			itemVals = itemVals[:0]
-			for _, it := range items {
-				itemVals = append(itemVals, int64(it))
-			}
-			vals = itemVals
-		}
-		*scratch = pagecache.AppendNode((*scratch)[:0], leaf, rects, vals)
-		return w.Append(*scratch)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("store: checkpoint: dumping index: %w", err)
-	}
-	return root, nil
-}
-
-// encodeSlotTable encodes the slot table — per object its stable ID,
-// support interval and payload ref, ref(i, r) for slot i holding r — in one
-// presized pass.
-func encodeSlotTable(st *state, ref func(i int, r slotRec) int64) []byte {
-	n := len(st.slots)
-	buf := make([]byte, 8+32*n)
-	binary.LittleEndian.PutUint64(buf, uint64(n))
-	for i, e := 0, buf[8:]; i < n; i, e = i+1, e[32:] {
-		r := st.recs.At(i)
-		binary.LittleEndian.PutUint64(e, st.slots[i])
-		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(r.lo))
-		binary.LittleEndian.PutUint64(e[16:], math.Float64bits(r.hi))
-		binary.LittleEndian.PutUint64(e[24:], uint64(ref(i, r)))
-	}
-	return buf
-}
+// f64 decodes the little-endian float64 at the start of b.
+func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // loadCheckpoint recovers the checkpoint under dir into a fresh state. For a
 // paged checkpoint it loads only the live generation's metadata (slot table,
-// index nodes) — object payloads stay on disk behind the returned state's
-// base — and returns the rebuilt index tree for materialize to carry
-// forward. A legacy v1 checkpoint (op stream) is replayed fully resident;
-// the tree is nil and the first materialize bulk-builds it. Reports whether
-// a checkpoint existed.
+// index nodes; readGeneration) — object payloads stay on disk behind the
+// returned state's base — and returns the rebuilt index tree for materialize
+// to carry forward. A legacy v1 checkpoint (op stream) is replayed fully
+// resident; the tree is nil and the first materialize bulk-builds it.
+// Reports whether a checkpoint existed.
 func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], bool, error) {
-	st := newState()
 	path := filepath.Join(dir, checkpointName)
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
-			return st, nil, false, nil
+			return newState(), nil, false, nil
 		}
 		return nil, nil, false, fmt.Errorf("store: %w", err)
 	}
@@ -558,11 +549,12 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 	}
 	if string(page[:8]) == ckptMagic {
 		// v1 checkpoint from an older build: replay the op stream resident.
-		pf.Close()
-		cs, ok, err := readCheckpoint(dir)
-		if err != nil || !ok {
-			return nil, nil, ok, err
+		defer pf.Close()
+		cs, err := readCheckpoint(pf, page[:])
+		if err != nil {
+			return nil, nil, false, err
 		}
+		st := newState()
 		st.version, st.seq, st.nextID = cs.Version, cs.Seq, cs.NextID
 		if _, _, err := applyDecoded(st, cs.Ops, nil); err != nil {
 			return nil, nil, false, fmt.Errorf("store: loading checkpoint: %w", err)
@@ -575,50 +567,64 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
 	b := newBase(newBaseFile(pf, pagecache.NewPool(pf, cacheBytes)), hdr)
-	ok := false
-	defer func() {
-		if !ok {
-			runtime.SetFinalizer(b.baseFile, nil)
-			pf.Close()
-		}
-	}()
-
-	slotTab, err := b.log.ReadRecord(nil, hdr.slotTab)
+	st, tree, _, err := readGeneration(b)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: slot table: %w", err)
+		runtime.SetFinalizer(b.baseFile, nil)
+		pf.Close()
+		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
-	if len(slotTab) < 8 || (len(slotTab)-8)%32 != 0 {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: slot table of %d bytes", len(slotTab))
+	return st, tree, true, nil
+}
+
+// readGeneration decodes generation b of a checkpoint file into a fresh
+// state bound to b — the slot table, the disk table and the index, with the
+// payloads left on disk — and returns the index and its node-record count.
+// It is the one reader of a generation, for recovery and for CheckBase, and
+// checks what a served answer depends on: every payload ref lies inside the
+// log, and the index's leaf entries name every slot exactly once, each with
+// its slot's interval — so the filter neither misses an object nor hands
+// out the wrong one's region. The first violation is named by slot.
+func readGeneration(b *base) (*state, *rtree.Tree[int], int, error) {
+	h := b.hdr
+	tab, err := b.log.ReadRecord(nil, h.slotTab)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("slot table: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint64(slotTab[:8]))
-	if n != (len(slotTab)-8)/32 {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: slot table count %d, %d entries", n, (len(slotTab)-8)/32)
+	if len(tab) < 8 || (len(tab)-8)%32 != 0 || binary.LittleEndian.Uint64(tab) != uint64((len(tab)-8)/32) {
+		return nil, nil, 0, fmt.Errorf("slot table of %d bytes is malformed", len(tab))
 	}
-	for i := 0; i < n; i++ {
-		e := slotTab[8+32*i:]
-		id := binary.LittleEndian.Uint64(e[:8])
+	n := (len(tab) - 8) / 32
+	if h.entries != n {
+		return nil, nil, 0, fmt.Errorf("header counts %d index entries, slot table %d", h.entries, n)
+	}
+	st := newState()
+	st.slots = make([]uint64, 0, n)
+	for i, e := 0, tab[8:]; i < n; i, e = i+1, e[32:] {
+		id := binary.LittleEndian.Uint64(e)
+		r := slotRec{lo: f64(e[8:]), hi: f64(e[16:]), ref: int64(binary.LittleEndian.Uint64(e[24:]))}
+		if r.ref < 0 || r.ref >= h.logSize {
+			return nil, nil, 0, fmt.Errorf("slot %d (id %d): payload ref %d outside the log of %d bytes", i, id, r.ref, h.logSize)
+		}
 		st.slots = append(st.slots, id)
-		st.recs.Append(slotRec{
-			lo:  math.Float64frombits(binary.LittleEndian.Uint64(e[8:16])),
-			hi:  math.Float64frombits(binary.LittleEndian.Uint64(e[16:24])),
-			ref: int64(binary.LittleEndian.Uint64(e[24:32])),
-		})
+		st.recs.Append(r)
 		st.slotOf[id] = i
 	}
 
-	diskTab, err := b.log.ReadRecord(nil, hdr.diskTab)
+	diskTab, err := b.log.ReadRecord(nil, h.diskTab)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: disk table: %w", err)
+		return nil, nil, 0, fmt.Errorf("disk table: %w", err)
 	}
 	if len(diskTab) < 8 || (len(diskTab)-8)%32 != 0 {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: disk table of %d bytes", len(diskTab))
+		return nil, nil, 0, fmt.Errorf("disk table of %d bytes", len(diskTab))
 	}
 	for e := diskTab[8:]; len(e) > 0; e = e[32:] {
 		st.dropDisk(binary.LittleEndian.Uint64(e[:8]))
 	}
 
+	seen := make([]bool, n)
+	nodes := 0
 	var raw []byte // node records; DecodeNode copies out of it
-	tree, err := rtree.Rebuild(hdr.root, hdr.entries, rtree.DefaultMinEntries, rtree.DefaultMaxEntries,
+	tree, err := rtree.Rebuild(h.root, n, rtree.DefaultMinEntries, rtree.DefaultMaxEntries,
 		func(ref int64) (bool, []geom.Rect, []int, []int64, error) {
 			var err error
 			if raw, err = b.log.ReadRecord(raw[:0], ref); err != nil {
@@ -628,26 +634,35 @@ func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], boo
 			if err != nil {
 				return false, nil, nil, nil, err
 			}
-			var items []int
-			if nd.Leaf {
-				items = make([]int, len(nd.Items))
-				for i, it := range nd.Items {
-					items[i] = int(it)
-				}
+			if nodes++; !nd.Leaf {
+				return false, nd.Rects, nil, nd.Children, nil
 			}
-			return nd.Leaf, nd.Rects, items, nd.Children, nil
+			items := make([]int, len(nd.Items))
+			for k, it := range nd.Items {
+				if it < 0 || it >= int64(n) {
+					return false, nil, nil, nil, fmt.Errorf("leaf entry names slot %d of %d", it, n)
+				}
+				slot, id, e := int(it), st.slots[it], tab[8+32*it:]
+				if want := geom.RectFromInterval(geom.Interval{Lo: f64(e[8:]), Hi: f64(e[16:])}); nd.Rects[k] != want {
+					return false, nil, nil, nil, fmt.Errorf("slot %d (id %d): leaf entry holds %v, slot table %v",
+						slot, id, nd.Rects[k], want)
+				} else if seen[slot] {
+					return false, nil, nil, nil, fmt.Errorf("slot %d (id %d): reached twice", slot, id)
+				}
+				seen[slot] = true
+				items[k] = slot
+			}
+			return true, nd.Rects, items, nil, nil
 		})
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: rebuilding index: %w", err)
+		return nil, nil, 0, fmt.Errorf("index: %w", err)
 	}
-	if tree.Len() != n {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: index holds %d entries, slot table %d", tree.Len(), n)
+	if i := slices.Index(seen, false); i >= 0 {
+		return nil, nil, 0, fmt.Errorf("slot %d (id %d): no leaf entry reaches it", i, st.slots[i])
 	}
-
 	st.base = b
-	st.version, st.seq, st.nextID = hdr.version, hdr.seq, hdr.nextID
-	ok = true
-	return st, tree, true, nil
+	st.version, st.seq, st.nextID = h.version, h.seq, h.nextID
+	return st, tree, nodes, nil
 }
 
 // trimAppendDebris cuts a v3 checkpoint file back to its live generation's

@@ -998,45 +998,60 @@ func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filte
 
 // snapshotState captures the live state as a replication snapshot payload:
 // every live object as an upsert, plus the position counters. Runs on the
-// committer.
-//
-// Lazy payloads are read through a scanner of the base log, never the
-// readers' page cache, in ref order across every generation of the file, so
-// each page is read once and the queries' pages stay cached. The ops stay in
-// slot order, which is how the follower assigns its slots.
+// committer. The ops stay in slot order, which is how the follower assigns
+// its slots.
 func (s *Store) snapshotState() (checkpointState, error) {
 	st := s.st
 	ops := make([]Op, len(st.slots))
+	for i, id := range st.slots {
+		if r := st.recs.At(i); r.p != nil {
+			ops[i] = Op{Code: codeFor(r.p), ID: id, PDF: r.p}
+		}
+	}
+	if err := st.scanPayloads(func(slot int, op Op) error {
+		ops[slot] = Op{Code: op.Code, ID: st.slots[slot], PDF: op.PDF}
+		return nil
+	}); err != nil {
+		return checkpointState{}, fmt.Errorf("store: snapshot: %w", err)
+	}
+	return checkpointState{Version: st.version, Seq: st.seq, NextID: st.nextID, Ops: ops}, nil
+}
+
+// scanPayloads decodes the payload record of every slot of st that holds
+// only a ref and hands it to fn with the slot. The records are read through
+// a scanner of the base log, never the readers' page cache, in ref order
+// across every generation of the file, so each page is read once and the
+// queries' pages stay cached.
+func (st *state) scanPayloads(fn func(slot int, op Op) error) error {
 	type lazy struct {
 		ref  int64
 		slot int
 	}
 	var faults []lazy
-	for i, id := range st.slots {
-		if r := st.recs.At(i); r.p != nil {
-			ops[i] = Op{Code: codeFor(r.p), ID: id, PDF: r.p}
-		} else {
+	for i := range st.slots {
+		if r := st.recs.At(i); r.p == nil {
 			faults = append(faults, lazy{ref: r.ref, slot: i})
 		}
 	}
+	if len(faults) == 0 { // and so possibly no base
+		return nil
+	}
 	slices.SortFunc(faults, func(a, b lazy) int { return cmp.Compare(a.ref, b.ref) })
-	var scan *pagecache.Scanner // nil without lazy slots, and so without a base
-	if len(faults) > 0 {
-		scan = st.base.log.Scanner()
-	}
+	scan := st.base.log.Scanner()
 	for _, f := range faults {
-		id := st.slots[f.slot]
 		rec, err := scan.Record(f.ref)
-		if err != nil {
-			return checkpointState{}, fmt.Errorf("store: snapshot: object %d: %w", id, err)
+		var op Op
+		if err == nil {
+			op, err = decodePayload(rec, f.ref)
 		}
-		op, err := decodePayload(rec, f.ref)
 		if err != nil {
-			return checkpointState{}, fmt.Errorf("store: snapshot: object %d: %w", id, err)
+			return fmt.Errorf("slot %d (id %d): %w", f.slot, st.slots[f.slot], err)
 		}
-		ops[f.slot] = Op{Code: op.Code, ID: id, PDF: op.PDF}
+		if err := fn(f.slot, op); err != nil {
+			return err
+		}
 	}
-	return checkpointState{Version: st.version, Seq: st.seq, NextID: st.nextID, Ops: ops}, nil
+	return nil
 }
 
 // encodeSnapshot serializes the live state as a replication snapshot stream.
