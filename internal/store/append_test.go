@@ -337,12 +337,11 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 }
 
 // TestCheckBaseNamesCorruptLeaf corrupts one leaf entry of the live
-// generation's index in a copied store — its slot number, with the page's
-// CRC fixed up so only the generation reader can see it — and expects Open
-// to refuse the file naming the slot the entry now claims: served, it would
-// drop one object from every candidate set and fold another from the wrong
-// region. (cpnn-store verify opens the store first, so it fails the same
-// way.)
+// generation's index in a copied store — its slot number, or its rectangle —
+// with the page's CRC fixed up so only the generation reader can see it, and
+// expects Open to refuse the file naming the slot: served, it would drop one
+// object from every candidate set or fold one from the wrong region.
+// (cpnn-store verify opens the store first, so it fails the same way.)
 func TestCheckBaseNamesCorruptLeaf(t *testing.T) {
 	const n = 1000
 	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
@@ -355,7 +354,7 @@ func TestCheckBaseNamesCorruptLeaf(t *testing.T) {
 		t.Fatalf("CheckBase of a sound store = %+v, %v", c, err)
 	}
 	b := s.baseRef.Load()
-	// The first leaf under the root, and its first entry's slot value.
+	// The first leaf under the root, and its first entry's slot.
 	ref := b.hdr.root
 	for {
 		raw, err := b.log.ReadRecord(nil, ref)
@@ -374,39 +373,43 @@ func TestCheckBaseNamesCorruptLeaf(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	crash := copyFiles(t, dir)
-	path := filepath.Join(crash, checkpointName)
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// The entry follows the record's length prefix, leaf flag and count: its
+	// rectangle's MinX, three more coordinates, then the value whose low
+	// bytes name the slot. The second entry follows it.
+	entry := ref + 4 + 5
+	first, second := streamBytes(t, dir, entry, 40), streamBytes(t, dir, entry+40, 40)
+	slot, other := int(byteOrder.Uint64(first[32:])), int(byteOrder.Uint64(second[32:]))
+	flip := func(i int, mask byte) []byte {
+		b := append([]byte(nil), first...)
+		b[i] ^= mask
+		return b
 	}
-	// The entry's value follows the record's length prefix, leaf flag, count
-	// and the entry's rectangle; its low byte names the slot.
-	off := ref + 4 + 5 + 32
-	page := 1 + off/pagecache.PayloadSize
-	at := page*pager.PageSize + 4 + off%pagecache.PayloadSize
-	slot := int(file[at]) | int(file[at+1])<<8
-	file[at] ^= 1
-	p := file[page*pager.PageSize : (page+1)*pager.PageSize]
-	putPageCRC(p)
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(crash, opt)
-	if err == nil {
-		re.Close()
-	}
-	if want := fmt.Sprintf("slot %d ", slot^1); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open over a corrupt leaf entry (slot %d -> %d): err = %v, want it to name %q",
-			slot, slot^1, err, want)
+	for _, tc := range []struct {
+		name  string
+		entry []byte
+		slot  int
+	}{
+		{"slot", flip(32, 1), slot ^ 1},
+		{"range", flip(34, 1), slot ^ 1<<16},
+		{"rect", flip(6, 1), slot}, // bit 48 of MinX: the value moves and stays finite
+		{"duplicate", second, other},
+	} {
+		re, err := Open(patchStream(t, dir, entry, tc.entry), opt)
+		if err == nil {
+			re.Close()
+		}
+		if want := fmt.Sprintf("slot %d ", tc.slot); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Open over a corrupt leaf entry: err = %v, want it to name %q", tc.name, err, want)
+		}
 	}
 }
 
-// TestCheckBaseNamesCorruptPayload corrupts the stable ID inside one payload
-// record of the first generation, under an appended one, with the page's CRC
-// fixed up. Recovery reads no payload, so the store opens; CheckBase decodes
-// every payload the live slot table references and must name the slot.
+// TestCheckBaseNamesCorruptPayload corrupts one slot's payload in a copied
+// store, under an appended generation, with the page's CRC fixed up. A ref in
+// the slot table that points past the log fails Open naming the slot. The
+// stable ID inside a payload record of the first generation passes Open,
+// which reads no payload, and CheckBase, which decodes every payload the
+// live slot table references, must name the slot.
 func TestCheckBaseNamesCorruptPayload(t *testing.T) {
 	const n = 1000
 	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
@@ -418,7 +421,8 @@ func TestCheckBaseNamesCorruptPayload(t *testing.T) {
 		t.Fatalf("CheckBase of a sound store = %+v, %v", c, err)
 	}
 	// A slot whose payload the append left in the first generation.
-	firstEnd := (s.baseRef.Load().hdr.compacted/pager.PageSize - 1) * pagecache.PayloadSize
+	b := s.baseRef.Load()
+	firstEnd := (b.hdr.compacted/pager.PageSize - 1) * pagecache.PayloadSize
 	slot := -1
 	var ref int64
 	for i := 0; i < n && slot < 0; i++ {
@@ -432,36 +436,69 @@ func TestCheckBaseNamesCorruptPayload(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	want := fmt.Sprintf("slot %d ", slot)
+
+	flip := func(off int64, mask byte) string {
+		b := streamBytes(t, dir, off, 1)
+		b[0] ^= mask
+		return patchStream(t, dir, off, b)
+	}
+	// The ref's top byte, after the table's length prefix and count and the
+	// slot's ID and interval.
+	_, err := Open(flip(b.hdr.slotTab+4+8+32*int64(slot)+31, 0x40), opt)
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "outside the log") {
+		t.Fatalf("Open over a payload ref past the log (slot %d): err = %v, want it to name %q", slot, err, want)
+	}
+
+	// The ID follows the record's length prefix, the batch count and the op
+	// code.
+	re, err := Open(flip(ref+4+4+1, 1), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	_, err = re.CheckBase()
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "payload record holds id") {
+		t.Fatalf("CheckBase over a corrupt payload ID (slot %d): err = %v, want it to name %q", slot, err, want)
+	}
+}
+
+// streamBytes reads k bytes at record-stream offset off of dir's
+// checkpoint.db.
+func streamBytes(t *testing.T, dir string, off int64, k int) []byte {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, k)
+	for j := range out {
+		o := off + int64(j)
+		out[j] = file[(1+o/pagecache.PayloadSize)*pager.PageSize+4+o%pagecache.PayloadSize]
+	}
+	return out
+}
+
+// patchStream copies the store directory dir, overwrites the bytes at
+// record-stream offset off of the copy's checkpoint.db with p, stamps each
+// touched page's CRC afresh as the pagecache writer does, and returns the
+// copy: a corruption only a check of the decoded records can see.
+func patchStream(t *testing.T, dir string, off int64, p []byte) string {
+	t.Helper()
 	crash := copyFiles(t, dir)
 	path := filepath.Join(crash, checkpointName)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ID follows the record's length prefix, the batch count and the op
-	// code.
-	off := ref + 4 + 4 + 1
-	page := 1 + off/pagecache.PayloadSize
-	file[page*pager.PageSize+4+off%pagecache.PayloadSize] ^= 1
-	putPageCRC(file[page*pager.PageSize : (page+1)*pager.PageSize])
+	for j, c := range p {
+		o := off + int64(j)
+		page := file[(1+o/pagecache.PayloadSize)*pager.PageSize:][:pager.PageSize]
+		page[4+o%pagecache.PayloadSize] = c
+		byteOrder.PutUint32(page, crc32.Checksum(page[4:], crcTable))
+	}
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	re, err := Open(crash, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	_, err = re.CheckBase()
-	if want := fmt.Sprintf("slot %d ", slot); err == nil || !strings.Contains(err.Error(), want) ||
-		!strings.Contains(err.Error(), "payload record holds id") {
-		t.Fatalf("CheckBase over a corrupt payload ID (slot %d): err = %v, want it to name %q", slot, err, want)
-	}
-}
-
-// putPageCRC stamps a page's CRC-32C over its payload, as the pagecache
-// writer does.
-func putPageCRC(page []byte) {
-	byteOrder.PutUint32(page, crc32.Checksum(page[4:], crcTable))
+	return crash
 }
