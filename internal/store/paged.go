@@ -598,7 +598,7 @@ func readGeneration(b *base) (*state, *rtree.Tree[int], int, error) {
 		return nil, nil, 0, fmt.Errorf("header counts %d index entries, slot table %d", h.entries, n)
 	}
 	st := newState()
-	st.slots = make([]uint64, 0, n)
+	st.slots, st.slotOf = make([]uint64, 0, n), make(map[uint64]int, n)
 	for i, e := 0, tab[8:]; i < n; i, e = i+1, e[32:] {
 		id := binary.LittleEndian.Uint64(e)
 		r := slotRec{lo: f64(e[8:]), hi: f64(e[16:]), ref: int64(binary.LittleEndian.Uint64(e[24:]))}
@@ -634,7 +634,8 @@ func readGeneration(b *base) (*state, *rtree.Tree[int], int, error) {
 			if err != nil {
 				return false, nil, nil, nil, err
 			}
-			if nodes++; !nd.Leaf {
+			nodes++
+			if !nd.Leaf {
 				return false, nd.Rects, nil, nd.Children, nil
 			}
 			items := make([]int, len(nd.Items))
