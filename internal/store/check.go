@@ -33,10 +33,10 @@ func (s *Store) CheckBase() (BaseCheck, error) {
 	if err != nil {
 		return out, err
 	}
-	out.Slots, out.Nodes, out.Depth = len(st.slots), nodes, tree.Height()
 	if err := tree.CheckInvariants(); err != nil {
 		return out, fmt.Errorf("index: %w", err)
 	}
+	out.Slots, out.Nodes, out.Depth = len(st.slots), nodes, tree.Height()
 	return out, st.scanPayloads(func(slot int, op Op) error {
 		id, want := st.slots[slot], st.region(slot)
 		if op.ID != id {
