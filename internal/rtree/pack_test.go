@@ -124,3 +124,32 @@ func TestBulkLoadMatchesSortSliceReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBulkLoad times one STR pack of 100k entries: 1-D intervals as the
+// store's checkpoints and recovery pack them (start uniform in [0, n), width
+// 1 to 25), and 2-D rectangles.
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		name string
+		gen  func() geom.Rect
+	}{
+		{"1d", func() geom.Rect { lo := rng.Float64() * n; return geom.Rect{MinX: lo, MaxX: lo + 1 + rng.Float64()*24} }},
+		{"2d", func() geom.Rect { return randomRect(rng, n) }},
+	}
+	for _, c := range cases {
+		inputs := make([]Input[int], n)
+		for i := range inputs {
+			inputs[i] = Input[int]{Rect: c.gen(), Item: i}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BulkLoad(inputs, DefaultMinEntries, DefaultMaxEntries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

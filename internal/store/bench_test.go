@@ -208,15 +208,7 @@ func BenchmarkFlatten(b *testing.B) {
 			}
 			defer s.Close()
 			rng := rand.New(rand.NewSource(1))
-			hist := func() pdf.PDF {
-				lo, w := rng.Float64()*n, 1+rng.Float64()*24
-				weights := make([]float64, 7)
-				for j := range weights {
-					weights[j] = 1 + rng.Float64()
-				}
-				return pdf.MustHistogram(
-					[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights)
-			}
+			hist := func() pdf.PDF { return benchHistogram(rng, n) }
 			ops := make([]Op, n)
 			for i := range ops {
 				ops[i] = InsertObject(hist())
@@ -258,6 +250,84 @@ func BenchmarkFlatten(b *testing.B) {
 			if st := s.Stats(); mode == "appended" && st.AppendedFlattens != uint64(b.N) {
 				b.Fatalf("%d of %d flattens appended", st.AppendedFlattens, b.N)
 			}
+		})
+	}
+}
+
+// benchHistogram draws one of store_rw's 8-edge histograms: its support
+// starts uniformly in [0, n) and is 1 to 25 wide.
+func benchHistogram(rng *rand.Rand, n int) pdf.PDF {
+	lo, w := rng.Float64()*float64(n), 1+rng.Float64()*24
+	weights := make([]float64, 7)
+	for j := range weights {
+		weights[j] = 1 + rng.Float64()
+	}
+	return pdf.MustHistogram(
+		[]float64{lo, lo + w/4, lo + w/2, lo + 3*w/4, lo + 7*w/8, lo + w - w/16, lo + w - w/32, lo + w}, weights)
+}
+
+// BenchmarkOpen times recovery of BenchmarkFlatten's store (100k 8-edge
+// histograms, a 256 KiB page cache, fsync off) with an empty WAL: full opens
+// a one-generation full rewrite, the file each store_rw boot opens; appended
+// opens it after 4,000 updates (500 commits of 8) and one appended flatten.
+// Each timed op is one Open; Close runs outside the timer. file_MB is the
+// checkpoint file's size.
+func BenchmarkOpen(b *testing.B) {
+	const n, commits, batch = 100_000, 500, 8
+	for _, mode := range []string{"full", "appended"} {
+		b.Run(mode, func(b *testing.B) {
+			dir := b.TempDir()
+			opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 256 << 10}
+			s, err := Open(dir, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			ops := make([]Op, n)
+			for i := range ops {
+				ops[i] = InsertObject(benchHistogram(rng, n))
+			}
+			seeded, err := s.Apply(ops)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			if mode == "appended" {
+				ops = ops[:batch]
+				for c := 0; c < commits; c++ {
+					for j := range ops {
+						ops[j] = UpdateObject(seeded.IDs[rng.Intn(n)], benchHistogram(rng, n))
+					}
+					if _, err := s.Apply(ops); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.autoCheckpoint(); err != nil {
+					b.Fatal(err)
+				}
+				if st := s.Stats(); st.AppendedFlattens != 1 {
+					b.Fatalf("the flatten was not appended: %+v", st)
+				}
+			}
+			pages := s.Stats().BasePages
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := Open(dir, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(pages*pager.PageSize)/1e6, "file_MB")
 		})
 	}
 }
