@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,19 +11,20 @@ import (
 	"repro/internal/geom"
 )
 
-// refBulkLoad is the STR bulk load as it was first written: every pass sorts
-// the inputs (or entries) themselves with sort.Slice, and every slab is
-// sorted on centre Y. The key-array pack must build the same tree.
+// refBulkLoad is the STR bulk load as it was first written, with stable
+// sorts: every pass sorts the inputs (or entries) themselves with
+// sort.SliceStable, and every slab is sorted on centre Y. The key-array
+// pack must build the same tree, ties included.
 func refBulkLoad(inputs []Input[int], capPerNode int) *node[int] {
 	items := append([]Input[int](nil), inputs...)
-	sort.Slice(items, func(i, j int) bool { return items[i].Rect.Center().X < items[j].Rect.Center().X })
+	sort.SliceStable(items, func(i, j int) bool { return items[i].Rect.Center().X < items[j].Rect.Center().X })
 	var level []*node[int]
 	refTile(len(items), capPerNode, func(slab []int) {
 		sub := make([]Input[int], len(slab))
 		for k, i := range slab {
 			sub[k] = items[i]
 		}
-		sort.Slice(sub, func(i, j int) bool { return sub[i].Rect.Center().Y < sub[j].Rect.Center().Y })
+		sort.SliceStable(sub, func(i, j int) bool { return sub[i].Rect.Center().Y < sub[j].Rect.Center().Y })
 		for o := 0; o < len(sub); o += capPerNode {
 			n := &node[int]{leaf: true}
 			for _, in := range sub[o:min(o+capPerNode, len(sub))] {
@@ -36,14 +38,14 @@ func refBulkLoad(inputs []Input[int], capPerNode int) *node[int] {
 		for i, n := range level {
 			ents[i] = entry[int]{rect: mbr(n), child: n}
 		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i].rect.Center().X < ents[j].rect.Center().X })
+		sort.SliceStable(ents, func(i, j int) bool { return ents[i].rect.Center().X < ents[j].rect.Center().X })
 		level = level[:0]
 		refTile(len(ents), capPerNode, func(slab []int) {
 			sub := make([]entry[int], len(slab))
 			for k, i := range slab {
 				sub[k] = ents[i]
 			}
-			sort.Slice(sub, func(i, j int) bool { return sub[i].rect.Center().Y < sub[j].rect.Center().Y })
+			sort.SliceStable(sub, func(i, j int) bool { return sub[i].rect.Center().Y < sub[j].rect.Center().Y })
 			for o := 0; o < len(sub); o += capPerNode {
 				level = append(level, &node[int]{entries: append([]entry[int](nil), sub[o:min(o+capPerNode, len(sub))]...)})
 			}
@@ -86,9 +88,10 @@ func sameShape(a, b *node[int], path string) error {
 }
 
 // TestBulkLoadMatchesSortSliceReference holds the key-array STR pack to the
-// pack that sorted its inputs with sort.Slice: the same tree, node for node
-// and entry for entry, on 1-D intervals (where the Y pass is skipped), on
-// 2-D rectangles, and with thousands of tied centres.
+// pack that sorted its inputs with sort.SliceStable: the same tree, node for
+// node and entry for entry, on 1-D intervals (where the Y pass is skipped),
+// on 2-D rectangles, with thousands of tied centres, with centres at −0 and
+// +0 (equal, so tied), and with equal centres of different widths.
 func TestBulkLoadMatchesSortSliceReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	interval := func(lo, w float64) geom.Rect { return geom.Rect{MinX: lo, MaxX: lo + w} }
@@ -104,6 +107,21 @@ func TestBulkLoadMatchesSortSliceReference(t *testing.T) {
 			return interval(rng.Float64()*40, rng.Float64())
 		},
 		"2d-ties": func(int) geom.Rect { return pointRect(float64(rng.Intn(30)), float64(rng.Intn(30))) },
+		// Half the centres are −0 or +0, the rest spread on both sides.
+		"signed-zero": func(i int) geom.Rect {
+			switch i % 4 {
+			case 0:
+				return pointRect(math.Copysign(0, -1), 0)
+			case 1:
+				return interval(-1, 2)
+			}
+			return interval(rng.Float64()*20-10, rng.Float64())
+		},
+		// Every interval is centred on one of 5 points, at one of 8 widths.
+		"equal-centre-widths": func(int) geom.Rect {
+			w := float64(1 + rng.Intn(8))
+			return interval(float64(rng.Intn(5))*10-w/2, w)
+		},
 	}
 	for name, gen := range cases {
 		for _, n := range []int{1, 15, 17, 300, 10_000, 100_000} {
@@ -151,5 +169,24 @@ func BenchmarkBulkLoad(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCentreKeyOrdersAsCmpCompare holds centreKey to cmp.Compare on every
+// pair of a set of edge values and random floats: NaN below everything, −0
+// equal to +0, infinities, subnormals and both signs.
+func TestCentreKeyOrdersAsCmpCompare(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 0x1p-1022, 1, math.MaxFloat64, math.Inf(1)}
+	rng := rand.New(rand.NewSource(7))
+	for range 200 {
+		vals = append(vals, math.Float64frombits(rng.Uint64()), (rng.Float64()-0.5)*1e6)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := cmp.Compare(centreKey(a), centreKey(b)), cmp.Compare(a, b); got != want {
+				t.Fatalf("keys of %g and %g compare %d, cmp.Compare %d", a, b, got, want)
+			}
+		}
 	}
 }
