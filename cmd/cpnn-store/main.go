@@ -193,8 +193,8 @@ func inspect(out io.Writer, dir string, s *store.Store) error {
 }
 
 // verifyStore proves the recovered state is servable: the base checkpoint's
-// live generation, index shape and payload records check out
-// (store.CheckBase), every pdf validates and a
+// live generation, the index built from its slot table and its payload
+// records check out (store.CheckBase), every pdf validates and a
 // C-PNN probe at the domain center runs end to end. It names the 2-D disks
 // recovery dropped, if the directory's older data held any.
 func verifyStore(out io.Writer, s *store.Store) error {
@@ -203,9 +203,8 @@ func verifyStore(out io.Writer, s *store.Store) error {
 	}
 	if c, err := s.CheckBase(); err != nil {
 		return fmt.Errorf("checkpoint index: %w", err)
-	} else if c.Nodes > 0 {
-		fmt.Fprintf(out, "index: generation %d, %d node records, depth %d, %d slots each reached once\n",
-			c.Generation, c.Nodes, c.Depth, c.Slots)
+	} else if c.Depth > 0 {
+		fmt.Fprintf(out, "index: generation %d, depth %d, built from %d slots\n", c.Generation, c.Depth, c.Slots)
 	}
 	v := s.View()
 	if err := v.Dataset.Validate(); err != nil {

@@ -305,26 +305,6 @@ func (ix *Index) Apply(ds *uncertain.Dataset, edits []Edit) (*Index, error) {
 	return applyEdits(ix.tree.Clone(), ds, edits)
 }
 
-// ApplyTree replays edits directly onto tree (consuming it — the caller must
-// not keep using it) and binds the result to ds. Store recovery uses it to
-// carry the checkpoint's paged tree forward through the WAL's edit stream
-// without an O(n) rebuild.
-func ApplyTree(tree *rtree.Tree[int], ds *uncertain.Dataset, edits []Edit) (*Index, error) {
-	if float64(len(edits)) >= rebuildFraction*float64(ds.Len())+1 {
-		return NewIndex(ds)
-	}
-	return applyEdits(tree, ds, edits)
-}
-
-// Tree returns the underlying R-tree. The store's paged checkpoint dumps it
-// node by node; callers must treat it as read-only. A scan index has none.
-func (ix *Index) Tree() (*rtree.Tree[int], error) {
-	if ix.tree == nil {
-		return nil, errScan
-	}
-	return ix.tree, nil
-}
-
 // applyEdits replays edits onto tree. A DeleteEdit directly followed by an
 // InsertEdit of the same ID — the pair the store emits for an update — is
 // one rtree.Tree.Move, which keeps a small move inside its leaf (the

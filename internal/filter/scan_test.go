@@ -140,9 +140,6 @@ func TestScanRefusesMutation(t *testing.T) {
 	if _, err := ix.Apply(ds, nil); err == nil {
 		t.Fatal("Apply on a scan index succeeded")
 	}
-	if _, err := ix.Tree(); err == nil {
-		t.Fatal("Tree on a scan index succeeded")
-	}
 	if ix.Len() != 2 {
 		t.Fatalf("Len = %d after refused mutations", ix.Len())
 	}

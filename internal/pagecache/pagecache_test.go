@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pager"
 )
 
@@ -431,37 +430,6 @@ func TestReadRecordPinsEachPageOnce(t *testing.T) {
 	}
 	if got, err := log.ReadRecord(nil, sref); err != nil || string(got) != string(straddle) {
 		t.Fatalf("straddling ReadRecord = %q, %v; want %q", got, err, straddle)
-	}
-}
-
-func TestNodeCodecRoundTrip(t *testing.T) {
-	rects := []geom.Rect{
-		{MinX: -1.5, MinY: 0, MaxX: 2.25, MaxY: 0},
-		{MinX: 3, MinY: 0, MaxX: 7, MaxY: 0},
-	}
-	vals := []int64{11, -9}
-	for _, leaf := range []bool{true, false} {
-		b := AppendNode(nil, leaf, rects, vals)
-		n, err := DecodeNode(b)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if n.Leaf != leaf || len(n.Rects) != 2 || n.Rects[1] != rects[1] {
-			t.Fatalf("decoded %+v", n)
-		}
-		got := n.Items
-		if !leaf {
-			got = n.Children
-		}
-		if got[0] != 11 || got[1] != -9 {
-			t.Fatalf("values = %v", got)
-		}
-	}
-	if _, err := DecodeNode([]byte{1, 2}); err == nil {
-		t.Fatal("short record decoded")
-	}
-	if _, err := DecodeNode(append([]byte{1, 1, 0, 0, 0}, make([]byte, 3)...)); err == nil {
-		t.Fatal("truncated entries decoded")
 	}
 }
 

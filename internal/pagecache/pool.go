@@ -1,14 +1,14 @@
 // Package pagecache is the buffer-pool layer between the store and the 4 KiB
 // pager: a concurrency-safe, read-only page cache with a configurable byte
 // budget, CLOCK eviction and pinned page handles, plus an append-only record
-// log (its extent writer and read-ahead scanner) and the R-tree node record
-// codec built on top of it.
+// log built on top of it (its extent writer and read-ahead scanner). Records
+// are opaque bytes here; the store's checkpoint gives them meaning.
 //
 // Every page carries a CRC-32C of its payload in its first four bytes, so a
 // torn or bit-rotted page is detected at fault time with its page number and
 // byte offset — the page-granular analogue of the WAL's record checksums.
-// The store's paged checkpoints write object records and index nodes with a
-// Writer, which streams whole extents to the file and warms the pool with
+// The store's paged checkpoints write object payloads and lookup tables with
+// a Writer, which streams whole extents to the file and warms the pool with
 // what it wrote, and serve queries from datasets larger than memory by
 // faulting pages back through the pool on demand.
 package pagecache

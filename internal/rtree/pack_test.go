@@ -25,9 +25,9 @@ func refBulkLoad(inputs []Input[int], capPerNode int) *node[int] {
 			sub[k] = items[i]
 		}
 		sort.SliceStable(sub, func(i, j int) bool { return sub[i].Rect.Center().Y < sub[j].Rect.Center().Y })
-		for o := 0; o < len(sub); o += capPerNode {
+		for _, run := range refRuns(len(sub), capPerNode) {
 			n := &node[int]{leaf: true}
-			for _, in := range sub[o:min(o+capPerNode, len(sub))] {
+			for _, in := range sub[run[0]:run[1]] {
 				n.entries = append(n.entries, entry[int]{rect: in.Rect, item: in.Item})
 			}
 			level = append(level, n)
@@ -46,8 +46,8 @@ func refBulkLoad(inputs []Input[int], capPerNode int) *node[int] {
 				sub[k] = ents[i]
 			}
 			sort.SliceStable(sub, func(i, j int) bool { return sub[i].rect.Center().Y < sub[j].rect.Center().Y })
-			for o := 0; o < len(sub); o += capPerNode {
-				level = append(level, &node[int]{entries: append([]entry[int](nil), sub[o:min(o+capPerNode, len(sub))]...)})
+			for _, run := range refRuns(len(sub), capPerNode) {
+				level = append(level, &node[int]{entries: append([]entry[int](nil), sub[run[0]:run[1]]...)})
 			}
 		})
 	}
@@ -64,6 +64,46 @@ func refTile(n, capPerNode int, slab func([]int)) {
 			idx = append(idx, i)
 		}
 		slab(idx)
+	}
+}
+
+// refRuns returns the [start, end) bounds of a slab of m items cut into its
+// fewest runs of at most capPerNode, run j ending at (j+1)·m/runs.
+func refRuns(m, capPerNode int) [][2]int {
+	runs := (m + capPerNode - 1) / capPerNode
+	var out [][2]int
+	for j := 0; j < runs; j++ {
+		out = append(out, [2]int{j * m / runs, (j + 1) * m / runs})
+	}
+	return out
+}
+
+// TestBulkLoadHoldsOccupancy packs every size up to 400 and every 97th up
+// to 5,000, in 1-D and 2-D: each tree passes CheckInvariants, so no node
+// but the root holds fewer than DefaultMinEntries entries.
+func TestBulkLoadHoldsOccupancy(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for n, step := 1, 1; n <= 5000; n += step {
+		if n >= 400 {
+			step = 97
+		}
+		for _, dims := range []int{1, 2} {
+			inputs := make([]Input[int], n)
+			for i := range inputs {
+				r := randomRect(rng, 1e4)
+				if dims == 1 {
+					r.MinY, r.MaxY = 0, 0
+				}
+				inputs[i] = Input[int]{Rect: r, Item: i}
+			}
+			tr, err := BulkLoad(inputs, DefaultMinEntries, DefaultMaxEntries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d, %d-D: %v", n, dims, err)
+			}
+		}
 	}
 }
 

@@ -932,15 +932,18 @@ func strOrder(n, capPerNode int, rect func(i int) geom.Rect) ([]strKey, int) {
 	return keys, perSlice
 }
 
-// strTile cuts an STR order into nodes: each slab of perSlice keys into
-// runs of capPerNode, calling fill with a new node's presized entries and
-// the keys that fill them.
+// strTile cuts an STR order into nodes: each slab of perSlice keys into its
+// fewest runs of at most capPerNode, calling fill with a new node's presized
+// entries and the keys that fill them. A slab's runs differ in length by at
+// most one, so a slab of more than capPerNode keys fills every node at
+// least half full; cut at capPerNode, its last run could hold one key.
 func strTile[T any](keys []strKey, perSlice, capPerNode int, leaf bool, fill func(dst []entry[T], keys []strKey)) []*node[T] {
-	out := make([]*node[T], 0, (len(keys)+capPerNode-1)/capPerNode)
+	var out []*node[T]
 	for s := 0; s < len(keys); s += perSlice {
 		slab := keys[s:min(s+perSlice, len(keys))]
-		for o := 0; o < len(slab); o += capPerNode {
-			run := slab[o:min(o+capPerNode, len(slab))]
+		runs := (len(slab) + capPerNode - 1) / capPerNode
+		for j := range runs {
+			run := slab[j*len(slab)/runs : (j+1)*len(slab)/runs]
 			n := &node[T]{leaf: leaf, entries: make([]entry[T], len(run), capPerNode)}
 			fill(n.entries, run)
 			out = append(out, n)
@@ -968,104 +971,6 @@ func strPackEntries[T any](ents []entry[T], capPerNode int) []*node[T] {
 			dst[k] = ents[key.i]
 		}
 	})
-}
-
-// Dump serializes the tree bottom-up: emit is called once per node, children
-// before parents (post-order), and returns a stable reference for the node —
-// for the paged checkpoint, the record offset its encoding landed at. Child
-// references are passed to the parent's emit call, and Dump returns the
-// root's reference. The layout round-trips exactly through Rebuild, so a
-// recovered tree is structurally identical to the dumped one and yields
-// byte-identical traversal orders. rects, items and children are buffers
-// Dump reuses, one set per tree level: they are valid only during the emit
-// call, which copies what it keeps.
-func (t *Tree[T]) Dump(emit func(leaf bool, rects []geom.Rect, items []T, children []int64) (int64, error)) (int64, error) {
-	type level struct {
-		rects    []geom.Rect
-		items    []T
-		children []int64
-	}
-	levels := make([]level, t.Height())
-	var walk func(n *node[T], depth int) (int64, error)
-	walk = func(n *node[T], depth int) (int64, error) {
-		lv := &levels[depth]
-		rects := lv.rects[:0]
-		if n.leaf {
-			items := lv.items[:0]
-			for i := range n.entries {
-				rects = append(rects, n.entries[i].rect)
-				items = append(items, n.entries[i].item)
-			}
-			lv.rects, lv.items = rects, items
-			return emit(true, rects, items, nil)
-		}
-		children := lv.children[:0]
-		for i := range n.entries {
-			ref, err := walk(n.entries[i].child, depth+1)
-			if err != nil {
-				return 0, err
-			}
-			rects = append(rects, n.entries[i].rect)
-			children = append(children, ref)
-		}
-		lv.rects, lv.children = rects, children
-		return emit(false, rects, nil, children)
-	}
-	return walk(t.root, 0)
-}
-
-// rebuildMaxDepth bounds Rebuild's recursion so a corrupted checkpoint with
-// a reference cycle fails instead of recursing forever. With fan-out >= 2 a
-// depth-64 tree already exceeds any representable size.
-const rebuildMaxDepth = 64
-
-// Rebuild reconstructs a tree previously serialized with Dump: load resolves
-// one node reference to its contents, starting from root. size is the stored
-// item count. The rebuilt tree owns all its nodes.
-func Rebuild[T any](root int64, size, minEntries, maxEntries int,
-	load func(ref int64) (leaf bool, rects []geom.Rect, items []T, children []int64, err error)) (*Tree[T], error) {
-	t, err := New[T](minEntries, maxEntries)
-	if err != nil {
-		return nil, err
-	}
-	var build func(ref int64, depth int) (*node[T], error)
-	build = func(ref int64, depth int) (*node[T], error) {
-		if depth > rebuildMaxDepth {
-			return nil, fmt.Errorf("rtree: node nesting beyond depth %d (corrupt dump?)", rebuildMaxDepth)
-		}
-		leaf, rects, items, children, err := load(ref)
-		if err != nil {
-			return nil, err
-		}
-		n := &node[T]{leaf: leaf, owner: t.owner, entries: make([]entry[T], 0, len(rects))}
-		if leaf {
-			if len(items) != len(rects) {
-				return nil, fmt.Errorf("rtree: leaf node %d has %d rects, %d items", ref, len(rects), len(items))
-			}
-			for i := range rects {
-				n.entries = append(n.entries, entry[T]{rect: rects[i], item: items[i]})
-			}
-			return n, nil
-		}
-		if len(children) != len(rects) {
-			return nil, fmt.Errorf("rtree: node %d has %d rects, %d children", ref, len(rects), len(children))
-		}
-		for i := range rects {
-			c, err := build(children[i], depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.entries = append(n.entries, entry[T]{rect: rects[i], child: c})
-		}
-		return n, nil
-	}
-	n, err := build(root, 0)
-	if err != nil {
-		return nil, err
-	}
-	t.root = n
-	t.size = size
-	return t, nil
 }
 
 // CheckInvariants validates structural invariants for tests: every internal

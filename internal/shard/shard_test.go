@@ -380,9 +380,6 @@ func TestGatheredViewIsScanIndex(t *testing.T) {
 		if ix == nil || ix.Dataset() != ds || ds.Len() == 0 {
 			t.Fatalf("q=%g: gathered view index %v over %d objects", q, ix, ds.Len())
 		}
-		if _, err := ix.Tree(); err == nil {
-			t.Fatalf("q=%g: the gathered view carries an R-tree", q)
-		}
 		tree, err := filter.NewIndex(ds)
 		if err != nil {
 			t.Fatal(err)

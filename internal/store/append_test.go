@@ -155,17 +155,26 @@ func TestAppendedFlattenCrashImages(t *testing.T) {
 	}
 }
 
-// TestV3HeaderFailsV2MagicCheck holds the format change to its purpose: a
-// build that reads only v2 files checks the first eight bytes against
-// "CPNNCKP2" and must refuse every v3 file, whichever slot was written last,
-// instead of opening a stale generation whose WAL has been reset.
+// TestV3HeaderFailsV2MagicCheck holds the format changes to their purpose:
+// a build that reads only v2 files checks the first eight bytes against
+// "CPNNCKP2", and one that reads only v3 checks each header slot against
+// "CPNNCKP3". Both must refuse every file this build writes, whichever slot
+// was written last, instead of opening a stale generation whose WAL has
+// been reset.
 func TestV3HeaderFailsV2MagicCheck(t *testing.T) {
 	s, dir := openScatteredDir(t, 600, 43, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
 	defer s.Close()
 	rng := rand.New(rand.NewSource(44))
 	for gen := 1; gen <= 3; gen++ {
-		if got := checkpointMagic(t, dir); got == ckptMagicV2 || got != ckptMagicV3 {
+		if got := checkpointMagic(t, dir); got == ckptMagicV2 || got != ckptMagicV4 {
 			t.Fatalf("generation %d: magic %q", gen, got)
+		}
+		file, err := os.ReadFile(filepath.Join(dir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(file[hdrSlotSize : hdrSlotSize+8]); got == ckptMagicV3 {
+			t.Fatalf("generation %d: header slot 1 magic %q", gen, got)
 		}
 		updateRandom(t, s, rng, 40)
 		mustAutoCheckpoint(t, s, true)
@@ -336,74 +345,6 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 	}
 }
 
-// TestCheckBaseNamesCorruptLeaf corrupts one leaf entry of the live
-// generation's index in a copied store — its slot number, or its rectangle —
-// with the page's CRC fixed up so only the generation reader can see it, and
-// expects Open to refuse the file naming the slot: served, it would drop one
-// object from every candidate set or fold one from the wrong region.
-// (cpnn-store verify opens the store first, so it fails the same way.)
-func TestCheckBaseNamesCorruptLeaf(t *testing.T) {
-	const n = 1000
-	opt := Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1}
-	s, dir := openScatteredDir(t, n, 51, opt)
-	rng := rand.New(rand.NewSource(52))
-	updateRandom(t, s, rng, 80)
-	mustAutoCheckpoint(t, s, true)
-	c, err := s.CheckBase()
-	if err != nil || c.Slots != n || c.Generation != 2 || c.Nodes < 2 {
-		t.Fatalf("CheckBase of a sound store = %+v, %v", c, err)
-	}
-	b := s.baseRef.Load()
-	// The first leaf under the root, and its first entry's slot.
-	ref := b.hdr.root
-	for {
-		raw, err := b.log.ReadRecord(nil, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd, err := pagecache.DecodeNode(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nd.Leaf {
-			break
-		}
-		ref = nd.Children[0]
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The entry follows the record's length prefix, leaf flag and count: its
-	// rectangle's MinX, three more coordinates, then the value whose low
-	// bytes name the slot. The second entry follows it.
-	entry := ref + 4 + 5
-	first, second := streamBytes(t, dir, entry, 40), streamBytes(t, dir, entry+40, 40)
-	slot, other := int(byteOrder.Uint64(first[32:])), int(byteOrder.Uint64(second[32:]))
-	flip := func(i int, mask byte) []byte {
-		b := append([]byte(nil), first...)
-		b[i] ^= mask
-		return b
-	}
-	for _, tc := range []struct {
-		name  string
-		entry []byte
-		slot  int
-	}{
-		{"slot", flip(32, 1), slot ^ 1},
-		{"range", flip(34, 1), slot ^ 1<<16},
-		{"rect", flip(6, 1), slot}, // bit 48 of MinX: the value moves and stays finite
-		{"duplicate", second, other},
-	} {
-		re, err := Open(patchStream(t, dir, entry, tc.entry), opt)
-		if err == nil {
-			re.Close()
-		}
-		if want := fmt.Sprintf("slot %d ", tc.slot); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: Open over a corrupt leaf entry: err = %v, want it to name %q", tc.name, err, want)
-		}
-	}
-}
-
 // TestCheckBaseNamesCorruptPayload corrupts one slot's payload in a copied
 // store, under an appended generation, with the page's CRC fixed up. A ref in
 // the slot table that points past the log fails Open naming the slot. The
@@ -501,4 +442,59 @@ func patchStream(t *testing.T, dir string, off int64, p []byte) string {
 		t.Fatal(err)
 	}
 	return crash
+}
+
+// TestCheckBaseAfterFullRewrite checks a fresh full rewrite at sizes whose
+// STR pack, cut into runs of the node capacity, left a last run of one or
+// two entries in a slab: CheckBase (and so cpnn-store verify) failed a sound
+// store there, naming an underfull node.
+func TestCheckBaseAfterFullRewrite(t *testing.T) {
+	for _, n := range []int{33, 100, 1500} {
+		s, _ := openTemp(t, Options{NoSync: true, CheckpointBytes: -1})
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = InsertObject(pdf.MustUniform(float64(i), float64(i)+2))
+		}
+		mustApply(t, s, ops...)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := s.CheckBase(); err != nil || c.Slots != n {
+			t.Errorf("n=%d: CheckBase = %+v, %v", n, c, err)
+		}
+		s.Close()
+	}
+}
+
+// TestV3BaseFlattensFull opens testdata/appended_v3 and flattens it as the
+// WAL trigger does: the flatten over a v3 base is a full rewrite, so no v4
+// slot is ever appended next to a v3 one (a v3 build would take the v3 slot
+// and open a stale generation). The next flatten appends to the v4 file.
+func TestV3BaseFlattensFull(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{checkpointName, walName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "appended_v3", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(57))
+	updateRandom(t, s, rng, 16)
+	mustAutoCheckpoint(t, s, false)
+	if got := checkpointMagic(t, dir); got != ckptMagicV4 || s.Stats().Generation != 1 {
+		t.Fatalf("after the flatten over a v3 base: magic %q, generation %d", got, s.Stats().Generation)
+	}
+	updateRandom(t, s, rng, 16)
+	mustAutoCheckpoint(t, s, true)
+	if c, err := s.CheckBase(); err != nil || c.Generation != 2 {
+		t.Fatalf("CheckBase = %+v, %v", c, err)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/pagecache"
 	"repro/internal/pager"
 	"repro/internal/pdf"
@@ -210,9 +209,9 @@ func commitCost(t *testing.T, s *Store, batches [][]Op) (kb, allocs float64) {
 // to the dataset: n uniform objects flattened into the base, then rounds of
 // Δ = 4,000 updates (500 commits of 8) with the WAL trigger set to one
 // round, as in store_rw. An appended flatten copies no unchanged payload
-// record and writes at most Δ payload records, one slot table and one index
-// dump, in whole pages, plus one header slot; the first flatten with the
-// file at twice its compacted size or more is a full rewrite.
+// record and writes at most Δ payload records and one slot table, in whole
+// pages, plus one header slot — no index; the first flatten with the file
+// at twice its compacted size or more is a full rewrite.
 func TestFlattenWorkCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 110,000 objects")
@@ -309,23 +308,13 @@ func flattenWorkCounts(t *testing.T, n int) {
 		if copied := st.FlattenCopied - st0.FlattenCopied; copied != 0 {
 			t.Fatalf("n=%d round %d: an appended flatten copied %d unchanged payload records", n, round, copied)
 		}
-		// The index the flatten dumped is the live one, unchanged since.
-		tree, err := s.View().Index.Tree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dump int
-		if _, err := tree.Dump(func(_ bool, rects []geom.Rect, _ []int, _ []int64) (int64, error) {
-			dump += 4 + 5 + 40*len(rects)
-			return 0, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		stream := record*delta + dump + 4 + 8 + 32*n
+		// No index is written: payload records, the slot table and the
+		// header slot.
+		stream := record*delta + 4 + 8 + 32*n
 		limit := uint64((stream+pagecache.PayloadSize-1)/pagecache.PayloadSize*pager.PageSize + hdrSlotSize)
 		if written > limit {
-			t.Fatalf("n=%d round %d: an appended flatten wrote %d bytes, over %d (%d payload records of %d bytes, a %d-byte dump, a %d-slot table)",
-				n, round, written, limit, delta, record, dump, n)
+			t.Fatalf("n=%d round %d: an appended flatten wrote %d bytes, over %d (%d payload records of %d bytes, a %d-slot table)",
+				n, round, written, limit, delta, record, n)
 		}
 		t.Logf("n=%d round %d: appended %d bytes (limit %d) to a %d-page file", n, round, written, limit, st.BasePages)
 	}

@@ -20,27 +20,39 @@ import (
 )
 
 // The paged checkpoint keeps the dataset on disk instead of streaming it
-// through memory: every object payload, R-tree node and lookup table is one
-// record in a pagecache.Log, and recovery maps the records back without
-// materializing anything but metadata. Page 0 is the header, written
-// directly (outside the pool's per-page CRC framing); pages 1.. hold the
-// record stream.
+// through memory: every object payload and lookup table is one record in a
+// pagecache.Log, and recovery maps the records back without materializing
+// anything but metadata. Page 0 is the header, written directly (outside the
+// pool's per-page CRC framing); pages 1.. hold the record stream.
 //
-// The v3 header ("CPNNCKP3") holds two slots, slot k at byte k*512 of page 0,
+// The v4 header ("CPNNCKP4") holds two slots, slot k at byte k*512 of page 0,
 // each in its own 512-byte sector and written by its own write:
 //
-//	[0:8]   magic "CPNNCKP3"
+//	[0:8]   magic "CPNNCKP4"
 //	[8:16]  generation       [16:24] version         [24:32] seq
 //	[32:40] nextID           [40:48] record-log size [48:56] slot-table ref
-//	[56:64] disk-table ref   [64:72] tree root ref   [72:80] tree entry count
+//	[56:64] disk-table ref   [64:80] zero, never read
 //	[80:88] compacted size (file bytes after the last full rewrite)
 //	[88:92] CRC-32C over bytes [0:88]
 //
-// The reader takes the valid slot with the higher generation. The v2 header
-// ("CPNNCKP2", one slot: version, seq, nextID, log size, slot-table,
-// disk-table and root refs, entry count, CRC over [8:72]) is still read, as
-// generation 0; a build that reads only v2 refuses a v3 file at its magic, so
-// it never opens a stale generation whose WAL was reset since.
+// The reader takes the valid slot with the higher generation. A build that
+// reads only v3 refuses the file at its magic, in either slot. Older files
+// still open: a v3 file ("CPNNCKP3", the same slots, whose [64:80] held the
+// root ref and entry count of an index dump) and a v2 file ("CPNNCKP2", one
+// slot: version, seq, nextID, log size, slot-table, disk-table and root
+// refs, entry count, CRC over [8:72]), read as generation 0. Their index
+// dump is never read, and the first flatten over either is a full rewrite,
+// so a v4 slot never sits next to a v3 one.
+//
+// The index is not stored. Recovery bulk-loads it from the slot table
+// (filter.NewIndex, the path a v1 checkpoint takes), so it cannot disagree
+// with the table. SQLite's r-tree module keeps its index on disk and
+// rewrites it a node at a time (SNIPPETS 3); for 1-D intervals at this scale
+// that buys nothing. At n = 100k an STR pack with a radix sort costs about
+// what decoding and checking the stored dump did (a ≈25–29 ms Open either
+// way, 2 vCPU), about 70% of leaves are dirty after 4,000 updates, so
+// per-node rewriting would save little, and an appended generation without
+// the dump is ≈3.4 MB instead of ≈8.3 MB.
 //
 // Object payload records reuse the WAL op encoding (a one-op batch), so a
 // faulted-in object decodes through exactly the code path recovery replays —
@@ -53,28 +65,28 @@ import (
 //
 // A full rewrite writes a new file: the object payloads in the packed
 // index's leaf order (a query's candidates are neighbours in the tree, so
-// they share pages), then the index nodes, the slot table and the disk
-// table, and the header with generation 1 in slot 0 and slot 1 empty. Its
-// bytes are a pure function of the logical state. It is crash-safe: build
-// the temp file, fsync it, rename over the live name, fsync the directory —
-// a crash mid-checkpoint leaves the previous checkpoint (and the full WAL)
+// they share pages), then the slot table and the disk table, and the header
+// with generation 1 in slot 0 and slot 1 empty. Its bytes are a pure
+// function of the logical state. It is crash-safe: build the temp file,
+// fsync it, rename over the live name, fsync the directory — a crash
+// mid-checkpoint leaves the previous checkpoint (and the full WAL)
 // untouched. The pool the writer warmed becomes the new file's read pool —
 // the fd follows the rename, and every page it holds is already hot.
 //
 // An appended generation extends the live file from the page after the
-// stream's end: the overlay's payloads in centre order, the live index and
-// the slot table, whose unchanged refs still point at earlier generations'
-// payloads. Nothing else is copied and no page holding a live record is
-// written again. The pages are fsynced, then the older header slot takes
-// the next generation and is fsynced, and only then is the WAL reset; a
-// crash before the slot lands leaves the previous generation and the WAL
-// that extends it, and the next open cuts the unreferenced pages off. Every
-// generation of a file shares its read pool.
+// stream's end: the overlay's payloads in centre order and the slot table,
+// whose unchanged refs still point at earlier generations' payloads.
+// Nothing else is copied and no page holding a live record is written
+// again. The pages are fsynced, then the older header slot takes the next
+// generation and is fsynced, and only then is the WAL reset; a crash before
+// the slot lands leaves the previous generation and the WAL that extends
+// it, and the next open cuts the unreferenced pages off. Every generation of
+// a file shares its read pool.
 //
-// The committer's WAL-size trigger appends while a v3 base exists and the
+// The committer's WAL-size trigger appends while a v4 base exists and the
 // file is smaller than appendLimit times its compacted size; every other
 // flatten — an explicit Checkpoint, a snapshot install, the first flatten,
-// one over a v2 base, one past the limit — is a full rewrite.
+// one over a v2 or v3 base, one past the limit — is a full rewrite.
 //
 // The disk table held the 2-D disks of builds that stored them (per disk:
 // stable ID, centre x, centre y, radius). A build writes it empty; the
@@ -83,9 +95,10 @@ import (
 const (
 	ckptMagicV2 = "CPNNCKP2"
 	ckptMagicV3 = "CPNNCKP3"
+	ckptMagicV4 = "CPNNCKP4"
 
-	// hdrSlotSize is the sector one v3 header slot fills; hdrSlotLen is the
-	// part of it the slot uses.
+	// hdrSlotSize is the sector one v3 or v4 header slot fills; hdrSlotLen
+	// is the part of it the slot uses.
 	hdrSlotSize = 512
 	hdrSlotLen  = 92
 
@@ -101,10 +114,9 @@ type ckptHeader struct {
 	version, seq, nextID uint64
 	logSize              int64 // record-stream bytes
 	slotTab, diskTab     int64 // record refs
-	root                 int64 // index root record ref
-	entries              int   // index entry count
 	compacted            int64 // file bytes after the last full rewrite; 0 for v2
-	slot                 int   // the v3 header slot holding it
+	slot                 int   // the v3 or v4 header slot holding it
+	v3                   bool  // read from a v3 slot: never appended to
 }
 
 // end returns the file bytes the generation's stream reaches: the header
@@ -113,33 +125,39 @@ func (h ckptHeader) end() int64 {
 	return (1 + (h.logSize+pagecache.PayloadSize-1)/pagecache.PayloadSize) * pager.PageSize
 }
 
-// encode lays h out as a v3 header slot, padded to its sector.
+// encode lays h out as a v4 header slot, padded to its sector.
 func (h ckptHeader) encode() []byte {
 	b := make([]byte, hdrSlotSize)
-	copy(b[:8], ckptMagicV3)
+	copy(b[:8], ckptMagicV4)
 	for i, v := range []uint64{h.gen, h.version, h.seq, h.nextID, uint64(h.logSize), uint64(h.slotTab),
-		uint64(h.diskTab), uint64(h.root), uint64(h.entries), uint64(h.compacted)} {
+		uint64(h.diskTab), 0, 0, uint64(h.compacted)} {
 		binary.LittleEndian.PutUint64(b[8+8*i:], v)
 	}
 	binary.LittleEndian.PutUint32(b[88:hdrSlotLen], crc32.Checksum(b[:88], crcTable))
 	return b
 }
 
-// decodeSlot parses the v3 header slot k of page 0; ok is false for an empty,
-// torn or garbled slot.
+// decodeSlot parses the v4 or v3 header slot k of page 0; ok is false for an
+// empty, torn or garbled slot.
 func decodeSlot(page []byte, k int) (h ckptHeader, ok bool) {
 	b := page[k*hdrSlotSize : k*hdrSlotSize+hdrSlotLen]
-	if string(b[:8]) != ckptMagicV3 || binary.LittleEndian.Uint32(b[88:]) != crc32.Checksum(b[:88], crcTable) {
+	if !slotMagic(b) || binary.LittleEndian.Uint32(b[88:]) != crc32.Checksum(b[:88], crcTable) {
 		return ckptHeader{}, false
 	}
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8+8*i:]) }
 	return ckptHeader{gen: u(0), version: u(1), seq: u(2), nextID: u(3), logSize: int64(u(4)),
-		slotTab: int64(u(5)), diskTab: int64(u(6)), root: int64(u(7)), entries: int(u(8)),
-		compacted: int64(u(9)), slot: k}, true
+		slotTab: int64(u(5)), diskTab: int64(u(6)), compacted: int64(u(9)), slot: k,
+		v3: string(b[:8]) == ckptMagicV3}, true
+}
+
+// slotMagic reports whether b starts with a v4 or v3 header slot's magic.
+func slotMagic(b []byte) bool {
+	return string(b[:8]) == ckptMagicV4 || string(b[:8]) == ckptMagicV3
 }
 
 // parseHeader reads the live generation's header out of page 0 of a paged
-// checkpoint: the valid v3 slot with the higher generation, or the v2 header.
+// checkpoint: the valid v4 or v3 slot with the higher generation, or the v2
+// header.
 func parseHeader(page []byte) (ckptHeader, error) {
 	if string(page[:8]) == ckptMagicV2 {
 		if want, got := binary.LittleEndian.Uint32(page[72:76]), crc32.Checksum(page[8:72], crcTable); want != got {
@@ -147,7 +165,7 @@ func parseHeader(page []byte) (ckptHeader, error) {
 		}
 		u := func(o int) uint64 { return binary.LittleEndian.Uint64(page[o : o+8]) }
 		return ckptHeader{version: u(8), seq: u(16), nextID: u(24), logSize: int64(u(32)),
-			slotTab: int64(u(40)), diskTab: int64(u(48)), root: int64(u(56)), entries: int(u(64))}, nil
+			slotTab: int64(u(40)), diskTab: int64(u(48))}, nil
 	}
 	h0, ok0 := decodeSlot(page, 0)
 	h1, ok1 := decodeSlot(page, 1)
@@ -156,7 +174,7 @@ func parseHeader(page []byte) (ckptHeader, error) {
 		return h0, nil
 	case ok1:
 		return h1, nil
-	case string(page[:8]) == ckptMagicV3 || string(page[hdrSlotSize:hdrSlotSize+8]) == ckptMagicV3:
+	case slotMagic(page) || slotMagic(page[hdrSlotSize:]):
 		return ckptHeader{}, fmt.Errorf("no valid header slot")
 	}
 	return ckptHeader{}, fmt.Errorf("bad magic %q", page[:8])
@@ -208,7 +226,7 @@ func newBase(bf *baseFile, hdr ckptHeader) *base {
 // base file instead of rewriting it.
 func (st *state) appendable() bool {
 	b := st.base
-	return b != nil && b.hdr.gen > 0 && int64(b.f.NumPages())*pager.PageSize < appendLimit*b.hdr.compacted
+	return b != nil && b.hdr.gen > 0 && !b.hdr.v3 && int64(b.f.NumPages())*pager.PageSize < appendLimit*b.hdr.compacted
 }
 
 // flattenWork is what one flatten wrote.
@@ -281,13 +299,13 @@ func (v viewSource) PDF(i int) pdf.PDF {
 // dir, rebinds every slot of st to its payload record in the new file once
 // it is in place, and returns the new base.
 //
-// The dumped index is NOT the live tree: live tree shape depends on commit
-// grouping history (group sizes decide when filter.Apply flips to an STR
-// rebuild), which differs between a primary and its replicas. The checkpoint
-// instead packs a canonical STR tree over the slot table in slot order, so
-// the file — payload order included — is a pure function of logical state:
-// the replica suites compare checkpoints byte for byte. Query answers are
-// structure-independent either way (candidates are sorted, f_min is a min).
+// The payload order is NOT the live tree's leaf order: live tree shape
+// depends on commit grouping history (group sizes decide when filter.Apply
+// flips to an STR rebuild), which differs between a primary and its
+// replicas. The checkpoint instead packs a canonical STR tree over the slot
+// table in slot order — the tree recovery will build — so the file is a
+// pure function of logical state: the replica suites compare checkpoints
+// byte for byte.
 func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flattenWork, error) {
 	tmp := filepath.Join(dir, checkpointTmp)
 	pf, err := pager.Create(tmp)
@@ -309,18 +327,13 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 	pool := pagecache.NewPool(pf, cacheBytes)
 	w := pagecache.NewWriter(pool, 1)
 
-	n := len(st.slots)
-	inputs := make([]rtree.Input[int], n)
-	for i := range inputs {
-		inputs[i] = rtree.Input[int]{Rect: geom.RectFromInterval(st.region(i)), Item: i}
-	}
-	tree, err := rtree.BulkLoad(inputs, rtree.DefaultMinEntries, rtree.DefaultMaxEntries)
+	tree, err := packIndex(st)
 	if err != nil {
-		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: packing index: %w", err)
+		return nil, flattenWork{}, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	// Every payload, in the packed tree's leaf order (centre order in 1-D),
 	// so the candidates of one query share pages.
-	order := make([]int, 0, n)
+	order := make([]int, 0, len(st.slots))
 	tree.All(func(_ geom.Rect, i int) bool {
 		order = append(order, i)
 		return true
@@ -328,7 +341,7 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 
 	hdr := ckptHeader{gen: 1, version: st.version, seq: st.seq, nextID: st.nextID}
 	tab, _ := encodeSlotTable(st)
-	copied, err := writeGeneration(w, st, tab, order, tree, &hdr)
+	copied, err := writeGeneration(w, st, tab, order, &hdr)
 	if err != nil {
 		return nil, flattenWork{}, err
 	}
@@ -359,12 +372,11 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 }
 
 // appendGeneration writes st as the next generation of b's file: the
-// overlay's payloads, tree (the live index over st's slots) and the slot
-// table, appended from the page after b's stream, then the older header
-// slot. Once the generation is durable it rebinds the overlay's slots to
+// overlay's payloads and the slot table, appended from the page after b's
+// stream, then the older header slot. Once the generation is durable it rebinds the overlay's slots to
 // their new payload records; the other slots keep their refs, which point
 // into the same file.
-func appendGeneration(b *base, st *state, tree *rtree.Tree[int]) (*base, flattenWork, error) {
+func appendGeneration(b *base, st *state) (*base, flattenWork, error) {
 	// The overlay in centre order, as a full rewrite's leaf order is in 1-D:
 	// a query's changed candidates share this generation's pages.
 	tab, order := encodeSlotTable(st)
@@ -375,7 +387,7 @@ func appendGeneration(b *base, st *state, tree *rtree.Tree[int]) (*base, flatten
 	w := pagecache.ResumeWriter(b.pool, 1, from)
 	hdr := ckptHeader{gen: b.hdr.gen + 1, version: st.version, seq: st.seq, nextID: st.nextID,
 		diskTab: b.hdr.diskTab, compacted: b.hdr.compacted, slot: 1 - b.hdr.slot}
-	_, err := writeGeneration(w, st, tab, order, tree, &hdr)
+	_, err := writeGeneration(w, st, tab, order, &hdr)
 	if err != nil {
 		return nil, flattenWork{}, err
 	}
@@ -417,10 +429,9 @@ func encodeSlotTable(st *state) (tab []byte, overlay []int) {
 }
 
 // writeGeneration is the one writer of both flatten kinds. It appends one
-// generation's records to w — the payloads of the slots in order, tree's
-// nodes (children before parents), then the slot table tab, with each
-// written payload's ref patched into it — and sets hdr's root, slot-table and
-// entry-count fields.
+// generation's records to w — the payloads of the slots in order, then the
+// slot table tab, with each written payload's ref patched into it — and sets
+// hdr's slot-table ref.
 //
 // An overlay slot's payload is encoded from its pdf; a base slot's record is
 // copied verbatim, so unchanged objects are byte-stable across checkpoints,
@@ -428,10 +439,7 @@ func encodeSlotTable(st *state) (tab []byte, overlay []int) {
 // rewrite's leaf order is the previous one apart from the changed objects,
 // so the scan is sequential and leaves the queries' pages cached. copied
 // counts the copies.
-func writeGeneration(w *pagecache.Writer, st *state, tab []byte, order []int, tree *rtree.Tree[int], hdr *ckptHeader) (copied int, err error) {
-	if n := len(st.slots); tree.Len() != n {
-		return 0, fmt.Errorf("store: checkpoint: index holds %d entries, slot table %d", tree.Len(), n)
-	}
+func writeGeneration(w *pagecache.Writer, st *state, tab []byte, order []int, hdr *ckptHeader) (copied int, err error) {
 	var (
 		scratch []byte
 		scan    *pagecache.Scanner // opened at the first base slot
@@ -459,27 +467,9 @@ func writeGeneration(w *pagecache.Writer, st *state, tab []byte, order []int, tr
 		}
 		binary.LittleEndian.PutUint64(tab[8+32*i+24:], uint64(ref))
 	}
-
-	var itemVals []int64
-	hdr.root, err = tree.Dump(func(leaf bool, rects []geom.Rect, items []int, children []int64) (int64, error) {
-		vals := children
-		if leaf {
-			itemVals = itemVals[:0]
-			for _, it := range items {
-				itemVals = append(itemVals, int64(it))
-			}
-			vals = itemVals
-		}
-		scratch = pagecache.AppendNode(scratch[:0], leaf, rects, vals)
-		return w.Append(scratch)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("store: checkpoint: dumping index: %w", err)
-	}
 	if hdr.slotTab, err = w.Append(tab); err != nil {
 		return 0, fmt.Errorf("store: checkpoint: %w", err)
 	}
-	hdr.entries = tree.Len()
 	return copied, nil
 }
 
@@ -521,89 +511,82 @@ func appendPayload(buf []byte, id uint64, p pdf.PDF) ([]byte, error) {
 func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // loadCheckpoint recovers the checkpoint under dir into a fresh state. For a
-// paged checkpoint it loads only the live generation's metadata (slot table,
-// index nodes; readGeneration) — object payloads stay on disk behind the
-// returned state's base — and returns the rebuilt index tree for materialize
-// to carry forward. A legacy v1 checkpoint (op stream) is replayed fully
-// resident; the tree is nil and the first materialize bulk-builds it.
-// Reports whether a checkpoint existed.
-func loadCheckpoint(dir string, cacheBytes int64) (*state, *rtree.Tree[int], bool, error) {
+// paged checkpoint it loads only the live generation's slot and disk tables
+// (readGeneration); object payloads stay on disk behind the returned state's
+// base. A legacy v1 checkpoint (op stream) is replayed fully resident.
+// Either way the first materialize bulk-builds the index. Reports whether a
+// checkpoint existed.
+func loadCheckpoint(dir string, cacheBytes int64) (*state, bool, error) {
 	path := filepath.Join(dir, checkpointName)
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
-			return newState(), nil, false, nil
+			return newState(), false, nil
 		}
-		return nil, nil, false, fmt.Errorf("store: %w", err)
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
 	if err := trimAppendDebris(path); err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	pf, err := pager.Open(path)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
+		return nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
 	var page [pager.PageSize]byte
 	if err := pf.ReadPage(0, page[:]); err != nil {
 		pf.Close()
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
+		return nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
 	if string(page[:8]) == ckptMagic {
 		// v1 checkpoint from an older build: replay the op stream resident.
 		defer pf.Close()
 		cs, err := readCheckpoint(pf, page[:])
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		st := newState()
 		st.version, st.seq, st.nextID = cs.Version, cs.Seq, cs.NextID
 		if _, _, err := applyDecoded(st, cs.Ops, nil); err != nil {
-			return nil, nil, false, fmt.Errorf("store: loading checkpoint: %w", err)
+			return nil, false, fmt.Errorf("store: loading checkpoint: %w", err)
 		}
-		return st, nil, true, nil
+		return st, true, nil
 	}
 	hdr, err := parseHeader(page[:])
 	if err != nil {
 		pf.Close()
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
+		return nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
 	b := newBase(newBaseFile(pf, pagecache.NewPool(pf, cacheBytes)), hdr)
-	st, tree, _, err := readGeneration(b)
+	st, err := readGeneration(b)
 	if err != nil {
 		runtime.SetFinalizer(b.baseFile, nil)
 		pf.Close()
-		return nil, nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
+		return nil, false, fmt.Errorf("store: corrupt checkpoint: %w", err)
 	}
-	return st, tree, true, nil
+	return st, true, nil
 }
 
 // readGeneration decodes generation b of a checkpoint file into a fresh
-// state bound to b — the slot table, the disk table and the index, with the
-// payloads left on disk — and returns the index and its node-record count.
-// It is the one reader of a generation, for recovery and for CheckBase, and
-// checks what a served answer depends on: every payload ref lies inside the
-// log, and the index's leaf entries name every slot exactly once, each with
-// its slot's interval — so the filter neither misses an object nor hands
-// out the wrong one's region. The first violation is named by slot.
-func readGeneration(b *base) (*state, *rtree.Tree[int], int, error) {
+// state bound to b — the slot table and the disk table, with the payloads
+// left on disk. It is the one reader of a generation, for recovery and for
+// CheckBase, and checks what a fault depends on: every payload ref lies
+// inside the log. The first violation is named by slot.
+func readGeneration(b *base) (*state, error) {
 	h := b.hdr
 	tab, err := b.log.ReadRecord(nil, h.slotTab)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("slot table: %w", err)
+		return nil, fmt.Errorf("slot table: %w", err)
 	}
 	if len(tab) < 8 || (len(tab)-8)%32 != 0 || binary.LittleEndian.Uint64(tab) != uint64((len(tab)-8)/32) {
-		return nil, nil, 0, fmt.Errorf("slot table of %d bytes is malformed", len(tab))
+		return nil, fmt.Errorf("slot table of %d bytes is malformed", len(tab))
 	}
 	n := (len(tab) - 8) / 32
-	if h.entries != n {
-		return nil, nil, 0, fmt.Errorf("header counts %d index entries, slot table %d", h.entries, n)
-	}
 	st := newState()
 	st.slots, st.slotOf = make([]uint64, 0, n), make(map[uint64]int, n)
 	for i, e := 0, tab[8:]; i < n; i, e = i+1, e[32:] {
 		id := binary.LittleEndian.Uint64(e)
 		r := slotRec{lo: f64(e[8:]), hi: f64(e[16:]), ref: int64(binary.LittleEndian.Uint64(e[24:]))}
 		if r.ref < 0 || r.ref >= h.logSize {
-			return nil, nil, 0, fmt.Errorf("slot %d (id %d): payload ref %d outside the log of %d bytes", i, id, r.ref, h.logSize)
+			return nil, fmt.Errorf("slot %d (id %d): payload ref %d outside the log of %d bytes", i, id, r.ref, h.logSize)
 		}
 		st.slots = append(st.slots, id)
 		st.recs.Append(r)
@@ -612,61 +595,34 @@ func readGeneration(b *base) (*state, *rtree.Tree[int], int, error) {
 
 	diskTab, err := b.log.ReadRecord(nil, h.diskTab)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("disk table: %w", err)
+		return nil, fmt.Errorf("disk table: %w", err)
 	}
 	if len(diskTab) < 8 || (len(diskTab)-8)%32 != 0 {
-		return nil, nil, 0, fmt.Errorf("disk table of %d bytes", len(diskTab))
+		return nil, fmt.Errorf("disk table of %d bytes", len(diskTab))
 	}
 	for e := diskTab[8:]; len(e) > 0; e = e[32:] {
 		st.dropDisk(binary.LittleEndian.Uint64(e[:8]))
 	}
-
-	seen := make([]bool, n)
-	nodes := 0
-	var raw []byte // node records; DecodeNode copies out of it
-	tree, err := rtree.Rebuild(h.root, n, rtree.DefaultMinEntries, rtree.DefaultMaxEntries,
-		func(ref int64) (bool, []geom.Rect, []int, []int64, error) {
-			var err error
-			if raw, err = b.log.ReadRecord(raw[:0], ref); err != nil {
-				return false, nil, nil, nil, err
-			}
-			nd, err := pagecache.DecodeNode(raw)
-			if err != nil {
-				return false, nil, nil, nil, err
-			}
-			nodes++
-			if !nd.Leaf {
-				return false, nd.Rects, nil, nd.Children, nil
-			}
-			items := make([]int, len(nd.Items))
-			for k, it := range nd.Items {
-				if it < 0 || it >= int64(n) {
-					return false, nil, nil, nil, fmt.Errorf("leaf entry names slot %d of %d", it, n)
-				}
-				slot, id, e := int(it), st.slots[it], tab[8+32*it:]
-				if want := geom.RectFromInterval(geom.Interval{Lo: f64(e[8:]), Hi: f64(e[16:])}); nd.Rects[k] != want {
-					return false, nil, nil, nil, fmt.Errorf("slot %d (id %d): leaf entry holds %v, slot table %v",
-						slot, id, nd.Rects[k], want)
-				} else if seen[slot] {
-					return false, nil, nil, nil, fmt.Errorf("slot %d (id %d): reached twice", slot, id)
-				}
-				seen[slot] = true
-				items[k] = slot
-			}
-			return true, nd.Rects, items, nil, nil
-		})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("index: %w", err)
-	}
-	if i := slices.Index(seen, false); i >= 0 {
-		return nil, nil, 0, fmt.Errorf("slot %d (id %d): no leaf entry reaches it", i, st.slots[i])
-	}
 	st.base = b
 	st.version, st.seq, st.nextID = h.version, h.seq, h.nextID
-	return st, tree, nodes, nil
+	return st, nil
 }
 
-// trimAppendDebris cuts a v3 checkpoint file back to its live generation's
+// packIndex bulk-loads st's slot intervals, in slot order, into the STR tree
+// recovery builds (filter.NewIndex packs the same inputs).
+func packIndex(st *state) (*rtree.Tree[int], error) {
+	inputs := make([]rtree.Input[int], len(st.slots))
+	for i := range inputs {
+		inputs[i] = rtree.Input[int]{Rect: geom.RectFromInterval(st.region(i)), Item: i}
+	}
+	tree, err := rtree.BulkLoad(inputs, rtree.DefaultMinEntries, rtree.DefaultMaxEntries)
+	if err != nil {
+		return nil, fmt.Errorf("packing index: %w", err)
+	}
+	return tree, nil
+}
+
+// trimAppendDebris cuts a v4 or v3 checkpoint file back to its live generation's
 // end: pages past it are an append that crashed before its header slot
 // landed, which no header references and the WAL still covers. A file of any
 // other kind, or one too short for its own header, is left to the loader to

@@ -653,7 +653,7 @@ func TestLegacyV1CheckpointUpgrade(t *testing.T) {
 		}
 		s.Close()
 
-		if got := checkpointMagic(t, dir); got != ckptMagicV3 {
+		if got := checkpointMagic(t, dir); got != ckptMagicV4 {
 			t.Fatalf("checkpoint magic after upgrade = %q", got)
 		}
 		re, err := Open(dir, Options{NoSync: true})
@@ -700,7 +700,7 @@ func TestLegacyV1CheckpointUpgrade(t *testing.T) {
 		if err := re.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if got := checkpointMagic(t, crash); got != ckptMagicV3 {
+		if got := checkpointMagic(t, crash); got != ckptMagicV4 {
 			t.Fatalf("checkpoint magic after upgrade = %q", got)
 		}
 	})

@@ -313,7 +313,7 @@ func (s *Store) handleInstall(r *request) {
 		return
 	}
 	s.st = st
-	view, err := s.materialize(nil, nil, nil, true)
+	view, err := s.materialize(nil, nil, true)
 	if err != nil {
 		s.broken.Store(true)
 		r.resp <- result{err: fmt.Errorf("store: publishing snapshot view: %w", err)}

@@ -184,8 +184,8 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	// The bootstrap lands paged, before the follower checkpoints on its own:
 	// a v3 file, nothing resident in the overlay, and checkpoint telemetry
 	// that says a checkpoint happened.
-	if got := checkpointMagic(t, fdir); got != ckptMagicV3 {
-		t.Fatalf("bootstrapped checkpoint magic = %q, want %q", got, ckptMagicV3)
+	if got := checkpointMagic(t, fdir); got != ckptMagicV4 {
+		t.Fatalf("bootstrapped checkpoint magic = %q, want %q", got, ckptMagicV4)
 	}
 	st := f.Stats()
 	if st.OverlaySlots != 0 || st.BaseSlots != n || st.BasePages == 0 {

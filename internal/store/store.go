@@ -16,7 +16,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/geom"
 	"repro/internal/pagecache"
-	"repro/internal/rtree"
 	"repro/internal/uncertain"
 )
 
@@ -316,7 +315,7 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 	// never happened, so the previous checkpoint + WAL are authoritative.
 	os.Remove(filepath.Join(dir, checkpointTmp))
 
-	st, baseTree, haveCkpt, err := loadCheckpoint(dir, opt.CacheBytes)
+	st, haveCkpt, err := loadCheckpoint(dir, opt.CacheBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -326,13 +325,6 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Collect the replay's index edits so the recovered checkpoint tree can
-	// be carried forward incrementally instead of bulk-rebuilt — recovery
-	// cost tracks the WAL, not the dataset. A truncation voids the stream.
-	var (
-		walEdits   []filter.Edit
-		walRebuild bool
-	)
 	for _, rec := range recs {
 		if rec.Seq <= st.seq {
 			continue // already covered by the checkpoint
@@ -341,15 +333,9 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 			w.close()
 			return nil, fmt.Errorf("store: WAL sequence gap: have %d, record %d", st.seq, rec.Seq)
 		}
-		edits, rb, err := applyDecoded(st, rec.Ops, nil)
-		if err != nil {
+		if _, _, err := applyDecoded(st, rec.Ops, nil); err != nil {
 			w.close()
 			return nil, fmt.Errorf("store: replaying WAL record %d: %w", rec.Seq, err)
-		}
-		if rb {
-			walRebuild, walEdits = true, nil
-		} else {
-			walEdits = append(walEdits, edits...)
 		}
 		st.seq = rec.Seq
 		st.version++
@@ -378,7 +364,9 @@ func openStore(dir string, opt Options, role Role) (*Store, error) {
 			s.ckptTime.Store(info.ModTime().UnixNano())
 		}
 	}
-	view, err := s.materialize(nil, baseTree, walEdits, walRebuild)
+	// The index is built from the recovered slot table, whatever kind of
+	// checkpoint it came from.
+	view, err := s.materialize(nil, nil, true)
 	if err != nil {
 		w.close()
 		return nil, err
@@ -698,7 +686,7 @@ func (s *Store) commitGroup(group []*request) {
 			rec.records[i].WALOffset = cum
 		}
 
-		view, err := s.materialize(s.View(), nil, edits, rebuild)
+		view, err := s.materialize(s.View(), edits, rebuild)
 		if err != nil {
 			// Index maintenance failed (internal invariant violation): the
 			// durable log is fine, so a reopen recovers; this process stops.
@@ -961,10 +949,8 @@ func applyDecoded(st *state, ops []Op, rec *deltaRec) (edits []filter.Edit, rebu
 // (fresh payloads resident, unchanged ones faulted from the base checkpoint
 // on demand); the IDs slice aliases the state's copy-on-write backing; the
 // index is prev's O(1) clone with the group's edits replayed (or a bulk
-// rebuild when forced or cheaper — see filter.Apply). baseTree, when
-// non-nil, is a recovered checkpoint tree carried forward through edits
-// instead (recovery's path — it consumes baseTree).
-func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filter.Edit, rebuild bool) (*View, error) {
+// rebuild when forced, without prev, or cheaper — see filter.Apply).
+func (s *Store) materialize(prev *View, edits []filter.Edit, rebuild bool) (*View, error) {
 	st := s.st
 	ds := uncertain.NewBackedDataset(viewSource{recs: st.recs.Snapshot(), base: st.base})
 	var (
@@ -972,10 +958,8 @@ func (s *Store) materialize(prev *View, baseTree *rtree.Tree[int], edits []filte
 		err error
 	)
 	switch {
-	case rebuild || (prev == nil && baseTree == nil):
+	case rebuild || prev == nil:
 		ix, err = filter.NewIndex(ds)
-	case baseTree != nil:
-		ix, err = filter.ApplyTree(baseTree, ds, edits)
 	default:
 		ix, err = prev.Index.Apply(ds, edits)
 	}
@@ -1082,10 +1066,9 @@ func (s *Store) checkpointLocked(auto bool) error {
 // bootstrap; until the new generation is durable a failure leaves st, the
 // live state, the WAL and checkpoint.db's live generation as they were.
 //
-// With auto set (only ever for the live state, whose index the published
-// view holds) and st.appendable(), st is appended to the base file as a new
-// generation (appendGeneration); otherwise the file is rewritten whole
-// (writeCheckpointPaged).
+// With auto set (only ever for the live state) and st.appendable(), st is
+// appended to the base file as a new generation (appendGeneration);
+// otherwise the file is rewritten whole (writeCheckpointPaged).
 func (s *Store) flatten(st *state, auto bool) error {
 	start := time.Now()
 	var (
@@ -1095,10 +1078,7 @@ func (s *Store) flatten(st *state, auto bool) error {
 		appended = auto && st.appendable()
 	)
 	if appended {
-		var tree *rtree.Tree[int]
-		if tree, err = s.View().Index.Tree(); err == nil {
-			b, work, err = appendGeneration(st.base, st, tree)
-		}
+		b, work, err = appendGeneration(st.base, st)
 	} else {
 		b, work, err = writeCheckpointPaged(s.dir, st, s.opt.CacheBytes)
 	}
