@@ -448,24 +448,23 @@ func TestCheckpointFailsOnCorruptBase(t *testing.T) {
 // of checkpoint.db after its first and its second flatten, and of the same
 // files from page 1 on — the record stream without the header page.
 const (
-	stableFirstSHA  = "190ec996bfeaf1cc235bad675795b4d915b1e8149b315cc740cfa17fb2acde6e"
-	stableSecondSHA = "3a2ee3e972a7c60245bd84c478fd18e6ea4b4ffc1a684fd82ea7708477bfd08b"
+	stableFirstSHA  = "6c85db5f3e7088748fbf23a05b9213cc92d91e4cc4da059dc39e8be6e959a33a"
+	stableSecondSHA = "67fd2d94c8e2b0310c320c46951a0f529ad01a7b509c8f92aad2b5d686e759de"
 
-	stableFirstBodySHA  = "a208c21e4c7b6bae2ee92897253518cda98811efb992e5288502476223952be6"
-	stableSecondBodySHA = "534aa95b5a1452b11272bf9296d13027f478568af68baf529e1bc1f0b9966a09"
+	stableFirstBodySHA  = "6999306a01f438be966086a15dd32ac14ac877c76e1a411dd3a5777f21c2a598"
+	stableSecondBodySHA = "c1124c14abfff070cfd43f7dff4b0b001dd62ec3bba0c047c30328cae1aa7b63"
 
 	// stableAppendedSHA is TestAppendedCheckpointBytesStable's digest of
 	// checkpoint.db after one appended flatten.
-	stableAppendedSHA = "c811588eb5e371415368cc46b91dc12e71f608e60c4c05adec1120f6403e4bb6"
+	stableAppendedSHA = "708c5d3cf625232bb11a2f3271e4e83c3d98234897a9f49e0350c51a8934362e"
 )
 
 // TestAppendedCheckpointBytesStable holds an appended generation to its
 // bytes, as TestCheckpointBytesStable holds a full rewrite. A fixed op
 // sequence — updates, inserts and deletes, applied one call per commit
-// group so the live index's shape is fixed too — is flattened by the WAL
-// trigger onto a rewritten base, and the file must hash to the recorded
-// digest: any change to the overlay's payload order, the live index dump,
-// the slot table or the header slot shows here.
+// group — is flattened by the WAL trigger onto a rewritten base, and the
+// file must hash to the recorded digest: any change to the overlay's payload order, the slot table or the
+// header slot shows here.
 func TestAppendedCheckpointBytesStable(t *testing.T) {
 	const n = 2000
 	s, dir := openScatteredDir(t, n, 53, Options{NoSync: true, CheckpointBytes: -1, CacheBytes: 1})
@@ -509,8 +508,8 @@ func TestAppendedCheckpointBytesStable(t *testing.T) {
 // op sequence — histograms and uniforms, then updates, deletes and
 // inserts on top of the first base — is flattened twice, so the second file
 // copies unchanged payloads from the first and encodes the changed ones.
-// Both files must hash to the recorded digests: any change to payload order,
-// the copy, the index pack or the framing shows here. The digests from page 1
+// Both files must hash to the recorded digests: any change to payload order
+// (the index pack's leaf order), the copy or the framing shows here. The digests from page 1
 // on hold the record stream apart from the header page, so a header-only
 // format change re-records the first pair and leaves the second.
 func TestCheckpointBytesStable(t *testing.T) {
