@@ -855,32 +855,36 @@ func centreKey(c float64) uint64 {
 	return b | 1<<63
 }
 
-// radixMin is the smallest input sortKeys radix-sorts: below it, clearing
-// and summing the bucket counts costs more than a comparison sort.
+// radixMin is the smallest input sortKeys radix-sorts: below it, summing
+// the bucket counts costs more than a comparison sort.
 const radixMin = 256
 
 // sortKeys sorts keys on k, stably, so equal keys keep their input order: an
-// LSD radix sort, 11 bits a pass, that skips a pass whose digit every key
-// shares, through scratch (at least as long as keys). A comparison sort of
-// the same keys was 60% of a 100k bulk load.
+// LSD radix sort through scratch (at least as long as keys), one byte a
+// pass, that skips a pass whose byte every key shares. On 100k keys it is
+// about five times as fast as a comparison sort.
 func sortKeys(keys, scratch []strKey) {
 	n := len(keys)
 	if n < radixMin {
 		slices.SortStableFunc(keys, func(a, b strKey) int { return cmp.Compare(a.k, b.k) })
 		return
 	}
-	const digitBits, passes = 11, 6 // 6 × 11 ≥ 64
-	const mask = 1<<digitBits - 1
-	var counts [passes][1 << digitBits]int
+	var counts [8][256]int
 	for _, key := range keys {
-		for p := range counts {
-			counts[p][key.k>>(p*digitBits)&mask]++
-		}
+		k := key.k
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24&0xff]++
+		counts[4][k>>32&0xff]++
+		counts[5][k>>40&0xff]++
+		counts[6][k>>48&0xff]++
+		counts[7][k>>56]++
 	}
 	src, dst := keys, scratch[:n]
 	for p := range counts {
-		shift, c := p*digitBits, &counts[p]
-		if c[src[0].k>>shift&mask] == n {
+		shift, c := 8*p, &counts[p]
+		if c[src[0].k>>shift&0xff] == n {
 			continue
 		}
 		sum := 0
@@ -888,7 +892,7 @@ func sortKeys(keys, scratch []strKey) {
 			c[d], sum = sum, sum+k
 		}
 		for _, key := range src {
-			d := key.k >> shift & mask
+			d := key.k >> shift & 0xff
 			dst[c[d]] = key
 			c[d]++
 		}
@@ -902,13 +906,19 @@ func sortKeys(keys, scratch []strKey) {
 // strOrder returns the Sort-Tile-Recursive order of n rectangles and the
 // slab size: the indices sorted on centre X, then each vertical slab of
 // perSlice sorted on centre Y. Both sorts are stable, so tied centres keep
-// index order, and a slab's Y ties keep their X order. A slab whose centres
-// share one Y (every slab of a 1-D tree) is left as it is, which is what
-// sorting it would do.
+// index order, and a slab's Y ties keep their X order. When every centre
+// shares one Y (every level of a 1-D tree) the slabs are left as they are,
+// which is what sorting them would do.
 func strOrder(n, capPerNode int, rect func(i int) geom.Rect) ([]strKey, int) {
-	keys := make([]strKey, n)
+	var y0 float64
+	keys, flat := make([]strKey, n), true
 	for i := range keys {
-		keys[i] = strKey{k: centreKey(rect(i).Center().X), i: i}
+		c := rect(i).Center()
+		if i == 0 {
+			y0 = c.Y
+		}
+		keys[i] = strKey{k: centreKey(c.X), i: i}
+		flat = flat && c.Y == y0
 	}
 	scratch := make([]strKey, n)
 	sortKeys(keys, scratch)
@@ -917,17 +927,12 @@ func strOrder(n, capPerNode int, rect func(i int) geom.Rect) ([]strKey, int) {
 		sliceCount = 1
 	}
 	perSlice := int(math.Ceil(float64(n) / float64(sliceCount)))
-	for s := 0; s < n; s += perSlice {
+	for s := 0; s < n && !flat; s += perSlice {
 		slab := keys[s:min(s+perSlice, n)]
-		y0, flat := rect(slab[0].i).Center().Y, true
 		for k := range slab {
-			y := rect(slab[k].i).Center().Y
-			slab[k].k = centreKey(y)
-			flat = flat && y == y0
+			slab[k].k = centreKey(rect(slab[k].i).Center().Y)
 		}
-		if !flat {
-			sortKeys(slab, scratch)
-		}
+		sortKeys(slab, scratch)
 	}
 	return keys, perSlice
 }
