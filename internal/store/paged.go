@@ -48,11 +48,12 @@ import (
 // (filter.NewIndex, the path a v1 checkpoint takes), so it cannot disagree
 // with the table. SQLite's r-tree module keeps its index on disk and
 // rewrites it a node at a time (SNIPPETS 3); for 1-D intervals at this scale
-// that buys nothing. At n = 100k an STR pack with a radix sort costs about
-// what decoding and checking the stored dump did (a ≈25–29 ms Open either
-// way, 2 vCPU), about 70% of leaves are dirty after 4,000 updates, so
-// per-node rewriting would save little, and an appended generation without
-// the dump is ≈3.4 MB instead of ≈8.3 MB.
+// that buys nothing. At n = 100k an STR pack with a radix sort costs what
+// decoding and checking a stored dump did (BenchmarkOpen over a full
+// rewrite: 34.0 ms median built, 34.6 ms decoded, 10 pairs on 2 vCPU);
+// about 70% of leaves are dirty after 4,000 updates, so per-node rewriting
+// would save little; and an appended generation without the dump writes
+// 3.3 MB instead of 7.8 MB (TestFlattenWorkCounts).
 //
 // Object payload records reuse the WAL op encoding (a one-op batch), so a
 // faulted-in object decodes through exactly the code path recovery replays —
@@ -373,9 +374,9 @@ func writeCheckpointPaged(dir string, st *state, cacheBytes int64) (*base, flatt
 
 // appendGeneration writes st as the next generation of b's file: the
 // overlay's payloads and the slot table, appended from the page after b's
-// stream, then the older header slot. Once the generation is durable it rebinds the overlay's slots to
-// their new payload records; the other slots keep their refs, which point
-// into the same file.
+// stream, then the older header slot. Once the generation is durable it
+// rebinds the overlay's slots to their new payload records; the other slots
+// keep their refs, which point into the same file.
 func appendGeneration(b *base, st *state) (*base, flattenWork, error) {
 	// The overlay in centre order, as a full rewrite's leaf order is in 1-D:
 	// a query's changed candidates share this generation's pages.
